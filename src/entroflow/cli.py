@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -156,17 +155,9 @@ def _json_out(obj, path: str | None) -> None:
         print(text)
 
 
-def _sweep_one(task: tuple) -> float:
-    opts, p, theta = task
-    pot, grid = _build_geometry(opts)
-    if theta is not None:
-        return spectrum.lambda1_pme(theta, pot, grid).lam
-    return spectrum.lambda1_linear(p, pot, grid).lam
-
-
 def cmd_lambda1(args: argparse.Namespace) -> int:
     opts = _merge_config(
-        args, ["p", "theta", "potential", "domain", "radial", "n", "out", "jobs"]
+        args, ["p", "theta", "potential", "domain", "radial", "n", "out"]
     )
     theta = opts.get("theta")
     ps = [float(x) for x in str(opts.get("p", "")).split(",") if x] if theta is None else []
@@ -177,15 +168,6 @@ def cmd_lambda1(args: argparse.Namespace) -> int:
     if theta is not None:
         res = spectrum.lambda1_pme(float(theta), pot, grid)
         results.append(("theta", float(theta), res))
-    elif len(ps) > 1 and int(opts.get("jobs") or 1) > 1:
-        tasks = [(opts, p, None) for p in ps]
-        with ProcessPoolExecutor(max_workers=int(opts["jobs"])) as pool:
-            lams = list(pool.map(_sweep_one, tasks))
-        for p, lam in zip(ps, lams):
-            res = spectrum.SpectralResult(
-                lam=lam, eigenvector=np.empty(0), residual=math.nan, iterations=-1
-            )
-            results.append(("p", p, res))
     else:
         for p in ps:
             results.append(("p", p, spectrum.lambda1_linear(p, pot, grid)))
@@ -196,7 +178,7 @@ def cmd_lambda1(args: argparse.Namespace) -> int:
             {
                 kind: value,
                 "lambda1": res.lam,
-                "residual": None if math.isnan(res.residual) else res.residual,
+                "residual": res.residual,
                 "iterations": res.iterations,
                 "grid": grid.ident,
                 "n": grid.n,
@@ -220,7 +202,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
     opts = _merge_config(
         args,
         ["p", "m", "theta", "tend", "dt", "init", "stride", "audit-stride",
-         "scheme", "seed", "potential", "domain", "radial", "n", "trace", "fields"],
+         "scheme", "potential", "domain", "radial", "n", "trace", "fields"],
     )
     pot, grid = _build_geometry(opts)
     kind = args.flow_kind
@@ -235,7 +217,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
         stride=int(opts["stride"]) if opts.get("stride") is not None else None,
         audit_stride=int(opts.get("audit-stride", 10)),
         scheme=str(opts.get("scheme", "cn")),
-        seed=int(opts.get("seed", 0)),
     )
     runner = flows.run_linear if kind == "linear" else flows.run_pme
     trace = runner(cfg, pot, grid)
@@ -488,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("lambda1", help="smallest quotient eigenvalue")
     sp.add_argument("--p", help="p value or comma list")
     sp.add_argument("--theta", type=float, help="use the (1-theta) gradient coefficient")
-    sp.add_argument("--jobs", type=int, help="parallel workers for p sweeps")
+    sp.add_argument("--jobs", type=int, help="ignored; kept so older scripts still parse")
     _add_geometry_flags(sp)
     sp.set_defaults(func=cmd_lambda1)
 
@@ -503,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--stride", type=int)
     sp.add_argument("--audit-stride", type=int)
     sp.add_argument("--scheme", choices=("cn", "be"))
-    sp.add_argument("--seed", type=int)
     sp.add_argument("--trace", help="trace CSV output path")
     sp.add_argument("--fields", help="stored-field NPZ output path")
     _add_geometry_flags(sp)

@@ -65,7 +65,6 @@ class FlowConfig:
     floor: float = DEFAULT_FLOOR
     newton_tol: float = 1e-12
     max_dt_halvings: int = 30
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "pme"):

@@ -65,6 +65,7 @@ class Grid:
     g_values : e^{-F} at the nodes
     dgamma_weights : normalized weights, sum exactly 1, for integration
         against the probability measure
+    g_face : per-edge face weights e^{-F} entering the conductances
     conductance : per-edge flux coefficients (face area * face g / h)
     weight_mass : unnormalized sum(dx_weights * g_values)
     """
@@ -76,6 +77,7 @@ class Grid:
     dx_weights: np.ndarray = field(repr=False)
     g_values: np.ndarray = field(repr=False)
     dgamma_weights: np.ndarray = field(repr=False)
+    g_face: np.ndarray = field(repr=False)
     conductance: np.ndarray = field(repr=False)
     weight_mass: float
     potential: Potential
@@ -115,6 +117,7 @@ def _finish_grid(kind, d, nodes, h, w, g_face, face_area, pot) -> Grid:
         dx_weights=w,
         g_values=g,
         dgamma_weights=mu,
+        g_face=g_face,
         conductance=conductance,
         weight_mass=mass,
         potential=pot,

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, ParameterError
 
@@ -289,6 +288,9 @@ def tail_mass(pot: Potential, R: float, d: int | None = None) -> float:
         d = pot.d
     if R <= 0:
         raise ParameterError("R must be positive")
+
+    # deferred: scipy.integrate is a large share of `import entroflow` and only this needs it
+    from scipy import integrate
 
     def integrand(r: float) -> float:
         F, _, _ = evaluate(pot, r)

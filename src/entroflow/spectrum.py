@@ -10,10 +10,10 @@ Three quotients are discretized, all on the same grid machinery:
 
 The discrete problem is a generalized symmetric pencil A w = lambda M w with
 M the diagonal of quadrature weights; the M^{1/2} similarity turns it into a
-symmetric tridiagonal matrix.  The smallest eigenvalue is isolated by Sturm
-bisection (LDL^T inertia counts) and the eigenvector recovered by shifted
-inverse iteration from just below the eigenvalue; tridiagonal solves keep
-every step O(n).
+symmetric tridiagonal matrix.  Its smallest eigenpair comes from one LAPACK
+call (stebz bisection for the eigenvalue, stein inverse iteration for the
+vector), refined by one Rayleigh quotient whose residual is checked; every
+step is O(n).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import BoundaryConditionViolated, ParameterError, SolverDiverged
 from .grid import Grid
@@ -29,7 +29,6 @@ from .potential import (
     Potential,
     evaluate,
     hessian_infimum_V,
-    log_weight,
     schrodinger_potential,
 )
 
@@ -43,6 +42,7 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,8 @@ class SpectralResult:
     flat-measure bound).  ``residual`` is the 2-norm of the symmetrized
     operator residual; ``tol`` is the effective tolerance it was held to,
     i.e. the requested tolerance floored at the round-off level of one
-    matrix-vector product.
+    matrix-vector product.  ``iterations`` is the number of LAPACK
+    eigensolve calls: 1 per solve, 0 when the p = 1 shortcut needs none.
     """
 
     lam: float
@@ -65,21 +66,6 @@ class SpectralResult:
 
     def __float__(self) -> float:
         return self.lam
-
-
-def _sturm_count(diag: np.ndarray, off2: np.ndarray, sigma: float) -> int:
-    """Number of eigenvalues strictly below sigma (LDL^T inertia count)."""
-    count = 0
-    t = diag[0] - sigma
-    if t < 0.0:
-        count += 1
-    for k in range(1, len(diag)):
-        if t == 0.0:
-            t = 1e-300
-        t = diag[k] - sigma - off2[k - 1] / t
-        if t < 0.0:
-            count += 1
-    return count
 
 
 def _tridiag_matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -93,79 +79,36 @@ def smallest_eigenpair(
     diag: np.ndarray,
     off: np.ndarray,
     tol: float = 1e-10,
-    max_iterations: int = 500,
 ) -> tuple[float, np.ndarray, float, int, float]:
     """Smallest eigenpair of a symmetric tridiagonal matrix.
 
-    Returns (lam, vector, residual, iterations, effective_tol); the vector has
-    unit 2-norm.  Raises SolverDiverged if the residual tolerance (floored at
-    the matvec round-off level) cannot be met.
+    LAPACK stebz isolates the eigenvalue by bisection at full accuracy and
+    stein recovers its eigenvector by inverse iteration; one Rayleigh
+    quotient of the normalized vector then gives the returned eigenvalue and
+    residual.  Returns (lam, vector, residual, iterations, effective_tol);
+    the vector has unit 2-norm and ``iterations`` counts the LAPACK
+    eigensolve calls (always 1).  Raises SolverDiverged if LAPACK reports a
+    failure or the residual tolerance (floored at the matvec round-off
+    level) cannot be met.
     """
-    n = len(diag)
-    off2 = off * off
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    lo = float(np.min(diag - radius))
-    hi = float(np.max(diag + radius))
-    scale = max(1.0, abs(lo), abs(hi))
-    lo -= 1e-12 * scale
-    hi += 1e-12 * scale
-
-    iterations = 0
-    a, b = lo, hi
-    while b - a > 1e-13 * max(1.0, abs(a), abs(b)) and iterations < 120:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        iterations += 1
-        if _sturm_count(diag, off2, mid) >= 1:
-            b = mid
-        else:
-            a = mid
-
-    # inverse iteration from just below the eigenvalue: the bracket end with
-    # inertia count 0 sits under lambda_1, so convergence is immediate
-    sigma = a
-    ab = np.zeros((3, n))
-    y = 1.0 + 1e-3 * np.sin(0.7 * np.arange(n))  # deterministic start
-    y /= np.linalg.norm(y)
+    try:
+        _, vectors = eigh_tridiagonal(
+            diag, off, select="i", select_range=(0, 0), tol=2.0 * _TINY,
+            check_finite=False, lapack_driver="stebz",
+        )
+    except np.linalg.LinAlgError as exc:
+        raise SolverDiverged(f"LAPACK stebz/stein failed: {exc}") from exc
+    x = vectors[:, 0] / np.linalg.norm(vectors[:, 0])
+    tx = _tridiag_matvec(diag, off, x)
+    lam = float(np.dot(x, tx))
+    residual = float(np.linalg.norm(tx - lam * x))
     tnorm = float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0))
     tol_eff = max(tol, 8.0 * _EPS * max(1.0, tnorm))
-    best_lam, best_x, best_res = sigma, y, np.inf
-    stalled = 0
-    for _ in range(max_iterations):
-        iterations += 1
-        ab[0, 1:] = off
-        ab[1, :] = diag - sigma
-        ab[2, :-1] = off
-        try:
-            x = solve_banded((1, 1), ab, y, check_finite=False)
-        except np.linalg.LinAlgError:
-            sigma -= max(1e-12 * max(1.0, abs(sigma)), 1e-300)
-            continue
-        nx = np.linalg.norm(x)
-        if not np.isfinite(nx) or nx == 0.0:
-            sigma -= 1e-10 * max(1.0, abs(sigma))
-            continue
-        x /= nx
-        tx = _tridiag_matvec(diag, off, x)
-        lam = float(np.dot(x, tx))
-        residual = float(np.linalg.norm(tx - lam * x))
-        if residual < best_res:
-            best_lam, best_x, best_res = lam, x, residual
-            stalled = 0
-        else:
-            stalled += 1
-        if best_res <= tol_eff or stalled >= 3:
-            break
-        y = x
-    if best_res > max(tol_eff, 64.0 * _EPS * max(1.0, tnorm)):
+    if not residual <= max(tol_eff, 64.0 * _EPS * max(1.0, tnorm)):
         raise SolverDiverged(
-            f"inverse iteration residual {best_res:.3e} above tolerance {tol_eff:.1e} "
-            f"after {iterations} iterations"
+            f"eigenvector residual {residual:.3e} above tolerance {tol_eff:.1e}"
         )
-    return best_lam, best_x, best_res, iterations, tol_eff
+    return lam, x, residual, 1, tol_eff
 
 
 def _assemble_symmetrized(
@@ -195,11 +138,10 @@ def _solve_quotient(
     grad_coeff: float,
     V: np.ndarray,
     tol: float,
-    max_iterations: int,
 ) -> SpectralResult:
     mass = grid.node_mass
     diag, off = _assemble_symmetrized(mass, grid.conductance, grad_coeff, V)
-    lam, y, residual, iterations, tol_eff = smallest_eigenpair(diag, off, tol, max_iterations)
+    lam, y, residual, iterations, tol_eff = smallest_eigenpair(diag, off, tol)
     w = y / np.sqrt(mass / grid.weight_mass)
     if w[int(np.argmax(np.abs(w)))] < 0.0:
         w = -w
@@ -213,7 +155,6 @@ def lambda1_linear(
     pot: Potential,
     grid: Grid,
     tol: float = 1e-10,
-    max_iterations: int = 500,
 ) -> SpectralResult:
     """Smallest eigenvalue of  w -> -(2(p-1)/p) Lw + V w  in the weighted measure.
 
@@ -233,7 +174,7 @@ def lambda1_linear(
             lam=float(V[idx]), eigenvector=w, residual=0.0, iterations=0, tol=tol
         )
     coeff = 2.0 * (p - 1.0) / p
-    return _solve_quotient(grid, coeff, V, tol, max_iterations)
+    return _solve_quotient(grid, coeff, V, tol)
 
 
 def lambda1_pme(
@@ -241,7 +182,6 @@ def lambda1_pme(
     pot: Potential,
     grid: Grid,
     tol: float = 1e-10,
-    max_iterations: int = 500,
 ) -> SpectralResult:
     """Smallest eigenvalue of  w -> -(1-theta) Lw + V w  in the weighted measure.
 
@@ -250,7 +190,7 @@ def lambda1_pme(
     if not (0.0 <= theta < 1.0):
         raise ParameterError(f"theta must lie in [0, 1); got {theta}")
     V = hessian_infimum_V(pot, grid)
-    return _solve_quotient(grid, 1.0 - theta, V, tol, max_iterations)
+    return _solve_quotient(grid, 1.0 - theta, V, tol)
 
 
 def _check_outward_derivative(pot: Potential, grid: Grid) -> None:
@@ -275,7 +215,6 @@ def lambda1_schrodinger_bound(
     pot: Potential,
     grid: Grid,
     tol: float = 1e-10,
-    max_iterations: int = 500,
 ) -> SpectralResult:
     """Flat-measure ground-state lower bound for lambda1_linear(p).
 
@@ -291,9 +230,9 @@ def lambda1_schrodinger_bound(
     W = schrodinger_potential(pot, grid, nu)
     mass = grid.dx_weights
     # flat-measure conductances: face area / h, i.e. weighted ones divided by face g
-    conduct = grid.conductance / _face_g(grid)
+    conduct = grid.conductance / grid.g_face
     diag, off = _assemble_symmetrized(mass, conduct, 1.0, W)
-    E0, y, residual, iterations, tol_eff = smallest_eigenpair(diag, off, tol, max_iterations)
+    E0, y, residual, iterations, tol_eff = smallest_eigenpair(diag, off, tol)
     scalefac = 2.0 * (p - 1.0) / p
     u = y / np.sqrt(mass)
     if u[int(np.argmax(np.abs(u)))] < 0.0:
@@ -305,18 +244,6 @@ def lambda1_schrodinger_bound(
         iterations=iterations,
         tol=scalefac * tol_eff,
     )
-
-
-def _face_g(grid: Grid) -> np.ndarray:
-    """Recover the face weights e^{-F} used in the conductances."""
-    if grid.potential.family == "tabulated":
-        F, _, _ = evaluate(grid.potential, grid.nodes)
-        return np.exp(-0.5 * (F[:-1] + F[1:]))
-    if grid.kind == "radial":
-        faces = (np.arange(1, grid.n)) * grid.h
-    else:
-        faces = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-    return np.exp(-log_weight(grid.potential, faces))
 
 
 def epsilon_star(
@@ -342,7 +269,7 @@ def epsilon_star(
 
     def smallest(eps: float) -> float:
         coeff = max(0.0, 1.0 - alpha * (1.0 + eps))
-        return _solve_quotient(grid, coeff, V, tol, 500).lam
+        return _solve_quotient(grid, coeff, V, tol).lam
 
     if smallest(cap) >= -eig_floor:
         return cap

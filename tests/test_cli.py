@@ -5,6 +5,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from entroflow.cli import main
@@ -81,7 +82,18 @@ class TestLambda1Command:
         assert run_cli("lambda1", *common, "--jobs", "2", "--out", str(parallel)) == 0
         a = json.loads(serial.read_text())
         b = json.loads(parallel.read_text())
-        assert [r["lambda1"] for r in a] == [r["lambda1"] for r in b]
+        keys = ("lambda1", "residual", "iterations")
+        assert [[r[k] for k in keys] for r in a] == [[r[k] for k in keys] for r in b]
+
+    def test_lapack_failure_exits_3(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("stein: eigenvector failed to converge")
+
+        monkeypatch.setattr("entroflow.spectrum.eigh_tridiagonal", fail)
+        assert run_cli(
+            "lambda1", "--p", "1.5", "--potential", "gaussian",
+            "--domain", "-6:6", "--n", "301",
+        ) == 3
 
     def test_undersized_radius_is_config_error(self):
         assert run_cli(

@@ -1,6 +1,8 @@
 """Confinement families: closed-form derivatives and derived potentials."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -175,6 +177,16 @@ class TestTailMass:
     def test_flat_has_no_tail(self):
         with pytest.raises(DomainError):
             ef.tail_mass(ef.flat(), 1.0, 1)
+
+    def test_package_import_defers_scipy_integrate(self):
+        # only tail_mass needs the quadrature module; importing the package must not load it
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, entroflow; print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 def test_potential_from_spec_aliases():

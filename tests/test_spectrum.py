@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import entroflow as ef
-from entroflow.errors import BoundaryConditionViolated, ParameterError
+from entroflow.errors import BoundaryConditionViolated, ParameterError, SolverDiverged
 from entroflow.spectrum import _assemble_symmetrized, smallest_eigenpair
 
 
@@ -16,9 +16,7 @@ class TestSolverAgainstLapack:
             diag = rng.uniform(0.5, 3.0, n)
             off = rng.uniform(-0.9, 0.9, n - 1)
             lam, vec, res, _, tol_eff = smallest_eigenpair(diag, off)
-            oracle = eigh_tridiagonal(
-                diag, off, select="i", select_range=(0, 0), eigvals_only=True
-            )[0]
+            oracle = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0]
             assert lam == pytest.approx(oracle, abs=1e-11)
             assert res <= tol_eff
             assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
@@ -31,9 +29,21 @@ class TestSolverAgainstLapack:
         )
         lam = smallest_eigenpair(diag, off)[0]
         oracle = eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, 0), eigvals_only=True
+            diag, off, select="i", select_range=(0, 0), eigvals_only=True,
+            lapack_driver="stemr",
         )[0]
         assert lam == pytest.approx(oracle, abs=1e-10)
+
+    def test_inaccurate_vector_raises(self, monkeypatch, rng):
+        def perturbed(*args, **kwargs):
+            w, v = eigh_tridiagonal(*args, **kwargs)
+            return w, v + 1e-3 * rng.standard_normal(v.shape)
+
+        monkeypatch.setattr("entroflow.spectrum.eigh_tridiagonal", perturbed)
+        diag = rng.uniform(0.5, 3.0, 100)
+        off = rng.uniform(-0.9, 0.9, 99)
+        with pytest.raises(SolverDiverged):
+            smallest_eigenpair(diag, off)
 
 
 class TestLambda1Linear:
