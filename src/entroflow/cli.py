@@ -18,6 +18,7 @@ trace CSV uses 17 significant digits, plots are self-contained SVG.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -341,6 +342,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     checks = [c for c in str(opts.get("checks", "envelope,dissipation")).split(",") if c]
     kind = trace.config.get("kind", "linear")
     p = float(opts.get("p") or trace.config.get("p"))
+    if kind == "pme":
+        m, theta = float(trace.config["m"]), trace.config.get("theta")
+        theta = 0.5 if theta is None else float(theta)
 
     geometry_opts = dict(opts)
     meta_geo = trace.meta.get("geometry") or {}
@@ -366,18 +370,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     verdicts: list[verify.Verdict] = []
     envelope_curves: list[tuple[str, np.ndarray]] = [("E (trace)", trace.E)]
     lam = float(opts["lambda1"]) if opts.get("lambda1") is not None else None
+    spectral = None  # lambda1_linear(p) with its eigenvector, solved at most once
 
     if "envelope" in checks or "lemma" in checks:
         if lam is None:
             if kind == "pme":
-                theta = float(trace.config.get("theta") or 0.5)
                 lam = spectrum.lambda1_pme(theta, pot, grid).lam
             else:
-                lam = spectrum.lambda1_linear(p, pot, grid).lam
+                spectral = spectrum.lambda1_linear(p, pot, grid)
+                lam = spectral.lam
     if "envelope" in checks:
         if kind == "pme":
-            m = float(trace.config["m"])
-            theta = float(trace.config.get("theta") or 0.5)
             consts = criteria.constants_chain(m, p, theta, lam, float(trace.E[0]))
             I0 = float(trace.I[0])
             env_I = lambda t: criteria.envelope_pme(I0, consts.kappa, t)[0]
@@ -401,13 +404,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     if "poincare" in checks:
         if kind == "pme":
             raise ConfigError("the poincare check applies to linear traces")
-        lam_p = lam if lam is not None else spectrum.lambda1_linear(p, pot, grid).lam
+        if spectral is None:  # --lambda1 given, or no envelope check solved it
+            spectral = spectrum.lambda1_linear(p, pot, grid)
+            spectral = dataclasses.replace(spectral, lam=spectral.lam if lam is None else lam)
         weak = None
         if p < 2.0:
             weak = (p - 1.0) * spectrum.lambda1_linear(2.0, pot, grid).lam
         verdicts.append(
             verify.poincare_test(
-                p, lam_p, pot, grid,
+                p, spectral, grid,
                 trials=int(opts.get("trials", 100)),
                 seed=int(opts.get("seed", 0)),
                 weak_lambda1=weak,
@@ -424,8 +429,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     if "lemma" in checks:
         if kind != "pme":
             raise ConfigError("the lemma check applies to pme traces")
-        m = float(trace.config["m"])
-        theta = float(trace.config.get("theta") or 0.5)
         worst, loc = np.inf, None
         for i, (E, I, K) in enumerate(zip(trace.E, trace.I, trace.K)):
             chk = criteria.lemma_functional_check(m, p, theta, lam, (E, I, K))

@@ -10,7 +10,11 @@ per step).
 
 The nonlinear step solves  v' - theta dt L(v'^m) = v + (1-theta) dt L(v^m)
 with a damped Newton iteration on the O(1)-scaled residual; if Newton stalls
-the step is bisected in time (recursively, bounded depth).
+the step is bisected in time (recursively, bounded depth).  Both implicit
+systems are the node masses W plus a multiple of the stiffness stencil S of
+:func:`grid.stiffness_bands`, solved with LAPACK ``pttrf``/``pttrs``; the Newton
+system (W + theta dt S D) delta = -W res, D = diag(m v^{m-1}) > 0, is solved in
+its symmetric form (W D^{-1} + theta dt S)(D delta) = -W res.
 
 A run emits a Trace: scalar time series of (t, E, I, K, mass, min_v) plus
 full density snapshots every ``audit_stride`` records for the second-order
@@ -24,7 +28,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ConfigError, LinearSolveFailure, NewtonDiverged
 from .functionals import (
@@ -38,7 +42,7 @@ from .functionals import (
     k_linear,
     k_pme,
 )
-from .grid import Grid, delta_g, integrate_dgamma
+from .grid import Grid, delta_g, integrate_dgamma, stiffness_bands
 
 __all__ = ["FlowConfig", "Trace", "initial_field", "run_linear", "run_pme"]
 
@@ -216,15 +220,6 @@ def initial_field(grid: Grid, spec: str) -> np.ndarray:
     return v / integrate_dgamma(grid, v)
 
 
-def _stiffness_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """S v where S is the (unnormalized) stiffness matrix of the weighted form."""
-    q = grid.conductance * np.diff(v)
-    out = np.zeros(grid.n)
-    out[:-1] -= q
-    out[1:] += q
-    return out
-
-
 class _Recorder:
     """Accumulates snapshot rows and stored fields during a run."""
 
@@ -276,16 +271,10 @@ def run_linear(config: FlowConfig, pot, grid: Grid) -> Trace:
     theta = 1.0 if config.scheme == "be" else 0.5
 
     wg = grid.node_mass
-    sdiag = np.zeros(grid.n)
-    sdiag[:-1] += grid.conductance
-    sdiag[1:] += grid.conductance
-    ab = np.zeros((2, grid.n))
-    ab[0, 1:] = -theta * dt * grid.conductance
-    ab[1, :] = wg + theta * dt * sdiag
-    try:
-        cb = cholesky_banded(ab, lower=False, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - PD by construction
-        raise LinearSolveFailure(f"cannot factor the implicit system: {exc}") from exc
+    sdiag, soff = stiffness_bands(grid.conductance)
+    fdiag, foff, info = dpttrf(wg + theta * dt * sdiag, theta * dt * soff)
+    if info != 0:
+        raise LinearSolveFailure(f"cannot factor the implicit system: LAPACK dpttrf info={info}")
 
     def evaluate(v: np.ndarray):
         E = entropy_linear(params, v, grid)
@@ -297,8 +286,8 @@ def run_linear(config: FlowConfig, pot, grid: Grid) -> Trace:
     rec = _Recorder(grid, evaluate, stride, config.audit_stride)
     rec.maybe_record(0, 0.0, v)
     for step in range(1, n_steps + 1):
-        rhs = wg * v - (1.0 - theta) * dt * _stiffness_apply(grid, v)
-        v = cho_solve_banded((cb, False), rhs, check_finite=False)
+        rhs = wg * (v + (1.0 - theta) * dt * delta_g(grid, v))
+        v, _ = dpttrs(fdiag, foff, rhs)
         rec.maybe_record(step, step * dt, v)
     meta = {
         "scheme": config.scheme, "dt": dt, "n_steps": n_steps, "stride": stride,
@@ -322,7 +311,7 @@ def _pme_newton_step(
 ) -> np.ndarray:
     """One implicit step of v_t = L(v^m); raises _StepFailed if Newton stalls."""
     wg = grid.node_mass
-    c = grid.conductance
+    sdiag, soff = stiffness_bands(grid.conductance)
 
     def power_m(x: np.ndarray) -> np.ndarray:
         return np.power(np.maximum(x, floor), m)
@@ -339,17 +328,11 @@ def _pme_newton_step(
         if rnorm <= 1e-14:
             break
         dpow = m * np.power(np.maximum(x, floor), m - 1.0)
-        ab = np.zeros((3, grid.n))
-        ab[0, 1:] = -theta * dt * (c / wg[:-1]) * dpow[1:]
-        sdiag = np.zeros(grid.n)
-        sdiag[:-1] += c
-        sdiag[1:] += c
-        ab[1, :] = 1.0 + theta * dt * (sdiag / wg) * dpow
-        ab[2, :-1] = -theta * dt * (c / wg[1:]) * dpow[:-1]
-        try:
-            delta = solve_banded((1, 1), ab, -res, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise _StepFailed(f"singular Newton system: {exc}") from exc
+        fdiag, foff, info = dpttrf(wg / dpow + theta * dt * sdiag, theta * dt * soff)
+        if info != 0:
+            raise _StepFailed(f"Newton system not positive definite: LAPACK dpttrf info={info}")
+        y, _ = dpttrs(fdiag, foff, -wg * res)
+        delta = y / dpow
         lam = 1.0
         improved = False
         for _ in range(30):

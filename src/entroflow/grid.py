@@ -5,8 +5,13 @@ through cell faces,
 
     (Lv)_i = [ c_{i+1/2} (v_{i+1} - v_i) - c_{i-1/2} (v_i - v_{i-1}) ] / (w_i g_i),
 
-with zero flux through the two boundary faces.  This makes three properties
-structural rather than approximate:
+with zero flux through the two boundary faces.  In matrix form L = -W^{-1} S,
+where W = diag(w_i g_i) and S is the symmetric tridiagonal stiffness matrix
+built by :func:`stiffness_bands` (diagonal c_{i-1/2} + c_{i+1/2}, off-diagonal
+-c_{i+1/2}).  That one stencil is the whole discretization: :func:`delta_g`
+applies it edge by edge, and the implicit systems of both flows and the
+matrices of every spectral quotient are built from its bands.  This makes
+three properties structural rather than approximate:
 
 * constants are in the kernel and mass is conserved exactly,
 * L is self-adjoint in the discrete weighted inner product,
@@ -34,6 +39,7 @@ __all__ = [
     "make_interval_grid",
     "make_radial_grid",
     "sphere_area",
+    "stiffness_bands",
     "delta_g",
     "gradient_sq",
     "dirichlet_form",
@@ -93,7 +99,7 @@ class Grid:
         return self.dx_weights * self.g_values
 
 
-def _finish_grid(kind, d, nodes, h, w, g_face, face_area, pot) -> Grid:
+def _finish_grid(kind, d, nodes, h, w, faces, face_area, pot) -> Grid:
     F, _, _ = evaluate(pot, nodes)
     with np.errstate(over="ignore", under="ignore"):
         g = np.exp(-F)
@@ -102,6 +108,11 @@ def _finish_grid(kind, d, nodes, h, w, g_face, face_area, pot) -> Grid:
             "e^{-F} is not finite and positive at every node; "
             "shrink the domain or rescale the potential"
         )
+    if pot.family == "tabulated":
+        # F is known only at the nodes: geometric mean of the two node weights
+        g_face = np.exp(-0.5 * (F[:-1] + F[1:]))
+    else:
+        g_face = np.exp(-log_weight(pot, faces))
     conductance = face_area * g_face / h
     wg = w * g
     mass = float(np.sum(wg))
@@ -135,13 +146,8 @@ def make_interval_grid(xL: float, xR: float, n: int, pot: Potential) -> Grid:
     h = (xR - xL) / (n - 1)
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
-    if pot.family == "tabulated":
-        F, _, _ = evaluate(pot, nodes)
-        g_face = np.exp(-0.5 * (F[:-1] + F[1:]))
-    else:
-        g_face = np.exp(-log_weight(pot, 0.5 * (nodes[:-1] + nodes[1:])))
-    face_area = np.ones(n - 1)
-    return _finish_grid("interval", 1, nodes, h, w, g_face, face_area, pot)
+    faces = 0.5 * (nodes[:-1] + nodes[1:])
+    return _finish_grid("interval", 1, nodes, h, w, faces, np.ones(n - 1), pot)
 
 
 def make_radial_grid(
@@ -176,13 +182,7 @@ def make_radial_grid(
     area = sphere_area(d)
     w = area * nodes ** (d - 1) * h
     faces = (np.arange(1, n)) * h  # interior faces at r = h, 2h, ...
-    if pot.family == "tabulated":
-        F, _, _ = evaluate(pot, nodes)
-        g_face = np.exp(-0.5 * (F[:-1] + F[1:]))
-    else:
-        g_face = np.exp(-log_weight(pot, faces))
-    face_area = area * faces ** (d - 1)
-    return _finish_grid("radial", d, nodes, h, w, g_face, face_area, pot)
+    return _finish_grid("radial", d, nodes, h, w, faces, area * faces ** (d - 1), pot)
 
 
 def _check_field(grid: Grid, v: np.ndarray) -> np.ndarray:
@@ -192,8 +192,20 @@ def _check_field(grid: Grid, v: np.ndarray) -> np.ndarray:
     return v
 
 
+def stiffness_bands(conductance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bands (diag, off) of the stiffness matrix S of edge conductances c:
+    off = -c and diag_i = c_{i-1/2} + c_{i+1/2} rounded once, so each diagonal
+    entry cancels its row's off-diagonals exactly (no flux through the ends)."""
+    diag = np.zeros(len(conductance) + 1)
+    diag[:-1] += conductance
+    diag[1:] += conductance
+    return diag, -conductance
+
+
 def delta_g(grid: Grid, v) -> np.ndarray:
-    """Discrete weighted Laplacian  Lv = div(g grad v)/g  with Neumann closure."""
+    """Discrete weighted Laplacian  Lv = div(g grad v)/g = -W^{-1} S v  with
+    Neumann closure.  S v is accumulated edge by edge from the fluxes
+    c (v_{i+1} - v_i), so a constant field maps to exactly zero."""
     v = _check_field(grid, v)
     flux = grid.conductance * np.diff(v)
     out = np.zeros(grid.n)

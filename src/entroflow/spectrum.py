@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import BoundaryConditionViolated, ParameterError, SolverDiverged
-from .grid import Grid
+from .grid import Grid, stiffness_bands
 from .potential import (
     Potential,
     evaluate,
@@ -122,14 +122,11 @@ def _assemble_symmetrized(
         [ grad_coeff |Dw|^2 + V w^2 ] / [ w^2 ]
 
     in the inner product weighted by ``node_mass``."""
-    n = len(node_mass)
-    diag = np.zeros(n)
-    diag[:-1] += conductance
-    diag[1:] += conductance
-    diag = grad_coeff * diag / node_mass + V
+    sdiag, soff = stiffness_bands(conductance)
+    diag = grad_coeff * sdiag / node_mass + V
     # sqrt factors kept separate: the product of adjacent masses can underflow
     root = np.sqrt(node_mass)
-    off = -grad_coeff * conductance / (root[:-1] * root[1:])
+    off = grad_coeff * soff / (root[:-1] * root[1:])
     return diag, off
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, NonPositiveData, ParameterError, WindowTooShort
 from .functionals import LinearParams
 from .grid import Grid, dirichlet_form, gradient_sq, integrate_dgamma
-from .spectrum import lambda1_linear
+from .spectrum import SpectralResult
 
 __all__ = [
     "Verdict",
@@ -145,8 +145,7 @@ def _poincare_slack(grid: Grid, p: float, lam: float, u: np.ndarray) -> float:
 
 def poincare_test(
     p: float,
-    lambda1: float,
-    pot,
+    spectral: SpectralResult,
     grid: Grid,
     trials: int = 100,
     seed: int = 0,
@@ -155,27 +154,27 @@ def poincare_test(
     extra_trials: tuple = (),
 ) -> Verdict:
     """Interpolation inequality between variance-type entropy and the Dirichlet
-    form, tested on seeded random positive trials plus the eigenvector of the
-    spectral quotient as trial #0; ``extra_trials`` lets a caller inject
-    deliberately near-extremal fields.
+    form with constant ``spectral.lam``, tested on seeded random positive
+    trials plus ``spectral.eigenvector`` (from lambda1_linear(p)) as trial #0;
+    ``extra_trials`` lets a caller inject deliberately near-extremal fields.
 
     With ``weak_lambda1`` set (e.g. (p-1) * lambda1(2)), the same trials are
     also checked against that constant; the verdict requires both to hold.
     """
     if not (1.0 < p <= 2.0):
         raise ParameterError(f"p must lie in (1, 2]; got {p}")
-    if lambda1 <= 0.0:
+    if spectral.lam <= 0.0:
         raise ParameterError("the inequality needs a positive eigenvalue")
     tol = default_slack_tol() if tol is None else tol
     rng = np.random.default_rng(seed)
-    eig = lambda1_linear(p, pot, grid).eigenvector
+    eig = spectral.eigenvector
     trial0 = np.maximum(np.abs(eig), 1e-8 * np.max(np.abs(eig)))
     fields = [trial0] + [np.asarray(u, float) for u in extra_trials]
     fields += [_trial_field(grid, rng) for _ in range(trials)]
     worst, worst_idx = np.inf, None
     weak_worst, weak_idx = np.inf, None
     for i, u in enumerate(fields):
-        s = _poincare_slack(grid, p, lambda1, u)
+        s = _poincare_slack(grid, p, spectral.lam, u)
         if s < worst:
             worst, worst_idx = s, i
         if weak_lambda1 is not None:

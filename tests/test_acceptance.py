@@ -74,10 +74,10 @@ def test_criterion_4_generalized_poincare(gauss_pot, gauss_grid):
     ok = True
     worsts = []
     for p in (1.2, 1.5, 2.0):
-        lam = ef.lambda1_linear(p, gauss_pot, gauss_grid).lam
+        res = ef.lambda1_linear(p, gauss_pot, gauss_grid)
         weak = (p - 1.0) * lam2 if p < 2.0 else None
         verdict = ef.poincare_test(
-            p, lam, gauss_pot, gauss_grid, trials=100, seed=42,
+            p, res, gauss_grid, trials=100, seed=42,
             weak_lambda1=weak, tol=1e-8,
         )
         ok &= verdict.passed

@@ -209,6 +209,32 @@ class TestFlowAndReport:
         assert code == 0
 
 
+    @pytest.mark.parametrize("theta, expected", [(None, 0), ("0", 2)])
+    def test_report_reads_pme_theta_from_trace(self, tmp_path, theta, expected):
+        # a trace without theta is audited at 0.5; an explicit 0 is rejected
+        path = tmp_path / "pme.csv"
+        flags = [] if theta is None else ["--theta", theta]
+        code = main([
+            "flow", "pme", "--p", "1.5", "--m", "1.2", *flags,
+            "--potential", "gaussian", "--domain", "-8:8", "--n", "501",
+            "--tend", "0.3", "--dt", "2e-3", "--init", "bump:0.4",
+            "--trace", str(path),
+        ])
+        assert code == 0
+        code = main(["report", "--trace", str(path), "--checks",
+                     "envelope,dissipation,lemma"])
+        assert code == expected
+
+    @pytest.mark.parametrize("kind", ["linear", "pme"])
+    def test_solve_failure_exits_3(self, monkeypatch, kind):
+        monkeypatch.setattr("entroflow.flows.dpttrf", lambda d, e: (d, e, 1))
+        code = main([
+            "flow", kind, "--p", "1.5", "--m", "1.2", "--potential", "gaussian",
+            "--domain", "-8:8", "--n", "201", "--tend", "0.01", "--dt", "1e-3",
+        ])
+        assert code == 3
+
+
 class TestRegionAndConstants:
     def test_region_json(self, capsys):
         assert run_cli("region", "--theta", "1.0", "--samples", "120") == 0

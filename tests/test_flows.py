@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import entroflow as ef
-from entroflow.errors import ConfigError
+from entroflow.errors import ConfigError, LinearSolveFailure, NewtonDiverged
 
 
 class TestInitialField:
@@ -121,6 +121,36 @@ class TestPmeFlow:
             ef.FlowConfig(kind="weird", p=1.5)
         with pytest.raises(ConfigError):
             ef.FlowConfig(kind="linear", p=1.5, scheme="rk4")
+
+
+def failing_factorization(monkeypatch):
+    """Make every LAPACK dpttrf call in the steppers report info=1; returns
+    the list of calls made."""
+    calls = []
+
+    def dpttrf(d, e):
+        calls.append(len(d))
+        return d, e, 1
+
+    monkeypatch.setattr("entroflow.flows.dpttrf", dpttrf)
+    return calls
+
+
+class TestSolveFailures:
+    def test_linear_factorization_failure(self, monkeypatch, gauss_pot, gauss_grid_small):
+        failing_factorization(monkeypatch)
+        cfg = ef.FlowConfig(kind="linear", p=1.5, t_end=0.01, dt=1e-3)
+        with pytest.raises(LinearSolveFailure):
+            ef.run_linear(cfg, gauss_pot, gauss_grid_small)
+
+    def test_newton_failure_exhausts_halvings(self, monkeypatch, gauss_pot, gauss_grid_small):
+        calls = failing_factorization(monkeypatch)
+        cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, t_end=0.01, dt=1e-3,
+                            max_dt_halvings=2)
+        with pytest.raises(NewtonDiverged):
+            ef.run_pme(cfg, gauss_pot, gauss_grid_small)
+        # depth-first bisection gives up at its first leaf: one try per depth
+        assert len(calls) == 3
 
 
 class TestTraceIO:

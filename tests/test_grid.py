@@ -7,6 +7,7 @@ from scipy import integrate
 
 import entroflow as ef
 from entroflow.errors import DegenerateDomain, NonFiniteWeight, TailMassTooLarge
+from entroflow.grid import stiffness_bands
 
 
 class TestIntervalGrid:
@@ -128,6 +129,50 @@ class TestOperatorIdentities:
     def test_alignment_check(self, gauss_grid):
         with pytest.raises(ValueError):
             ef.delta_g(gauss_grid, np.ones(7))
+
+
+def _stencil_grids():
+    x = np.linspace(-3.0, 3.0, 301)
+    wavy = ef.tabulated(x, 0.5 * x * x + 0.3 * np.cos(2 * x),
+                        x - 0.6 * np.sin(2 * x), 1.0 - 1.2 * np.cos(2 * x))
+    return {
+        "interval": ef.make_interval_grid(-8.0, 8.0, 401, ef.harmonic()),
+        "radial": ef.make_radial_grid(3, 12.0, 400, ef.harmonic_log(0.1, d=3)),
+        "tabulated": ef.make_interval_grid(-3.0, 3.0, 301, wavy),
+    }
+
+
+class TestStiffnessStencil:
+    @pytest.mark.parametrize("name", ["interval", "radial", "tabulated"])
+    def test_rows_sum_to_zero(self, name):
+        diag, off = stiffness_bands(_stencil_grids()[name].conductance)
+        lower = np.concatenate(([0.0], off))
+        upper = np.concatenate((off, [0.0]))
+        assert np.all(diag + (lower + upper) == 0.0)
+
+    @pytest.mark.parametrize("name", ["interval", "radial", "tabulated"])
+    def test_matvec_matches_delta_g(self, name, rng):
+        g = _stencil_grids()[name]
+        diag, off = stiffness_bands(g.conductance)
+        S = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        for _ in range(10):
+            v = rng.standard_normal(g.n)
+            Sv = S @ v
+            ref = -g.node_mass * ef.delta_g(g, v)
+            assert np.max(np.abs(Sv - ref)) <= 1e-13 * np.max(np.abs(Sv))
+
+    def test_schrodinger_bound_uses_the_stencil(self, monkeypatch, gauss_pot, gauss_grid_small):
+        seen = []
+
+        def spy(conductance):
+            seen.append(conductance)
+            return stiffness_bands(conductance)
+
+        monkeypatch.setattr("entroflow.spectrum.stiffness_bands", spy)
+        g = gauss_grid_small
+        ef.lambda1_schrodinger_bound(1.5, gauss_pot, g)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], g.conductance / g.g_face)
 
 
 class TestGradientSq:

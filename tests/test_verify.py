@@ -1,5 +1,7 @@
 """Verdict machinery: envelopes, rate fits, inequality audits, controls."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -85,13 +87,14 @@ class TestPoincare:
         assert s1 == pytest.approx(s2, abs=1e-12)
 
     def test_classical_poincare_passes(self, gauss_pot, gauss_grid):
-        lam = ef.lambda1_linear(2.0, gauss_pot, gauss_grid).lam
-        v = ef.poincare_test(2.0, lam, gauss_pot, gauss_grid, trials=100, seed=42)
+        res = ef.lambda1_linear(2.0, gauss_pot, gauss_grid)
+        v = ef.poincare_test(2.0, res, gauss_grid, trials=100, seed=42)
         assert v.passed
 
     def test_deterministic_given_seed(self, gauss_pot, gauss_grid_small):
-        a = ef.poincare_test(1.5, 1.0, gauss_pot, gauss_grid_small, trials=20, seed=7)
-        b = ef.poincare_test(1.5, 1.0, gauss_pot, gauss_grid_small, trials=20, seed=7)
+        res = replace(ef.lambda1_linear(1.5, gauss_pot, gauss_grid_small), lam=1.0)
+        a = ef.poincare_test(1.5, res, gauss_grid_small, trials=20, seed=7)
+        b = ef.poincare_test(1.5, res, gauss_grid_small, trials=20, seed=7)
         assert a.worst_violation == b.worst_violation
         assert a.to_dict() == b.to_dict()
 
@@ -103,12 +106,13 @@ class TestPoincare:
         g = gauss_grid_small
         xc = g.nodes - ef.integrate_dgamma(g, g.nodes)
         u_ext = 1.0 + 0.02 * xc / np.max(np.abs(xc))
+        res = ef.lambda1_linear(1.05, gauss_pot, g)
         bad = ef.poincare_test(
-            1.05, 1.2, gauss_pot, g, trials=20, seed=0, extra_trials=(u_ext,)
+            1.05, replace(res, lam=1.2), g, trials=20, seed=0, extra_trials=(u_ext,)
         )
         assert not bad.passed
         good = ef.poincare_test(
-            1.05, 1.0, gauss_pot, g, trials=20, seed=0, extra_trials=(u_ext,)
+            1.05, replace(res, lam=1.0), g, trials=20, seed=0, extra_trials=(u_ext,)
         )
         assert good.passed
 
