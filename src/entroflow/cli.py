@@ -341,7 +341,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         trace.load_fields(opts["fields"])
     checks = [c for c in str(opts.get("checks", "envelope,dissipation")).split(",") if c]
     kind = trace.config.get("kind", "linear")
-    p = float(opts.get("p") or trace.config.get("p"))
+    p = float(trace.config.get("p") if opts.get("p") is None else opts["p"])
     if kind == "pme":
         m, theta = float(trace.config["m"]), trace.config.get("theta")
         theta = 0.5 if theta is None else float(theta)
@@ -424,7 +424,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         alpha = LinearParams(p).alpha
         if alpha <= 0.0:
             raise ConfigError("refined inequalities need p < 2")
-        epsilon = float(opts.get("epsilon") or (1.0 - alpha) / (2.0 * alpha))
+        epsilon = opts.get("epsilon")
+        epsilon = (1.0 - alpha) / (2.0 * alpha) if epsilon is None else float(epsilon)
         verdicts.append(verify.refined_inequality_audit(trace, p, epsilon, grid))
     if "lemma" in checks:
         if kind != "pme":

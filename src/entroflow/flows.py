@@ -9,12 +9,18 @@ mode decay slower than e^{-lambda t}, which breaks tight envelope comparisons
 per step).
 
 The nonlinear step solves  v' - theta dt L(v'^m) = v + (1-theta) dt L(v^m)
-with a damped Newton iteration on the O(1)-scaled residual; if Newton stalls
-the step is bisected in time (recursively, bounded depth).  Both implicit
-systems are the node masses W plus a multiple of the stiffness stencil S of
-:func:`grid.stiffness_bands`, solved with LAPACK ``pttrf``/``pttrs``; the Newton
-system (W + theta dt S D) delta = -W res, D = diag(m v^{m-1}) > 0, is solved in
-its symmetric form (W D^{-1} + theta dt S)(D delta) = -W res.
+with a damped Newton iteration on the O(1)-scaled residual.  Newton stops at
+the first accepted update whose max-norm residual is at most ``newton_tol``:
+the residual's round-off floor, about eps dt |L(v^m)|, grows like dt/h^2, so a
+fixed target such as 1e-14 is out of reach on fine grids (the floor is near
+3e-14 at n = 4001 with dt = 1e-3 on [-8, 8]).  If Newton stalls above the
+tolerance the step is bisected in time (recursively, bounded depth).  Both
+implicit systems are the node masses W plus a multiple of the stiffness
+stencil S of :func:`grid.stiffness_bands`, solved with LAPACK
+``pttrf``/``pttrs``; the Newton system (W + theta dt S D) delta = -W res,
+D = diag(m v^{m-1}) > 0, is solved in its symmetric form
+(W D^{-1} + theta dt S)(D delta) = -W res.  ``run_pme`` records its work in
+``Trace.meta``: ``newton_iterations`` (factorizations) and ``dt_halvings``.
 
 A run emits a Trace: scalar time series of (t, E, I, K, mass, min_v) plus
 full density snapshots every ``audit_stride`` records for the second-order
@@ -54,6 +60,9 @@ class FlowConfig:
     ``init`` is a builtin spec ("bump:0.3", "odd:0.2", "const") or
     "csv:path" pointing at a node-aligned column of densities.  ``dt`` falls
     back to 10 h^2; ``stride`` to whatever yields about 200 snapshots.
+    The pme stepper's Newton iteration ends a step at the first accepted
+    update with max-norm residual at most ``newton_tol``; a step that stalls
+    above it is halved in time, at most ``max_dt_halvings`` deep.
     """
 
     kind: str  # 'linear' | 'pme'
@@ -300,6 +309,14 @@ class _StepFailed(Exception):
     pass
 
 
+@dataclass
+class _NewtonWork:
+    """Work counters of the nonlinear stepper, echoed in ``Trace.meta``."""
+
+    factorizations: int = 0
+    halvings: int = 0
+
+
 def _pme_newton_step(
     grid: Grid,
     v_old: np.ndarray,
@@ -308,8 +325,14 @@ def _pme_newton_step(
     m: float,
     floor: float,
     newton_tol: float,
+    work: _NewtonWork,
 ) -> np.ndarray:
-    """One implicit step of v_t = L(v^m); raises _StepFailed if Newton stalls."""
+    """One implicit step of v_t = L(v^m); raises _StepFailed if Newton stalls.
+
+    Newton stops at the first accepted update whose max-norm residual is at
+    most ``newton_tol``; the 1e-14 test at the top of the loop only lets an
+    unchanged state pass without a solve.
+    """
     wg = grid.node_mass
     sdiag, soff = stiffness_bands(grid.conductance)
 
@@ -328,6 +351,7 @@ def _pme_newton_step(
         if rnorm <= 1e-14:
             break
         dpow = m * np.power(np.maximum(x, floor), m - 1.0)
+        work.factorizations += 1
         fdiag, foff, info = dpttrf(wg / dpow + theta * dt * sdiag, theta * dt * soff)
         if info != 0:
             raise _StepFailed(f"Newton system not positive definite: LAPACK dpttrf info={info}")
@@ -344,23 +368,25 @@ def _pme_newton_step(
                 improved = True
                 break
             lam *= 0.5
-        if not improved:
+        if not improved or rnorm <= newton_tol:
             break
     if rnorm > newton_tol:
         raise _StepFailed(f"Newton residual {rnorm:.3e} above {newton_tol:.1e}")
     return x
 
 
-def _pme_advance(grid, v, dt, theta, m, floor, newton_tol, depth, max_depth):
+def _pme_advance(grid, v, dt, theta, m, floor, newton_tol, depth, max_depth, work):
     try:
-        return _pme_newton_step(grid, v, dt, theta, m, floor, newton_tol)
+        return _pme_newton_step(grid, v, dt, theta, m, floor, newton_tol, work)
     except _StepFailed:
         if depth >= max_depth:
             raise NewtonDiverged(
                 f"nonlinear step failed after {depth} time-step halvings"
             ) from None
-        half = _pme_advance(grid, v, dt / 2, theta, m, floor, newton_tol, depth + 1, max_depth)
-        return _pme_advance(grid, half, dt / 2, theta, m, floor, newton_tol, depth + 1, max_depth)
+        work.halvings += 1
+        args = (theta, m, floor, newton_tol, depth + 1, max_depth, work)
+        half = _pme_advance(grid, v, dt / 2, *args)
+        return _pme_advance(grid, half, dt / 2, *args)
 
 
 def run_pme(config: FlowConfig, pot, grid: Grid) -> Trace:
@@ -382,10 +408,11 @@ def run_pme(config: FlowConfig, pot, grid: Grid) -> Trace:
     rec = _Recorder(grid, evaluate, stride, config.audit_stride)
     rec.maybe_record(0, 0.0, v)
     clamps = 0
+    work = _NewtonWork()
     for step in range(1, n_steps + 1):
         v = _pme_advance(
             grid, v, dt, theta, config.m, config.floor, config.newton_tol,
-            depth=0, max_depth=config.max_dt_halvings,
+            depth=0, max_depth=config.max_dt_halvings, work=work,
         )
         low = v < config.floor
         if np.any(low):
@@ -395,5 +422,6 @@ def run_pme(config: FlowConfig, pot, grid: Grid) -> Trace:
     meta = {
         "scheme": config.scheme, "dt": dt, "n_steps": n_steps, "stride": stride,
         "t_end_effective": n_steps * dt, "clamps": clamps,
+        "newton_iterations": work.factorizations, "dt_halvings": work.halvings,
     }
     return _make_trace(rec, config, grid, clamps=clamps, meta=meta)

@@ -225,6 +225,16 @@ class TestFlowAndReport:
                      "envelope,dissipation,lemma"])
         assert code == expected
 
+    @pytest.mark.parametrize("flags", [
+        ("--checks", "envelope", "--p", "0"),
+        ("--checks", "refined", "--epsilon", "0"),
+    ])
+    def test_report_rejects_zero_p_and_epsilon(self, artifacts, flags):
+        # an explicit 0 is an invalid value, not a request for the default
+        _, trace, fields = artifacts
+        code = main(["report", "--trace", str(trace), "--fields", str(fields), *flags])
+        assert code == 2
+
     @pytest.mark.parametrize("kind", ["linear", "pme"])
     def test_solve_failure_exits_3(self, monkeypatch, kind):
         monkeypatch.setattr("entroflow.flows.dpttrf", lambda d, e: (d, e, 1))

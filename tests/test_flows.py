@@ -152,6 +152,46 @@ class TestSolveFailures:
         # depth-first bisection gives up at its first leaf: one try per depth
         assert len(calls) == 3
 
+    def test_default_halvings_give_up_at_first_leaf(self, monkeypatch, gauss_pot):
+        # 30 halvings deep, a full bisection tree would hold 2^30 substeps
+        grid = ef.make_interval_grid(-8.0, 8.0, 201, gauss_pot)
+        calls = failing_factorization(monkeypatch)
+        cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, t_end=0.01, dt=1e-3)
+        with pytest.raises(NewtonDiverged):
+            ef.run_pme(cfg, gauss_pot, grid)
+        assert len(calls) == cfg.max_dt_halvings + 1
+
+
+class TestNewtonWork:
+    def test_two_factorizations_per_step(self, monkeypatch, gauss_pot):
+        # at n = 4001 the residual's round-off floor (~3e-14) lies above 1e-14:
+        # Newton must stop once an update meets newton_tol, not line-search
+        # against the floor
+        from entroflow import flows
+
+        counts = {"dpttrf": 0, "delta_g": 0}
+
+        def spy(name):
+            fn = getattr(flows, name)
+
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(flows, name, wrapped)
+
+        spy("dpttrf")
+        spy("delta_g")
+        grid = ef.make_interval_grid(-8.0, 8.0, 4001, gauss_pot)
+        cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, theta=0.5, init="bump:0.4",
+                            t_end=0.02, dt=1e-3)
+        trace = ef.run_pme(cfg, gauss_pot, grid)
+        assert trace.meta["n_steps"] == 20
+        assert counts["dpttrf"] == 40
+        assert counts["delta_g"] <= 80
+        assert trace.mass_drift <= 1e-13
+        assert trace.meta["newton_iterations"] == 40
+        assert trace.meta["dt_halvings"] == 0
+
 
 class TestTraceIO:
     def test_csv_round_trip_exact(self, pme_run, tmp_path):
@@ -177,6 +217,18 @@ class TestTraceIO:
         idx0, v0 = tr.fields[0]
         assert idx0 == linear_run_p15.fields[0][0]
         assert_allclose(v0, linear_run_p15.fields[0][1], rtol=0, atol=0)
+
+    def test_pme_meta_counters_round_trip(self, gauss_pot, gauss_grid_small, tmp_path):
+        cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, init="bump:0.4", t_end=0.05,
+                            dt=1e-3)
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            ef.run_pme(cfg, gauss_pot, gauss_grid_small).to_csv(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        meta = ef.Trace.from_csv(paths[0]).meta
+        assert isinstance(meta["newton_iterations"], int)
+        assert meta["newton_iterations"] >= meta["n_steps"]
+        assert meta["dt_halvings"] == 0
 
     def test_deterministic_bytes(self, gauss_pot, gauss_grid_small, tmp_path):
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="bump:0.3", t_end=0.2, dt=1e-3)
