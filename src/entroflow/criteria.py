@@ -6,7 +6,13 @@ fitted from data.  The admissible (m, p) region for a given theta is
     margin(m, p, theta) = (p + 2m - 4)^2 + [5m^2 + 2(2p-7)m + (p-3)^2] theta < 0,
 
 equivalent to the discriminant condition b^2 - 4 a(theta) c < 0 of the
-quadratic-form bound; the two sides are proportional,
+quadratic-form bound with
+
+    q = (p + 3(m-1)) / (p + 2(m-1)),   alpha = (2 - p) / (p + 2(m-1)),
+    a = theta / q^2,   b = 8 (alpha + 2 - 2q) / q^3,
+    c = 16 (q - 1)(q - 1 - alpha) / q^4 + 2b;
+
+the two sides are proportional,
 
     b^2 - 4 a c = 64 * margin / (q^6 (p + 2(m-1))^2),
 

@@ -228,28 +228,78 @@ def gradient_sq(grid: Grid, v) -> np.ndarray:
     return out
 
 
+def _fsum(a: np.ndarray) -> float:
+    """Correctly rounded sum of a float64 array: the same double as
+    ``math.fsum(a.tolist())``, computed in a few vectorized passes by
+    error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput. 31(1), 2008).
+
+    Each pass rounds every remainder r_i to the grid of sigma = 2^k, with
+    2^k >= 2 (n+1) max|r|.  The rounded parts q_i = (sigma + r_i) - sigma and
+    the new remainders r_i - q_i are exact, and the q_i sum exactly in any
+    order; so the total is the pass sums plus sum(r), and |sum(r)| < B =
+    2^(bitlen(n+1) + e) for max|r| < 2^e.  Rounding is monotone: once the
+    pass sums plus -B and plus B round to the same double, that double is
+    the correctly rounded total.  Where extraction cannot be exact (non-finite
+    input, a sigma that would overflow or whose grid would fall below the
+    subnormal spacing) and for all-zero input (the sign of zero is fsum's
+    rule), the sum is left to math.fsum.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.size == 0:
+        return 0.0
+    bits = (a.size + 1).bit_length()
+    q = np.abs(a)
+    top = float(q.max())
+    if top == 0.0 or not math.isfinite(top):
+        return math.fsum(a.tolist())
+    r = a.copy()
+    taus: list[float] = []
+    while True:
+        e = math.frexp(top)[1]
+        if taus:
+            bound = math.ldexp(1.0, bits + e)
+            lo = math.fsum(taus + [-bound])
+            if lo == math.fsum(taus + [bound]):
+                return lo
+        k = bits + e + 1
+        # sigma and every partial sum stay below 2^1023, and the grid
+        # spacing 2^(k-53) stays a multiple of the subnormal spacing 2^-1074
+        if not -1021 <= k <= 1022:
+            return math.fsum(a.tolist())
+        sigma = math.ldexp(1.0, k)
+        np.add(r, sigma, out=q)
+        np.subtract(q, sigma, out=q)
+        np.subtract(r, q, out=r)
+        taus.append(float(q.sum()))
+        np.abs(r, out=q)
+        top = float(q.max())
+        if top == 0.0:
+            return math.fsum(taus)
+
+
 def dirichlet_form(grid: Grid, u, v) -> float:
     """Edge-based Dirichlet form  disc. integral of Du . Dv dgamma.
 
-    Summed with math.fsum so the summation-by-parts identity against
-    :func:`delta_g` holds to the per-term rounding level.
+    Summed with correct rounding (:func:`_fsum`), so the summation-by-parts
+    identity against :func:`delta_g` holds to the per-term rounding level.
     """
     u = _check_field(grid, u)
     v = _check_field(grid, v)
     terms = grid.conductance * np.diff(u) * np.diff(v) / grid.weight_mass
-    return math.fsum(terms.tolist())
+    return _fsum(terms)
 
 
 def integrate_dgamma(grid: Grid, f) -> float:
     """Discrete integral of a node field against the probability measure."""
     f = _check_field(grid, f)
-    return math.fsum((grid.dgamma_weights * f).tolist())
+    return _fsum(grid.dgamma_weights * f)
 
 
 def inner_dgamma(grid: Grid, u, v) -> float:
     u = _check_field(grid, u)
     v = _check_field(grid, v)
-    return math.fsum((grid.dgamma_weights * u * v).tolist())
+    return _fsum(grid.dgamma_weights * u * v)
 
 
 def norm_dgamma(grid: Grid, u) -> float:

@@ -3,7 +3,7 @@
 Every verdict carries a signed worst violation (negative means the property
 was broken beyond tolerance) and is deterministic given config and seed.  The
 default slack tolerance is 1e-8 relative and can be overridden through the
-ENTROFLOW_TOL environment variable.
+ENTROFLOW_TOL environment variable (a finite value >= 0).
 """
 
 from __future__ import annotations
@@ -33,14 +33,18 @@ _TINY = 1e-300
 
 
 def default_slack_tol() -> float:
-    """Relative slack tolerance; ENTROFLOW_TOL overrides the 1e-8 default."""
+    """Relative slack tolerance; ENTROFLOW_TOL overrides the 1e-8 default
+    with a finite value >= 0."""
     raw = os.environ.get("ENTROFLOW_TOL")
     if raw is None:
         return 1e-8
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError as exc:
         raise ConfigError(f"ENTROFLOW_TOL={raw!r} is not a float") from exc
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"ENTROFLOW_TOL={raw!r} must be finite and >= 0")
+    return tol
 
 
 @dataclass(frozen=True)

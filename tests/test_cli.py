@@ -235,6 +235,15 @@ class TestFlowAndReport:
         code = main(["report", "--trace", str(trace), "--fields", str(fields), *flags])
         assert code == 2
 
+    @pytest.mark.parametrize("raw", ["inf", "nan", "-1"])
+    def test_report_rejects_bad_env_tolerance(self, artifacts, monkeypatch, raw):
+        # at ENTROFLOW_TOL=inf this inflated eigenvalue used to pass (exit 0)
+        _, trace, _ = artifacts
+        monkeypatch.setenv("ENTROFLOW_TOL", raw)
+        code = main(["report", "--trace", str(trace), "--checks", "envelope",
+                     "--lambda1", "50"])
+        assert code == 2
+
     @pytest.mark.parametrize("kind", ["linear", "pme"])
     def test_solve_failure_exits_3(self, monkeypatch, kind):
         monkeypatch.setattr("entroflow.flows.dpttrf", lambda d, e: (d, e, 1))

@@ -1,9 +1,11 @@
 """Closed-form constants, the admissible region, envelopes and the lemma check."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 import entroflow as ef
 from entroflow.errors import (
@@ -264,3 +266,49 @@ class TestDecayFunction:
         c = ef.constants_chain(1.2, 1.5, 0.5, lam, float(pme_run.E[0]))
         for E, I in zip(pme_run.E, pme_run.I):
             assert c.decay_function(E) <= 1.5 * I ** (2.0 / 3.0) * (1.0 + 1e-10)
+
+
+def _symbolic_quadratic_form():
+    """a, b, c and the margin of the criteria module docstring, in sympy."""
+    m, p, theta = sympy.symbols("m p theta", positive=True)
+    s = p + 2 * (m - 1)
+    q = (p + 3 * (m - 1)) / s
+    alpha = (2 - p) / s
+    a = theta / q**2
+    b = 8 * (alpha + 2 - 2 * q) / q**3
+    c = 16 * (q - 1) * (q - 1 - alpha) / q**4 + 2 * b
+    margin = (p + 2 * m - 4) ** 2 + (5 * m**2 + 2 * (2 * p - 7) * m + (p - 3) ** 2) * theta
+    return (m, p, theta), q, s, a, b, c, margin
+
+
+def _fraction(r) -> Fraction:
+    return Fraction(int(r.p), int(r.q))
+
+
+class TestDiscriminantIdentitySymbolic:
+    def test_identity_holds_symbolically(self):
+        # b^2 - 4ac = 64 margin / (q^6 (p + 2(m-1))^2)
+        _, q, s, a, b, c, margin = _symbolic_quadratic_form()
+        assert sympy.simplify(b**2 - 4 * a * c - 64 * margin / (q**6 * s**2)) == 0
+
+    def test_float_code_matches_exact_values(self):
+        syms, _, _, a, b, c, margin = _symbolic_quadratic_form()
+        exact = sympy.lambdify(syms, (a, b, c, margin), modules="sympy")
+        rng = np.random.default_rng(7)
+        points = []
+        while len(points) < 50:
+            m, p, theta = rng.uniform(0.8, 1.6), rng.uniform(1.0, 2.5), rng.uniform(0.05, 1.0)
+            if ef.ellipse_margin(m, p, theta) < 0.0:
+                points.append((m, p, theta))
+        for m, p, theta in points:
+            # exact rational values at the float inputs
+            ea, eb, ec, emargin = map(_fraction, exact(*map(sympy.Rational, (m, p, theta))))
+            fm, fp = Fraction(m), Fraction(p)
+            assert eb * eb - 4 * ea * ec < 0  # admissible: the discriminant test agrees
+            # errors are measured against the size of the terms that cancel
+            disc_scale = eb * eb + abs(4 * ea * ec)
+            margin_scale = (fp + 2 * fm - 4) ** 2 + abs(emargin - (fp + 2 * fm - 4) ** 2)
+            disc_err = Fraction(ef.discriminant(m, p, theta)) - (eb * eb - 4 * ea * ec)
+            margin_err = Fraction(ef.ellipse_margin(m, p, theta)) - emargin
+            assert abs(disc_err) <= Fraction(1e-12) * disc_scale
+            assert abs(margin_err) <= Fraction(1e-12) * margin_scale

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate
 
@@ -129,6 +131,47 @@ class TestOperatorIdentities:
     def test_alignment_check(self, gauss_grid):
         with pytest.raises(ValueError):
             ef.delta_g(gauss_grid, np.ones(7))
+
+
+@st.composite
+def random_interval_grids(draw):
+    """Even n in [16, 4000] on a random subinterval of [-10, 10], with a
+    harmonic, flat or power:beta weight; the power family is singular at
+    x = 0, so no node may land there."""
+    n = 2 * draw(st.integers(8, 2000))
+    xL = draw(st.floats(-10.0, 9.0))
+    xR = draw(st.floats(xL + 1.0, 10.0))
+    pot = draw(st.one_of(
+        st.just(ef.harmonic()),
+        st.just(ef.flat()),
+        st.floats(1.0, 2.0, exclude_min=True).map(ef.power_law),
+    ))
+    if pot.family == "power":
+        assume(np.all(np.linspace(xL, xR, n) != 0.0))
+    return ef.make_interval_grid(xL, xR, n, pot)
+
+
+class TestOperatorIdentitiesOnRandomGrids:
+    """Relative errors are taken against ||u|| ||Lv||, the Cauchy-Schwarz size
+    of the pairing, so the 1e-12 bound does not depend on the spacing h."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(random_interval_grids(), st.integers(0, 2**32 - 1))
+    def test_summation_by_parts_and_self_adjointness(self, g, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(g.n)
+        v = rng.standard_normal(g.n)
+        Lu, Lv = ef.delta_g(g, u), ef.delta_g(g, v)
+        scale = max(ef.norm_dgamma(g, u) * ef.norm_dgamma(g, Lv),
+                    ef.norm_dgamma(g, v) * ef.norm_dgamma(g, Lu))
+        u_Lv = ef.inner_dgamma(g, u, Lv)
+        assert abs(u_Lv + ef.dirichlet_form(g, u, v)) <= 1e-12 * scale
+        assert abs(u_Lv - ef.inner_dgamma(g, v, Lu)) <= 1e-12 * scale
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(random_interval_grids(), st.floats(-1e6, 1e6))
+    def test_constants_in_kernel(self, g, c):
+        assert np.all(ef.delta_g(g, np.full(g.n, c)) == 0.0)
 
 
 def _stencil_grids():

@@ -188,3 +188,16 @@ def test_env_tolerance_override(monkeypatch):
         ef.default_slack_tol()
     monkeypatch.delenv("ENTROFLOW_TOL")
     assert ef.default_slack_tol() == 1e-8
+
+
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "-1", "-1e-12"])
+def test_env_tolerance_rejects_non_finite_and_negative(monkeypatch, raw):
+    # inf would pass every check; nan and negative values would fail every one
+    monkeypatch.setenv("ENTROFLOW_TOL", raw)
+    with pytest.raises(ConfigError):
+        ef.default_slack_tol()
+
+
+def test_env_tolerance_accepts_zero(monkeypatch):
+    monkeypatch.setenv("ENTROFLOW_TOL", "0")
+    assert ef.default_slack_tol() == 0.0
