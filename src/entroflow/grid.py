@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDomain, NonFiniteWeight, TailMassTooLarge
-from .potential import Potential, evaluate, log_weight, tail_mass
+from .potential import Potential, _check_singular, log_weight, tail_mass
 
 __all__ = [
     "Grid",
@@ -73,7 +73,8 @@ class Grid:
         against the probability measure
     g_face : per-edge face weights e^{-F} entering the conductances
     conductance : per-edge flux coefficients (face area * face g / h)
-    weight_mass : unnormalized sum(dx_weights * g_values)
+    node_mass : unnormalized node weights w_i g_i (denominator of the stencil)
+    weight_mass : unnormalized sum(node_mass)
     """
 
     kind: str
@@ -85,6 +86,7 @@ class Grid:
     dgamma_weights: np.ndarray = field(repr=False)
     g_face: np.ndarray = field(repr=False)
     conductance: np.ndarray = field(repr=False)
+    node_mass: np.ndarray = field(repr=False)
     weight_mass: float
     potential: Potential
     ident: str
@@ -93,14 +95,11 @@ class Grid:
     def n(self) -> int:
         return len(self.nodes)
 
-    @property
-    def node_mass(self) -> np.ndarray:
-        """Unnormalized node weights w_i g_i (denominator of the stencil)."""
-        return self.dx_weights * self.g_values
-
 
 def _finish_grid(kind, d, nodes, h, w, faces, face_area, pot) -> Grid:
-    F, _, _ = evaluate(pot, nodes)
+    # log_weight admits x = 0 for the power family; a node there stays an error
+    _check_singular(pot, nodes)
+    F = log_weight(pot, nodes)
     with np.errstate(over="ignore", under="ignore"):
         g = np.exp(-F)
     if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
@@ -130,6 +129,7 @@ def _finish_grid(kind, d, nodes, h, w, faces, face_area, pot) -> Grid:
         dgamma_weights=mu,
         g_face=g_face,
         conductance=conductance,
+        node_mass=wg,
         weight_mass=mass,
         potential=pot,
         ident=ident,
@@ -202,15 +202,20 @@ def stiffness_bands(conductance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag, -conductance
 
 
-def delta_g(grid: Grid, v) -> np.ndarray:
-    """Discrete weighted Laplacian  Lv = div(g grad v)/g = -W^{-1} S v  with
-    Neumann closure.  S v is accumulated edge by edge from the fluxes
-    c (v_{i+1} - v_i), so a constant field maps to exactly zero."""
-    v = _check_field(grid, v)
+def _net_flux(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """-S v, accumulated edge by edge from the fluxes c (v_{i+1} - v_i), so a
+    constant field maps to exactly zero."""
     flux = grid.conductance * np.diff(v)
     out = np.zeros(grid.n)
     out[:-1] += flux
     out[1:] -= flux
+    return out
+
+
+def delta_g(grid: Grid, v) -> np.ndarray:
+    """Discrete weighted Laplacian  Lv = div(g grad v)/g = -W^{-1} S v  with
+    Neumann closure, from the edge fluxes of :func:`_net_flux`."""
+    out = _net_flux(grid, _check_field(grid, v))
     out /= grid.node_mass
     return out
 

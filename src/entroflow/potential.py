@@ -281,6 +281,11 @@ def tail_mass(pot: Potential, R: float, d: int | None = None) -> float:
 
     For d = 1 and an even potential this is the fraction of the line measure
     with |x| > R.  Flat and tabulated families have no decaying tail.
+
+    Every decaying family has the weight r^{d-1-eps} e^{-r^beta/beta} (beta = 2
+    except for ``power``, eps = 0 except for ``harmonic_log``); substituting
+    u = r^beta/beta turns the fraction into the regularized upper incomplete
+    gamma function Q((d - eps)/beta, R^beta/beta), evaluated in closed form.
     """
     if pot.family in ("flat", "tabulated"):
         raise DomainError(f"{pot.family} potential has no analytic tail estimate")
@@ -288,17 +293,12 @@ def tail_mass(pot: Potential, R: float, d: int | None = None) -> float:
         d = pot.d
     if R <= 0:
         raise ParameterError("R must be positive")
-
-    # deferred: scipy.integrate is a large share of `import entroflow` and only this needs it
-    from scipy import integrate
-
-    def integrand(r: float) -> float:
-        F, _, _ = evaluate(pot, r)
-        return r ** (d - 1) * math.exp(-F)
-
-    head, _ = integrate.quad(integrand, 0.0, R, limit=200)
-    tail, _ = integrate.quad(integrand, R, np.inf, limit=200)
-    total = head + tail
-    if total <= 0.0 or not math.isfinite(total):
+    beta = pot.beta if pot.family == "power" else 2.0
+    eps = pot.eps if pot.family == "harmonic_log" else 0.0
+    if d - eps <= 0.0:
         raise DomainError("weight is not integrable for this family")
-    return tail / total
+
+    # deferred: scipy.special is needed by this function alone
+    from scipy.special import gammaincc
+
+    return float(gammaincc((d - eps) / beta, R**beta / beta))

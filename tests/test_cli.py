@@ -63,6 +63,9 @@ class TestLambda1Command:
     def test_config_error_exit_code(self):
         assert run_cli("lambda1", "--potential", "gaussian", "--domain", "-8:8",
                        "--n", "501") == 2
+        # odd n puts a node at x = 0, where the power family's F'' is singular
+        assert run_cli("lambda1", "--p", "1.5", "--potential", "power:1.5",
+                       "--domain=-16:16", "--n", "3201") == 2
         assert run_cli("lambda1", "--p", "1.5", "--potential", "nope",
                        "--domain", "-8:8", "--n", "501") == 2
 

@@ -50,6 +50,49 @@ class TestLinearFlow:
         assert np.max(np.abs(tr.I)) <= 1e-13
         assert np.max(np.abs(tr.K)) <= 1e-13
         assert tr.mass_drift <= 1e-13
+        # the increment of a constant field is exactly zero
+        assert np.all(tr.min_v == 1.0)
+        assert all(np.all(v == 1.0) for _, v in tr.fields)
+
+    @pytest.mark.parametrize("scheme, theta", [("cn", 0.5), ("be", 1.0)])
+    def test_step_matches_two_term_reference(self, scheme, theta, gauss_pot, gauss_grid):
+        # (W + theta dt S) v' = W v - (1 - theta) dt S v, with S assembled here
+        # from the conductances and solved by a banded Cholesky factorization
+        from scipy.linalg import solveh_banded
+
+        g, dt = gauss_grid, 1e-3
+        c, W = g.conductance, g.node_mass
+        sdiag = np.concatenate((c, [0.0])) + np.concatenate(([0.0], c))
+
+        def S(v):
+            return (sdiag * v - np.concatenate((c * v[1:], [0.0]))
+                    - np.concatenate(([0.0], c * v[:-1])))
+
+        ab = np.vstack((np.concatenate(([0.0], -theta * dt * c)), W + theta * dt * sdiag))
+        cfg = ef.FlowConfig(kind="linear", p=1.5, init="odd:0.2", t_end=0.2, dt=dt,
+                            stride=20, audit_stride=1, scheme=scheme)
+        tr = ef.run_linear(cfg, gauss_pot, g)
+        assert len(tr.fields) == 11
+        v = ef.initial_field(g, "odd:0.2")
+        for step in range(1, 201):
+            v = solveh_banded(ab, W * v - (1.0 - theta) * dt * S(v))
+            if step % 20 == 0:
+                got = tr.fields[step // 20][1]
+                assert np.max(np.abs(got - v)) <= 1e-12 * np.max(np.abs(v))
+
+    def test_mass_drift_at_round_off_on_a_fine_grid(self, gauss_pot):
+        grid = ef.make_interval_grid(-8.0, 8.0, 20001, gauss_pot)
+        cfg = ef.FlowConfig(kind="linear", p=1.5, init="odd:0.2", t_end=1.0, dt=1e-3,
+                            stride=50)
+        assert ef.run_linear(cfg, gauss_pot, grid).mass_drift <= 1e-15
+
+    def test_one_solve_per_step_and_no_operator_call(self, monkeypatch, gauss_pot,
+                                                     gauss_grid_small):
+        counts = spy_calls(monkeypatch, "dpttrs", "delta_g")
+        cfg = ef.FlowConfig(kind="linear", p=1.5, init="bump:0.3", t_end=0.1, dt=1e-3)
+        trace = ef.run_linear(cfg, gauss_pot, gauss_grid_small)
+        assert trace.meta["n_steps"] == 100
+        assert counts == {"dpttrs": 100, "delta_g": 0}
 
     def test_mass_conserved(self, linear_run_p15):
         assert linear_run_p15.mass_drift <= 1e-10
@@ -123,6 +166,25 @@ class TestPmeFlow:
             ef.FlowConfig(kind="linear", p=1.5, scheme="rk4")
 
 
+def spy_calls(monkeypatch, *names):
+    """Count the calls the steppers make to the named ``flows`` globals."""
+    from entroflow import flows
+
+    counts = dict.fromkeys(names, 0)
+
+    def spy(name):
+        fn = getattr(flows, name)
+
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(flows, name, wrapped)
+
+    for name in names:
+        spy(name)
+    return counts
+
+
 def failing_factorization(monkeypatch):
     """Make every LAPACK dpttrf call in the steppers report info=1; returns
     the list of calls made."""
@@ -167,30 +229,44 @@ class TestNewtonWork:
         # at n = 4001 the residual's round-off floor (~3e-14) lies above 1e-14:
         # Newton must stop once an update meets newton_tol, not line-search
         # against the floor
-        from entroflow import flows
-
-        counts = {"dpttrf": 0, "delta_g": 0}
-
-        def spy(name):
-            fn = getattr(flows, name)
-
-            def wrapped(*args):
-                counts[name] += 1
-                return fn(*args)
-            monkeypatch.setattr(flows, name, wrapped)
-
-        spy("dpttrf")
-        spy("delta_g")
+        counts = spy_calls(monkeypatch, "dpttrf", "delta_g")
         grid = ef.make_interval_grid(-8.0, 8.0, 4001, gauss_pot)
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, theta=0.5, init="bump:0.4",
                             t_end=0.02, dt=1e-3)
         trace = ef.run_pme(cfg, gauss_pot, grid)
         assert trace.meta["n_steps"] == 20
         assert counts["dpttrf"] == 40
-        assert counts["delta_g"] <= 80
+        # L(v^m) once at the start, then once per accepted Newton update
+        assert counts["delta_g"] <= 41
         assert trace.mass_drift <= 1e-13
         assert trace.meta["newton_iterations"] == 40
         assert trace.meta["dt_halvings"] == 0
+
+
+    @pytest.mark.parametrize("m, dt, t_end", [(2.0, 1e-3, 0.2), (4.0, 0.5, 1.0)],
+                             ids=["clamps", "halvings"])
+    def test_carried_operator_matches_a_fresh_one(self, monkeypatch, tmp_path, gauss_pot,
+                                                  m, dt, t_end):
+        # each step reuses L(v^m) from the last accepted Newton residual, across
+        # clamps and time-step halvings; evaluating it afresh must change nothing
+        from entroflow import flows
+
+        grid = ef.make_interval_grid(-8.0, 8.0, 801, gauss_pot)
+        path = tmp_path / "compact.csv"
+        np.savetxt(path, np.maximum(2.25 - (grid.nodes + 1.0) ** 2, 0.0), delimiter=",")
+        cfg = ef.FlowConfig(kind="pme", p=1.5, m=m, init=f"csv:{path}", t_end=t_end, dt=dt)
+        carried = ef.run_pme(cfg, gauss_pot, grid)
+        advance = flows._pme_advance
+
+        def fresh(grid, bands, v, lv, *args, **kwargs):
+            lv = ef.delta_g(grid, np.power(np.maximum(v, cfg.floor), m))
+            return advance(grid, bands, v, lv, *args, **kwargs)
+
+        monkeypatch.setattr(flows, "_pme_advance", fresh)
+        recomputed = ef.run_pme(cfg, gauss_pot, grid)
+        assert carried.clamps > 0
+        assert (carried.meta["dt_halvings"] > 0) == (m == 4.0)
+        assert carried._csv_text() == recomputed._csv_text()
 
 
 class TestTraceIO:

@@ -1,5 +1,8 @@
 """Grid construction, quadrature and the structural operator identities."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +11,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate
 
 import entroflow as ef
-from entroflow.errors import DegenerateDomain, NonFiniteWeight, TailMassTooLarge
+from entroflow.errors import DegenerateDomain, DomainError, NonFiniteWeight, TailMassTooLarge
 from entroflow.grid import stiffness_bands
 
 
@@ -77,6 +80,18 @@ class TestRadialGrid:
     def test_tail_mass_guard(self):
         with pytest.raises(TailMassTooLarge):
             ef.make_radial_grid(3, 2.0, 64, ef.harmonic(d=3))
+
+    def test_radial_grid_leaves_scipy_integrate_unloaded(self):
+        # the tail estimate is a closed form; building a grid needs no quadrature module
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, entroflow as ef; "
+             "ef.make_radial_grid(3, 12.0, 400, ef.harmonic_log(0.05, d=3)); "
+             "print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_sphere_area(self):
         assert ef.sphere_area(1) == pytest.approx(2.0)
@@ -183,6 +198,22 @@ def _stencil_grids():
         "radial": ef.make_radial_grid(3, 12.0, 400, ef.harmonic_log(0.1, d=3)),
         "tabulated": ef.make_interval_grid(-3.0, 3.0, 301, wavy),
     }
+
+
+class TestNodeWeights:
+    @pytest.mark.parametrize("name", ["interval", "radial", "tabulated", "power"])
+    def test_node_weights_from_F(self, name):
+        grids = _stencil_grids()
+        grids["power"] = ef.make_interval_grid(-16.0, 16.0, 400, ef.power_law(1.5))
+        g = grids[name]
+        F, _, _ = ef.evaluate(g.potential, g.nodes)
+        assert np.array_equal(g.g_values, np.exp(-F))
+        assert np.array_equal(g.node_mass, g.dx_weights * g.g_values)
+
+    def test_power_grid_with_a_node_at_the_origin(self):
+        # F is finite at x = 0, but F'' is not: the grid is refused
+        with pytest.raises(DomainError):
+            ef.make_interval_grid(-8.0, 8.0, 2001, ef.power_law(1.5))
 
 
 class TestStiffnessStencil:

@@ -178,8 +178,62 @@ class TestTailMass:
         with pytest.raises(DomainError):
             ef.tail_mass(ef.flat(), 1.0, 1)
 
+    # (potential, s, x(R)) for the weight r^{d-1} e^{-F}: Q(s, x) with
+    # s = (d - eps)/beta, x = R^beta/beta
+    TAIL_CASES = [
+        (ef.harmonic(), lambda d: d / 2, lambda R: R * R / 2),
+        (ef.power_law(1.5), lambda d: d / 1.5, lambda R: R**1.5 / 1.5),
+        (ef.power_law(1.2), lambda d: d / 1.2, lambda R: R**1.2 / 1.2),
+        (ef.harmonic_log(0.05, d=3), lambda d: (d - 0.05) / 2, lambda R: R * R / 2),
+        (ef.harmonic_log(2.5, d=5), lambda d: (d - 2.5) / 2, lambda R: R * R / 2),
+    ]
+
+    @pytest.mark.parametrize("pot, s, x", TAIL_CASES,
+                             ids=["harmonic", "power1.5", "power1.2", "log0.05", "log2.5"])
+    def test_matches_regularized_upper_gamma(self, pot, s, x):
+        mpmath = pytest.importorskip("mpmath")
+        for d in (3, 5) if pot.family == "harmonic_log" else (1, 2, 3, 5):
+            for R in (1.0, 4.0, 8.0, 16.0):
+                ref = float(mpmath.gammainc(s(d), x(R), regularized=True))
+                assert ef.tail_mass(pot, R, d) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("pot, d, R", [
+        (ef.harmonic(), 5, 8.0),
+        (ef.power_law(1.5), 3, 8.0),
+        (ef.power_law(1.2), 3, 24.0),
+        (ef.harmonic_log(0.05, d=3), 3, 6.0),
+    ], ids=["harmonic", "power1.5", "power1.2", "log0.05"])
+    def test_matches_direct_quadrature(self, pot, d, R):
+        # independent of the gamma-function substitution: integrate the weight itself
+        mpmath = pytest.importorskip("mpmath")
+
+        def F(r):
+            if pot.family == "power":
+                return r ** mpmath.mpf(pot.beta) / mpmath.mpf(pot.beta)
+            eps = mpmath.mpf(pot.eps) if pot.family == "harmonic_log" else 0
+            return r * r / 2 + eps * mpmath.log(r)
+
+        def w(r):
+            return r ** (d - 1) * mpmath.exp(-F(r))
+
+        with mpmath.workdps(30):
+            tail = mpmath.quad(w, [R, R + 10, mpmath.inf])
+            total = mpmath.quad(w, [0, 1, R, R + 10, mpmath.inf])
+        assert ef.tail_mass(pot, R, d) == pytest.approx(float(tail / total), rel=1e-12)
+
+    def test_errors(self):
+        with pytest.raises(DomainError, match="no analytic tail"):
+            ef.tail_mass(ef.tabulated([0.0, 1.0], [0.0, 0.5], [0.0, 1.0], [1.0, 1.0]), 1.0)
+        with pytest.raises(ParameterError):
+            ef.tail_mass(ef.harmonic(), 0.0, 1)
+        # r^{d-1-eps} is not integrable at r = 0 once eps >= d
+        with pytest.raises(DomainError, match="not integrable"):
+            ef.tail_mass(ef.harmonic_log(2.5, d=3), 12.0, 2)
+        with pytest.raises(DomainError, match="not integrable"):
+            ef.tail_mass(ef.harmonic_log(2.5, d=3), 12.0, 2.5)
+
     def test_package_import_defers_scipy_integrate(self):
-        # only tail_mass needs the quadrature module; importing the package must not load it
+        # no module of the package needs scipy.integrate; importing it must not load it
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, entroflow; print('scipy.integrate' in sys.modules)"],
