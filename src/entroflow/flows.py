@@ -12,7 +12,11 @@ The linear step solves for its increment, (W + theta dt S) delta = -dt S v,
 v' = v + delta.  -S v is the edge flux balance that :func:`grid.delta_g`
 accumulates, so a constant field has delta = 0 exactly and the mass moves
 only by the rounding of the small increment (about 2e-16 after 4000 steps
-at n = 20001).
+at n = 20001).  The step allocates nothing: the flux balance is written into
+work arrays, the solve overwrites its right-hand side with delta, and v is
+updated in place (on a copy of an array ``init``).  At n = 20001 each array
+is 160 KB, above glibc malloc's default 128 KiB mmap threshold, so per-step
+temporaries would be returned to the kernel and faulted in again every step.
 
 The nonlinear step solves  v' - theta dt L(v'^m) = v + (1-theta) dt L(v^m)
 with a damped Newton iteration on the O(1)-scaled residual.  Newton stops at
@@ -23,13 +27,13 @@ fixed target such as 1e-14 is out of reach on fine grids (the floor is near
 tolerance the step is bisected in time (recursively, bounded depth).  Both
 implicit systems are the node masses W plus a multiple of the stiffness
 stencil S of :func:`grid.stiffness_bands`, solved with LAPACK
-``pttrf``/``pttrs``; the Newton system (W + theta dt S D) delta = -W res,
-D = diag(m v^{m-1}) > 0, is solved in its symmetric form
-(W D^{-1} + theta dt S)(D delta) = -W res.  L(v^m) of the accepted state is
-the operator value of its last residual; it is carried into the next step's
-right-hand side (and through time-step halvings) instead of being evaluated
-again, and clamping v at ``floor`` leaves it unchanged because v^m is taken
-of max(v, floor).  ``run_pme`` records its work in ``Trace.meta``:
+``pttrf``/``pttrs`` (loaded by :mod:`entroflow._lapack`); the Newton system
+(W + theta dt S D) delta = -W res, D = diag(m v^{m-1}) > 0, is solved in its
+symmetric form (W D^{-1} + theta dt S)(D delta) = -W res.  L(v^m) of the
+accepted state is the operator value of its last residual; it is carried into
+the next step's right-hand side (and through time-step halvings) instead of
+being evaluated again, and clamping v at ``floor`` leaves it unchanged because
+v^m is taken of max(v, floor).  ``run_pme`` records its work in ``Trace.meta``:
 ``newton_iterations`` (factorizations) and ``dt_halvings``.
 
 A run emits a Trace: scalar time series of (t, E, I, K, mass, min_v) plus
@@ -41,11 +45,12 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._lapack import dpttrf, dpttrs
 from .errors import ConfigError, LinearSolveFailure, NewtonDiverged
 from .functionals import (
     DEFAULT_FLOOR,
@@ -70,9 +75,11 @@ class FlowConfig:
     ``init`` is a builtin spec ("bump:0.3", "odd:0.2", "const") or
     "csv:path" pointing at a node-aligned column of densities.  ``dt`` falls
     back to 10 h^2; ``stride`` to whatever yields about 200 snapshots.
-    The pme stepper's Newton iteration ends a step at the first accepted
-    update with max-norm residual at most ``newton_tol``; a step that stalls
-    above it is halved in time, at most ``max_dt_halvings`` deep.
+    ``t_end`` and a given ``dt`` must be finite and positive, ``stride`` and
+    ``audit_stride`` at least 1.  The pme stepper's Newton iteration ends a
+    step at the first accepted update with max-norm residual at most
+    ``newton_tol``; a step that stalls above it is halved in time, at most
+    ``max_dt_halvings`` deep.
     """
 
     kind: str  # 'linear' | 'pme'
@@ -96,8 +103,14 @@ class FlowConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r} (use 'cn' or 'be')")
         if self.kind == "pme" and self.m is None:
             raise ConfigError("pme flow needs the nonlinearity exponent m")
-        if self.t_end <= 0.0:
-            raise ConfigError("t_end must be positive")
+        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
+            raise ConfigError(f"t_end must be finite and positive; got {self.t_end}")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ConfigError(f"dt must be finite and positive; got {self.dt}")
+        if self.stride is not None and self.stride < 1:
+            raise ConfigError(f"stride must be at least 1; got {self.stride}")
+        if self.audit_stride < 1:
+            raise ConfigError(f"audit_stride must be at least 1; got {self.audit_stride}")
 
     def resolved(self, grid: Grid) -> tuple[float, int, int]:
         """(dt, n_steps, stride) with defaults filled in for this grid."""
@@ -302,12 +315,17 @@ def run_linear(config: FlowConfig, pot, grid: Grid) -> Trace:
         K = k_linear(params, v, grid, config.floor) if v.min() >= config.floor else np.nan
         return E, I, K
 
-    v = initial_field(grid, config.init) if isinstance(config.init, str) else np.asarray(config.init, float)
+    # v is updated in place: copy an array init so the caller's stays intact
+    v = initial_field(grid, config.init) if isinstance(config.init, str) else np.array(config.init, float)
     rec = _Recorder(grid, evaluate, stride, config.audit_stride)
     rec.maybe_record(0, 0.0, v)
+    # work arrays reused by every step; the solve overwrites b with delta
+    b, flux = np.empty(grid.n), np.empty(grid.n - 1)
     for step in range(1, n_steps + 1):
-        delta, _ = dpttrs(fdiag, foff, dt * _net_flux(grid, v))
-        v = v + delta
+        b = _net_flux(grid, v, out=b, flux=flux)
+        b *= dt
+        delta, _ = dpttrs(fdiag, foff, b, overwrite_b=1)
+        v += delta
         rec.maybe_record(step, step * dt, v)
     meta = {
         "scheme": config.scheme, "dt": dt, "n_steps": n_steps, "stride": stride,

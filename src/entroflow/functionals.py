@@ -69,7 +69,8 @@ class LinearParams:
 
 @dataclass(frozen=True)
 class PmeParams:
-    """m > 0 with p/2 + m > 1, p in (1, 2); m = 1 recovers the linear family."""
+    """m > 0 with p/2 + m > 1 and m + p != 2, p in (1, 2); m = 1 recovers the
+    linear family."""
 
     m: float
     p: float
@@ -81,6 +82,10 @@ class PmeParams:
             raise ParameterError(f"m must be positive; got {self.m}")
         if not self.p / 2.0 + self.m - 1.0 > 0.0:
             raise ParameterError("need p/2 + m - 1 > 0 for the s-substitution")
+        if self.m + self.p - 2.0 == 0.0:
+            raise ParameterError(
+                f"need m + p != 2: the entropy divides by m + p - 2 (m={self.m}, p={self.p})"
+            )
 
     @property
     def s_exponent(self) -> float:

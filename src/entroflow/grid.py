@@ -202,11 +202,22 @@ def stiffness_bands(conductance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag, -conductance
 
 
-def _net_flux(grid: Grid, v: np.ndarray) -> np.ndarray:
+def _net_flux(
+    grid: Grid,
+    v: np.ndarray,
+    out: np.ndarray | None = None,
+    flux: np.ndarray | None = None,
+) -> np.ndarray:
     """-S v, accumulated edge by edge from the fluxes c (v_{i+1} - v_i), so a
-    constant field maps to exactly zero."""
-    flux = grid.conductance * np.diff(v)
-    out = np.zeros(grid.n)
+    constant field maps to exactly zero.  ``out`` (n nodes) and ``flux``
+    (n - 1 edges) are optional work arrays that a stepper reuses across steps;
+    the result is the same bits either way."""
+    flux = np.subtract(v[1:], v[:-1], out=flux)
+    flux *= grid.conductance
+    if out is None:
+        out = np.zeros(grid.n)
+    else:
+        out.fill(0.0)
     out[:-1] += flux
     out[1:] -= flux
     return out

@@ -10,10 +10,11 @@ Three quotients are discretized, all on the same grid machinery:
 
 The discrete problem is a generalized symmetric pencil A w = lambda M w with
 M the diagonal of quadrature weights; the M^{1/2} similarity turns it into a
-symmetric tridiagonal matrix.  Its smallest eigenpair comes from one LAPACK
-call (stebz bisection for the eigenvalue, stein inverse iteration for the
-vector), refined by one Rayleigh quotient whose residual is checked; every
-step is O(n).
+symmetric tridiagonal matrix.  Its smallest eigenpair comes from two LAPACK
+routines called directly (stebz bisection for the eigenvalue, stein inverse
+iteration for the vector; the pair scipy's ``eigh_tridiagonal`` would call,
+loaded by :mod:`entroflow._lapack` without importing scipy.linalg), refined by
+one Rayleigh quotient whose residual is checked; every step is O(n).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
+from ._lapack import dstebz, dstein
 from .errors import BoundaryConditionViolated, ParameterError, SolverDiverged
 from .grid import Grid, stiffness_bands
 from .potential import (
@@ -87,18 +88,24 @@ def smallest_eigenpair(
     quotient of the normalized vector then gives the returned eigenvalue and
     residual.  Returns (lam, vector, residual, iterations, effective_tol);
     the vector has unit 2-norm and ``iterations`` counts the LAPACK
-    eigensolve calls (always 1).  Raises SolverDiverged if LAPACK reports a
-    failure or the residual tolerance (floored at the matvec round-off
-    level) cannot be met.
+    eigensolves, one stebz/stein pair (always 1).  Raises SolverDiverged if
+    either routine reports info != 0 or the residual tolerance (floored at
+    the matvec round-off level) cannot be met.
     """
-    try:
-        _, vectors = eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, 0), tol=2.0 * _TINY,
-            check_finite=False, lapack_driver="stebz",
-        )
-    except np.linalg.LinAlgError as exc:
-        raise SolverDiverged(f"LAPACK stebz/stein failed: {exc}") from exc
-    x = vectors[:, 0] / np.linalg.norm(vectors[:, 0])
+    if len(diag) == 1:
+        # the f2py wrappers reject the empty off-diagonal of a 1 x 1 matrix
+        vector = np.ones(1)
+    else:
+        # range 2 selects eigenvalues il..iu by index; order "B" (by block) is
+        # what stein expects; an absolute tolerance of 2 tiny asks for full accuracy
+        m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, 1, 1, 2.0 * _TINY, "B")
+        if info != 0:
+            raise SolverDiverged(f"LAPACK dstebz failed: info={info}")
+        vectors, info = dstein(diag, off, w[:m], iblock, isplit)
+        if info != 0:
+            raise SolverDiverged(f"LAPACK dstein failed: info={info}")
+        vector = vectors[:, 0]
+    x = vector / np.linalg.norm(vector)
     tx = _tridiag_matvec(diag, off, x)
     lam = float(np.dot(x, tx))
     residual = float(np.linalg.norm(tx - lam * x))

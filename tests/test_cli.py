@@ -89,10 +89,11 @@ class TestLambda1Command:
         assert [[r[k] for k in keys] for r in a] == [[r[k] for k in keys] for r in b]
 
     def test_lapack_failure_exits_3(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("stein: eigenvector failed to converge")
+        def fail(d, e, w, iblock, isplit):
+            # stein info > 0: that many eigenvectors failed to converge
+            return np.zeros((len(d), len(w))), len(w)
 
-        monkeypatch.setattr("entroflow.spectrum.eigh_tridiagonal", fail)
+        monkeypatch.setattr("entroflow.spectrum.dstein", fail)
         assert run_cli(
             "lambda1", "--p", "1.5", "--potential", "gaussian",
             "--domain", "-6:6", "--n", "301",
@@ -255,6 +256,28 @@ class TestFlowAndReport:
             "--domain", "-8:8", "--n", "201", "--tend", "0.01", "--dt", "1e-3",
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("flags", [
+        ("--stride", "0"), ("--audit-stride", "0"), ("--dt", "0"), ("--dt", "-0.001"),
+    ], ids=["stride", "audit-stride", "dt-zero", "dt-negative"])
+    def test_flow_rejects_bad_steps(self, capsys, flags):
+        # the zeros used to die in a ZeroDivisionError (exit 1); a negative dt
+        # ran backwards in time and exited 0
+        code = main([
+            "flow", "linear", "--p", "1.5", "--potential", "gaussian", "--domain", "-8:8",
+            "--n", "201", "--tend", "0.01", *flags,
+        ])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_pme_rejects_m_plus_p_two(self, capsys):
+        # the porous-media entropy divides by m + p - 2
+        code = main([
+            "flow", "pme", "--m", "0.5", "--p", "1.5", "--potential", "gaussian",
+            "--domain", "-8:8", "--n", "201", "--tend", "0.01", "--dt", "1e-3",
+        ])
+        assert code == 2
+        assert "m + p != 2" in capsys.readouterr().err
 
 
 class TestRegionAndConstants:

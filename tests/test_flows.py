@@ -94,6 +94,33 @@ class TestLinearFlow:
         assert trace.meta["n_steps"] == 100
         assert counts == {"dpttrs": 100, "delta_g": 0}
 
+    def test_array_init_left_unchanged(self, gauss_pot, gauss_grid_small):
+        # the stepper updates its state in place, never the caller's array
+        init = ef.initial_field(gauss_grid_small, "bump:0.3")
+        kept = init.copy()
+        cfg = ef.FlowConfig(kind="linear", p=1.5, init=init, t_end=0.05, dt=1e-3)
+        trace = ef.run_linear(cfg, gauss_pot, gauss_grid_small)
+        assert np.array_equal(init, kept)
+        assert not np.array_equal(trace.fields[-1][1], kept)
+
+    def test_work_arrays_change_no_bit(self, monkeypatch, tmp_path, gauss_pot,
+                                       gauss_grid_small):
+        # the loop reuses its right-hand side and flux buffers; a fresh
+        # _net_flux per step must give the same trace and fields bytes
+        from entroflow import flows
+
+        cfg = ef.FlowConfig(kind="linear", p=1.5, init="odd:0.2", t_end=0.2, dt=1e-3,
+                            stride=5, audit_stride=2)
+        reused = ef.run_linear(cfg, gauss_pot, gauss_grid_small)
+        net_flux = flows._net_flux
+        monkeypatch.setattr(flows, "_net_flux", lambda grid, v, **_: net_flux(grid, v))
+        fresh = ef.run_linear(cfg, gauss_pot, gauss_grid_small)
+        assert reused._csv_text() == fresh._csv_text()
+        paths = [tmp_path / "reused.npz", tmp_path / "fresh.npz"]
+        reused.save_fields(paths[0])
+        fresh.save_fields(paths[1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_mass_conserved(self, linear_run_p15):
         assert linear_run_p15.mass_drift <= 1e-10
 
@@ -165,6 +192,15 @@ class TestPmeFlow:
         with pytest.raises(ConfigError):
             ef.FlowConfig(kind="linear", p=1.5, scheme="rk4")
 
+    @pytest.mark.parametrize("bad", [
+        dict(dt=0.0), dict(dt=-1e-3), dict(dt=float("nan")), dict(dt=float("inf")),
+        dict(stride=0), dict(stride=-1), dict(audit_stride=0),
+        dict(t_end=float("nan")), dict(t_end=float("inf")),
+    ])
+    def test_step_and_stride_validation(self, bad):
+        with pytest.raises(ConfigError):
+            ef.FlowConfig(kind="linear", p=1.5, **bad)
+
 
 def spy_calls(monkeypatch, *names):
     """Count the calls the steppers make to the named ``flows`` globals."""
@@ -175,9 +211,9 @@ def spy_calls(monkeypatch, *names):
     def spy(name):
         fn = getattr(flows, name)
 
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             counts[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         monkeypatch.setattr(flows, name, wrapped)
 
     for name in names:

@@ -115,6 +115,12 @@ class TestPmeParams:
         with pytest.raises(ParameterError):
             ef.PmeParams(m=-0.5, p=1.5)
 
+    def test_m_plus_p_two_rejected(self):
+        # E = int [v^{m+p-1} - 1] dgamma / (m+p-2) has no value there
+        with pytest.raises(ParameterError, match=r"m \+ p != 2"):
+            ef.PmeParams(m=0.5, p=1.5)
+        assert ef.PmeParams(m=0.5, p=1.6).s_exponent == pytest.approx(0.3)
+
 
 class TestPmeFunctionals:
     def test_equilibrium_zero(self, gauss_grid):
