@@ -56,6 +56,7 @@ from .functionals import (
     DEFAULT_FLOOR,
     LinearParams,
     PmeParams,
+    _s_field,
     entropy_linear,
     entropy_pme,
     fisher_linear,
@@ -311,8 +312,10 @@ def run_linear(config: FlowConfig, pot, grid: Grid) -> Trace:
 
     def evaluate(v: np.ndarray):
         E = entropy_linear(params, v, grid)
-        I = fisher_linear(params, v, grid, config.floor)
-        K = k_linear(params, v, grid, config.floor) if v.min() >= config.floor else np.nan
+        # one s-field for I and K; entropy_linear has already rejected v < 0
+        s = _s_field(v, params.s_exponent, config.floor)
+        I = fisher_linear(params, v, grid, config.floor, s=s)
+        K = k_linear(params, v, grid, config.floor, s=s) if v.min() >= config.floor else np.nan
         return E, I, K
 
     # v is updated in place: copy an array init so the caller's stays intact
@@ -432,8 +435,9 @@ def run_pme(config: FlowConfig, pot, grid: Grid) -> Trace:
 
     def evaluate(v: np.ndarray):
         E = entropy_pme(params, v, grid)
-        I = fisher_pme(params, v, grid, config.floor)
-        K = k_pme(params, v, grid, config.floor) if v.min() >= config.floor else np.nan
+        s = _s_field(v, params.s_exponent, config.floor)
+        I = fisher_pme(params, v, grid, config.floor, s=s)
+        K = k_pme(params, v, grid, config.floor, s=s) if v.min() >= config.floor else np.nan
         return E, I, K
 
     v = initial_field(grid, config.init) if isinstance(config.init, str) else np.asarray(config.init, float)

@@ -164,17 +164,24 @@ def entropy_linear(params: LinearParams, v, grid: Grid) -> float:
     return integrate_dgamma(grid, integrand)
 
 
-def fisher_linear(params: LinearParams, v, grid: Grid, floor: float = DEFAULT_FLOOR) -> float:
+def fisher_linear(params: LinearParams, v, grid: Grid, floor: float = DEFAULT_FLOOR,
+                  *, s: np.ndarray | None = None) -> float:
+    """I_p of v.  ``s``, if given, is ``_s_field(v, params.s_exponent, floor)``
+    already built by the caller (a snapshot shares it with :func:`k_linear`)."""
     v = np.asarray(v, dtype=float)
     _check_nonnegative(v)
-    s = _s_field(v, params.s_exponent, floor)
+    if s is None:
+        s = _s_field(v, params.s_exponent, floor)
     return _fisher(grid, s, 4.0 / params.p)
 
 
-def k_linear(params: LinearParams, v, grid: Grid, floor: float = DEFAULT_FLOOR) -> float:
+def k_linear(params: LinearParams, v, grid: Grid, floor: float = DEFAULT_FLOOR,
+             *, s: np.ndarray | None = None) -> float:
+    """K_p of v; ``s`` as in :func:`fisher_linear`."""
     v = np.asarray(v, dtype=float)
     _check_floor(v, floor)
-    s = _s_field(v, params.s_exponent, floor)
+    if s is None:
+        s = _s_field(v, params.s_exponent, floor)
     return _k_chain(grid, s, None, params.alpha)
 
 
@@ -186,19 +193,25 @@ def entropy_pme(params: PmeParams, v, grid: Grid) -> float:
     return integrate_dgamma(grid, (np.power(v, e + 1.0) - 1.0)) / e
 
 
-def fisher_pme(params: PmeParams, v, grid: Grid, floor: float = DEFAULT_FLOOR) -> float:
+def fisher_pme(params: PmeParams, v, grid: Grid, floor: float = DEFAULT_FLOOR,
+               *, s: np.ndarray | None = None) -> float:
+    """I of v; ``s`` as in :func:`fisher_linear`, with the PME exponent 1/beta."""
     v = np.asarray(v, dtype=float)
     _check_nonnegative(v)
     _check_unit_mass(grid, v)
-    s = _s_field(v, params.s_exponent, floor)
+    if s is None:
+        s = _s_field(v, params.s_exponent, floor)
     return _fisher(grid, s, params.c)
 
 
-def k_pme(params: PmeParams, v, grid: Grid, floor: float = DEFAULT_FLOOR) -> float:
+def k_pme(params: PmeParams, v, grid: Grid, floor: float = DEFAULT_FLOOR,
+          *, s: np.ndarray | None = None) -> float:
+    """K of v; ``s`` as in :func:`fisher_pme`."""
     v = np.asarray(v, dtype=float)
     _check_floor(v, floor)
     _check_unit_mass(grid, v)
-    s = _s_field(v, params.s_exponent, floor)
+    if s is None:
+        s = _s_field(v, params.s_exponent, floor)
     e2 = params.beta * (params.m - 1.0)
     weight = None if e2 == 0.0 else np.power(s, e2)
     return _k_chain(grid, s, weight, params.alpha)

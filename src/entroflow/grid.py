@@ -99,8 +99,9 @@ class Grid:
 def _finish_grid(kind, d, nodes, h, w, faces, face_area, pot) -> Grid:
     # log_weight admits x = 0 for the power family; a node there stays an error
     _check_singular(pot, nodes)
-    F = log_weight(pot, nodes)
+    # F overflowing to +inf is a zero weight, reported just below
     with np.errstate(over="ignore", under="ignore"):
+        F = log_weight(pot, nodes)
         g = np.exp(-F)
     if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
         raise NonFiniteWeight(
@@ -115,6 +116,8 @@ def _finish_grid(kind, d, nodes, h, w, faces, face_area, pot) -> Grid:
     conductance = face_area * g_face / h
     wg = w * g
     mass = float(np.sum(wg))
+    if not math.isfinite(mass):
+        raise NonFiniteWeight("the weight mass overflows; shrink the domain")
     mu = wg / mass
     ident = hashlib.sha256(
         f"{kind}|{d}|{nodes[0]!r}|{nodes[-1]!r}|{len(nodes)}|{pot.key()}".encode()
@@ -140,6 +143,8 @@ def make_interval_grid(xL: float, xR: float, n: int, pot: Potential) -> Grid:
     """Uniform grid on [xL, xR] with trapezoid dx weights."""
     if n < _MIN_NODES:
         raise DegenerateDomain(f"need at least {_MIN_NODES} nodes, got {n}")
+    if not math.isfinite(xR - xL):
+        raise DegenerateDomain(f"interval [{xL}, {xR}] needs finite endpoints and width")
     if not xL < xR:
         raise DegenerateDomain(f"empty interval [{xL}, {xR}]")
     nodes = np.linspace(xL, xR, n)
@@ -169,6 +174,8 @@ def make_radial_grid(
         raise DegenerateDomain(f"need at least {_MIN_NODES} nodes, got {n}")
     if d < 1:
         raise DegenerateDomain(f"dimension must be >= 1, got {d}")
+    if not math.isfinite(R):
+        raise DegenerateDomain(f"radius must be finite, got {R}")
     if R <= 0:
         raise DegenerateDomain(f"radius must be positive, got {R}")
     if tail_tol is not None and pot.family not in ("flat", "tabulated"):
@@ -180,9 +187,13 @@ def make_radial_grid(
     h = 2.0 * R / (2 * n - 1)
     nodes = (np.arange(n) + 0.5) * h
     area = sphere_area(d)
-    w = area * nodes ** (d - 1) * h
     faces = (np.arange(1, n)) * h  # interior faces at r = h, 2h, ...
-    return _finish_grid("radial", d, nodes, h, w, faces, area * faces ** (d - 1), pot)
+    # an overflowing Jacobian r^{d-1} h overflows the weight mass, which
+    # _finish_grid reports
+    with np.errstate(over="ignore"):
+        w = area * nodes ** (d - 1) * h
+        face_area = area * faces ** (d - 1)
+    return _finish_grid("radial", d, nodes, h, w, faces, face_area, pot)
 
 
 def _check_field(grid: Grid, v: np.ndarray) -> np.ndarray:

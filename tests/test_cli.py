@@ -99,6 +99,17 @@ class TestLambda1Command:
             "--domain", "-6:6", "--n", "301",
         ) == 3
 
+    @pytest.mark.parametrize("geometry, code, message", [
+        (("harmonic_log:0.05", "--radial", "3:1e200"), 3, "e^{-F} is not finite and positive"),
+        (("harmonic_log:0.05", "--radial", "3:nan"), 2, "radius must be finite, got nan"),
+        (("harmonic_log:0.05", "--radial", "3:inf"), 2, "radius must be finite, got inf"),
+        (("gaussian", "--domain=-inf:8"), 2,
+         "interval [-inf, 8.0] needs finite endpoints and width"),
+    ], ids=["radius-overflow", "radius-nan", "radius-inf", "domain-inf"])
+    def test_nonfinite_geometry_exit_codes(self, capsys, geometry, code, message):
+        assert run_cli("lambda1", "--p", "2.0", "--potential", *geometry, "--n", "200") == code
+        assert message in capsys.readouterr().err
+
     def test_undersized_radius_is_config_error(self):
         assert run_cli(
             "lambda1", "--p", "2.0", "--potential", "gaussian",

@@ -161,6 +161,19 @@ class TestLinearFlow:
         assert np.all(np.diff(tr.E) < 0)
 
 
+@pytest.mark.parametrize("run, params, fns", [
+    ("linear_run_p15", ef.LinearParams(1.5), (ef.entropy_linear, ef.fisher_linear, ef.k_linear)),
+    ("pme_run", ef.PmeParams(m=1.2, p=1.5), (ef.entropy_pme, ef.fisher_pme, ef.k_pme)),
+])
+def test_snapshot_functionals_are_the_public_ones(request, gauss_grid, run, params, fns):
+    # a snapshot shares one s-field between I and K; each value must be the
+    # one the functional gives on its own
+    tr = request.getfixturevalue(run)
+    assert len(tr.fields) > 5
+    for snap, v in tr.fields:
+        assert (tr.E[snap], tr.I[snap], tr.K[snap]) == tuple(f(params, v, gauss_grid) for f in fns)
+
+
 class TestPmeFlow:
     def test_equilibrium_is_fixed_point(self, gauss_pot, gauss_grid_small):
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, init="const", t_end=0.2, dt=1e-3)

@@ -46,6 +46,17 @@ class TestIntervalGrid:
         with pytest.raises(DegenerateDomain):
             ef.make_interval_grid(2.0, -2.0, 100, gauss_pot)
 
+    @pytest.mark.parametrize("xL, xR", [(-np.inf, 8.0), (np.nan, 8.0), (-8.0, np.inf),
+                                        (-1e308, 1e308)])
+    def test_nonfinite_endpoints_or_width(self, gauss_pot, xL, xR):
+        with pytest.raises(DegenerateDomain, match="finite endpoints and width"):
+            ef.make_interval_grid(xL, xR, 100, gauss_pot)
+
+    def test_overflowing_potential_is_a_zero_weight(self, gauss_pot):
+        # F = x^2/2 overflows to +inf: reported as a vanishing weight, no warning
+        with pytest.raises(NonFiniteWeight, match="not finite and positive"):
+            ef.make_interval_grid(-1e200, 1e200, 100, gauss_pot)
+
     def test_underflowing_weight_rejected(self):
         x = np.linspace(-1, 1, 33)
         F = np.full_like(x, 1e6)  # e^{-F} underflows to 0
@@ -80,6 +91,34 @@ class TestRadialGrid:
     def test_tail_mass_guard(self):
         with pytest.raises(TailMassTooLarge):
             ef.make_radial_grid(3, 2.0, 64, ef.harmonic(d=3))
+
+    @pytest.mark.parametrize("R", [np.nan, np.inf])
+    def test_nonfinite_radius(self, R):
+        with pytest.raises(DegenerateDomain, match="radius must be finite"):
+            ef.make_radial_grid(3, R, 64, ef.harmonic_log(0.05, d=3))
+
+    def test_overflowing_radius(self):
+        # R^2 overflows: the tail is empty, and so is the weight at the far nodes
+        with pytest.raises(NonFiniteWeight, match="not finite and positive"):
+            ef.make_radial_grid(3, 1e200, 64, ef.harmonic_log(0.05, d=3))
+        # a flat weight does not vanish, but r^{d-1} h overflows its mass
+        with pytest.raises(NonFiniteWeight, match="weight mass overflows"):
+            ef.make_radial_grid(3, 1e200, 64, ef.flat(d=3))
+
+    def test_radial_lambda1_loads_no_scipy_module(self):
+        # the README radial command; scipy contributes only its compiled LAPACK extension
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from entroflow.cli import main\n"
+             "code = main(['lambda1', '--p', '2.0', '--potential', 'harmonic_log:0.05',\n"
+             "             '--radial', '3:12', '--n', '4000'])\n"
+             "names = {'scipy', 'scipy.special', 'scipy.integrate', 'scipy._lib._array_api'}\n"
+             "print(code, sorted(names & set(sys.modules)))"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == ["0.944094745334", "0 []"]
 
     def test_radial_grid_leaves_scipy_integrate_unloaded(self):
         # the tail estimate is a closed form; building a grid needs no quadrature module

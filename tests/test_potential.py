@@ -232,6 +232,41 @@ class TestTailMass:
         with pytest.raises(DomainError, match="not integrable"):
             ef.tail_mass(ef.harmonic_log(2.5, d=3), 12.0, 2.5)
 
+    @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_radius(self, R):
+        with pytest.raises(ParameterError, match="finite"):
+            ef.tail_mass(ef.harmonic_log(0.05, d=3), R, 3)
+
+    def test_extreme_radii(self):
+        # R^beta/beta overflows: nothing of the weight is left beyond R
+        assert ef.tail_mass(ef.harmonic_log(0.05, d=3), 1e200, 3) == 0.0
+        assert ef.tail_mass(ef.power_law(1.5), 1e300, 1) == 0.0
+        # R^beta/beta underflows to 0: all of it is
+        assert ef.tail_mass(ef.harmonic(), 1e-200, 3) == 1.0
+
+    def test_guard_decisions_unchanged(self):
+        # every tail of the cases above, and of the grid guard test, falls on
+        # the same side of the 1e-10 default tail_tol as scipy's gammaincc and
+        # the 30-digit oracle
+        import mpmath
+        from scipy.special import gammaincc
+
+        cases = [(pot, d, R, s(d), x(R)) for pot, s, x in self.TAIL_CASES
+                 for d in ((3, 5) if pot.family == "harmonic_log" else (1, 2, 3, 5))
+                 for R in (1.0, 4.0, 8.0, 16.0)]
+        for pot, d, R in [(ef.harmonic(), 1, 8.0), (ef.harmonic_log(0.1, d=3), 3, 12.0),
+                          (ef.power_law(1.5), 1, 16.0), (ef.harmonic(), 5, 8.0),
+                          (ef.power_law(1.5), 3, 8.0), (ef.power_law(1.2), 3, 24.0),
+                          (ef.harmonic_log(0.05, d=3), 3, 6.0), (ef.harmonic(d=3), 3, 2.0)]:
+            beta = pot.beta if pot.family == "power" else 2.0
+            eps = pot.eps if pot.family == "harmonic_log" else 0.0
+            cases.append((pot, d, R, (d - eps) / beta, R**beta / beta))
+        with mpmath.workdps(30):
+            for pot, d, R, s, x in cases:
+                decision = ef.tail_mass(pot, R, d) > 1e-10
+                assert decision == (gammaincc(s, x) > 1e-10)
+                assert decision == (mpmath.gammainc(s, x, regularized=True) > 1e-10)
+
     def test_package_import_defers_scipy_integrate(self):
         # no module of the package needs scipy.integrate; importing it must not load it
         proc = subprocess.run(
@@ -241,6 +276,79 @@ class TestTailMass:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+def _gamma_sweep():
+    """(s, x) pairs on both sides of x = s + 1, where the kernel switches method.
+
+    s runs from 1e-3 to 10, the supremum of (d - eps)/beta at d = 10 (beta > 1
+    for the power family).  x runs up to 690: e^{-x} underflows near 708, and
+    for s = 1e-3 Q leaves the normal range near x = 700.
+    """
+    pairs = []
+    for s in np.geomspace(1e-3, 10.0, 25):
+        s = float(s)
+        edge = s + 1.0
+        xs = [edge, math.nextafter(edge, 0.0), edge * (1 - 1e-9), edge * (1 + 1e-9)]
+        xs += [float(x) for x in np.geomspace(1e-8, edge, 9)[:-1]]
+        xs += [float(x) for x in np.geomspace(edge, 690.0, 10)[1:]]
+        pairs += [(s, x) for x in xs]
+    return pairs
+
+
+class TestGammaincc:
+    """The incomplete-gamma kernel behind tail_mass, against mpmath."""
+
+    def test_matches_mpmath_on_both_sides_of_the_switch(self):
+        import mpmath
+
+        from entroflow.potential import _gammaincc
+
+        branches = set()
+        with mpmath.workdps(30):
+            for s, x in _gamma_sweep():
+                ref = float(mpmath.gammainc(s, x, regularized=True))
+                assert ref >= sys.float_info.min
+                assert _gammaincc(s, x) == pytest.approx(ref, rel=1e-12, abs=0.0), (s, x)
+                branches.add((x < s + 1.0, s < 1.0))
+        assert branches == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_no_case_needs_half_the_iteration_cap(self, monkeypatch):
+        from entroflow import potential
+
+        monkeypatch.setattr(potential, "_GAMMA_MAX_ITER", potential._GAMMA_MAX_ITER // 2)
+        # the continued fraction is slowest just above x = s + 1 for s near 0.1
+        slow = [(float(s), float(s) + 1.0) for s in np.linspace(0.01, 0.3, 30)]
+        for s, x in _gamma_sweep() + slow:
+            potential._gammaincc(s, x)
+
+    def test_cap_raises_instead_of_returning_a_partial_sum(self, monkeypatch):
+        from entroflow import potential
+
+        monkeypatch.setattr(potential, "_GAMMA_MAX_ITER", 3)
+        # the Q series, the P series and the continued fraction, at s >= 1 and s < 1
+        for s, x in [(0.5, 1.0), (4.0, 4.5), (6.0, 8.0), (0.05, 1.05)]:
+            with pytest.raises(DomainError, match="did not converge"):
+                potential._gammaincc(s, x)
+
+    def test_limits(self):
+        from entroflow.potential import _gammaincc
+
+        assert _gammaincc(1.5, 0.0) == 1.0
+        assert _gammaincc(1.5, 800.0) == 0.0  # e^{-x} underflows
+        assert _gammaincc(1.0, 3.0) == pytest.approx(math.exp(-3.0), rel=1e-15)
+
+    def test_lgamma1p_and_its_zeta_table(self):
+        import mpmath
+
+        from entroflow.potential import _ZETA_MINUS_1, _lgamma1p
+
+        with mpmath.workdps(30):
+            for k, z in enumerate(_ZETA_MINUS_1, start=2):
+                assert z == float(mpmath.zeta(k) - 1)
+            for s in np.geomspace(1e-8, 1.0, 40):
+                ref = float(mpmath.loggamma(1 + mpmath.mpf(float(s))))
+                assert _lgamma1p(float(s)) == pytest.approx(ref, rel=2e-14, abs=0.0)
 
 
 def test_potential_from_spec_aliases():
