@@ -56,13 +56,10 @@ from .functionals import (
     DEFAULT_FLOOR,
     LinearParams,
     PmeParams,
-    _s_field,
+    _snapshot_linear,
+    _snapshot_pme,
     entropy_linear,
     entropy_pme,
-    fisher_linear,
-    fisher_pme,
-    k_linear,
-    k_pme,
 )
 from .grid import Grid, _net_flux, delta_g, integrate_dgamma, stiffness_bands
 
@@ -312,10 +309,7 @@ def run_linear(config: FlowConfig, pot, grid: Grid) -> Trace:
 
     def evaluate(v: np.ndarray):
         E = entropy_linear(params, v, grid)
-        # one s-field for I and K; entropy_linear has already rejected v < 0
-        s = _s_field(v, params.s_exponent, config.floor)
-        I = fisher_linear(params, v, grid, config.floor, s=s)
-        K = k_linear(params, v, grid, config.floor, s=s) if v.min() >= config.floor else np.nan
+        I, K = _snapshot_linear(params, v, grid, config.floor)
         return E, I, K
 
     # v is updated in place: copy an array init so the caller's stays intact
@@ -435,9 +429,7 @@ def run_pme(config: FlowConfig, pot, grid: Grid) -> Trace:
 
     def evaluate(v: np.ndarray):
         E = entropy_pme(params, v, grid)
-        s = _s_field(v, params.s_exponent, config.floor)
-        I = fisher_pme(params, v, grid, config.floor, s=s)
-        K = k_pme(params, v, grid, config.floor, s=s) if v.min() >= config.floor else np.nan
+        I, K = _snapshot_pme(params, v, grid, config.floor)
         return E, I, K
 
     v = initial_field(grid, config.init) if isinstance(config.init, str) else np.asarray(config.init, float)

@@ -164,24 +164,17 @@ def entropy_linear(params: LinearParams, v, grid: Grid) -> float:
     return integrate_dgamma(grid, integrand)
 
 
-def fisher_linear(params: LinearParams, v, grid: Grid, floor: float = DEFAULT_FLOOR,
-                  *, s: np.ndarray | None = None) -> float:
-    """I_p of v.  ``s``, if given, is ``_s_field(v, params.s_exponent, floor)``
-    already built by the caller (a snapshot shares it with :func:`k_linear`)."""
+def fisher_linear(params: LinearParams, v, grid: Grid, floor: float = DEFAULT_FLOOR) -> float:
     v = np.asarray(v, dtype=float)
     _check_nonnegative(v)
-    if s is None:
-        s = _s_field(v, params.s_exponent, floor)
+    s = _s_field(v, params.s_exponent, floor)
     return _fisher(grid, s, 4.0 / params.p)
 
 
-def k_linear(params: LinearParams, v, grid: Grid, floor: float = DEFAULT_FLOOR,
-             *, s: np.ndarray | None = None) -> float:
-    """K_p of v; ``s`` as in :func:`fisher_linear`."""
+def k_linear(params: LinearParams, v, grid: Grid, floor: float = DEFAULT_FLOOR) -> float:
     v = np.asarray(v, dtype=float)
     _check_floor(v, floor)
-    if s is None:
-        s = _s_field(v, params.s_exponent, floor)
+    s = _s_field(v, params.s_exponent, floor)
     return _k_chain(grid, s, None, params.alpha)
 
 
@@ -193,25 +186,44 @@ def entropy_pme(params: PmeParams, v, grid: Grid) -> float:
     return integrate_dgamma(grid, (np.power(v, e + 1.0) - 1.0)) / e
 
 
-def fisher_pme(params: PmeParams, v, grid: Grid, floor: float = DEFAULT_FLOOR,
-               *, s: np.ndarray | None = None) -> float:
-    """I of v; ``s`` as in :func:`fisher_linear`, with the PME exponent 1/beta."""
+def fisher_pme(params: PmeParams, v, grid: Grid, floor: float = DEFAULT_FLOOR) -> float:
     v = np.asarray(v, dtype=float)
     _check_nonnegative(v)
     _check_unit_mass(grid, v)
-    if s is None:
-        s = _s_field(v, params.s_exponent, floor)
+    s = _s_field(v, params.s_exponent, floor)
     return _fisher(grid, s, params.c)
 
 
-def k_pme(params: PmeParams, v, grid: Grid, floor: float = DEFAULT_FLOOR,
-          *, s: np.ndarray | None = None) -> float:
-    """K of v; ``s`` as in :func:`fisher_pme`."""
+def k_pme(params: PmeParams, v, grid: Grid, floor: float = DEFAULT_FLOOR) -> float:
     v = np.asarray(v, dtype=float)
     _check_floor(v, floor)
     _check_unit_mass(grid, v)
-    if s is None:
-        s = _s_field(v, params.s_exponent, floor)
+    return _k_pme_chain(params, grid, _s_field(v, params.s_exponent, floor))
+
+
+def _k_pme_chain(params: PmeParams, grid: Grid, s: np.ndarray) -> float:
     e2 = params.beta * (params.m - 1.0)
     weight = None if e2 == 0.0 else np.power(s, e2)
     return _k_chain(grid, s, weight, params.alpha)
+
+
+# A flow snapshot needs I and K of one field: these build its s-field once.
+# v passes the checks of fisher_*; K's own checks would re-test the same v for
+# the floor (K is nan below it instead) and, for PME, the unit mass.
+
+
+def _snapshot_linear(params: LinearParams, v: np.ndarray, grid: Grid, floor: float):
+    """(fisher_linear, k_linear) of v, K = nan where v dips below floor."""
+    _check_nonnegative(v)
+    s = _s_field(v, params.s_exponent, floor)
+    I = _fisher(grid, s, 4.0 / params.p)
+    return I, (_k_chain(grid, s, None, params.alpha) if v.min() >= floor else np.nan)
+
+
+def _snapshot_pme(params: PmeParams, v: np.ndarray, grid: Grid, floor: float):
+    """(fisher_pme, k_pme) of v, K = nan where v dips below floor."""
+    _check_nonnegative(v)
+    _check_unit_mass(grid, v)
+    s = _s_field(v, params.s_exponent, floor)
+    I = _fisher(grid, s, params.c)
+    return I, (_k_pme_chain(params, grid, s) if v.min() >= floor else np.nan)

@@ -115,7 +115,8 @@ def _finish_grid(kind, d, nodes, h, w, faces, face_area, pot) -> Grid:
         g_face = np.exp(-log_weight(pot, faces))
     conductance = face_area * g_face / h
     wg = w * g
-    mass = float(np.sum(wg))
+    with np.errstate(over="ignore"):
+        mass = float(np.sum(wg))
     if not math.isfinite(mass):
         raise NonFiniteWeight("the weight mass overflows; shrink the domain")
     mu = wg / mass

@@ -277,8 +277,10 @@ def example1_epsilon_bound(d: int, p: float) -> Example1Bound:
     )
 
 
-# iteration cap of each incomplete-gamma loop; the admissible range of
-# tail_mass needs well under half of it
+# iteration cap of each incomplete-gamma loop at s = 0.  Near x = s the terms
+# of the series and of the continued fraction fall like e^{-k^2/(2s)}, so both
+# need about 20 + 8.5 sqrt(s) of them; the cap grows by the factor
+# 1 + sqrt(s)/10, and every s needs under half of it
 _GAMMA_MAX_ITER = 300
 _EPS = sys.float_info.epsilon
 _EULER_GAMMA = 0.5772156649015329
@@ -320,12 +322,13 @@ def _gammaincc(s: float, x: float) -> float:
     if x == 0.0:
         return 1.0
     log_x = math.log(x)
+    max_iter = int(_GAMMA_MAX_ITER * (1.0 + math.sqrt(s) / 10.0))
     if x >= s + 1.0:
         tiny = 1e-300
         b = x + 1.0 - s
         c, d = 1.0 / tiny, 1.0 / b
         h = d
-        for k in range(1, _GAMMA_MAX_ITER + 1):
+        for k in range(1, max_iter + 1):
             a = -k * (k - s)
             b += 2.0
             d = a * d + b
@@ -341,14 +344,14 @@ def _gammaincc(s: float, x: float) -> float:
                 return h * math.exp(s * log_x - x - math.lgamma(s))
     elif s >= 1.0:
         term = total = 1.0
-        for k in range(1, _GAMMA_MAX_ITER + 1):
+        for k in range(1, max_iter + 1):
             term *= x / (s + k)
             total += term
             if term < total * _EPS:
                 return 1.0 - total * math.exp(s * log_x - x - math.lgamma(s + 1.0))
     else:
         fac, total = 1.0, 0.0
-        for k in range(1, _GAMMA_MAX_ITER + 1):
+        for k in range(1, max_iter + 1):
             fac *= -x / k
             term = fac / (s + k)
             total += term
@@ -356,7 +359,7 @@ def _gammaincc(s: float, x: float) -> float:
                 t = s * log_x - _lgamma1p(s)
                 return -math.expm1(t) - s * math.exp(t) * total
     raise DomainError(
-        f"incomplete gamma Q({s!r}, {x!r}) did not converge in {_GAMMA_MAX_ITER} iterations"
+        f"incomplete gamma Q({s!r}, {x!r}) did not converge in {max_iter} iterations"
     )
 
 
@@ -371,8 +374,9 @@ def tail_mass(pot: Potential, R: float, d: int | None = None) -> float:
     u = r^beta/beta turns the fraction into the regularized upper incomplete
     gamma function Q((d - eps)/beta, R^beta/beta).  :func:`_gammaincc`
     evaluates it with ``math`` alone (a series or a continued fraction), to
-    about 1e-13 relative where Q is a normal float; when R^beta overflows,
-    the tail is 0 to double precision.
+    about 1e-13 relative where Q is a normal float and s <= 10; the rounding
+    of the exp(s log x - x) prefactor grows with s, to about 2e-11 at
+    s = 1e4.  When R^beta overflows, the tail is 0 to double precision.
     """
     if pot.family in ("flat", "tabulated"):
         raise DomainError(f"{pot.family} potential has no analytic tail estimate")

@@ -101,9 +101,11 @@ class TestRadialGrid:
         # R^2 overflows: the tail is empty, and so is the weight at the far nodes
         with pytest.raises(NonFiniteWeight, match="not finite and positive"):
             ef.make_radial_grid(3, 1e200, 64, ef.harmonic_log(0.05, d=3))
-        # a flat weight does not vanish, but r^{d-1} h overflows its mass
-        with pytest.raises(NonFiniteWeight, match="weight mass overflows"):
-            ef.make_radial_grid(3, 1e200, 64, ef.flat(d=3))
+        # a flat weight does not vanish, but r^{d-1} h overflows its mass:
+        # at R = 1e200 each weight is already inf, at R = 1e103 only their sum
+        for R, n in [(1e200, 64), (1e103, 200)]:
+            with pytest.raises(NonFiniteWeight, match="weight mass overflows"):
+                ef.make_radial_grid(3, R, n, ef.flat(d=3))
 
     def test_radial_lambda1_loads_no_scipy_module(self):
         # the README radial command; scipy contributes only its compiled LAPACK extension

@@ -296,6 +296,13 @@ def _gamma_sweep():
     return pairs
 
 
+def _large_s_cases():
+    """(s, x) for s from 10 to 1e4, where the loops are longest: x within a few
+    sqrt(s) of s, on both sides of x = s + 1."""
+    return [(s, s + 1.0 + k * math.sqrt(s)) for s in (30.0, 300.0, 1250.0, 1e4)
+            for k in (-3.0, -1.0, -0.01, 0.0, 0.01, 1.0, 3.0)]
+
+
 class TestGammaincc:
     """The incomplete-gamma kernel behind tail_mass, against mpmath."""
 
@@ -313,13 +320,28 @@ class TestGammaincc:
                 branches.add((x < s + 1.0, s < 1.0))
         assert branches == {(True, True), (True, False), (False, True), (False, False)}
 
+    def test_large_s(self):
+        # s = (d - eps)/beta beyond the d = 10 sweep: the loops need about
+        # 20 + 8.5 sqrt(s) terms near x = s, and the prefactor's rounding grows
+        # like s; e.g. d = 2500, R = 50 is s = 1250, x = 1250
+        import mpmath
+
+        from entroflow.potential import _gammaincc
+
+        with mpmath.workdps(40):
+            for s, x in _large_s_cases():
+                ref = float(mpmath.gammainc(s, x, regularized=True))
+                assert _gammaincc(s, x) == pytest.approx(ref, rel=max(1e-12, 3e-15 * s), abs=0.0)
+            ref = float(mpmath.gammainc(1250, 1250, regularized=True))
+        assert ef.tail_mass(ef.harmonic(d=2500), 50.0, 2500) == pytest.approx(ref, rel=1e-11)
+
     def test_no_case_needs_half_the_iteration_cap(self, monkeypatch):
         from entroflow import potential
 
         monkeypatch.setattr(potential, "_GAMMA_MAX_ITER", potential._GAMMA_MAX_ITER // 2)
         # the continued fraction is slowest just above x = s + 1 for s near 0.1
         slow = [(float(s), float(s) + 1.0) for s in np.linspace(0.01, 0.3, 30)]
-        for s, x in _gamma_sweep() + slow:
+        for s, x in _gamma_sweep() + slow + _large_s_cases():
             potential._gammaincc(s, x)
 
     def test_cap_raises_instead_of_returning_a_partial_sum(self, monkeypatch):
