@@ -88,8 +88,10 @@ from .verify import (
     default_slack_tol,
     dissipation_audit,
     fit_exponential_rate,
+    lemma_audit,
     poincare_test,
     refined_inequality_audit,
+    run_checks,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,6 @@ trace CSV uses 17 significant digits, plots are self-contained SVG.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -37,7 +36,6 @@ from .errors import (
     QOutOfRange,
     TailMassTooLarge,
 )
-from .functionals import LinearParams
 from .grid import make_interval_grid, make_radial_grid
 from .potential import Potential, potential_from_spec, tabulated
 
@@ -328,6 +326,16 @@ def _svg_plot(path: str, t: np.ndarray, curves: list[tuple[str, np.ndarray]]) ->
         fh.write("\n".join(parts) + "\n")
 
 
+def _geometry_from_meta(opts: dict, meta: dict) -> dict:
+    """Geometry options: the flags, else what the flow recorded in the trace meta."""
+    recorded = dict(meta.get("geometry") or {})
+    if meta.get("potential"):
+        pot = meta["potential"]
+        recorded["potential"] = pot.get("family", "gaussian") + (
+            f":{pot['arg']}" if pot.get("arg") else "")
+    return {**opts, **{k: v for k, v in recorded.items() if v and not opts.get(k)}}
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     opts = _merge_config(
         args,
@@ -339,119 +347,19 @@ def cmd_report(args: argparse.Namespace) -> int:
     trace = flows.Trace.from_csv(opts["trace"])
     if opts.get("fields"):
         trace.load_fields(opts["fields"])
-    checks = [c for c in str(opts.get("checks", "envelope,dissipation")).split(",") if c]
-    kind = trace.config.get("kind", "linear")
-    p = float(trace.config.get("p") if opts.get("p") is None else opts["p"])
-    if kind == "pme":
-        m, theta = float(trace.config["m"]), trace.config.get("theta")
-        theta = 0.5 if theta is None else float(theta)
-
-    geometry_opts = dict(opts)
-    meta_geo = trace.meta.get("geometry") or {}
-    meta_pot = trace.meta.get("potential") or {}
-    if not geometry_opts.get("potential") and meta_pot:
-        text = meta_pot.get("family", "gaussian")
-        if meta_pot.get("arg"):
-            text += ":" + str(meta_pot["arg"])
-        geometry_opts["potential"] = text
-    if not geometry_opts.get("n") and meta_geo:
-        geometry_opts["n"] = meta_geo.get("n")
-    if not geometry_opts.get("radial") and meta_geo.get("radial"):
-        geometry_opts["radial"] = meta_geo["radial"]
-    if not geometry_opts.get("domain") and meta_geo.get("domain"):
-        geometry_opts["domain"] = meta_geo["domain"]
-
-    needs_eigenvalue = bool({"envelope", "lemma"} & set(checks)) and opts.get("lambda1") is None
-    needs_geometry = needs_eigenvalue or bool({"poincare", "refined"} & set(checks))
-    pot = grid = None
-    if needs_geometry:
-        pot, grid = _build_geometry(geometry_opts)
-
-    verdicts: list[verify.Verdict] = []
-    envelope_curves: list[tuple[str, np.ndarray]] = [("E (trace)", trace.E)]
-    lam = float(opts["lambda1"]) if opts.get("lambda1") is not None else None
-    spectral = None  # lambda1_linear(p) with its eigenvector, solved at most once
-
-    if "envelope" in checks or "lemma" in checks:
-        if lam is None:
-            if kind == "pme":
-                lam = spectrum.lambda1_pme(theta, pot, grid).lam
-            else:
-                spectral = spectrum.lambda1_linear(p, pot, grid)
-                lam = spectral.lam
-    if "envelope" in checks:
-        if kind == "pme":
-            consts = criteria.constants_chain(m, p, theta, lam, float(trace.E[0]))
-            I0 = float(trace.I[0])
-            env_I = lambda t: criteria.envelope_pme(I0, consts.kappa, t)[0]
-            env_E = lambda t: criteria.envelope_pme(I0, consts.kappa, t)[1]
-            verdicts.append(verify.check_envelope(trace, env_I, "I", "envelope[I,cubic]"))
-            verdicts.append(verify.check_envelope(trace, env_E, "E", "envelope[E,cubic]"))
-            envelope_curves.append(
-                ("E bound", np.array([env_E(tv) for tv in trace.t]))
-            )
-        else:
-            E0, I0 = float(trace.E[0]), float(trace.I[0])
-            env_E = lambda t: criteria.envelope_exponential(E0, lam, t)
-            env_I = lambda t: criteria.envelope_exponential(I0, lam, t)
-            verdicts.append(verify.check_envelope(trace, env_E, "E", "envelope[E,exp]"))
-            verdicts.append(verify.check_envelope(trace, env_I, "I", "envelope[I,exp]"))
-            envelope_curves.append(
-                ("E bound", np.array([env_E(tv) for tv in trace.t]))
-            )
-    if "dissipation" in checks:
-        verdicts.append(verify.dissipation_audit(trace))
-    if "poincare" in checks:
-        if kind == "pme":
-            raise ConfigError("the poincare check applies to linear traces")
-        if spectral is None:  # --lambda1 given, or no envelope check solved it
-            spectral = spectrum.lambda1_linear(p, pot, grid)
-            spectral = dataclasses.replace(spectral, lam=spectral.lam if lam is None else lam)
-        weak = None
-        if p < 2.0:
-            weak = (p - 1.0) * spectrum.lambda1_linear(2.0, pot, grid).lam
-        verdicts.append(
-            verify.poincare_test(
-                p, spectral, grid,
-                trials=int(opts.get("trials", 100)),
-                seed=int(opts.get("seed", 0)),
-                weak_lambda1=weak,
-            )
-        )
-    if "refined" in checks:
-        if kind == "pme":
-            raise ConfigError("the refined check applies to linear traces")
-        alpha = LinearParams(p).alpha
-        if alpha <= 0.0:
-            raise ConfigError("refined inequalities need p < 2")
-        epsilon = opts.get("epsilon")
-        epsilon = (1.0 - alpha) / (2.0 * alpha) if epsilon is None else float(epsilon)
-        verdicts.append(verify.refined_inequality_audit(trace, p, epsilon, grid))
-    if "lemma" in checks:
-        if kind != "pme":
-            raise ConfigError("the lemma check applies to pme traces")
-        worst, loc = np.inf, None
-        for i, (E, I, K) in enumerate(zip(trace.E, trace.I, trace.K)):
-            chk = criteria.lemma_functional_check(m, p, theta, lam, (E, I, K))
-            if chk.slack < worst:
-                worst, loc = chk.slack, float(trace.t[i])
-        tol = verify.default_slack_tol()
-        verdicts.append(
-            verify.Verdict(
-                name="lemma_interpolation", passed=bool(worst >= -tol),
-                worst_violation=float(worst), location=loc, tolerance=tol,
-                details={"snapshots": len(trace.t)},
-            )
-        )
-
-    payload = [v.to_dict() for v in verdicts]
-    _json_out(payload, opts.get("out"))
+    checks = opts.get("checks")
+    verdicts, e_bound = verify.run_checks(
+        trace,
+        None if checks is None else [c for c in str(checks).split(",") if c],
+        geometry=lambda: _build_geometry(_geometry_from_meta(opts, trace.meta)),
+        **{k: opts[k] for k in ("p", "lambda1", "epsilon", "trials", "seed") if k in opts},
+    )
+    _json_out([v.to_dict() for v in verdicts], opts.get("out"))
     if opts.get("plot"):
-        _svg_plot(opts["plot"], trace.t, envelope_curves)
-    failed = sum(0 if v.passed else 1 for v in verdicts)
-    if failed == 0:
-        return EXIT_OK
-    return min(EXIT_HYPOTHESIS + failed, 125)
+        bound = [] if e_bound is None else [("E bound", e_bound)]
+        _svg_plot(opts["plot"], trace.t, [("E (trace)", trace.E)] + bound)
+    failed = sum(not v.passed for v in verdicts)
+    return EXIT_OK if failed == 0 else min(EXIT_HYPOTHESIS + failed, 125)
 
 
 def _add_geometry_flags(sp: argparse.ArgumentParser) -> None:
@@ -514,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("report", help="verification checks over a trace")
     sp.add_argument("--trace", help="trace CSV to audit")
     sp.add_argument("--fields", help="stored-field NPZ (for the refined check)")
-    sp.add_argument("--checks", help="comma list: envelope,dissipation,poincare,refined,lemma")
+    sp.add_argument("--checks", help="comma list: " + ",".join(verify.CHECKS))
     sp.add_argument("--p", type=float)
     sp.add_argument("--lambda1", type=float)
     sp.add_argument("--epsilon", type=float)

@@ -115,15 +115,11 @@ def region_report(
     for each theta' < theta in ``thetas_check``, whether the sampled region
     at theta' is contained in the one at theta.
     """
-    if not (0.0 < theta <= 1.0):
-        raise ParameterError(f"theta must lie in (0, 1]; got {theta}")
     half = math.sqrt(2.0) / 2.0
     ms = np.linspace(1.0 - half - 0.15, 1.0 + half + 0.15, samples)
     ps = np.linspace(-0.25, 3.25, samples)
     M, P = np.meshgrid(ms, ps, indexing="ij")
-    base = (P + 2.0 * M - 4.0) ** 2
-    bracket = 5.0 * M * M + 2.0 * (2.0 * P - 7.0) * M + (P - 3.0) ** 2
-    member = base + bracket * theta < 0.0
+    member = ellipse_margin(M, P, theta) < 0.0
     n_member = int(member.sum())
     if n_member == 0:
         center = (math.nan, math.nan)
@@ -140,7 +136,7 @@ def region_report(
     for tp in thetas_check:
         if not (0.0 < tp < theta):
             raise ParameterError("containment checks need 0 < theta' < theta")
-        member_tp = base + bracket * tp < 0.0
+        member_tp = ellipse_margin(M, P, tp) < 0.0
         nested[tp] = bool(np.all(member | ~member_tp))
     return RegionReport(
         theta=theta,

@@ -58,8 +58,6 @@ from .functionals import (
     PmeParams,
     _snapshot_linear,
     _snapshot_pme,
-    entropy_linear,
-    entropy_pme,
 )
 from .grid import Grid, _net_flux, delta_g, integrate_dgamma, stiffness_bands
 
@@ -307,14 +305,10 @@ def run_linear(config: FlowConfig, pot, grid: Grid) -> Trace:
     if info != 0:
         raise LinearSolveFailure(f"cannot factor the implicit system: LAPACK dpttrf info={info}")
 
-    def evaluate(v: np.ndarray):
-        E = entropy_linear(params, v, grid)
-        I, K = _snapshot_linear(params, v, grid, config.floor)
-        return E, I, K
-
     # v is updated in place: copy an array init so the caller's stays intact
     v = initial_field(grid, config.init) if isinstance(config.init, str) else np.array(config.init, float)
-    rec = _Recorder(grid, evaluate, stride, config.audit_stride)
+    rec = _Recorder(grid, lambda u: _snapshot_linear(params, u, grid, config.floor),
+                    stride, config.audit_stride)
     rec.maybe_record(0, 0.0, v)
     # work arrays reused by every step; the solve overwrites b with delta
     b, flux = np.empty(grid.n), np.empty(grid.n - 1)
@@ -427,13 +421,9 @@ def run_pme(config: FlowConfig, pot, grid: Grid) -> Trace:
     dt, n_steps, stride = config.resolved(grid)
     theta = 1.0 if config.scheme == "be" else 0.5
 
-    def evaluate(v: np.ndarray):
-        E = entropy_pme(params, v, grid)
-        I, K = _snapshot_pme(params, v, grid, config.floor)
-        return E, I, K
-
     v = initial_field(grid, config.init) if isinstance(config.init, str) else np.asarray(config.init, float)
-    rec = _Recorder(grid, evaluate, stride, config.audit_stride)
+    rec = _Recorder(grid, lambda u: _snapshot_pme(params, u, grid, config.floor),
+                    stride, config.audit_stride)
     rec.maybe_record(0, 0.0, v)
     clamps = 0
     work = _NewtonWork()

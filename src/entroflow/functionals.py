@@ -207,23 +207,22 @@ def _k_pme_chain(params: PmeParams, grid: Grid, s: np.ndarray) -> float:
     return _k_chain(grid, s, weight, params.alpha)
 
 
-# A flow snapshot needs I and K of one field: these build its s-field once.
-# v passes the checks of fisher_*; K's own checks would re-test the same v for
-# the floor (K is nan below it instead) and, for PME, the unit mass.
+# A flow snapshot needs E, I and K of one field: these build its s-field once.
+# The entropy checks v (sign; PME: unit mass) once for all three, and K is nan
+# below the floor, where k_linear / k_pme would raise.
 
 
 def _snapshot_linear(params: LinearParams, v: np.ndarray, grid: Grid, floor: float):
-    """(fisher_linear, k_linear) of v, K = nan where v dips below floor."""
-    _check_nonnegative(v)
+    """(entropy_linear, fisher_linear, k_linear) of v, K = nan where v dips below floor."""
+    E = entropy_linear(params, v, grid)
     s = _s_field(v, params.s_exponent, floor)
     I = _fisher(grid, s, 4.0 / params.p)
-    return I, (_k_chain(grid, s, None, params.alpha) if v.min() >= floor else np.nan)
+    return E, I, (_k_chain(grid, s, None, params.alpha) if v.min() >= floor else np.nan)
 
 
 def _snapshot_pme(params: PmeParams, v: np.ndarray, grid: Grid, floor: float):
-    """(fisher_pme, k_pme) of v, K = nan where v dips below floor."""
-    _check_nonnegative(v)
-    _check_unit_mass(grid, v)
+    """(entropy_pme, fisher_pme, k_pme) of v, K = nan where v dips below floor."""
+    E = entropy_pme(params, v, grid)
     s = _s_field(v, params.s_exponent, floor)
     I = _fisher(grid, s, params.c)
-    return I, (_k_pme_chain(params, grid, s) if v.min() >= floor else np.nan)
+    return E, I, (_k_pme_chain(params, grid, s) if v.min() >= floor else np.nan)

@@ -1,5 +1,9 @@
 """Pass/fail verdicts: envelope checks, rate fits, inequality audits.
 
+:func:`run_checks` is the one path from a trace to its report: the table
+``CHECKS`` names every check, the flow kinds it applies to and, by its key
+order, the order of the verdicts.
+
 Every verdict carries a signed worst violation (negative means the property
 was broken beyond tolerance) and is deterministic given config and seed.  The
 default slack tolerance is 1e-8 relative and can be overridden through the
@@ -8,12 +12,14 @@ ENTROFLOW_TOL environment variable (a finite value >= 0).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import criteria, spectrum
 from .errors import ConfigError, NonPositiveData, ParameterError, WindowTooShort
 from .functionals import LinearParams
 from .grid import Grid, dirichlet_form, gradient_sq, integrate_dgamma
@@ -27,6 +33,8 @@ __all__ = [
     "poincare_test",
     "dissipation_audit",
     "refined_inequality_audit",
+    "lemma_audit",
+    "run_checks",
 ]
 
 _TINY = 1e-300
@@ -286,3 +294,99 @@ def refined_inequality_audit(
         "refined_inequalities", worst, loc, tol,
         {"epsilon": epsilon, "snapshots": count},
     )
+
+
+def lemma_audit(trace, m: float, p: float, theta: float, lambda1: float,
+                tol: float | None = None) -> Verdict:
+    """Worst slack over a porous-media trace's (E, I, K) snapshots of the
+    interpolation lemma (:func:`criteria.lemma_functional_check`), located at
+    the snapshot's time."""
+    tol = default_slack_tol() if tol is None else tol
+    worst, loc = np.inf, None
+    for t, E, I, K in zip(trace.t, trace.E, trace.I, trace.K):
+        chk = criteria.lemma_functional_check(m, p, theta, lambda1, (E, I, K))
+        if chk.slack < worst:
+            worst, loc = chk.slack, float(t)
+    return _verdict("lemma_interpolation", worst, loc, tol, {"snapshots": len(trace.t)})
+
+
+# check name -> the flow kinds it applies to; verdicts come in this order
+CHECKS = {
+    "envelope": ("linear", "pme"),
+    "dissipation": ("linear", "pme"),
+    "poincare": ("linear",),
+    "refined": ("linear",),
+    "lemma": ("pme",),
+}
+
+
+def run_checks(trace, checks, geometry, p=None, lambda1=None, epsilon=None,
+               trials: int = 100, seed: int = 0):
+    """(verdicts, E bound at the snapshot times or None) of the named checks.
+
+    ``checks`` lists names of ``CHECKS`` (None: envelope and dissipation);
+    verdicts follow the table's order.  An unknown name, a check on a trace
+    kind it does not apply to, or ``refined`` at p = 2 raises ConfigError
+    before ``geometry`` (a callable returning the trace's (potential, grid),
+    called at most once) or any eigensolve runs.  The flow's eigenpair,
+    lambda1_linear(p) or lambda1_pme(theta), is solved at most once; a given
+    ``lambda1`` replaces its eigenvalue.  ``p`` defaults to the trace's.
+    """
+    checks = ("envelope", "dissipation") if checks is None else tuple(checks)
+    for name in checks:
+        if name not in CHECKS:
+            raise ConfigError(f"unknown check {name!r}; valid checks: {', '.join(CHECKS)}")
+    kind = trace.config.get("kind", "linear")
+    for name, kinds in CHECKS.items():
+        if name in checks and kind not in kinds:
+            raise ConfigError(f"the {name} check applies to {' and '.join(kinds)} traces")
+    p = float(trace.config.get("p") if p is None else p)
+    lambda1 = None if lambda1 is None else float(lambda1)
+    if "refined" in checks:
+        alpha = LinearParams(p).alpha
+        if alpha <= 0.0:
+            raise ConfigError("refined inequalities need p < 2")
+        epsilon = (1.0 - alpha) / (2.0 * alpha) if epsilon is None else float(epsilon)
+    if kind == "pme":
+        m, theta = float(trace.config["m"]), trace.config.get("theta")
+        theta = 0.5 if theta is None else float(theta)
+    built = functools.cache(geometry)
+
+    @functools.cache
+    def spectral():
+        res = (spectrum.lambda1_pme(theta, *built()) if kind == "pme"
+               else spectrum.lambda1_linear(p, *built()))
+        return res if lambda1 is None else replace(res, lam=lambda1)
+
+    lam = lambda: spectral().lam if lambda1 is None else lambda1
+    e_bound = None
+
+    def envelope():
+        nonlocal e_bound
+        E0, I0, lam1 = float(trace.E[0]), float(trace.I[0]), lam()
+        if kind == "pme":  # envelope_pme returns the (I, E) bounds
+            kappa = criteria.constants_chain(m, p, theta, lam1, E0).kappa
+            tag, cols = "cubic", "IE"
+            bound = lambda c, t: criteria.envelope_pme(I0, kappa, t)[cols.index(c)]
+        else:
+            tag, cols, x0 = "exp", "EI", {"E": E0, "I": I0}
+            bound = lambda c, t: criteria.envelope_exponential(x0[c], lam1, t)
+        out = [check_envelope(trace, functools.partial(bound, c), c, f"envelope[{c},{tag}]")
+               for c in cols]
+        e_bound = np.array([bound("E", t) for t in trace.t])
+        return out
+
+    def poincare():
+        eigenpair, (pot, grid) = spectral(), built()
+        weak = (p - 1.0) * spectrum.lambda1_linear(2.0, pot, grid).lam if p < 2.0 else None
+        return [poincare_test(p, eigenpair, grid, int(trials), int(seed), weak_lambda1=weak)]
+
+    run = {
+        "envelope": envelope,
+        "dissipation": lambda: [dissipation_audit(trace)],
+        "poincare": poincare,
+        "refined": lambda: [refined_inequality_audit(trace, p, epsilon, built()[1])],
+        "lemma": lambda: [lemma_audit(trace, m, p, theta, lam())],
+    }
+    verdicts = [v for name in CHECKS if name in checks for v in run[name]()]
+    return verdicts, e_bound

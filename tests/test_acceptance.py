@@ -177,10 +177,7 @@ def test_criterion_8_pme_decay(pme_run, gauss_pot, gauss_grid):
     env_E = ef.check_envelope(
         tr, lambda t: ef.envelope_pme(I0, consts.kappa, t)[1], "E", tol=1e-8
     )
-    lemma_worst = math.inf
-    for E, I, K in zip(tr.E, tr.I, tr.K):
-        chk = ef.lemma_functional_check(1.2, 1.5, 0.5, lam, (E, I, K))
-        lemma_worst = min(lemma_worst, chk.slack)
+    lemma_worst = ef.lemma_audit(tr, 1.2, 1.5, 0.5, lam, tol=1e-8).worst_violation
     elapsed = time.perf_counter() - t0
     ok = (monotone_ok and mass_ok and env_I.passed and env_E.passed
           and lemma_worst >= -1e-8 and elapsed < 120.0)

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from entroflow.cli import main
+from entroflow.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -289,6 +289,68 @@ class TestFlowAndReport:
         ])
         assert code == 2
         assert "m + p != 2" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def report_traces(artifacts, tmp_path_factory):
+    """Trace paths by name: the p = 1.5 linear run, a pme run, a p = 2 linear run."""
+    d = tmp_path_factory.mktemp("report_traces")
+    common = ["--potential", "gaussian", "--domain=-8:8", "--n", "201", "--dt", "2e-3"]
+    assert main(["flow", "pme", "--m", "1.2", "--p", "1.5", "--theta", "0.5", *common,
+                 "--tend", "0.2", "--init", "bump:0.4", "--trace", str(d / "pme.csv")]) == 0
+    assert main(["flow", "linear", "--p", "2.0", *common, "--tend", "0.1",
+                 "--trace", str(d / "p2.csv"), "--fields", str(d / "p2.npz")]) == 0
+    _, trace, fields = artifacts
+    return {
+        "linear": ["--trace", str(trace), "--fields", str(fields)],
+        "pme": ["--trace", str(d / "pme.csv")],
+        "p2": ["--trace", str(d / "p2.csv"), "--fields", str(d / "p2.npz")],
+    }
+
+
+class TestReportChecks:
+    @pytest.mark.parametrize("trace, checks, message", [
+        ("linear", "envlope", "unknown check 'envlope'; valid checks: "
+                              "envelope, dissipation, poincare, refined, lemma"),
+        ("linear", "envelope,,Poincare", "unknown check 'Poincare'"),
+        ("pme", "poincare", "the poincare check applies to linear traces"),
+        ("pme", "envelope,refined", "the refined check applies to linear traces"),
+        ("linear", "dissipation,lemma", "the lemma check applies to pme traces"),
+        ("p2", "refined", "refined inequalities need p < 2"),
+    ], ids=["unknown", "unknown-among-valid", "poincare-on-pme", "refined-on-pme",
+            "lemma-on-linear", "refined-at-p2"])
+    def test_rejected_before_any_solve(self, report_traces, monkeypatch, capsys,
+                                       trace, checks, message):
+        # a typo used to print [] and exit 0; misapplied checks now fail
+        # before the grid is built or an eigenvalue solved
+        def no_geometry(opts):
+            pytest.fail("the report built a grid for a rejected check list")
+
+        monkeypatch.setattr("entroflow.cli._build_geometry", no_geometry)
+        code = main(["report", *report_traces[trace], "--checks", checks])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("trace, checks, names", [
+        ("linear", "refined,poincare,envelope",
+         ["envelope[E,exp]", "envelope[I,exp]", "poincare", "refined_inequalities"]),
+        ("linear", "dissipation,refined,envelope,poincare,dissipation",
+         ["envelope[E,exp]", "envelope[I,exp]", "dissipation", "poincare",
+          "refined_inequalities"]),
+        ("pme", "lemma,dissipation,envelope",
+         ["envelope[I,cubic]", "envelope[E,cubic]", "dissipation", "lemma_interpolation"]),
+    ], ids=["linear", "linear-repeated", "pme"])
+    def test_verdict_order_is_fixed(self, report_traces, capsys, trace, checks, names):
+        code = main(["report", *report_traces[trace], "--checks", checks, "--trials", "5"])
+        assert code == 0
+        assert [v["name"] for v in json.loads(capsys.readouterr().out)] == names
+
+    def test_help_lists_every_check(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["report", "--help"])
+        assert "envelope,dissipation,poincare,refined,lemma" in capsys.readouterr().out
 
 
 class TestRegionAndConstants:

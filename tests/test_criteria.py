@@ -101,6 +101,21 @@ class TestRegionReport:
         assert abs(m_min - 1.0) < 0.15 and abs(m_max - 1.0) < 0.15
         assert abs(p_min - 2.0) < 0.5 and abs(p_max - 2.0) < 0.5
 
+    def test_membership_is_the_ellipse_margin(self):
+        rep = ef.region_report(0.5, samples=90)
+        M, P = np.meshgrid(np.linspace(1.0 - math.sqrt(2.0) / 2.0 - 0.15,
+                                       1.0 + math.sqrt(2.0) / 2.0 + 0.15, 90),
+                           np.linspace(-0.25, 3.25, 90), indexing="ij")
+        member = np.array([[ef.ellipse_margin(m, p, 0.5) < 0.0 for m, p in zip(mr, pr)]
+                           for mr, pr in zip(M, P)])
+        assert rep.n_member == int(member.sum())
+        assert rep.center == (float(M[member].mean()), float(P[member].mean()))
+
+    @pytest.mark.parametrize("theta", [0.0, -0.1, 1.5, math.nan])
+    def test_rejects_theta_outside_unit_interval(self, theta):
+        with pytest.raises(ParameterError, match="theta must lie in"):
+            ef.region_report(theta, samples=10)
+
 
 class TestConstantsChain:
     def test_q_formulas_agree(self, rng):

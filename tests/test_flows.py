@@ -174,6 +174,25 @@ def test_snapshot_functionals_are_the_public_ones(request, gauss_grid, run, para
         assert (tr.E[snap], tr.I[snap], tr.K[snap]) == tuple(f(params, v, gauss_grid) for f in fns)
 
 
+@pytest.mark.parametrize("kind, per_snapshot", [("linear", 3), ("pme", 4)])
+def test_snapshot_grid_integrals(monkeypatch, gauss_pot, gauss_grid_small, kind, per_snapshot):
+    # per snapshot: the entropy, K and the recorded mass, plus (pme) the one
+    # unit-mass check of the entropy; I is a Dirichlet form
+    v0 = ef.initial_field(gauss_grid_small, "bump:0.4")
+    calls = []
+
+    def counting(grid, f):
+        calls.append(1)
+        return ef.integrate_dgamma(grid, f)
+
+    monkeypatch.setattr("entroflow.functionals.integrate_dgamma", counting)
+    monkeypatch.setattr("entroflow.flows.integrate_dgamma", counting)
+    cfg = ef.FlowConfig(kind=kind, p=1.5, m=1.2, init=v0, t_end=0.05, dt=1e-3, stride=5)
+    tr = (ef.run_linear if kind == "linear" else ef.run_pme)(cfg, gauss_pot, gauss_grid_small)
+    assert len(tr.t) == 11
+    assert len(calls) == per_snapshot * len(tr.t)
+
+
 class TestPmeFlow:
     def test_equilibrium_is_fixed_point(self, gauss_pot, gauss_grid_small):
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, init="const", t_end=0.2, dt=1e-3)
