@@ -38,7 +38,11 @@ v^m is taken of max(v, floor).  ``run_pme`` records its work in ``Trace.meta``:
 
 A run emits a Trace: scalar time series of (t, E, I, K, mass, min_v) plus
 full density snapshots every ``audit_stride`` records for the second-order
-audits that cannot be reconstructed from scalars.
+audits that cannot be reconstructed from scalars.  Each run makes one
+:class:`functionals._Snapshot`, whose work arrays hold a snapshot's
+integrands (E, the Fisher edge terms, K and the mass); they are summed in
+one correctly rounded batch, so recording allocates no n-sized array, and
+the pme mass row serves both the unit-mass check and the ``mass`` column.
 """
 
 from __future__ import annotations
@@ -52,13 +56,7 @@ import numpy as np
 
 from ._lapack import dpttrf, dpttrs
 from .errors import ConfigError, LinearSolveFailure, NewtonDiverged
-from .functionals import (
-    DEFAULT_FLOOR,
-    LinearParams,
-    PmeParams,
-    _snapshot_linear,
-    _snapshot_pme,
-)
+from .functionals import DEFAULT_FLOOR, LinearParams, PmeParams, _Snapshot
 from .grid import Grid, _net_flux, delta_g, integrate_dgamma, stiffness_bands
 
 __all__ = ["FlowConfig", "Trace", "initial_field", "run_linear", "run_pme"]
@@ -249,10 +247,10 @@ def initial_field(grid: Grid, spec: str) -> np.ndarray:
 
 
 class _Recorder:
-    """Accumulates snapshot rows and stored fields during a run."""
+    """Accumulates snapshot rows and stored fields during a run; ``evaluate``
+    maps a field to its (E, I, K, mass)."""
 
-    def __init__(self, grid: Grid, evaluate, stride: int, audit_stride: int):
-        self.grid = grid
+    def __init__(self, evaluate, stride: int, audit_stride: int):
         self.evaluate = evaluate
         self.stride = stride
         self.audit_stride = audit_stride
@@ -262,8 +260,7 @@ class _Recorder:
     def maybe_record(self, step: int, t: float, v: np.ndarray) -> None:
         if step % self.stride != 0:
             return
-        E, I, K = self.evaluate(v)
-        mass = integrate_dgamma(self.grid, v)
+        E, I, K, mass = self.evaluate(v)
         self.rows.append((t, E, I, K, mass, float(v.min())))
         snap_index = len(self.rows) - 1
         if snap_index % self.audit_stride == 0:
@@ -307,8 +304,7 @@ def run_linear(config: FlowConfig, pot, grid: Grid) -> Trace:
 
     # v is updated in place: copy an array init so the caller's stays intact
     v = initial_field(grid, config.init) if isinstance(config.init, str) else np.array(config.init, float)
-    rec = _Recorder(grid, lambda u: _snapshot_linear(params, u, grid, config.floor),
-                    stride, config.audit_stride)
+    rec = _Recorder(_Snapshot(params, grid, config.floor), stride, config.audit_stride)
     rec.maybe_record(0, 0.0, v)
     # work arrays reused by every step; the solve overwrites b with delta
     b, flux = np.empty(grid.n), np.empty(grid.n - 1)
@@ -422,8 +418,7 @@ def run_pme(config: FlowConfig, pot, grid: Grid) -> Trace:
     theta = 1.0 if config.scheme == "be" else 0.5
 
     v = initial_field(grid, config.init) if isinstance(config.init, str) else np.asarray(config.init, float)
-    rec = _Recorder(grid, lambda u: _snapshot_pme(params, u, grid, config.floor),
-                    stride, config.audit_stride)
+    rec = _Recorder(_Snapshot(params, grid, config.floor), stride, config.audit_stride)
     rec.maybe_record(0, 0.0, v)
     clamps = 0
     work = _NewtonWork()

@@ -15,7 +15,9 @@ beta = (p/2 + m - 1)^{-1}, alpha = beta*m - 1, c(m,p) = 4m(m+p-1)/(2m+p-2)^2:
 
 At m = 1 the porous-media forms reduce to the linear ones; the s-powers and
 the quadratic pieces go through the same helpers so the agreement is exact to
-round-off on unit-mass fields.
+round-off on unit-mass fields.  Every value is evaluated by :class:`_Snapshot`,
+which a flow keeps for its whole run and each public functional makes for
+one call.
 """
 
 from __future__ import annotations
@@ -30,7 +32,15 @@ from .errors import (
     NegativeDensity,
     ParameterError,
 )
-from .grid import Grid, delta_g, dirichlet_form, gradient_sq, integrate_dgamma
+from .grid import (
+    Grid,
+    _check_field,
+    _dirichlet_row,
+    _fsum_rows,
+    _gradient_sq,
+    _net_flux,
+    integrate_dgamma,
+)
 
 __all__ = [
     "LinearParams",
@@ -122,8 +132,7 @@ def _check_floor(v: np.ndarray, floor: float) -> None:
         )
 
 
-def _check_unit_mass(grid: Grid, v: np.ndarray) -> None:
-    mass = integrate_dgamma(grid, v)
+def _check_unit_mass(mass: float) -> None:
     if abs(mass - 1.0) > _MASS_TOL:
         raise MassNotNormalized(
             f"field mass {mass!r} differs from 1 by more than {_MASS_TOL:.0e}; "
@@ -131,98 +140,153 @@ def _check_unit_mass(grid: Grid, v: np.ndarray) -> None:
         )
 
 
-def _s_field(v: np.ndarray, exponent: float, floor: float) -> np.ndarray:
-    # fractional powers on clipped values; exponent 1.0 short-circuits exactly
-    if exponent == 1.0:
-        return v
-    return np.power(np.maximum(v, floor), exponent)
+# rows of a snapshot's integrands; K is last, so a field below the floor sums three
+_E, _MASS, _I, _K = range(4)
 
 
-def _fisher(grid: Grid, s: np.ndarray, coeff: float) -> float:
-    return coeff * dirichlet_form(grid, s, s)
+class _Snapshot:
+    """E, I, K and the mass of fields on one grid, on work arrays.
 
+    A flow makes one per run and calls it on every snapshot: the integrands
+    are written into preallocated rows with ``out=`` ufuncs and summed with
+    one :func:`grid._fsum_rows` call, so a snapshot allocates no n-sized
+    array.  The public functionals below evaluate through the same rows, so
+    a snapshot's values are theirs bit for bit.
+    """
 
-def _k_chain(grid: Grid, s: np.ndarray, weight: np.ndarray | None, alpha: float) -> float:
-    Ls = delta_g(grid, s)
-    Gs = gradient_sq(grid, s)
-    quad = Ls * Ls + alpha * Ls * Gs / s
-    if weight is not None:
-        quad = weight * quad
-    return integrate_dgamma(grid, quad)
+    def __init__(self, params: LinearParams | PmeParams, grid: Grid,
+                 floor: float = DEFAULT_FLOOR):
+        n = grid.n
+        self.params, self.grid, self.floor = params, grid, floor
+        self.pme = isinstance(params, PmeParams)
+        self.rows, self.work = np.empty((4, n)), np.empty((4, n))
+        # node scratch: the s-field, then Ls and |Ds|^2 for K (v - 1 for E)
+        self.s, self.a, self.b = np.empty(n), np.empty(n), np.empty(n)
+        self.edge = np.empty(n - 1)
+
+    def __call__(self, v: np.ndarray) -> tuple[float, float, float, float]:
+        """(E, I, K, mass) of v: K is nan where v dips below the floor, and a
+        porous-media field off unit mass raises MassNotNormalized."""
+        _check_nonnegative(v)
+        with_k = v.min() >= self.floor
+        self._entropy_row(v)
+        np.multiply(self.grid.dgamma_weights, v, out=self.rows[_MASS])
+        s = self._s_field(v)
+        _dirichlet_row(self.grid, s, s, self.rows[_I], self.edge)
+        if with_k:
+            self._k_row(s)
+        count = _K + 1 if with_k else _K
+        sums = _fsum_rows(self.rows[:count], self.work[:count])
+        if self.pme:
+            _check_unit_mass(sums[_MASS])
+        K = sums[_K] if with_k else np.nan
+        return self._entropy(sums[_E]), self._fisher(sums[_I]), K, sums[_MASS]
+
+    def entropy(self, v: np.ndarray) -> float:
+        self._entropy_row(v)
+        return self._entropy(self._sum(_E))
+
+    def fisher(self, v: np.ndarray) -> float:
+        s = self._s_field(v)
+        _dirichlet_row(self.grid, s, s, self.rows[_I], self.edge)
+        return self._fisher(self._sum(_I))
+
+    def k(self, v: np.ndarray) -> float:
+        self._k_row(self._s_field(v))
+        return self._sum(_K)
+
+    def _sum(self, row: int) -> float:
+        return _fsum_rows(self.rows[row:row + 1], self.work[row:row + 1])[0]
+
+    def _s_field(self, v: np.ndarray) -> np.ndarray:
+        # fractional powers on clipped values; exponent 1.0 short-circuits exactly
+        exponent = self.params.s_exponent
+        if exponent == 1.0:
+            return v
+        np.maximum(v, self.floor, out=self.s)
+        return np.power(self.s, exponent, out=self.s)
+
+    def _entropy_row(self, v: np.ndarray) -> None:
+        out, tmp, p = self.rows[_E], self.a, self.params.p
+        if self.pme:
+            e = self.params.m + p - 2.0
+            np.power(v, e + 1.0, out=out)
+            out -= 1.0
+        elif p == 1.0:
+            # v log v - (v - 1); v >= 0, and at v = 0 the product is -0.0,
+            # which gives the same integrand 1.0 as a masked 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.maximum(v, 1e-300, out=out)
+                np.log(out, out=out)
+                out *= v
+            out -= np.subtract(v, 1.0, out=tmp)
+        else:
+            np.power(v, p, out=out)
+            out -= 1.0
+            np.subtract(v, 1.0, out=tmp)
+            tmp *= p
+            out -= tmp
+            out /= p - 1.0
+        out *= self.grid.dgamma_weights
+
+    def _entropy(self, total: float) -> float:
+        return total / (self.params.m + self.params.p - 2.0) if self.pme else total
+
+    def _fisher(self, total: float) -> float:
+        return (self.params.c if self.pme else 4.0 / self.params.p) * total
+
+    def _k_row(self, s: np.ndarray) -> None:
+        """|Ls|^2 + alpha Ls |Ds|^2 / s (pme: times s^{beta(m-1)}) against dgamma."""
+        grid, out, ls, gs = self.grid, self.rows[_K], self.a, self.b
+        _net_flux(grid, s, out=ls, flux=self.edge)
+        ls /= grid.node_mass
+        _gradient_sq(grid, s, gs, self.edge)
+        np.multiply(ls, ls, out=out)
+        ls *= self.params.alpha
+        ls *= gs
+        ls /= s
+        out += ls
+        e2 = self.params.beta * (self.params.m - 1.0) if self.pme else 0.0
+        if e2 != 0.0:
+            out *= np.power(s, e2, out=gs)
+        out *= grid.dgamma_weights
 
 
 def entropy_linear(params: LinearParams, v, grid: Grid) -> float:
     """Generalized entropy; vanishes iff v is the unit-mass equilibrium."""
-    v = np.asarray(v, dtype=float)
+    v = _check_field(grid, v)
     _check_nonnegative(v)
-    p = params.p
-    if p == 1.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vlogv = np.where(v > 0.0, v * np.log(np.maximum(v, 1e-300)), 0.0)
-        return integrate_dgamma(grid, vlogv - (v - 1.0))
-    integrand = (np.power(v, p) - 1.0 - p * (v - 1.0)) / (p - 1.0)
-    return integrate_dgamma(grid, integrand)
+    return _Snapshot(params, grid).entropy(v)
 
 
 def fisher_linear(params: LinearParams, v, grid: Grid, floor: float = DEFAULT_FLOOR) -> float:
-    v = np.asarray(v, dtype=float)
+    v = _check_field(grid, v)
     _check_nonnegative(v)
-    s = _s_field(v, params.s_exponent, floor)
-    return _fisher(grid, s, 4.0 / params.p)
+    return _Snapshot(params, grid, floor).fisher(v)
 
 
 def k_linear(params: LinearParams, v, grid: Grid, floor: float = DEFAULT_FLOOR) -> float:
-    v = np.asarray(v, dtype=float)
+    v = _check_field(grid, v)
     _check_floor(v, floor)
-    s = _s_field(v, params.s_exponent, floor)
-    return _k_chain(grid, s, None, params.alpha)
+    return _Snapshot(params, grid, floor).k(v)
 
 
 def entropy_pme(params: PmeParams, v, grid: Grid) -> float:
-    v = np.asarray(v, dtype=float)
+    v = _check_field(grid, v)
     _check_nonnegative(v)
-    _check_unit_mass(grid, v)
-    e = params.m + params.p - 2.0
-    return integrate_dgamma(grid, (np.power(v, e + 1.0) - 1.0)) / e
+    _check_unit_mass(integrate_dgamma(grid, v))
+    return _Snapshot(params, grid).entropy(v)
 
 
 def fisher_pme(params: PmeParams, v, grid: Grid, floor: float = DEFAULT_FLOOR) -> float:
-    v = np.asarray(v, dtype=float)
+    v = _check_field(grid, v)
     _check_nonnegative(v)
-    _check_unit_mass(grid, v)
-    s = _s_field(v, params.s_exponent, floor)
-    return _fisher(grid, s, params.c)
+    _check_unit_mass(integrate_dgamma(grid, v))
+    return _Snapshot(params, grid, floor).fisher(v)
 
 
 def k_pme(params: PmeParams, v, grid: Grid, floor: float = DEFAULT_FLOOR) -> float:
-    v = np.asarray(v, dtype=float)
+    v = _check_field(grid, v)
     _check_floor(v, floor)
-    _check_unit_mass(grid, v)
-    return _k_pme_chain(params, grid, _s_field(v, params.s_exponent, floor))
-
-
-def _k_pme_chain(params: PmeParams, grid: Grid, s: np.ndarray) -> float:
-    e2 = params.beta * (params.m - 1.0)
-    weight = None if e2 == 0.0 else np.power(s, e2)
-    return _k_chain(grid, s, weight, params.alpha)
-
-
-# A flow snapshot needs E, I and K of one field: these build its s-field once.
-# The entropy checks v (sign; PME: unit mass) once for all three, and K is nan
-# below the floor, where k_linear / k_pme would raise.
-
-
-def _snapshot_linear(params: LinearParams, v: np.ndarray, grid: Grid, floor: float):
-    """(entropy_linear, fisher_linear, k_linear) of v, K = nan where v dips below floor."""
-    E = entropy_linear(params, v, grid)
-    s = _s_field(v, params.s_exponent, floor)
-    I = _fisher(grid, s, 4.0 / params.p)
-    return E, I, (_k_chain(grid, s, None, params.alpha) if v.min() >= floor else np.nan)
-
-
-def _snapshot_pme(params: PmeParams, v: np.ndarray, grid: Grid, floor: float):
-    """(entropy_pme, fisher_pme, k_pme) of v, K = nan where v dips below floor."""
-    E = entropy_pme(params, v, grid)
-    s = _s_field(v, params.s_exponent, floor)
-    I = _fisher(grid, s, params.c)
-    return E, I, (_k_pme_chain(params, grid, s) if v.min() >= floor else np.nan)
+    _check_unit_mass(integrate_dgamma(grid, v))
+    return _Snapshot(params, grid, floor).k(v)

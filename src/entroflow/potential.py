@@ -153,17 +153,36 @@ def _check_singular(pot: Potential, x: np.ndarray) -> None:
         raise DomainError(f"{pot.family} potential is singular at x = 0")
 
 
+def _table_index(pot: Potential, x: np.ndarray) -> np.ndarray:
+    """Table rows of the nodes x of a tabulated potential: exact node match
+    only, no interpolation."""
+    idx = np.searchsorted(pot.table_x, x)
+    idx = np.clip(idx, 0, len(pot.table_x) - 1)
+    span = max(1.0, float(np.ptp(pot.table_x)))
+    if not np.allclose(pot.table_x[idx], x, atol=1e-12 * span, rtol=0.0):
+        raise DomainError("tabulated potential queried off its nodes")
+    return idx
+
+
 def log_weight(pot: Potential, x) -> np.ndarray:
-    """F alone, for weight evaluation at cell faces.
+    """F alone, the same values :func:`evaluate` returns, without F' and F''.
 
     Unlike :func:`evaluate` this admits x = 0 for the power family, where F
     itself is finite (only the derivatives are singular).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if pot.family == "harmonic":
+        return 0.5 * x * x
+    if pot.family == "flat":
+        return np.zeros_like(x)
+    if pot.family == "harmonic_log":
+        _check_singular(pot, x)
+        if np.any(x < 0):
+            raise DomainError("harmonic_log is a radial family; needs r > 0")
+        return 0.5 * x * x + pot.eps * np.log(x)
     if pot.family == "power":
         return np.abs(x) ** pot.beta / pot.beta
-    F, _, _ = evaluate(pot, x)
-    return np.atleast_1d(F)
+    return pot.table_F[_table_index(pot, x)].astype(float)
 
 
 def evaluate(pot: Potential, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,29 +191,21 @@ def evaluate(pot: Potential, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     _check_singular(pot, x)
+    F = log_weight(pot, x)
     if pot.family == "harmonic":
-        F, dF, d2F = 0.5 * x * x, x.copy(), np.ones_like(x)
+        dF, d2F = x.copy(), np.ones_like(x)
     elif pot.family == "flat":
-        F, dF, d2F = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+        dF, d2F = np.zeros_like(x), np.zeros_like(x)
     elif pot.family == "harmonic_log":
-        if np.any(x < 0):
-            raise DomainError("harmonic_log is a radial family; needs r > 0")
-        F = 0.5 * x * x + pot.eps * np.log(x)
         dF = x + pot.eps / x
         d2F = 1.0 - pot.eps / (x * x)
     elif pot.family == "power":
         b = pot.beta
         ax = np.abs(x)
-        F = ax**b / b
         dF = np.sign(x) * ax ** (b - 1.0)
         d2F = (b - 1.0) * ax ** (b - 2.0)
-    else:  # tabulated: exact node match only, no interpolation
-        idx = np.searchsorted(pot.table_x, x)
-        idx = np.clip(idx, 0, len(pot.table_x) - 1)
-        span = max(1.0, float(np.ptp(pot.table_x)))
-        if not np.allclose(pot.table_x[idx], x, atol=1e-12 * span, rtol=0.0):
-            raise DomainError("tabulated potential queried off its nodes")
-        F = pot.table_F[idx].astype(float)
+    else:
+        idx = _table_index(pot, x)
         dF = pot.table_dF[idx].astype(float)
         d2F = pot.table_d2F[idx].astype(float)
     if scalar:

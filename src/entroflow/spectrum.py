@@ -5,8 +5,12 @@ Three quotients are discretized, all on the same grid machinery:
 * lambda1_linear(p):   inf_w  [ 2(p-1)/p |Dw|^2 + V |w|^2 ] dgamma / |w|^2 dgamma
 * lambda1_pme(theta):  inf_w  [ (1-theta) |Dw|^2 + V |w|^2 ] dgamma / |w|^2 dgamma
 * lambda1_schrodinger_bound(p): flat-measure ground state obtained through the
-  substitution u = w e^{-F/2}, returned as a certified lower bound for
-  lambda1_linear(p) up to truncation and discretization error.
+  substitution u = w e^{-F/2}.  In the continuum the substitution is an
+  identity and both values equal lambda1_linear(p); on a grid they are two
+  discretizations of it, and neither bounds the other (power:1.5 on
+  [-16, 16], n = 3200: this one is larger by 2.7e-3 at p = 1.5 and 6.5e-3 at
+  p = 2).  Their gap is an indicator of the discretization error, not a
+  certified bound.
 
 The discrete problem is a generalized symmetric pencil A w = lambda M w with
 M the diagonal of quadrature weights; the M^{1/2} similarity turns it into a
@@ -220,12 +224,15 @@ def lambda1_schrodinger_bound(
     grid: Grid,
     tol: float = 1e-10,
 ) -> SpectralResult:
-    """Flat-measure ground-state lower bound for lambda1_linear(p).
+    """Flat-measure ground-state value of lambda1_linear(p).
 
     Solves  -Delta u + [nu V + |F'|^2/4 - (Lap F)/2] u = E u  in the flat
     measure (with the radial Jacobian on radial grids) and returns
     2(p-1)/p * E_0.  The substitution requires the confinement to grow
-    outward at the truncation boundary.
+    outward at the truncation boundary.  It is exact in the continuum, so
+    the result agrees with :func:`lambda1_linear` up to discretization and
+    truncation error, from either side: the gap between the two is an error
+    indicator, not a lower bound.
     """
     if not (1.0 < p <= 2.0):
         raise ParameterError(f"p must lie in (1, 2]; got {p}")

@@ -5,6 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import entroflow as ef
+from entroflow import functionals
+from entroflow import grid as grid_module
 from entroflow.errors import ConfigError, LinearSolveFailure, NewtonDiverged
 
 
@@ -174,23 +176,24 @@ def test_snapshot_functionals_are_the_public_ones(request, gauss_grid, run, para
         assert (tr.E[snap], tr.I[snap], tr.K[snap]) == tuple(f(params, v, gauss_grid) for f in fns)
 
 
-@pytest.mark.parametrize("kind, per_snapshot", [("linear", 3), ("pme", 4)])
-def test_snapshot_grid_integrals(monkeypatch, gauss_pot, gauss_grid_small, kind, per_snapshot):
-    # per snapshot: the entropy, K and the recorded mass, plus (pme) the one
-    # unit-mass check of the entropy; I is a Dirichlet form
+@pytest.mark.parametrize("kind", ["linear", "pme"])
+def test_snapshot_grid_integrals(monkeypatch, gauss_pot, gauss_grid_small, kind):
+    # a snapshot sums its four integrands (E, mass, I, K) in one batched call;
+    # the pme mass row serves both the unit-mass check and the trace column
     v0 = ef.initial_field(gauss_grid_small, "bump:0.4")
-    calls = []
+    fsum_rows = grid_module._fsum_rows
+    batched, other = [], []
 
-    def counting(grid, f):
-        calls.append(1)
-        return ef.integrate_dgamma(grid, f)
+    def counting(calls):
+        return lambda rows, work: calls.append(rows.shape[0]) or fsum_rows(rows, work)
 
-    monkeypatch.setattr("entroflow.functionals.integrate_dgamma", counting)
-    monkeypatch.setattr("entroflow.flows.integrate_dgamma", counting)
+    monkeypatch.setattr(functionals, "_fsum_rows", counting(batched))
+    monkeypatch.setattr(grid_module, "_fsum_rows", counting(other))
     cfg = ef.FlowConfig(kind=kind, p=1.5, m=1.2, init=v0, t_end=0.05, dt=1e-3, stride=5)
     tr = (ef.run_linear if kind == "linear" else ef.run_pme)(cfg, gauss_pot, gauss_grid_small)
     assert len(tr.t) == 11
-    assert len(calls) == per_snapshot * len(tr.t)
+    assert batched == [4] * len(tr.t)
+    assert other == []
 
 
 class TestPmeFlow:

@@ -1,5 +1,8 @@
 """Entropy / Fisher / second-order functionals, both families."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,9 @@ from entroflow.errors import (
     NegativeDensity,
     ParameterError,
 )
+from entroflow import functionals
+from entroflow.functionals import _Snapshot
+from entroflow.verify import _PoincareSides
 
 
 def _normalized(grid, v):
@@ -154,3 +160,162 @@ class TestPmeFunctionals:
         prm = ef.PmeParams(m=1.2, p=1.5)
         assert ef.entropy_pme(prm, v, gauss_grid) > 0.0
         assert ef.fisher_pme(prm, v, gauss_grid) > 0.0
+
+
+def _fsum(a):
+    return math.fsum(a.tolist())
+
+
+def _reference_rows(params, v, grid, floor=ef.DEFAULT_FLOOR):
+    """The integrand rows (E, mass, I, K) of a snapshot from the formulas as
+    plain numpy expressions; the Fisher edge terms end in a zero and K is
+    None below the floor."""
+    mu, pme = grid.dgamma_weights, isinstance(params, ef.PmeParams)
+    p = params.p
+    if pme:
+        E = mu * (np.power(v, params.m + p - 2.0 + 1.0) - 1.0)
+    elif p == 1.0:
+        vlogv = np.where(v > 0.0, v * np.log(np.maximum(v, 1e-300)), 0.0)
+        E = mu * (vlogv - (v - 1.0))
+    else:
+        E = mu * ((np.power(v, p) - 1.0 - p * (v - 1.0)) / (p - 1.0))
+    x = params.s_exponent
+    s = v if x == 1.0 else np.power(np.maximum(v, floor), x)
+    ds = np.diff(s)
+    I = np.append(grid.conductance * ds * ds / grid.weight_mass, 0.0)
+    K = None
+    if v.min() >= floor:
+        flux = grid.conductance * ds
+        Ls = np.zeros(grid.n)
+        Ls[:-1] += flux
+        Ls[1:] -= flux
+        Ls /= grid.node_mass
+        q = grid.conductance * ds**2
+        Gs = np.zeros(grid.n)
+        Gs[:-1] += 0.5 * q
+        Gs[1:] += 0.5 * q
+        Gs /= grid.node_mass
+        quad = Ls * Ls + params.alpha * Ls * Gs / s
+        e2 = params.beta * (params.m - 1.0) if pme else 0.0
+        if e2 != 0.0:
+            quad = np.power(s, e2) * quad
+        K = mu * quad
+    return E, mu * v, I, K
+
+
+def _reference(params, v, grid, floor=ef.DEFAULT_FLOOR):
+    """(E, I, K, mass) of the reference rows, each summed with math.fsum."""
+    E, mass, I, K = _reference_rows(params, v, grid, floor)
+    pme = isinstance(params, ef.PmeParams)
+    E = _fsum(E) / (params.m + params.p - 2.0) if pme else _fsum(E)
+    I = (params.c if pme else 4.0 / params.p) * _fsum(I)
+    return E, I, np.nan if K is None else _fsum(K), _fsum(mass)
+
+
+SNAPSHOT_PARAMS = [
+    ef.LinearParams(1.0), ef.LinearParams(1.5), ef.LinearParams(2.0),
+    ef.PmeParams(m=1.0, p=1.5), ef.PmeParams(m=1.2, p=1.5),
+]
+
+
+def _public(params):
+    if isinstance(params, ef.PmeParams):
+        return ef.entropy_pme, ef.fisher_pme, ef.k_pme
+    return ef.entropy_linear, ef.fisher_linear, ef.k_linear
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+class TestSnapshot:
+    @pytest.mark.parametrize("params", SNAPSHOT_PARAMS, ids=repr)
+    def test_matches_public_functionals_and_formulas_bitwise(self, gauss_grid, params):
+        v = _perturbed(gauss_grid)
+        snap = _Snapshot(params, gauss_grid, ef.DEFAULT_FLOOR)
+        got = snap(v)
+        public = [f(params, v, gauss_grid) for f in _public(params)]
+        public.append(ef.integrate_dgamma(gauss_grid, v))
+        assert _bits(got) == _bits(public) == _bits(_reference(params, v, gauss_grid))
+        # the work arrays carry nothing from one field to the next
+        w = _perturbed(gauss_grid, amp=0.5, seed=2)
+        assert _bits(snap(w)) == _bits(_reference(params, w, gauss_grid))
+        assert _bits(snap(v)) == _bits(got)
+
+    @pytest.mark.parametrize("params", SNAPSHOT_PARAMS, ids=repr)
+    def test_integrand_rows_are_the_formulas_bitwise(self, monkeypatch, gauss_grid, params):
+        # the sums hide a last-bit change in a few terms; the rows do not
+        summed = []
+        fsum_rows = functionals._fsum_rows
+        monkeypatch.setattr(functionals, "_fsum_rows",
+                            lambda rows, work: summed.append(rows.copy()) or fsum_rows(rows, work))
+        v = _perturbed(gauss_grid)
+        _Snapshot(params, gauss_grid, ef.DEFAULT_FLOOR)(v)
+        (rows,) = summed
+        assert rows.tobytes() == np.stack(_reference_rows(params, v, gauss_grid)).tobytes()
+
+    @pytest.mark.parametrize("params", SNAPSHOT_PARAMS, ids=repr)
+    def test_k_is_nan_below_the_floor(self, gauss_grid, params):
+        v = _perturbed(gauss_grid)
+        v[100] = 0.0
+        if isinstance(params, ef.PmeParams):
+            v = _normalized(gauss_grid, v)
+        E, I, K, mass = _Snapshot(params, gauss_grid, 1e-12)(v)
+        assert np.isnan(K)
+        ref = _reference(params, v, gauss_grid, 1e-12)
+        assert _bits((E, I, mass)) == _bits(ref[:2] + ref[3:])
+        entropy, fisher, k = _public(params)
+        assert _bits((E, I)) == _bits((entropy(params, v, gauss_grid),
+                                       fisher(params, v, gauss_grid)))
+        with pytest.raises(FloorViolation):
+            k(params, v, gauss_grid)
+
+    @pytest.mark.parametrize("params", SNAPSHOT_PARAMS, ids=repr)
+    def test_negative_entry_raises(self, gauss_grid, params):
+        v = _perturbed(gauss_grid)
+        v[7] = -1e-3
+        with pytest.raises(NegativeDensity):
+            _Snapshot(params, gauss_grid, ef.DEFAULT_FLOOR)(v)
+
+    def test_pme_field_off_unit_mass_raises(self, gauss_grid):
+        params = ef.PmeParams(m=1.2, p=1.5)
+        v = _perturbed(gauss_grid) * (1.0 + 1e-7)
+        with pytest.raises(MassNotNormalized):
+            _Snapshot(params, gauss_grid, ef.DEFAULT_FLOOR)(v)
+        # within 1e-8 of unit mass the snapshot evaluates
+        w = _perturbed(gauss_grid) * (1.0 + 1e-9)
+        assert _bits(_Snapshot(params, gauss_grid, ef.DEFAULT_FLOOR)(w)) == _bits(
+            _reference(params, w, gauss_grid))
+
+    @pytest.mark.parametrize("params", [ef.LinearParams(1.5), ef.PmeParams(m=1.2, p=1.5)],
+                             ids=repr)
+    def test_a_snapshot_allocates_no_field_sized_array(self, gauss_pot, params):
+        grid = ef.make_interval_grid(-8.0, 8.0, 20001, gauss_pot)
+        v = _perturbed(grid)
+        snap = _Snapshot(params, grid, ef.DEFAULT_FLOOR)
+        tracemalloc.start()
+        try:
+            snap(v)  # warm-up
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            snap(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < v.nbytes
+
+
+def test_poincare_trial_allocates_no_field_sized_array(gauss_pot):
+    grid = ef.make_interval_grid(-8.0, 8.0, 20001, gauss_pot)
+    u = _perturbed(grid)
+    sides = _PoincareSides(grid, 1.5)
+    tracemalloc.start()
+    try:
+        sides(u)  # warm-up
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sides(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < u.nbytes

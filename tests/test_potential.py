@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 import entroflow as ef
 from entroflow.errors import DomainError, ParameterError
+from entroflow.potential import log_weight
 
 
 class TestEvaluate:
@@ -378,3 +379,56 @@ def test_potential_from_spec_aliases():
     assert ef.potential_from_spec({"family": "power", "beta": 1.5}).beta == 1.5
     with pytest.raises(ParameterError):
         ef.potential_from_spec({"family": "nope"})
+
+
+def _families():
+    """(potential, points off the origin, interval, radius) for every family;
+    the tabulated potential is tabulated on the interval grid's nodes."""
+    x = np.linspace(-3.0, 3.0, 64)
+    wavy = ef.tabulated(x, 0.5 * x * x + 0.3 * np.cos(2 * x), x + 0.6 * np.sin(2 * x),
+                        1.0 + 1.2 * np.cos(2 * x))
+    return {
+        "harmonic": (ef.harmonic(3), np.linspace(-8.0, 8.0, 50), (-8.0, 8.0), 9.0),
+        "harmonic_log": (ef.harmonic_log(0.3, d=3), np.linspace(0.01, 12.0, 50), (0.1, 6.0), 9.0),
+        "power": (ef.power_law(1.5), np.linspace(-16.0, 16.0, 50), (-16.0, 16.0), 30.0),
+        "flat": (ef.flat(2), np.linspace(-1.0, 1.0, 7), (0.0, 1.0), 1.0),
+        "tabulated": (wavy, x, (-3.0, 3.0), None),
+    }
+
+
+@pytest.mark.parametrize("family", ["harmonic", "harmonic_log", "power", "flat", "tabulated"])
+def test_log_weight_is_evaluates_F_bitwise(family):
+    pot, x, _, _ = _families()[family]
+    F = ef.evaluate(pot, x)[0]
+    assert F.tobytes() == log_weight(pot, x).tobytes()
+
+
+@pytest.mark.parametrize("family", ["harmonic", "harmonic_log", "power", "flat", "tabulated"])
+def test_grids_build_from_F_alone(monkeypatch, family):
+    pot, _, (xl, xr), radius = _families()[family]
+
+    def no_derivatives(*_):
+        raise AssertionError("a grid build evaluated F' and F''")
+
+    monkeypatch.setattr("entroflow.potential.evaluate", no_derivatives)
+    n = 64
+    assert ef.make_interval_grid(xl, xr, n, pot).n == n
+    if radius is not None:
+        assert ef.make_radial_grid(pot.d, radius, n, pot).n == n
+    else:  # tabulated on the radial grid's nodes
+        h = 2.0 * 3.0 / (2 * n - 1)
+        r = (np.arange(n) + 0.5) * h
+        radial = ef.tabulated(r, 0.5 * r * r, r, np.ones(n))
+        assert ef.make_radial_grid(1, 3.0, n, radial).n == n
+
+
+def test_log_weight_keeps_evaluates_domain_errors():
+    with pytest.raises(DomainError, match="radial"):
+        log_weight(ef.harmonic_log(0.3, d=3), np.array([1.0, -0.5]))
+    with pytest.raises(DomainError):
+        log_weight(ef.harmonic_log(0.3, d=3), np.array([0.0, 1.0]))
+    x = np.linspace(-2.0, 2.0, 9)
+    with pytest.raises(DomainError, match="off its nodes"):
+        log_weight(ef.tabulated(x, x * x, 2 * x, 2 + 0 * x), np.array([0.123]))
+    # F is finite at the power family's origin, where only F' and F'' are singular
+    assert log_weight(ef.power_law(1.5), np.array([0.0]))[0] == 0.0

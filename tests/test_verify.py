@@ -7,7 +7,7 @@ import pytest
 
 import entroflow as ef
 from entroflow.errors import ConfigError, NonPositiveData, WindowTooShort
-from entroflow.verify import _poincare_slack
+from entroflow.verify import _poincare_slack, _PoincareSides
 
 
 def _synthetic_trace(rate=3.0, p=1.5, n=400, t_end=2.0):
@@ -78,13 +78,27 @@ class TestCheckEnvelope:
 
 class TestPoincare:
     def test_constant_field_slack_zero(self, gauss_pot, gauss_grid_small):
-        assert _poincare_slack(gauss_grid_small, 2.0, 1.0, np.ones(501)) == 0.0
+        sides = _PoincareSides(gauss_grid_small, 2.0)(np.ones(501))
+        assert _poincare_slack(2.0, 1.0, sides) == 0.0
 
     def test_scaling_invariance_at_p2(self, gauss_grid_small, rng):
         u = 1.0 + 0.3 * rng.random(gauss_grid_small.n)
-        s1 = _poincare_slack(gauss_grid_small, 2.0, 1.0, u)
-        s2 = _poincare_slack(gauss_grid_small, 2.0, 1.0, 7.0 * u)
+        sides_of = _PoincareSides(gauss_grid_small, 2.0)
+        s1 = _poincare_slack(2.0, 1.0, sides_of(u))
+        s2 = _poincare_slack(2.0, 1.0, sides_of(7.0 * u))
         assert s1 == pytest.approx(s2, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0])
+    def test_sides_are_the_grid_integrals_bitwise(self, gauss_grid_small, rng, p):
+        g = gauss_grid_small
+        u = 1.0 + 0.3 * rng.random(g.n)
+        un = u / ef.integrate_dgamma(g, u)
+        want = [ef.integrate_dgamma(g, un * un),
+                ef.integrate_dgamma(g, np.power(np.abs(un), 2.0 / p)),
+                ef.dirichlet_form(g, un, un)]
+        sides_of = _PoincareSides(g, p)
+        sides_of(np.ones(g.n))  # the work arrays carry nothing to the next trial
+        assert [x.hex() for x in sides_of(u)] == [x.hex() for x in want]
 
     def test_classical_poincare_passes(self, gauss_pot, gauss_grid):
         res = ef.lambda1_linear(2.0, gauss_pot, gauss_grid)
