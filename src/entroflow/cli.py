@@ -18,6 +18,7 @@ trace CSV uses 17 significant digits, plots are self-contained SVG.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -44,8 +45,11 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_HYPOTHESIS = 4
 
+_DOMAIN = "-8:8"  # interval of the geometry flags when --domain is not given
+
+# every file the CLI opens is one the user named, so an OSError is a config error
 _CONFIG_ERRORS = (
-    ConfigError, ParameterError, DomainError, DegenerateDomain, TailMassTooLarge,
+    ConfigError, ParameterError, DomainError, DegenerateDomain, TailMassTooLarge, OSError,
 )
 _HYPOTHESIS_ERRORS = (OutsideEllipse, QOutOfRange, NonpositiveLambda)
 
@@ -66,6 +70,15 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     return out
 
 
+def _float_list(text: str) -> tuple[float, ...]:
+    """argparse type of a comma list of numbers ('1.2,1.5,2.0')."""
+    try:
+        return tuple(float(x) for x in text.split(",") if x)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects a comma list of numbers, got {text!r}") from None
+
+
 def _parse_pair(text: str, flag: str) -> tuple[float, float]:
     try:
         a, _, b = text.partition(":")
@@ -76,19 +89,22 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
 
 def _parse_potential(text: str, d: int) -> Potential:
     name, _, arg = text.partition(":")
-    if name in ("gaussian", "harmonic"):
-        return potential_from_spec("harmonic", d)
-    if name == "flat":
-        return potential_from_spec("flat", d)
-    if name == "power":
-        return potential_from_spec({"family": "power", "beta": float(arg)}, d)
-    if name == "harmonic_log":
-        return potential_from_spec({"family": "harmonic_log", "eps": float(arg)}, d)
-    if name == "tabulated":
-        raw = np.loadtxt(arg, delimiter=",", ndmin=2)
-        if raw.shape[1] < 4:
-            raise ConfigError("tabulated potential file needs columns x,F,dF,d2F")
-        return tabulated(raw[:, 0], raw[:, 1], raw[:, 2], raw[:, 3], d=d)
+    try:
+        if name in ("gaussian", "harmonic"):
+            return potential_from_spec("harmonic", d)
+        if name == "flat":
+            return potential_from_spec("flat", d)
+        if name == "power":
+            return potential_from_spec({"family": "power", "beta": float(arg)}, d)
+        if name == "harmonic_log":
+            return potential_from_spec({"family": "harmonic_log", "eps": float(arg)}, d)
+        if name == "tabulated":
+            raw = np.loadtxt(arg, delimiter=",", ndmin=2)
+            if raw.shape[1] < 4:
+                raise ConfigError("tabulated potential file needs columns x,F,dF,d2F")
+            return tabulated(raw[:, 0], raw[:, 1], raw[:, 2], raw[:, 3], d=d)
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse potential {text!r}: {exc}") from None
     raise ConfigError(f"unknown potential {text!r}")
 
 
@@ -101,48 +117,46 @@ def _potential_spec_text(text: str) -> dict:
     return spec
 
 
-def _build_geometry(opts: dict):
-    """(potential, grid) from the resolved options."""
-    n = int(opts.get("n") or 0)
-    radial = opts.get("radial")
-    pot_text = opts.get("potential") or "gaussian"
+def _build_geometry(args: argparse.Namespace):
+    """(potential, grid) from the geometry flags."""
+    pot_text = args.potential or "gaussian"
     if pot_text.startswith("tabulated:"):
-        if radial:
+        if args.radial:
             raise ConfigError("tabulated potentials are interval-only in the CLI")
         pot = _parse_potential(pot_text, 1)
         x = pot.table_x
-        n_tab = len(x)
-        grid = make_interval_grid(float(x[0]), float(x[-1]), n_tab, pot)
-        return pot, grid
-    if radial:
-        d_raw, R = _parse_pair(str(radial), "--radial")
-        d = int(d_raw)
-        pot = _parse_potential(pot_text, d)
-        if not n:
+        return pot, make_interval_grid(float(x[0]), float(x[-1]), len(x), pot)
+    if args.radial:
+        d_raw, R = _parse_pair(args.radial, "--radial")
+        if not d_raw.is_integer():
+            raise ConfigError(f"--radial expects an integer dimension, got {args.radial!r}")
+        pot = _parse_potential(pot_text, int(d_raw))
+        if not args.n:
             raise ConfigError("--n is required")
-        return pot, make_radial_grid(d, R, n, pot)
-    domain = opts.get("domain") or "-8:8"
-    xL, xR = _parse_pair(str(domain), "--domain")
+        return pot, make_radial_grid(int(d_raw), R, args.n, pot)
+    xL, xR = _parse_pair(args.domain or _DOMAIN, "--domain")
     pot = _parse_potential(pot_text, 1)
-    if not n:
+    if not args.n:
         raise ConfigError("--n is required")
-    return pot, make_interval_grid(xL, xR, n, pot)
+    return pot, make_interval_grid(xL, xR, args.n, pot)
 
 
-def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
-    """defaults < config file < explicit flags (flags win)."""
-    opts: dict = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("--config must hold a JSON object")
-        opts.update(file_cfg)
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            opts[key] = val
-    return opts
+def _config_tokens(path: str) -> list[str]:
+    """A JSON config object as '--key=value' tokens, checked by argparse like flags."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"--config {path} is not JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError("--config must hold a JSON object")
+    tokens = []
+    for key, value in cfg.items():
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ConfigError(
+                f"config key {key!r} needs a string or a number, got {json.dumps(value)}")
+        tokens.append(f"--{key}={value}")
+    return tokens
 
 
 def _json_out(obj, path: str | None) -> None:
@@ -155,21 +169,13 @@ def _json_out(obj, path: str | None) -> None:
 
 
 def cmd_lambda1(args: argparse.Namespace) -> int:
-    opts = _merge_config(
-        args, ["p", "theta", "potential", "domain", "radial", "n", "out"]
-    )
-    theta = opts.get("theta")
-    ps = [float(x) for x in str(opts.get("p", "")).split(",") if x] if theta is None else []
-    if theta is None and not ps:
+    if args.theta is None and not args.p:
         raise ConfigError("lambda1 needs --p (possibly a comma list) or --theta")
-    pot, grid = _build_geometry(opts)
-    results = []
-    if theta is not None:
-        res = spectrum.lambda1_pme(float(theta), pot, grid)
-        results.append(("theta", float(theta), res))
+    pot, grid = _build_geometry(args)
+    if args.theta is not None:
+        results = [("theta", args.theta, spectrum.lambda1_pme(args.theta, pot, grid))]
     else:
-        for p in ps:
-            results.append(("p", p, spectrum.lambda1_linear(p, pot, grid)))
+        results = [("p", p, spectrum.lambda1_linear(p, pot, grid)) for p in args.p]
     payload = []
     for kind, value, res in results:
         print(f"{res.lam:.12g}")
@@ -183,8 +189,8 @@ def cmd_lambda1(args: argparse.Namespace) -> int:
                 "n": grid.n,
             }
         )
-    out = opts.get("out")
-    if out and str(out).endswith(".csv"):
+    out = args.out
+    if out and out.endswith(".csv"):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(f"{results[0][0]},lambda1,residual,iterations\n")
             for kind, value, res in results:
@@ -198,38 +204,23 @@ def cmd_lambda1(args: argparse.Namespace) -> int:
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
-    opts = _merge_config(
-        args,
-        ["p", "m", "theta", "tend", "dt", "init", "stride", "audit-stride",
-         "scheme", "potential", "domain", "radial", "n", "trace", "fields"],
-    )
-    pot, grid = _build_geometry(opts)
-    kind = args.flow_kind
-    cfg = flows.FlowConfig(
-        kind=kind,
-        p=float(opts.get("p", 2.0)),
-        m=float(opts["m"]) if opts.get("m") is not None else None,
-        theta=float(opts["theta"]) if opts.get("theta") is not None else None,
-        init=str(opts.get("init", "bump:0.3")),
-        t_end=float(opts.get("tend", 1.0)),
-        dt=float(opts["dt"]) if opts.get("dt") is not None else None,
-        stride=int(opts["stride"]) if opts.get("stride") is not None else None,
-        audit_stride=int(opts.get("audit-stride", 10)),
-        scheme=str(opts.get("scheme", "cn")),
-    )
-    runner = flows.run_linear if kind == "linear" else flows.run_pme
+    pot, grid = _build_geometry(args)
+    # only the flags given: FlowConfig owns every other default
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(flows.FlowConfig)
+             if getattr(args, f.name, None) is not None}
+    cfg = flows.FlowConfig(kind=args.flow_kind, **given)
+    runner = flows.run_linear if cfg.kind == "linear" else flows.run_pme
     trace = runner(cfg, pot, grid)
-    trace.meta["potential"] = _potential_spec_text(str(opts.get("potential") or "gaussian"))
+    trace.meta["potential"] = _potential_spec_text(args.potential or "gaussian")
     trace.meta["geometry"] = {
-        "radial": opts.get("radial"),
-        "domain": opts.get("domain", "-8:8") if not opts.get("radial") else None,
+        "radial": args.radial,
+        "domain": None if args.radial else args.domain or _DOMAIN,
         "n": grid.n,
     }
-    out_path = opts.get("trace")
-    if out_path:
-        trace.to_csv(out_path)
-    if opts.get("fields"):
-        trace.save_fields(opts["fields"])
+    if args.trace:
+        trace.to_csv(args.trace)
+    if args.fields:
+        trace.save_fields(args.fields)
     print(
         f"t_end={trace.t[-1]:.6g} E={trace.E[-1]:.12g} I={trace.I[-1]:.12g} "
         f"mass_drift={trace.mass_drift:.3e} min_v={trace.min_v.min():.6g}"
@@ -238,39 +229,24 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
-    opts = _merge_config(args, ["theta", "samples", "check-theta", "out"])
-    theta = float(opts.get("theta", 1.0))
-    samples = int(opts.get("samples", 200))
-    checks = tuple(
-        float(x) for x in str(opts.get("check-theta", "")).split(",") if x
-    )
-    rep = criteria.region_report(theta, samples, thetas_check=checks)
-    _json_out(rep.to_dict(), opts.get("out"))
+    rep = criteria.region_report(args.theta, args.samples, thetas_check=args.check_theta)
+    _json_out(rep.to_dict(), args.out)
     return EXIT_OK
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
-    opts = _merge_config(
-        args,
-        ["m", "p", "theta", "from-p", "lambda1", "e0", "potential", "domain",
-         "radial", "n", "out"],
-    )
-    if opts.get("from-p") is not None:
-        theta = criteria.theta_from_p(float(opts["from-p"]))
-    elif opts.get("theta") is not None:
-        theta = float(opts["theta"])
+    if args.from_p is not None:
+        theta = criteria.theta_from_p(args.from_p)
+    elif args.theta is not None:
+        theta = args.theta
     else:
         raise ConfigError("constants needs --theta or --from-p")
-    m = float(opts.get("m", 1.0))
-    p = float(opts.get("p", 1.5))
-    lam = opts.get("lambda1")
-    if lam is None and opts.get("potential"):
-        pot, grid = _build_geometry(opts)
+    lam = args.lambda1
+    if lam is None and args.potential:
+        pot, grid = _build_geometry(args)
         lam = spectrum.lambda1_pme(theta, pot, grid).lam
-    lam = float(lam) if lam is not None else None
-    e0 = float(opts.get("e0", 0.0))
-    report = criteria.constants_report(m, p, theta, lam, e0)
-    _json_out(report, opts.get("out"))
+    report = criteria.constants_report(args.m, args.p, theta, lam, args.e0)
+    _json_out(report, args.out)
     ok = report["in_ellipse"] and report["q_in_range"] and report["lambda1_positive"]
     return EXIT_OK if ok else EXIT_HYPOTHESIS
 
@@ -326,38 +302,36 @@ def _svg_plot(path: str, t: np.ndarray, curves: list[tuple[str, np.ndarray]]) ->
         fh.write("\n".join(parts) + "\n")
 
 
-def _geometry_from_meta(opts: dict, meta: dict) -> dict:
-    """Geometry options: the flags, else what the flow recorded in the trace meta."""
+def _geometry_from_meta(args: argparse.Namespace, meta: dict) -> argparse.Namespace:
+    """Geometry flags: as given, else what the flow recorded in the trace meta."""
     recorded = dict(meta.get("geometry") or {})
     if meta.get("potential"):
         pot = meta["potential"]
         recorded["potential"] = pot.get("family", "gaussian") + (
             f":{pot['arg']}" if pot.get("arg") else "")
-    return {**opts, **{k: v for k, v in recorded.items() if v and not opts.get(k)}}
+    given = vars(args)
+    return argparse.Namespace(
+        **{**given, **{k: v for k, v in recorded.items() if v and not given.get(k)}})
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    opts = _merge_config(
-        args,
-        ["trace", "fields", "checks", "p", "lambda1", "epsilon", "trials", "seed",
-         "plot", "out", "potential", "domain", "radial", "n"],
-    )
-    if not opts.get("trace"):
+    if not args.trace:
         raise ConfigError("report needs --trace")
-    trace = flows.Trace.from_csv(opts["trace"])
-    if opts.get("fields"):
-        trace.load_fields(opts["fields"])
-    checks = opts.get("checks")
+    trace = flows.Trace.from_csv(args.trace)
+    if args.fields:
+        trace.load_fields(args.fields)
+    # only the flags given: run_checks owns the defaults
+    given = {k: v for k, v in vars(args).items()
+             if k in ("p", "lambda1", "epsilon", "trials", "seed") and v is not None}
     verdicts, e_bound = verify.run_checks(
-        trace,
-        None if checks is None else [c for c in str(checks).split(",") if c],
-        geometry=lambda: _build_geometry(_geometry_from_meta(opts, trace.meta)),
-        **{k: opts[k] for k in ("p", "lambda1", "epsilon", "trials", "seed") if k in opts},
+        trace, args.checks,
+        geometry=lambda: _build_geometry(_geometry_from_meta(args, trace.meta)),
+        **given,
     )
-    _json_out([v.to_dict() for v in verdicts], opts.get("out"))
-    if opts.get("plot"):
+    _json_out([v.to_dict() for v in verdicts], args.out)
+    if args.plot:
         bound = [] if e_bound is None else [("E bound", e_bound)]
-        _svg_plot(opts["plot"], trace.t, [("E (trace)", trace.E)] + bound)
+        _svg_plot(args.plot, trace.t, [("E (trace)", trace.E)] + bound)
     failed = sum(not v.passed for v in verdicts)
     return EXIT_OK if failed == 0 else min(EXIT_HYPOTHESIS + failed, 125)
 
@@ -379,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("lambda1", help="smallest quotient eigenvalue")
-    sp.add_argument("--p", help="p value or comma list")
+    sp.add_argument("--p", type=_float_list, help="p value or comma list")
     sp.add_argument("--theta", type=float, help="use the (1-theta) gradient coefficient")
     sp.add_argument("--jobs", type=int, help="ignored; kept so older scripts still parse")
     _add_geometry_flags(sp)
@@ -387,10 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("flow", help="integrate a flow and write its trace")
     sp.add_argument("flow_kind", choices=("linear", "pme"))
-    sp.add_argument("--p", type=float)
+    sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--m", type=float)
     sp.add_argument("--theta", type=float)
-    sp.add_argument("--tend", type=float)
+    sp.add_argument("--tend", dest="t_end", type=float)
     sp.add_argument("--dt", type=float)
     sp.add_argument("--init", help="bump:A | odd:A | const | csv:path")
     sp.add_argument("--stride", type=int)
@@ -402,27 +376,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_flow)
 
     sp = sub.add_parser("region", help="sample the admissible (m,p) region")
-    sp.add_argument("--theta", type=float)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--check-theta", help="comma list of smaller thetas to nest-check")
+    sp.add_argument("--theta", type=float, default=1.0)
+    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--check-theta", type=_float_list, default=(),
+                    help="comma list of smaller thetas to nest-check")
     sp.add_argument("--config", help="JSON config file")
     sp.add_argument("--out", help="output JSON path")
     sp.set_defaults(func=cmd_region)
 
     sp = sub.add_parser("constants", help="constant chain + hypothesis booleans")
-    sp.add_argument("--m", type=float)
-    sp.add_argument("--p", type=float)
+    sp.add_argument("--m", type=float, default=1.0)
+    sp.add_argument("--p", type=float, default=1.5)
     sp.add_argument("--theta", type=float)
     sp.add_argument("--from-p", type=float, help="derive theta = 2/p - 1")
     sp.add_argument("--lambda1", type=float)
-    sp.add_argument("--e0", type=float, help="initial entropy for the rate constant")
+    sp.add_argument("--e0", type=float, default=0.0,
+                    help="initial entropy for the rate constant")
     _add_geometry_flags(sp)
     sp.set_defaults(func=cmd_constants)
 
     sp = sub.add_parser("report", help="verification checks over a trace")
     sp.add_argument("--trace", help="trace CSV to audit")
     sp.add_argument("--fields", help="stored-field NPZ (for the refined check)")
-    sp.add_argument("--checks", help="comma list: " + ",".join(verify.CHECKS))
+    sp.add_argument("--checks", type=lambda text: [c for c in text.split(",") if c],
+                    help="comma list: " + ",".join(verify.CHECKS))
     sp.add_argument("--p", type=float)
     sp.add_argument("--lambda1", type=float)
     sp.add_argument("--epsilon", type=float)
@@ -436,14 +413,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _normalize_argv(sys.argv[1:] if argv is None else list(argv))
     parser = build_parser()
     try:
-        args = parser.parse_args(_normalize_argv(argv))
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = parser.parse_args(argv)
+        if args.config:
+            # file values go in right after the subcommand: later explicit flags win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(args.config) + argv[at:])
         return args.func(args)
+    except SystemExit as exc:  # argparse's error path and --help
+        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     except _HYPOTHESIS_ERRORS as exc:
         print(f"hypothesis failed: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS

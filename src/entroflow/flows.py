@@ -58,6 +58,7 @@ from ._lapack import dpttrf, dpttrs
 from .errors import ConfigError, LinearSolveFailure, NewtonDiverged
 from .functionals import DEFAULT_FLOOR, LinearParams, PmeParams, _Snapshot
 from .grid import Grid, _net_flux, delta_g, integrate_dgamma, stiffness_bands
+from .potential import _check_potential
 
 __all__ = ["FlowConfig", "Trace", "initial_field", "run_linear", "run_pme"]
 
@@ -221,14 +222,19 @@ def initial_field(grid: Grid, spec: str) -> np.ndarray:
         raise ConfigError(f"cannot parse initial datum spec {spec!r}")
     kind, _, arg = spec.partition(":")
     if kind == "csv":
-        raw = np.loadtxt(arg, delimiter=",", ndmin=2)
-        v = raw[:, -1].astype(float)
+        try:
+            v = np.loadtxt(arg, delimiter=",", ndmin=2)[:, -1]
+        except ValueError as exc:
+            raise ConfigError(f"cannot read initial datum file {arg!r}: {exc}") from None
         if len(v) != grid.n:
             raise ConfigError(f"csv field has {len(v)} rows, grid has {grid.n}")
         if v.min() < 0.0:
             raise ConfigError("csv initial datum has negative entries")
         return v / integrate_dgamma(grid, v)
-    amp = float(arg)
+    try:
+        amp = float(arg)
+    except ValueError:
+        raise ConfigError(f"initial datum {spec!r} needs a numeric amplitude") from None
     if not (0.0 < amp <= 0.8):
         raise ConfigError(f"perturbation amplitude must lie in (0, 0.8]; got {amp}")
     span = x[-1] - x[0]
@@ -276,14 +282,6 @@ def _make_trace(recorder: _Recorder, config: FlowConfig, grid: Grid,
         config=asdict(config), grid_id=grid.ident,
         fields=recorder.fields, clamps=clamps, meta=meta,
     )
-
-
-def _check_potential(pot, grid: Grid) -> None:
-    if pot is not None and pot.key() != grid.potential.key():
-        raise ConfigError(
-            "potential does not match the one the grid was built with "
-            f"({pot.key()} vs {grid.potential.key()})"
-        )
 
 
 def run_linear(config: FlowConfig, pot, grid: Grid) -> Trace:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ConfigError, DomainError, ParameterError
 
 __all__ = [
     "Potential",
@@ -213,13 +213,23 @@ def evaluate(pot: Potential, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return F, dF, d2F
 
 
+def _check_potential(pot: Potential | None, grid) -> None:
+    """ConfigError unless ``pot`` (None: the grid's own) is the grid's potential."""
+    if pot is not None and pot.key() != grid.potential.key():
+        raise ConfigError(
+            "potential does not match the one the grid was built with "
+            f"({pot.key()} vs {grid.potential.key()})"
+        )
+
+
 def hessian_infimum_V(pot: Potential, grid) -> np.ndarray:
     """Smallest Hessian eigenvalue of F along the grid.
 
     On an interval this is F''.  For a radial profile in d >= 2 the Hessian
     eigenvalues are F'' (radial direction) and F'/r (tangential), so the
-    infimum is their minimum.
+    infimum is their minimum.  ``pot`` must be the grid's potential.
     """
+    _check_potential(pot, grid)
     x = grid.nodes
     _, dF, d2F = evaluate(pot, x)
     if grid.kind == "radial" and grid.d >= 2:

@@ -356,7 +356,8 @@ def run_checks(trace, checks, geometry, p=None, lambda1=None, epsilon=None,
     verdicts follow the table's order.  An unknown name, a check on a trace
     kind it does not apply to, or ``refined`` at p = 2 raises ConfigError
     before ``geometry`` (a callable returning the trace's (potential, grid),
-    called at most once) or any eigensolve runs.  The flow's eigenpair,
+    called at most once) or any eigensolve runs; a grid other than the one
+    the trace records raises ConfigError.  The flow's eigenpair,
     lambda1_linear(p) or lambda1_pme(theta), is solved at most once; a given
     ``lambda1`` replaces its eigenvalue.  ``p`` defaults to the trace's.
     """
@@ -378,7 +379,14 @@ def run_checks(trace, checks, geometry, p=None, lambda1=None, epsilon=None,
     if kind == "pme":
         m, theta = float(trace.config["m"]), trace.config.get("theta")
         theta = 0.5 if theta is None else float(theta)
-    built = functools.cache(geometry)
+
+    @functools.cache
+    def built():
+        pot, grid = geometry()
+        if trace.grid_id and trace.grid_id != grid.ident:
+            raise ConfigError(
+                f"the trace was written on grid {trace.grid_id}, not on grid {grid.ident}")
+        return pot, grid
 
     @functools.cache
     def spectral():

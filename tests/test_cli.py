@@ -1,14 +1,17 @@
 """Command-line interface: flags, exit codes, artifacts, determinism."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entroflow.cli import build_parser, main
+from entroflow.cli import _normalize_argv, build_parser, main
 
 
 def run_cli(*argv):
@@ -333,6 +336,15 @@ class TestReportChecks:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("checks", ["poincare", "refined"])
+    def test_rejects_grid_not_the_traces(self, report_traces, capsys, checks):
+        # the trace has n = 1001: poincare used to pass on the n = 201 grid,
+        # refined died in a ValueError on the field length
+        code = main(["report", *report_traces["linear"], "--checks", checks, "--n", "201"])
+        assert code == 2
+        assert re.search(r"the trace was written on grid \w+, not on grid \w+",
+                         capsys.readouterr().err)
+
     @pytest.mark.parametrize("trace, checks, names", [
         ("linear", "refined,poincare,envelope",
          ["envelope[E,exp]", "envelope[I,exp]", "poincare", "refined_inequalities"]),
@@ -391,6 +403,157 @@ class TestRegionAndConstants:
         payload = json.loads(capsys.readouterr().out)
         assert payload["E0"] == 0.25  # flag wins
         assert payload["m"] == 1.2  # file supplies the rest
+
+
+@pytest.fixture()
+def bad_files(tmp_path):
+    (tmp_path / "tab.csv").write_text("x,F,dF,d2F\n0.0,abc,0,1\n")
+    (tmp_path / "init.csv").write_text("1.0\nabc\n")
+    return tmp_path
+
+
+class TestMalformedInput:
+    """A malformed value or an unreadable named file is a config error: exit 2
+    and a message on stderr; each of these used to end in a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lambda1", "--p", "1.5", "--potential", "power:abc", "--n", "200"],
+         "cannot parse potential 'power:abc': could not convert string to float: 'abc'"),
+        (["lambda1", "--p", "2", "--potential", "harmonic_log:x", "--radial", "3:12",
+          "--n", "200"], "cannot parse potential 'harmonic_log:x'"),
+        (["lambda1", "--p", "2", "--radial", "nan:12", "--n", "200"],
+         "--radial expects an integer dimension, got 'nan:12'"),
+        (["lambda1", "--p", "abc", "--n", "200"],
+         "argument --p: expects a comma list of numbers, got 'abc'"),
+        (["flow", "linear", "--init", "bump:x", "--n", "201"],
+         "initial datum 'bump:x' needs a numeric amplitude"),
+        (["region", "--check-theta", "x"],
+         "argument --check-theta: expects a comma list of numbers, got 'x'"),
+        (["lambda1", "--p", "1.5", "--potential", "tabulated:{tmp}/tab.csv"],
+         "cannot parse potential 'tabulated:"),
+        (["flow", "linear", "--init", "csv:{tmp}/init.csv", "--n", "201"],
+         "cannot read initial datum file"),
+        (["lambda1", "--p", "1.5", "--potential", "tabulated:{tmp}/none.csv"],
+         "none.csv not found"),
+        (["flow", "linear", "--init", "csv:{tmp}/none.csv", "--n", "201"],
+         "none.csv not found"),
+        (["report", "--trace", "{tmp}/none.csv"], "No such file or directory"),
+        (["report", "--trace", "{trace}", "--fields", "{tmp}/none.npz"],
+         "No such file or directory"),
+    ], ids=["power", "harmonic_log", "radial-d", "p-list", "init-bump", "check-theta",
+            "tabulated-file", "init-csv-file", "missing-tabulated", "missing-init-csv",
+            "missing-trace", "missing-fields"])
+    def test_exits_2_with_message(self, artifacts, bad_files, capsys, argv, message):
+        _, trace, _ = artifacts
+        argv = [a.format(tmp=bad_files, trace=trace) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
+def _write_config(tmp_path, cfg) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _outputs(directory: Path, capsys) -> dict:
+    files = {p.name: p.read_bytes() for p in directory.iterdir() if p.name != "cfg.json"}
+    return {"stdout": capsys.readouterr().out, **files}
+
+
+class TestConfigFile:
+    """A --config file goes through the same parser as the flags."""
+
+    @pytest.mark.parametrize("flags, cfg", [
+        (["lambda1", "--p", "1.2,2.0", "--potential", "gaussian", "--domain=-6:6",
+          "--n", "301", "--out", "lam.json"],
+         {"p": "1.2,2.0", "potential": "gaussian", "domain": "-6:6", "n": 301,
+          "out": "lam.json"}),
+        (["flow", "linear", "--p", "1.5", "--domain=-8:8", "--n", "201", "--tend", "0.1",
+          "--dt", "2e-3", "--init", "odd:0.2", "--audit-stride", "5", "--scheme", "be",
+          "--trace", "run.csv", "--fields", "run.npz"],
+         {"p": 1.5, "domain": "-8:8", "n": 201, "tend": 0.1, "dt": 2e-3,
+          "init": "odd:0.2", "audit-stride": 5, "scheme": "be", "trace": "run.csv",
+          "fields": "run.npz"}),
+        (["region", "--theta", "0.8", "--samples", "40", "--check-theta", "0.5,0.2"],
+         {"theta": 0.8, "samples": 40, "check-theta": "0.5,0.2"}),
+        (["constants", "--m", "1.2", "--p", "1.5", "--from-p", "1.5", "--lambda1", "1.0",
+          "--e0", "0.02", "--out", "c.json"],
+         {"m": 1.2, "p": 1.5, "from-p": 1.5, "lambda1": 1.0, "e0": 0.02, "out": "c.json"}),
+        (["report", "--trace", "{trace}", "--fields", "{fields}", "--checks",
+          "envelope,poincare", "--trials", "5", "--seed", "2", "--plot", "e.svg",
+          "--out", "v.json"],
+         {"trace": "{trace}", "fields": "{fields}", "checks": "envelope,poincare",
+          "trials": 5, "seed": 2, "plot": "e.svg", "out": "v.json"}),
+    ], ids=["lambda1", "flow", "region", "constants", "report"])
+    def test_file_matches_flags(self, artifacts, tmp_path, monkeypatch, capsys, flags, cfg):
+        _, trace, fields = artifacts
+
+        def fill(v):
+            return v.format(trace=trace, fields=fields) if isinstance(v, str) else v
+
+        command = flags[:2] if flags[0] == "flow" else flags[:1]
+        outputs = []
+        for name, argv in [("flags", [fill(a) for a in flags]),
+                           ("file", [*command, "--config", "cfg.json"])]:
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            _write_config(tmp_path / name, {k: fill(v) for k, v in cfg.items()})
+            assert main(argv) == 0
+            outputs.append(_outputs(tmp_path / name, capsys))
+        assert outputs[0] == outputs[1]
+        assert outputs[0]["stdout"] or len(outputs[0]) > 1  # something was compared
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"nope": 1}, "unrecognized arguments: --nope=1"),
+        ({"audit_stride": 5}, "unrecognized arguments: --audit_stride=5"),
+        ({"n": "abc"}, "argument --n: invalid int value: 'abc'"),
+        ({"n": 20.5}, "argument --n: invalid int value: '20.5'"),
+        ({"scheme": "rk4"}, "argument --scheme: invalid choice: 'rk4'"),
+        ({"n": None}, "config key 'n' needs a string or a number, got null"),
+        ({"trace": ["a.csv"]}, "config key 'trace' needs a string or a number"),
+        ([1, 2], "--config must hold a JSON object"),
+    ], ids=["unknown", "underscore", "wrong-type", "float-for-int", "bad-choice", "null",
+            "list", "not-object"])
+    def test_bad_file_exits_2(self, tmp_path, capsys, cfg, message):
+        argv = ["flow", "linear", "--config", _write_config(tmp_path, cfg), "--n", "201",
+                "--tend", "0.01"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_unreadable_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text("{not json")
+        assert main(["region", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert "is not JSON" in capsys.readouterr().err
+        assert main(["region", "--config", str(tmp_path / "none.json")]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+
+    def test_flag_overrides_file(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"p": "1.5", "potential": "gaussian", "n": 301,
+                                       "domain": "-6:6"})
+        out = tmp_path / "lam.json"
+        assert main(["lambda1", "--n", "401", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["n"] == 401
+
+
+def _readme_commands() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = text.replace("\\\n", " ")
+    return [line.strip() for line in text.splitlines()
+            if line.strip().startswith("entroflow ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    parser = build_parser()
+    for line in commands:
+        args = parser.parse_args(_normalize_argv(shlex.split(line)[1:]))
+        assert callable(args.func), line
 
 
 def test_console_module_invocation():

@@ -6,7 +6,12 @@ from scipy.linalg import eigh_tridiagonal
 
 import entroflow as ef
 from entroflow._lapack import dstein
-from entroflow.errors import BoundaryConditionViolated, ParameterError, SolverDiverged
+from entroflow.errors import (
+    BoundaryConditionViolated,
+    ConfigError,
+    ParameterError,
+    SolverDiverged,
+)
 from entroflow.spectrum import _assemble_symmetrized, smallest_eigenpair
 
 
@@ -171,6 +176,20 @@ class TestSchrodingerBound:
         g = ef.make_interval_grid(-1, 1, 64, pot)
         with pytest.raises(BoundaryConditionViolated):
             ef.lambda1_schrodinger_bound(1.5, pot, g)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda pot, grid: ef.lambda1_linear(1.5, pot, grid),
+    lambda pot, grid: ef.lambda1_pme(0.5, pot, grid),
+    lambda pot, grid: ef.lambda1_schrodinger_bound(1.5, pot, grid),
+], ids=["linear", "pme", "schrodinger"])
+def test_potential_must_match_grid(solve):
+    # V came from the potential passed in, the weight from the grid's own:
+    # lambda1_linear gave 1.0000 here instead of the grid's 0.6792, silently
+    grid = ef.make_interval_grid(-16, 16, 800, ef.power_law(1.5))
+    with pytest.raises(ConfigError, match=r"does not match .*\(harmonic vs power\(beta=1.5\)\)"):
+        solve(ef.harmonic(), grid)
+    assert solve(ef.power_law(1.5), grid).lam > 0.0
 
 
 def _negative_hessian_potential(n=201):
