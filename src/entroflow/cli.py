@@ -346,20 +346,25 @@ def _add_geometry_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a flag or config key must be spelled out in full
     parser = argparse.ArgumentParser(
         prog="entroflow",
         description="eigenvalue criteria, diffusion flows and decay-envelope verification",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("lambda1", help="smallest quotient eigenvalue")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
+    sp = command("lambda1", "smallest quotient eigenvalue")
     sp.add_argument("--p", type=_float_list, help="p value or comma list")
     sp.add_argument("--theta", type=float, help="use the (1-theta) gradient coefficient")
     sp.add_argument("--jobs", type=int, help="ignored; kept so older scripts still parse")
     _add_geometry_flags(sp)
     sp.set_defaults(func=cmd_lambda1)
 
-    sp = sub.add_parser("flow", help="integrate a flow and write its trace")
+    sp = command("flow", "integrate a flow and write its trace")
     sp.add_argument("flow_kind", choices=("linear", "pme"))
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--m", type=float)
@@ -375,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry_flags(sp)
     sp.set_defaults(func=cmd_flow)
 
-    sp = sub.add_parser("region", help="sample the admissible (m,p) region")
+    sp = command("region", "sample the admissible (m,p) region")
     sp.add_argument("--theta", type=float, default=1.0)
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--check-theta", type=_float_list, default=(),
@@ -384,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="output JSON path")
     sp.set_defaults(func=cmd_region)
 
-    sp = sub.add_parser("constants", help="constant chain + hypothesis booleans")
+    sp = command("constants", "constant chain + hypothesis booleans")
     sp.add_argument("--m", type=float, default=1.0)
     sp.add_argument("--p", type=float, default=1.5)
     sp.add_argument("--theta", type=float)
@@ -395,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry_flags(sp)
     sp.set_defaults(func=cmd_constants)
 
-    sp = sub.add_parser("report", help="verification checks over a trace")
+    sp = command("report", "verification checks over a trace")
     sp.add_argument("--trace", help="trace CSV to audit")
     sp.add_argument("--fields", help="stored-field NPZ (for the refined check)")
     sp.add_argument("--checks", type=lambda text: [c for c in text.split(",") if c],

@@ -126,21 +126,44 @@ def fit_exponential_rate(trace, column: str, window: tuple[float, float] | None 
     return _fit_rate(t, y)
 
 
-def _trial_field(grid: Grid, rng: np.random.Generator) -> np.ndarray:
-    """Random positive trial: a few Gaussian bumps plus low-frequency cosines."""
-    x = grid.nodes
-    span = x[-1] - x[0]
-    u = np.zeros(grid.n)
-    for _ in range(int(rng.integers(1, 6))):
-        center = rng.uniform(x[0] + 0.1 * span, x[-1] - 0.1 * span)
-        width = rng.uniform(0.05, 0.2) * span
-        u += rng.uniform(-1.0, 1.0) * np.exp(-0.5 * ((x - center) / width) ** 2)
-    for j in range(int(rng.integers(1, 4))):
-        u += rng.uniform(-0.5, 0.5) * np.cos(math.pi * (j + 1) * (x - x[0]) / span)
-    scale = np.max(np.abs(u))
-    if scale == 0.0:
-        return np.ones(grid.n)
-    return np.maximum(u, 0.02 * scale)
+class _TrialFields:
+    """Random positive trials: a few Gaussian bumps plus low-frequency cosines.
+
+    Each call accumulates its trial in one work array and returns it, so the
+    array is overwritten by the next call; the bumps and cosines go through a
+    second one, and x - x[0] is computed once.
+    """
+
+    def __init__(self, grid: Grid):
+        x = grid.nodes
+        self.x, self.span, self.dx = x, x[-1] - x[0], x - x[0]
+        self.u, self.term = np.empty(grid.n), np.empty(grid.n)
+
+    def __call__(self, rng: np.random.Generator) -> np.ndarray:
+        x, span, u, term = self.x, self.span, self.u, self.term
+        u.fill(0.0)
+        for _ in range(int(rng.integers(1, 6))):
+            center = rng.uniform(x[0] + 0.1 * span, x[-1] - 0.1 * span)
+            width = rng.uniform(0.05, 0.2) * span
+            amp = rng.uniform(-1.0, 1.0)
+            np.subtract(x, center, out=term)
+            term /= width
+            np.square(term, out=term)
+            term *= -0.5
+            np.exp(term, out=term)
+            term *= amp
+            u += term
+        for j in range(int(rng.integers(1, 4))):
+            amp = rng.uniform(-0.5, 0.5)
+            np.multiply(self.dx, math.pi * (j + 1), out=term)
+            term /= span
+            np.cos(term, out=term)
+            term *= amp
+            u += term
+        scale = np.abs(u, out=term).max()
+        if scale == 0.0:
+            return np.ones(len(u))
+        return np.maximum(u, 0.02 * scale, out=u)
 
 
 class _PoincareSides:
@@ -207,10 +230,11 @@ def poincare_test(
     rng = np.random.default_rng(seed)
     eig = spectral.eigenvector
     trial0 = np.maximum(np.abs(eig), 1e-8 * np.max(np.abs(eig)))
+    trial_of = _TrialFields(grid)
     fields = itertools.chain(
         [trial0],
         (np.asarray(u, float) for u in extra_trials),
-        (_trial_field(grid, rng) for _ in range(trials)),
+        (trial_of(rng) for _ in range(trials)),
     )
     lams = [spectral.lam] if weak_lambda1 is None else [spectral.lam, weak_lambda1]
     worst = [(np.inf, None)] * len(lams)
@@ -230,6 +254,15 @@ def poincare_test(
         if weak_worst < combined:
             combined, location = weak_worst, weak_idx
     return _verdict("poincare", combined, location, tol, details)
+
+
+def _median(a: np.ndarray) -> float:
+    """Median of a nonempty array by sorting: the middle element, or (a + b) / 2
+    of the two middle ones.  The same value as np.median, whose first call in
+    a process imports numpy.ma."""
+    s = np.sort(a)
+    k = len(s) // 2
+    return float(s[k]) if len(s) % 2 else float((s[k - 1] + s[k]) / 2)
 
 
 def _centered_mismatch(t, y, target, scale_floor=_TINY):
@@ -270,7 +303,7 @@ def dissipation_audit(trace, kind: str | None = None, tol: float | None = None) 
     mis_I, loc_I = _centered_mismatch(t, trace.I, -second_coeff * trace.K)
     if tol is None:
         # centered-difference truncation ~ (rate * spacing)^2; estimate the rate
-        spacing = float(np.median(np.diff(t)))
+        spacing = _median(np.diff(t))
         pos = trace.I > 0
         if pos.sum() >= 10:
             rate = max(1.0, abs(_fit_rate(t[pos], trace.I[pos])))

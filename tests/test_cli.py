@@ -409,6 +409,9 @@ class TestRegionAndConstants:
 def bad_files(tmp_path):
     (tmp_path / "tab.csv").write_text("x,F,dF,d2F\n0.0,abc,0,1\n")
     (tmp_path / "init.csv").write_text("1.0\nabc\n")
+    (tmp_path / "short.csv").write_text("t,E,I,K,mass,min_v\n0,1,2,3,1,1\n0.1,1,2\n")
+    (tmp_path / "cell.csv").write_text("t,E,I,K,mass,min_v\n0,1,2,abc,1,1\n")
+    (tmp_path / "fields.npz").write_text("not an npz\n")
     return tmp_path
 
 
@@ -440,9 +443,18 @@ class TestMalformedInput:
         (["report", "--trace", "{tmp}/none.csv"], "No such file or directory"),
         (["report", "--trace", "{trace}", "--fields", "{tmp}/none.npz"],
          "No such file or directory"),
+        (["report", "--trace", "{tmp}/short.csv"],
+         "short.csv line 3: 3 columns, expected 6"),
+        (["report", "--trace", "{tmp}/cell.csv"],
+         "cell.csv line 2: could not convert string to float: 'abc'"),
+        (["report", "--trace", "{trace}", "--fields", "{tmp}/fields.npz"],
+         "cannot read field file"),
+        (["flow", "linear", "--aud", "3", "--n", "201"],
+         "unrecognized arguments: --aud 3"),
     ], ids=["power", "harmonic_log", "radial-d", "p-list", "init-bump", "check-theta",
             "tabulated-file", "init-csv-file", "missing-tabulated", "missing-init-csv",
-            "missing-trace", "missing-fields"])
+            "missing-trace", "missing-fields", "trace-short-row", "trace-cell",
+            "fields-not-npz", "flag-prefix"])
     def test_exits_2_with_message(self, artifacts, bad_files, capsys, argv, message):
         _, trace, _ = artifacts
         argv = [a.format(tmp=bad_files, trace=trace) for a in argv]
@@ -509,14 +521,15 @@ class TestConfigFile:
     @pytest.mark.parametrize("cfg, message", [
         ({"nope": 1}, "unrecognized arguments: --nope=1"),
         ({"audit_stride": 5}, "unrecognized arguments: --audit_stride=5"),
+        ({"aud": 3}, "unrecognized arguments: --aud=3"),
         ({"n": "abc"}, "argument --n: invalid int value: 'abc'"),
         ({"n": 20.5}, "argument --n: invalid int value: '20.5'"),
         ({"scheme": "rk4"}, "argument --scheme: invalid choice: 'rk4'"),
         ({"n": None}, "config key 'n' needs a string or a number, got null"),
         ({"trace": ["a.csv"]}, "config key 'trace' needs a string or a number"),
         ([1, 2], "--config must hold a JSON object"),
-    ], ids=["unknown", "underscore", "wrong-type", "float-for-int", "bad-choice", "null",
-            "list", "not-object"])
+    ], ids=["unknown", "underscore", "prefix", "wrong-type", "float-for-int", "bad-choice",
+            "null", "list", "not-object"])
     def test_bad_file_exits_2(self, tmp_path, capsys, cfg, message):
         argv = ["flow", "linear", "--config", _write_config(tmp_path, cfg), "--n", "201",
                 "--tend", "0.01"]
@@ -538,6 +551,22 @@ class TestConfigFile:
         out = tmp_path / "lam.json"
         assert main(["lambda1", "--n", "401", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["n"] == 401
+
+
+def test_dissipation_report_leaves_numpy_ma_unloaded(artifacts):
+    # the default tolerance takes a median of the snapshot spacings; np.median
+    # would import numpy.ma on its first call
+    _, trace, _ = artifacts
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from entroflow.cli import main\n"
+         f"code = main(['report', '--trace', {str(trace)!r}, '--checks', 'dissipation'])\n"
+         "print(code, 'numpy.ma' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def _readme_commands() -> list[str]:

@@ -296,23 +296,57 @@ class TestSolveFailures:
 
 
 class TestNewtonWork:
-    def test_two_factorizations_per_step(self, monkeypatch, gauss_pot):
+    def test_one_factorization_per_step(self, monkeypatch, gauss_pot):
         # at n = 4001 the residual's round-off floor (~3e-14) lies above 1e-14:
         # Newton must stop once an update meets newton_tol, not line-search
-        # against the floor
+        # against the floor; the second update of each step reuses the first
+        # one's factorization
         counts = spy_calls(monkeypatch, "dpttrf", "delta_g")
         grid = ef.make_interval_grid(-8.0, 8.0, 4001, gauss_pot)
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, theta=0.5, init="bump:0.4",
                             t_end=0.02, dt=1e-3)
         trace = ef.run_pme(cfg, gauss_pot, grid)
         assert trace.meta["n_steps"] == 20
-        assert counts["dpttrf"] == 40
-        # L(v^m) once at the start, then once per accepted Newton update
-        assert counts["delta_g"] <= 41
-        assert trace.mass_drift <= 1e-13
+        assert counts["dpttrf"] == 20
+        assert trace.meta["factorizations"] == 20
         assert trace.meta["newton_iterations"] == 40
+        # L(v^m) once at the start, then once per accepted Newton update
+        assert counts["delta_g"] == 41
+        assert trace.mass_drift <= 1e-13
         assert trace.meta["dt_halvings"] == 0
 
+    def test_pinned_functionals(self, gauss_pot):
+        # (E, I, K) at t = 0.05 and 0.1 as integrated with one factorization per
+        # Newton update; reusing it changes the trace only at round-off
+        grid = ef.make_interval_grid(-8.0, 8.0, 801, gauss_pot)
+        cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, theta=0.5, init="bump:0.4",
+                            t_end=0.1, dt=1e-3)
+        trace = ef.run_pme(cfg, gauss_pot, grid)
+        got = np.array([[trace.E[k], trace.I[k], trace.K[k]] for k in (50, 100)])
+        want = [[0.014543842768164486, 0.04134193939407968, 0.0268543976841758],
+                [0.01264472620710869, 0.03488072604084231, 0.02112961152833039]]
+        assert_allclose(trace.t[[50, 100]], [0.05, 0.1], rtol=1e-15)
+        assert_allclose(got, want, rtol=1e-10)
+
+    @pytest.mark.parametrize("rate", [None, 1.0], ids=["default", "always-reuse"])
+    def test_slow_chord_updates_refactor(self, monkeypatch, tmp_path, gauss_pot, rate):
+        # a compact support with m = 4 and dt = 0.5 contracts slowly: updates
+        # that miss the contraction test refactor, and with every improving
+        # update reused the chord updates that fail are redone fresh
+        from entroflow import flows
+
+        if rate is not None:
+            monkeypatch.setattr(flows, "_CHORD_CONTRACTION", rate)
+        grid = ef.make_interval_grid(-8.0, 8.0, 801, gauss_pot)
+        path = tmp_path / "compact.csv"
+        np.savetxt(path, np.maximum(2.25 - (grid.nodes + 1.0) ** 2, 0.0), delimiter=",")
+        cfg = ef.FlowConfig(kind="pme", p=1.5, m=4.0, init=f"csv:{path}", t_end=1.0, dt=0.5)
+        trace = ef.run_pme(cfg, gauss_pot, grid)
+        meta = trace.meta
+        assert meta["n_steps"] == 2
+        assert meta["n_steps"] < meta["factorizations"] < meta["newton_iterations"]
+        assert meta["dt_halvings"] > 0
+        assert trace.mass_drift <= 1e-13
 
     @pytest.mark.parametrize("m, dt, t_end", [(2.0, 1e-3, 0.2), (4.0, 0.5, 1.0)],
                              ids=["clamps", "halvings"])

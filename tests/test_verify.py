@@ -1,5 +1,6 @@
 """Verdict machinery: envelopes, rate fits, inequality audits, controls."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import entroflow as ef
 from entroflow.errors import ConfigError, NonPositiveData, WindowTooShort
-from entroflow.verify import _poincare_slack, _PoincareSides
+from entroflow.verify import _median, _poincare_slack, _PoincareSides, _TrialFields
 
 
 def _synthetic_trace(rate=3.0, p=1.5, n=400, t_end=2.0):
@@ -100,6 +101,25 @@ class TestPoincare:
         sides_of(np.ones(g.n))  # the work arrays carry nothing to the next trial
         assert [x.hex() for x in sides_of(u)] == [x.hex() for x in want]
 
+    def test_trial_fields_are_the_formula_bitwise(self, gauss_grid_small):
+        # reference: the trial as one expression with fresh temporaries
+        def reference(rng):
+            x = gauss_grid_small.nodes
+            span = x[-1] - x[0]
+            u = np.zeros(len(x))
+            for _ in range(int(rng.integers(1, 6))):
+                center = rng.uniform(x[0] + 0.1 * span, x[-1] - 0.1 * span)
+                width = rng.uniform(0.05, 0.2) * span
+                u += rng.uniform(-1.0, 1.0) * np.exp(-0.5 * ((x - center) / width) ** 2)
+            for j in range(int(rng.integers(1, 4))):
+                u += rng.uniform(-0.5, 0.5) * np.cos(math.pi * (j + 1) * (x - x[0]) / span)
+            return np.maximum(u, 0.02 * np.max(np.abs(u)))
+
+        trial_of = _TrialFields(gauss_grid_small)
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(50):
+            assert np.array_equal(trial_of(ours), reference(theirs))
+
     def test_classical_poincare_passes(self, gauss_pot, gauss_grid):
         res = ef.lambda1_linear(2.0, gauss_pot, gauss_grid)
         v = ef.poincare_test(2.0, res, gauss_grid, trials=100, seed=42)
@@ -132,6 +152,12 @@ class TestPoincare:
 
 
 class TestDissipationAudit:
+    @pytest.mark.parametrize("n", [1, 2, 7, 200, 201])
+    def test_median_is_numpys(self, rng, n):
+        for _ in range(20):
+            a = rng.exponential(size=n) * 10.0 ** rng.uniform(-6, 2)
+            assert _median(a) == float(np.median(a))
+
     def test_equilibrium_zero_mismatch(self):
         v = ef.dissipation_audit(_equilibrium_trace())
         assert v.passed and v.worst_violation == 0.0
