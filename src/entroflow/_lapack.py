@@ -1,49 +1,215 @@
-"""The four LAPACK routines entroflow calls, without importing scipy.linalg.
-
-Importing ``scipy.linalg`` loads scipy's array-API layer and with it
-``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``: about 0.3 s of start-up
-for every CLI command, against a few milliseconds for the compiled f2py
-extension ``scipy.linalg._flapack`` that holds the routines.  That extension
-needs only numpy, so it is loaded straight from its file, under its own
-name.  CPython keeps single-phase extension modules in ``sys.modules`` and
-caches them by file, so a later ``import scipy.linalg`` (in either order)
-reuses this very module and the functions here are the objects
-``scipy.linalg.lapack`` exports.
+"""The four LAPACK routines entroflow calls, bound with ctypes in the OpenBLAS
+that numpy has already loaded.
 
 * ``dpttrf``/``dpttrs`` -- factor and solve symmetric positive definite
-  tridiagonal systems (both implicit flow steps);
+  tridiagonal systems (both implicit flow steps), through
+  :class:`SPDTridiagonal`;
 * ``dstebz``/``dstein`` -- bisection for selected eigenvalues and inverse
   iteration for their eigenvectors of a symmetric tridiagonal matrix (the
-  spectral quotients).
+  spectral quotients), with the call and return shapes of
+  ``scipy.linalg.lapack``.
+
+numpy's wheels bundle an OpenBLAS that exports all four routines, and it is
+mapped as soon as numpy is imported.  Calling them there keeps one OpenBLAS
+and one BLAS worker pool per process: scipy's compiled ``_flapack``
+extension would map a second OpenBLAS (``libscipy_openblas``) and start a
+second worker thread, for four routines.
+:func:`candidates` lists the libraries searched, in order: numpy's bundled
+``libscipy_openblas64_`` (64-bit integers, symbols ``scipy_<name>_64_``),
+then scipy's bundled ``libscipy_openblas`` (32-bit integers, symbols
+``scipy_<name>_``), located without importing scipy.  The first library that
+exports all four routines is used; if none does, importing this module
+raises ImportError naming the paths tried.
+
+The routines take the Fortran ABI: every scalar is passed by reference, and
+each character argument adds a trailing ``size_t`` length.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
+import ctypes
+import glob
 import importlib.util
 import os
 
-__all__ = ["dpttrf", "dpttrs", "dstebz", "dstein"]
+import numpy as np
+
+__all__ = ["SPDTridiagonal", "dstebz", "dstein"]
+
+_NAMES = ("dpttrf", "dpttrs", "dstebz", "dstein")
+_P = ctypes.c_void_p
+_ARGTYPES = {
+    # N, D, E, INFO
+    "dpttrf": (_P,) * 4,
+    # N, NRHS, D, E, B, LDB, INFO
+    "dpttrs": (_P,) * 7,
+    # RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK,
+    # ISPLIT, WORK, IWORK, INFO, then the lengths of RANGE and ORDER
+    "dstebz": (ctypes.c_char_p,) * 2 + (_P,) * 16 + (ctypes.c_size_t,) * 2,
+    # N, D, E, M, W, IBLOCK, ISPLIT, Z, LDZ, WORK, IWORK, IFAIL, INFO
+    "dstein": (_P,) * 13,
+}
 
 
-def _load_flapack():
-    name = "scipy.linalg._flapack"
+def candidates() -> list[tuple[str, str, str, type]]:
+    """(library path pattern, symbol prefix, symbol suffix, ctypes integer
+    type) of each library searched, in search order: numpy's bundled ILP64
+    OpenBLAS (``numpy.libs/`` in Linux wheels, ``numpy/.dylibs/`` in macOS
+    ones), then scipy's LP64 one (``scipy.libs/``, ``scipy/.dylibs/``)."""
+    packages = [(os.path.dirname(np.__file__), "libscipy_openblas64_*", "_64_", ctypes.c_int64)]
     # find_spec of a top-level package locates it without executing it
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    linalg_dir = os.path.join(scipy_dir, "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(linalg_dir, "_flapack" + suffix)
-        if os.path.exists(path):
-            loader = importlib.machinery.ExtensionFileLoader(name, path)
-            spec = importlib.util.spec_from_loader(name, loader)
-            module = importlib.util.module_from_spec(spec)
-            loader.exec_module(module)
-            return module
-    raise ImportError(f"no compiled {name} extension in {linalg_dir}")
+    spec = importlib.util.find_spec("scipy")
+    if spec is not None and spec.submodule_search_locations:
+        packages.append(
+            (spec.submodule_search_locations[0], "libscipy_openblas*", "_", ctypes.c_int32)
+        )
+    return [
+        (os.path.join(libdir, pattern), "scipy_", suffix, cint)
+        for pkg, pattern, suffix, cint in packages
+        for libdir in (pkg + ".libs", os.path.join(pkg, ".dylibs"))
+    ]
 
 
-_flapack = _load_flapack()
-dpttrf = _flapack.dpttrf
-dpttrs = _flapack.dpttrs
-dstebz = _flapack.dstebz
-dstein = _flapack.dstein
+def _ptr(x) -> ctypes.c_void_p:
+    """Pointer to the data of a numpy array or to a ctypes scalar; the caller
+    keeps ``x`` alive while the pointer is in use."""
+    return ctypes.c_void_p(x.ctypes.data if isinstance(x, np.ndarray) else ctypes.addressof(x))
+
+
+def _vector(a, name: str) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional; got shape {a.shape}")
+    return a
+
+
+def _tridiagonal(d, e) -> tuple[np.ndarray, np.ndarray]:
+    d, e = _vector(d, "d"), _vector(e, "e")
+    if len(d) < 1 or len(e) != len(d) - 1:
+        raise ValueError(
+            f"need n >= 1 diagonal and n - 1 off-diagonal entries; got {len(d)}, {len(e)}"
+        )
+    return d, e
+
+
+class Lapack:
+    """The four routines of one LAPACK library, bound with ctypes.
+
+    ``cint`` is the library's ctypes integer type and ``itype`` the matching
+    numpy dtype, used by the integer arrays of :meth:`dstebz` and
+    :meth:`dstein`.  Raises OSError if the library cannot be loaded,
+    AttributeError if it lacks one of the routines.
+    """
+
+    def __init__(self, path: str, prefix: str, suffix: str, cint: type):
+        # CDLL of a library already mapped only reuses its handle
+        lib = ctypes.CDLL(path)
+        for name in _NAMES:
+            fn = getattr(lib, prefix + name + suffix)
+            fn.argtypes = _ARGTYPES[name]
+            fn.restype = None
+            setattr(self, "_" + name, fn)
+        self.path = path
+        self.cint = cint
+        self.itype = np.dtype(cint)
+
+    def dstebz(self, d, e, range, vl, vu, il, iu, tol, order):
+        """m, w, iblock, isplit, info = dstebz(d, e, range, vl, vu, il, iu, tol, order).
+
+        ``range`` 0, 1 or 2 selects all eigenvalues, those in (vl, vu], or
+        those with indices il..iu; ``order`` is "B" (by block) or "E"
+        (entire matrix).  ``w``, ``iblock`` and ``isplit`` have length n;
+        the first m entries of ``w`` and ``iblock`` are set.
+        """
+        if range not in (0, 1, 2):
+            raise ValueError(f"range must be 0, 1 or 2; got {range!r}")
+        d, e = _tridiagonal(d, e)
+        n = len(d)
+        cint, real = self.cint, ctypes.c_double
+        m, nsplit, info = cint(), cint(), cint()
+        w = np.zeros(n)
+        iblock, isplit = np.zeros(n, self.itype), np.zeros(n, self.itype)
+        work, iwork = np.empty(4 * n), np.empty(3 * n, self.itype)
+        refs = (cint(n), real(vl), real(vu), cint(il), cint(iu), real(tol), d, e, m, nsplit,
+                w, iblock, isplit, work, iwork, info)
+        self._dstebz(b"AVI"[range:range + 1], order.encode(), *map(_ptr, refs), 1, 1)
+        return m.value, w, iblock, isplit, info.value
+
+    def dstein(self, d, e, w, iblock, isplit):
+        """z, info = dstein(d, e, w, iblock, isplit): the eigenvectors of the
+        eigenvalues ``w`` (block indices ``iblock``, split points ``isplit``,
+        as :meth:`dstebz` returns them) as the columns of the n x len(w)
+        Fortran-ordered array ``z``."""
+        d, e = _tridiagonal(d, e)
+        w = _vector(w, "w")
+        n, m = len(d), len(w)
+        iblock = np.ascontiguousarray(iblock, self.itype)
+        isplit = np.ascontiguousarray(isplit, self.itype)
+        if m > n or len(iblock) < m or len(isplit) < n:
+            raise ValueError(
+                "need len(w) <= n, len(iblock) >= len(w) and len(isplit) >= n; "
+                f"got n={n}, {m}, {len(iblock)}, {len(isplit)}"
+            )
+        info = self.cint()
+        z = np.zeros((n, m), order="F")
+        work, iwork, ifail = np.empty(5 * n), np.empty(n, self.itype), np.empty(m, self.itype)
+        n_ = self.cint(n)  # also LDZ
+        refs = (n_, d, e, self.cint(m), w, iblock, isplit, z, n_, work, iwork, ifail, info)
+        self._dstein(*map(_ptr, refs))
+        return z, info.value
+
+
+def bind(cands: list[tuple[str, str, str, type]]) -> Lapack:
+    """The routines of the first library in ``cands`` (entries as
+    :func:`candidates` gives them) that exports all four; ImportError naming
+    every path tried if none does."""
+    tried = []
+    for pattern, prefix, suffix, cint in cands:
+        paths = sorted(glob.glob(pattern))
+        if not paths:
+            tried.append(f"{pattern} (no such file)")
+        for path in paths:
+            try:
+                return Lapack(path, prefix, suffix, cint)
+            except (OSError, AttributeError) as exc:
+                tried.append(f"{path} ({exc})")
+    raise ImportError(
+        f"no LAPACK library exporting {', '.join(_NAMES)}; tried: {'; '.join(tried)}"
+    )
+
+
+_LAPACK = bind(candidates())
+dstebz = _LAPACK.dstebz
+dstein = _LAPACK.dstein
+
+
+class SPDTridiagonal:
+    """A symmetric positive definite tridiagonal system of order n that owns
+    its diagonal ``d``, off-diagonal ``e`` and right-hand side ``b``.
+
+    Write ``d`` and ``e`` in place, then :meth:`factor` overwrites them with
+    the L D L^T factors (LAPACK dpttrf); write ``b`` in place, then
+    :meth:`solve` overwrites it with the solution (dpttrs).  Both return
+    LAPACK's ``info``.  The pointer and by-reference arguments are built
+    once, so that a call costs about what one through scipy's f2py wrapper
+    does.
+    """
+
+    def __init__(self, n: int, lapack: Lapack = _LAPACK):
+        self.n = n
+        self.d, self.e, self.b = np.empty(n), np.empty(n - 1), np.empty(n)
+        # N (also LDB), NRHS and INFO, passed by reference
+        self._n, self._nrhs, self._info = lapack.cint(n), lapack.cint(1), lapack.cint()
+        n_, nrhs, d, e, b, info = map(
+            _ptr, (self._n, self._nrhs, self.d, self.e, self.b, self._info)
+        )
+        self._pttrf, self._pttrf_args = lapack._dpttrf, (n_, d, e, info)
+        self._pttrs, self._pttrs_args = lapack._dpttrs, (n_, nrhs, d, e, b, n_, info)
+
+    def factor(self) -> int:
+        self._pttrf(*self._pttrf_args)
+        return self._info.value
+
+    def solve(self) -> int:
+        self._pttrs(*self._pttrs_args)
+        return self._info.value

@@ -32,15 +32,18 @@ fixed target such as 1e-14 is out of reach on fine grids (the floor is near
 tolerance the step is bisected in time (recursively, bounded depth).  Both
 implicit systems are the node masses W plus a multiple of the stiffness
 stencil S of :func:`grid.stiffness_bands`, solved with LAPACK
-``pttrf``/``pttrs`` (loaded by :mod:`entroflow._lapack`); the Newton system
-(W + theta dt S D) delta = -W res, D = diag(m v^{m-1}) > 0, is solved in its
-symmetric form (W D^{-1} + theta dt S)(D delta) = -W res.  L(v^m) of the
-accepted state is the operator value of its last residual; it is carried into
-the next step's right-hand side (and through time-step halvings) instead of
-being evaluated again, and clamping v at ``floor`` leaves it unchanged because
-v^m is taken of max(v, floor).  ``run_pme`` records its work in ``Trace.meta``:
-``newton_iterations`` (Newton updates solved), ``factorizations`` (LAPACK
-``pttrf`` calls) and ``dt_halvings``.
+``pttrf``/``pttrs`` through one :class:`entroflow._lapack.SPDTridiagonal` per
+run, which owns the matrix and right-hand side buffers the routines
+overwrite; the Newton system (W + theta dt S D) delta = -W res,
+D = diag(m v^{m-1}) > 0, is solved in its symmetric form
+(W D^{-1} + theta dt S)(D delta) = -W res, written straight into the
+system's diagonal.  L(v^m) of the accepted state is the operator value of
+its last residual; it is carried into the next step's right-hand side (and
+through time-step halvings) instead of being evaluated again, and clamping v
+at ``floor`` leaves it unchanged because v^m is taken of max(v, floor).
+``run_pme`` records its work in ``Trace.meta``: ``newton_iterations`` (Newton
+updates solved), ``factorizations`` (LAPACK ``pttrf`` calls) and
+``dt_halvings``.
 
 A run emits a Trace: scalar time series of (t, E, I, K, mass, min_v) plus
 full density snapshots every ``audit_stride`` records for the second-order
@@ -61,7 +64,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._lapack import dpttrf, dpttrs
+from ._lapack import SPDTridiagonal
 from .errors import ConfigError, LinearSolveFailure, NewtonDiverged
 from .functionals import DEFAULT_FLOOR, LinearParams, PmeParams, _Snapshot
 from .grid import Grid, _net_flux, delta_g, integrate_dgamma, stiffness_bands
@@ -78,10 +81,11 @@ class FlowConfig:
     "csv:path" pointing at a node-aligned column of densities.  ``dt`` falls
     back to 10 h^2; ``stride`` to whatever yields about 200 snapshots.
     ``t_end`` and a given ``dt`` must be finite and positive, ``stride`` and
-    ``audit_stride`` at least 1.  The pme stepper's Newton iteration ends a
-    step at the first accepted update with max-norm residual at most
-    ``newton_tol``; a step that stalls above it is halved in time, at most
-    ``max_dt_halvings`` deep.
+    ``audit_stride`` at least 1; a run takes round(t_end / dt) steps, and
+    :meth:`resolved` rejects a ``t_end`` that rounds to none.  The pme
+    stepper's Newton iteration ends a step at the first accepted update with
+    max-norm residual at most ``newton_tol``; a step that stalls above it is
+    halved in time, at most ``max_dt_halvings`` deep.
     """
 
     kind: str  # 'linear' | 'pme'
@@ -117,7 +121,12 @@ class FlowConfig:
     def resolved(self, grid: Grid) -> tuple[float, int, int]:
         """(dt, n_steps, stride) with defaults filled in for this grid."""
         dt = self.dt if self.dt is not None else 10.0 * grid.h**2
-        n_steps = max(1, int(round(self.t_end / dt)))
+        n_steps = round(self.t_end / dt)
+        if n_steps == 0:
+            raise ConfigError(
+                f"t_end={self.t_end:g} is under half the time step dt={dt:g}, so no step "
+                "would run; give a smaller dt (--dt)"
+            )
         stride = self.stride if self.stride is not None else max(1, n_steps // 200)
         return dt, n_steps, stride
 
@@ -315,9 +324,12 @@ def run_linear(config: FlowConfig, pot, grid: Grid) -> Trace:
     dt, n_steps, stride = config.resolved(grid)
     theta = 1.0 if config.scheme == "be" else 0.5
 
-    wg = grid.node_mass
     sdiag, soff = stiffness_bands(grid.conductance)
-    fdiag, foff, info = dpttrf(wg + theta * dt * sdiag, theta * dt * soff)
+    system = SPDTridiagonal(grid.n)
+    np.multiply(sdiag, theta * dt, out=system.d)
+    system.d += grid.node_mass
+    np.multiply(soff, theta * dt, out=system.e)
+    info = system.factor()
     if info != 0:
         raise LinearSolveFailure(f"cannot factor the implicit system: LAPACK dpttrf info={info}")
 
@@ -326,12 +338,11 @@ def run_linear(config: FlowConfig, pot, grid: Grid) -> Trace:
     rec = _Recorder(_Snapshot(params, grid, config.floor), stride, config.audit_stride)
     rec.maybe_record(0, 0.0, v)
     # work arrays reused by every step; the solve overwrites b with delta
-    b, flux = np.empty(grid.n), np.empty(grid.n - 1)
+    b, flux = system.b, np.empty(grid.n - 1)
     for step in range(1, n_steps + 1):
-        b = _net_flux(grid, v, out=b, flux=flux)
-        b *= dt
-        delta, _ = dpttrs(fdiag, foff, b, overwrite_b=1)
-        v += delta
+        np.multiply(_net_flux(grid, v, out=b, flux=flux), dt, out=b)
+        system.solve()
+        v += b
         rec.maybe_record(step, step * dt, v)
     meta = {
         "scheme": config.scheme, "dt": dt, "n_steps": n_steps, "stride": stride,
@@ -360,10 +371,12 @@ class _NewtonWork:
     the n-sized work arrays every step reuses.
 
     ``updates`` counts Newton updates solved, ``factorizations`` dpttrf
-    calls, ``halvings`` bisected time steps.  The iterate and its L(x^m) each
-    rotate through three arrays, so that a step never writes its input state
-    (read again if the step is halved) or the iterate it keeps; the step it
-    returns is one of them and stays intact through the next step.
+    calls, ``halvings`` bisected time steps.  ``system`` holds the Newton
+    matrix and its factors, and its right-hand side becomes the update.
+    The iterate and its L(x^m) each rotate through three arrays, so that a
+    step never writes its input state (read again if the step is halved) or
+    the iterate it keeps; the step it returns is one of them and stays
+    intact through the next step.
     """
 
     def __init__(self, grid: Grid):
@@ -373,10 +386,9 @@ class _NewtonWork:
         self.xs = [np.empty(n) for _ in range(3)]
         self.ls = [np.empty(n) for _ in range(3)]
         self.rs = [np.empty(n) for _ in range(2)]
-        self.rhs, self.dpow, self.diag, self.delta, self.pw, self.absr = (
-            np.empty(n) for _ in range(6)
-        )
-        self.tsdiag, self.tsoff, self.flux = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+        self.rhs, self.dpow, self.pw, self.absr, self.tsdiag = (np.empty(n) for _ in range(5))
+        self.flux = np.empty(n - 1)
+        self.system = SPDTridiagonal(n)
 
 
 def _spare(pool: list[np.ndarray], busy: np.ndarray, other: np.ndarray | None = None):
@@ -434,7 +446,7 @@ def _pme_newton_step(
     sdiag, soff = bands
     tdt = theta * dt
     tsdiag = np.multiply(sdiag, tdt, out=work.tsdiag)
-    tsoff = np.multiply(soff, tdt, out=work.tsoff)
+    system = work.system
     rhs = np.multiply(lv_old, (1.0 - theta) * dt, out=work.rhs)
     np.add(v_old, rhs, out=rhs)
     x, lx, res = v_old, lv_old, work.rs[0]
@@ -447,15 +459,17 @@ def _pme_newton_step(
             dpow = np.maximum(x, floor, out=work.dpow)
             np.power(dpow, m - 1.0, out=dpow)
             dpow *= m
-            diag = np.divide(wg, dpow, out=work.diag)
-            diag += tsdiag
+            # W D^{-1} + theta dt S, which the factorization overwrites
+            np.divide(wg, dpow, out=system.d)
+            system.d += tsdiag
+            np.multiply(soff, tdt, out=system.e)
             work.factorizations += 1
-            fdiag, foff, info = dpttrf(diag, tsoff)
+            info = system.factor()
             if info != 0:
                 raise _StepFailed(f"Newton system not positive definite: LAPACK dpttrf info={info}")
         work.updates += 1
-        b = np.multiply(work.neg_wg, res, out=work.delta)
-        delta, _ = dpttrs(fdiag, foff, b, overwrite_b=1)
+        delta = np.multiply(work.neg_wg, res, out=system.b)
+        system.solve()
         delta /= dpow
         lam = 1.0
         # a chord update gets the full step only, a fresh one a damped line search

@@ -17,8 +17,9 @@ M the diagonal of quadrature weights; the M^{1/2} similarity turns it into a
 symmetric tridiagonal matrix.  Its smallest eigenpair comes from two LAPACK
 routines called directly (stebz bisection for the eigenvalue, stein inverse
 iteration for the vector; the pair scipy's ``eigh_tridiagonal`` would call,
-loaded by :mod:`entroflow._lapack` without importing scipy.linalg), refined by
-one Rayleigh quotient whose residual is checked; every step is O(n).
+bound by :mod:`entroflow._lapack` in the OpenBLAS numpy has loaded, without
+importing scipy.linalg), refined by one Rayleigh quotient whose residual is
+checked; every step is O(n).
 """
 
 from __future__ import annotations
@@ -96,19 +97,15 @@ def smallest_eigenpair(
     either routine reports info != 0 or the residual tolerance (floored at
     the matvec round-off level) cannot be met.
     """
-    if len(diag) == 1:
-        # the f2py wrappers reject the empty off-diagonal of a 1 x 1 matrix
-        vector = np.ones(1)
-    else:
-        # range 2 selects eigenvalues il..iu by index; order "B" (by block) is
-        # what stein expects; an absolute tolerance of 2 tiny asks for full accuracy
-        m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, 1, 1, 2.0 * _TINY, "B")
-        if info != 0:
-            raise SolverDiverged(f"LAPACK dstebz failed: info={info}")
-        vectors, info = dstein(diag, off, w[:m], iblock, isplit)
-        if info != 0:
-            raise SolverDiverged(f"LAPACK dstein failed: info={info}")
-        vector = vectors[:, 0]
+    # range 2 selects eigenvalues il..iu by index; order "B" (by block) is
+    # what stein expects; an absolute tolerance of 2 tiny asks for full accuracy
+    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, 1, 1, 2.0 * _TINY, "B")
+    if info != 0:
+        raise SolverDiverged(f"LAPACK dstebz failed: info={info}")
+    vectors, info = dstein(diag, off, w[:m], iblock, isplit)
+    if info != 0:
+        raise SolverDiverged(f"LAPACK dstein failed: info={info}")
+    vector = vectors[:, 0]
     x = vector / np.linalg.norm(vector)
     tx = _tridiag_matvec(diag, off, x)
     lam = float(np.dot(x, tx))

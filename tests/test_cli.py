@@ -264,7 +264,7 @@ class TestFlowAndReport:
 
     @pytest.mark.parametrize("kind", ["linear", "pme"])
     def test_solve_failure_exits_3(self, monkeypatch, kind):
-        monkeypatch.setattr("entroflow.flows.dpttrf", lambda d, e: (d, e, 1))
+        monkeypatch.setattr("entroflow.flows.SPDTridiagonal.factor", lambda system: 1)
         code = main([
             "flow", kind, "--p", "1.5", "--m", "1.2", "--potential", "gaussian",
             "--domain", "-8:8", "--n", "201", "--tend", "0.01", "--dt", "1e-3",
@@ -283,6 +283,20 @@ class TestFlowAndReport:
         ])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tend, code", [("0.01", 2), ("0.04", 0)])
+    def test_t_end_under_half_a_step_exits_2(self, capsys, tend, code):
+        # the default dt here is 10 h^2 = 0.064: t_end = 0.01 used to run one
+        # step to t = 0.064 and exit 0; t_end = 0.04 rounds to one step
+        assert main([
+            "flow", "linear", "--p", "1.5", "--potential", "gaussian", "--domain", "-8:8",
+            "--n", "201", "--tend", tend,
+        ]) == code
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert "config error" in err and "t_end=0.01" in err and "--dt" in err
+        else:
+            assert out.startswith("t_end=0.064 ")
 
     def test_pme_rejects_m_plus_p_two(self, capsys):
         # the porous-media entropy divides by m + p - 2

@@ -90,11 +90,11 @@ class TestLinearFlow:
 
     def test_one_solve_per_step_and_no_operator_call(self, monkeypatch, gauss_pot,
                                                      gauss_grid_small):
-        counts = spy_calls(monkeypatch, "dpttrs", "delta_g")
+        counts = spy_calls(monkeypatch, "solve", "delta_g")
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="bump:0.3", t_end=0.1, dt=1e-3)
         trace = ef.run_linear(cfg, gauss_pot, gauss_grid_small)
         assert trace.meta["n_steps"] == 100
-        assert counts == {"dpttrs": 100, "delta_g": 0}
+        assert counts == {"solve": 100, "delta_g": 0}
 
     def test_array_init_left_unchanged(self, gauss_pot, gauss_grid_small):
         # the stepper updates its state in place, never the caller's array
@@ -236,20 +236,35 @@ class TestPmeFlow:
         with pytest.raises(ConfigError):
             ef.FlowConfig(kind="linear", p=1.5, **bad)
 
+    @pytest.mark.parametrize("run", [ef.run_linear, ef.run_pme], ids=["linear", "pme"])
+    def test_t_end_under_half_a_step_is_rejected(self, run, gauss_pot):
+        # at n = 201 on [-8, 8] the default dt is 10 h^2 = 0.064; t_end = 0.01
+        # used to be rounded up to one step and run to t = 0.064
+        grid = ef.make_interval_grid(-8.0, 8.0, 201, gauss_pot)
+        kind = "linear" if run is ef.run_linear else "pme"
+        cfg = ef.FlowConfig(kind=kind, p=1.5, m=1.2, t_end=0.01)
+        with pytest.raises(ConfigError, match=r"t_end=0\.01 .* dt=0\.064"):
+            run(cfg, gauss_pot, grid)
+        one_step = ef.FlowConfig(kind=kind, p=1.5, m=1.2, t_end=0.04)
+        assert one_step.resolved(grid)[:2] == (pytest.approx(0.064, rel=1e-15), 1)
+        assert run(one_step, gauss_pot, grid).meta["n_steps"] == 1
+
 
 def spy_calls(monkeypatch, *names):
-    """Count the calls the steppers make to the named ``flows`` globals."""
+    """Count the calls the steppers make to the named ``flows`` globals, or to
+    the ``factor``/``solve`` methods of their LAPACK systems."""
     from entroflow import flows
 
     counts = dict.fromkeys(names, 0)
 
     def spy(name):
-        fn = getattr(flows, name)
+        owner = flows.SPDTridiagonal if name in ("factor", "solve") else flows
+        fn = getattr(owner, name)
 
         def wrapped(*args, **kwargs):
             counts[name] += 1
             return fn(*args, **kwargs)
-        monkeypatch.setattr(flows, name, wrapped)
+        monkeypatch.setattr(owner, name, wrapped)
 
     for name in names:
         spy(name)
@@ -261,11 +276,11 @@ def failing_factorization(monkeypatch):
     the list of calls made."""
     calls = []
 
-    def dpttrf(d, e):
-        calls.append(len(d))
-        return d, e, 1
+    def factor(system):
+        calls.append(system.n)
+        return 1
 
-    monkeypatch.setattr("entroflow.flows.dpttrf", dpttrf)
+    monkeypatch.setattr("entroflow.flows.SPDTridiagonal.factor", factor)
     return calls
 
 
@@ -301,13 +316,13 @@ class TestNewtonWork:
         # Newton must stop once an update meets newton_tol, not line-search
         # against the floor; the second update of each step reuses the first
         # one's factorization
-        counts = spy_calls(monkeypatch, "dpttrf", "delta_g")
+        counts = spy_calls(monkeypatch, "factor", "delta_g")
         grid = ef.make_interval_grid(-8.0, 8.0, 4001, gauss_pot)
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, theta=0.5, init="bump:0.4",
                             t_end=0.02, dt=1e-3)
         trace = ef.run_pme(cfg, gauss_pot, grid)
         assert trace.meta["n_steps"] == 20
-        assert counts["dpttrf"] == 20
+        assert counts["factor"] == 20
         assert trace.meta["factorizations"] == 20
         assert trace.meta["newton_iterations"] == 40
         # L(v^m) once at the start, then once per accepted Newton update

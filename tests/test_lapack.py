@@ -1,16 +1,19 @@
-"""The LAPACK routines loaded without scipy.linalg, and the eigensolve built on them."""
+"""The LAPACK routines bound in the OpenBLAS numpy loaded, and the eigensolve built on them."""
 
+import ctypes
+import glob
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack as scipy_lapack
 from scipy.linalg import eigh_tridiagonal
 
+from entroflow import _lapack
 from entroflow.errors import SolverDiverged
 from entroflow.spectrum import _tridiag_matvec, smallest_eigenpair
-
-_NAMES = ("dpttrf", "dpttrs", "dstebz", "dstein")
 
 
 def _python(code: str) -> str:
@@ -29,15 +32,120 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     assert out == "[]"
 
 
-@pytest.mark.parametrize("first", ["entroflow._lapack", "scipy.linalg.lapack"])
-def test_routines_are_scipys_in_either_import_order(first):
-    second = "scipy.linalg.lapack" if first == "entroflow._lapack" else "entroflow._lapack"
+def test_cli_maps_one_openblas():
+    # scipy's _flapack extension would map scipy's own OpenBLAS (and start
+    # its worker thread) next to the one numpy has loaded
     out = _python(
-        f"import importlib; a = importlib.import_module({first!r}); "
-        f"b = importlib.import_module({second!r}); "
-        f"print(all(getattr(a, n) is getattr(b, n) for n in {_NAMES!r}))"
+        "import os, sys\n"
+        "from entroflow.cli import main\n"
+        "code = main(['lambda1', '--p', '1.5', '--potential', 'gaussian',"
+        " '--domain=-6:6', '--n', '301'])\n"
+        "maps = open('/proc/self/maps').read() if sys.platform == 'linux' else ''\n"
+        "libs = {line.split()[-1] for line in maps.splitlines() if 'openblas' in line}\n"
+        "print(code, 'scipy.linalg._flapack' in sys.modules,"
+        " ','.join(sorted(os.path.basename(p) for p in libs)))\n"
     )
-    assert out == "True"
+    code, flapack, libs = out.splitlines()[-1].split(" ")
+    assert (code, flapack) == ("0", "False")
+    if sys.platform != "linux":
+        pytest.skip("/proc/self/maps is Linux only")
+    assert "libscipy_openblas-" not in libs
+    assert len(libs.split(",")) == 1
+
+
+def test_numpy_library_comes_first():
+    first = _lapack.candidates()[0]
+    found = sorted(glob.glob(first[0]))
+    if not found:
+        pytest.skip("numpy bundles no OpenBLAS on this installation")
+    assert _lapack._LAPACK.path == found[0]
+    assert _lapack._LAPACK.itype == np.int64
+
+
+def test_bind_names_every_path_tried():
+    numpy_libs = sorted(glob.glob(_lapack.candidates()[0][0]))
+    cands = [("/nonexistent/libscipy_openblas*", "scipy_", "_", ctypes.c_int32)]
+    # a library that exists but exports none of the routines under this suffix
+    cands += [(path, "scipy_", "_no_such_suffix_", ctypes.c_int64) for path in numpy_libs]
+    with pytest.raises(ImportError) as err:
+        _lapack.bind(cands)
+    message = str(err.value)
+    assert "/nonexistent/libscipy_openblas*" in message
+    for path in numpy_libs:
+        assert path in message
+
+
+def _present_libraries():
+    """Every candidate library found on this installation, bound on its own."""
+    libs = []
+    for cand in _lapack.candidates():
+        try:
+            libs.append(_lapack.bind([cand]))
+        except ImportError:
+            pass
+    return libs
+
+
+LIBRARIES = _present_libraries()
+
+
+@pytest.fixture(params=LIBRARIES, ids=[os.path.basename(lib.path) for lib in LIBRARIES])
+def lapack(request):
+    return request.param
+
+
+@pytest.mark.parametrize("n", [2, 3, 101, 2001])
+def test_pttrf_pttrs_match_scipy_bit_for_bit(lapack, n):
+    rng = np.random.default_rng(n)
+    system = _lapack.SPDTridiagonal(n, lapack)
+    # diagonally dominant, hence positive definite
+    d, e, b = rng.uniform(2.0, 3.0, n), rng.uniform(-1.0, 1.0, n - 1), rng.standard_normal(n)
+    system.d[:], system.e[:] = d, e
+    fd, fe, info = scipy_lapack.dpttrf(d, e)
+    assert system.factor() == info == 0
+    assert np.array_equal(system.d, fd) and np.array_equal(system.e, fe)
+    system.b[:] = b
+    x, info = scipy_lapack.dpttrs(fd, fe, b)
+    assert system.solve() == info == 0
+    assert np.array_equal(system.b, x)
+    # not positive definite: the leading minor of order k + 1 is not positive
+    k = int(rng.integers(0, n))
+    d[k] = -1.0
+    system.d[:], system.e[:] = d, e
+    info = scipy_lapack.dpttrf(d, e)[2]
+    assert system.factor() == info > 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 101, 2001])
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+def test_stebz_stein_match_scipy_bit_for_bit(lapack, n, split):
+    rng = np.random.default_rng(n)
+    d, e = rng.uniform(-3.0, 3.0, n), rng.uniform(-1.0, 1.0, n - 1)
+    if split:
+        e[rng.choice(n - 1, size=max(1, (n - 1) // 10), replace=False)] = 0.0
+    tiny = 2.0 * np.finfo(float).tiny
+    # the smallest eigenvalue (as spectrum calls it), three by index, those
+    # in (-1, -0.8], and all of them (bisection for all 2001 takes seconds)
+    cases = [(2, 0.0, 0.0, 1, 1, tiny), (2, 0.0, 0.0, 1, min(3, n), tiny),
+             (1, -1.0, -0.8, 0, 0, 0.0)]
+    if n <= 101:
+        cases.append((0, 0.0, 0.0, 0, 0, 0.0))
+    for args in cases:
+        got = lapack.dstebz(d, e, *args, "B")
+        want = scipy_lapack.dstebz(d, e, *args, "B")
+        assert got[0] == want[0] and got[4] == want[4] == 0
+        for a, b in zip(got[1:4], want[1:4]):
+            assert np.array_equal(a, b)
+        m, w, iblock, isplit, _ = got
+        if split:
+            assert np.count_nonzero(isplit) > 1  # nsplit > 1
+        # vectors for the first few eigenvalues only: all 2001 take seconds
+        k = min(m, 8)
+        z, info = lapack.dstein(d, e, w[:k], iblock, isplit)
+        z_want, info_want = scipy_lapack.dstein(d, e, w[:k], iblock, isplit)
+        assert info == info_want == 0
+        assert z.shape == z_want.shape and z.flags.f_contiguous
+        assert np.array_equal(z, z_want)
 
 
 def test_eigenpair_matches_eigh_tridiagonal_bit_for_bit(rng):
