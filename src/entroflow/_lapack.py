@@ -18,23 +18,32 @@ second worker thread, for four routines.
 ``libscipy_openblas64_`` (64-bit integers, symbols ``scipy_<name>_64_``),
 then scipy's bundled ``libscipy_openblas`` (32-bit integers, symbols
 ``scipy_<name>_``), located without importing scipy.  The first library that
-exports all four routines is used; if none does, importing this module
+exports all four routines is used.  Wheels that bundle neither (numpy before
+2.0, scipy before 1.13) and builds linked to Accelerate, MKL or a system
+LAPACK fall back to scipy's ``_flapack`` extension (:class:`Flapack`), the
+only path that runs there; if that is missing too, importing this module
 raises ImportError naming the paths tried.
 
-The routines take the Fortran ABI: every scalar is passed by reference, and
-each character argument adds a trailing ``size_t`` length.
+Through ctypes the routines take the Fortran ABI: every scalar is passed by
+reference, and each character argument adds a trailing ``size_t`` length.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
+import importlib.machinery
 import importlib.util
 import os
 
 import numpy as np
 
 __all__ = ["SPDTridiagonal", "dstebz", "dstein"]
+
+# find_spec of a top-level package locates it without executing it
+_SCIPY_SPEC = importlib.util.find_spec("scipy")
+_SCIPY_DIR = (_SCIPY_SPEC.submodule_search_locations[0]
+              if _SCIPY_SPEC is not None and _SCIPY_SPEC.submodule_search_locations else None)
 
 _NAMES = ("dpttrf", "dpttrs", "dstebz", "dstein")
 _P = ctypes.c_void_p
@@ -57,12 +66,8 @@ def candidates() -> list[tuple[str, str, str, type]]:
     OpenBLAS (``numpy.libs/`` in Linux wheels, ``numpy/.dylibs/`` in macOS
     ones), then scipy's LP64 one (``scipy.libs/``, ``scipy/.dylibs/``)."""
     packages = [(os.path.dirname(np.__file__), "libscipy_openblas64_*", "_64_", ctypes.c_int64)]
-    # find_spec of a top-level package locates it without executing it
-    spec = importlib.util.find_spec("scipy")
-    if spec is not None and spec.submodule_search_locations:
-        packages.append(
-            (spec.submodule_search_locations[0], "libscipy_openblas*", "_", ctypes.c_int32)
-        )
+    if _SCIPY_DIR is not None:
+        packages.append((_SCIPY_DIR, "libscipy_openblas*", "_", ctypes.c_int32))
     return [
         (os.path.join(libdir, pattern), "scipy_", suffix, cint)
         for pkg, pattern, suffix, cint in packages
@@ -158,6 +163,72 @@ class Lapack:
         self._dstein(*map(_ptr, refs))
         return z, info.value
 
+    def attach(self, system: SPDTridiagonal) -> None:
+        """Set the dpttrf/dpttrs calls of ``system`` on its own buffers."""
+        # N (also LDB), NRHS and INFO, passed by reference; ``system`` keeps
+        # them alive, since the pointers to them do not
+        system._n, system._nrhs, system._info = self.cint(system.n), self.cint(1), self.cint()
+        n_, nrhs, d, e, b, info = map(
+            _ptr, (system._n, system._nrhs, system.d, system.e, system.b, system._info)
+        )
+        system._pttrf, system._pttrf_args = self._dpttrf, (n_, d, e, info)
+        system._pttrs, system._pttrs_args = self._dpttrs, (n_, nrhs, d, e, b, n_, info)
+
+
+def _f2py_off(e: np.ndarray) -> np.ndarray:
+    # the f2py wrappers reject the empty off-diagonal of a 1 x 1 matrix,
+    # which LAPACK does not read
+    return e if len(e) else np.zeros(1)
+
+
+class Flapack:
+    """The four routines of scipy's compiled f2py extension
+    ``scipy.linalg._flapack``, loaded straight from its file in
+    ``linalg_dir`` (it needs only numpy, and importing ``scipy.linalg``
+    would load scipy's array-API layer).  It maps scipy's LAPACK next to
+    numpy's, so it is the fallback for installations with no bundled
+    ``libscipy_openblas``.  Raises ImportError if the extension is missing.
+    """
+
+    def __init__(self, linalg_dir: str | None):
+        name = "scipy.linalg._flapack"
+        paths = [] if linalg_dir is None else [
+            os.path.join(linalg_dir, "_flapack" + suffix)
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        ]
+        path = next((p for p in paths if os.path.exists(p)), None)
+        if path is None:
+            raise ImportError(f"no compiled {name} extension in {linalg_dir or 'scipy (not found)'}")
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        spec = importlib.util.spec_from_loader(name, loader)
+        self._f = importlib.util.module_from_spec(spec)
+        loader.exec_module(self._f)
+        self.path = path
+
+    def dstebz(self, d, e, range, vl, vu, il, iu, tol, order):
+        """As :meth:`Lapack.dstebz`."""
+        d, e = _tridiagonal(d, e)
+        return self._f.dstebz(d, _f2py_off(e), range, vl, vu, il, iu, tol, order)
+
+    def dstein(self, d, e, w, iblock, isplit):
+        """As :meth:`Lapack.dstein`."""
+        d, e = _tridiagonal(d, e)
+        return self._f.dstein(d, _f2py_off(e), w, iblock, isplit)
+
+    def _pttrf(self, d, e, info):
+        # f2py overwrites contiguous float64 arrays in place when asked to
+        info.value = self._f.dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2]
+
+    def _pttrs(self, d, e, b, info):
+        info.value = self._f.dpttrs(d, e, b, overwrite_b=1)[1]
+
+    def attach(self, system: SPDTridiagonal) -> None:
+        """Set the dpttrf/dpttrs calls of ``system`` on its own buffers."""
+        system._info = ctypes.c_int()
+        system._pttrf, system._pttrf_args = self._pttrf, (system.d, system.e, system._info)
+        system._pttrs, system._pttrs_args = self._pttrs, (
+            system.d, system.e, system.b, system._info)
+
 
 def bind(cands: list[tuple[str, str, str, type]]) -> Lapack:
     """The routines of the first library in ``cands`` (entries as
@@ -178,7 +249,19 @@ def bind(cands: list[tuple[str, str, str, type]]) -> Lapack:
     )
 
 
-_LAPACK = bind(candidates())
+def load(cands: list[tuple[str, str, str, type]], linalg_dir: str | None) -> Lapack | Flapack:
+    """:func:`bind` of ``cands``, else :class:`Flapack` from ``linalg_dir``;
+    ImportError naming every path tried if neither loads."""
+    try:
+        return bind(cands)
+    except ImportError as err:
+        try:
+            return Flapack(linalg_dir)
+        except ImportError as err2:
+            raise ImportError(f"{err}; {err2}") from None
+
+
+_LAPACK = load(candidates(), None if _SCIPY_DIR is None else os.path.join(_SCIPY_DIR, "linalg"))
 dstebz = _LAPACK.dstebz
 dstein = _LAPACK.dstein
 
@@ -190,21 +273,15 @@ class SPDTridiagonal:
     Write ``d`` and ``e`` in place, then :meth:`factor` overwrites them with
     the L D L^T factors (LAPACK dpttrf); write ``b`` in place, then
     :meth:`solve` overwrites it with the solution (dpttrs).  Both return
-    LAPACK's ``info``.  The pointer and by-reference arguments are built
-    once, so that a call costs about what one through scipy's f2py wrapper
-    does.
+    LAPACK's ``info``.  The library's ``attach`` builds the call arguments
+    once, so that a ctypes call costs about what one through scipy's f2py
+    wrapper does.
     """
 
-    def __init__(self, n: int, lapack: Lapack = _LAPACK):
+    def __init__(self, n: int, lapack: Lapack | Flapack = _LAPACK):
         self.n = n
         self.d, self.e, self.b = np.empty(n), np.empty(n - 1), np.empty(n)
-        # N (also LDB), NRHS and INFO, passed by reference
-        self._n, self._nrhs, self._info = lapack.cint(n), lapack.cint(1), lapack.cint()
-        n_, nrhs, d, e, b, info = map(
-            _ptr, (self._n, self._nrhs, self.d, self.e, self.b, self._info)
-        )
-        self._pttrf, self._pttrf_args = lapack._dpttrf, (n_, d, e, info)
-        self._pttrs, self._pttrs_args = lapack._dpttrs, (n_, nrhs, d, e, b, n_, info)
+        lapack.attach(self)
 
     def factor(self) -> int:
         self._pttrf(*self._pttrf_args)

@@ -43,14 +43,14 @@ def test_cli_maps_one_openblas():
         "maps = open('/proc/self/maps').read() if sys.platform == 'linux' else ''\n"
         "libs = {line.split()[-1] for line in maps.splitlines() if 'openblas' in line}\n"
         "print(code, 'scipy.linalg._flapack' in sys.modules,"
-        " ','.join(sorted(os.path.basename(p) for p in libs)))\n"
+        " *sorted(os.path.basename(p) for p in libs))\n"
     )
-    code, flapack, libs = out.splitlines()[-1].split(" ")
+    code, flapack, *libs = out.splitlines()[-1].split(" ")
     assert (code, flapack) == ("0", "False")
     if sys.platform != "linux":
         pytest.skip("/proc/self/maps is Linux only")
-    assert "libscipy_openblas-" not in libs
-    assert len(libs.split(",")) == 1
+    assert len(libs) == 1
+    assert not libs[0].startswith("libscipy_openblas-")
 
 
 def test_numpy_library_comes_first():
@@ -75,15 +75,28 @@ def test_bind_names_every_path_tried():
         assert path in message
 
 
+LINALG_DIR = os.path.dirname(scipy_lapack.__file__)
+
+
+def test_load_falls_back_to_scipys_extension():
+    missing = [("/nonexistent/libscipy_openblas*", "scipy_", "_", ctypes.c_int32)]
+    assert isinstance(_lapack.load(missing, LINALG_DIR), _lapack.Flapack)
+    with pytest.raises(ImportError) as err:
+        _lapack.load(missing, "/nonexistent/linalg")
+    assert "/nonexistent/libscipy_openblas*" in str(err.value)
+    assert "/nonexistent/linalg" in str(err.value)
+
+
 def _present_libraries():
-    """Every candidate library found on this installation, bound on its own."""
+    """Every candidate library found on this installation, bound on its own,
+    then the fallback extension."""
     libs = []
     for cand in _lapack.candidates():
         try:
             libs.append(_lapack.bind([cand]))
         except ImportError:
             pass
-    return libs
+    return libs + [_lapack.Flapack(LINALG_DIR)]
 
 
 LIBRARIES = _present_libraries()
@@ -146,6 +159,38 @@ def test_stebz_stein_match_scipy_bit_for_bit(lapack, n, split):
         assert info == info_want == 0
         assert z.shape == z_want.shape and z.flags.f_contiguous
         assert np.array_equal(z, z_want)
+
+
+def test_one_by_one_matrix_in_every_library(lapack):
+    d, e = np.array([2.5]), np.array([])
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, 1, 0.0, "B")
+    assert (m, w.tolist(), info) == (1, [2.5], 0)
+    z, info = lapack.dstein(d, e, w[:m], iblock, isplit)
+    assert (z.tolist(), info) == ([[1.0]], 0)
+
+
+def test_fallback_runs_the_flows_and_the_eigensolve(monkeypatch, rng, gauss_pot, gauss_grid_small):
+    from entroflow import flows, spectrum
+
+    fallback = _lapack.Flapack(LINALG_DIR)
+    diag, off = rng.uniform(-3.0, 3.0, 200), rng.uniform(-0.9, 0.9, 199)
+    runs = [(flows.run_linear, flows.FlowConfig(kind="linear", p=1.5, init="odd:0.2",
+                                                t_end=0.05, dt=1e-3)),
+            (flows.run_pme, flows.FlowConfig(kind="pme", p=1.5, m=1.2, t_end=0.05, dt=1e-3))]
+
+    def solve_all():
+        return smallest_eigenpair(diag, off), [run(cfg, gauss_pot, gauss_grid_small)
+                                               for run, cfg in runs]
+
+    (lam, vec, *_), traces = solve_all()
+    monkeypatch.setattr(spectrum, "dstebz", fallback.dstebz)
+    monkeypatch.setattr(spectrum, "dstein", fallback.dstein)
+    monkeypatch.setattr(flows, "SPDTridiagonal", lambda n: _lapack.SPDTridiagonal(n, fallback))
+    (lam_fb, vec_fb, *_), traces_fb = solve_all()
+    assert lam_fb == lam and np.array_equal(vec_fb, vec)
+    for got, want in zip(traces_fb, traces):
+        assert np.array_equal(got.E, want.E)
+        assert np.array_equal(got.fields[-1][1], want.fields[-1][1])
 
 
 def test_eigenpair_matches_eigh_tridiagonal_bit_for_bit(rng):
