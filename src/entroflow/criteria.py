@@ -115,6 +115,8 @@ def region_report(
     for each theta' < theta in ``thetas_check``, whether the sampled region
     at theta' is contained in the one at theta.
     """
+    if samples < 2:
+        raise ParameterError(f"samples must be at least 2; got {samples}")
     half = math.sqrt(2.0) / 2.0
     ms = np.linspace(1.0 - half - 0.15, 1.0 + half + 0.15, samples)
     ps = np.linspace(-0.25, 3.25, samples)

@@ -29,9 +29,12 @@ whose max-norm residual is at most ``newton_tol``:
 the residual's round-off floor, about eps dt |L(v^m)|, grows like dt/h^2, so a
 fixed target such as 1e-14 is out of reach on fine grids (the floor is near
 3e-14 at n = 4001 with dt = 1e-3 on [-8, 8]).  If Newton stalls above the
-tolerance the step is bisected in time (recursively, bounded depth).  Both
-implicit systems are the node masses W plus a multiple of the stiffness
-stencil S of :func:`grid.stiffness_bands`, solved with LAPACK
+tolerance, the substep is retried as two halves, depth first and at most
+``max_dt_halvings`` deep; once both halves finish, the next substep tries
+the larger size again.  One :class:`_PmeStepper` per run owns this loop, the
+Newton iteration and their work arrays.  Both implicit systems are the node
+masses W plus a multiple of the stiffness stencil S of
+:func:`grid.stiffness_bands`, solved with LAPACK
 ``pttrf``/``pttrs`` through one :class:`entroflow._lapack.SPDTridiagonal` per
 run, which owns the matrix and right-hand side buffers the routines
 overwrite; the Newton system (W + theta dt S D) delta = -W res,
@@ -77,15 +80,17 @@ __all__ = ["FlowConfig", "Trace", "initial_field", "run_linear", "run_pme"]
 class FlowConfig:
     """Declarative description of one flow run.
 
-    ``init`` is a builtin spec ("bump:0.3", "odd:0.2", "const") or
-    "csv:path" pointing at a node-aligned column of densities.  ``dt`` falls
+    ``init`` is a builtin spec ("bump:0.3", "odd:0.2", "const"),
+    "csv:path" pointing at a node-aligned column of densities, or an array of
+    node values, which the trace's config echoes as "array".  ``dt`` falls
     back to 10 h^2; ``stride`` to whatever yields about 200 snapshots.
     ``t_end`` and a given ``dt`` must be finite and positive, ``stride`` and
     ``audit_stride`` at least 1; a run takes round(t_end / dt) steps, and
     :meth:`resolved` rejects a ``t_end`` that rounds to none.  The pme
     stepper's Newton iteration ends a step at the first accepted update with
-    max-norm residual at most ``newton_tol``; a step that stalls above it is
-    halved in time, at most ``max_dt_halvings`` deep.
+    max-norm residual at most ``newton_tol``; a substep that stalls above it
+    is retried as two halves, depth first, at most ``max_dt_halvings`` deep,
+    and once both halves finish the next substep tries the larger size again.
     """
 
     kind: str  # 'linear' | 'pme'
@@ -158,8 +163,9 @@ class Trace:
         return float(np.max(np.abs(self.mass - 1.0)))
 
     def to_csv(self, path) -> None:
+        text = self._csv_text()  # built first: a failure leaves no truncated file
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self._csv_text())
+            fh.write(text)
 
     def _csv_text(self) -> str:
         buf = io.StringIO()
@@ -258,9 +264,14 @@ def initial_field(grid: Grid, spec: str) -> np.ndarray:
             raise ConfigError(f"cannot read initial datum file {arg!r}: {exc}") from None
         if len(v) != grid.n:
             raise ConfigError(f"csv field has {len(v)} rows, grid has {grid.n}")
+        if not np.isfinite(v).all():
+            raise ConfigError("csv initial datum has non-finite entries")
         if v.min() < 0.0:
             raise ConfigError("csv initial datum has negative entries")
-        return v / integrate_dgamma(grid, v)
+        mass = integrate_dgamma(grid, v)
+        if not (math.isfinite(mass) and mass > 0.0):
+            raise ConfigError(f"csv initial datum needs a finite positive mass; got {mass}")
+        return v / mass
     try:
         amp = float(arg)
     except ValueError:
@@ -306,10 +317,13 @@ class _Recorder:
 def _make_trace(recorder: _Recorder, config: FlowConfig, grid: Grid,
                 clamps: int, meta: dict) -> Trace:
     arr = np.asarray(recorder.rows)
+    echo = asdict(config)
+    if not isinstance(config.init, str):
+        echo["init"] = "array"
     return Trace(
         t=arr[:, 0], E=arr[:, 1], I=arr[:, 2], K=arr[:, 3],
         mass=arr[:, 4], min_v=arr[:, 5],
-        config=asdict(config), grid_id=grid.ident,
+        config=echo, grid_id=grid.ident,
         fields=recorder.fields, clamps=clamps, meta=meta,
     )
 
@@ -351,10 +365,6 @@ def run_linear(config: FlowConfig, pot, grid: Grid) -> Trace:
     return _make_trace(rec, config, grid, clamps=0, meta=meta)
 
 
-class _StepFailed(Exception):
-    pass
-
-
 # Contraction test of the Newton updates within one step (Hairer & Wanner,
 # Solving ODEs II, IV.8).  After an accepted update that cuts the max-norm
 # residual at least this much, the next update reuses the factorization (a
@@ -366,21 +376,34 @@ class _StepFailed(Exception):
 _CHORD_CONTRACTION = 0.01
 
 
-class _NewtonWork:
-    """Work counters of the nonlinear stepper, echoed in ``Trace.meta``, and
-    the n-sized work arrays every step reuses.
+def _spare(pool: list[np.ndarray], busy: np.ndarray, other: np.ndarray | None = None):
+    """The first array of ``pool`` that is neither ``busy`` nor ``other`` (each
+    pool holds one array more than can be busy)."""
+    for a in pool:
+        if a is not busy and a is not other:
+            return a
+
+
+class _PmeStepper:
+    """The implicit stepper of v_t = L(v^m) for one run, with its work.
 
     ``updates`` counts Newton updates solved, ``factorizations`` dpttrf
-    calls, ``halvings`` bisected time steps.  ``system`` holds the Newton
-    matrix and its factors, and its right-hand side becomes the update.
-    The iterate and its L(x^m) each rotate through three arrays, so that a
-    step never writes its input state (read again if the step is halved) or
-    the iterate it keeps; the step it returns is one of them and stays
-    intact through the next step.
+    calls, ``halvings`` bisected time steps; ``run_pme`` echoes them in
+    ``Trace.meta``.  ``system`` holds the Newton matrix and its factors, and
+    its right-hand side becomes the update.  The iterate and its L(x^m) each
+    rotate through three arrays, so that a step never writes its input state
+    (read again if the step is halved) or the iterate it keeps; the state
+    :meth:`advance` returns is one of them and stays intact through the next
+    step.
     """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, config: FlowConfig):
         n = grid.n
+        self.grid = grid
+        self.bands = stiffness_bands(grid.conductance)
+        self.theta = 1.0 if config.scheme == "be" else 0.5
+        self.m, self.floor = config.m, config.floor
+        self.newton_tol, self.max_dt_halvings = config.newton_tol, config.max_dt_halvings
         self.updates = self.factorizations = self.halvings = 0
         self.neg_wg = -grid.node_mass
         self.xs = [np.empty(n) for _ in range(3)]
@@ -390,129 +413,110 @@ class _NewtonWork:
         self.flux = np.empty(n - 1)
         self.system = SPDTridiagonal(n)
 
+    def operator(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """L(max(x, floor)^m) into ``out``; unchanged by clamping x at ``floor``."""
+        pw = np.maximum(x, self.floor, out=self.pw)
+        np.power(pw, self.m, out=pw)
+        return delta_g(self.grid, pw, out=out, flux=self.flux)
 
-def _spare(pool: list[np.ndarray], busy: np.ndarray, other: np.ndarray | None = None):
-    """The first array of ``pool`` that is neither ``busy`` nor ``other`` (each
-    pool holds one array more than can be busy)."""
-    for a in pool:
-        if a is not busy and a is not other:
-            return a
+    def _residual(self, x, lx, tdt, out) -> float:
+        """Write x - theta dt L(x^m) - rhs into ``out``; return its max norm."""
+        np.multiply(lx, tdt, out=out)
+        np.subtract(x, out, out=out)
+        np.subtract(out, self.rhs, out=out)
+        return float(np.abs(out, out=self.absr).max())
 
+    def _newton(self, v_old: np.ndarray, lv_old: np.ndarray, dt: float):
+        """One implicit step of size dt; None if Newton stalls.
 
-def _pme_operator(grid: Grid, x: np.ndarray, m: float, floor: float,
-                  out: np.ndarray | None = None, work: _NewtonWork | None = None) -> np.ndarray:
-    """L(max(x, floor)^m); unchanged by clamping x at ``floor``.  With
-    ``work`` the power and the edge fluxes go to its arrays, the result to
-    ``out``."""
-    pw, flux = (work.pw, work.flux) if work is not None else (None, None)
-    pw = np.maximum(x, floor, out=pw)
-    np.power(pw, m, out=pw)
-    return delta_g(grid, pw, out=out, flux=flux)
-
-
-def _pme_residual(x, lx, tdt, rhs, out, work: _NewtonWork) -> float:
-    """Write x - theta dt L(x^m) - rhs into ``out``; return its max norm."""
-    np.multiply(lx, tdt, out=out)
-    np.subtract(x, out, out=out)
-    np.subtract(out, rhs, out=out)
-    return float(np.abs(out, out=work.absr).max())
-
-
-def _pme_newton_step(
-    grid: Grid,
-    bands: tuple[np.ndarray, np.ndarray],
-    v_old: np.ndarray,
-    lv_old: np.ndarray,
-    dt: float,
-    theta: float,
-    m: float,
-    floor: float,
-    newton_tol: float,
-    work: _NewtonWork,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One implicit step of v_t = L(v^m); raises _StepFailed if Newton stalls.
-
-    Takes (v_old, L(v_old^m)) and returns the new state with its L(v^m), the
-    operator value of the last accepted residual.  The first update factors
-    the Newton matrix at v_old; each later one reuses the factorization
-    while the previous update met ``_CHORD_CONTRACTION``.  A chord update
-    that does not improve the residual is redone with a factorization at the
-    current iterate and a damped line search; only such a fresh update that
-    cannot improve ends the step.  Newton stops at the first accepted update
-    whose max-norm residual is at most ``newton_tol``; the 1e-14 test at the
-    top of the loop only lets an unchanged state pass without a solve.
-    """
-    wg = grid.node_mass
-    sdiag, soff = bands
-    tdt = theta * dt
-    tsdiag = np.multiply(sdiag, tdt, out=work.tsdiag)
-    system = work.system
-    rhs = np.multiply(lv_old, (1.0 - theta) * dt, out=work.rhs)
-    np.add(v_old, rhs, out=rhs)
-    x, lx, res = v_old, lv_old, work.rs[0]
-    rnorm = _pme_residual(x, lx, tdt, rhs, res, work)
-    chord = False
-    for _ in range(50):
-        if rnorm <= 1e-14:
-            break
-        if not chord:
-            dpow = np.maximum(x, floor, out=work.dpow)
-            np.power(dpow, m - 1.0, out=dpow)
-            dpow *= m
-            # W D^{-1} + theta dt S, which the factorization overwrites
-            np.divide(wg, dpow, out=system.d)
-            system.d += tsdiag
-            np.multiply(soff, tdt, out=system.e)
-            work.factorizations += 1
-            info = system.factor()
-            if info != 0:
-                raise _StepFailed(f"Newton system not positive definite: LAPACK dpttrf info={info}")
-        work.updates += 1
-        delta = np.multiply(work.neg_wg, res, out=system.b)
-        system.solve()
-        delta /= dpow
-        lam = 1.0
-        # a chord update gets the full step only, a fresh one a damped line search
-        for _ in range(1 if chord else 30):
-            xt = _spare(work.xs, x, v_old)
-            if lam == 1.0:
-                np.add(x, delta, out=xt)
-            else:
-                np.multiply(delta, lam, out=xt)
-                np.add(x, xt, out=xt)
-            lt = _pme_operator(grid, xt, m, floor, out=_spare(work.ls, lx, lv_old), work=work)
-            rt = _spare(work.rs, res)
-            rtn = _pme_residual(xt, lt, tdt, rhs, rt, work)
-            if rtn < rnorm:
+        Takes (v_old, L(v_old^m)) and returns the new state with its L(v^m),
+        the operator value of the last accepted residual.  The first update
+        factors the Newton matrix at v_old; each later one reuses the
+        factorization while the previous update met ``_CHORD_CONTRACTION``.
+        A chord update that does not improve the residual is redone with a
+        factorization at the current iterate and a damped line search; only
+        such a fresh update that cannot improve ends the step.  Newton stops
+        at the first accepted update whose max-norm residual is at most
+        ``newton_tol``; the 1e-14 test at the top of the loop only lets an
+        unchanged state pass without a solve.
+        """
+        wg = self.grid.node_mass
+        sdiag, soff = self.bands
+        m, system = self.m, self.system
+        tdt = self.theta * dt
+        tsdiag = np.multiply(sdiag, tdt, out=self.tsdiag)
+        rhs = np.multiply(lv_old, (1.0 - self.theta) * dt, out=self.rhs)
+        np.add(v_old, rhs, out=rhs)
+        x, lx, res = v_old, lv_old, self.rs[0]
+        rnorm = self._residual(x, lx, tdt, res)
+        chord = False
+        for _ in range(50):
+            if rnorm <= 1e-14:
                 break
-            lam *= 0.5
-        else:
-            if chord:
-                chord = False
+            if not chord:
+                dpow = np.maximum(x, self.floor, out=self.dpow)
+                np.power(dpow, m - 1.0, out=dpow)
+                dpow *= m
+                # W D^{-1} + theta dt S, which the factorization overwrites
+                np.divide(wg, dpow, out=system.d)
+                system.d += tsdiag
+                np.multiply(soff, tdt, out=system.e)
+                self.factorizations += 1
+                if system.factor() != 0:  # not positive definite
+                    return None
+            self.updates += 1
+            delta = np.multiply(self.neg_wg, res, out=system.b)
+            system.solve()
+            delta /= dpow
+            lam = 1.0
+            # a chord update gets the full step only, a fresh one a damped line search
+            for _ in range(1 if chord else 30):
+                xt = _spare(self.xs, x, v_old)
+                if lam == 1.0:
+                    np.add(x, delta, out=xt)
+                else:
+                    np.multiply(delta, lam, out=xt)
+                    np.add(x, xt, out=xt)
+                lt = self.operator(xt, out=_spare(self.ls, lx, lv_old))
+                rt = _spare(self.rs, res)
+                rtn = self._residual(xt, lt, tdt, rt)
+                if rtn < rnorm:
+                    break
+                lam *= 0.5
+            else:
+                if chord:
+                    chord = False
+                    continue
+                break
+            chord = rtn <= _CHORD_CONTRACTION * rnorm
+            x, lx, res, rnorm = xt, lt, rt, rtn
+            if rnorm <= self.newton_tol:
+                break
+        return (x, lx) if rnorm <= self.newton_tol else None
+
+    def advance(self, v: np.ndarray, lv: np.ndarray, dt: float):
+        """Advance (v, L(v^m)) by dt, halving the substep where Newton stalls.
+
+        Substeps run depth first: ``done`` substeps of size dt / 2**depth are
+        finished.  A failed substep is retried as two halves; once both
+        halves of a size are done, the loop climbs back to that size.
+        """
+        depth = done = 0
+        while depth or not done:
+            step = self._newton(v, lv, dt / 2**depth)
+            if step is None:
+                if depth >= self.max_dt_halvings:
+                    raise NewtonDiverged(
+                        f"nonlinear step failed after {depth} time-step halvings"
+                    )
+                self.halvings += 1
+                depth, done = depth + 1, 2 * done
                 continue
-            break
-        chord = rtn <= _CHORD_CONTRACTION * rnorm
-        x, lx, res, rnorm = xt, lt, rt, rtn
-        if rnorm <= newton_tol:
-            break
-    if rnorm > newton_tol:
-        raise _StepFailed(f"Newton residual {rnorm:.3e} above {newton_tol:.1e}")
-    return x, lx
-
-
-def _pme_advance(grid, bands, v, lv, dt, theta, m, floor, newton_tol, depth, max_depth, work):
-    """Advance (v, L(v^m)) by dt, halving the step where Newton stalls."""
-    try:
-        return _pme_newton_step(grid, bands, v, lv, dt, theta, m, floor, newton_tol, work)
-    except _StepFailed:
-        if depth >= max_depth:
-            raise NewtonDiverged(
-                f"nonlinear step failed after {depth} time-step halvings"
-            ) from None
-        work.halvings += 1
-        args = (theta, m, floor, newton_tol, depth + 1, max_depth, work)
-        half, lhalf = _pme_advance(grid, bands, v, lv, dt / 2, *args)
-        return _pme_advance(grid, bands, half, lhalf, dt / 2, *args)
+            v, lv = step
+            done += 1
+            while depth and done % 2 == 0:
+                depth, done = depth - 1, done // 2
+        return v, lv
 
 
 def run_pme(config: FlowConfig, pot, grid: Grid) -> Trace:
@@ -522,22 +526,17 @@ def run_pme(config: FlowConfig, pot, grid: Grid) -> Trace:
     _check_potential(pot, grid)
     params = PmeParams(m=config.m, p=config.p)
     dt, n_steps, stride = config.resolved(grid)
-    theta = 1.0 if config.scheme == "be" else 0.5
 
     v = initial_field(grid, config.init) if isinstance(config.init, str) else np.asarray(config.init, float)
     rec = _Recorder(_Snapshot(params, grid, config.floor), stride, config.audit_stride)
     rec.maybe_record(0, 0.0, v)
     clamps = 0
-    work = _NewtonWork(grid)
-    bands = stiffness_bands(grid.conductance)
+    stepper = _PmeStepper(grid, config)
     # L(v^m) of the current state: each step returns it for the next one, and
     # clamping v at the floor leaves it unchanged
-    lv = _pme_operator(grid, v, config.m, config.floor)
+    lv = stepper.operator(v, out=np.empty(grid.n))
     for step in range(1, n_steps + 1):
-        v, lv = _pme_advance(
-            grid, bands, v, lv, dt, theta, config.m, config.floor, config.newton_tol,
-            depth=0, max_depth=config.max_dt_halvings, work=work,
-        )
+        v, lv = stepper.advance(v, lv, dt)
         if v.min() < config.floor:
             clamps += int(np.count_nonzero(v < config.floor))
             v = np.maximum(v, config.floor)
@@ -545,7 +544,7 @@ def run_pme(config: FlowConfig, pot, grid: Grid) -> Trace:
     meta = {
         "scheme": config.scheme, "dt": dt, "n_steps": n_steps, "stride": stride,
         "t_end_effective": n_steps * dt, "clamps": clamps,
-        "newton_iterations": work.updates, "factorizations": work.factorizations,
-        "dt_halvings": work.halvings,
+        "newton_iterations": stepper.updates, "factorizations": stepper.factorizations,
+        "dt_halvings": stepper.halvings,
     }
     return _make_trace(rec, config, grid, clamps=clamps, meta=meta)

@@ -423,6 +423,8 @@ class TestRegionAndConstants:
 def bad_files(tmp_path):
     (tmp_path / "tab.csv").write_text("x,F,dF,d2F\n0.0,abc,0,1\n")
     (tmp_path / "init.csv").write_text("1.0\nabc\n")
+    (tmp_path / "zeros.csv").write_text("0.0\n" * 201)
+    (tmp_path / "nan.csv").write_text("1.0\n" * 100 + "nan\n" + "1.0\n" * 100)
     (tmp_path / "short.csv").write_text("t,E,I,K,mass,min_v\n0,1,2,3,1,1\n0.1,1,2\n")
     (tmp_path / "cell.csv").write_text("t,E,I,K,mass,min_v\n0,1,2,abc,1,1\n")
     (tmp_path / "fields.npz").write_text("not an npz\n")
@@ -465,10 +467,19 @@ class TestMalformedInput:
          "cannot read field file"),
         (["flow", "linear", "--aud", "3", "--n", "201"],
          "unrecognized arguments: --aud 3"),
+        (["flow", "linear", "--n", "201", "--tend", "0.01", "--dt", "1e-3",
+          "--init", "csv:{tmp}/zeros.csv"],
+         "csv initial datum needs a finite positive mass; got 0.0"),
+        (["flow", "linear", "--n", "201", "--tend", "0.01", "--dt", "1e-3",
+          "--init", "csv:{tmp}/nan.csv"],
+         "csv initial datum has non-finite entries"),
+        (["region", "--samples", "-5"], "samples must be at least 2; got -5"),
+        (["region", "--samples", "0"], "samples must be at least 2; got 0"),
     ], ids=["power", "harmonic_log", "radial-d", "p-list", "init-bump", "check-theta",
             "tabulated-file", "init-csv-file", "missing-tabulated", "missing-init-csv",
             "missing-trace", "missing-fields", "trace-short-row", "trace-cell",
-            "fields-not-npz", "flag-prefix"])
+            "fields-not-npz", "flag-prefix", "init-csv-zero-mass", "init-csv-nan",
+            "region-negative-samples", "region-zero-samples"])
     def test_exits_2_with_message(self, artifacts, bad_files, capsys, argv, message):
         _, trace, _ = artifacts
         argv = [a.format(tmp=bad_files, trace=trace) for a in argv]
@@ -597,6 +608,15 @@ def test_readme_commands_parse():
     for line in commands:
         args = parser.parse_args(_normalize_argv(shlex.split(line)[1:]))
         assert callable(args.func), line
+
+
+def test_readme_library_block_runs():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == 2
 
 
 def test_console_module_invocation():

@@ -111,6 +111,11 @@ class TestRegionReport:
         assert rep.n_member == int(member.sum())
         assert rep.center == (float(M[member].mean()), float(P[member].mean()))
 
+    @pytest.mark.parametrize("samples", [-5, 0, 1])
+    def test_rejects_fewer_than_two_samples(self, samples):
+        with pytest.raises(ParameterError, match="samples must be at least 2"):
+            ef.region_report(1.0, samples=samples)
+
     @pytest.mark.parametrize("theta", [0.0, -0.1, 1.5, math.nan])
     def test_rejects_theta_outside_unit_interval(self, theta):
         with pytest.raises(ParameterError, match="theta must lie in"):

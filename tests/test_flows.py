@@ -376,13 +376,14 @@ class TestNewtonWork:
         np.savetxt(path, np.maximum(2.25 - (grid.nodes + 1.0) ** 2, 0.0), delimiter=",")
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=m, init=f"csv:{path}", t_end=t_end, dt=dt)
         carried = ef.run_pme(cfg, gauss_pot, grid)
-        advance = flows._pme_advance
+        newton = flows._PmeStepper._newton
 
-        def fresh(grid, bands, v, lv, *args, **kwargs):
+        # every substep, halved ones included, starts from a fresh L(v^m)
+        def fresh(self, v, lv, dt):
             lv = ef.delta_g(grid, np.power(np.maximum(v, cfg.floor), m))
-            return advance(grid, bands, v, lv, *args, **kwargs)
+            return newton(self, v, lv, dt)
 
-        monkeypatch.setattr(flows, "_pme_advance", fresh)
+        monkeypatch.setattr(flows._PmeStepper, "_newton", fresh)
         recomputed = ef.run_pme(cfg, gauss_pot, grid)
         assert carried.clamps > 0
         assert (carried.meta["dt_halvings"] > 0) == (m == 4.0)
@@ -425,6 +426,21 @@ class TestTraceIO:
         assert isinstance(meta["newton_iterations"], int)
         assert meta["newton_iterations"] >= meta["n_steps"]
         assert meta["dt_halvings"] == 0
+
+    @pytest.mark.parametrize("kind", ["linear", "pme"])
+    def test_array_init_round_trip(self, gauss_pot, gauss_grid_small, tmp_path, kind):
+        init = np.ones(gauss_grid_small.n)
+        cfg = ef.FlowConfig(kind=kind, p=1.5, m=1.2, init=init, t_end=0.01, dt=1e-3)
+        runner = ef.run_linear if kind == "linear" else ef.run_pme
+        trace = runner(cfg, gauss_pot, gauss_grid_small)
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        back = ef.Trace.from_csv(path)
+        assert trace.config["init"] == back.config["init"] == "array"
+        assert np.all(init == 1.0)  # the caller's array is left as it was
+        for col in ("t", "E", "I", "K", "mass", "min_v"):
+            assert_allclose(back.column(col), trace.column(col), rtol=0, atol=0)
+        assert back.meta == trace.meta
 
     def test_deterministic_bytes(self, gauss_pot, gauss_grid_small, tmp_path):
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="bump:0.3", t_end=0.2, dt=1e-3)
