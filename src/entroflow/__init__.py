@@ -1,7 +1,6 @@
 """Entropy decay rates and eigenvalue criteria for weighted diffusions on 1D/radial grids."""
 
 from .errors import (
-    BoundaryConditionViolated,
     ConfigError,
     DegenerateDomain,
     DomainError,
@@ -31,7 +30,6 @@ from .potential import (
     hessian_infimum_V,
     potential_from_spec,
     power_law,
-    schrodinger_potential,
     tabulated,
     tail_mass,
 )
@@ -63,7 +61,6 @@ from .spectrum import (
     epsilon_star,
     lambda1_linear,
     lambda1_pme,
-    lambda1_schrodinger_bound,
 )
 from .flows import FlowConfig, Trace, initial_field, run_linear, run_pme
 from .criteria import (

@@ -45,10 +45,6 @@ class SolverDiverged(EntroflowError):
     """Eigensolver failed to reach the residual tolerance."""
 
 
-class BoundaryConditionViolated(EntroflowError):
-    """Outward derivative of the confinement is negative at the truncation boundary."""
-
-
 class NewtonDiverged(EntroflowError):
     """Implicit step failed even after the time-step halving cascade."""
 

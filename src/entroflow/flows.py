@@ -54,7 +54,7 @@ audits that cannot be reconstructed from scalars.  Each run makes one
 :class:`functionals._Snapshot`, whose work arrays hold a snapshot's
 integrands (E, the Fisher edge terms, K and the mass); they are summed in
 one correctly rounded batch, so recording allocates no n-sized array, and
-the pme mass row serves both the unit-mass check and the ``mass`` column.
+the mass row serves both the unit-mass check and the ``mass`` column.
 """
 
 from __future__ import annotations
@@ -226,18 +226,29 @@ class Trace:
         np.savez(path, indices=idx, fields=mat, t=self.t, grid_id=self.grid_id)
 
     def load_fields(self, path) -> None:
-        """Read snapshots written by :meth:`save_fields`; a file that is not
-        such an NPZ raises ConfigError naming it."""
+        """Read snapshots written by :meth:`save_fields` for this trace.  A
+        file that is not such an NPZ, or that another run wrote (other grid,
+        other snapshot times, or a field whose minimum is not the trace's
+        ``min_v`` at its index), raises ConfigError naming it."""
         with open(path, "rb") as fh:
             try:
                 data = np.load(fh, allow_pickle=False)
-                gid, indices, fields = str(data["grid_id"]), data["indices"], data["fields"]
+                gid, t = str(data["grid_id"]), data["t"]
+                indices, fields = data["indices"], data["fields"]
             except (ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile) as exc:
                 raise ConfigError(f"cannot read field file {path}: {exc}") from None
         if gid and self.grid_id and gid != self.grid_id:
             raise ConfigError(
                 f"field file was written for grid {gid}, trace has {self.grid_id}"
             )
+        # t and min_v round-trip exactly through the CSV and the NPZ
+        if not np.array_equal(t, self.t):
+            raise ConfigError(f"field file {path} was written for other snapshot times")
+        for i, row in zip(indices, fields):
+            if not (0 <= i < len(self.min_v) and row.min() == self.min_v[i]):
+                raise ConfigError(
+                    f"field file {path}: field {int(i)} does not match the trace's min_v"
+                )
         self.fields = [
             (int(i), np.asarray(row)) for i, row in zip(indices, fields)
         ]
@@ -291,6 +302,23 @@ def initial_field(grid: Grid, spec: str) -> np.ndarray:
     phi /= np.max(np.abs(phi))
     v = 1.0 + amp * phi
     return v / integrate_dgamma(grid, v)
+
+
+def _initial_state(grid: Grid, init) -> np.ndarray:
+    """The field a run starts from: :func:`initial_field` of a spec string,
+    else a copy of the array (the run updates it in place), which must hold
+    one finite, non-negative value per node.  Its unit mass is checked by
+    the first snapshot."""
+    if isinstance(init, str):
+        return initial_field(grid, init)
+    v = np.array(init, dtype=float)
+    if v.shape != (grid.n,):
+        raise ConfigError(f"initial array has shape {v.shape}, grid needs ({grid.n},)")
+    if not np.isfinite(v).all():
+        raise ConfigError("initial array has non-finite entries")
+    if v.min() < 0.0:
+        raise ConfigError("initial array has negative entries")
+    return v
 
 
 class _Recorder:
@@ -347,8 +375,7 @@ def run_linear(config: FlowConfig, pot, grid: Grid) -> Trace:
     if info != 0:
         raise LinearSolveFailure(f"cannot factor the implicit system: LAPACK dpttrf info={info}")
 
-    # v is updated in place: copy an array init so the caller's stays intact
-    v = initial_field(grid, config.init) if isinstance(config.init, str) else np.array(config.init, float)
+    v = _initial_state(grid, config.init)
     rec = _Recorder(_Snapshot(params, grid, config.floor), stride, config.audit_stride)
     rec.maybe_record(0, 0.0, v)
     # work arrays reused by every step; the solve overwrites b with delta
@@ -527,7 +554,7 @@ def run_pme(config: FlowConfig, pot, grid: Grid) -> Trace:
     params = PmeParams(m=config.m, p=config.p)
     dt, n_steps, stride = config.resolved(grid)
 
-    v = initial_field(grid, config.init) if isinstance(config.init, str) else np.asarray(config.init, float)
+    v = _initial_state(grid, config.init)
     rec = _Recorder(_Snapshot(params, grid, config.floor), stride, config.audit_stride)
     rec.maybe_record(0, 0.0, v)
     clamps = 0

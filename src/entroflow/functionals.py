@@ -166,7 +166,7 @@ class _Snapshot:
 
     def __call__(self, v: np.ndarray) -> tuple[float, float, float, float]:
         """(E, I, K, mass) of v: K is nan where v dips below the floor, and a
-        porous-media field off unit mass raises MassNotNormalized."""
+        field off unit mass raises MassNotNormalized."""
         _check_nonnegative(v)
         with_k = v.min() >= self.floor
         self._entropy_row(v)
@@ -177,8 +177,7 @@ class _Snapshot:
             self._k_row(s)
         count = _K + 1 if with_k else _K
         sums = _fsum_rows(self.rows[:count], self.work[:count])
-        if self.pme:
-            _check_unit_mass(sums[_MASS])
+        _check_unit_mass(sums[_MASS])
         K = sums[_K] if with_k else np.nan
         return self._entropy(sums[_E]), self._fisher(sums[_I]), K, sums[_MASS]
 

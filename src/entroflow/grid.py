@@ -66,14 +66,12 @@ class Grid:
     d : ambient dimension (1 for intervals)
     nodes : strictly increasing node positions
     h : uniform spacing
-    dx_weights : per-node quadrature weight for the flat measure, including
-        the radial Jacobian and sphere-area factor when kind='radial'
-    g_values : e^{-F} at the nodes
     dgamma_weights : normalized weights, sum exactly 1, for integration
         against the probability measure
-    g_face : per-edge face weights e^{-F} entering the conductances
-    conductance : per-edge flux coefficients (face area * face g / h)
-    node_mass : unnormalized node weights w_i g_i (denominator of the stencil)
+    conductance : per-edge flux coefficients (face area * face e^{-F} / h)
+    node_mass : unnormalized node weights w_i e^{-F_i}, with w_i the flat dx
+        quadrature weight (radial Jacobian and sphere area included); the
+        denominator of the stencil
     weight_mass : unnormalized sum(node_mass)
     """
 
@@ -81,10 +79,7 @@ class Grid:
     d: int
     nodes: np.ndarray = field(repr=False)
     h: float
-    dx_weights: np.ndarray = field(repr=False)
-    g_values: np.ndarray = field(repr=False)
     dgamma_weights: np.ndarray = field(repr=False)
-    g_face: np.ndarray = field(repr=False)
     conductance: np.ndarray = field(repr=False)
     node_mass: np.ndarray = field(repr=False)
     weight_mass: float
@@ -110,10 +105,10 @@ def _finish_grid(kind, d, nodes, h, w, faces, face_area, pot) -> Grid:
         )
     if pot.family == "tabulated":
         # F is known only at the nodes: geometric mean of the two node weights
-        g_face = np.exp(-0.5 * (F[:-1] + F[1:]))
+        face_g = np.exp(-0.5 * (F[:-1] + F[1:]))
     else:
-        g_face = np.exp(-log_weight(pot, faces))
-    conductance = face_area * g_face / h
+        face_g = np.exp(-log_weight(pot, faces))
+    conductance = face_area * face_g / h
     wg = w * g
     with np.errstate(over="ignore"):
         mass = float(np.sum(wg))
@@ -128,10 +123,7 @@ def _finish_grid(kind, d, nodes, h, w, faces, face_area, pot) -> Grid:
         d=d,
         nodes=nodes,
         h=h,
-        dx_weights=w,
-        g_values=g,
         dgamma_weights=mu,
-        g_face=g_face,
         conductance=conductance,
         node_mass=wg,
         weight_mass=mass,

@@ -10,8 +10,7 @@ tabulated         node-aligned arrays of F, F', F''
 
 Every family exposes closed-form F, F' and F''.  Tabulated potentials must
 supply the derivatives explicitly; nothing is differentiated numerically,
-because the Hessian-infimum field and the flat-measure ground-state reduction
-are derivative-sensitive.
+because the Hessian-infimum field is derivative-sensitive.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "potential_from_spec",
     "evaluate",
     "hessian_infimum_V",
-    "schrodinger_potential",
     "Example1Bound",
     "example1_epsilon_bound",
     "tail_mass",
@@ -237,27 +235,6 @@ def hessian_infimum_V(pot: Potential, grid) -> np.ndarray:
     return d2F
 
 
-def schrodinger_potential(pot: Potential, grid, nu: float) -> np.ndarray:
-    """Flat-measure ground-state potential  nu*V + |F'|^2/4 - (Laplacian F)/2.
-
-    nu = p / (2(p-1)) >= 1.  The radial Laplacian of F is F'' + (d-1) F'/r.
-    """
-    if nu < 1.0:
-        raise ParameterError(f"nu must be >= 1 (nu = p/(2(p-1))); got {nu}")
-    x = grid.nodes
-    _, dF, d2F = evaluate(pot, x)
-    V = hessian_infimum_V(pot, grid)
-    if grid.kind == "radial":
-        lap_F = d2F + (grid.d - 1) * dF / x
-    else:
-        lap_F = d2F
-    with np.errstate(over="raise", invalid="raise"):
-        W = nu * V + 0.25 * dF * dF - 0.5 * lap_F
-    if not np.all(np.isfinite(W)):
-        raise DomainError("Schrodinger potential not finite on the grid")
-    return W
-
-
 @dataclass(frozen=True)
 class Example1Bound:
     """Admissible log-perturbation size for F = r^2/2 + eps*log r on R^d."""
@@ -271,9 +248,26 @@ class Example1Bound:
     # i.e. p < d/(d-1)
     positive_tail_regime: bool
 
-    def a_squared(self, eps: float) -> float:
-        """Diagnostic 1 - eps(2b - eps)/(d-2)^2; in [0, 1] iff eps <= bound."""
-        return 1.0 - eps * (2.0 * self.b - eps) / (self.d - 2.0) ** 2
+    def order(self, eps: float, c: float) -> float:
+        """sigma = sqrt((d-2-eps)^2 - 4 eps/c), the gap between the two roots
+        of  gamma^2 + (d-2-eps) gamma + eps/c = 0; at c = 2(p-1)/p it is real
+        exactly when eps <= bound.  A uniform radial grid converges to
+        :meth:`lambda1` at order min(sigma, 2)."""
+        if not c > 0.0:
+            raise ParameterError(f"gradient coefficient must be positive; got {c}")
+        sigma_sq = (self.d - 2.0 - eps) ** 2 - 4.0 * eps / c
+        if sigma_sq < 0.0:
+            raise ParameterError(
+                f"eps = {eps} leaves no real ground state r^gamma at c = {c}"
+            )
+        return math.sqrt(sigma_sq)
+
+    def lambda1(self, eps: float, c: float) -> float:
+        """Exact infimum over R^d of the weighted quotient
+        [ c |Dw|^2 + V w^2 ] dgamma / w^2 dgamma  with V = 1 - eps/r^2:
+        1 + c gamma_+, attained by w = r^gamma_+ with gamma_+ the larger root
+        (c = 2(p-1)/p for lambda1_linear, 1 - theta for lambda1_pme)."""
+        return 1.0 + c * 0.5 * (self.order(eps, c) - (self.d - 2.0 - eps))
 
     def __float__(self) -> float:
         return self.bound

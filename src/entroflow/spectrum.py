@@ -1,16 +1,10 @@
 """Smallest eigenvalues of the weighted quotients driving the decay estimates.
 
-Three quotients are discretized, all on the same grid machinery:
+Two quotients are discretized, both from the grid's one stiffness stencil
+(:func:`grid.stiffness_bands`):
 
 * lambda1_linear(p):   inf_w  [ 2(p-1)/p |Dw|^2 + V |w|^2 ] dgamma / |w|^2 dgamma
 * lambda1_pme(theta):  inf_w  [ (1-theta) |Dw|^2 + V |w|^2 ] dgamma / |w|^2 dgamma
-* lambda1_schrodinger_bound(p): flat-measure ground state obtained through the
-  substitution u = w e^{-F/2}.  In the continuum the substitution is an
-  identity and both values equal lambda1_linear(p); on a grid they are two
-  discretizations of it, and neither bounds the other (power:1.5 on
-  [-16, 16], n = 3200: this one is larger by 2.7e-3 at p = 1.5 and 6.5e-3 at
-  p = 2).  Their gap is an indicator of the discretization error, not a
-  certified bound.
 
 The discrete problem is a generalized symmetric pencil A w = lambda M w with
 M the diagonal of quadrature weights; the M^{1/2} similarity turns it into a
@@ -29,20 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lapack import dstebz, dstein
-from .errors import BoundaryConditionViolated, ParameterError, SolverDiverged
+from .errors import ParameterError, SolverDiverged
 from .grid import Grid, stiffness_bands
-from .potential import (
-    Potential,
-    evaluate,
-    hessian_infimum_V,
-    schrodinger_potential,
-)
+from .potential import Potential, hessian_infimum_V
 
 __all__ = [
     "SpectralResult",
     "lambda1_linear",
     "lambda1_pme",
-    "lambda1_schrodinger_bound",
     "epsilon_star",
     "smallest_eigenpair",
 ]
@@ -55,12 +43,10 @@ _TINY = np.finfo(float).tiny
 class SpectralResult:
     """Smallest eigenvalue with its eigenvector and solver diagnostics.
 
-    The eigenvector is normalized to unit norm in the inner product of the
-    quotient it came from (dgamma for the weighted quotients, dx for the
-    flat-measure bound).  ``residual`` is the 2-norm of the symmetrized
-    operator residual; ``tol`` is the effective tolerance it was held to,
-    i.e. the requested tolerance floored at the round-off level of one
-    matrix-vector product.  ``iterations`` is the number of LAPACK
+    The eigenvector is normalized to unit norm in the dgamma inner product.
+    ``residual`` is the 2-norm of the symmetrized operator residual; ``tol``
+    is the effective tolerance it was held to, i.e. the requested tolerance
+    floored at the round-off level of one matrix-vector product.  ``iterations`` is the number of LAPACK
     eigensolve calls: 1 per solve, 0 when the p = 1 shortcut needs none.
     """
 
@@ -196,62 +182,6 @@ def lambda1_pme(
         raise ParameterError(f"theta must lie in [0, 1); got {theta}")
     V = hessian_infimum_V(pot, grid)
     return _solve_quotient(grid, 1.0 - theta, V, tol)
-
-
-def _check_outward_derivative(pot: Potential, grid: Grid) -> None:
-    if grid.kind == "radial":
-        _, dF, _ = evaluate(pot, grid.nodes[-1])
-        if dF < -1e-12:
-            raise BoundaryConditionViolated(
-                f"outward derivative of F at the truncation radius is {dF:.3e} < 0"
-            )
-        return
-    _, dF_L, _ = evaluate(pot, grid.nodes[0])
-    _, dF_R, _ = evaluate(pot, grid.nodes[-1])
-    if dF_R < -1e-12 or dF_L > 1e-12:
-        raise BoundaryConditionViolated(
-            "confinement must grow outward at the truncation boundary "
-            f"(F'(xL)={dF_L:.3e}, F'(xR)={dF_R:.3e})"
-        )
-
-
-def lambda1_schrodinger_bound(
-    p: float,
-    pot: Potential,
-    grid: Grid,
-    tol: float = 1e-10,
-) -> SpectralResult:
-    """Flat-measure ground-state value of lambda1_linear(p).
-
-    Solves  -Delta u + [nu V + |F'|^2/4 - (Lap F)/2] u = E u  in the flat
-    measure (with the radial Jacobian on radial grids) and returns
-    2(p-1)/p * E_0.  The substitution requires the confinement to grow
-    outward at the truncation boundary.  It is exact in the continuum, so
-    the result agrees with :func:`lambda1_linear` up to discretization and
-    truncation error, from either side: the gap between the two is an error
-    indicator, not a lower bound.
-    """
-    if not (1.0 < p <= 2.0):
-        raise ParameterError(f"p must lie in (1, 2]; got {p}")
-    _check_outward_derivative(pot, grid)
-    nu = p / (2.0 * (p - 1.0))
-    W = schrodinger_potential(pot, grid, nu)
-    mass = grid.dx_weights
-    # flat-measure conductances: face area / h, i.e. weighted ones divided by face g
-    conduct = grid.conductance / grid.g_face
-    diag, off = _assemble_symmetrized(mass, conduct, 1.0, W)
-    E0, y, residual, iterations, tol_eff = smallest_eigenpair(diag, off, tol)
-    scalefac = 2.0 * (p - 1.0) / p
-    u = y / np.sqrt(mass)
-    if u[int(np.argmax(np.abs(u)))] < 0.0:
-        u = -u
-    return SpectralResult(
-        lam=scalefac * E0,
-        eigenvector=u,
-        residual=scalefac * residual,
-        iterations=iterations,
-        tol=scalefac * tol_eff,
-    )
 
 
 def epsilon_star(

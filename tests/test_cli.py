@@ -489,6 +489,29 @@ class TestMalformedInput:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("case", ["other-t-end", "cut-trace"])
+    def test_fields_of_another_run_exit_2(self, artifacts, tmp_path, capsys, case):
+        # the fields come from a run to t = 1; the trace is a run to t = 0.3 on
+        # the same grid (report exited 5 with a false refined failure) or the
+        # first 101 rows of the fields' own trace (an IndexError traceback)
+        _, trace, fields = artifacts
+        other = tmp_path / "other.csv"
+        if case == "other-t-end":
+            assert main([
+                "flow", "linear", "--p", "1.5", "--potential", "gaussian",
+                "--domain", "-8:8", "--n", "1001", "--tend", "0.3", "--dt", "2e-3",
+                "--init", "odd:0.2", "--trace", str(other),
+            ]) == 0
+        else:
+            other.write_text("\n".join(trace.read_text().splitlines()[:4 + 101]) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--trace", str(other), "--fields", str(fields),
+                     "--checks", "refined"]) == 2
+        err = capsys.readouterr().err
+        assert "was written for other snapshot times" in err
+        assert "Traceback" not in err
+
+
 def _write_config(tmp_path, cfg) -> str:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

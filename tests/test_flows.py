@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import entroflow as ef
 from entroflow import functionals
 from entroflow import grid as grid_module
-from entroflow.errors import ConfigError, LinearSolveFailure, NewtonDiverged
+from entroflow.errors import ConfigError, LinearSolveFailure, MassNotNormalized, NewtonDiverged
 
 
 class TestInitialField:
@@ -179,7 +179,7 @@ def test_snapshot_functionals_are_the_public_ones(request, gauss_grid, run, para
 @pytest.mark.parametrize("kind", ["linear", "pme"])
 def test_snapshot_grid_integrals(monkeypatch, gauss_pot, gauss_grid_small, kind):
     # a snapshot sums its four integrands (E, mass, I, K) in one batched call;
-    # the pme mass row serves both the unit-mass check and the trace column
+    # the mass row serves both the unit-mass check and the trace column
     v0 = ef.initial_field(gauss_grid_small, "bump:0.4")
     fsum_rows = grid_module._fsum_rows
     batched, other = [], []
@@ -194,6 +194,31 @@ def test_snapshot_grid_integrals(monkeypatch, gauss_pot, gauss_grid_small, kind)
     assert len(tr.t) == 11
     assert batched == [4] * len(tr.t)
     assert other == []
+
+
+@pytest.mark.parametrize("kind", ["linear", "pme"])
+class TestArrayInit:
+    """An array init gets the checks a csv: init gets, in both flows."""
+
+    @staticmethod
+    def run(kind, grid, init):
+        cfg = ef.FlowConfig(kind=kind, p=1.5, m=1.2, init=init, t_end=0.01, dt=1e-3)
+        return (ef.run_linear if kind == "linear" else ef.run_pme)(cfg, grid.potential, grid)
+
+    @pytest.mark.parametrize("bad, message", [
+        (lambda n: np.ones(5), r"shape \(5,\), grid needs \(501,\)"),
+        (lambda n: np.ones((n, 1)), r"shape \(501, 1\)"),
+        (lambda n: np.where(np.arange(n) == 7, np.nan, 1.0), "non-finite"),
+        (lambda n: np.where(np.arange(n) == 7, -1e-3, 1.0), "negative"),
+    ], ids=["short", "column", "nan", "negative"])
+    def test_malformed_array_is_a_config_error(self, gauss_grid_small, kind, bad, message):
+        with pytest.raises(ConfigError, match=message):
+            self.run(kind, gauss_grid_small, bad(gauss_grid_small.n))
+
+    def test_mass_two_is_rejected(self, gauss_grid_small, kind):
+        # the linear flow ran at mass 2 (mass_drift 1.0) where pme refused
+        with pytest.raises(MassNotNormalized):
+            self.run(kind, gauss_grid_small, 2.0 * np.ones(gauss_grid_small.n))
 
 
 class TestPmeFlow:
@@ -414,6 +439,43 @@ class TestTraceIO:
         idx0, v0 = tr.fields[0]
         assert idx0 == linear_run_p15.fields[0][0]
         assert_allclose(v0, linear_run_p15.fields[0][1], rtol=0, atol=0)
+
+    def test_fields_of_another_run_are_rejected(self, linear_run_p15, gauss_pot, gauss_grid,
+                                                tmp_path):
+        # same grid, other t_end: the grid id alone let these through
+        path = tmp_path / "fields.npz"
+        linear_run_p15.save_fields(path)
+        cfg = ef.FlowConfig(kind="linear", p=1.5, init="odd:0.2", t_end=0.3, dt=1e-3)
+        shorter = ef.run_linear(cfg, gauss_pot, gauss_grid)
+        assert shorter.grid_id == linear_run_p15.grid_id
+        with pytest.raises(ConfigError, match="other snapshot times"):
+            shorter.load_fields(path)
+
+    def test_fields_past_the_trace_end_are_rejected(self, linear_run_p15, tmp_path):
+        # a trace cut to 101 rows: stored field 110 used to end in IndexError
+        path = tmp_path / "fields.npz"
+        linear_run_p15.save_fields(path)
+        cut = ef.Trace(
+            t=linear_run_p15.t[:101], E=linear_run_p15.E[:101], I=linear_run_p15.I[:101],
+            K=linear_run_p15.K[:101], mass=linear_run_p15.mass[:101],
+            min_v=linear_run_p15.min_v[:101], config=linear_run_p15.config,
+            grid_id=linear_run_p15.grid_id,
+        )
+        assert max(i for i, _ in linear_run_p15.fields) > 100
+        with pytest.raises(ConfigError, match="other snapshot times"):
+            cut.load_fields(path)
+
+    def test_fields_of_another_init_are_rejected(self, linear_run_p15, gauss_pot, gauss_grid,
+                                                 tmp_path):
+        # same grid and times, other initial datum: the field minima differ
+        cfg = ef.FlowConfig(kind="linear", p=1.5, init="bump:0.3", t_end=4.0, dt=1e-3,
+                            audit_stride=10)
+        other = ef.run_linear(cfg, gauss_pot, gauss_grid)
+        path = tmp_path / "fields.npz"
+        other.save_fields(path)
+        assert np.array_equal(other.t, linear_run_p15.t)
+        with pytest.raises(ConfigError, match="does not match the trace's min_v"):
+            linear_run_p15.load_fields(path)
 
     def test_pme_meta_counters_round_trip(self, gauss_pot, gauss_grid_small, tmp_path):
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, init="bump:0.4", t_end=0.05,

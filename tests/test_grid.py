@@ -248,8 +248,13 @@ class TestNodeWeights:
         grids["power"] = ef.make_interval_grid(-16.0, 16.0, 400, ef.power_law(1.5))
         g = grids[name]
         F, _, _ = ef.evaluate(g.potential, g.nodes)
-        assert np.array_equal(g.g_values, np.exp(-F))
-        assert np.array_equal(g.node_mass, g.dx_weights * g.g_values)
+        # flat dx weights: trapezoid on intervals, |S^{d-1}| r^{d-1} h radially
+        if g.kind == "radial":
+            w = ef.sphere_area(g.d) * g.nodes ** (g.d - 1) * g.h
+        else:
+            w = np.full(g.n, g.h)
+            w[0] = w[-1] = 0.5 * g.h
+        assert np.array_equal(g.node_mass, w * np.exp(-F))
 
     def test_power_grid_with_a_node_at_the_origin(self):
         # F is finite at x = 0, but F'' is not: the grid is refused
@@ -276,7 +281,7 @@ class TestStiffnessStencil:
             ref = -g.node_mass * ef.delta_g(g, v)
             assert np.max(np.abs(Sv - ref)) <= 1e-13 * np.max(np.abs(Sv))
 
-    def test_schrodinger_bound_uses_the_stencil(self, monkeypatch, gauss_pot, gauss_grid_small):
+    def test_quotients_use_the_stencil(self, monkeypatch, gauss_pot, gauss_grid_small):
         seen = []
 
         def spy(conductance):
@@ -285,9 +290,10 @@ class TestStiffnessStencil:
 
         monkeypatch.setattr("entroflow.spectrum.stiffness_bands", spy)
         g = gauss_grid_small
-        ef.lambda1_schrodinger_bound(1.5, gauss_pot, g)
-        assert len(seen) == 1
-        assert np.array_equal(seen[0], g.conductance / g.g_face)
+        ef.lambda1_linear(1.5, gauss_pot, g)
+        ef.lambda1_pme(0.5, gauss_pot, g)
+        assert len(seen) == 2
+        assert all(c is g.conductance for c in seen)
 
 
 class TestGradientSq:

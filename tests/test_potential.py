@@ -89,39 +89,6 @@ class TestHessianInfimum:
         assert np.max(np.abs(fd - V[1:-1])) <= 1e-6
 
 
-class TestSchrodingerPotential:
-    def test_harmonic_nu_one(self, gauss_grid):
-        W = ef.schrodinger_potential(ef.harmonic(), gauss_grid, 1.0)
-        x = gauss_grid.nodes
-        assert_allclose(W, 1.0 + 0.25 * x * x - 0.5, rtol=1e-13)
-
-    def test_power_reduction(self):
-        # (nu - 1/2)(beta - 1)|x|^{beta-2} + |x|^{2(beta-1)}/4
-        beta, nu = 1.5, 3.0
-        pot = ef.power_law(beta)
-        g = ef.make_interval_grid(-6, 6, 200, pot)
-        W = ef.schrodinger_potential(pot, g, nu)
-        x = np.abs(g.nodes)
-        expect = (nu - 0.5) * (beta - 1.0) * x ** (beta - 2.0) + 0.25 * x ** (2 * beta - 2)
-        assert_allclose(W, expect, rtol=1e-12)
-
-    def test_flat_zero(self, flat_grid):
-        assert_allclose(ef.schrodinger_potential(ef.flat(), flat_grid, 2.0), 0.0)
-
-    def test_nu_below_one_rejected(self, gauss_grid):
-        with pytest.raises(ParameterError):
-            ef.schrodinger_potential(ef.harmonic(), gauss_grid, 0.5)
-
-    def test_recomposition_identity(self, gauss_grid):
-        # W equals nu*V + (F')^2/4 - (Lap F)/2 recomposed node-wise
-        pot = ef.harmonic()
-        nu = 1.75
-        _, dF, d2F = ef.evaluate(pot, gauss_grid.nodes)
-        V = ef.hessian_infimum_V(pot, gauss_grid)
-        expect = nu * V + 0.25 * dF * dF - 0.5 * d2F
-        assert_allclose(ef.schrodinger_potential(pot, gauss_grid, nu), expect, rtol=0, atol=0)
-
-
 class TestExample1Bound:
     def test_d3_p2_closed_form(self):
         res = ef.example1_epsilon_bound(3, 2.0)
@@ -148,10 +115,37 @@ class TestExample1Bound:
         assert ef.example1_epsilon_bound(3, 1.2).positive_tail_regime
         assert not ef.example1_epsilon_bound(3, 2.0).positive_tail_regime
 
-    def test_a_squared_vanishes_at_bound(self):
-        res = ef.example1_epsilon_bound(3, 1.7)
-        assert res.a_squared(res.bound) == pytest.approx(0.0, abs=1e-12)
-        assert 0.0 < res.a_squared(res.bound / 2) < 1.0
+    @pytest.mark.parametrize("d, p", [(3, 1.7), (4, 1.2), (5, 2.0)])
+    def test_order_vanishes_at_bound(self, d, p):
+        # sigma^2 = (d-2)^2 - 2 b eps + eps^2 at c = 2(p-1)/p: zero at the bound
+        res = ef.example1_epsilon_bound(d, p)
+        c = 2.0 * (p - 1.0) / p
+        assert res.order(res.bound * (1.0 - 1e-12), c) == pytest.approx(0.0, abs=1e-5)
+        half = res.bound / 2
+        assert res.order(half, c) ** 2 == pytest.approx(
+            (d - 2.0) ** 2 - 2.0 * res.b * half + half ** 2, rel=1e-12)
+        with pytest.raises(ParameterError):
+            res.order(1.01 * res.bound, c)
+        with pytest.raises(ParameterError):
+            res.lambda1(1.01 * res.bound, c)
+
+    @pytest.mark.parametrize("d, c, eps", [(3, 1.0, 0.05), (4, 0.5, 0.3), (5, 0.7, 0.5)])
+    def test_lambda1_is_the_eigenvalue_of_r_gamma(self, d, c, eps):
+        # w = r^gamma solves -c Lw + V w = lambda1 w with V = 1 - eps/r^2 and
+        # Lw = w'' + (d-1) w'/r - F' w', F' = r + eps/r
+        res = ef.example1_epsilon_bound(d, 2.0)
+        lam = res.lambda1(eps, c)
+        gamma = (lam - 1.0) / c
+        assert gamma >= -(d - 2.0 - eps) / 2.0  # the larger root
+        r = np.linspace(0.1, 5.0, 50)
+        w, dw, d2w = r**gamma, gamma * r**(gamma - 1), gamma * (gamma - 1) * r**(gamma - 2)
+        Lw = d2w + (d - 1) * dw / r - (r + eps / r) * dw
+        assert_allclose(-c * Lw + (1.0 - eps / r**2) * w, lam * w, rtol=1e-12)
+        assert res.lambda1(0.0, c) == 1.0
+
+    def test_order_needs_a_positive_coefficient(self):
+        with pytest.raises(ParameterError):
+            ef.example1_epsilon_bound(3, 2.0).order(0.05, 0.0)
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):

@@ -1,0 +1,114 @@
+"""The public API: the names ``import entroflow`` exports, and every module's
+``__all__``.  A name added to or removed from the package shows up as a line
+changed here, and a stale ``__all__`` entry fails."""
+
+import importlib
+import pkgutil
+import types
+
+import pytest
+
+import entroflow
+
+PUBLIC_NAMES = [
+    "ConfigError",
+    "DEFAULT_FLOOR",
+    "DegenerateDomain",
+    "DomainError",
+    "EntroflowError",
+    "FloorViolation",
+    "FlowConfig",
+    "Grid",
+    "LemmaCheck",
+    "LinearParams",
+    "LinearSolveFailure",
+    "MassNotNormalized",
+    "NegativeDensity",
+    "NewtonDiverged",
+    "NonFiniteWeight",
+    "NonPositiveData",
+    "NonpositiveLambda",
+    "OutsideEllipse",
+    "ParameterError",
+    "PmeConstants",
+    "PmeParams",
+    "Potential",
+    "QOutOfRange",
+    "RegionReport",
+    "SolverDiverged",
+    "SpectralResult",
+    "TailMassTooLarge",
+    "Trace",
+    "Verdict",
+    "WindowTooShort",
+    "check_envelope",
+    "constants_chain",
+    "constants_report",
+    "default_slack_tol",
+    "delta_g",
+    "dirichlet_form",
+    "discriminant",
+    "dissipation_audit",
+    "ellipse_margin",
+    "entropy_linear",
+    "entropy_pme",
+    "envelope_exponential",
+    "envelope_pme",
+    "envelope_refined",
+    "epsilon_star",
+    "evaluate",
+    "example1_epsilon_bound",
+    "fisher_linear",
+    "fisher_pme",
+    "fit_exponential_rate",
+    "flat",
+    "gradient_sq",
+    "harmonic",
+    "harmonic_log",
+    "hessian_infimum_V",
+    "initial_field",
+    "inner_dgamma",
+    "integrate_dgamma",
+    "k_linear",
+    "k_pme",
+    "lambda1_linear",
+    "lambda1_pme",
+    "lemma_audit",
+    "lemma_functional_check",
+    "make_interval_grid",
+    "make_radial_grid",
+    "norm_dgamma",
+    "poincare_test",
+    "potential_from_spec",
+    "power_law",
+    "refined_inequality_audit",
+    "refined_kappa",
+    "region_report",
+    "run_checks",
+    "run_linear",
+    "run_pme",
+    "sphere_area",
+    "tabulated",
+    "tail_mass",
+    "theta_from_p",
+]
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(entroflow.__path__))
+
+
+def test_package_exports_are_pinned():
+    # submodules are attributes too once imported, so they are left out
+    names = sorted(
+        name for name, value in vars(entroflow).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"entroflow.{name}")
+    exported = getattr(module, "__all__", [])
+    assert len(exported) == len(set(exported))
+    missing = [n for n in exported if not hasattr(module, n)]
+    assert missing == []

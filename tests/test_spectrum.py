@@ -5,13 +5,8 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import entroflow as ef
-from entroflow._lapack import dstein
-from entroflow.errors import (
-    BoundaryConditionViolated,
-    ConfigError,
-    ParameterError,
-    SolverDiverged,
-)
+from entroflow._lapack import dstebz, dstein
+from entroflow.errors import ConfigError, ParameterError, SolverDiverged
 from entroflow.spectrum import _assemble_symmetrized, smallest_eigenpair
 
 
@@ -142,47 +137,107 @@ class TestLambda1Pme:
             ef.lambda1_pme(1.0, gauss_pot, gauss_grid)
 
 
-class TestSchrodingerBound:
-    def test_gaussian_p2_equals_one(self, gauss_pot, gauss_grid):
-        # ground energy 1/2 of the quarter-quadratic well, shifted by nu*V - 1/2
-        res = ef.lambda1_schrodinger_bound(2.0, gauss_pot, gauss_grid)
-        assert res.lam == pytest.approx(1.0, abs=1e-4)
+def _spectral_gap(grid):
+    # second eigenvalue of -L: the p = 2 quotient's matrix with V = 0 (its
+    # first eigenvalue is 0, with the constants)
+    diag, off = _assemble_symmetrized(grid.node_mass, grid.conductance, 1.0, np.zeros(grid.n))
+    m, w, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, 2, 2, 2.0 * np.finfo(float).tiny, "B")
+    assert info == 0 and m == 1
+    return float(w[0])
 
-    def test_positive_for_subquadratic_powers(self):
+
+def _cosine_perturbed(k, n, L=10.0):
+    x = np.linspace(-L, L, n)
+    pot = ef.tabulated(x, 0.5 * x * x + 0.5 * np.cos(k * x),
+                       x - 0.5 * k * np.sin(k * x), 1.0 - 0.5 * k * k * np.cos(k * x))
+    return pot, ef.make_interval_grid(-L, L, n, pot)
+
+
+def _observed_order(errors, spacings):
+    return [np.log(abs(errors[i] / errors[i + 1])) / np.log(spacings[i] / spacings[i + 1])
+            for i in range(len(errors) - 1)]
+
+
+class TestSpectralGapReference:
+    """In one dimension lambda1_linear(2) is the spectral gap of -L: the
+    derivative of the first non-constant eigenfunction of -L is the p = 2
+    ground state (intertwining (Lu)' = L(u') - F'' u'; Bakry, Gentil and
+    Ledoux, Analysis and Geometry of Markov Diffusion Operators, 2014).  The
+    discrete gap needs no F'', so it is a reference for every interval family."""
+
+    @pytest.mark.parametrize("k", [1, 2], ids=["cos-x", "cos-2x"])
+    def test_smooth_perturbation_converges_at_order_two(self, k):
+        errors, spacings = [], []
+        for n in (401, 1601, 3201):
+            pot, grid = _cosine_perturbed(k, n)
+            errors.append(ef.lambda1_linear(2.0, pot, grid).lam - _spectral_gap(grid))
+            spacings.append(grid.h)
+        for order in _observed_order(errors, spacings):
+            assert order == pytest.approx(2.0, abs=0.2)
+
+    def test_power_cusp_converges_at_order_one_half_from_below(self):
+        # V = F'' = 0.5 |x|^{-1/2} is sampled at the nodes next to its cusp
         pot = ef.power_law(1.5)
-        g = ef.make_interval_grid(-16, 16, 3200, pot)
-        for p in (1.05, 1.2, 1.5, 2.0):
-            assert ef.lambda1_schrodinger_bound(p, pot, g).lam > 0.0
+        gaps, spacings = [], []
+        for n in (3200, 12800):
+            grid = ef.make_interval_grid(-16, 16, n, pot)
+            gaps.append(_spectral_gap(grid) - ef.lambda1_linear(2.0, pot, grid).lam)
+            spacings.append(grid.h)
+        assert min(gaps) > 0.0
+        assert _observed_order(gaps, spacings)[0] == pytest.approx(0.5, abs=0.1)
 
-    def test_lower_bound_consistency(self):
-        # bound <= lambda1 + quadrature tolerance; the tolerance reflects the
-        # regularity of V (the |x|^{-1/2} cusp of the power family converges
-        # at order ~1/2 only)
-        cases = [
-            (ef.harmonic(), ef.make_interval_grid(-8, 8, 2001, ef.harmonic()), 1e-5),
-            (ef.power_law(1.5), ef.make_interval_grid(-16, 16, 3200, ef.power_law(1.5)), 1e-2),
-            (ef.harmonic_log(0.05, 3), ef.make_radial_grid(3, 12, 4000, ef.harmonic_log(0.05, 3)), 1e-3),
-        ]
-        for pot, grid, tol in cases:
-            for p in (1.5, 2.0):
-                bound = ef.lambda1_schrodinger_bound(p, pot, grid).lam
-                lam = ef.lambda1_linear(p, pot, grid).lam
-                assert bound <= lam + tol
+    def test_gaussian_is_exact(self, gauss_pot, gauss_grid):
+        for p in (1.2, 1.5, 2.0):
+            assert abs(ef.lambda1_linear(p, gauss_pot, gauss_grid).lam - 1.0) <= 1e-12
+        assert abs(_spectral_gap(gauss_grid) - 1.0) <= 1e-9
 
-    def test_boundary_condition_guard(self):
-        # confinement decreasing outward at the right end violates DF.n >= 0
-        x = np.linspace(-1, 1, 64)
-        pot = ef.tabulated(x, -0.5 * x * x, -x, -np.ones_like(x))
-        g = ef.make_interval_grid(-1, 1, 64, pot)
-        with pytest.raises(BoundaryConditionViolated):
-            ef.lambda1_schrodinger_bound(1.5, pot, g)
+
+def _example1_cases():
+    cases = []
+    for d in (3, 4, 5):
+        for p in (1.2, 1.5, 2.0):
+            for frac in (0.3, 0.7):
+                cases.append(pytest.param(d, p, frac, id=f"d{d}-p{p}-eps{frac}"))
+    return cases
+
+
+def _radial_order(solve, d, eps, exact):
+    # R = 12 leaves a weight tail far below the discretization error
+    pot = ef.harmonic_log(eps, d)
+    errors = [solve(pot, ef.make_radial_grid(d, 12.0, n, pot)).lam - exact
+              for n in (8000, 16000)]
+    return np.log2(abs(errors[0] / errors[1]))
+
+
+class TestExample1ClosedForm:
+    """F = r^2/2 + eps log r: the ground state is r^gamma and lambda1 has a
+    closed form (:meth:`Example1Bound.lambda1`).  A uniform radial grid
+    converges to it at order min(sigma, 2); the sign of the error depends on
+    d (positive for d = 3 and 5, negative for d = 4), so it is not pinned."""
+
+    @pytest.mark.parametrize("d, p, frac", _example1_cases())
+    def test_linear_converges_at_order_sigma(self, d, p, frac):
+        bound = ef.example1_epsilon_bound(d, p)
+        eps, c = frac * bound.bound, 2.0 * (p - 1.0) / p
+        order = _radial_order(lambda pot, g: ef.lambda1_linear(p, pot, g), d, eps,
+                              bound.lambda1(eps, c))
+        assert order == pytest.approx(min(bound.order(eps, c), 2.0), abs=0.1)
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5])
+    @pytest.mark.parametrize("frac", [0.3, 0.7])
+    def test_pme_converges_at_order_sigma(self, theta, frac):
+        # lambda1_pme(theta) is lambda1_linear at p = 2/(1 + theta)
+        bound = ef.example1_epsilon_bound(3, 2.0 / (1.0 + theta))
+        eps, c = frac * bound.bound, 1.0 - theta
+        order = _radial_order(lambda pot, g: ef.lambda1_pme(theta, pot, g), 3, eps,
+                              bound.lambda1(eps, c))
+        assert order == pytest.approx(min(bound.order(eps, c), 2.0), abs=0.1)
 
 
 @pytest.mark.parametrize("solve", [
     lambda pot, grid: ef.lambda1_linear(1.5, pot, grid),
     lambda pot, grid: ef.lambda1_pme(0.5, pot, grid),
-    lambda pot, grid: ef.lambda1_schrodinger_bound(1.5, pot, grid),
-], ids=["linear", "pme", "schrodinger"])
+], ids=["linear", "pme"])
 def test_potential_must_match_grid(solve):
     # V came from the potential passed in, the weight from the grid's own:
     # lambda1_linear gave 1.0000 here instead of the grid's 0.6792, silently
