@@ -25,7 +25,7 @@ single point (m, p) = (1, 2) as theta -> 0+.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -182,20 +182,6 @@ class PmeConstants:
             * ((self.m + self.p - 2.0) * s + 1.0) ** (-self.bracket_exponent)
         )
 
-    def to_dict(self) -> dict:
-        out = {
-            k: getattr(self, k)
-            for k in (
-                "m", "p", "theta", "lambda1", "E0", "q", "beta", "alpha", "c_mp",
-                "a", "b", "c", "kappa1", "kappa2", "K", "kappa0", "kappa",
-                "bracket_exponent", "margin",
-            )
-        }
-        out["in_ellipse"] = True
-        out["q_in_range"] = True
-        out["lambda1_positive"] = True
-        return out
-
 
 def constants_chain(
     m: float, p: float, theta: float, lambda1: float, E0: float
@@ -234,7 +220,9 @@ def constants_chain(
 def constants_report(
     m: float, p: float, theta: float, lambda1: float | None, E0: float
 ) -> dict:
-    """Non-raising variant: hypothesis booleans plus constants when they all hold."""
+    """Non-raising variant: the three hypothesis booleans, plus every field of
+    :func:`constants_chain` when they all hold (so ``"kappa" in report`` tells
+    whether they do)."""
     out: dict = {
         "m": m,
         "p": p,
@@ -247,7 +235,7 @@ def constants_report(
     out["q_in_range"] = 1.0 < m < p + 1.0
     out["lambda1_positive"] = lambda1 is not None and lambda1 > 0.0
     if out["in_ellipse"] and out["q_in_range"] and out["lambda1_positive"]:
-        out.update(constants_chain(m, p, theta, lambda1, E0).to_dict())
+        out.update(asdict(constants_chain(m, p, theta, lambda1, E0)))
     return out
 
 
@@ -302,6 +290,10 @@ def theta_from_p(p0: float) -> float:
     return 2.0 / p0 - 1.0
 
 
+# relative slack below zero that lemma_functional_check still passes
+_LEMMA_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class LemmaCheck:
     """Both sides of the interpolation inequality tying I^{4/3} to K, with the
@@ -325,12 +317,12 @@ def lemma_functional_check(
     theta: float,
     lambda1: float,
     snapshot: tuple[float, float, float],
-    tol: float = 1e-8,
 ) -> LemmaCheck:
     """Check  I^{4/3} <= (1/3) [4 c(m,p)]^{4/3} K^{1/3} [(m+p-2) E + 1]^{(4-3q)/(3(2-q))} K2nd
 
-    on one (E, I, K) snapshot.  Also evaluates the quartic witness, which is
-    nonnegative exactly when the inequality holds.
+    on one (E, I, K) snapshot, passing a relative slack down to -_LEMMA_TOL.
+    Also evaluates the quartic witness, which is nonnegative exactly when the
+    inequality holds.
     """
     E, I, Ksnap = snapshot
     consts = constants_chain(m, p, theta, lambda1, E0=max(E, 0.0))
@@ -359,5 +351,5 @@ def lemma_functional_check(
         K3=K3,
         eta_bar=eta_bar,
         f_eta_bar=f_eta_bar,
-        passed=slack >= -tol,
+        passed=slack >= -_LEMMA_TOL,
     )

@@ -25,25 +25,26 @@ updates) while each accepted update cuts the residual at least 100-fold
 (``_CHORD_CONTRACTION``), so a typical step makes two updates and one
 factorization.  The step writes its iterates, L(x^m) and residuals into
 work arrays made once per run.  Newton stops at the first accepted update
-whose max-norm residual is at most ``newton_tol``:
+whose max-norm residual is at most ``_NEWTON_TOL`` (1e-12):
 the residual's round-off floor, about eps dt |L(v^m)|, grows like dt/h^2, so a
 fixed target such as 1e-14 is out of reach on fine grids (the floor is near
 3e-14 at n = 4001 with dt = 1e-3 on [-8, 8]).  If Newton stalls above the
-tolerance, the substep is retried as two halves, depth first and at most
-``max_dt_halvings`` deep; once both halves finish, the next substep tries
-the larger size again.  One :class:`_PmeStepper` per run owns this loop, the
-Newton iteration and their work arrays.  Both implicit systems are the node
-masses W plus a multiple of the stiffness stencil S of
-:func:`grid.stiffness_bands`, solved with LAPACK
-``pttrf``/``pttrs`` through one :class:`entroflow._lapack.SPDTridiagonal` per
-run, which owns the matrix and right-hand side buffers the routines
-overwrite; the Newton system (W + theta dt S D) delta = -W res,
+tolerance, the substep is retried at half the size, and the rest of the time
+step keeps the smaller size; the next time step starts at the full dt again.
+A run fails with NewtonDiverged after ``_MAX_DT_HALVINGS`` (30) halvings
+within one step.  Both limits, and the density floor ``DEFAULT_FLOOR``, are
+fixed constants, not settings.  One :class:`_PmeStepper` per run owns this
+loop, the Newton iteration and their work arrays.  Both implicit systems are
+the node masses W plus a multiple of the stiffness stencil S of
+:func:`grid.stiffness_bands`, solved with LAPACK ``pttrf``/``pttrs``
+through one :class:`entroflow._lapack.SPDTridiagonal` per run, which owns
+the matrix and right-hand side buffers the routines overwrite; the Newton system (W + theta dt S D) delta = -W res,
 D = diag(m v^{m-1}) > 0, is solved in its symmetric form
 (W D^{-1} + theta dt S)(D delta) = -W res, written straight into the
 system's diagonal.  L(v^m) of the accepted state is the operator value of
 its last residual; it is carried into the next step's right-hand side (and
 through time-step halvings) instead of being evaluated again, and clamping v
-at ``floor`` leaves it unchanged because v^m is taken of max(v, floor).
+at ``DEFAULT_FLOOR`` leaves it unchanged because v^m is taken of max(v, floor).
 ``run_pme`` records its work in ``Trace.meta``: ``newton_iterations`` (Newton
 updates solved), ``factorizations`` (LAPACK ``pttrf`` calls) and
 ``dt_halvings``.
@@ -86,11 +87,9 @@ class FlowConfig:
     back to 10 h^2; ``stride`` to whatever yields about 200 snapshots.
     ``t_end`` and a given ``dt`` must be finite and positive, ``stride`` and
     ``audit_stride`` at least 1; a run takes round(t_end / dt) steps, and
-    :meth:`resolved` rejects a ``t_end`` that rounds to none.  The pme
-    stepper's Newton iteration ends a step at the first accepted update with
-    max-norm residual at most ``newton_tol``; a substep that stalls above it
-    is retried as two halves, depth first, at most ``max_dt_halvings`` deep,
-    and once both halves finish the next substep tries the larger size again.
+    :meth:`resolved` rejects a ``t_end`` that rounds to none.  The solver's
+    tolerance, halving limit and density floor are module constants (see the
+    module docstring); every field here is a ``flow`` CLI flag.
     """
 
     kind: str  # 'linear' | 'pme'
@@ -103,9 +102,6 @@ class FlowConfig:
     stride: int | None = None
     audit_stride: int = 10
     scheme: str = "cn"  # 'cn' | 'be'
-    floor: float = DEFAULT_FLOOR
-    newton_tol: float = 1e-12
-    max_dt_halvings: int = 30
 
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "pme"):
@@ -180,7 +176,9 @@ class Trace:
 
     @classmethod
     def from_csv(cls, path) -> "Trace":
-        """Read a trace CSV; a malformed line raises ConfigError naming it."""
+        """Read a trace CSV; a malformed line, or a config line without the
+        flow's ``kind`` and ``p`` (and ``m`` for pme), raises ConfigError
+        naming it."""
         config: dict = {}
         grid_id = ""
         meta: dict = {}
@@ -211,6 +209,11 @@ class Trace:
                 rows.append(row)
         if not rows:
             raise ConfigError(f"no data rows in trace {path}")
+        needed = ("kind", "p", "m") if config.get("kind") == "pme" else ("kind", "p")
+        missing = [k for k in needed if config.get(k) is None]
+        if missing:
+            raise ConfigError(
+                f"trace {path}: its '# config:' line lacks {', '.join(missing)}")
         arr = np.asarray(rows)
         return cls(
             t=arr[:, 0], E=arr[:, 1], I=arr[:, 2], K=arr[:, 3],
@@ -376,7 +379,7 @@ def run_linear(config: FlowConfig, pot, grid: Grid) -> Trace:
         raise LinearSolveFailure(f"cannot factor the implicit system: LAPACK dpttrf info={info}")
 
     v = _initial_state(grid, config.init)
-    rec = _Recorder(_Snapshot(params, grid, config.floor), stride, config.audit_stride)
+    rec = _Recorder(_Snapshot(params, grid), stride, config.audit_stride)
     rec.maybe_record(0, 0.0, v)
     # work arrays reused by every step; the solve overwrites b with delta
     b, flux = system.b, np.empty(grid.n - 1)
@@ -401,6 +404,10 @@ def run_linear(config: FlowConfig, pot, grid: Grid) -> Trace:
 # n = 801, dt = 1e-3) took about 9 updates per step on one factorization
 # where Newton takes 3; at 0.01 it takes 4 with 2 factorizations.
 _CHORD_CONTRACTION = 0.01
+# Newton ends a step at the first accepted update with max-norm residual at
+# most this; a step fails after this many halvings of its substep
+_NEWTON_TOL = 1e-12
+_MAX_DT_HALVINGS = 30
 
 
 def _spare(pool: list[np.ndarray], busy: np.ndarray, other: np.ndarray | None = None):
@@ -415,7 +422,7 @@ class _PmeStepper:
     """The implicit stepper of v_t = L(v^m) for one run, with its work.
 
     ``updates`` counts Newton updates solved, ``factorizations`` dpttrf
-    calls, ``halvings`` bisected time steps; ``run_pme`` echoes them in
+    calls, ``halvings`` halved substeps; ``run_pme`` echoes them in
     ``Trace.meta``.  ``system`` holds the Newton matrix and its factors, and
     its right-hand side becomes the update.  The iterate and its L(x^m) each
     rotate through three arrays, so that a step never writes its input state
@@ -429,8 +436,7 @@ class _PmeStepper:
         self.grid = grid
         self.bands = stiffness_bands(grid.conductance)
         self.theta = 1.0 if config.scheme == "be" else 0.5
-        self.m, self.floor = config.m, config.floor
-        self.newton_tol, self.max_dt_halvings = config.newton_tol, config.max_dt_halvings
+        self.m = config.m
         self.updates = self.factorizations = self.halvings = 0
         self.neg_wg = -grid.node_mass
         self.xs = [np.empty(n) for _ in range(3)]
@@ -441,8 +447,8 @@ class _PmeStepper:
         self.system = SPDTridiagonal(n)
 
     def operator(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """L(max(x, floor)^m) into ``out``; unchanged by clamping x at ``floor``."""
-        pw = np.maximum(x, self.floor, out=self.pw)
+        """L(max(x, floor)^m) into ``out``; unchanged by clamping x at the floor."""
+        pw = np.maximum(x, DEFAULT_FLOOR, out=self.pw)
         np.power(pw, self.m, out=pw)
         return delta_g(self.grid, pw, out=out, flux=self.flux)
 
@@ -464,7 +470,7 @@ class _PmeStepper:
         factorization at the current iterate and a damped line search; only
         such a fresh update that cannot improve ends the step.  Newton stops
         at the first accepted update whose max-norm residual is at most
-        ``newton_tol``; the 1e-14 test at the top of the loop only lets an
+        ``_NEWTON_TOL``; the 1e-14 test at the top of the loop only lets an
         unchanged state pass without a solve.
         """
         wg = self.grid.node_mass
@@ -481,7 +487,7 @@ class _PmeStepper:
             if rnorm <= 1e-14:
                 break
             if not chord:
-                dpow = np.maximum(x, self.floor, out=self.dpow)
+                dpow = np.maximum(x, DEFAULT_FLOOR, out=self.dpow)
                 np.power(dpow, m - 1.0, out=dpow)
                 dpow *= m
                 # W D^{-1} + theta dt S, which the factorization overwrites
@@ -517,32 +523,30 @@ class _PmeStepper:
                 break
             chord = rtn <= _CHORD_CONTRACTION * rnorm
             x, lx, res, rnorm = xt, lt, rt, rtn
-            if rnorm <= self.newton_tol:
+            if rnorm <= _NEWTON_TOL:
                 break
-        return (x, lx) if rnorm <= self.newton_tol else None
+        return (x, lx) if rnorm <= _NEWTON_TOL else None
 
     def advance(self, v: np.ndarray, lv: np.ndarray, dt: float):
         """Advance (v, L(v^m)) by dt, halving the substep where Newton stalls.
 
-        Substeps run depth first: ``done`` substeps of size dt / 2**depth are
-        finished.  A failed substep is retried as two halves; once both
-        halves of a size are done, the loop climbs back to that size.
+        ``left`` substeps of size dt / 2**depth remain.  A failed substep is
+        retried at half the size, and the rest of the step keeps that size:
+        a size that failed once is not tried again within the step.
         """
-        depth = done = 0
-        while depth or not done:
+        depth, left = 0, 1
+        while left:
             step = self._newton(v, lv, dt / 2**depth)
             if step is None:
-                if depth >= self.max_dt_halvings:
+                if depth >= _MAX_DT_HALVINGS:
                     raise NewtonDiverged(
                         f"nonlinear step failed after {depth} time-step halvings"
                     )
                 self.halvings += 1
-                depth, done = depth + 1, 2 * done
+                depth, left = depth + 1, 2 * left
                 continue
             v, lv = step
-            done += 1
-            while depth and done % 2 == 0:
-                depth, done = depth - 1, done // 2
+            left -= 1
         return v, lv
 
 
@@ -555,7 +559,7 @@ def run_pme(config: FlowConfig, pot, grid: Grid) -> Trace:
     dt, n_steps, stride = config.resolved(grid)
 
     v = _initial_state(grid, config.init)
-    rec = _Recorder(_Snapshot(params, grid, config.floor), stride, config.audit_stride)
+    rec = _Recorder(_Snapshot(params, grid), stride, config.audit_stride)
     rec.maybe_record(0, 0.0, v)
     clamps = 0
     stepper = _PmeStepper(grid, config)
@@ -564,9 +568,9 @@ def run_pme(config: FlowConfig, pot, grid: Grid) -> Trace:
     lv = stepper.operator(v, out=np.empty(grid.n))
     for step in range(1, n_steps + 1):
         v, lv = stepper.advance(v, lv, dt)
-        if v.min() < config.floor:
-            clamps += int(np.count_nonzero(v < config.floor))
-            v = np.maximum(v, config.floor)
+        if v.min() < DEFAULT_FLOOR:
+            clamps += int(np.count_nonzero(v < DEFAULT_FLOOR))
+            v = np.maximum(v, DEFAULT_FLOOR)
         rec.maybe_record(step, step * dt, v)
     meta = {
         "scheme": config.scheme, "dt": dt, "n_steps": n_steps, "stride": stride,

@@ -54,6 +54,8 @@ __all__ = [
     "k_pme",
 ]
 
+# density floor: K divides by the s-field, fractional powers of v are taken of
+# max(v, floor), and the pme flow clamps v to it
 DEFAULT_FLOOR = 1e-12
 _MASS_TOL = 1e-8
 
@@ -124,10 +126,10 @@ def _check_nonnegative(v: np.ndarray) -> None:
         raise NegativeDensity(f"density has negative entries (min {v.min():.3e})")
 
 
-def _check_floor(v: np.ndarray, floor: float) -> None:
-    if v.min() < floor:
+def _check_floor(v: np.ndarray) -> None:
+    if v.min() < DEFAULT_FLOOR:
         raise FloorViolation(
-            f"density min {v.min():.3e} below floor {floor:.1e}; "
+            f"density min {v.min():.3e} below floor {DEFAULT_FLOOR:.1e}; "
             "the K-functional divides by s"
         )
 
@@ -154,10 +156,9 @@ class _Snapshot:
     a snapshot's values are theirs bit for bit.
     """
 
-    def __init__(self, params: LinearParams | PmeParams, grid: Grid,
-                 floor: float = DEFAULT_FLOOR):
+    def __init__(self, params: LinearParams | PmeParams, grid: Grid):
         n = grid.n
-        self.params, self.grid, self.floor = params, grid, floor
+        self.params, self.grid = params, grid
         self.pme = isinstance(params, PmeParams)
         self.rows, self.work = np.empty((4, n)), np.empty((4, n))
         # node scratch: the s-field, then Ls and |Ds|^2 for K (v - 1 for E)
@@ -168,7 +169,7 @@ class _Snapshot:
         """(E, I, K, mass) of v: K is nan where v dips below the floor, and a
         field off unit mass raises MassNotNormalized."""
         _check_nonnegative(v)
-        with_k = v.min() >= self.floor
+        with_k = v.min() >= DEFAULT_FLOOR
         self._entropy_row(v)
         np.multiply(self.grid.dgamma_weights, v, out=self.rows[_MASS])
         s = self._s_field(v)
@@ -202,7 +203,7 @@ class _Snapshot:
         exponent = self.params.s_exponent
         if exponent == 1.0:
             return v
-        np.maximum(v, self.floor, out=self.s)
+        np.maximum(v, DEFAULT_FLOOR, out=self.s)
         return np.power(self.s, exponent, out=self.s)
 
     def _entropy_row(self, v: np.ndarray) -> None:
@@ -258,16 +259,16 @@ def entropy_linear(params: LinearParams, v, grid: Grid) -> float:
     return _Snapshot(params, grid).entropy(v)
 
 
-def fisher_linear(params: LinearParams, v, grid: Grid, floor: float = DEFAULT_FLOOR) -> float:
+def fisher_linear(params: LinearParams, v, grid: Grid) -> float:
     v = _check_field(grid, v)
     _check_nonnegative(v)
-    return _Snapshot(params, grid, floor).fisher(v)
+    return _Snapshot(params, grid).fisher(v)
 
 
-def k_linear(params: LinearParams, v, grid: Grid, floor: float = DEFAULT_FLOOR) -> float:
+def k_linear(params: LinearParams, v, grid: Grid) -> float:
     v = _check_field(grid, v)
-    _check_floor(v, floor)
-    return _Snapshot(params, grid, floor).k(v)
+    _check_floor(v)
+    return _Snapshot(params, grid).k(v)
 
 
 def entropy_pme(params: PmeParams, v, grid: Grid) -> float:
@@ -277,15 +278,15 @@ def entropy_pme(params: PmeParams, v, grid: Grid) -> float:
     return _Snapshot(params, grid).entropy(v)
 
 
-def fisher_pme(params: PmeParams, v, grid: Grid, floor: float = DEFAULT_FLOOR) -> float:
+def fisher_pme(params: PmeParams, v, grid: Grid) -> float:
     v = _check_field(grid, v)
     _check_nonnegative(v)
     _check_unit_mass(integrate_dgamma(grid, v))
-    return _Snapshot(params, grid, floor).fisher(v)
+    return _Snapshot(params, grid).fisher(v)
 
 
-def k_pme(params: PmeParams, v, grid: Grid, floor: float = DEFAULT_FLOOR) -> float:
+def k_pme(params: PmeParams, v, grid: Grid) -> float:
     v = _check_field(grid, v)
-    _check_floor(v, floor)
+    _check_floor(v)
     _check_unit_mass(integrate_dgamma(grid, v))
-    return _Snapshot(params, grid, floor).k(v)
+    return _Snapshot(params, grid).k(v)

@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 _MIN_NODES = 16
+# largest relative weight mass a radial grid may cut off beyond R
+_TAIL_TOL = 1e-10
 
 
 def sphere_area(d: int) -> float:
@@ -153,7 +155,6 @@ def make_radial_grid(
     R: float,
     n: int,
     pot: Potential,
-    tail_tol: float | None = 1e-10,
 ) -> Grid:
     """Radially symmetric grid on (0, R]: first node staggered to r = h/2,
     last node exactly at R (spacing h = 2R/(2n-1)).
@@ -161,7 +162,7 @@ def make_radial_grid(
     dx weights carry the full |S^{d-1}| r^{d-1} Jacobian; the face at r = 0
     has zero area (d >= 2) or zero imposed flux (d = 1), the outermost face
     is the Neumann truncation.  For decaying families the relative weight
-    beyond R is estimated analytically and must stay below ``tail_tol``.
+    beyond R is estimated analytically and must stay below ``_TAIL_TOL``.
     """
     if n < _MIN_NODES:
         raise DegenerateDomain(f"need at least {_MIN_NODES} nodes, got {n}")
@@ -171,11 +172,11 @@ def make_radial_grid(
         raise DegenerateDomain(f"radius must be finite, got {R}")
     if R <= 0:
         raise DegenerateDomain(f"radius must be positive, got {R}")
-    if tail_tol is not None and pot.family not in ("flat", "tabulated"):
+    if pot.family not in ("flat", "tabulated"):
         tm = tail_mass(pot, R, d)
-        if tm > tail_tol:
+        if tm > _TAIL_TOL:
             raise TailMassTooLarge(
-                f"weight mass beyond R={R} is {tm:.3e} > {tail_tol:.1e}; enlarge R"
+                f"weight mass beyond R={R} is {tm:.3e} > {_TAIL_TOL:.1e}; enlarge R"
             )
     h = 2.0 * R / (2 * n - 1)
     nodes = (np.arange(n) + 0.5) * h

@@ -37,6 +37,11 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+# residual tolerance of every eigensolve, floored at the matvec round-off level
+_EIG_TOL = 1e-10
+# epsilon_star: bisection width, and how far below 0 the quotient may dip
+_EPS_STAR_TOL = 1e-4
+_EIG_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -45,16 +50,17 @@ class SpectralResult:
 
     The eigenvector is normalized to unit norm in the dgamma inner product.
     ``residual`` is the 2-norm of the symmetrized operator residual; ``tol``
-    is the effective tolerance it was held to, i.e. the requested tolerance
-    floored at the round-off level of one matrix-vector product.  ``iterations`` is the number of LAPACK
-    eigensolve calls: 1 per solve, 0 when the p = 1 shortcut needs none.
+    is the tolerance it was held to: the fixed ``_EIG_TOL`` (1e-10) floored
+    at the round-off level of one matrix-vector product.  ``iterations`` is
+    the number of LAPACK eigensolve calls: 1 per solve, 0 when the p = 1
+    shortcut needs none.
     """
 
     lam: float
     eigenvector: np.ndarray = field(repr=False)
     residual: float
     iterations: int
-    tol: float = 1e-10
+    tol: float = _EIG_TOL
 
     def __float__(self) -> float:
         return self.lam
@@ -68,9 +74,7 @@ def _tridiag_matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndar
 
 
 def smallest_eigenpair(
-    diag: np.ndarray,
-    off: np.ndarray,
-    tol: float = 1e-10,
+    diag: np.ndarray, off: np.ndarray
 ) -> tuple[float, np.ndarray, float, int, float]:
     """Smallest eigenpair of a symmetric tridiagonal matrix.
 
@@ -80,8 +84,8 @@ def smallest_eigenpair(
     residual.  Returns (lam, vector, residual, iterations, effective_tol);
     the vector has unit 2-norm and ``iterations`` counts the LAPACK
     eigensolves, one stebz/stein pair (always 1).  Raises SolverDiverged if
-    either routine reports info != 0 or the residual tolerance (floored at
-    the matvec round-off level) cannot be met.
+    either routine reports info != 0 or the residual exceeds effective_tol,
+    ``_EIG_TOL`` floored at the matvec round-off level 8 eps |T|.
     """
     # range 2 selects eigenvalues il..iu by index; order "B" (by block) is
     # what stein expects; an absolute tolerance of 2 tiny asks for full accuracy
@@ -97,8 +101,8 @@ def smallest_eigenpair(
     lam = float(np.dot(x, tx))
     residual = float(np.linalg.norm(tx - lam * x))
     tnorm = float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0))
-    tol_eff = max(tol, 8.0 * _EPS * max(1.0, tnorm))
-    if not residual <= max(tol_eff, 64.0 * _EPS * max(1.0, tnorm)):
+    tol_eff = max(_EIG_TOL, 8.0 * _EPS * max(1.0, tnorm))
+    if not residual <= tol_eff:
         raise SolverDiverged(
             f"eigenvector residual {residual:.3e} above tolerance {tol_eff:.1e}"
         )
@@ -124,15 +128,10 @@ def _assemble_symmetrized(
     return diag, off
 
 
-def _solve_quotient(
-    grid: Grid,
-    grad_coeff: float,
-    V: np.ndarray,
-    tol: float,
-) -> SpectralResult:
+def _solve_quotient(grid: Grid, grad_coeff: float, V: np.ndarray) -> SpectralResult:
     mass = grid.node_mass
     diag, off = _assemble_symmetrized(mass, grid.conductance, grad_coeff, V)
-    lam, y, residual, iterations, tol_eff = smallest_eigenpair(diag, off, tol)
+    lam, y, residual, iterations, tol_eff = smallest_eigenpair(diag, off)
     w = y / np.sqrt(mass / grid.weight_mass)
     if w[int(np.argmax(np.abs(w)))] < 0.0:
         w = -w
@@ -141,12 +140,7 @@ def _solve_quotient(
     )
 
 
-def lambda1_linear(
-    p: float,
-    pot: Potential,
-    grid: Grid,
-    tol: float = 1e-10,
-) -> SpectralResult:
+def lambda1_linear(p: float, pot: Potential, grid: Grid) -> SpectralResult:
     """Smallest eigenvalue of  w -> -(2(p-1)/p) Lw + V w  in the weighted measure.
 
     p = 1 has a vanishing gradient coefficient, so the infimum is the
@@ -162,18 +156,13 @@ def lambda1_linear(
         w = np.zeros(grid.n)
         w[idx] = 1.0 / np.sqrt(grid.dgamma_weights[idx])
         return SpectralResult(
-            lam=float(V[idx]), eigenvector=w, residual=0.0, iterations=0, tol=tol
+            lam=float(V[idx]), eigenvector=w, residual=0.0, iterations=0
         )
     coeff = 2.0 * (p - 1.0) / p
-    return _solve_quotient(grid, coeff, V, tol)
+    return _solve_quotient(grid, coeff, V)
 
 
-def lambda1_pme(
-    theta: float,
-    pot: Potential,
-    grid: Grid,
-    tol: float = 1e-10,
-) -> SpectralResult:
+def lambda1_pme(theta: float, pot: Potential, grid: Grid) -> SpectralResult:
     """Smallest eigenvalue of  w -> -(1-theta) Lw + V w  in the weighted measure.
 
     theta = 0 is accepted so that theta = 2/p - 1 covers p = 2.
@@ -181,23 +170,17 @@ def lambda1_pme(
     if not (0.0 <= theta < 1.0):
         raise ParameterError(f"theta must lie in [0, 1); got {theta}")
     V = hessian_infimum_V(pot, grid)
-    return _solve_quotient(grid, 1.0 - theta, V, tol)
+    return _solve_quotient(grid, 1.0 - theta, V)
 
 
-def epsilon_star(
-    p: float,
-    pot: Potential,
-    grid: Grid,
-    eps_tol: float = 1e-4,
-    eig_floor: float = 1e-8,
-    tol: float = 1e-10,
-) -> float:
+def epsilon_star(p: float, pot: Potential, grid: Grid) -> float:
     """Largest eps in (0, (1-alpha)/alpha] keeping the modified quotient
 
         inf_w [ (1 - alpha(1+eps)) |Dw|^2 + V w^2 ] / [ w^2 ]
 
-    nonnegative (>= -eig_floor).  Returns 0 if even eps -> 0+ fails; the
-    gradient coefficient must stay nonnegative, which caps eps at (1-alpha)/alpha.
+    nonnegative (>= -_EIG_FLOOR), to within _EPS_STAR_TOL by bisection.
+    Returns 0 if even eps -> 0+ fails; the gradient coefficient must stay
+    nonnegative, which caps eps at (1-alpha)/alpha.
     """
     if not (1.0 < p < 2.0):
         raise ParameterError(f"p must lie strictly in (1, 2); got {p}")
@@ -207,16 +190,16 @@ def epsilon_star(
 
     def smallest(eps: float) -> float:
         coeff = max(0.0, 1.0 - alpha * (1.0 + eps))
-        return _solve_quotient(grid, coeff, V, tol).lam
+        return _solve_quotient(grid, coeff, V).lam
 
-    if smallest(cap) >= -eig_floor:
+    if smallest(cap) >= -_EIG_FLOOR:
         return cap
-    if smallest(0.0) < -eig_floor:
+    if smallest(0.0) < -_EIG_FLOOR:
         return 0.0
     lo, hi = 0.0, cap  # feasible at lo, infeasible at hi
-    while hi - lo > eps_tol:
+    while hi - lo > _EPS_STAR_TOL:
         mid = 0.5 * (lo + hi)
-        if smallest(mid) >= -eig_floor:
+        if smallest(mid) >= -_EIG_FLOOR:
             lo = mid
         else:
             hi = mid

@@ -1,5 +1,7 @@
 """Command-line interface: flags, exit codes, artifacts, determinism."""
 
+import argparse
+import dataclasses
 import json
 import re
 import shlex
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from entroflow.cli import _normalize_argv, build_parser, main
+from entroflow.flows import FlowConfig, Trace
 
 
 def run_cli(*argv):
@@ -427,6 +430,9 @@ def bad_files(tmp_path):
     (tmp_path / "nan.csv").write_text("1.0\n" * 100 + "nan\n" + "1.0\n" * 100)
     (tmp_path / "short.csv").write_text("t,E,I,K,mass,min_v\n0,1,2,3,1,1\n0.1,1,2\n")
     (tmp_path / "cell.csv").write_text("t,E,I,K,mass,min_v\n0,1,2,abc,1,1\n")
+    rows = "t,E,I,K,mass,min_v\n0,1,2,3,1,1\n0.1,0.9,1.8,2.7,1,1\n"
+    (tmp_path / "no-config.csv").write_text(rows)
+    (tmp_path / "no-p.csv").write_text('# config: {"kind": "linear"}\n' + rows)
     (tmp_path / "fields.npz").write_text("not an npz\n")
     return tmp_path
 
@@ -465,6 +471,10 @@ class TestMalformedInput:
          "cell.csv line 2: could not convert string to float: 'abc'"),
         (["report", "--trace", "{trace}", "--fields", "{tmp}/fields.npz"],
          "cannot read field file"),
+        (["report", "--trace", "{tmp}/no-config.csv"],
+         "no-config.csv: its '# config:' line lacks kind, p"),
+        (["report", "--trace", "{tmp}/no-p.csv", "--p", "1.5", "--checks", "dissipation"],
+         "no-p.csv: its '# config:' line lacks p"),
         (["flow", "linear", "--aud", "3", "--n", "201"],
          "unrecognized arguments: --aud 3"),
         (["flow", "linear", "--n", "201", "--tend", "0.01", "--dt", "1e-3",
@@ -478,7 +488,8 @@ class TestMalformedInput:
     ], ids=["power", "harmonic_log", "radial-d", "p-list", "init-bump", "check-theta",
             "tabulated-file", "init-csv-file", "missing-tabulated", "missing-init-csv",
             "missing-trace", "missing-fields", "trace-short-row", "trace-cell",
-            "fields-not-npz", "flag-prefix", "init-csv-zero-mass", "init-csv-nan",
+            "fields-not-npz", "trace-no-config", "trace-no-p", "flag-prefix",
+            "init-csv-zero-mass", "init-csv-nan",
             "region-negative-samples", "region-zero-samples"])
     def test_exits_2_with_message(self, artifacts, bad_files, capsys, argv, message):
         _, trace, _ = artifacts
@@ -585,6 +596,24 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
+
+    def test_every_flow_config_field_is_a_flag(self, tmp_path):
+        # a FlowConfig field without a flow flag would be a library-only knob
+        # that no CLI run or --config file can set
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: a.option_strings[0] for a in sub.choices["flow"]._actions
+                 if a.option_strings}
+        values = {"p": 1.5, "m": 1.2, "theta": 0.3, "init": "bump:0.2", "t_end": 0.02,
+                  "dt": 2e-3, "stride": 2, "audit_stride": 3, "scheme": "be"}
+        fields = [f.name for f in dataclasses.fields(FlowConfig) if f.name != "kind"]
+        assert sorted(fields) == sorted(values)
+        assert all(name in flags for name in fields), set(fields) - set(flags)
+        trace = tmp_path / "run.csv"
+        cfg = {flags[name].lstrip("-"): value for name, value in values.items()}
+        assert main(["flow", "pme", "--config", _write_config(tmp_path, cfg), "--n", "101",
+                     "--trace", str(trace)]) == 0
+        assert Trace.from_csv(trace).config == {"kind": "pme", **values}
 
     def test_unreadable_file_exits_2(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text("{not json")

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import entroflow as ef
-from entroflow import functionals
+from entroflow import flows, functionals
 from entroflow import grid as grid_module
 from entroflow.errors import ConfigError, LinearSolveFailure, MassNotNormalized, NewtonDiverged
 
@@ -109,8 +109,6 @@ class TestLinearFlow:
                                        gauss_grid_small):
         # the loop reuses its right-hand side and flux buffers; a fresh
         # _net_flux per step must give the same trace and fields bytes
-        from entroflow import flows
-
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="odd:0.2", t_end=0.2, dt=1e-3,
                             stride=5, audit_stride=2)
         reused = ef.run_linear(cfg, gauss_pot, gauss_grid_small)
@@ -278,8 +276,6 @@ class TestPmeFlow:
 def spy_calls(monkeypatch, *names):
     """Count the calls the steppers make to the named ``flows`` globals, or to
     the ``factor``/``solve`` methods of their LAPACK systems."""
-    from entroflow import flows
-
     counts = dict.fromkeys(names, 0)
 
     def spy(name):
@@ -318,21 +314,21 @@ class TestSolveFailures:
 
     def test_newton_failure_exhausts_halvings(self, monkeypatch, gauss_pot, gauss_grid_small):
         calls = failing_factorization(monkeypatch)
-        cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, t_end=0.01, dt=1e-3,
-                            max_dt_halvings=2)
+        monkeypatch.setattr("entroflow.flows._MAX_DT_HALVINGS", 2)
+        cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, t_end=0.01, dt=1e-3)
         with pytest.raises(NewtonDiverged):
             ef.run_pme(cfg, gauss_pot, gauss_grid_small)
-        # depth-first bisection gives up at its first leaf: one try per depth
+        # the first substep fails at every size: one try per depth
         assert len(calls) == 3
 
     def test_default_halvings_give_up_at_first_leaf(self, monkeypatch, gauss_pot):
-        # 30 halvings deep, a full bisection tree would hold 2^30 substeps
+        # 30 halvings deep, a step would hold 2^30 substeps
         grid = ef.make_interval_grid(-8.0, 8.0, 201, gauss_pot)
         calls = failing_factorization(monkeypatch)
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, t_end=0.01, dt=1e-3)
         with pytest.raises(NewtonDiverged):
             ef.run_pme(cfg, gauss_pot, grid)
-        assert len(calls) == cfg.max_dt_halvings + 1
+        assert len(calls) == flows._MAX_DT_HALVINGS + 1
 
 
 class TestNewtonWork:
@@ -373,8 +369,6 @@ class TestNewtonWork:
         # a compact support with m = 4 and dt = 0.5 contracts slowly: updates
         # that miss the contraction test refactor, and with every improving
         # update reused the chord updates that fail are redone fresh
-        from entroflow import flows
-
         if rate is not None:
             monkeypatch.setattr(flows, "_CHORD_CONTRACTION", rate)
         grid = ef.make_interval_grid(-8.0, 8.0, 801, gauss_pot)
@@ -394,8 +388,6 @@ class TestNewtonWork:
                                                   m, dt, t_end):
         # each step reuses L(v^m) from the last accepted Newton residual, across
         # clamps and time-step halvings; evaluating it afresh must change nothing
-        from entroflow import flows
-
         grid = ef.make_interval_grid(-8.0, 8.0, 801, gauss_pot)
         path = tmp_path / "compact.csv"
         np.savetxt(path, np.maximum(2.25 - (grid.nodes + 1.0) ** 2, 0.0), delimiter=",")
@@ -405,7 +397,7 @@ class TestNewtonWork:
 
         # every substep, halved ones included, starts from a fresh L(v^m)
         def fresh(self, v, lv, dt):
-            lv = ef.delta_g(grid, np.power(np.maximum(v, cfg.floor), m))
+            lv = ef.delta_g(grid, np.power(np.maximum(v, ef.DEFAULT_FLOOR), m))
             return newton(self, v, lv, dt)
 
         monkeypatch.setattr(flows._PmeStepper, "_newton", fresh)
@@ -413,6 +405,36 @@ class TestNewtonWork:
         assert carried.clamps > 0
         assert (carried.meta["dt_halvings"] > 0) == (m == 4.0)
         assert carried._csv_text() == recomputed._csv_text()
+
+    def test_substep_sizes_never_grow_within_a_step(self, monkeypatch, tmp_path, gauss_pot):
+        # a size that failed is not tried again in the same step: once halved,
+        # the rest of the step keeps the smaller size
+        grid = ef.make_interval_grid(-8.0, 8.0, 801, gauss_pot)
+        path = tmp_path / "compact.csv"
+        np.savetxt(path, np.maximum(2.25 - (grid.nodes + 1.0) ** 2, 0.0), delimiter=",")
+        cfg = ef.FlowConfig(kind="pme", p=1.5, m=4.0, init=f"csv:{path}", t_end=1.0, dt=0.5)
+        newton, advance = flows._PmeStepper._newton, flows._PmeStepper.advance
+        steps: list[list[tuple[float, bool]]] = []
+
+        def spy_newton(self, v, lv, dt):
+            out = newton(self, v, lv, dt)
+            steps[-1].append((dt, out is not None))
+            return out
+
+        def spy_advance(self, v, lv, dt):
+            steps.append([])
+            return advance(self, v, lv, dt)
+
+        monkeypatch.setattr(flows._PmeStepper, "_newton", spy_newton)
+        monkeypatch.setattr(flows._PmeStepper, "advance", spy_advance)
+        trace = ef.run_pme(cfg, gauss_pot, grid)
+        assert len(steps) == 2 and trace.meta["dt_halvings"] > 0
+        for substeps in steps:
+            sizes = [dt for dt, _ in substeps]
+            assert sizes[0] == 0.5
+            assert all(b <= a for a, b in zip(sizes, sizes[1:])), sizes
+            # the substeps that succeeded cover the step exactly
+            assert sum(dt for dt, ok in substeps if ok) == 0.5
 
 
 class TestTraceIO:

@@ -232,7 +232,7 @@ class TestSnapshot:
     @pytest.mark.parametrize("params", SNAPSHOT_PARAMS, ids=repr)
     def test_matches_public_functionals_and_formulas_bitwise(self, gauss_grid, params):
         v = _perturbed(gauss_grid)
-        snap = _Snapshot(params, gauss_grid, ef.DEFAULT_FLOOR)
+        snap = _Snapshot(params, gauss_grid)
         got = snap(v)
         public = [f(params, v, gauss_grid) for f in _public(params)]
         public.append(ef.integrate_dgamma(gauss_grid, v))
@@ -250,7 +250,7 @@ class TestSnapshot:
         monkeypatch.setattr(functionals, "_fsum_rows",
                             lambda rows, work: summed.append(rows.copy()) or fsum_rows(rows, work))
         v = _perturbed(gauss_grid)
-        _Snapshot(params, gauss_grid, ef.DEFAULT_FLOOR)(v)
+        _Snapshot(params, gauss_grid)(v)
         (rows,) = summed
         assert rows.tobytes() == np.stack(_reference_rows(params, v, gauss_grid)).tobytes()
 
@@ -260,7 +260,7 @@ class TestSnapshot:
         v[100] = 0.0
         if isinstance(params, ef.PmeParams):
             v = _normalized(gauss_grid, v)
-        E, I, K, mass = _Snapshot(params, gauss_grid, 1e-12)(v)
+        E, I, K, mass = _Snapshot(params, gauss_grid)(v)
         assert np.isnan(K)
         ref = _reference(params, v, gauss_grid, 1e-12)
         assert _bits((E, I, mass)) == _bits(ref[:2] + ref[3:])
@@ -275,16 +275,16 @@ class TestSnapshot:
         v = _perturbed(gauss_grid)
         v[7] = -1e-3
         with pytest.raises(NegativeDensity):
-            _Snapshot(params, gauss_grid, ef.DEFAULT_FLOOR)(v)
+            _Snapshot(params, gauss_grid)(v)
 
     def test_pme_field_off_unit_mass_raises(self, gauss_grid):
         params = ef.PmeParams(m=1.2, p=1.5)
         v = _perturbed(gauss_grid) * (1.0 + 1e-7)
         with pytest.raises(MassNotNormalized):
-            _Snapshot(params, gauss_grid, ef.DEFAULT_FLOOR)(v)
+            _Snapshot(params, gauss_grid)(v)
         # within 1e-8 of unit mass the snapshot evaluates
         w = _perturbed(gauss_grid) * (1.0 + 1e-9)
-        assert _bits(_Snapshot(params, gauss_grid, ef.DEFAULT_FLOOR)(w)) == _bits(
+        assert _bits(_Snapshot(params, gauss_grid)(w)) == _bits(
             _reference(params, w, gauss_grid))
 
     @pytest.mark.parametrize("params", [ef.LinearParams(1.5), ef.PmeParams(m=1.2, p=1.5)],
@@ -292,7 +292,7 @@ class TestSnapshot:
     def test_a_snapshot_allocates_no_field_sized_array(self, gauss_pot, params):
         grid = ef.make_interval_grid(-8.0, 8.0, 20001, gauss_pot)
         v = _perturbed(grid)
-        snap = _Snapshot(params, grid, ef.DEFAULT_FLOOR)
+        snap = _Snapshot(params, grid)
         tracemalloc.start()
         try:
             snap(v)  # warm-up

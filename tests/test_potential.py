@@ -241,8 +241,8 @@ class TestTailMass:
 
     def test_guard_decisions_unchanged(self):
         # every tail of the cases above, and of the grid guard test, falls on
-        # the same side of the 1e-10 default tail_tol as scipy's gammaincc and
-        # the 30-digit oracle
+        # the same side of the radial grids' 1e-10 tail tolerance as scipy's
+        # gammaincc and the 30-digit oracle
         import mpmath
         from scipy.special import gammaincc
 

@@ -46,6 +46,24 @@ class TestSolverAgainstLapack:
         with pytest.raises(SolverDiverged):
             smallest_eigenpair(diag, off)
 
+    def test_residual_held_to_the_tolerance_it_reports(self, monkeypatch, rng):
+        # |T| ~ 5e6 puts the round-off floor 8 eps |T| (~9e-9) above 1e-10, so it
+        # is the reported tolerance; tilt the vector toward the second
+        # eigenvector until the residual lies between 8 and 64 eps |T|
+        diag = 1e6 * rng.uniform(0.5, 3.0, 100)
+        off = 1e6 * rng.uniform(-0.9, 0.9, 99)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        w, u = np.linalg.eigh(dense)
+        eps = np.finfo(float).eps
+        tnorm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
+        tilt = 24.0 * eps * tnorm / (w[1] - w[0])
+        x = (u[:, 0] + tilt * u[:, 1]) / np.hypot(1.0, tilt)
+        residual = np.linalg.norm(dense @ x - (x @ dense @ x) * x)
+        assert 8.0 * eps * tnorm < residual < 64.0 * eps * tnorm
+        monkeypatch.setattr("entroflow.spectrum.dstein", lambda *args: (x[:, None].copy(), 0))
+        with pytest.raises(SolverDiverged, match="above tolerance"):
+            smallest_eigenpair(diag, off)
+
 
 class TestLambda1Linear:
     def test_gaussian_identity(self, gauss_pot, gauss_grid):
