@@ -82,7 +82,6 @@ from .criteria import (
 from .verify import (
     Verdict,
     check_envelope,
-    default_slack_tol,
     dissipation_audit,
     fit_exponential_rate,
     lemma_audit,

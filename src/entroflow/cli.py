@@ -322,7 +322,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         trace.load_fields(args.fields)
     # only the flags given: run_checks owns the defaults
     given = {k: v for k, v in vars(args).items()
-             if k in ("p", "lambda1", "epsilon", "trials", "seed") and v is not None}
+             if k in ("lambda1", "epsilon", "trials", "seed") and v is not None}
     verdicts, e_bound = verify.run_checks(
         trace, args.checks,
         geometry=lambda: _build_geometry(_geometry_from_meta(args, trace.meta)),
@@ -358,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, help=help, allow_abbrev=False)
 
     sp = command("lambda1", "smallest quotient eigenvalue")
-    sp.add_argument("--p", type=_float_list, help="p value or comma list")
-    sp.add_argument("--theta", type=float, help="use the (1-theta) gradient coefficient")
+    which = sp.add_mutually_exclusive_group()
+    which.add_argument("--p", type=_float_list, help="p value or comma list")
+    which.add_argument("--theta", type=float, help="use the (1-theta) gradient coefficient")
     sp.add_argument("--jobs", type=int, help="ignored; kept so older scripts still parse")
     _add_geometry_flags(sp)
     sp.set_defaults(func=cmd_lambda1)
@@ -374,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--init", help="bump:A | odd:A | const | csv:path")
     sp.add_argument("--stride", type=int)
     sp.add_argument("--audit-stride", type=int)
-    sp.add_argument("--scheme", choices=("cn", "be"))
     sp.add_argument("--trace", help="trace CSV output path")
     sp.add_argument("--fields", help="stored-field NPZ output path")
     _add_geometry_flags(sp)
@@ -392,8 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("constants", "constant chain + hypothesis booleans")
     sp.add_argument("--m", type=float, default=1.0)
     sp.add_argument("--p", type=float, default=1.5)
-    sp.add_argument("--theta", type=float)
-    sp.add_argument("--from-p", type=float, help="derive theta = 2/p - 1")
+    which = sp.add_mutually_exclusive_group()
+    which.add_argument("--theta", type=float)
+    which.add_argument("--from-p", type=float, help="derive theta = 2/p - 1")
     sp.add_argument("--lambda1", type=float)
     sp.add_argument("--e0", type=float, default=0.0,
                     help="initial entropy for the rate constant")
@@ -405,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fields", help="stored-field NPZ (for the refined check)")
     sp.add_argument("--checks", type=lambda text: [c for c in text.split(",") if c],
                     help="comma list: " + ",".join(verify.CHECKS))
-    sp.add_argument("--p", type=float)
     sp.add_argument("--lambda1", type=float)
     sp.add_argument("--epsilon", type=float)
     sp.add_argument("--trials", type=int)

@@ -290,8 +290,10 @@ def theta_from_p(p0: float) -> float:
     return 2.0 / p0 - 1.0
 
 
-# relative slack below zero that lemma_functional_check still passes
-_LEMMA_TOL = 1e-8
+# relative slack below zero that a check still passes: lemma_functional_check
+# and every verdict of entroflow.verify except the dissipation audit, which
+# derives its tolerance from the trace's snapshot spacing and decay rate
+SLACK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -320,7 +322,7 @@ def lemma_functional_check(
 ) -> LemmaCheck:
     """Check  I^{4/3} <= (1/3) [4 c(m,p)]^{4/3} K^{1/3} [(m+p-2) E + 1]^{(4-3q)/(3(2-q))} K2nd
 
-    on one (E, I, K) snapshot, passing a relative slack down to -_LEMMA_TOL.
+    on one (E, I, K) snapshot, passing a relative slack down to -SLACK_TOL.
     Also evaluates the quartic witness, which is nonnegative exactly when the
     inequality holds.
     """
@@ -351,5 +353,5 @@ def lemma_functional_check(
         K3=K3,
         eta_bar=eta_bar,
         f_eta_bar=f_eta_bar,
-        passed=slack >= -_LEMMA_TOL,
+        passed=slack >= -SLACK_TOL,
     )

@@ -2,11 +2,10 @@
 
 Both steppers are conservative by construction: the weighted divergence form
 has exact zero column sums, so implicit steps preserve the discrete mass to
-solver round-off.  The default scheme is the trapezoidal (Crank-Nicolson)
-rule; backward Euler is available as an option but its O(dt) bias makes every
-mode decay slower than e^{-lambda t}, which breaks tight envelope comparisons
-(the trapezoidal rule errs on the fast side, by a factor e^{-(lambda dt)^3/12}
-per step).
+solver round-off.  Both use the trapezoidal (Crank-Nicolson) rule, theta =
+``_THETA`` = 1/2, which errs on the fast side for every mode, by a factor
+e^{-(lambda dt)^3/12} per step, so the decay envelopes can be compared
+tightly.
 
 The linear step solves for its increment, (W + theta dt S) delta = -dt S v,
 v' = v + delta.  -S v is the edge flux balance that :func:`grid.delta_g`
@@ -76,6 +75,9 @@ from .potential import _check_potential
 
 __all__ = ["FlowConfig", "Trace", "initial_field", "run_linear", "run_pme"]
 
+# implicit weight of both steppers: the trapezoidal (Crank-Nicolson) rule
+_THETA = 0.5
+
 
 @dataclass
 class FlowConfig:
@@ -87,9 +89,11 @@ class FlowConfig:
     back to 10 h^2; ``stride`` to whatever yields about 200 snapshots.
     ``t_end`` and a given ``dt`` must be finite and positive, ``stride`` and
     ``audit_stride`` at least 1; a run takes round(t_end / dt) steps, and
-    :meth:`resolved` rejects a ``t_end`` that rounds to none.  The solver's
-    tolerance, halving limit and density floor are module constants (see the
-    module docstring); every field here is a ``flow`` CLI flag.
+    :meth:`resolved` rejects a ``t_end`` that rounds to none.  ``theta`` is
+    the criterion's theta, which ``report`` reads for lambda1_pme, not the
+    time-stepping weight.  The time-stepping weight, the solver's tolerance,
+    halving limit and density floor are module constants (see the module
+    docstring); every field here is a ``flow`` CLI flag.
     """
 
     kind: str  # 'linear' | 'pme'
@@ -101,13 +105,10 @@ class FlowConfig:
     dt: float | None = None
     stride: int | None = None
     audit_stride: int = 10
-    scheme: str = "cn"  # 'cn' | 'be'
 
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "pme"):
             raise ConfigError(f"unknown flow kind {self.kind!r}")
-        if self.scheme not in ("cn", "be"):
-            raise ConfigError(f"unknown scheme {self.scheme!r} (use 'cn' or 'be')")
         if self.kind == "pme" and self.m is None:
             raise ConfigError("pme flow needs the nonlinearity exponent m")
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
@@ -367,13 +368,12 @@ def run_linear(config: FlowConfig, pot, grid: Grid) -> Trace:
     _check_potential(pot, grid)
     params = LinearParams(config.p)
     dt, n_steps, stride = config.resolved(grid)
-    theta = 1.0 if config.scheme == "be" else 0.5
 
     sdiag, soff = stiffness_bands(grid.conductance)
     system = SPDTridiagonal(grid.n)
-    np.multiply(sdiag, theta * dt, out=system.d)
+    np.multiply(sdiag, _THETA * dt, out=system.d)
     system.d += grid.node_mass
-    np.multiply(soff, theta * dt, out=system.e)
+    np.multiply(soff, _THETA * dt, out=system.e)
     info = system.factor()
     if info != 0:
         raise LinearSolveFailure(f"cannot factor the implicit system: LAPACK dpttrf info={info}")
@@ -389,8 +389,7 @@ def run_linear(config: FlowConfig, pot, grid: Grid) -> Trace:
         v += b
         rec.maybe_record(step, step * dt, v)
     meta = {
-        "scheme": config.scheme, "dt": dt, "n_steps": n_steps, "stride": stride,
-        "t_end_effective": n_steps * dt,
+        "dt": dt, "n_steps": n_steps, "stride": stride, "t_end_effective": n_steps * dt,
     }
     return _make_trace(rec, config, grid, clamps=0, meta=meta)
 
@@ -435,7 +434,6 @@ class _PmeStepper:
         n = grid.n
         self.grid = grid
         self.bands = stiffness_bands(grid.conductance)
-        self.theta = 1.0 if config.scheme == "be" else 0.5
         self.m = config.m
         self.updates = self.factorizations = self.halvings = 0
         self.neg_wg = -grid.node_mass
@@ -476,9 +474,9 @@ class _PmeStepper:
         wg = self.grid.node_mass
         sdiag, soff = self.bands
         m, system = self.m, self.system
-        tdt = self.theta * dt
+        tdt = _THETA * dt
         tsdiag = np.multiply(sdiag, tdt, out=self.tsdiag)
-        rhs = np.multiply(lv_old, (1.0 - self.theta) * dt, out=self.rhs)
+        rhs = np.multiply(lv_old, (1.0 - _THETA) * dt, out=self.rhs)
         np.add(v_old, rhs, out=rhs)
         x, lx, res = v_old, lv_old, self.rs[0]
         rnorm = self._residual(x, lx, tdt, res)
@@ -573,7 +571,7 @@ def run_pme(config: FlowConfig, pot, grid: Grid) -> Trace:
             v = np.maximum(v, DEFAULT_FLOOR)
         rec.maybe_record(step, step * dt, v)
     meta = {
-        "scheme": config.scheme, "dt": dt, "n_steps": n_steps, "stride": stride,
+        "dt": dt, "n_steps": n_steps, "stride": stride,
         "t_end_effective": n_steps * dt, "clamps": clamps,
         "newton_iterations": stepper.updates, "factorizations": stepper.factorizations,
         "dt_halvings": stepper.halvings,

@@ -5,9 +5,13 @@
 order, the order of the verdicts.
 
 Every verdict carries a signed worst violation (negative means the property
-was broken beyond tolerance) and is deterministic given config and seed.  The
-default slack tolerance is 1e-8 relative and can be overridden through the
-ENTROFLOW_TOL environment variable (a finite value >= 0).
+was broken beyond tolerance) and is a function of the trace and the
+criterion's own inputs (theta, lambda1, epsilon, trials, seed): each audit
+reads p, and m for a porous-media trace, from ``trace.config``, the one p
+(and m) whose E_p, I_p and K_p the trace records.  Every verdict except
+``dissipation`` is held to the fixed relative slack ``criteria.SLACK_TOL``
+(1e-8); the dissipation audit derives its tolerance from the trace's
+snapshot spacing and decay rate.
 """
 
 from __future__ import annotations
@@ -15,20 +19,18 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import criteria, spectrum
 from .errors import ConfigError, NonPositiveData, ParameterError, WindowTooShort
-from .functionals import LinearParams
+from .functionals import LinearParams, PmeParams
 from .grid import Grid, _dirichlet_row, _fsum_rows, gradient_sq, integrate_dgamma
 from .spectrum import SpectralResult
 
 __all__ = [
     "Verdict",
-    "default_slack_tol",
     "check_envelope",
     "fit_exponential_rate",
     "poincare_test",
@@ -39,21 +41,6 @@ __all__ = [
 ]
 
 _TINY = 1e-300
-
-
-def default_slack_tol() -> float:
-    """Relative slack tolerance; ENTROFLOW_TOL overrides the 1e-8 default
-    with a finite value >= 0."""
-    raw = os.environ.get("ENTROFLOW_TOL")
-    if raw is None:
-        return 1e-8
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"ENTROFLOW_TOL={raw!r} is not a float") from exc
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ConfigError(f"ENTROFLOW_TOL={raw!r} must be finite and >= 0")
-    return tol
 
 
 @dataclass(frozen=True)
@@ -78,21 +65,19 @@ class Verdict:
         }
 
 
-def _verdict(name, worst, location, tol, details=None) -> Verdict:
+def _verdict(name, worst, location, details, tol=criteria.SLACK_TOL) -> Verdict:
     return Verdict(
         name=name,
         passed=bool(worst >= -tol),
         worst_violation=float(worst),
         location=location,
         tolerance=tol,
-        details=details or {},
+        details=details,
     )
 
 
-def check_envelope(trace, envelope, column: str = "E", name: str | None = None,
-                   tol: float | None = None) -> Verdict:
+def check_envelope(trace, envelope, column: str = "E", name: str | None = None) -> Verdict:
     """Worst relative slack of bound(t) - value(t) over the trace snapshots."""
-    tol = default_slack_tol() if tol is None else tol
     values = trace.column(column)
     bounds = np.array([envelope(t) for t in trace.t])
     scale = np.maximum(np.maximum(np.abs(bounds), np.abs(values)), _TINY)
@@ -102,7 +87,6 @@ def check_envelope(trace, envelope, column: str = "E", name: str | None = None,
         name or f"envelope[{column}]",
         float(slack[k]),
         float(trace.t[k]),
-        tol,
         {"n_snapshots": len(values)},
     )
 
@@ -210,7 +194,6 @@ def poincare_test(
     grid: Grid,
     trials: int = 100,
     seed: int = 0,
-    tol: float | None = None,
     weak_lambda1: float | None = None,
     extra_trials: tuple = (),
 ) -> Verdict:
@@ -226,7 +209,6 @@ def poincare_test(
         raise ParameterError(f"p must lie in (1, 2]; got {p}")
     if spectral.lam <= 0.0:
         raise ParameterError("the inequality needs a positive eigenvalue")
-    tol = default_slack_tol() if tol is None else tol
     rng = np.random.default_rng(seed)
     eig = spectral.eigenvector
     trial0 = np.maximum(np.abs(eig), 1e-8 * np.max(np.abs(eig)))
@@ -253,7 +235,7 @@ def poincare_test(
         details["weak_worst_trial"] = weak_idx
         if weak_worst < combined:
             combined, location = weak_worst, weak_idx
-    return _verdict("poincare", combined, location, tol, details)
+    return _verdict("poincare", combined, location, details)
 
 
 def _median(a: np.ndarray) -> float:
@@ -277,19 +259,18 @@ def _centered_mismatch(t, y, target, scale_floor=_TINY):
     return float(rel[k]), float(t[1 + k])
 
 
-def dissipation_audit(trace, kind: str | None = None, tol: float | None = None) -> Verdict:
+def dissipation_audit(trace) -> Verdict:
     """Check dE/dt = -I and the second-order identity along a trace.
 
     The second identity is dI/dt = -(8/p) K for the linear flow and
-    dI/dt = -2 m c(m,p) K for the porous-media flow.  The mismatch of centered
-    differences is second order in the snapshot spacing; the default tolerance
-    scales accordingly.
+    dI/dt = -2 m c(m,p) K for the porous-media flow, with the flow kind, p
+    and m read from ``trace.config``.  The mismatch of centered differences
+    is second order in the snapshot spacing, and the tolerance,
+    3 rate^3 spacing^2, scales accordingly.
     """
-    kind = kind or trace.config.get("kind")
+    kind = trace.config.get("kind")
     p = float(trace.config["p"])
     if kind == "pme":
-        from .functionals import PmeParams
-
         params = PmeParams(m=float(trace.config["m"]), p=p)
         second_coeff = 2.0 * params.m * params.c
     elif kind == "linear":
@@ -301,40 +282,37 @@ def dissipation_audit(trace, kind: str | None = None, tol: float | None = None) 
         raise ConfigError("trace has non-finite K entries; cannot audit")
     mis_E, loc_E = _centered_mismatch(t, trace.E, -trace.I)
     mis_I, loc_I = _centered_mismatch(t, trace.I, -second_coeff * trace.K)
-    if tol is None:
-        # centered-difference truncation ~ (rate * spacing)^2; estimate the rate
-        spacing = _median(np.diff(t))
-        pos = trace.I > 0
-        if pos.sum() >= 10:
-            rate = max(1.0, abs(_fit_rate(t[pos], trace.I[pos])))
-        else:
-            rate = 1.0
-        tol = 3.0 * rate**3 * spacing**2
+    # centered-difference truncation ~ (rate * spacing)^2; estimate the rate
+    spacing = _median(np.diff(t))
+    pos = trace.I > 0
+    if pos.sum() >= 10:
+        rate = max(1.0, abs(_fit_rate(t[pos], trace.I[pos])))
+    else:
+        rate = 1.0
+    tol = 3.0 * rate**3 * spacing**2
     worst = -max(mis_E, mis_I)
     loc = loc_E if mis_E >= mis_I else loc_I
     return _verdict(
-        "dissipation", worst, loc, tol,
-        {"mismatch_entropy": mis_E, "mismatch_fisher": mis_I, "kind": kind},
+        "dissipation", worst, loc,
+        {"mismatch_entropy": mis_E, "mismatch_fisher": mis_I, "kind": kind}, tol,
     )
 
 
-def refined_inequality_audit(
-    trace, p: float, epsilon: float, grid: Grid, tol: float | None = None
-) -> Verdict:
+def refined_inequality_audit(trace, epsilon: float, grid: Grid) -> Verdict:
     """Snapshot-wise audit of the two degenerate-regime inequalities:
 
         K_p >= 16 (alpha eps / (1+eps)) int |Dz|^4 dgamma,        z = v^{p/4}
-        (p I_p)^2 <= 4^4 (1 + (p-1) E_p) int |Dz|^4 dgamma.
+        (p I_p)^2 <= 4^4 (1 + (p-1) E_p) int |Dz|^4 dgamma,
 
-    The quartic gradient term comes from the stored density snapshots (audit
-    stride); E, I and K are read off the matching trace rows, so a corrupted
-    scalar column is caught.
+    at the trace's own p (``trace.config["p"]``).  The quartic gradient term
+    comes from the stored density snapshots (audit stride); E, I and K are
+    read off the matching trace rows, so a corrupted scalar column is caught.
     """
     if not trace.fields:
         raise ConfigError("trace carries no stored fields; rerun with audit fields")
     if epsilon <= 0.0:
         raise ParameterError("epsilon must be positive")
-    tol = default_slack_tol() if tol is None else tol
+    p = float(trace.config["p"])
     alpha = LinearParams(p).alpha
     coeff = 16.0 * alpha * epsilon / (1.0 + epsilon)
     worst, loc = np.inf, None
@@ -352,23 +330,22 @@ def refined_inequality_audit(
             if s < worst:
                 worst, loc = s, idx
     return _verdict(
-        "refined_inequalities", worst, loc, tol,
+        "refined_inequalities", worst, loc,
         {"epsilon": epsilon, "snapshots": count},
     )
 
 
-def lemma_audit(trace, m: float, p: float, theta: float, lambda1: float,
-                tol: float | None = None) -> Verdict:
+def lemma_audit(trace, theta: float, lambda1: float) -> Verdict:
     """Worst slack over a porous-media trace's (E, I, K) snapshots of the
-    interpolation lemma (:func:`criteria.lemma_functional_check`), located at
-    the snapshot's time."""
-    tol = default_slack_tol() if tol is None else tol
+    interpolation lemma (:func:`criteria.lemma_functional_check`) at the
+    trace's own m and p (``trace.config``), located at the snapshot's time."""
+    m, p = float(trace.config["m"]), float(trace.config["p"])
     worst, loc = np.inf, None
     for t, E, I, K in zip(trace.t, trace.E, trace.I, trace.K):
         chk = criteria.lemma_functional_check(m, p, theta, lambda1, (E, I, K))
         if chk.slack < worst:
             worst, loc = chk.slack, float(t)
-    return _verdict("lemma_interpolation", worst, loc, tol, {"snapshots": len(trace.t)})
+    return _verdict("lemma_interpolation", worst, loc, {"snapshots": len(trace.t)})
 
 
 # check name -> the flow kinds it applies to; verdicts come in this order
@@ -381,7 +358,7 @@ CHECKS = {
 }
 
 
-def run_checks(trace, checks, geometry, p=None, lambda1=None, epsilon=None,
+def run_checks(trace, checks, geometry, lambda1=None, epsilon=None,
                trials: int = 100, seed: int = 0):
     """(verdicts, E bound at the snapshot times or None) of the named checks.
 
@@ -392,7 +369,9 @@ def run_checks(trace, checks, geometry, p=None, lambda1=None, epsilon=None,
     called at most once) or any eigensolve runs; a grid other than the one
     the trace records raises ConfigError.  The flow's eigenpair,
     lambda1_linear(p) or lambda1_pme(theta), is solved at most once; a given
-    ``lambda1`` replaces its eigenvalue.  ``p`` defaults to the trace's.
+    ``lambda1`` replaces its eigenvalue.  p, m and theta are the trace's
+    (theta defaults to 0.5): a verdict is a function of the trace and of
+    ``lambda1``, ``epsilon``, ``trials`` and ``seed``.
     """
     checks = ("envelope", "dissipation") if checks is None else tuple(checks)
     for name in checks:
@@ -402,7 +381,7 @@ def run_checks(trace, checks, geometry, p=None, lambda1=None, epsilon=None,
     for name, kinds in CHECKS.items():
         if name in checks and kind not in kinds:
             raise ConfigError(f"the {name} check applies to {' and '.join(kinds)} traces")
-    p = float(trace.config.get("p") if p is None else p)
+    p = float(trace.config["p"])
     lambda1 = None if lambda1 is None else float(lambda1)
     if "refined" in checks:
         alpha = LinearParams(p).alpha
@@ -454,8 +433,8 @@ def run_checks(trace, checks, geometry, p=None, lambda1=None, epsilon=None,
         "envelope": envelope,
         "dissipation": lambda: [dissipation_audit(trace)],
         "poincare": poincare,
-        "refined": lambda: [refined_inequality_audit(trace, p, epsilon, built()[1])],
-        "lemma": lambda: [lemma_audit(trace, m, p, theta, lam())],
+        "refined": lambda: [refined_inequality_audit(trace, epsilon, built()[1])],
+        "lemma": lambda: [lemma_audit(trace, theta, lam())],
     }
     verdicts = [v for name in CHECKS if name in checks for v in run[name]()]
     return verdicts, e_bound

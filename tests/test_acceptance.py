@@ -78,7 +78,7 @@ def test_criterion_4_generalized_poincare(gauss_pot, gauss_grid):
         weak = (p - 1.0) * lam2 if p < 2.0 else None
         verdict = ef.poincare_test(
             p, res, gauss_grid, trials=100, seed=42,
-            weak_lambda1=weak, tol=1e-8,
+            weak_lambda1=weak,
         )
         ok &= verdict.passed
         ok &= verdict.worst_violation >= -1e-8
@@ -171,13 +171,9 @@ def test_criterion_8_pme_decay(pme_run, gauss_pot, gauss_grid):
     lam = ef.lambda1_pme(0.5, gauss_pot, gauss_grid).lam
     consts = ef.constants_chain(1.2, 1.5, 0.5, lam, float(tr.E[0]))
     I0 = float(tr.I[0])
-    env_I = ef.check_envelope(
-        tr, lambda t: ef.envelope_pme(I0, consts.kappa, t)[0], "I", tol=1e-8
-    )
-    env_E = ef.check_envelope(
-        tr, lambda t: ef.envelope_pme(I0, consts.kappa, t)[1], "E", tol=1e-8
-    )
-    lemma_worst = ef.lemma_audit(tr, 1.2, 1.5, 0.5, lam, tol=1e-8).worst_violation
+    env_I = ef.check_envelope(tr, lambda t: ef.envelope_pme(I0, consts.kappa, t)[0], "I")
+    env_E = ef.check_envelope(tr, lambda t: ef.envelope_pme(I0, consts.kappa, t)[1], "E")
+    lemma_worst = ef.lemma_audit(tr, 0.5, lam).worst_violation
     elapsed = time.perf_counter() - t0
     ok = (monotone_ok and mass_ok and env_I.passed and env_E.passed
           and lemma_worst >= -1e-8 and elapsed < 120.0)
@@ -229,7 +225,7 @@ def test_criterion_10_refined_inequalities(linear_run_p15, gauss_grid):
     p = 1.5
     alpha = (2.0 - p) / p
     eps = (1.0 - alpha) / (2.0 * alpha)
-    verdict = ef.refined_inequality_audit(linear_run_p15, p, eps, gauss_grid, tol=1e-8)
+    verdict = ef.refined_inequality_audit(linear_run_p15, eps, gauss_grid)
     ok = verdict.passed and verdict.worst_violation >= -1e-8
     _report(10, f"quartic-gradient and interpolation inequalities along the "
                 f"p=1.5 run, eps={eps}: worst slack {verdict.worst_violation:.2e} "

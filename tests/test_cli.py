@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from entroflow import verify
 from entroflow.cli import _normalize_argv, build_parser, main
 from entroflow.flows import FlowConfig, Trace
 
@@ -246,23 +247,11 @@ class TestFlowAndReport:
                      "envelope,dissipation,lemma"])
         assert code == expected
 
-    @pytest.mark.parametrize("flags", [
-        ("--checks", "envelope", "--p", "0"),
-        ("--checks", "refined", "--epsilon", "0"),
-    ])
-    def test_report_rejects_zero_p_and_epsilon(self, artifacts, flags):
+    def test_report_rejects_zero_epsilon(self, artifacts):
         # an explicit 0 is an invalid value, not a request for the default
         _, trace, fields = artifacts
-        code = main(["report", "--trace", str(trace), "--fields", str(fields), *flags])
-        assert code == 2
-
-    @pytest.mark.parametrize("raw", ["inf", "nan", "-1"])
-    def test_report_rejects_bad_env_tolerance(self, artifacts, monkeypatch, raw):
-        # at ENTROFLOW_TOL=inf this inflated eigenvalue used to pass (exit 0)
-        _, trace, _ = artifacts
-        monkeypatch.setenv("ENTROFLOW_TOL", raw)
-        code = main(["report", "--trace", str(trace), "--checks", "envelope",
-                     "--lambda1", "50"])
+        code = main(["report", "--trace", str(trace), "--fields", str(fields),
+                     "--checks", "refined", "--epsilon", "0"])
         assert code == 2
 
     @pytest.mark.parametrize("kind", ["linear", "pme"])
@@ -434,6 +423,7 @@ def bad_files(tmp_path):
     (tmp_path / "no-config.csv").write_text(rows)
     (tmp_path / "no-p.csv").write_text('# config: {"kind": "linear"}\n' + rows)
     (tmp_path / "fields.npz").write_text("not an npz\n")
+    (tmp_path / "theta.json").write_text('{"theta": 0.5}')
     return tmp_path
 
 
@@ -473,8 +463,17 @@ class TestMalformedInput:
          "cannot read field file"),
         (["report", "--trace", "{tmp}/no-config.csv"],
          "no-config.csv: its '# config:' line lacks kind, p"),
-        (["report", "--trace", "{tmp}/no-p.csv", "--p", "1.5", "--checks", "dissipation"],
+        (["report", "--trace", "{tmp}/no-p.csv", "--checks", "dissipation"],
          "no-p.csv: its '# config:' line lacks p"),
+        # a verdict holds at the trace's own p: report takes no --p
+        (["report", "--trace", "{trace}", "--p", "1.1"],
+         "unrecognized arguments: --p 1.1"),
+        (["lambda1", "--p", "1.5", "--theta", "0.5", "--n", "200"],
+         "argument --theta: not allowed with argument --p"),
+        (["lambda1", "--config", "{tmp}/theta.json", "--p", "1.5", "--n", "200"],
+         "argument --p: not allowed with argument --theta"),
+        (["constants", "--theta", "0.5", "--from-p", "1.2"],
+         "argument --from-p: not allowed with argument --theta"),
         (["flow", "linear", "--aud", "3", "--n", "201"],
          "unrecognized arguments: --aud 3"),
         (["flow", "linear", "--n", "201", "--tend", "0.01", "--dt", "1e-3",
@@ -488,7 +487,9 @@ class TestMalformedInput:
     ], ids=["power", "harmonic_log", "radial-d", "p-list", "init-bump", "check-theta",
             "tabulated-file", "init-csv-file", "missing-tabulated", "missing-init-csv",
             "missing-trace", "missing-fields", "trace-short-row", "trace-cell",
-            "fields-not-npz", "trace-no-config", "trace-no-p", "flag-prefix",
+            "fields-not-npz", "trace-no-config", "trace-no-p", "report-p",
+            "lambda1-p-theta", "lambda1-config-theta", "constants-theta-from-p",
+            "flag-prefix",
             "init-csv-zero-mass", "init-csv-nan",
             "region-negative-samples", "region-zero-samples"])
     def test_exits_2_with_message(self, artifacts, bad_files, capsys, argv, message):
@@ -543,10 +544,10 @@ class TestConfigFile:
          {"p": "1.2,2.0", "potential": "gaussian", "domain": "-6:6", "n": 301,
           "out": "lam.json"}),
         (["flow", "linear", "--p", "1.5", "--domain=-8:8", "--n", "201", "--tend", "0.1",
-          "--dt", "2e-3", "--init", "odd:0.2", "--audit-stride", "5", "--scheme", "be",
+          "--dt", "2e-3", "--init", "odd:0.2", "--audit-stride", "5", "--stride", "2",
           "--trace", "run.csv", "--fields", "run.npz"],
          {"p": 1.5, "domain": "-8:8", "n": 201, "tend": 0.1, "dt": 2e-3,
-          "init": "odd:0.2", "audit-stride": 5, "scheme": "be", "trace": "run.csv",
+          "init": "odd:0.2", "audit-stride": 5, "stride": 2, "trace": "run.csv",
           "fields": "run.npz"}),
         (["region", "--theta", "0.8", "--samples", "40", "--check-theta", "0.5,0.2"],
          {"theta": 0.8, "samples": 40, "check-theta": "0.5,0.2"}),
@@ -583,11 +584,10 @@ class TestConfigFile:
         ({"aud": 3}, "unrecognized arguments: --aud=3"),
         ({"n": "abc"}, "argument --n: invalid int value: 'abc'"),
         ({"n": 20.5}, "argument --n: invalid int value: '20.5'"),
-        ({"scheme": "rk4"}, "argument --scheme: invalid choice: 'rk4'"),
         ({"n": None}, "config key 'n' needs a string or a number, got null"),
         ({"trace": ["a.csv"]}, "config key 'trace' needs a string or a number"),
         ([1, 2], "--config must hold a JSON object"),
-    ], ids=["unknown", "underscore", "prefix", "wrong-type", "float-for-int", "bad-choice",
+    ], ids=["unknown", "underscore", "prefix", "wrong-type", "float-for-int",
             "null", "list", "not-object"])
     def test_bad_file_exits_2(self, tmp_path, capsys, cfg, message):
         argv = ["flow", "linear", "--config", _write_config(tmp_path, cfg), "--n", "201",
@@ -605,7 +605,7 @@ class TestConfigFile:
         flags = {a.dest: a.option_strings[0] for a in sub.choices["flow"]._actions
                  if a.option_strings}
         values = {"p": 1.5, "m": 1.2, "theta": 0.3, "init": "bump:0.2", "t_end": 0.02,
-                  "dt": 2e-3, "stride": 2, "audit_stride": 3, "scheme": "be"}
+                  "dt": 2e-3, "stride": 2, "audit_stride": 3}
         fields = [f.name for f in dataclasses.fields(FlowConfig) if f.name != "kind"]
         assert sorted(fields) == sorted(values)
         assert all(name in flags for name in fields), set(fields) - set(flags)
@@ -631,7 +631,7 @@ class TestConfigFile:
 
 
 def test_dissipation_report_leaves_numpy_ma_unloaded(artifacts):
-    # the default tolerance takes a median of the snapshot spacings; np.median
+    # the tolerance takes a median of the snapshot spacings; np.median
     # would import numpy.ma on its first call
     _, trace, _ = artifacts
     proc = subprocess.run(
@@ -651,6 +651,17 @@ def _readme_commands() -> list[str]:
     text = text.replace("\\\n", " ")
     return [line.strip() for line in text.splitlines()
             if line.strip().startswith("entroflow ")]
+
+
+def test_readme_checks_table_matches_verify_checks():
+    # README promises that verdicts follow the order of its check table
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("`report --checks` takes", 1)[1].split("\n\n", 2)[1]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    documented = [(name.strip().strip("`"),
+                   tuple(k.strip() for k in kinds.split(",") if "`" not in k))
+                  for name, kinds in rows]
+    assert documented == list(verify.CHECKS.items())
 
 
 def test_readme_commands_parse():

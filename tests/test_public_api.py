@@ -44,7 +44,6 @@ PUBLIC_NAMES = [
     "check_envelope",
     "constants_chain",
     "constants_report",
-    "default_slack_tol",
     "delta_g",
     "dirichlet_form",
     "discriminant",

@@ -251,6 +251,18 @@ class TestExample1ClosedForm:
                               bound.lambda1(eps, c))
         assert order == pytest.approx(min(bound.order(eps, c), 2.0), abs=0.1)
 
+    def test_above_the_bound_lambda1_is_a_grid_artefact(self):
+        # eps = 0.3 lies above the bound 0.1716 (d = 3, p = 2): the quotient
+        # is unbounded below and the printed value falls like h^-2 without a
+        # limit (-20.1, -79.5, -317 at n = 1000, 2000, 4000)
+        eps = 0.3
+        assert eps > ef.example1_epsilon_bound(3, 2.0).bound
+        pot = ef.harmonic_log(eps, 3)
+        lams = [ef.lambda1_linear(2.0, pot, ef.make_radial_grid(3, 12.0, n, pot)).lam
+                for n in (1000, 2000, 4000)]
+        assert lams[0] < 0.0
+        assert all(finer <= 3.5 * coarser for coarser, finer in zip(lams, lams[1:]))
+
 
 @pytest.mark.parametrize("solve", [
     lambda pot, grid: ef.lambda1_linear(1.5, pot, grid),

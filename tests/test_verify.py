@@ -193,7 +193,7 @@ class TestRefinedAudit:
         p = 1.5
         alpha = (2 - p) / p
         eps = (1.0 - alpha) / (2.0 * alpha)
-        v = ef.refined_inequality_audit(linear_run_p15, p, eps, gauss_grid)
+        v = ef.refined_inequality_audit(linear_run_p15, eps, gauss_grid)
         assert v.passed
         assert v.worst_violation >= -1e-8
 
@@ -204,40 +204,18 @@ class TestRefinedAudit:
             min_v=linear_run_p15.min_v, config=linear_run_p15.config,
             grid_id=linear_run_p15.grid_id, fields=linear_run_p15.fields,
         )
-        v = ef.refined_inequality_audit(tr, 1.5, 1.0, gauss_grid)
+        v = ef.refined_inequality_audit(tr, 1.0, gauss_grid)
         assert not v.passed
 
     def test_requires_fields(self, gauss_grid):
         tr = _synthetic_trace()
         with pytest.raises(ConfigError):
-            ef.refined_inequality_audit(tr, 1.5, 1.0, gauss_grid)
+            ef.refined_inequality_audit(tr, 1.0, gauss_grid)
 
     def test_equilibrium_trace_trivially_passes(self, gauss_pot, gauss_grid_small):
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="const", t_end=0.1,
                             dt=2e-3, stride=10, audit_stride=2)
         tr = ef.run_linear(cfg, gauss_pot, gauss_grid_small)
-        v = ef.refined_inequality_audit(tr, 1.5, 1.0, gauss_grid_small)
+        v = ef.refined_inequality_audit(tr, 1.0, gauss_grid_small)
         assert v.passed
 
-
-def test_env_tolerance_override(monkeypatch):
-    monkeypatch.setenv("ENTROFLOW_TOL", "1e-4")
-    assert ef.default_slack_tol() == 1e-4
-    monkeypatch.setenv("ENTROFLOW_TOL", "junk")
-    with pytest.raises(ConfigError):
-        ef.default_slack_tol()
-    monkeypatch.delenv("ENTROFLOW_TOL")
-    assert ef.default_slack_tol() == 1e-8
-
-
-@pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "-1", "-1e-12"])
-def test_env_tolerance_rejects_non_finite_and_negative(monkeypatch, raw):
-    # inf would pass every check; nan and negative values would fail every one
-    monkeypatch.setenv("ENTROFLOW_TOL", raw)
-    with pytest.raises(ConfigError):
-        ef.default_slack_tol()
-
-
-def test_env_tolerance_accepts_zero(monkeypatch):
-    monkeypatch.setenv("ENTROFLOW_TOL", "0")
-    assert ef.default_slack_tol() == 0.0
