@@ -254,6 +254,16 @@ class TestFlowAndReport:
                      "--checks", "refined", "--epsilon", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("raw", ["inf", "nan", "-1"])
+    def test_report_ignores_env_tolerance(self, artifacts, monkeypatch, raw):
+        # at ENTROFLOW_TOL=inf this inflated eigenvalue used to pass (exit 0);
+        # the slack is fixed, so the verdicts match those of a clean environment
+        _, trace, _ = artifacts
+        argv = ["report", "--trace", str(trace), "--checks", "envelope", "--lambda1", "50"]
+        clean = main(argv)
+        monkeypatch.setenv("ENTROFLOW_TOL", raw)
+        assert main(argv) == clean > 4
+
     @pytest.mark.parametrize("kind", ["linear", "pme"])
     def test_solve_failure_exits_3(self, monkeypatch, kind):
         monkeypatch.setattr("entroflow.flows.SPDTridiagonal.factor", lambda system: 1)
@@ -476,6 +486,9 @@ class TestMalformedInput:
          "argument --from-p: not allowed with argument --theta"),
         (["flow", "linear", "--aud", "3", "--n", "201"],
          "unrecognized arguments: --aud 3"),
+        # the flow always steps Crank-Nicolson: there is no scheme to choose
+        (["flow", "linear", "--scheme", "be", "--n", "201"],
+         "unrecognized arguments: --scheme be"),
         (["flow", "linear", "--n", "201", "--tend", "0.01", "--dt", "1e-3",
           "--init", "csv:{tmp}/zeros.csv"],
          "csv initial datum needs a finite positive mass; got 0.0"),
@@ -489,7 +502,7 @@ class TestMalformedInput:
             "missing-trace", "missing-fields", "trace-short-row", "trace-cell",
             "fields-not-npz", "trace-no-config", "trace-no-p", "report-p",
             "lambda1-p-theta", "lambda1-config-theta", "constants-theta-from-p",
-            "flag-prefix",
+            "flag-prefix", "flow-scheme",
             "init-csv-zero-mass", "init-csv-nan",
             "region-negative-samples", "region-zero-samples"])
     def test_exits_2_with_message(self, artifacts, bad_files, capsys, argv, message):
@@ -584,11 +597,12 @@ class TestConfigFile:
         ({"aud": 3}, "unrecognized arguments: --aud=3"),
         ({"n": "abc"}, "argument --n: invalid int value: 'abc'"),
         ({"n": 20.5}, "argument --n: invalid int value: '20.5'"),
+        ({"scheme": "be"}, "unrecognized arguments: --scheme=be"),
         ({"n": None}, "config key 'n' needs a string or a number, got null"),
         ({"trace": ["a.csv"]}, "config key 'trace' needs a string or a number"),
         ([1, 2], "--config must hold a JSON object"),
     ], ids=["unknown", "underscore", "prefix", "wrong-type", "float-for-int",
-            "null", "list", "not-object"])
+            "removed-scheme", "null", "list", "not-object"])
     def test_bad_file_exits_2(self, tmp_path, capsys, cfg, message):
         argv = ["flow", "linear", "--config", _write_config(tmp_path, cfg), "--n", "201",
                 "--tend", "0.01"]

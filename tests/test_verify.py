@@ -1,5 +1,6 @@
 """Verdict machinery: envelopes, rate fits, inequality audits, controls."""
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -207,6 +208,14 @@ class TestRefinedAudit:
         v = ef.refined_inequality_audit(tr, 1.0, gauss_grid)
         assert not v.passed
 
+    def test_reads_p_from_trace(self, linear_run_p15, gauss_grid):
+        # the same columns labelled p = 1.1 are held to alpha(1.1) and fail,
+        # as report --p 1.1 once made them fail on the p = 1.5 run
+        alpha = (2 - 1.1) / 1.1
+        eps = (1.0 - alpha) / (2.0 * alpha)
+        relabelled = replace(linear_run_p15, config={**linear_run_p15.config, "p": 1.1})
+        assert not ef.refined_inequality_audit(relabelled, eps, gauss_grid).passed
+
     def test_requires_fields(self, gauss_grid):
         tr = _synthetic_trace()
         with pytest.raises(ConfigError):
@@ -219,3 +228,19 @@ class TestRefinedAudit:
         v = ef.refined_inequality_audit(tr, 1.0, gauss_grid_small)
         assert v.passed
 
+
+@pytest.mark.parametrize("fn, keyword", [
+    (ef.check_envelope, "tol"),
+    (ef.poincare_test, "tol"),
+    (ef.refined_inequality_audit, "tol"),
+    (ef.refined_inequality_audit, "p"),
+    (ef.lemma_audit, "tol"),
+    (ef.lemma_audit, "m"),
+    (ef.lemma_audit, "p"),
+    (ef.dissipation_audit, "tol"),
+    (ef.dissipation_audit, "kind"),
+    (ef.run_checks, "p"),
+], ids=lambda x: x if isinstance(x, str) else x.__name__)
+def test_verdict_takes_no_tolerance_or_p_override(fn, keyword):
+    # the slack is criteria.SLACK_TOL and p, m come from the trace's config
+    assert keyword not in inspect.signature(fn).parameters
