@@ -4,25 +4,21 @@ that numpy has already loaded.
 * ``dpttrf``/``dpttrs`` -- factor and solve symmetric positive definite
   tridiagonal systems (both implicit flow steps), through
   :class:`SPDTridiagonal`;
-* ``dstebz``/``dstein`` -- bisection for selected eigenvalues and inverse
-  iteration for their eigenvectors of a symmetric tridiagonal matrix (the
-  spectral quotients), with the call and return shapes of
-  ``scipy.linalg.lapack``.
+* ``dstebz``/``dstein`` -- bisection for the smallest eigenvalue of a
+  symmetric tridiagonal matrix and inverse iteration for its eigenvector
+  (the spectral quotients), through :func:`lowest`.
 
-numpy's wheels bundle an OpenBLAS that exports all four routines, and it is
-mapped as soon as numpy is imported.  Calling them there keeps one OpenBLAS
-and one BLAS worker pool per process: scipy's compiled ``_flapack``
-extension would map a second OpenBLAS (``libscipy_openblas``) and start a
-second worker thread, for four routines.
-:func:`candidates` lists the libraries searched, in order: numpy's bundled
-``libscipy_openblas64_`` (64-bit integers, symbols ``scipy_<name>_64_``),
-then scipy's bundled ``libscipy_openblas`` (32-bit integers, symbols
-``scipy_<name>_``), located without importing scipy.  The first library that
-exports all four routines is used.  Wheels that bundle neither (numpy before
-2.0, scipy before 1.13) and builds linked to Accelerate, MKL or a system
-LAPACK fall back to scipy's ``_flapack`` extension (:class:`Flapack`), the
-only path that runs there; if that is missing too, importing this module
-raises ImportError naming the paths tried.
+numpy's wheels (2.0 and later) bundle an OpenBLAS, ``libscipy_openblas64_``
+(64-bit integers, symbols ``scipy_<name>_64_``), that exports all four
+routines, and it is mapped as soon as numpy is imported.  Calling them there
+keeps one OpenBLAS and one BLAS worker pool per process: scipy's compiled
+``_flapack`` extension would map a second OpenBLAS and start a second worker
+thread, for four routines.  :func:`candidates` lists where numpy's library
+is searched.  Where numpy bundles none (numpy before 2.0, builds linked to
+Accelerate, MKL or a system LAPACK), the routines come from scipy's
+``_flapack`` extension (:class:`Flapack`), located without importing scipy;
+if that is missing too, importing this module raises ImportError naming the
+paths tried.
 
 Through ctypes the routines take the Fortran ABI: every scalar is passed by
 reference, and each character argument adds a trailing ``size_t`` length.
@@ -38,7 +34,7 @@ import os
 
 import numpy as np
 
-__all__ = ["SPDTridiagonal", "dstebz", "dstein"]
+__all__ = ["SPDTridiagonal", "lowest"]
 
 # find_spec of a top-level package locates it without executing it
 _SCIPY_SPEC = importlib.util.find_spec("scipy")
@@ -46,6 +42,7 @@ _SCIPY_DIR = (_SCIPY_SPEC.submodule_search_locations[0]
               if _SCIPY_SPEC is not None and _SCIPY_SPEC.submodule_search_locations else None)
 
 _NAMES = ("dpttrf", "dpttrs", "dstebz", "dstein")
+_INT = ctypes.c_int64
 _P = ctypes.c_void_p
 _ARGTYPES = {
     # N, D, E, INFO
@@ -58,21 +55,16 @@ _ARGTYPES = {
     # N, D, E, M, W, IBLOCK, ISPLIT, Z, LDZ, WORK, IWORK, IFAIL, INFO
     "dstein": (_P,) * 13,
 }
+# an absolute bisection tolerance of 2 tiny asks dstebz for full accuracy
+_ABSTOL = 2.0 * np.finfo(float).tiny
 
 
-def candidates() -> list[tuple[str, str, str, type]]:
-    """(library path pattern, symbol prefix, symbol suffix, ctypes integer
-    type) of each library searched, in search order: numpy's bundled ILP64
-    OpenBLAS (``numpy.libs/`` in Linux wheels, ``numpy/.dylibs/`` in macOS
-    ones), then scipy's LP64 one (``scipy.libs/``, ``scipy/.dylibs/``)."""
-    packages = [(os.path.dirname(np.__file__), "libscipy_openblas64_*", "_64_", ctypes.c_int64)]
-    if _SCIPY_DIR is not None:
-        packages.append((_SCIPY_DIR, "libscipy_openblas*", "_", ctypes.c_int32))
-    return [
-        (os.path.join(libdir, pattern), "scipy_", suffix, cint)
-        for pkg, pattern, suffix, cint in packages
-        for libdir in (pkg + ".libs", os.path.join(pkg, ".dylibs"))
-    ]
+def candidates() -> list[str]:
+    """Path patterns of numpy's bundled ILP64 OpenBLAS, in search order:
+    ``numpy.libs/`` (Linux wheels), then ``numpy/.dylibs/`` (macOS ones)."""
+    pkg = os.path.dirname(np.__file__)
+    return [os.path.join(libdir, "libscipy_openblas64_*")
+            for libdir in (pkg + ".libs", os.path.join(pkg, ".dylibs"))]
 
 
 def _ptr(x) -> ctypes.c_void_p:
@@ -81,15 +73,10 @@ def _ptr(x) -> ctypes.c_void_p:
     return ctypes.c_void_p(x.ctypes.data if isinstance(x, np.ndarray) else ctypes.addressof(x))
 
 
-def _vector(a, name: str) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional; got shape {a.shape}")
-    return a
-
-
 def _tridiagonal(d, e) -> tuple[np.ndarray, np.ndarray]:
-    d, e = _vector(d, "d"), _vector(e, "e")
+    d, e = (np.ascontiguousarray(a, dtype=np.float64) for a in (d, e))
+    if d.ndim != 1 or e.ndim != 1:
+        raise ValueError(f"d and e must be one-dimensional; got shapes {d.shape}, {e.shape}")
     if len(d) < 1 or len(e) != len(d) - 1:
         raise ValueError(
             f"need n >= 1 diagonal and n - 1 off-diagonal entries; got {len(d)}, {len(e)}"
@@ -98,76 +85,53 @@ def _tridiagonal(d, e) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Lapack:
-    """The four routines of one LAPACK library, bound with ctypes.
-
-    ``cint`` is the library's ctypes integer type and ``itype`` the matching
-    numpy dtype, used by the integer arrays of :meth:`dstebz` and
-    :meth:`dstein`.  Raises OSError if the library cannot be loaded,
-    AttributeError if it lacks one of the routines.
+    """The four routines of numpy's bundled OpenBLAS at ``path``, bound with
+    ctypes.  Raises OSError if the library cannot be loaded, AttributeError
+    if it lacks one of the routines.
     """
 
-    def __init__(self, path: str, prefix: str, suffix: str, cint: type):
+    def __init__(self, path: str):
         # CDLL of a library already mapped only reuses its handle
         lib = ctypes.CDLL(path)
         for name in _NAMES:
-            fn = getattr(lib, prefix + name + suffix)
+            fn = getattr(lib, f"scipy_{name}_64_")
             fn.argtypes = _ARGTYPES[name]
             fn.restype = None
             setattr(self, "_" + name, fn)
         self.path = path
-        self.cint = cint
-        self.itype = np.dtype(cint)
 
-    def dstebz(self, d, e, range, vl, vu, il, iu, tol, order):
-        """m, w, iblock, isplit, info = dstebz(d, e, range, vl, vu, il, iu, tol, order).
+    def lowest(self, d, e) -> tuple[np.ndarray, int, int]:
+        """z, stebz_info, stein_info = lowest(d, e): the eigenvector ``z`` of
+        the smallest eigenvalue of the symmetric tridiagonal matrix with
+        diagonal ``d`` and off-diagonal ``e``.
 
-        ``range`` 0, 1 or 2 selects all eigenvalues, those in (vl, vu], or
-        those with indices il..iu; ``order`` is "B" (by block) or "E"
-        (entire matrix).  ``w``, ``iblock`` and ``isplit`` have length n;
-        the first m entries of ``w`` and ``iblock`` are set.
+        dstebz bisects for eigenvalue 1 (RANGE "I", IL = IU = 1, ORDER "B",
+        ABSTOL 2 tiny), then dstein finds its vector by inverse iteration:
+        the calls of ``scipy.linalg.eigh_tridiagonal(d, e, select="i",
+        select_range=(0, 0), tol=2 tiny, lapack_driver="stebz")``.  dstein
+        is skipped, and ``z`` left zero, if dstebz reports an error.
         """
-        if range not in (0, 1, 2):
-            raise ValueError(f"range must be 0, 1 or 2; got {range!r}")
         d, e = _tridiagonal(d, e)
         n = len(d)
-        cint, real = self.cint, ctypes.c_double
-        m, nsplit, info = cint(), cint(), cint()
-        w = np.zeros(n)
-        iblock, isplit = np.zeros(n, self.itype), np.zeros(n, self.itype)
-        work, iwork = np.empty(4 * n), np.empty(3 * n, self.itype)
-        refs = (cint(n), real(vl), real(vu), cint(il), cint(iu), real(tol), d, e, m, nsplit,
-                w, iblock, isplit, work, iwork, info)
-        self._dstebz(b"AVI"[range:range + 1], order.encode(), *map(_ptr, refs), 1, 1)
-        return m.value, w, iblock, isplit, info.value
-
-    def dstein(self, d, e, w, iblock, isplit):
-        """z, info = dstein(d, e, w, iblock, isplit): the eigenvectors of the
-        eigenvalues ``w`` (block indices ``iblock``, split points ``isplit``,
-        as :meth:`dstebz` returns them) as the columns of the n x len(w)
-        Fortran-ordered array ``z``."""
-        d, e = _tridiagonal(d, e)
-        w = _vector(w, "w")
-        n, m = len(d), len(w)
-        iblock = np.ascontiguousarray(iblock, self.itype)
-        isplit = np.ascontiguousarray(isplit, self.itype)
-        if m > n or len(iblock) < m or len(isplit) < n:
-            raise ValueError(
-                "need len(w) <= n, len(iblock) >= len(w) and len(isplit) >= n; "
-                f"got n={n}, {m}, {len(iblock)}, {len(isplit)}"
-            )
-        info = self.cint()
-        z = np.zeros((n, m), order="F")
-        work, iwork, ifail = np.empty(5 * n), np.empty(n, self.itype), np.empty(m, self.itype)
-        n_ = self.cint(n)  # also LDZ
-        refs = (n_, d, e, self.cint(m), w, iblock, isplit, z, n_, work, iwork, ifail, info)
-        self._dstein(*map(_ptr, refs))
-        return z, info.value
+        m, nsplit, ifail, stebz_info, stein_info = _INT(), _INT(), _INT(), _INT(), _INT()
+        w, z, work = np.zeros(n), np.zeros(n), np.empty(5 * n)
+        iblock, isplit = np.zeros(n, np.int64), np.zeros(n, np.int64)
+        iwork = np.empty(3 * n, np.int64)
+        n_, one, zero = _INT(n), _INT(1), ctypes.c_double(0.0)
+        refs = (n_, zero, zero, one, one, ctypes.c_double(_ABSTOL), d, e, m, nsplit,
+                w, iblock, isplit, work, iwork, stebz_info)
+        self._dstebz(b"I", b"B", *map(_ptr, refs), 1, 1)
+        if stebz_info.value == 0:
+            # M = 1 and LDZ = n
+            refs = (n_, d, e, one, w, iblock, isplit, z, n_, work, iwork, ifail, stein_info)
+            self._dstein(*map(_ptr, refs))
+        return z, stebz_info.value, stein_info.value
 
     def attach(self, system: SPDTridiagonal) -> None:
         """Set the dpttrf/dpttrs calls of ``system`` on its own buffers."""
         # N (also LDB), NRHS and INFO, passed by reference; ``system`` keeps
         # them alive, since the pointers to them do not
-        system._n, system._nrhs, system._info = self.cint(system.n), self.cint(1), self.cint()
+        system._n, system._nrhs, system._info = _INT(system.n), _INT(1), _INT()
         n_, nrhs, d, e, b, info = map(
             _ptr, (system._n, system._nrhs, system.d, system.e, system.b, system._info)
         )
@@ -175,19 +139,13 @@ class Lapack:
         system._pttrs, system._pttrs_args = self._dpttrs, (n_, nrhs, d, e, b, n_, info)
 
 
-def _f2py_off(e: np.ndarray) -> np.ndarray:
-    # the f2py wrappers reject the empty off-diagonal of a 1 x 1 matrix,
-    # which LAPACK does not read
-    return e if len(e) else np.zeros(1)
-
-
 class Flapack:
     """The four routines of scipy's compiled f2py extension
     ``scipy.linalg._flapack``, loaded straight from its file in
     ``linalg_dir`` (it needs only numpy, and importing ``scipy.linalg``
     would load scipy's array-API layer).  It maps scipy's LAPACK next to
-    numpy's, so it is the fallback for installations with no bundled
-    ``libscipy_openblas``.  Raises ImportError if the extension is missing.
+    numpy's, so it is the fallback for installations where numpy bundles no
+    OpenBLAS.  Raises ImportError if the extension is missing.
     """
 
     def __init__(self, linalg_dir: str | None):
@@ -205,15 +163,17 @@ class Flapack:
         loader.exec_module(self._f)
         self.path = path
 
-    def dstebz(self, d, e, range, vl, vu, il, iu, tol, order):
-        """As :meth:`Lapack.dstebz`."""
+    def lowest(self, d, e) -> tuple[np.ndarray, int, int]:
+        """As :meth:`Lapack.lowest`."""
         d, e = _tridiagonal(d, e)
-        return self._f.dstebz(d, _f2py_off(e), range, vl, vu, il, iu, tol, order)
-
-    def dstein(self, d, e, w, iblock, isplit):
-        """As :meth:`Lapack.dstein`."""
-        d, e = _tridiagonal(d, e)
-        return self._f.dstein(d, _f2py_off(e), w, iblock, isplit)
+        # the f2py wrappers reject the empty off-diagonal of a 1 x 1 matrix,
+        # which LAPACK does not read
+        e = e if len(e) else np.zeros(1)
+        _, w, iblock, isplit, info = self._f.dstebz(d, e, 2, 0.0, 0.0, 1, 1, _ABSTOL, "B")
+        if info != 0:
+            return np.zeros(len(d)), info, 0
+        z, info = self._f.dstein(d, e, w[:1], iblock, isplit)
+        return z[:, 0], 0, info
 
     def _pttrf(self, d, e, info):
         # f2py overwrites contiguous float64 arrays in place when asked to
@@ -230,40 +190,32 @@ class Flapack:
             system.d, system.e, system.b, system._info)
 
 
-def bind(cands: list[tuple[str, str, str, type]]) -> Lapack:
-    """The routines of the first library in ``cands`` (entries as
-    :func:`candidates` gives them) that exports all four; ImportError naming
-    every path tried if none does."""
+def load(patterns: list[str], linalg_dir: str | None) -> Lapack | Flapack:
+    """:class:`Lapack` of the first library matching ``patterns`` (as
+    :func:`candidates` gives them) that exports all four routines, else
+    :class:`Flapack` from ``linalg_dir``; ImportError naming every path
+    tried if neither loads."""
     tried = []
-    for pattern, prefix, suffix, cint in cands:
+    for pattern in patterns:
         paths = sorted(glob.glob(pattern))
         if not paths:
             tried.append(f"{pattern} (no such file)")
         for path in paths:
             try:
-                return Lapack(path, prefix, suffix, cint)
+                return Lapack(path)
             except (OSError, AttributeError) as exc:
                 tried.append(f"{path} ({exc})")
+    try:
+        return Flapack(linalg_dir)
+    except ImportError as exc:
+        tried.append(str(exc))
     raise ImportError(
         f"no LAPACK library exporting {', '.join(_NAMES)}; tried: {'; '.join(tried)}"
     )
 
 
-def load(cands: list[tuple[str, str, str, type]], linalg_dir: str | None) -> Lapack | Flapack:
-    """:func:`bind` of ``cands``, else :class:`Flapack` from ``linalg_dir``;
-    ImportError naming every path tried if neither loads."""
-    try:
-        return bind(cands)
-    except ImportError as err:
-        try:
-            return Flapack(linalg_dir)
-        except ImportError as err2:
-            raise ImportError(f"{err}; {err2}") from None
-
-
 _LAPACK = load(candidates(), None if _SCIPY_DIR is None else os.path.join(_SCIPY_DIR, "linalg"))
-dstebz = _LAPACK.dstebz
-dstein = _LAPACK.dstein
+lowest = _LAPACK.lowest
 
 
 class SPDTridiagonal:

@@ -150,6 +150,8 @@ def _config_tokens(path: str) -> list[str]:
             raise ConfigError(f"--config {path} is not JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("--config must hold a JSON object")
+    if "config" in cfg:
+        raise ConfigError(f"--config {path} names another config file")
     tokens = []
     for key, value in cfg.items():
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):

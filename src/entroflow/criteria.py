@@ -183,10 +183,19 @@ class PmeConstants:
         )
 
 
+def _check_inputs(lambda1: float | None, E0: float) -> None:
+    if not (math.isfinite(E0) and E0 >= 0.0):
+        raise ParameterError(f"E0 must be finite and nonnegative; got {E0}")
+    if lambda1 is not None and not math.isfinite(lambda1):
+        raise ParameterError(f"lambda1 must be finite; got {lambda1}")
+
+
 def constants_chain(
     m: float, p: float, theta: float, lambda1: float, E0: float
 ) -> PmeConstants:
-    """Populate the whole constant chain; raises a named error per failed hypothesis."""
+    """Populate the whole constant chain; raises a named error per failed
+    hypothesis, ParameterError unless E0 is finite and >= 0 and lambda1 finite."""
+    _check_inputs(lambda1, E0)
     params = PmeParams(m=m, p=p)
     margin = ellipse_margin(m, p, theta)
     if not margin < 0.0:
@@ -222,7 +231,8 @@ def constants_report(
 ) -> dict:
     """Non-raising variant: the three hypothesis booleans, plus every field of
     :func:`constants_chain` when they all hold (so ``"kappa" in report`` tells
-    whether they do)."""
+    whether they do).  Bad inputs still raise ParameterError, as there."""
+    _check_inputs(lambda1, E0)
     out: dict = {
         "m": m,
         "p": p,

@@ -11,9 +11,9 @@ M the diagonal of quadrature weights; the M^{1/2} similarity turns it into a
 symmetric tridiagonal matrix.  Its smallest eigenpair comes from two LAPACK
 routines called directly (stebz bisection for the eigenvalue, stein inverse
 iteration for the vector; the pair scipy's ``eigh_tridiagonal`` would call,
-bound by :mod:`entroflow._lapack` in the OpenBLAS numpy has loaded, without
-importing scipy.linalg), refined by one Rayleigh quotient whose residual is
-checked; every step is O(n).
+made by :func:`entroflow._lapack.lowest` in the OpenBLAS numpy has loaded,
+without importing scipy.linalg), refined by one Rayleigh quotient whose
+residual is checked; every step is O(n).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lapack import dstebz, dstein
+from ._lapack import lowest
 from .errors import ParameterError, SolverDiverged
 from .grid import Grid, stiffness_bands
 from .potential import Potential, hessian_infimum_V
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
 # residual tolerance of every eigensolve, floored at the matvec round-off level
 _EIG_TOL = 1e-10
 # epsilon_star: bisection width, and how far below 0 the quotient may dip
@@ -87,15 +86,11 @@ def smallest_eigenpair(
     either routine reports info != 0 or the residual exceeds effective_tol,
     ``_EIG_TOL`` floored at the matvec round-off level 8 eps |T|.
     """
-    # range 2 selects eigenvalues il..iu by index; order "B" (by block) is
-    # what stein expects; an absolute tolerance of 2 tiny asks for full accuracy
-    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, 1, 1, 2.0 * _TINY, "B")
-    if info != 0:
-        raise SolverDiverged(f"LAPACK dstebz failed: info={info}")
-    vectors, info = dstein(diag, off, w[:m], iblock, isplit)
-    if info != 0:
-        raise SolverDiverged(f"LAPACK dstein failed: info={info}")
-    vector = vectors[:, 0]
+    vector, stebz_info, stein_info = lowest(diag, off)
+    if stebz_info != 0:
+        raise SolverDiverged(f"LAPACK dstebz failed: info={stebz_info}")
+    if stein_info != 0:
+        raise SolverDiverged(f"LAPACK dstein failed: info={stein_info}")
     x = vector / np.linalg.norm(vector)
     tx = _tridiag_matvec(diag, off, x)
     lam = float(np.dot(x, tx))

@@ -65,6 +65,11 @@ class Verdict:
         }
 
 
+def _finite_K(trace) -> None:
+    if not np.isfinite(trace.K).all():
+        raise ConfigError("trace has non-finite K entries; cannot audit")
+
+
 def _verdict(name, worst, location, details, tol=criteria.SLACK_TOL) -> Verdict:
     return Verdict(
         name=name,
@@ -207,8 +212,11 @@ def poincare_test(
     """
     if not (1.0 < p <= 2.0):
         raise ParameterError(f"p must lie in (1, 2]; got {p}")
-    if spectral.lam <= 0.0:
-        raise ParameterError("the inequality needs a positive eigenvalue")
+    if not (math.isfinite(spectral.lam) and spectral.lam > 0.0):
+        raise ParameterError(
+            f"the inequality needs a finite positive eigenvalue; got {spectral.lam}")
+    if trials < 0 or seed < 0:
+        raise ParameterError(f"trials and seed must be nonnegative; got {trials}, {seed}")
     rng = np.random.default_rng(seed)
     eig = spectral.eigenvector
     trial0 = np.maximum(np.abs(eig), 1e-8 * np.max(np.abs(eig)))
@@ -278,8 +286,7 @@ def dissipation_audit(trace) -> Verdict:
     else:
         raise ConfigError(f"unknown flow kind {kind!r}")
     t = trace.t
-    if np.any(~np.isfinite(trace.K)):
-        raise ConfigError("trace has non-finite K entries; cannot audit")
+    _finite_K(trace)
     mis_E, loc_E = _centered_mismatch(t, trace.E, -trace.I)
     mis_I, loc_I = _centered_mismatch(t, trace.I, -second_coeff * trace.K)
     # centered-difference truncation ~ (rate * spacing)^2; estimate the rate
@@ -307,11 +314,13 @@ def refined_inequality_audit(trace, epsilon: float, grid: Grid) -> Verdict:
     at the trace's own p (``trace.config["p"]``).  The quartic gradient term
     comes from the stored density snapshots (audit stride); E, I and K are
     read off the matching trace rows, so a corrupted scalar column is caught.
+    A trace with a non-finite K raises ConfigError, as in :func:`dissipation_audit`.
     """
     if not trace.fields:
         raise ConfigError("trace carries no stored fields; rerun with audit fields")
-    if epsilon <= 0.0:
-        raise ParameterError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ParameterError(f"epsilon must be finite and positive; got {epsilon}")
+    _finite_K(trace)
     p = float(trace.config["p"])
     alpha = LinearParams(p).alpha
     coeff = 16.0 * alpha * epsilon / (1.0 + epsilon)
@@ -338,8 +347,10 @@ def refined_inequality_audit(trace, epsilon: float, grid: Grid) -> Verdict:
 def lemma_audit(trace, theta: float, lambda1: float) -> Verdict:
     """Worst slack over a porous-media trace's (E, I, K) snapshots of the
     interpolation lemma (:func:`criteria.lemma_functional_check`) at the
-    trace's own m and p (``trace.config``), located at the snapshot's time."""
+    trace's own m and p (``trace.config``), located at the snapshot's time.
+    A trace with a non-finite K raises ConfigError."""
     m, p = float(trace.config["m"]), float(trace.config["p"])
+    _finite_K(trace)
     worst, loc = np.inf, None
     for t, E, I, K in zip(trace.t, trace.E, trace.I, trace.K):
         chk = criteria.lemma_functional_check(m, p, theta, lambda1, (E, I, K))
@@ -366,7 +377,8 @@ def run_checks(trace, checks, geometry, lambda1=None, epsilon=None,
     verdicts follow the table's order.  An unknown name, a check on a trace
     kind it does not apply to, or ``refined`` at p = 2 raises ConfigError
     before ``geometry`` (a callable returning the trace's (potential, grid),
-    called at most once) or any eigensolve runs; a grid other than the one
+    called at most once) or any eigensolve runs, and a non-finite
+    ``lambda1`` raises ParameterError; a grid other than the one
     the trace records raises ConfigError.  The flow's eigenpair,
     lambda1_linear(p) or lambda1_pme(theta), is solved at most once; a given
     ``lambda1`` replaces its eigenvalue.  p, m and theta are the trace's
@@ -383,6 +395,8 @@ def run_checks(trace, checks, geometry, lambda1=None, epsilon=None,
             raise ConfigError(f"the {name} check applies to {' and '.join(kinds)} traces")
     p = float(trace.config["p"])
     lambda1 = None if lambda1 is None else float(lambda1)
+    if lambda1 is not None and not math.isfinite(lambda1):
+        raise ParameterError(f"lambda1 must be finite; got {lambda1}")
     if "refined" in checks:
         alpha = LinearParams(p).alpha
         if alpha <= 0.0:

@@ -121,9 +121,12 @@ def test_criterion_6_log_perturbation_bound():
     grid = ef.make_radial_grid(3, 12.0, 4000, pot)
     lam = ef.lambda1_linear(2.0, pot, grid).lam
     elapsed = time.perf_counter() - t0
-    ok = closed_form_ok and lam > 0.0 and elapsed < 10.0
+    # the closed form 1 + c gamma_+ at c = 2(p-1)/p = 1; the grid value lies
+    # 1.84e-5 above it at n = 4000
+    error = lam - res.lambda1(eps, 1.0)
+    ok = closed_form_ok and lam > 0.0 and 0.0 < error <= 2.5e-5 and elapsed < 10.0
     _report(6, f"bound(3,2)=3-2*sqrt(2) exact; radial lambda1(eps=0.05)="
-               f"{lam:.4f} > 0; {elapsed:.1f}s", ok)
+               f"{lam:.4f} > 0, {error:.2e} above the closed form; {elapsed:.1f}s", ok)
 
 
 def test_criterion_7_ellipse_region(rng):

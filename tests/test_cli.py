@@ -96,11 +96,11 @@ class TestLambda1Command:
         assert [[r[k] for k in keys] for r in a] == [[r[k] for k in keys] for r in b]
 
     def test_lapack_failure_exits_3(self, monkeypatch):
-        def fail(d, e, w, iblock, isplit):
+        def fail(d, e):
             # stein info > 0: that many eigenvectors failed to converge
-            return np.zeros((len(d), len(w))), len(w)
+            return np.zeros(len(d)), 0, 1
 
-        monkeypatch.setattr("entroflow.spectrum.dstein", fail)
+        monkeypatch.setattr("entroflow.spectrum.lowest", fail)
         assert run_cli(
             "lambda1", "--p", "1.5", "--potential", "gaussian",
             "--domain", "-6:6", "--n", "301",
@@ -434,6 +434,8 @@ def bad_files(tmp_path):
     (tmp_path / "no-p.csv").write_text('# config: {"kind": "linear"}\n' + rows)
     (tmp_path / "fields.npz").write_text("not an npz\n")
     (tmp_path / "theta.json").write_text('{"theta": 0.5}')
+    # 20 zero nodes: K is not finite on the trace's first row
+    (tmp_path / "holes.csv").write_text("1.0\n" * 90 + "0.0\n" * 20 + "1.0\n" * 91)
     return tmp_path
 
 
@@ -497,6 +499,27 @@ class TestMalformedInput:
          "csv initial datum has non-finite entries"),
         (["region", "--samples", "-5"], "samples must be at least 2; got -5"),
         (["region", "--samples", "0"], "samples must be at least 2; got 0"),
+        (["report", "--trace", "{trace}", "--lambda1", "nan"], "lambda1 must be finite; got nan"),
+        (["report", "--trace", "{trace}", "--lambda1", "inf"], "lambda1 must be finite; got inf"),
+        (["report", "--trace", "{trace}", "--checks", "poincare", "--trials", "-5"],
+         "trials and seed must be nonnegative; got -5, 0"),
+        (["report", "--trace", "{trace}", "--checks", "poincare", "--seed", "-1"],
+         "trials and seed must be nonnegative; got 100, -1"),
+        (["report", "--trace", "{trace}", "--fields", "{fields}", "--checks", "refined",
+          "--epsilon", "nan"], "epsilon must be finite and positive; got nan"),
+        (["report", "--trace", "{trace}", "--fields", "{fields}", "--checks", "refined",
+          "--epsilon", "inf"], "epsilon must be finite and positive; got inf"),
+        (["constants", "--m", "1.2", "--p", "1.5", "--theta", "0.5", "--lambda1", "1.0",
+          "--e0", "-5"], "E0 must be finite and nonnegative; got -5.0"),
+        (["constants", "--m", "1.2", "--p", "1.5", "--theta", "0.5", "--lambda1", "1.0",
+          "--e0", "nan"], "E0 must be finite and nonnegative; got nan"),
+        (["constants", "--m", "1.2", "--p", "1.5", "--theta", "0.5", "--lambda1", "inf"],
+         "lambda1 must be finite; got inf"),
+        # a failed hypothesis (lambda1 > 0) does not hide the bad value
+        (["constants", "--m", "1.2", "--p", "1.5", "--theta", "0.5", "--lambda1", "nan"],
+         "lambda1 must be finite; got nan"),
+        (["constants", "--m", "2.0", "--p", "2.0", "--theta", "0.5", "--lambda1", "1.0",
+          "--e0", "-5"], "E0 must be finite and nonnegative; got -5.0"),
     ], ids=["power", "harmonic_log", "radial-d", "p-list", "init-bump", "check-theta",
             "tabulated-file", "init-csv-file", "missing-tabulated", "missing-init-csv",
             "missing-trace", "missing-fields", "trace-short-row", "trace-cell",
@@ -504,13 +527,32 @@ class TestMalformedInput:
             "lambda1-p-theta", "lambda1-config-theta", "constants-theta-from-p",
             "flag-prefix", "flow-scheme",
             "init-csv-zero-mass", "init-csv-nan",
-            "region-negative-samples", "region-zero-samples"])
+            "region-negative-samples", "region-zero-samples",
+            "report-lambda1-nan", "report-lambda1-inf", "report-negative-trials",
+            "report-negative-seed", "report-epsilon-nan", "report-epsilon-inf",
+            "constants-negative-e0", "constants-e0-nan", "constants-lambda1-inf",
+            "constants-lambda1-nan", "constants-outside-negative-e0"])
     def test_exits_2_with_message(self, artifacts, bad_files, capsys, argv, message):
-        _, trace, _ = artifacts
-        argv = [a.format(tmp=bad_files, trace=trace) for a in argv]
+        _, trace, fields = artifacts
+        argv = [a.format(tmp=bad_files, trace=trace, fields=fields) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind, check", [("linear", "refined"), ("pme", "lemma")])
+    def test_nonfinite_K_exits_2(self, bad_files, capsys, kind, check):
+        # both audits passed such a trace, skipping the NaN slack of its first row
+        trace, fields = bad_files / f"{kind}.csv", bad_files / f"{kind}.npz"
+        m = ["--m", "1.2"] if kind == "pme" else []
+        assert main(["flow", kind, "--p", "1.5", *m, "--n", "201", "--tend", "0.05",
+                     "--dt", "1e-3", "--init", f"csv:{bad_files}/holes.csv",
+                     "--trace", str(trace), "--fields", str(fields)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--trace", str(trace), "--fields", str(fields),
+                     "--checks", check]) == 2
+        err = capsys.readouterr().err
+        assert "trace has non-finite K entries" in err
         assert "Traceback" not in err
 
 
@@ -601,8 +643,9 @@ class TestConfigFile:
         ({"n": None}, "config key 'n' needs a string or a number, got null"),
         ({"trace": ["a.csv"]}, "config key 'trace' needs a string or a number"),
         ([1, 2], "--config must hold a JSON object"),
+        ({"config": "nope.json"}, "names another config file"),
     ], ids=["unknown", "underscore", "prefix", "wrong-type", "float-for-int",
-            "removed-scheme", "null", "list", "not-object"])
+            "removed-scheme", "null", "list", "not-object", "nested-config"])
     def test_bad_file_exits_2(self, tmp_path, capsys, cfg, message):
         argv = ["flow", "linear", "--config", _write_config(tmp_path, cfg), "--n", "201",
                 "--tend", "0.01"]

@@ -1,6 +1,5 @@
 """The LAPACK routines bound in the OpenBLAS numpy loaded, and the eigensolve built on them."""
 
-import ctypes
 import glob
 import os
 import subprocess
@@ -54,48 +53,40 @@ def test_cli_maps_one_openblas():
 
 
 def test_numpy_library_comes_first():
-    first = _lapack.candidates()[0]
-    found = sorted(glob.glob(first[0]))
+    found = sorted(glob.glob(_lapack.candidates()[0]))
     if not found:
         pytest.skip("numpy bundles no OpenBLAS on this installation")
+    assert isinstance(_lapack._LAPACK, _lapack.Lapack)
     assert _lapack._LAPACK.path == found[0]
-    assert _lapack._LAPACK.itype == np.int64
-
-
-def test_bind_names_every_path_tried():
-    numpy_libs = sorted(glob.glob(_lapack.candidates()[0][0]))
-    cands = [("/nonexistent/libscipy_openblas*", "scipy_", "_", ctypes.c_int32)]
-    # a library that exists but exports none of the routines under this suffix
-    cands += [(path, "scipy_", "_no_such_suffix_", ctypes.c_int64) for path in numpy_libs]
-    with pytest.raises(ImportError) as err:
-        _lapack.bind(cands)
-    message = str(err.value)
-    assert "/nonexistent/libscipy_openblas*" in message
-    for path in numpy_libs:
-        assert path in message
 
 
 LINALG_DIR = os.path.dirname(scipy_lapack.__file__)
 
 
-def test_load_falls_back_to_scipys_extension():
-    missing = [("/nonexistent/libscipy_openblas*", "scipy_", "_", ctypes.c_int32)]
-    assert isinstance(_lapack.load(missing, LINALG_DIR), _lapack.Flapack)
+def test_load_names_every_path_tried(tmp_path):
+    # no match, a file that is no library, and a library that lacks the
+    # scipy_<name>_64_ symbols (scipy's _flapack extension)
+    fake = tmp_path / "libscipy_openblas64_fake.so"
+    fake.write_text("not a library")
+    patterns = ["/nonexistent/libscipy_openblas64_*", str(fake),
+                _lapack.Flapack(LINALG_DIR).path]
     with pytest.raises(ImportError) as err:
-        _lapack.load(missing, "/nonexistent/linalg")
-    assert "/nonexistent/libscipy_openblas*" in str(err.value)
-    assert "/nonexistent/linalg" in str(err.value)
+        _lapack.load(patterns, "/nonexistent/linalg")
+    message = str(err.value)
+    for text in patterns + ["/nonexistent/linalg"]:
+        assert text in message
+
+
+def test_load_falls_back_to_scipys_extension():
+    assert isinstance(_lapack.load(["/nonexistent/libscipy_openblas64_*"], LINALG_DIR),
+                      _lapack.Flapack)
 
 
 def _present_libraries():
-    """Every candidate library found on this installation, bound on its own,
-    then the fallback extension."""
-    libs = []
-    for cand in _lapack.candidates():
-        try:
-            libs.append(_lapack.bind([cand]))
-        except ImportError:
-            pass
+    """Every numpy library found on this installation, then the fallback
+    extension."""
+    libs = [_lapack.Lapack(path)
+            for pattern in _lapack.candidates() for path in sorted(glob.glob(pattern))]
     return libs + [_lapack.Flapack(LINALG_DIR)]
 
 
@@ -129,44 +120,25 @@ def test_pttrf_pttrs_match_scipy_bit_for_bit(lapack, n):
     assert system.factor() == info > 0
 
 
-@pytest.mark.parametrize("n", [2, 3, 101, 2001])
+@pytest.mark.parametrize("n", [1, 2, 3, 101, 2001])
 @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
-def test_stebz_stein_match_scipy_bit_for_bit(lapack, n, split):
+def test_lowest_matches_eigh_tridiagonal_bit_for_bit(lapack, n, split):
     rng = np.random.default_rng(n)
     d, e = rng.uniform(-3.0, 3.0, n), rng.uniform(-1.0, 1.0, n - 1)
-    if split:
+    if split and n > 1:
         e[rng.choice(n - 1, size=max(1, (n - 1) // 10), replace=False)] = 0.0
-    tiny = 2.0 * np.finfo(float).tiny
-    # the smallest eigenvalue (as spectrum calls it), three by index, those
-    # in (-1, -0.8], and all of them (bisection for all 2001 takes seconds)
-    cases = [(2, 0.0, 0.0, 1, 1, tiny), (2, 0.0, 0.0, 1, min(3, n), tiny),
-             (1, -1.0, -0.8, 0, 0, 0.0)]
-    if n <= 101:
-        cases.append((0, 0.0, 0.0, 0, 0, 0.0))
-    for args in cases:
-        got = lapack.dstebz(d, e, *args, "B")
-        want = scipy_lapack.dstebz(d, e, *args, "B")
-        assert got[0] == want[0] and got[4] == want[4] == 0
-        for a, b in zip(got[1:4], want[1:4]):
-            assert np.array_equal(a, b)
-        m, w, iblock, isplit, _ = got
-        if split:
-            assert np.count_nonzero(isplit) > 1  # nsplit > 1
-        # vectors for the first few eigenvalues only: all 2001 take seconds
-        k = min(m, 8)
-        z, info = lapack.dstein(d, e, w[:k], iblock, isplit)
-        z_want, info_want = scipy_lapack.dstein(d, e, w[:k], iblock, isplit)
-        assert info == info_want == 0
-        assert z.shape == z_want.shape and z.flags.f_contiguous
-        assert np.array_equal(z, z_want)
+    _, want = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
+                               tol=2.0 * np.finfo(float).tiny, lapack_driver="stebz")
+    z, stebz_info, stein_info = lapack.lowest(d, e)
+    assert stebz_info == stein_info == 0
+    assert np.array_equal(z, want[:, 0])
 
 
-def test_one_by_one_matrix_in_every_library(lapack):
-    d, e = np.array([2.5]), np.array([])
-    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, 1, 0.0, "B")
-    assert (m, w.tolist(), info) == (1, [2.5], 0)
-    z, info = lapack.dstein(d, e, w[:m], iblock, isplit)
-    assert (z.tolist(), info) == ([[1.0]], 0)
+def test_lowest_checks_shapes(lapack):
+    with pytest.raises(ValueError, match="one-dimensional"):
+        lapack.lowest(np.ones((2, 2)), np.ones(1))
+    with pytest.raises(ValueError, match="n - 1 off-diagonal"):
+        lapack.lowest(np.ones(3), np.ones(3))
 
 
 def test_fallback_runs_the_flows_and_the_eigensolve(monkeypatch, rng, gauss_pot, gauss_grid_small):
@@ -183,8 +155,7 @@ def test_fallback_runs_the_flows_and_the_eigensolve(monkeypatch, rng, gauss_pot,
                                                for run, cfg in runs]
 
     (lam, vec, *_), traces = solve_all()
-    monkeypatch.setattr(spectrum, "dstebz", fallback.dstebz)
-    monkeypatch.setattr(spectrum, "dstein", fallback.dstein)
+    monkeypatch.setattr(spectrum, "lowest", fallback.lowest)
     monkeypatch.setattr(flows, "SPDTridiagonal", lambda n: _lapack.SPDTridiagonal(n, fallback))
     (lam_fb, vec_fb, *_), traces_fb = solve_all()
     assert lam_fb == lam and np.array_equal(vec_fb, vec)
@@ -215,18 +186,13 @@ def test_one_by_one_matrix():
 
 @pytest.mark.parametrize("info", [-2, 1, 4])
 def test_stebz_failure_raises(monkeypatch, rng, info):
-    def stebz(d, e, *args):
-        n = len(d)
-        return 0, np.zeros(n), np.zeros(n, np.int32), np.zeros(n, np.int32), info
-
-    monkeypatch.setattr("entroflow.spectrum.dstebz", stebz)
+    monkeypatch.setattr("entroflow.spectrum.lowest", lambda d, e: (np.zeros(len(d)), info, 0))
     with pytest.raises(SolverDiverged, match="dstebz"):
         smallest_eigenpair(rng.uniform(0.5, 3.0, 50), rng.uniform(-0.9, 0.9, 49))
 
 
 def test_stein_failure_raises(monkeypatch, rng):
     # stein info > 0: that many eigenvectors failed to converge
-    monkeypatch.setattr("entroflow.spectrum.dstein",
-                        lambda d, e, w, *_: (np.ones((len(d), len(w))), len(w)))
+    monkeypatch.setattr("entroflow.spectrum.lowest", lambda d, e: (np.ones(len(d)), 0, 1))
     with pytest.raises(SolverDiverged, match="dstein"):
         smallest_eigenpair(rng.uniform(0.5, 3.0, 50), rng.uniform(-0.9, 0.9, 49))
