@@ -37,7 +37,7 @@ from .errors import (
     QOutOfRange,
     TailMassTooLarge,
 )
-from .grid import make_interval_grid, make_radial_grid
+from .grid import Grid, make_interval_grid, make_radial_grid
 from .potential import Potential, potential_from_spec, tabulated
 
 EXIT_OK = 0
@@ -117,28 +117,28 @@ def _potential_spec_text(text: str) -> dict:
     return spec
 
 
-def _build_geometry(args: argparse.Namespace):
-    """(potential, grid) from the geometry flags."""
+def _build_geometry(args: argparse.Namespace) -> Grid:
+    """The grid, with its potential, of the geometry flags."""
     pot_text = args.potential or "gaussian"
     if pot_text.startswith("tabulated:"):
         if args.radial:
             raise ConfigError("tabulated potentials are interval-only in the CLI")
         pot = _parse_potential(pot_text, 1)
         x = pot.table_x
-        return pot, make_interval_grid(float(x[0]), float(x[-1]), len(x), pot)
+        return make_interval_grid(float(x[0]), float(x[-1]), len(x), pot)
     if args.radial:
         d_raw, R = _parse_pair(args.radial, "--radial")
         if not d_raw.is_integer():
             raise ConfigError(f"--radial expects an integer dimension, got {args.radial!r}")
         pot = _parse_potential(pot_text, int(d_raw))
-        if not args.n:
+        if args.n is None:
             raise ConfigError("--n is required")
-        return pot, make_radial_grid(int(d_raw), R, args.n, pot)
+        return make_radial_grid(int(d_raw), R, args.n, pot)
     xL, xR = _parse_pair(args.domain or _DOMAIN, "--domain")
     pot = _parse_potential(pot_text, 1)
-    if not args.n:
+    if args.n is None:
         raise ConfigError("--n is required")
-    return pot, make_interval_grid(xL, xR, args.n, pot)
+    return make_interval_grid(xL, xR, args.n, pot)
 
 
 def _config_tokens(path: str) -> list[str]:
@@ -173,11 +173,11 @@ def _json_out(obj, path: str | None) -> None:
 def cmd_lambda1(args: argparse.Namespace) -> int:
     if args.theta is None and not args.p:
         raise ConfigError("lambda1 needs --p (possibly a comma list) or --theta")
-    pot, grid = _build_geometry(args)
+    grid = _build_geometry(args)
     if args.theta is not None:
-        results = [("theta", args.theta, spectrum.lambda1_pme(args.theta, pot, grid))]
+        results = [("theta", args.theta, spectrum.lambda1_pme(args.theta, grid))]
     else:
-        results = [("p", p, spectrum.lambda1_linear(p, pot, grid)) for p in args.p]
+        results = [("p", p, spectrum.lambda1_linear(p, grid)) for p in args.p]
     payload = []
     for kind, value, res in results:
         print(f"{res.lam:.12g}")
@@ -191,28 +191,19 @@ def cmd_lambda1(args: argparse.Namespace) -> int:
                 "n": grid.n,
             }
         )
-    out = args.out
-    if out and out.endswith(".csv"):
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(f"{results[0][0]},lambda1,residual,iterations\n")
-            for kind, value, res in results:
-                fh.write(
-                    f"{value:.17g},{res.lam:.17g},{res.residual:.17g},"
-                    f"{res.iterations}\n"
-                )
-    elif out:
-        _json_out(payload if len(payload) > 1 else payload[0], out)
+    if args.out:
+        _json_out(payload if len(payload) > 1 else payload[0], args.out)
     return EXIT_OK
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
-    pot, grid = _build_geometry(args)
+    grid = _build_geometry(args)
     # only the flags given: FlowConfig owns every other default
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(flows.FlowConfig)
              if getattr(args, f.name, None) is not None}
     cfg = flows.FlowConfig(kind=args.flow_kind, **given)
     runner = flows.run_linear if cfg.kind == "linear" else flows.run_pme
-    trace = runner(cfg, pot, grid)
+    trace = runner(cfg, grid)
     trace.meta["potential"] = _potential_spec_text(args.potential or "gaussian")
     trace.meta["geometry"] = {
         "radial": args.radial,
@@ -245,8 +236,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
         raise ConfigError("constants needs --theta or --from-p")
     lam = args.lambda1
     if lam is None and args.potential:
-        pot, grid = _build_geometry(args)
-        lam = spectrum.lambda1_pme(theta, pot, grid).lam
+        lam = spectrum.lambda1_pme(theta, _build_geometry(args)).lam
     report = criteria.constants_report(args.m, args.p, theta, lam, args.e0)
     _json_out(report, args.out)
     # constants_report adds the constant chain only where every hypothesis holds

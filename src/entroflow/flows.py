@@ -32,8 +32,8 @@ tolerance, the substep is retried at half the size, and the rest of the time
 step keeps the smaller size; the next time step starts at the full dt again.
 A run fails with NewtonDiverged after ``_MAX_DT_HALVINGS`` (30) halvings
 within one step.  Both limits, and the density floor ``DEFAULT_FLOOR``, are
-fixed constants, not settings.  One :class:`_PmeStepper` per run owns this
-loop, the Newton iteration and their work arrays.  Both implicit systems are
+fixed constants, not settings.  :class:`_PmeStepper` owns this loop, the
+Newton iteration and their work arrays.  Both implicit systems are
 the node masses W plus a multiple of the stiffness stencil S of
 :func:`grid.stiffness_bands`, solved with LAPACK ``pttrf``/``pttrs``
 through one :class:`entroflow._lapack.SPDTridiagonal` per run, which owns
@@ -44,17 +44,21 @@ system's diagonal.  L(v^m) of the accepted state is the operator value of
 its last residual; it is carried into the next step's right-hand side (and
 through time-step halvings) instead of being evaluated again, and clamping v
 at ``DEFAULT_FLOOR`` leaves it unchanged because v^m is taken of max(v, floor).
-``run_pme`` records its work in ``Trace.meta``: ``newton_iterations`` (Newton
-updates solved), ``factorizations`` (LAPACK ``pttrf`` calls) and
-``dt_halvings``.
+A ``pme`` trace's meta records the stepper's work: ``clamps`` (node values
+raised to the floor), ``newton_iterations`` (Newton updates solved),
+``factorizations`` (LAPACK ``pttrf`` calls) and ``dt_halvings``.
 
-A run emits a Trace: scalar time series of (t, E, I, K, mass, min_v) plus
-full density snapshots every ``audit_stride`` records for the second-order
-audits that cannot be reconstructed from scalars.  Each run makes one
-:class:`functionals._Snapshot`, whose work arrays hold a snapshot's
-integrands (E, the Fisher edge terms, K and the mass); they are summed in
-one correctly rounded batch, so recording allocates no n-sized array, and
-the mass row serves both the unit-mass check and the ``mass`` column.
+Both flows share one time loop, :func:`_run`: a run is a config and a grid
+(whose potential defines L), and the loop differs only in its stepper,
+:class:`_LinearStepper` or :class:`_PmeStepper`, whose ``advance(v)`` returns
+the state one step later.  A run emits a Trace: scalar time series of
+(t, E, I, K, mass, min_v) plus full density snapshots every ``audit_stride``
+records for the second-order audits that cannot be reconstructed from
+scalars.  Each run makes one :class:`functionals._Snapshot`, whose work
+arrays hold a snapshot's integrands (E, the Fisher edge terms, K and the
+mass); they are summed in one correctly rounded batch, so recording
+allocates no n-sized array, and the mass row serves both the unit-mass check
+and the ``mass`` column.
 """
 
 from __future__ import annotations
@@ -71,7 +75,6 @@ from ._lapack import SPDTridiagonal
 from .errors import ConfigError, LinearSolveFailure, NewtonDiverged
 from .functionals import DEFAULT_FLOOR, LinearParams, PmeParams, _Snapshot
 from .grid import Grid, _net_flux, delta_g, integrate_dgamma, stiffness_bands
-from .potential import _check_potential
 
 __all__ = ["FlowConfig", "Trace", "initial_field", "run_linear", "run_pme"]
 
@@ -89,11 +92,12 @@ class FlowConfig:
     back to 10 h^2; ``stride`` to whatever yields about 200 snapshots.
     ``t_end`` and a given ``dt`` must be finite and positive, ``stride`` and
     ``audit_stride`` at least 1; a run takes round(t_end / dt) steps, and
-    :meth:`resolved` rejects a ``t_end`` that rounds to none.  ``theta`` is
-    the criterion's theta, which ``report`` reads for lambda1_pme, not the
-    time-stepping weight.  The time-stepping weight, the solver's tolerance,
-    halving limit and density floor are module constants (see the module
-    docstring); every field here is a ``flow`` CLI flag.
+    :meth:`resolved` rejects a ``t_end`` that rounds to none or to an
+    overflowing count.  ``theta`` is the criterion's theta, which ``report``
+    reads for lambda1_pme, not the time-stepping weight.  The time-stepping
+    weight, the solver's tolerance, halving limit and density floor are
+    module constants (see the module docstring); every field here is a
+    ``flow`` CLI flag.
     """
 
     kind: str  # 'linear' | 'pme'
@@ -123,7 +127,11 @@ class FlowConfig:
     def resolved(self, grid: Grid) -> tuple[float, int, int]:
         """(dt, n_steps, stride) with defaults filled in for this grid."""
         dt = self.dt if self.dt is not None else 10.0 * grid.h**2
-        n_steps = round(self.t_end / dt)
+        steps = self.t_end / dt
+        if not math.isfinite(steps):
+            raise ConfigError(
+                f"t_end={self.t_end:g} over dt={dt:g} is not a finite number of steps")
+        n_steps = round(steps)
         if n_steps == 0:
             raise ConfigError(
                 f"t_end={self.t_end:g} is under half the time step dt={dt:g}, so no step "
@@ -215,12 +223,12 @@ class Trace:
         if missing:
             raise ConfigError(
                 f"trace {path}: its '# config:' line lacks {', '.join(missing)}")
-        arr = np.asarray(rows)
-        return cls(
-            t=arr[:, 0], E=arr[:, 1], I=arr[:, 2], K=arr[:, 3],
-            mass=arr[:, 4], min_v=arr[:, 5],
-            config=config, grid_id=grid_id, meta=meta,
-        )
+        return cls._from_rows(rows, config, grid_id, meta=meta)
+
+    @classmethod
+    def _from_rows(cls, rows, config: dict, grid_id: str, **kwargs) -> "Trace":
+        """A trace of (t, E, I, K, mass, min_v) rows."""
+        return cls(*np.asarray(rows).T, config=config, grid_id=grid_id, **kwargs)
 
     def save_fields(self, path) -> None:
         if not self.fields:
@@ -325,73 +333,67 @@ def _initial_state(grid: Grid, init) -> np.ndarray:
     return v
 
 
-class _Recorder:
-    """Accumulates snapshot rows and stored fields during a run; ``evaluate``
-    maps a field to its (E, I, K, mass)."""
+class _LinearStepper:
+    """The implicit stepper of v_t = Lv for one run: one tridiagonal solve per
+    step for the increment (W + theta dt S) delta = -dt S v, on a single
+    factorization; v is updated in place."""
 
-    def __init__(self, evaluate, stride: int, audit_stride: int):
-        self.evaluate = evaluate
-        self.stride = stride
-        self.audit_stride = audit_stride
-        self.rows: list[tuple[float, float, float, float, float, float]] = []
-        self.fields: list[tuple[int, np.ndarray]] = []
+    counters = ()
 
-    def maybe_record(self, step: int, t: float, v: np.ndarray) -> None:
-        if step % self.stride != 0:
-            return
-        E, I, K, mass = self.evaluate(v)
-        self.rows.append((t, E, I, K, mass, float(v.min())))
-        snap_index = len(self.rows) - 1
-        if snap_index % self.audit_stride == 0:
-            self.fields.append((snap_index, v.copy()))
+    def __init__(self, grid: Grid, config: FlowConfig, dt: float, v: np.ndarray):
+        sdiag, soff = stiffness_bands(grid.conductance)
+        system = SPDTridiagonal(grid.n)
+        np.multiply(sdiag, _THETA * dt, out=system.d)
+        system.d += grid.node_mass
+        np.multiply(soff, _THETA * dt, out=system.e)
+        info = system.factor()
+        if info != 0:
+            raise LinearSolveFailure(f"cannot factor the implicit system: LAPACK dpttrf info={info}")
+        self.grid, self.dt, self.system = grid, dt, system
+        self.flux = np.empty(grid.n - 1)
+
+    def advance(self, v: np.ndarray) -> np.ndarray:
+        # the solve overwrites its right-hand side b with delta
+        b = self.system.b
+        np.multiply(_net_flux(self.grid, v, out=b, flux=self.flux), self.dt, out=b)
+        self.system.solve()
+        v += b
+        return v
 
 
-def _make_trace(recorder: _Recorder, config: FlowConfig, grid: Grid,
-                clamps: int, meta: dict) -> Trace:
-    arr = np.asarray(recorder.rows)
+def _run(config: FlowConfig, grid: Grid, kind: str, params, stepper) -> Trace:
+    """Integrate one flow: ``stepper(grid, config, dt, v)`` makes the stepper
+    whose ``advance`` takes v one step of dt, ``params()`` the functionals'
+    parameters.  A snapshot row is recorded every ``stride`` steps and a field
+    stored every ``audit_stride`` rows; the stepper's ``counters`` join the
+    trace meta."""
+    if config.kind != kind:
+        raise ConfigError(f"run_{kind} needs a config with kind={kind!r}")
+    snapshot = _Snapshot(params(), grid)
+    dt, n_steps, stride = config.resolved(grid)
+    v = _initial_state(grid, config.init)
+    stepper = stepper(grid, config, dt, v)
+    rows, fields = [], []
+    for step in range(n_steps + 1):
+        if step:
+            v = stepper.advance(v)
+        if step % stride == 0:
+            if len(rows) % config.audit_stride == 0:
+                fields.append((len(rows), v.copy()))
+            rows.append((step * dt, *snapshot(v), float(v.min())))
     echo = asdict(config)
     if not isinstance(config.init, str):
         echo["init"] = "array"
-    return Trace(
-        t=arr[:, 0], E=arr[:, 1], I=arr[:, 2], K=arr[:, 3],
-        mass=arr[:, 4], min_v=arr[:, 5],
-        config=echo, grid_id=grid.ident,
-        fields=recorder.fields, clamps=clamps, meta=meta,
-    )
+    counts = {name: getattr(stepper, name) for name in stepper.counters}
+    meta = {"dt": dt, "n_steps": n_steps, "stride": stride,
+            "t_end_effective": n_steps * dt, **counts}
+    return Trace._from_rows(rows, echo, grid.ident, fields=fields,
+                            clamps=counts.get("clamps", 0), meta=meta)
 
 
-def run_linear(config: FlowConfig, pot, grid: Grid) -> Trace:
-    """Integrate v_t = Lv; one tridiagonal solve per step for the increment
-    (W + theta dt S) delta = -dt S v, with a single factorization."""
-    if config.kind != "linear":
-        raise ConfigError("run_linear needs a config with kind='linear'")
-    _check_potential(pot, grid)
-    params = LinearParams(config.p)
-    dt, n_steps, stride = config.resolved(grid)
-
-    sdiag, soff = stiffness_bands(grid.conductance)
-    system = SPDTridiagonal(grid.n)
-    np.multiply(sdiag, _THETA * dt, out=system.d)
-    system.d += grid.node_mass
-    np.multiply(soff, _THETA * dt, out=system.e)
-    info = system.factor()
-    if info != 0:
-        raise LinearSolveFailure(f"cannot factor the implicit system: LAPACK dpttrf info={info}")
-
-    v = _initial_state(grid, config.init)
-    rec = _Recorder(_Snapshot(params, grid), stride, config.audit_stride)
-    rec.maybe_record(0, 0.0, v)
-    # work arrays reused by every step; the solve overwrites b with delta
-    b, flux = system.b, np.empty(grid.n - 1)
-    for step in range(1, n_steps + 1):
-        np.multiply(_net_flux(grid, v, out=b, flux=flux), dt, out=b)
-        system.solve()
-        v += b
-        rec.maybe_record(step, step * dt, v)
-    meta = {
-        "dt": dt, "n_steps": n_steps, "stride": stride, "t_end_effective": n_steps * dt,
-    }
-    return _make_trace(rec, config, grid, clamps=0, meta=meta)
+def run_linear(config: FlowConfig, grid: Grid) -> Trace:
+    """Integrate v_t = Lv with the trapezoidal rule on a single factorization."""
+    return _run(config, grid, "linear", lambda: LinearParams(config.p), _LinearStepper)
 
 
 # Contraction test of the Newton updates within one step (Hairer & Wanner,
@@ -420,22 +422,25 @@ def _spare(pool: list[np.ndarray], busy: np.ndarray, other: np.ndarray | None = 
 class _PmeStepper:
     """The implicit stepper of v_t = L(v^m) for one run, with its work.
 
-    ``updates`` counts Newton updates solved, ``factorizations`` dpttrf
-    calls, ``halvings`` halved substeps; ``run_pme`` echoes them in
-    ``Trace.meta``.  ``system`` holds the Newton matrix and its factors, and
-    its right-hand side becomes the update.  The iterate and its L(x^m) each
-    rotate through three arrays, so that a step never writes its input state
-    (read again if the step is halved) or the iterate it keeps; the state
-    :meth:`advance` returns is one of them and stays intact through the next
-    step.
+    Its ``counters`` go into ``Trace.meta``: ``clamps`` (node values raised
+    to ``DEFAULT_FLOOR``), ``newton_iterations`` (Newton updates solved),
+    ``factorizations`` (dpttrf calls) and ``dt_halvings`` (halved substeps).
+    ``system`` holds the Newton matrix and its factors, and its right-hand
+    side becomes the update.  The iterate and its L(x^m) each rotate through
+    three arrays, so that a step never writes its input state (read again if
+    the step is halved) or the iterate it keeps; the state :meth:`advance`
+    returns, one of them or its clamped copy, stays intact through the next
+    step.  ``lv`` carries L(v^m) of the current state from step to step.
     """
 
-    def __init__(self, grid: Grid, config: FlowConfig):
+    counters = ("clamps", "newton_iterations", "factorizations", "dt_halvings")
+
+    def __init__(self, grid: Grid, config: FlowConfig, dt: float, v: np.ndarray):
         n = grid.n
-        self.grid = grid
+        self.grid, self.dt = grid, dt
         self.bands = stiffness_bands(grid.conductance)
         self.m = config.m
-        self.updates = self.factorizations = self.halvings = 0
+        self.clamps = self.newton_iterations = self.factorizations = self.dt_halvings = 0
         self.neg_wg = -grid.node_mass
         self.xs = [np.empty(n) for _ in range(3)]
         self.ls = [np.empty(n) for _ in range(3)]
@@ -443,6 +448,7 @@ class _PmeStepper:
         self.rhs, self.dpow, self.pw, self.absr, self.tsdiag = (np.empty(n) for _ in range(5))
         self.flux = np.empty(n - 1)
         self.system = SPDTridiagonal(n)
+        self.lv = self.operator(v, out=np.empty(n))
 
     def operator(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """L(max(x, floor)^m) into ``out``; unchanged by clamping x at the floor."""
@@ -495,7 +501,7 @@ class _PmeStepper:
                 self.factorizations += 1
                 if system.factor() != 0:  # not positive definite
                     return None
-            self.updates += 1
+            self.newton_iterations += 1
             delta = np.multiply(self.neg_wg, res, out=system.b)
             system.solve()
             delta /= dpow
@@ -525,55 +531,34 @@ class _PmeStepper:
                 break
         return (x, lx) if rnorm <= _NEWTON_TOL else None
 
-    def advance(self, v: np.ndarray, lv: np.ndarray, dt: float):
-        """Advance (v, L(v^m)) by dt, halving the substep where Newton stalls.
+    def advance(self, v: np.ndarray) -> np.ndarray:
+        """Advance v by dt, halving the substep where Newton stalls, then clamp
+        it at ``DEFAULT_FLOOR``, which leaves the carried L(v^m) unchanged.
 
         ``left`` substeps of size dt / 2**depth remain.  A failed substep is
         retried at half the size, and the rest of the step keeps that size:
         a size that failed once is not tried again within the step.
         """
-        depth, left = 0, 1
+        lv, depth, left = self.lv, 0, 1
         while left:
-            step = self._newton(v, lv, dt / 2**depth)
+            step = self._newton(v, lv, self.dt / 2**depth)
             if step is None:
                 if depth >= _MAX_DT_HALVINGS:
                     raise NewtonDiverged(
                         f"nonlinear step failed after {depth} time-step halvings"
                     )
-                self.halvings += 1
+                self.dt_halvings += 1
                 depth, left = depth + 1, 2 * left
                 continue
             v, lv = step
             left -= 1
-        return v, lv
-
-
-def run_pme(config: FlowConfig, pot, grid: Grid) -> Trace:
-    """Integrate v_t = L(v^m) with damped Newton per implicit step."""
-    if config.kind != "pme":
-        raise ConfigError("run_pme needs a config with kind='pme'")
-    _check_potential(pot, grid)
-    params = PmeParams(m=config.m, p=config.p)
-    dt, n_steps, stride = config.resolved(grid)
-
-    v = _initial_state(grid, config.init)
-    rec = _Recorder(_Snapshot(params, grid), stride, config.audit_stride)
-    rec.maybe_record(0, 0.0, v)
-    clamps = 0
-    stepper = _PmeStepper(grid, config)
-    # L(v^m) of the current state: each step returns it for the next one, and
-    # clamping v at the floor leaves it unchanged
-    lv = stepper.operator(v, out=np.empty(grid.n))
-    for step in range(1, n_steps + 1):
-        v, lv = stepper.advance(v, lv, dt)
+        self.lv = lv
         if v.min() < DEFAULT_FLOOR:
-            clamps += int(np.count_nonzero(v < DEFAULT_FLOOR))
+            self.clamps += int(np.count_nonzero(v < DEFAULT_FLOOR))
             v = np.maximum(v, DEFAULT_FLOOR)
-        rec.maybe_record(step, step * dt, v)
-    meta = {
-        "dt": dt, "n_steps": n_steps, "stride": stride,
-        "t_end_effective": n_steps * dt, "clamps": clamps,
-        "newton_iterations": stepper.updates, "factorizations": stepper.factorizations,
-        "dt_halvings": stepper.halvings,
-    }
-    return _make_trace(rec, config, grid, clamps=clamps, meta=meta)
+        return v
+
+
+def run_pme(config: FlowConfig, grid: Grid) -> Trace:
+    """Integrate v_t = L(v^m) with damped Newton per implicit step."""
+    return _run(config, grid, "pme", lambda: PmeParams(m=config.m, p=config.p), _PmeStepper)

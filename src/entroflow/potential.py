@@ -15,13 +15,14 @@ because the Hessian-infimum field is derivative-sensitive.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 
 __all__ = [
     "Potential",
@@ -92,8 +93,10 @@ class Potential:
         if self.family == "power":
             return f"power(beta={self.beta!r})"
         if self.family == "tabulated":
-            probe = float(np.sum(self.table_F) + np.sum(self.table_x))
-            return f"tabulated(n={len(self.table_x)},sum={probe!r})"
+            digest = hashlib.sha256()
+            for arr in (self.table_x, self.table_F, self.table_dF, self.table_d2F):
+                digest.update(np.asarray(arr, dtype=float).tobytes())
+            return f"tabulated(n={len(self.table_x)},sha256={digest.hexdigest()})"
         return self.family
 
 
@@ -211,25 +214,15 @@ def evaluate(pot: Potential, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return F, dF, d2F
 
 
-def _check_potential(pot: Potential | None, grid) -> None:
-    """ConfigError unless ``pot`` (None: the grid's own) is the grid's potential."""
-    if pot is not None and pot.key() != grid.potential.key():
-        raise ConfigError(
-            "potential does not match the one the grid was built with "
-            f"({pot.key()} vs {grid.potential.key()})"
-        )
-
-
-def hessian_infimum_V(pot: Potential, grid) -> np.ndarray:
-    """Smallest Hessian eigenvalue of F along the grid.
+def hessian_infimum_V(grid) -> np.ndarray:
+    """Smallest Hessian eigenvalue of the grid's potential F along the grid.
 
     On an interval this is F''.  For a radial profile in d >= 2 the Hessian
     eigenvalues are F'' (radial direction) and F'/r (tangential), so the
-    infimum is their minimum.  ``pot`` must be the grid's potential.
+    infimum is their minimum.
     """
-    _check_potential(pot, grid)
     x = grid.nodes
-    _, dF, d2F = evaluate(pot, x)
+    _, dF, d2F = evaluate(grid.potential, x)
     if grid.kind == "radial" and grid.d >= 2:
         return np.minimum(d2F, dF / x)
     return d2F

@@ -1,7 +1,8 @@
 """Smallest eigenvalues of the weighted quotients driving the decay estimates.
 
 Two quotients are discretized, both from the grid's one stiffness stencil
-(:func:`grid.stiffness_bands`):
+(:func:`grid.stiffness_bands`) and the Hessian infimum V of the grid's
+potential (:func:`potential.hessian_infimum_V`):
 
 * lambda1_linear(p):   inf_w  [ 2(p-1)/p |Dw|^2 + V |w|^2 ] dgamma / |w|^2 dgamma
 * lambda1_pme(theta):  inf_w  [ (1-theta) |Dw|^2 + V |w|^2 ] dgamma / |w|^2 dgamma
@@ -25,7 +26,7 @@ import numpy as np
 from ._lapack import lowest
 from .errors import ParameterError, SolverDiverged
 from .grid import Grid, stiffness_bands
-from .potential import Potential, hessian_infimum_V
+from .potential import hessian_infimum_V
 
 __all__ = [
     "SpectralResult",
@@ -135,7 +136,7 @@ def _solve_quotient(grid: Grid, grad_coeff: float, V: np.ndarray) -> SpectralRes
     )
 
 
-def lambda1_linear(p: float, pot: Potential, grid: Grid) -> SpectralResult:
+def lambda1_linear(p: float, grid: Grid) -> SpectralResult:
     """Smallest eigenvalue of  w -> -(2(p-1)/p) Lw + V w  in the weighted measure.
 
     p = 1 has a vanishing gradient coefficient, so the infimum is the
@@ -143,7 +144,7 @@ def lambda1_linear(p: float, pot: Potential, grid: Grid) -> SpectralResult:
     """
     if not (1.0 <= p <= 2.0):
         raise ParameterError(f"p must lie in [1, 2]; got {p}")
-    V = hessian_infimum_V(pot, grid)
+    V = hessian_infimum_V(grid)
     if p == 1.0:
         # the gradient term vanishes: the infimum is ess-inf V, attained by
         # concentration at the minimizing node
@@ -157,18 +158,18 @@ def lambda1_linear(p: float, pot: Potential, grid: Grid) -> SpectralResult:
     return _solve_quotient(grid, coeff, V)
 
 
-def lambda1_pme(theta: float, pot: Potential, grid: Grid) -> SpectralResult:
+def lambda1_pme(theta: float, grid: Grid) -> SpectralResult:
     """Smallest eigenvalue of  w -> -(1-theta) Lw + V w  in the weighted measure.
 
     theta = 0 is accepted so that theta = 2/p - 1 covers p = 2.
     """
     if not (0.0 <= theta < 1.0):
         raise ParameterError(f"theta must lie in [0, 1); got {theta}")
-    V = hessian_infimum_V(pot, grid)
+    V = hessian_infimum_V(grid)
     return _solve_quotient(grid, 1.0 - theta, V)
 
 
-def epsilon_star(p: float, pot: Potential, grid: Grid) -> float:
+def epsilon_star(p: float, grid: Grid) -> float:
     """Largest eps in (0, (1-alpha)/alpha] keeping the modified quotient
 
         inf_w [ (1 - alpha(1+eps)) |Dw|^2 + V w^2 ] / [ w^2 ]
@@ -181,7 +182,7 @@ def epsilon_star(p: float, pot: Potential, grid: Grid) -> float:
         raise ParameterError(f"p must lie strictly in (1, 2); got {p}")
     alpha = (2.0 - p) / p
     cap = (1.0 - alpha) / alpha
-    V = hessian_infimum_V(pot, grid)
+    V = hessian_infimum_V(grid)
 
     def smallest(eps: float) -> float:
         coeff = max(0.0, 1.0 - alpha * (1.0 + eps))

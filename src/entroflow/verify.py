@@ -374,10 +374,10 @@ def run_checks(trace, checks, geometry, lambda1=None, epsilon=None,
     """(verdicts, E bound at the snapshot times or None) of the named checks.
 
     ``checks`` lists names of ``CHECKS`` (None: envelope and dissipation);
-    verdicts follow the table's order.  An unknown name, a check on a trace
-    kind it does not apply to, or ``refined`` at p = 2 raises ConfigError
-    before ``geometry`` (a callable returning the trace's (potential, grid),
-    called at most once) or any eigensolve runs, and a non-finite
+    verdicts follow the table's order.  An empty list, an unknown name, a
+    check on a trace kind it does not apply to, or ``refined`` at p = 2
+    raises ConfigError before ``geometry`` (a callable returning the trace's
+    grid, called at most once) or any eigensolve runs, and a non-finite
     ``lambda1`` raises ParameterError; a grid other than the one
     the trace records raises ConfigError.  The flow's eigenpair,
     lambda1_linear(p) or lambda1_pme(theta), is solved at most once; a given
@@ -386,6 +386,8 @@ def run_checks(trace, checks, geometry, lambda1=None, epsilon=None,
     ``lambda1``, ``epsilon``, ``trials`` and ``seed``.
     """
     checks = ("envelope", "dissipation") if checks is None else tuple(checks)
+    if not checks:
+        raise ConfigError(f"no checks named; valid checks: {', '.join(CHECKS)}")
     for name in checks:
         if name not in CHECKS:
             raise ConfigError(f"unknown check {name!r}; valid checks: {', '.join(CHECKS)}")
@@ -408,16 +410,16 @@ def run_checks(trace, checks, geometry, lambda1=None, epsilon=None,
 
     @functools.cache
     def built():
-        pot, grid = geometry()
+        grid = geometry()
         if trace.grid_id and trace.grid_id != grid.ident:
             raise ConfigError(
                 f"the trace was written on grid {trace.grid_id}, not on grid {grid.ident}")
-        return pot, grid
+        return grid
 
     @functools.cache
     def spectral():
-        res = (spectrum.lambda1_pme(theta, *built()) if kind == "pme"
-               else spectrum.lambda1_linear(p, *built()))
+        res = (spectrum.lambda1_pme(theta, built()) if kind == "pme"
+               else spectrum.lambda1_linear(p, built()))
         return res if lambda1 is None else replace(res, lam=lambda1)
 
     lam = lambda: spectral().lam if lambda1 is None else lambda1
@@ -439,15 +441,15 @@ def run_checks(trace, checks, geometry, lambda1=None, epsilon=None,
         return out
 
     def poincare():
-        eigenpair, (pot, grid) = spectral(), built()
-        weak = (p - 1.0) * spectrum.lambda1_linear(2.0, pot, grid).lam if p < 2.0 else None
+        eigenpair, grid = spectral(), built()
+        weak = (p - 1.0) * spectrum.lambda1_linear(2.0, grid).lam if p < 2.0 else None
         return [poincare_test(p, eigenpair, grid, int(trials), int(seed), weak_lambda1=weak)]
 
     run = {
         "envelope": envelope,
         "dissipation": lambda: [dissipation_audit(trace)],
         "poincare": poincare,
-        "refined": lambda: [refined_inequality_audit(trace, epsilon, built()[1])],
+        "refined": lambda: [refined_inequality_audit(trace, epsilon, built())],
         "lemma": lambda: [lemma_audit(trace, theta, lam())],
     }
     verdicts = [v for name in CHECKS if name in checks for v in run[name]()]

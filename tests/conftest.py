@@ -26,23 +26,23 @@ def flat_grid():
 
 
 @pytest.fixture(scope="session")
-def linear_run_p15(gauss_pot, gauss_grid):
+def linear_run_p15(gauss_grid):
     """Gaussian linear run at p = 1.5 with stored audit fields (reused widely)."""
     cfg = ef.FlowConfig(
         kind="linear", p=1.5, init="odd:0.2", t_end=4.0, dt=1e-3,
         stride=20, audit_stride=10,
     )
-    return ef.run_linear(cfg, gauss_pot, gauss_grid)
+    return ef.run_linear(cfg, gauss_grid)
 
 
 @pytest.fixture(scope="session")
-def pme_run(gauss_pot, gauss_grid):
+def pme_run(gauss_grid):
     """Porous-media run at (m, p, theta) = (1.2, 1.5, 0.5) on the Gaussian weight."""
     cfg = ef.FlowConfig(
         kind="pme", p=1.5, m=1.2, theta=0.5, init="bump:0.4", t_end=2.0,
         dt=1e-3, stride=10, audit_stride=10,
     )
-    return ef.run_pme(cfg, gauss_pot, gauss_grid)
+    return ef.run_pme(cfg, gauss_grid)
 
 
 @pytest.fixture()

@@ -17,12 +17,12 @@ def _report(num: int, text: str, ok: bool) -> None:
     assert ok, f"criterion {num} failed: {text}"
 
 
-def test_criterion_1_gaussian_spectral_identity(gauss_pot, gauss_grid):
+def test_criterion_1_gaussian_spectral_identity(gauss_grid):
     ok = True
     detail = []
     for p in (1.2, 1.5, 2.0):
         t0 = time.perf_counter()
-        res = ef.lambda1_linear(p, gauss_pot, gauss_grid)
+        res = ef.lambda1_linear(p, gauss_grid)
         elapsed = time.perf_counter() - t0
         dist = ef.norm_dgamma(gauss_grid, res.eigenvector - 1.0)
         ok &= abs(res.lam - 1.0) <= 1e-3
@@ -33,27 +33,26 @@ def test_criterion_1_gaussian_spectral_identity(gauss_pot, gauss_grid):
     _report(1, "lambda1(p)=1 +- 1e-3 with constant eigenvector; " + "; ".join(detail), ok)
 
 
-def test_criterion_2_theta_equivalence(gauss_pot, gauss_grid):
-    power_pot = ef.power_law(1.5)
-    power_grid = ef.make_interval_grid(-16.0, 16.0, 1600, power_pot)
+def test_criterion_2_theta_equivalence(gauss_grid):
+    power_grid = ef.make_interval_grid(-16.0, 16.0, 1600, ef.power_law(1.5))
     worst = 0.0
-    for pot, grid in ((gauss_pot, gauss_grid), (power_pot, power_grid)):
+    for grid in (gauss_grid, power_grid):
         for p0 in (1.1, 1.5, 2.0):
             theta0 = 2.0 / p0 - 1.0
-            a = ef.lambda1_pme(theta0, pot, grid).lam
-            b = ef.lambda1_linear(p0, pot, grid).lam
+            a = ef.lambda1_pme(theta0, grid).lam
+            b = ef.lambda1_linear(p0, grid).lam
             worst = max(worst, abs(a - b))
     _report(2, f"|lambda1_pme(2/p0-1) - lambda1_linear(p0)| worst {worst:.2e} <= 1e-12",
             worst <= 1e-12)
 
 
-def test_criterion_3_exponential_decay(gauss_pot, gauss_grid, linear_run_p15):
+def test_criterion_3_exponential_decay(gauss_grid, linear_run_p15):
     t0 = time.perf_counter()
     traces = {1.5: linear_run_p15}
     for p in (1.0, 2.0):
         cfg = ef.FlowConfig(kind="linear", p=p, init="odd:0.2", t_end=4.0,
                             dt=1e-3, stride=20)
-        traces[p] = ef.run_linear(cfg, gauss_pot, gauss_grid)
+        traces[p] = ef.run_linear(cfg, gauss_grid)
     ok = True
     detail = []
     for p, tr in sorted(traces.items()):
@@ -69,12 +68,12 @@ def test_criterion_3_exponential_decay(gauss_pot, gauss_grid, linear_run_p15):
                f"{rate:.5f} >= 1.96; {'; '.join(detail)}; {elapsed:.1f}s", ok)
 
 
-def test_criterion_4_generalized_poincare(gauss_pot, gauss_grid):
-    lam2 = ef.lambda1_linear(2.0, gauss_pot, gauss_grid).lam
+def test_criterion_4_generalized_poincare(gauss_grid):
+    lam2 = ef.lambda1_linear(2.0, gauss_grid).lam
     ok = True
     worsts = []
     for p in (1.2, 1.5, 2.0):
-        res = ef.lambda1_linear(p, gauss_pot, gauss_grid)
+        res = ef.lambda1_linear(p, gauss_grid)
         weak = (p - 1.0) * lam2 if p < 2.0 else None
         verdict = ef.poincare_test(
             p, res, gauss_grid, trials=100, seed=42,
@@ -103,7 +102,7 @@ def test_criterion_5_semiclassical_scaling():
         n = int(math.ceil(2 * L / 0.01))
         n += n % 2  # even count keeps nodes off the singularity at 0
         grid = ef.make_interval_grid(-L, L, n, pot)
-        lams.append(ef.lambda1_linear(p, pot, grid).lam)
+        lams.append(ef.lambda1_linear(p, grid).lam)
     slope = float(np.polyfit(np.log(pgrid - 1.0), np.log(lams), 1)[0])
     elapsed = time.perf_counter() - t0
     ok = abs(slope - 1.0 / 3.0) <= 0.1 and elapsed < 60.0
@@ -119,7 +118,7 @@ def test_criterion_6_log_perturbation_bound():
     assert eps < res.bound
     pot = ef.harmonic_log(eps, d=3)
     grid = ef.make_radial_grid(3, 12.0, 4000, pot)
-    lam = ef.lambda1_linear(2.0, pot, grid).lam
+    lam = ef.lambda1_linear(2.0, grid).lam
     elapsed = time.perf_counter() - t0
     # the closed form 1 + c gamma_+ at c = 2(p-1)/p = 1; the grid value lies
     # 1.84e-5 above it at n = 4000
@@ -166,12 +165,12 @@ def test_criterion_7_ellipse_region(rng):
                f"[1-s2/2,1+s2/2]x[0,3]; sign identity mismatches={mismatches}", ok)
 
 
-def test_criterion_8_pme_decay(pme_run, gauss_pot, gauss_grid):
+def test_criterion_8_pme_decay(pme_run, gauss_grid):
     t0 = time.perf_counter()
     tr = pme_run
     monotone_ok = bool(np.all(np.diff(tr.E) < 0) and np.all(np.diff(tr.I) < 0))
     mass_ok = tr.mass_drift <= 1e-10
-    lam = ef.lambda1_pme(0.5, gauss_pot, gauss_grid).lam
+    lam = ef.lambda1_pme(0.5, gauss_grid).lam
     consts = ef.constants_chain(1.2, 1.5, 0.5, lam, float(tr.E[0]))
     I0 = float(tr.I[0])
     env_I = ef.check_envelope(tr, lambda t: ef.envelope_pme(I0, consts.kappa, t)[0], "I")
@@ -186,7 +185,7 @@ def test_criterion_8_pme_decay(pme_run, gauss_pot, gauss_grid):
                f"{lemma_worst:.2e}; {elapsed:.1f}s", ok)
 
 
-def test_criterion_9_structure_preservation(gauss_pot, gauss_grid, gauss_grid_small):
+def test_criterion_9_structure_preservation(gauss_grid, gauss_grid_small):
     rng = np.random.default_rng(2024)
     worst_sbp = worst_sym = 0.0
     for _ in range(100):
@@ -208,10 +207,10 @@ def test_criterion_9_structure_preservation(gauss_pot, gauss_grid, gauss_grid_sm
             kwargs = dict(p=1.5, init="bump:0.4", t_end=1.0, dt=dt, stride=10)
             if kind == "pme":
                 cfg = ef.FlowConfig(kind="pme", m=1.2, **kwargs)
-                trace = ef.run_pme(cfg, gauss_pot, gauss_grid_small)
+                trace = ef.run_pme(cfg, gauss_grid_small)
             else:
                 cfg = ef.FlowConfig(kind="linear", **kwargs)
-                trace = ef.run_linear(cfg, gauss_pot, gauss_grid_small)
+                trace = ef.run_linear(cfg, gauss_grid_small)
             verdict = ef.dissipation_audit(trace)
             assert verdict.passed
             mism.append(max(verdict.details["mismatch_entropy"],

@@ -206,16 +206,16 @@ class TestFlowAndReport:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_lambda1_csv_output(self, tmp_path):
+    def test_lambda1_out_is_json_for_any_suffix(self, tmp_path):
+        # one sweep format: the path's suffix does not choose another
         out = tmp_path / "lam.csv"
         code = main([
             "lambda1", "--p", "1.5,2.0", "--potential", "gaussian",
             "--domain", "-6:6", "--n", "301", "--out", str(out),
         ])
         assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "p,lambda1,residual,iterations"
-        assert len(lines) == 3
+        sweep = json.loads(out.read_text())
+        assert [row["p"] for row in sweep] == [1.5, 2.0]
 
     def test_pme_flow_runs(self, tmp_path):
         path = tmp_path / "pme.csv"
@@ -520,6 +520,13 @@ class TestMalformedInput:
          "lambda1 must be finite; got nan"),
         (["constants", "--m", "2.0", "--p", "2.0", "--theta", "0.5", "--lambda1", "1.0",
           "--e0", "-5"], "E0 must be finite and nonnegative; got -5.0"),
+        # an overflowing step count, a report that checks nothing, and a
+        # given --n the grid rejects
+        (["flow", "linear", "--n", "101", "--tend", "1e300", "--dt", "1e-10"],
+         "t_end=1e+300 over dt=1e-10 is not a finite number of steps"),
+        (["report", "--trace", "{trace}", "--checks", ","], "no checks named; valid checks:"),
+        (["report", "--trace", "{trace}", "--checks", ""], "no checks named; valid checks:"),
+        (["lambda1", "--p", "1.5", "--n", "0"], "need at least 16 nodes, got 0"),
     ], ids=["power", "harmonic_log", "radial-d", "p-list", "init-bump", "check-theta",
             "tabulated-file", "init-csv-file", "missing-tabulated", "missing-init-csv",
             "missing-trace", "missing-fields", "trace-short-row", "trace-cell",
@@ -531,7 +538,9 @@ class TestMalformedInput:
             "report-lambda1-nan", "report-lambda1-inf", "report-negative-trials",
             "report-negative-seed", "report-epsilon-nan", "report-epsilon-inf",
             "constants-negative-e0", "constants-e0-nan", "constants-lambda1-inf",
-            "constants-lambda1-nan", "constants-outside-negative-e0"])
+            "constants-lambda1-nan", "constants-outside-negative-e0",
+            "flow-step-count-overflow", "report-checks-comma", "report-checks-empty",
+            "lambda1-n-zero"])
     def test_exits_2_with_message(self, artifacts, bad_files, capsys, argv, message):
         _, trace, fields = artifacts
         argv = [a.format(tmp=bad_files, trace=trace, fields=fields) for a in argv]

@@ -265,8 +265,8 @@ class TestLemmaCheck:
             rhs_ineq = 3.0 * K3 ** (4.0 / 3.0) / (4.0 ** (4.0 / 3.0) * K2 ** (1.0 / 3.0))
             assert (f_bar >= 0.0) == (K1 >= rhs_ineq - 1e-15)
 
-    def test_holds_along_pme_trace(self, pme_run, gauss_pot, gauss_grid):
-        lam = ef.lambda1_pme(0.5, gauss_pot, gauss_grid).lam
+    def test_holds_along_pme_trace(self, pme_run, gauss_grid):
+        lam = ef.lambda1_pme(0.5, gauss_grid).lam
         for E, I, K in zip(pme_run.E, pme_run.I, pme_run.K):
             chk = ef.lemma_functional_check(1.2, 1.5, 0.5, lam, (E, I, K))
             assert chk.passed
@@ -280,9 +280,9 @@ class TestDecayFunction:
         for s in (1e-6, 1e-9):
             assert c.decay_function(s) == pytest.approx(c.kappa0 * s, rel=1e-4)
 
-    def test_bounded_by_fisher_along_trace(self, pme_run, gauss_pot, gauss_grid):
+    def test_bounded_by_fisher_along_trace(self, pme_run, gauss_grid):
         # F(E(t)) <= (3/2) I(t)^{2/3} at every snapshot
-        lam = ef.lambda1_pme(0.5, gauss_pot, gauss_grid).lam
+        lam = ef.lambda1_pme(0.5, gauss_grid).lam
         c = ef.constants_chain(1.2, 1.5, 0.5, lam, float(pme_run.E[0]))
         for E, I in zip(pme_run.E, pme_run.I):
             assert c.decay_function(E) <= 1.5 * I ** (2.0 / 3.0) * (1.0 + 1e-10)

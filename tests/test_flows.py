@@ -45,9 +45,9 @@ class TestInitialField:
 
 
 class TestLinearFlow:
-    def test_equilibrium_is_fixed_point(self, gauss_pot, gauss_grid_small):
+    def test_equilibrium_is_fixed_point(self, gauss_grid_small):
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="const", t_end=0.2, dt=1e-3)
-        tr = ef.run_linear(cfg, gauss_pot, gauss_grid_small)
+        tr = ef.run_linear(cfg, gauss_grid_small)
         assert np.max(np.abs(tr.E)) <= 1e-13
         assert np.max(np.abs(tr.I)) <= 1e-13
         assert np.max(np.abs(tr.K)) <= 1e-13
@@ -56,7 +56,7 @@ class TestLinearFlow:
         assert np.all(tr.min_v == 1.0)
         assert all(np.all(v == 1.0) for _, v in tr.fields)
 
-    def test_step_matches_two_term_reference(self, gauss_pot, gauss_grid):
+    def test_step_matches_two_term_reference(self, gauss_grid):
         # (W + theta dt S) v' = W v - (1 - theta) dt S v with theta = 1/2, S
         # assembled here from the conductances and solved by a banded Cholesky
         # factorization
@@ -73,7 +73,7 @@ class TestLinearFlow:
         ab = np.vstack((np.concatenate(([0.0], -theta * dt * c)), W + theta * dt * sdiag))
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="odd:0.2", t_end=0.2, dt=dt,
                             stride=20, audit_stride=1)
-        tr = ef.run_linear(cfg, gauss_pot, g)
+        tr = ef.run_linear(cfg, g)
         assert len(tr.fields) == 11
         v = ef.initial_field(g, "odd:0.2")
         for step in range(1, 201):
@@ -86,35 +86,35 @@ class TestLinearFlow:
         grid = ef.make_interval_grid(-8.0, 8.0, 20001, gauss_pot)
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="odd:0.2", t_end=1.0, dt=1e-3,
                             stride=50)
-        assert ef.run_linear(cfg, gauss_pot, grid).mass_drift <= 1e-15
+        assert ef.run_linear(cfg, grid).mass_drift <= 1e-15
 
-    def test_one_solve_per_step_and_no_operator_call(self, monkeypatch, gauss_pot,
+    def test_one_solve_per_step_and_no_operator_call(self, monkeypatch,
                                                      gauss_grid_small):
         counts = spy_calls(monkeypatch, "solve", "delta_g")
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="bump:0.3", t_end=0.1, dt=1e-3)
-        trace = ef.run_linear(cfg, gauss_pot, gauss_grid_small)
+        trace = ef.run_linear(cfg, gauss_grid_small)
         assert trace.meta["n_steps"] == 100
         assert counts == {"solve": 100, "delta_g": 0}
 
-    def test_array_init_left_unchanged(self, gauss_pot, gauss_grid_small):
+    def test_array_init_left_unchanged(self, gauss_grid_small):
         # the stepper updates its state in place, never the caller's array
         init = ef.initial_field(gauss_grid_small, "bump:0.3")
         kept = init.copy()
         cfg = ef.FlowConfig(kind="linear", p=1.5, init=init, t_end=0.05, dt=1e-3)
-        trace = ef.run_linear(cfg, gauss_pot, gauss_grid_small)
+        trace = ef.run_linear(cfg, gauss_grid_small)
         assert np.array_equal(init, kept)
         assert not np.array_equal(trace.fields[-1][1], kept)
 
-    def test_work_arrays_change_no_bit(self, monkeypatch, tmp_path, gauss_pot,
+    def test_work_arrays_change_no_bit(self, monkeypatch, tmp_path,
                                        gauss_grid_small):
         # the loop reuses its right-hand side and flux buffers; a fresh
         # _net_flux per step must give the same trace and fields bytes
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="odd:0.2", t_end=0.2, dt=1e-3,
                             stride=5, audit_stride=2)
-        reused = ef.run_linear(cfg, gauss_pot, gauss_grid_small)
+        reused = ef.run_linear(cfg, gauss_grid_small)
         net_flux = flows._net_flux
         monkeypatch.setattr(flows, "_net_flux", lambda grid, v, **_: net_flux(grid, v))
-        fresh = ef.run_linear(cfg, gauss_pot, gauss_grid_small)
+        fresh = ef.run_linear(cfg, gauss_grid_small)
         assert reused._csv_text() == fresh._csv_text()
         paths = [tmp_path / "reused.npz", tmp_path / "fresh.npz"]
         reused.save_fields(paths[0])
@@ -129,7 +129,7 @@ class TestLinearFlow:
         env = tr.E[0] * np.exp(-2.0 * tr.t)
         assert np.all(tr.E <= env * (1.0 + 1e-6))
 
-    def test_fitted_rate_matches_gap(self, gauss_pot, gauss_grid):
+    def test_fitted_rate_matches_gap(self, gauss_grid):
         # twice the spectral gap of the discrete generator, computed
         # independently by a LAPACK tridiagonal eigensolve
         from scipy.linalg import eigh_tridiagonal
@@ -137,7 +137,7 @@ class TestLinearFlow:
 
         cfg = ef.FlowConfig(kind="linear", p=2.0, init="odd:0.2", t_end=4.0,
                             dt=1e-3, stride=20)
-        tr = ef.run_linear(cfg, gauss_pot, gauss_grid)
+        tr = ef.run_linear(cfg, gauss_grid)
         rate = ef.fit_exponential_rate(tr, "E", window=(0.5, 3.5))
         diag, off = _assemble_symmetrized(
             gauss_grid.node_mass, gauss_grid.conductance, 1.0,
@@ -148,9 +148,9 @@ class TestLinearFlow:
         assert rate == pytest.approx(2.0 * gap, rel=0.02)
         assert rate == pytest.approx(2.0, rel=0.02)
 
-    def test_snapshot_count_default(self, gauss_pot, gauss_grid_small):
+    def test_snapshot_count_default(self, gauss_grid_small):
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="bump:0.3", t_end=1.0, dt=1e-3)
-        tr = ef.run_linear(cfg, gauss_pot, gauss_grid_small)
+        tr = ef.run_linear(cfg, gauss_grid_small)
         assert len(tr.t) >= 200
 
 
@@ -168,7 +168,7 @@ def test_snapshot_functionals_are_the_public_ones(request, gauss_grid, run, para
 
 
 @pytest.mark.parametrize("kind", ["linear", "pme"])
-def test_snapshot_grid_integrals(monkeypatch, gauss_pot, gauss_grid_small, kind):
+def test_snapshot_grid_integrals(monkeypatch, gauss_grid_small, kind):
     # a snapshot sums its four integrands (E, mass, I, K) in one batched call;
     # the mass row serves both the unit-mass check and the trace column
     v0 = ef.initial_field(gauss_grid_small, "bump:0.4")
@@ -181,7 +181,7 @@ def test_snapshot_grid_integrals(monkeypatch, gauss_pot, gauss_grid_small, kind)
     monkeypatch.setattr(functionals, "_fsum_rows", counting(batched))
     monkeypatch.setattr(grid_module, "_fsum_rows", counting(other))
     cfg = ef.FlowConfig(kind=kind, p=1.5, m=1.2, init=v0, t_end=0.05, dt=1e-3, stride=5)
-    tr = (ef.run_linear if kind == "linear" else ef.run_pme)(cfg, gauss_pot, gauss_grid_small)
+    tr = (ef.run_linear if kind == "linear" else ef.run_pme)(cfg, gauss_grid_small)
     assert len(tr.t) == 11
     assert batched == [4] * len(tr.t)
     assert other == []
@@ -194,7 +194,7 @@ class TestArrayInit:
     @staticmethod
     def run(kind, grid, init):
         cfg = ef.FlowConfig(kind=kind, p=1.5, m=1.2, init=init, t_end=0.01, dt=1e-3)
-        return (ef.run_linear if kind == "linear" else ef.run_pme)(cfg, grid.potential, grid)
+        return (ef.run_linear if kind == "linear" else ef.run_pme)(cfg, grid)
 
     @pytest.mark.parametrize("bad, message", [
         (lambda n: np.ones(5), r"shape \(5,\), grid needs \(501,\)"),
@@ -213,18 +213,16 @@ class TestArrayInit:
 
 
 class TestPmeFlow:
-    def test_equilibrium_is_fixed_point(self, gauss_pot, gauss_grid_small):
+    def test_equilibrium_is_fixed_point(self, gauss_grid_small):
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, init="const", t_end=0.2, dt=1e-3)
-        tr = ef.run_pme(cfg, gauss_pot, gauss_grid_small)
+        tr = ef.run_pme(cfg, gauss_grid_small)
         assert np.max(np.abs(tr.E)) <= 1e-13
         assert np.max(np.abs(tr.I)) <= 1e-13
 
-    def test_m_one_reproduces_linear(self, gauss_pot, gauss_grid_small):
+    def test_m_one_reproduces_linear(self, gauss_grid_small):
         common = dict(p=1.5, init="bump:0.3", t_end=0.5, dt=2e-3, stride=25)
-        lin = ef.run_linear(ef.FlowConfig(kind="linear", **common),
-                            gauss_pot, gauss_grid_small)
-        pme = ef.run_pme(ef.FlowConfig(kind="pme", m=1.0, **common),
-                         gauss_pot, gauss_grid_small)
+        lin = ef.run_linear(ef.FlowConfig(kind="linear", **common), gauss_grid_small)
+        pme = ef.run_pme(ef.FlowConfig(kind="pme", m=1.0, **common), gauss_grid_small)
         assert np.max(np.abs(lin.E - pme.E)) <= 1e-8 * max(1.0, lin.E[0])
         assert np.max(np.abs(lin.I - pme.I)) <= 1e-8 * max(1.0, lin.I[0])
 
@@ -258,10 +256,10 @@ class TestPmeFlow:
         kind = "linear" if run is ef.run_linear else "pme"
         cfg = ef.FlowConfig(kind=kind, p=1.5, m=1.2, t_end=0.01)
         with pytest.raises(ConfigError, match=r"t_end=0\.01 .* dt=0\.064"):
-            run(cfg, gauss_pot, grid)
+            run(cfg, grid)
         one_step = ef.FlowConfig(kind=kind, p=1.5, m=1.2, t_end=0.04)
         assert one_step.resolved(grid)[:2] == (pytest.approx(0.064, rel=1e-15), 1)
-        assert run(one_step, gauss_pot, grid).meta["n_steps"] == 1
+        assert run(one_step, grid).meta["n_steps"] == 1
 
 
 def spy_calls(monkeypatch, *names):
@@ -297,18 +295,18 @@ def failing_factorization(monkeypatch):
 
 
 class TestSolveFailures:
-    def test_linear_factorization_failure(self, monkeypatch, gauss_pot, gauss_grid_small):
+    def test_linear_factorization_failure(self, monkeypatch, gauss_grid_small):
         failing_factorization(monkeypatch)
         cfg = ef.FlowConfig(kind="linear", p=1.5, t_end=0.01, dt=1e-3)
         with pytest.raises(LinearSolveFailure):
-            ef.run_linear(cfg, gauss_pot, gauss_grid_small)
+            ef.run_linear(cfg, gauss_grid_small)
 
-    def test_newton_failure_exhausts_halvings(self, monkeypatch, gauss_pot, gauss_grid_small):
+    def test_newton_failure_exhausts_halvings(self, monkeypatch, gauss_grid_small):
         calls = failing_factorization(monkeypatch)
         monkeypatch.setattr("entroflow.flows._MAX_DT_HALVINGS", 2)
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, t_end=0.01, dt=1e-3)
         with pytest.raises(NewtonDiverged):
-            ef.run_pme(cfg, gauss_pot, gauss_grid_small)
+            ef.run_pme(cfg, gauss_grid_small)
         # the first substep fails at every size: one try per depth
         assert len(calls) == 3
 
@@ -318,7 +316,7 @@ class TestSolveFailures:
         calls = failing_factorization(monkeypatch)
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, t_end=0.01, dt=1e-3)
         with pytest.raises(NewtonDiverged):
-            ef.run_pme(cfg, gauss_pot, grid)
+            ef.run_pme(cfg, grid)
         assert len(calls) == flows._MAX_DT_HALVINGS + 1
 
 
@@ -332,7 +330,7 @@ class TestNewtonWork:
         grid = ef.make_interval_grid(-8.0, 8.0, 4001, gauss_pot)
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, theta=0.5, init="bump:0.4",
                             t_end=0.02, dt=1e-3)
-        trace = ef.run_pme(cfg, gauss_pot, grid)
+        trace = ef.run_pme(cfg, grid)
         assert trace.meta["n_steps"] == 20
         assert counts["factor"] == 20
         assert trace.meta["factorizations"] == 20
@@ -348,7 +346,7 @@ class TestNewtonWork:
         grid = ef.make_interval_grid(-8.0, 8.0, 801, gauss_pot)
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, theta=0.5, init="bump:0.4",
                             t_end=0.1, dt=1e-3)
-        trace = ef.run_pme(cfg, gauss_pot, grid)
+        trace = ef.run_pme(cfg, grid)
         got = np.array([[trace.E[k], trace.I[k], trace.K[k]] for k in (50, 100)])
         want = [[0.014543842768164486, 0.04134193939407968, 0.0268543976841758],
                 [0.01264472620710869, 0.03488072604084231, 0.02112961152833039]]
@@ -366,7 +364,7 @@ class TestNewtonWork:
         path = tmp_path / "compact.csv"
         np.savetxt(path, np.maximum(2.25 - (grid.nodes + 1.0) ** 2, 0.0), delimiter=",")
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=4.0, init=f"csv:{path}", t_end=1.0, dt=0.5)
-        trace = ef.run_pme(cfg, gauss_pot, grid)
+        trace = ef.run_pme(cfg, grid)
         meta = trace.meta
         assert meta["n_steps"] == 2
         assert meta["n_steps"] < meta["factorizations"] < meta["newton_iterations"]
@@ -383,7 +381,7 @@ class TestNewtonWork:
         path = tmp_path / "compact.csv"
         np.savetxt(path, np.maximum(2.25 - (grid.nodes + 1.0) ** 2, 0.0), delimiter=",")
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=m, init=f"csv:{path}", t_end=t_end, dt=dt)
-        carried = ef.run_pme(cfg, gauss_pot, grid)
+        carried = ef.run_pme(cfg, grid)
         newton = flows._PmeStepper._newton
 
         # every substep, halved ones included, starts from a fresh L(v^m)
@@ -392,7 +390,7 @@ class TestNewtonWork:
             return newton(self, v, lv, dt)
 
         monkeypatch.setattr(flows._PmeStepper, "_newton", fresh)
-        recomputed = ef.run_pme(cfg, gauss_pot, grid)
+        recomputed = ef.run_pme(cfg, grid)
         assert carried.clamps > 0
         assert (carried.meta["dt_halvings"] > 0) == (m == 4.0)
         assert carried._csv_text() == recomputed._csv_text()
@@ -412,13 +410,13 @@ class TestNewtonWork:
             steps[-1].append((dt, out is not None))
             return out
 
-        def spy_advance(self, v, lv, dt):
+        def spy_advance(self, v):
             steps.append([])
-            return advance(self, v, lv, dt)
+            return advance(self, v)
 
         monkeypatch.setattr(flows._PmeStepper, "_newton", spy_newton)
         monkeypatch.setattr(flows._PmeStepper, "advance", spy_advance)
-        trace = ef.run_pme(cfg, gauss_pot, grid)
+        trace = ef.run_pme(cfg, grid)
         assert len(steps) == 2 and trace.meta["dt_halvings"] > 0
         for substeps in steps:
             sizes = [dt for dt, _ in substeps]
@@ -453,13 +451,13 @@ class TestTraceIO:
         assert idx0 == linear_run_p15.fields[0][0]
         assert_allclose(v0, linear_run_p15.fields[0][1], rtol=0, atol=0)
 
-    def test_fields_of_another_run_are_rejected(self, linear_run_p15, gauss_pot, gauss_grid,
+    def test_fields_of_another_run_are_rejected(self, linear_run_p15, gauss_grid,
                                                 tmp_path):
         # same grid, other t_end: the grid id alone let these through
         path = tmp_path / "fields.npz"
         linear_run_p15.save_fields(path)
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="odd:0.2", t_end=0.3, dt=1e-3)
-        shorter = ef.run_linear(cfg, gauss_pot, gauss_grid)
+        shorter = ef.run_linear(cfg, gauss_grid)
         assert shorter.grid_id == linear_run_p15.grid_id
         with pytest.raises(ConfigError, match="other snapshot times"):
             shorter.load_fields(path)
@@ -478,24 +476,24 @@ class TestTraceIO:
         with pytest.raises(ConfigError, match="other snapshot times"):
             cut.load_fields(path)
 
-    def test_fields_of_another_init_are_rejected(self, linear_run_p15, gauss_pot, gauss_grid,
+    def test_fields_of_another_init_are_rejected(self, linear_run_p15, gauss_grid,
                                                  tmp_path):
         # same grid and times, other initial datum: the field minima differ
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="bump:0.3", t_end=4.0, dt=1e-3,
                             audit_stride=10)
-        other = ef.run_linear(cfg, gauss_pot, gauss_grid)
+        other = ef.run_linear(cfg, gauss_grid)
         path = tmp_path / "fields.npz"
         other.save_fields(path)
         assert np.array_equal(other.t, linear_run_p15.t)
         with pytest.raises(ConfigError, match="does not match the trace's min_v"):
             linear_run_p15.load_fields(path)
 
-    def test_pme_meta_counters_round_trip(self, gauss_pot, gauss_grid_small, tmp_path):
+    def test_pme_meta_counters_round_trip(self, gauss_grid_small, tmp_path):
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, init="bump:0.4", t_end=0.05,
                             dt=1e-3)
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
-            ef.run_pme(cfg, gauss_pot, gauss_grid_small).to_csv(path)
+            ef.run_pme(cfg, gauss_grid_small).to_csv(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
         meta = ef.Trace.from_csv(paths[0]).meta
         assert isinstance(meta["newton_iterations"], int)
@@ -503,11 +501,11 @@ class TestTraceIO:
         assert meta["dt_halvings"] == 0
 
     @pytest.mark.parametrize("kind", ["linear", "pme"])
-    def test_array_init_round_trip(self, gauss_pot, gauss_grid_small, tmp_path, kind):
+    def test_array_init_round_trip(self, gauss_grid_small, tmp_path, kind):
         init = np.ones(gauss_grid_small.n)
         cfg = ef.FlowConfig(kind=kind, p=1.5, m=1.2, init=init, t_end=0.01, dt=1e-3)
         runner = ef.run_linear if kind == "linear" else ef.run_pme
-        trace = runner(cfg, gauss_pot, gauss_grid_small)
+        trace = runner(cfg, gauss_grid_small)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         back = ef.Trace.from_csv(path)
@@ -517,10 +515,10 @@ class TestTraceIO:
             assert_allclose(back.column(col), trace.column(col), rtol=0, atol=0)
         assert back.meta == trace.meta
 
-    def test_deterministic_bytes(self, gauss_pot, gauss_grid_small, tmp_path):
+    def test_deterministic_bytes(self, gauss_grid_small, tmp_path):
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="bump:0.3", t_end=0.2, dt=1e-3)
-        a = ef.run_linear(cfg, gauss_pot, gauss_grid_small)
-        b = ef.run_linear(cfg, gauss_pot, gauss_grid_small)
+        a = ef.run_linear(cfg, gauss_grid_small)
+        b = ef.run_linear(cfg, gauss_grid_small)
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         a.to_csv(pa)
         b.to_csv(pb)

@@ -88,13 +88,13 @@ class TestLinearFisher:
 
 
 class TestSecondOrderBound:
-    def test_k_dominates_spectral_fisher_bound(self, gauss_pot, gauss_grid):
+    def test_k_dominates_spectral_fisher_bound(self, gauss_grid):
         # K >= lambda1 * (p/4) * I for data near equilibrium
         x = gauss_grid.nodes
         v = _normalized(gauss_grid, 1.0 + 0.1 * x / np.max(np.abs(x)))
         for p in (1.2, 1.5, 2.0):
             prm = ef.LinearParams(p)
-            lam = ef.lambda1_linear(p, gauss_pot, gauss_grid).lam
+            lam = ef.lambda1_linear(p, gauss_grid).lam
             K = ef.k_linear(prm, v, gauss_grid)
             I = ef.fisher_linear(prm, v, gauss_grid)
             assert K >= lam * (p / 4.0) * I * (1.0 - 1e-6)

@@ -57,6 +57,19 @@ class TestIntervalGrid:
         with pytest.raises(NonFiniteWeight, match="not finite and positive"):
             ef.make_interval_grid(-1e200, 1e200, 100, gauss_pot)
 
+    def test_tabulated_ident_covers_the_whole_table(self):
+        # F'' sets lambda1 but not the weight: report must not accept a grid
+        # rebuilt from a table with another F'' as the one its trace ran on
+        x = np.linspace(-10.0, 10.0, 2001)
+        F, dF = 0.5 * x * x + 0.5 * np.cos(x), x - 0.5 * np.sin(x)
+
+        def ident(d2F):
+            return ef.make_interval_grid(-10.0, 10.0, 2001, ef.tabulated(x, F, dF, d2F)).ident
+
+        d2F = 1.0 - 0.5 * np.cos(x)
+        assert ident(d2F) == ident(d2F.copy())
+        assert ident(d2F) != ident(np.ones_like(x))
+
     def test_underflowing_weight_rejected(self):
         x = np.linspace(-1, 1, 33)
         F = np.full_like(x, 1e6)  # e^{-F} underflows to 0
@@ -281,7 +294,7 @@ class TestStiffnessStencil:
             ref = -g.node_mass * ef.delta_g(g, v)
             assert np.max(np.abs(Sv - ref)) <= 1e-13 * np.max(np.abs(Sv))
 
-    def test_quotients_use_the_stencil(self, monkeypatch, gauss_pot, gauss_grid_small):
+    def test_quotients_use_the_stencil(self, monkeypatch, gauss_grid_small):
         seen = []
 
         def spy(conductance):
@@ -290,8 +303,8 @@ class TestStiffnessStencil:
 
         monkeypatch.setattr("entroflow.spectrum.stiffness_bands", spy)
         g = gauss_grid_small
-        ef.lambda1_linear(1.5, gauss_pot, g)
-        ef.lambda1_pme(0.5, gauss_pot, g)
+        ef.lambda1_linear(1.5, g)
+        ef.lambda1_pme(0.5, g)
         assert len(seen) == 2
         assert all(c is g.conductance for c in seen)
 

@@ -141,7 +141,7 @@ def test_lowest_checks_shapes(lapack):
         lapack.lowest(np.ones(3), np.ones(3))
 
 
-def test_fallback_runs_the_flows_and_the_eigensolve(monkeypatch, rng, gauss_pot, gauss_grid_small):
+def test_fallback_runs_the_flows_and_the_eigensolve(monkeypatch, rng, gauss_grid_small):
     from entroflow import flows, spectrum
 
     fallback = _lapack.Flapack(LINALG_DIR)
@@ -151,7 +151,7 @@ def test_fallback_runs_the_flows_and_the_eigensolve(monkeypatch, rng, gauss_pot,
             (flows.run_pme, flows.FlowConfig(kind="pme", p=1.5, m=1.2, t_end=0.05, dt=1e-3))]
 
     def solve_all():
-        return smallest_eigenpair(diag, off), [run(cfg, gauss_pot, gauss_grid_small)
+        return smallest_eigenpair(diag, off), [run(cfg, gauss_grid_small)
                                                for run, cfg in runs]
 
     (lam, vec, *_), traces = solve_all()

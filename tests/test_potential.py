@@ -64,18 +64,18 @@ class TestEvaluate:
 
 class TestHessianInfimum:
     def test_harmonic_everywhere_one(self, gauss_grid):
-        assert_allclose(ef.hessian_infimum_V(ef.harmonic(), gauss_grid), 1.0)
+        assert_allclose(ef.hessian_infimum_V(gauss_grid), 1.0)
 
     def test_harmonic_log_radial_min_branch(self):
         pot = ef.harmonic_log(0.1, d=3)
         g = ef.make_radial_grid(3, 12.0, 500, pot)
-        V = ef.hessian_infimum_V(pot, g)
+        V = ef.hessian_infimum_V(g)
         assert_allclose(V, 1.0 - 0.1 / g.nodes**2, rtol=1e-13)
 
     def test_power_interval(self):
         pot = ef.power_law(1.5)
         g = ef.make_interval_grid(-4, 4, 100, pot)  # even count: no node at 0
-        V = ef.hessian_infimum_V(pot, g)
+        V = ef.hessian_infimum_V(g)
         assert_allclose(V, 0.5 * np.abs(g.nodes) ** (-0.5), rtol=1e-13)
         assert V.min() >= 0.0
 
@@ -83,7 +83,7 @@ class TestHessianInfimum:
         # V agrees with a centered second difference of F to O(h^2)
         pot = ef.harmonic()
         F, _, _ = ef.evaluate(pot, gauss_grid.nodes)
-        V = ef.hessian_infimum_V(pot, gauss_grid)
+        V = ef.hessian_infimum_V(gauss_grid)
         h = gauss_grid.h
         fd = (F[2:] - 2 * F[1:-1] + F[:-2]) / h**2
         assert np.max(np.abs(fd - V[1:-1])) <= 1e-6

@@ -3,6 +3,7 @@
 changed here, and a stale ``__all__`` entry fails."""
 
 import importlib
+import inspect
 import pkgutil
 import types
 
@@ -111,3 +112,14 @@ def test_module_all_resolves(name):
     assert len(exported) == len(set(exported))
     missing = [n for n in exported if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("fn", [
+    entroflow.lambda1_linear, entroflow.lambda1_pme, entroflow.epsilon_star,
+    entroflow.hessian_infimum_V, entroflow.run_linear, entroflow.run_pme,
+], ids=lambda fn: fn.__name__)
+def test_solves_and_runs_take_the_grid_alone(fn):
+    # the grid carries its potential: a second copy could disagree with it
+    params = list(inspect.signature(fn).parameters)
+    assert params[-1] == "grid"
+    assert not {"pot", "potential"} & set(params)

@@ -6,7 +6,7 @@ from scipy.linalg import eigh_tridiagonal
 
 import entroflow as ef
 from entroflow._lapack import lowest
-from entroflow.errors import ConfigError, ParameterError, SolverDiverged
+from entroflow.errors import ParameterError, SolverDiverged
 from entroflow.spectrum import _assemble_symmetrized, smallest_eigenpair
 
 
@@ -22,8 +22,8 @@ class TestSolverAgainstLapack:
             assert res <= tol_eff
             assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
 
-    def test_assembled_operator(self, gauss_pot, gauss_grid):
-        V = ef.hessian_infimum_V(gauss_pot, gauss_grid)
+    def test_assembled_operator(self, gauss_grid):
+        V = ef.hessian_infimum_V(gauss_grid)
         coeff = 2 * (1.5 - 1) / 1.5
         diag, off = _assemble_symmetrized(
             gauss_grid.node_mass, gauss_grid.conductance, coeff, V
@@ -66,44 +66,43 @@ class TestSolverAgainstLapack:
 
 
 class TestLambda1Linear:
-    def test_gaussian_identity(self, gauss_pot, gauss_grid):
+    def test_gaussian_identity(self, gauss_grid):
         # V == 1 forces lambda = 1 with a constant minimizer
         for p in (1.2, 1.5, 2.0):
-            res = ef.lambda1_linear(p, gauss_pot, gauss_grid)
+            res = ef.lambda1_linear(p, gauss_grid)
             assert res.lam == pytest.approx(1.0, abs=1e-3)
             assert ef.norm_dgamma(gauss_grid, res.eigenvector - 1.0) <= 1e-6
 
     def test_flat_bounded_domain_zero(self, flat_grid):
-        res = ef.lambda1_linear(1.5, ef.flat(), flat_grid)
+        res = ef.lambda1_linear(1.5, flat_grid)
         assert abs(res.lam) <= 1e-10
         assert ef.norm_dgamma(flat_grid, res.eigenvector - res.eigenvector.mean()) <= 1e-5
 
-    def test_p_one_is_essinf_V(self, gauss_pot, gauss_grid):
-        res = ef.lambda1_linear(1.0, gauss_pot, gauss_grid)
+    def test_p_one_is_essinf_V(self, gauss_grid):
+        res = ef.lambda1_linear(1.0, gauss_grid)
         assert res.lam == 1.0
         assert res.iterations == 0
 
     def test_monotone_in_p(self, gauss_grid):
-        pot = ef.power_law(1.5)
-        g = ef.make_interval_grid(-16, 16, 800, pot)
-        lams = [ef.lambda1_linear(p, pot, g).lam for p in np.linspace(1.05, 2.0, 8)]
+        g = ef.make_interval_grid(-16, 16, 800, ef.power_law(1.5))
+        lams = [ef.lambda1_linear(p, g).lam for p in np.linspace(1.05, 2.0, 8)]
         assert np.all(np.diff(lams) > -1e-12)
 
     def test_nonnegative_V_comparison(self):
         # lambda1(p) >= (p-1) lambda1(2) whenever V >= 0
-        for pot, grid in (
-            (ef.harmonic(), ef.make_interval_grid(-8, 8, 501, ef.harmonic())),
-            (ef.power_law(1.5), ef.make_interval_grid(-16, 16, 800, ef.power_law(1.5))),
+        for grid in (
+            ef.make_interval_grid(-8, 8, 501, ef.harmonic()),
+            ef.make_interval_grid(-16, 16, 800, ef.power_law(1.5)),
         ):
-            lam2 = ef.lambda1_linear(2.0, pot, grid).lam
+            lam2 = ef.lambda1_linear(2.0, grid).lam
             for p in (1.2, 1.5, 1.8):
-                lam_p = ef.lambda1_linear(p, pot, grid).lam
+                lam_p = ef.lambda1_linear(p, grid).lam
                 assert lam_p >= (p - 1.0) * lam2 - 1e-9
 
-    def test_eigenvector_normalized_and_consistent(self, gauss_pot, gauss_grid):
-        V = ef.hessian_infimum_V(gauss_pot, gauss_grid)
+    def test_eigenvector_normalized_and_consistent(self, gauss_grid):
+        V = ef.hessian_infimum_V(gauss_grid)
         for p in (1.2, 2.0):
-            res = ef.lambda1_linear(p, gauss_pot, gauss_grid)
+            res = ef.lambda1_linear(p, gauss_grid)
             w = res.eigenvector
             assert abs(ef.norm_dgamma(gauss_grid, w) - 1.0) <= 1e-12
             coeff = 2 * (p - 1) / p
@@ -124,35 +123,35 @@ class TestLambda1Linear:
                 1.0 - 0.3 * np.cos(x),
             )
             g = ef.make_interval_grid(-8, 8, n, pot)
-            lams.append(ef.lambda1_linear(1.5, pot, g).lam)
+            lams.append(ef.lambda1_linear(1.5, g).lam)
         d1, d2 = abs(lams[0] - lams[1]), abs(lams[1] - lams[2])
         assert 1.6 <= np.log2(d1 / d2) <= 2.4
 
-    def test_p_out_of_range(self, gauss_pot, gauss_grid):
+    def test_p_out_of_range(self, gauss_grid):
         with pytest.raises(ParameterError):
-            ef.lambda1_linear(2.5, gauss_pot, gauss_grid)
+            ef.lambda1_linear(2.5, gauss_grid)
 
 
 class TestLambda1Pme:
-    def test_gaussian_identity(self, gauss_pot, gauss_grid):
+    def test_gaussian_identity(self, gauss_grid):
         for theta in (0.2, 0.5, 0.9):
-            assert ef.lambda1_pme(theta, gauss_pot, gauss_grid).lam == pytest.approx(
+            assert ef.lambda1_pme(theta, gauss_grid).lam == pytest.approx(
                 1.0, abs=1e-3
             )
 
-    def test_matches_linear_at_conjugate_theta(self, gauss_pot, gauss_grid):
+    def test_matches_linear_at_conjugate_theta(self, gauss_grid):
         for p0 in (1.1, 1.5, 2.0):
             theta0 = ef.theta_from_p(p0)
-            a = ef.lambda1_pme(theta0, gauss_pot, gauss_grid).lam
-            b = ef.lambda1_linear(p0, gauss_pot, gauss_grid).lam
+            a = ef.lambda1_pme(theta0, gauss_grid).lam
+            b = ef.lambda1_linear(p0, gauss_grid).lam
             assert abs(a - b) <= 1e-12
 
     def test_flat_zero(self, flat_grid):
-        assert abs(ef.lambda1_pme(0.5, ef.flat(), flat_grid).lam) <= 1e-10
+        assert abs(ef.lambda1_pme(0.5, flat_grid).lam) <= 1e-10
 
-    def test_theta_range(self, gauss_pot, gauss_grid):
+    def test_theta_range(self, gauss_grid):
         with pytest.raises(ParameterError):
-            ef.lambda1_pme(1.0, gauss_pot, gauss_grid)
+            ef.lambda1_pme(1.0, gauss_grid)
 
 
 def _spectral_gap(grid):
@@ -168,7 +167,7 @@ def _cosine_perturbed(k, n, L=10.0):
     x = np.linspace(-L, L, n)
     pot = ef.tabulated(x, 0.5 * x * x + 0.5 * np.cos(k * x),
                        x - 0.5 * k * np.sin(k * x), 1.0 - 0.5 * k * k * np.cos(k * x))
-    return pot, ef.make_interval_grid(-L, L, n, pot)
+    return ef.make_interval_grid(-L, L, n, pot)
 
 
 def _observed_order(errors, spacings):
@@ -187,8 +186,8 @@ class TestSpectralGapReference:
     def test_smooth_perturbation_converges_at_order_two(self, k):
         errors, spacings = [], []
         for n in (401, 1601, 3201):
-            pot, grid = _cosine_perturbed(k, n)
-            errors.append(ef.lambda1_linear(2.0, pot, grid).lam - _spectral_gap(grid))
+            grid = _cosine_perturbed(k, n)
+            errors.append(ef.lambda1_linear(2.0, grid).lam - _spectral_gap(grid))
             spacings.append(grid.h)
         for order in _observed_order(errors, spacings):
             assert order == pytest.approx(2.0, abs=0.2)
@@ -199,14 +198,14 @@ class TestSpectralGapReference:
         gaps, spacings = [], []
         for n in (3200, 12800):
             grid = ef.make_interval_grid(-16, 16, n, pot)
-            gaps.append(_spectral_gap(grid) - ef.lambda1_linear(2.0, pot, grid).lam)
+            gaps.append(_spectral_gap(grid) - ef.lambda1_linear(2.0, grid).lam)
             spacings.append(grid.h)
         assert min(gaps) > 0.0
         assert _observed_order(gaps, spacings)[0] == pytest.approx(0.5, abs=0.1)
 
-    def test_gaussian_is_exact(self, gauss_pot, gauss_grid):
+    def test_gaussian_is_exact(self, gauss_grid):
         for p in (1.2, 1.5, 2.0):
-            assert abs(ef.lambda1_linear(p, gauss_pot, gauss_grid).lam - 1.0) <= 1e-12
+            assert abs(ef.lambda1_linear(p, gauss_grid).lam - 1.0) <= 1e-12
         assert abs(_spectral_gap(gauss_grid) - 1.0) <= 1e-9
 
 
@@ -222,7 +221,7 @@ def _example1_cases():
 def _radial_order(solve, d, eps, exact):
     # R = 12 leaves a weight tail far below the discretization error
     pot = ef.harmonic_log(eps, d)
-    errors = [solve(pot, ef.make_radial_grid(d, 12.0, n, pot)).lam - exact
+    errors = [solve(ef.make_radial_grid(d, 12.0, n, pot)).lam - exact
               for n in (8000, 16000)]
     return np.log2(abs(errors[0] / errors[1]))
 
@@ -237,7 +236,7 @@ class TestExample1ClosedForm:
     def test_linear_converges_at_order_sigma(self, d, p, frac):
         bound = ef.example1_epsilon_bound(d, p)
         eps, c = frac * bound.bound, 2.0 * (p - 1.0) / p
-        order = _radial_order(lambda pot, g: ef.lambda1_linear(p, pot, g), d, eps,
+        order = _radial_order(lambda g: ef.lambda1_linear(p, g), d, eps,
                               bound.lambda1(eps, c))
         assert order == pytest.approx(min(bound.order(eps, c), 2.0), abs=0.1)
 
@@ -247,7 +246,7 @@ class TestExample1ClosedForm:
         # lambda1_pme(theta) is lambda1_linear at p = 2/(1 + theta)
         bound = ef.example1_epsilon_bound(3, 2.0 / (1.0 + theta))
         eps, c = frac * bound.bound, 1.0 - theta
-        order = _radial_order(lambda pot, g: ef.lambda1_pme(theta, pot, g), 3, eps,
+        order = _radial_order(lambda g: ef.lambda1_pme(theta, g), 3, eps,
                               bound.lambda1(eps, c))
         assert order == pytest.approx(min(bound.order(eps, c), 2.0), abs=0.1)
 
@@ -258,23 +257,10 @@ class TestExample1ClosedForm:
         eps = 0.3
         assert eps > ef.example1_epsilon_bound(3, 2.0).bound
         pot = ef.harmonic_log(eps, 3)
-        lams = [ef.lambda1_linear(2.0, pot, ef.make_radial_grid(3, 12.0, n, pot)).lam
+        lams = [ef.lambda1_linear(2.0, ef.make_radial_grid(3, 12.0, n, pot)).lam
                 for n in (1000, 2000, 4000)]
         assert lams[0] < 0.0
         assert all(finer <= 3.5 * coarser for coarser, finer in zip(lams, lams[1:]))
-
-
-@pytest.mark.parametrize("solve", [
-    lambda pot, grid: ef.lambda1_linear(1.5, pot, grid),
-    lambda pot, grid: ef.lambda1_pme(0.5, pot, grid),
-], ids=["linear", "pme"])
-def test_potential_must_match_grid(solve):
-    # V came from the potential passed in, the weight from the grid's own:
-    # lambda1_linear gave 1.0000 here instead of the grid's 0.6792, silently
-    grid = ef.make_interval_grid(-16, 16, 800, ef.power_law(1.5))
-    with pytest.raises(ConfigError, match=r"does not match .*\(harmonic vs power\(beta=1.5\)\)"):
-        solve(ef.harmonic(), grid)
-    assert solve(ef.power_law(1.5), grid).lam > 0.0
 
 
 def _negative_hessian_potential(n=201):
@@ -285,29 +271,29 @@ def _negative_hessian_potential(n=201):
 
 
 class TestEpsilonStar:
-    def test_gaussian_reaches_cap(self, gauss_pot, gauss_grid_small):
+    def test_gaussian_reaches_cap(self, gauss_grid_small):
         p = 1.5
         alpha = (2 - p) / p
         cap = (1 - alpha) / alpha
-        assert ef.epsilon_star(p, gauss_pot, gauss_grid_small) == pytest.approx(cap)
+        assert ef.epsilon_star(p, gauss_grid_small) == pytest.approx(cap)
 
     def test_flat_reaches_cap(self, flat_grid):
         p = 1.5
         alpha = (2 - p) / p
-        assert ef.epsilon_star(p, ef.flat(), flat_grid) == pytest.approx((1 - alpha) / alpha)
+        assert ef.epsilon_star(p, flat_grid) == pytest.approx((1 - alpha) / alpha)
 
     def test_negative_hessian_fails_even_at_zero(self):
         pot, x = _negative_hessian_potential()
         g = ef.make_interval_grid(-1, 1, len(x), pot)
         # oracle: dense symmetric eigensolve confirms lambda1(p) < 0
-        V = ef.hessian_infimum_V(pot, g)
+        V = ef.hessian_infimum_V(g)
         p = 1.5
         coeff = 2 * (p - 1) / p
         diag, off = _assemble_symmetrized(g.node_mass, g.conductance, coeff, V)
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         assert np.linalg.eigvalsh(dense)[0] < -1.0
-        assert ef.epsilon_star(p, pot, g) == 0.0
+        assert ef.epsilon_star(p, g) == 0.0
 
-    def test_p_two_rejected(self, gauss_pot, gauss_grid_small):
+    def test_p_two_rejected(self, gauss_grid_small):
         with pytest.raises(ParameterError):
-            ef.epsilon_star(2.0, gauss_pot, gauss_grid_small)
+            ef.epsilon_star(2.0, gauss_grid_small)

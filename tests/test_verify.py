@@ -79,7 +79,7 @@ class TestCheckEnvelope:
 
 
 class TestPoincare:
-    def test_constant_field_slack_zero(self, gauss_pot, gauss_grid_small):
+    def test_constant_field_slack_zero(self, gauss_grid_small):
         sides = _PoincareSides(gauss_grid_small, 2.0)(np.ones(501))
         assert _poincare_slack(2.0, 1.0, sides) == 0.0
 
@@ -121,27 +121,27 @@ class TestPoincare:
         for _ in range(50):
             assert np.array_equal(trial_of(ours), reference(theirs))
 
-    def test_classical_poincare_passes(self, gauss_pot, gauss_grid):
-        res = ef.lambda1_linear(2.0, gauss_pot, gauss_grid)
+    def test_classical_poincare_passes(self, gauss_grid):
+        res = ef.lambda1_linear(2.0, gauss_grid)
         v = ef.poincare_test(2.0, res, gauss_grid, trials=100, seed=42)
         assert v.passed
 
-    def test_deterministic_given_seed(self, gauss_pot, gauss_grid_small):
-        res = replace(ef.lambda1_linear(1.5, gauss_pot, gauss_grid_small), lam=1.0)
+    def test_deterministic_given_seed(self, gauss_grid_small):
+        res = replace(ef.lambda1_linear(1.5, gauss_grid_small), lam=1.0)
         a = ef.poincare_test(1.5, res, gauss_grid_small, trials=20, seed=7)
         b = ef.poincare_test(1.5, res, gauss_grid_small, trials=20, seed=7)
         assert a.worst_violation == b.worst_violation
         assert a.to_dict() == b.to_dict()
 
     def test_inflated_eigenvalue_fails_on_near_extremal_trial(
-        self, gauss_pot, gauss_grid_small
+        self, gauss_grid_small
     ):
         # small perturbations along the gap mode saturate the inequality as
         # p -> 1, so a 1.2x inflated eigenvalue is falsified at p = 1.05
         g = gauss_grid_small
         xc = g.nodes - ef.integrate_dgamma(g, g.nodes)
         u_ext = 1.0 + 0.02 * xc / np.max(np.abs(xc))
-        res = ef.lambda1_linear(1.05, gauss_pot, g)
+        res = ef.lambda1_linear(1.05, g)
         bad = ef.poincare_test(
             1.05, replace(res, lam=1.2), g, trials=20, seed=0, extra_trials=(u_ext,)
         )
@@ -177,12 +177,12 @@ class TestDissipationAudit:
         v = ef.dissipation_audit(tr)
         assert not v.passed
 
-    def test_linear_run_second_order_in_dt(self, gauss_pot, gauss_grid_small):
+    def test_linear_run_second_order_in_dt(self, gauss_grid_small):
         mism = []
         for dt in (2e-3, 1e-3):
             cfg = ef.FlowConfig(kind="linear", p=1.5, init="bump:0.4",
                                 t_end=1.0, dt=dt, stride=10)
-            tr = ef.run_linear(cfg, gauss_pot, gauss_grid_small)
+            tr = ef.run_linear(cfg, gauss_grid_small)
             v = ef.dissipation_audit(tr)
             assert v.passed
             mism.append(max(v.details["mismatch_entropy"], v.details["mismatch_fisher"]))
@@ -221,10 +221,10 @@ class TestRefinedAudit:
         with pytest.raises(ConfigError):
             ef.refined_inequality_audit(tr, 1.0, gauss_grid)
 
-    def test_equilibrium_trace_trivially_passes(self, gauss_pot, gauss_grid_small):
+    def test_equilibrium_trace_trivially_passes(self, gauss_grid_small):
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="const", t_end=0.1,
                             dt=2e-3, stride=10, audit_stride=2)
-        tr = ef.run_linear(cfg, gauss_pot, gauss_grid_small)
+        tr = ef.run_linear(cfg, gauss_grid_small)
         v = ef.refined_inequality_audit(tr, 1.0, gauss_grid_small)
         assert v.passed
 
