@@ -125,7 +125,14 @@ def _build_geometry(args: argparse.Namespace) -> Grid:
             raise ConfigError("tabulated potentials are interval-only in the CLI")
         pot = _parse_potential(pot_text, 1)
         x = pot.table_x
-        return make_interval_grid(float(x[0]), float(x[-1]), len(x), pot)
+        xL, xR = float(x[0]), float(x[-1])
+        # the grid is the table's nodes: a flag may only repeat them
+        if args.n is not None and args.n != len(x):
+            raise ConfigError(f"--n {args.n} disagrees with the table's {len(x)} rows")
+        if args.domain and _parse_pair(args.domain, "--domain") != (xL, xR):
+            raise ConfigError(
+                f"--domain {args.domain} disagrees with the table's span {xL!r}:{xR!r}")
+        return make_interval_grid(xL, xR, len(x), pot)
     if args.radial:
         d_raw, R = _parse_pair(args.radial, "--radial")
         if not d_raw.is_integer():
@@ -204,10 +211,13 @@ def cmd_flow(args: argparse.Namespace) -> int:
     cfg = flows.FlowConfig(kind=args.flow_kind, **given)
     runner = flows.run_linear if cfg.kind == "linear" else flows.run_pme
     trace = runner(cfg, grid)
-    trace.meta["potential"] = _potential_spec_text(args.potential or "gaussian")
+    pot_text = args.potential or "gaussian"
+    trace.meta["potential"] = _potential_spec_text(pot_text)
+    # a table is its own domain: report rebuilds it from the potential alone
+    table = pot_text.startswith("tabulated:")
     trace.meta["geometry"] = {
         "radial": args.radial,
-        "domain": None if args.radial else args.domain or _DOMAIN,
+        "domain": None if args.radial or table else args.domain or _DOMAIN,
         "n": grid.n,
     }
     if args.trace:
@@ -314,7 +324,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         trace.load_fields(args.fields)
     # only the flags given: run_checks owns the defaults
     given = {k: v for k, v in vars(args).items()
-             if k in ("lambda1", "epsilon", "trials", "seed") and v is not None}
+             if k in ("lambda1", "trials", "seed") and v is not None}
     verdicts, e_bound = verify.run_checks(
         trace, args.checks,
         geometry=lambda: _build_geometry(_geometry_from_meta(args, trace.meta)),
@@ -399,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checks", type=lambda text: [c for c in text.split(",") if c],
                     help="comma list: " + ",".join(verify.CHECKS))
     sp.add_argument("--lambda1", type=float)
-    sp.add_argument("--epsilon", type=float)
     sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--plot", help="SVG output path")

@@ -22,19 +22,22 @@ with a damped Newton iteration on the O(1)-scaled residual.  The Newton
 matrix is factored once per step, at v; later updates reuse it (chord
 updates) while each accepted update cuts the residual at least 100-fold
 (``_CHORD_CONTRACTION``), so a typical step makes two updates and one
-factorization.  The step writes its iterates, L(x^m) and residuals into
-work arrays made once per run.  Newton stops at the first accepted update
-whose max-norm residual is at most ``_NEWTON_TOL`` (1e-12):
-the residual's round-off floor, about eps dt |L(v^m)|, grows like dt/h^2, so a
-fixed target such as 1e-14 is out of reach on fine grids (the floor is near
-3e-14 at n = 4001 with dt = 1e-3 on [-8, 8]).  If Newton stalls above the
-tolerance, the substep is retried at half the size, and the rest of the time
-step keeps the smaller size; the next time step starts at the full dt again.
-A run fails with NewtonDiverged after ``_MAX_DT_HALVINGS`` (30) halvings
-within one step.  Both limits, and the density floor ``DEFAULT_FLOOR``, are
-fixed constants, not settings.  :class:`_PmeStepper` owns this loop, the
-Newton iteration and their work arrays.  Both implicit systems are
-the node masses W plus a multiple of the stiffness stencil S of
+factorization.  Its iterates, L(x^m) and residuals are new arrays.  At
+n = 4001 (32 KB each) rotating them through work arrays saved neither page
+faults nor time.  At n = 20001 (160 KB each) glibc malloc trims and regrows
+its heap around them: a 1000-step run makes about 1e5 minor page faults
+where work arrays made 7e3, and takes about 10 % longer.  Newton stops at
+the first accepted update whose max-norm residual is at most ``_NEWTON_TOL``
+(1e-12): the residual's round-off floor, about eps dt |L(v^m)|, grows like
+dt/h^2, so a fixed target such as 1e-14 is out of reach on fine grids (the
+floor is near 3e-14 at n = 4001 with dt = 1e-3 on [-8, 8]).  If Newton
+stalls above the tolerance, the substep is retried at half the size, and the
+rest of the time step keeps the smaller size; the next time step starts at
+the full dt again.  A run fails with NewtonDiverged after
+``_MAX_DT_HALVINGS`` (30) halvings within one step.  Both limits, and the
+density floor ``DEFAULT_FLOOR``, are fixed constants, not settings.
+:class:`_PmeStepper` owns this loop and the Newton iteration.  Both implicit
+systems are the node masses W plus a multiple of the stiffness stencil S of
 :func:`grid.stiffness_bands`, solved with LAPACK ``pttrf``/``pttrs``
 through one :class:`entroflow._lapack.SPDTridiagonal` per run, which owns
 the matrix and right-hand side buffers the routines overwrite; the Newton system (W + theta dt S D) delta = -W res,
@@ -80,6 +83,8 @@ __all__ = ["FlowConfig", "Trace", "initial_field", "run_linear", "run_pme"]
 
 # implicit weight of both steppers: the trapezoidal (Crank-Nicolson) rule
 _THETA = 0.5
+# most time steps a run may take (about 2 minutes of the linear flow at n = 101)
+_MAX_STEPS = 10**7
 
 
 @dataclass
@@ -92,12 +97,12 @@ class FlowConfig:
     back to 10 h^2; ``stride`` to whatever yields about 200 snapshots.
     ``t_end`` and a given ``dt`` must be finite and positive, ``stride`` and
     ``audit_stride`` at least 1; a run takes round(t_end / dt) steps, and
-    :meth:`resolved` rejects a ``t_end`` that rounds to none or to an
-    overflowing count.  ``theta`` is the criterion's theta, which ``report``
-    reads for lambda1_pme, not the time-stepping weight.  The time-stepping
-    weight, the solver's tolerance, halving limit and density floor are
-    module constants (see the module docstring); every field here is a
-    ``flow`` CLI flag.
+    :meth:`resolved` rejects a ``t_end`` that rounds to none, to an
+    overflowing count or to more than ``_MAX_STEPS`` (1e7).  ``theta`` is
+    the criterion's theta, which ``report`` reads for lambda1_pme, not the
+    time-stepping weight.  The time-stepping weight, the solver's tolerance,
+    halving limit and density floor are module constants (see the module
+    docstring); every field here is a ``flow`` CLI flag.
     """
 
     kind: str  # 'linear' | 'pme'
@@ -137,6 +142,10 @@ class FlowConfig:
                 f"t_end={self.t_end:g} is under half the time step dt={dt:g}, so no step "
                 "would run; give a smaller dt (--dt)"
             )
+        if n_steps > _MAX_STEPS:
+            raise ConfigError(
+                f"t_end={self.t_end:g} over dt={dt:g} is {n_steps:.3g} steps, more than "
+                f"the cap of {_MAX_STEPS:.0e}; give a shorter t_end or a larger dt")
         stride = self.stride if self.stride is not None else max(1, n_steps // 200)
         return dt, n_steps, stride
 
@@ -411,57 +420,37 @@ _NEWTON_TOL = 1e-12
 _MAX_DT_HALVINGS = 30
 
 
-def _spare(pool: list[np.ndarray], busy: np.ndarray, other: np.ndarray | None = None):
-    """The first array of ``pool`` that is neither ``busy`` nor ``other`` (each
-    pool holds one array more than can be busy)."""
-    for a in pool:
-        if a is not busy and a is not other:
-            return a
-
-
 class _PmeStepper:
-    """The implicit stepper of v_t = L(v^m) for one run, with its work.
+    """The implicit stepper of v_t = L(v^m) for one run.
 
     Its ``counters`` go into ``Trace.meta``: ``clamps`` (node values raised
     to ``DEFAULT_FLOOR``), ``newton_iterations`` (Newton updates solved),
     ``factorizations`` (dpttrf calls) and ``dt_halvings`` (halved substeps).
     ``system`` holds the Newton matrix and its factors, and its right-hand
-    side becomes the update.  The iterate and its L(x^m) each rotate through
-    three arrays, so that a step never writes its input state (read again if
-    the step is halved) or the iterate it keeps; the state :meth:`advance`
-    returns, one of them or its clamped copy, stays intact through the next
-    step.  ``lv`` carries L(v^m) of the current state from step to step.
+    side becomes the update; ``lv`` carries L(v^m) of the current state from
+    step to step.  Every other array is a new one, so no step writes its
+    input state or an iterate it keeps.
     """
 
     counters = ("clamps", "newton_iterations", "factorizations", "dt_halvings")
 
     def __init__(self, grid: Grid, config: FlowConfig, dt: float, v: np.ndarray):
-        n = grid.n
         self.grid, self.dt = grid, dt
         self.bands = stiffness_bands(grid.conductance)
         self.m = config.m
         self.clamps = self.newton_iterations = self.factorizations = self.dt_halvings = 0
-        self.neg_wg = -grid.node_mass
-        self.xs = [np.empty(n) for _ in range(3)]
-        self.ls = [np.empty(n) for _ in range(3)]
-        self.rs = [np.empty(n) for _ in range(2)]
-        self.rhs, self.dpow, self.pw, self.absr, self.tsdiag = (np.empty(n) for _ in range(5))
-        self.flux = np.empty(n - 1)
-        self.system = SPDTridiagonal(n)
-        self.lv = self.operator(v, out=np.empty(n))
+        self.system = SPDTridiagonal(grid.n)
+        self.lv = self.operator(v)
 
-    def operator(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """L(max(x, floor)^m) into ``out``; unchanged by clamping x at the floor."""
-        pw = np.maximum(x, DEFAULT_FLOOR, out=self.pw)
-        np.power(pw, self.m, out=pw)
-        return delta_g(self.grid, pw, out=out, flux=self.flux)
+    def operator(self, x: np.ndarray) -> np.ndarray:
+        """L(max(x, floor)^m); unchanged by clamping x at the floor."""
+        return delta_g(self.grid, np.power(np.maximum(x, DEFAULT_FLOOR), self.m))
 
-    def _residual(self, x, lx, tdt, out) -> float:
-        """Write x - theta dt L(x^m) - rhs into ``out``; return its max norm."""
-        np.multiply(lx, tdt, out=out)
-        np.subtract(x, out, out=out)
-        np.subtract(out, self.rhs, out=out)
-        return float(np.abs(out, out=self.absr).max())
+    @staticmethod
+    def _residual(x, lx, tdt, rhs) -> tuple[np.ndarray, float]:
+        """x - theta dt L(x^m) - rhs and its max norm."""
+        res = x - lx * tdt - rhs
+        return res, float(np.abs(res).max())
 
     def _newton(self, v_old: np.ndarray, lv_old: np.ndarray, dt: float):
         """One implicit step of size dt; None if Newton stalls.
@@ -481,19 +470,16 @@ class _PmeStepper:
         sdiag, soff = self.bands
         m, system = self.m, self.system
         tdt = _THETA * dt
-        tsdiag = np.multiply(sdiag, tdt, out=self.tsdiag)
-        rhs = np.multiply(lv_old, (1.0 - _THETA) * dt, out=self.rhs)
-        np.add(v_old, rhs, out=rhs)
-        x, lx, res = v_old, lv_old, self.rs[0]
-        rnorm = self._residual(x, lx, tdt, res)
+        tsdiag = sdiag * tdt
+        rhs = v_old + lv_old * ((1.0 - _THETA) * dt)
+        x, lx = v_old, lv_old
+        res, rnorm = self._residual(x, lx, tdt, rhs)
         chord = False
         for _ in range(50):
             if rnorm <= 1e-14:
                 break
             if not chord:
-                dpow = np.maximum(x, DEFAULT_FLOOR, out=self.dpow)
-                np.power(dpow, m - 1.0, out=dpow)
-                dpow *= m
+                dpow = m * np.power(np.maximum(x, DEFAULT_FLOOR), m - 1.0)
                 # W D^{-1} + theta dt S, which the factorization overwrites
                 np.divide(wg, dpow, out=system.d)
                 system.d += tsdiag
@@ -502,21 +488,15 @@ class _PmeStepper:
                 if system.factor() != 0:  # not positive definite
                     return None
             self.newton_iterations += 1
-            delta = np.multiply(self.neg_wg, res, out=system.b)
+            system.b[:] = -wg * res
             system.solve()
-            delta /= dpow
+            delta = system.b / dpow
             lam = 1.0
             # a chord update gets the full step only, a fresh one a damped line search
             for _ in range(1 if chord else 30):
-                xt = _spare(self.xs, x, v_old)
-                if lam == 1.0:
-                    np.add(x, delta, out=xt)
-                else:
-                    np.multiply(delta, lam, out=xt)
-                    np.add(x, xt, out=xt)
-                lt = self.operator(xt, out=_spare(self.ls, lx, lv_old))
-                rt = _spare(self.rs, res)
-                rtn = self._residual(xt, lt, tdt, rt)
+                xt = x + delta if lam == 1.0 else x + delta * lam
+                lt = self.operator(xt)
+                rt, rtn = self._residual(xt, lt, tdt, rhs)
                 if rtn < rnorm:
                     break
                 lam *= 0.5

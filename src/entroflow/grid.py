@@ -228,16 +228,10 @@ def _net_flux(
     return out
 
 
-def delta_g(
-    grid: Grid,
-    v,
-    out: np.ndarray | None = None,
-    flux: np.ndarray | None = None,
-) -> np.ndarray:
+def delta_g(grid: Grid, v) -> np.ndarray:
     """Discrete weighted Laplacian  Lv = div(g grad v)/g = -W^{-1} S v  with
-    Neumann closure, from the edge fluxes of :func:`_net_flux` (``out`` and
-    ``flux`` are its optional work arrays)."""
-    out = _net_flux(grid, _check_field(grid, v), out=out, flux=flux)
+    Neumann closure, from the edge fluxes of :func:`_net_flux`."""
+    out = _net_flux(grid, _check_field(grid, v))
     out /= grid.node_mass
     return out
 

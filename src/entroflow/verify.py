@@ -6,7 +6,7 @@ order, the order of the verdicts.
 
 Every verdict carries a signed worst violation (negative means the property
 was broken beyond tolerance) and is a function of the trace and the
-criterion's own inputs (theta, lambda1, epsilon, trials, seed): each audit
+criterion's own inputs (theta, lambda1, trials, seed): each audit
 reads p, and m for a porous-media trace, from ``trace.config``, the one p
 (and m) whose E_p, I_p and K_p the trace records.  Every verdict except
 ``dissipation`` is held to the fixed relative slack ``criteria.SLACK_TOL``
@@ -26,7 +26,7 @@ import numpy as np
 from . import criteria, spectrum
 from .errors import ConfigError, NonPositiveData, ParameterError, WindowTooShort
 from .functionals import LinearParams, PmeParams
-from .grid import Grid, _dirichlet_row, _fsum_rows, gradient_sq, integrate_dgamma
+from .grid import Grid, dirichlet_form, gradient_sq, integrate_dgamma
 from .spectrum import SpectralResult
 
 __all__ = [
@@ -115,81 +115,45 @@ def fit_exponential_rate(trace, column: str, window: tuple[float, float] | None 
     return _fit_rate(t, y)
 
 
-class _TrialFields:
-    """Random positive trials: a few Gaussian bumps plus low-frequency cosines.
-
-    Each call accumulates its trial in one work array and returns it, so the
-    array is overwritten by the next call; the bumps and cosines go through a
-    second one, and x - x[0] is computed once.
-    """
-
-    def __init__(self, grid: Grid):
-        x = grid.nodes
-        self.x, self.span, self.dx = x, x[-1] - x[0], x - x[0]
-        self.u, self.term = np.empty(grid.n), np.empty(grid.n)
-
-    def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        x, span, u, term = self.x, self.span, self.u, self.term
-        u.fill(0.0)
-        for _ in range(int(rng.integers(1, 6))):
-            center = rng.uniform(x[0] + 0.1 * span, x[-1] - 0.1 * span)
-            width = rng.uniform(0.05, 0.2) * span
-            amp = rng.uniform(-1.0, 1.0)
-            np.subtract(x, center, out=term)
-            term /= width
-            np.square(term, out=term)
-            term *= -0.5
-            np.exp(term, out=term)
-            term *= amp
-            u += term
-        for j in range(int(rng.integers(1, 4))):
-            amp = rng.uniform(-0.5, 0.5)
-            np.multiply(self.dx, math.pi * (j + 1), out=term)
-            term /= span
-            np.cos(term, out=term)
-            term *= amp
-            u += term
-        scale = np.abs(u, out=term).max()
-        if scale == 0.0:
-            return np.ones(len(u))
-        return np.maximum(u, 0.02 * scale, out=u)
+def _trial_field(grid: Grid, rng: np.random.Generator) -> np.ndarray:
+    """A random positive trial: a few Gaussian bumps plus low-frequency cosines."""
+    x = grid.nodes
+    span = x[-1] - x[0]
+    u = np.zeros(grid.n)
+    for _ in range(int(rng.integers(1, 6))):
+        center = rng.uniform(x[0] + 0.1 * span, x[-1] - 0.1 * span)
+        width = rng.uniform(0.05, 0.2) * span
+        amp = rng.uniform(-1.0, 1.0)
+        u += amp * np.exp(-0.5 * np.square((x - center) / width))
+    for j in range(int(rng.integers(1, 4))):
+        amp = rng.uniform(-0.5, 0.5)
+        u += amp * np.cos((x - x[0]) * (math.pi * (j + 1)) / span)
+    scale = np.abs(u).max()
+    if scale == 0.0:
+        return np.ones(len(u))
+    return np.maximum(u, 0.02 * scale)
 
 
-class _PoincareSides:
+def _poincare_sides(grid: Grid, p: float, u: np.ndarray) -> list[float]:
     """(int u^2, int |u|^{2/p}, Dirichlet form) against dgamma of a trial u
-    normalized to unit mass, on work arrays reused across trials: one sum for
-    the mass, then one :func:`grid._fsum_rows` call for all three integrals.
-    Neither side depends on the constant, so every constant shares them."""
-
-    def __init__(self, grid: Grid, p: float):
-        n = grid.n
-        self.grid, self.p = grid, p
-        self.rows, self.work = np.empty((3, n)), np.empty((3, n))
-        self.u, self.edge = np.empty(n), np.empty(n - 1)
-
-    def __call__(self, u: np.ndarray) -> list[float]:
-        grid, rows, mu = self.grid, self.rows, self.grid.dgamma_weights
-        # scale-invariant; normalize for conditioning
-        np.multiply(mu, u, out=rows[0])
-        un = np.divide(u, _fsum_rows(rows[:1], self.work[:1])[0], out=self.u)
-        np.multiply(un, un, out=rows[0])
-        rows[0] *= mu
-        np.abs(un, out=rows[1])
-        np.power(rows[1], 2.0 / self.p, out=rows[1])
-        rows[1] *= mu
-        _dirichlet_row(grid, un, un, rows[2], self.edge)
-        return _fsum_rows(rows, self.work)
+    normalized to unit mass.  Neither side depends on the constant, so every
+    constant shares them."""
+    un = u / integrate_dgamma(grid, u)  # scale-invariant; normalize for conditioning
+    return [integrate_dgamma(grid, un * un),
+            integrate_dgamma(grid, np.power(np.abs(un), 2.0 / p)),
+            dirichlet_form(grid, un, un)]
 
 
-def _poincare_slack(p: float, lam: float, sides) -> float:
+def _poincare_slack(p: float, lam: float, sides) -> float | None:
     """Relative slack of the inequality with constant ``lam`` for one trial's
-    :class:`_PoincareSides`."""
+    :func:`_poincare_sides`; None where both sides are at quadrature
+    round-off (a degenerate trial, e.g. a constant one)."""
     second, moment, dirichlet = sides
     lhs = (second - moment**p) / (p - 1.0)
     rhs = (2.0 / lam) * dirichlet
     scale = max(abs(rhs), abs(lhs))
     if scale <= 1e-13 * max(1.0, second):
-        return 0.0  # both sides at quadrature round-off (e.g. constant trials)
+        return None
     return (rhs - lhs) / scale
 
 
@@ -209,6 +173,9 @@ def poincare_test(
 
     With ``weak_lambda1`` set (e.g. (p-1) * lambda1(2)), the same trials are
     also checked against that constant; the verdict requires both to hold.
+    A trial whose two sides are both at round-off (a constant trial, or one
+    clipped flat) tests no constant: it is left out of the minimum and
+    counted in ``details["degenerate_trials"]``.
     """
     if not (1.0 < p <= 2.0):
         raise ParameterError(f"p must lie in (1, 2]; got {p}")
@@ -220,23 +187,21 @@ def poincare_test(
     rng = np.random.default_rng(seed)
     eig = spectral.eigenvector
     trial0 = np.maximum(np.abs(eig), 1e-8 * np.max(np.abs(eig)))
-    trial_of = _TrialFields(grid)
     fields = itertools.chain(
         [trial0],
         (np.asarray(u, float) for u in extra_trials),
-        (trial_of(rng) for _ in range(trials)),
+        (_trial_field(grid, rng) for _ in range(trials)),
     )
     lams = [spectral.lam] if weak_lambda1 is None else [spectral.lam, weak_lambda1]
-    worst = [(np.inf, None)] * len(lams)
-    sides_of = _PoincareSides(grid, p)
-    for i, u in enumerate(fields):
-        sides = sides_of(u)
-        for j, lam in enumerate(lams):
-            s = _poincare_slack(p, lam, sides)
-            if s < worst[j][0]:
-                worst[j] = (s, i)
+    slacks = [[_poincare_slack(p, lam, sides) for lam in lams]
+              for sides in (_poincare_sides(grid, p, u) for u in fields)]
+    # per constant, the worst (slack, trial) of the trials that test it; where
+    # every trial is degenerate, their slack 0 at trial 0
+    worst = [min(((row[j], i) for i, row in enumerate(slacks) if row[j] is not None),
+                 default=(0.0, 0)) for j in range(len(lams))]
     combined, location = worst[0]
-    details = {"trials": trials + 1, "seed": seed, "worst_trial": location}
+    details = {"trials": trials + 1, "seed": seed, "worst_trial": location,
+               "degenerate_trials": sum(None in row for row in slacks)}
     if weak_lambda1 is not None:
         weak_worst, weak_idx = worst[1]
         details["weak_worst"] = weak_worst
@@ -369,8 +334,7 @@ CHECKS = {
 }
 
 
-def run_checks(trace, checks, geometry, lambda1=None, epsilon=None,
-               trials: int = 100, seed: int = 0):
+def run_checks(trace, checks, geometry, lambda1=None, trials: int = 100, seed: int = 0):
     """(verdicts, E bound at the snapshot times or None) of the named checks.
 
     ``checks`` lists names of ``CHECKS`` (None: envelope and dissipation);
@@ -381,9 +345,10 @@ def run_checks(trace, checks, geometry, lambda1=None, epsilon=None,
     ``lambda1`` raises ParameterError; a grid other than the one
     the trace records raises ConfigError.  The flow's eigenpair,
     lambda1_linear(p) or lambda1_pme(theta), is solved at most once; a given
-    ``lambda1`` replaces its eigenvalue.  p, m and theta are the trace's
-    (theta defaults to 0.5): a verdict is a function of the trace and of
-    ``lambda1``, ``epsilon``, ``trials`` and ``seed``.
+    ``lambda1`` replaces its eigenvalue.  ``refined`` audits at the grid's
+    :func:`spectrum.epsilon_star` (a ConfigError where it is 0).  p, m and
+    theta are the trace's (theta defaults to 0.5): a verdict is a function of
+    the trace and of ``lambda1``, ``trials`` and ``seed``.
     """
     checks = ("envelope", "dissipation") if checks is None else tuple(checks)
     if not checks:
@@ -399,11 +364,8 @@ def run_checks(trace, checks, geometry, lambda1=None, epsilon=None,
     lambda1 = None if lambda1 is None else float(lambda1)
     if lambda1 is not None and not math.isfinite(lambda1):
         raise ParameterError(f"lambda1 must be finite; got {lambda1}")
-    if "refined" in checks:
-        alpha = LinearParams(p).alpha
-        if alpha <= 0.0:
-            raise ConfigError("refined inequalities need p < 2")
-        epsilon = (1.0 - alpha) / (2.0 * alpha) if epsilon is None else float(epsilon)
+    if "refined" in checks and LinearParams(p).alpha <= 0.0:
+        raise ConfigError("refined inequalities need p < 2")
     if kind == "pme":
         m, theta = float(trace.config["m"]), trace.config.get("theta")
         theta = 0.5 if theta is None else float(theta)
@@ -445,11 +407,18 @@ def run_checks(trace, checks, geometry, lambda1=None, epsilon=None,
         weak = (p - 1.0) * spectrum.lambda1_linear(2.0, grid).lam if p < 2.0 else None
         return [poincare_test(p, eigenpair, grid, int(trials), int(seed), weak_lambda1=weak)]
 
+    def refined():
+        epsilon = spectrum.epsilon_star(p, built())
+        if epsilon == 0.0:
+            raise ConfigError(
+                f"the refined inequalities hold for no epsilon > 0 at p={p:g} on this grid")
+        return [refined_inequality_audit(trace, epsilon, built())]
+
     run = {
         "envelope": envelope,
         "dissipation": lambda: [dissipation_audit(trace)],
         "poincare": poincare,
-        "refined": lambda: [refined_inequality_audit(trace, epsilon, built())],
+        "refined": refined,
         "lemma": lambda: [lemma_audit(trace, theta, lam())],
     }
     verdicts = [v for name in CHECKS if name in checks for v in run[name]()]

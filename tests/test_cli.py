@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from entroflow import verify
-from entroflow.cli import _normalize_argv, build_parser, main
+from entroflow.cli import _build_geometry, _normalize_argv, build_parser, main
 from entroflow.flows import FlowConfig, Trace
+from entroflow.spectrum import epsilon_star
 
 
 def run_cli(*argv):
@@ -247,13 +248,6 @@ class TestFlowAndReport:
                      "envelope,dissipation,lemma"])
         assert code == expected
 
-    def test_report_rejects_zero_epsilon(self, artifacts):
-        # an explicit 0 is an invalid value, not a request for the default
-        _, trace, fields = artifacts
-        code = main(["report", "--trace", str(trace), "--fields", str(fields),
-                     "--checks", "refined", "--epsilon", "0"])
-        assert code == 2
-
     @pytest.mark.parametrize("raw", ["inf", "nan", "-1"])
     def test_report_ignores_env_tolerance(self, artifacts, monkeypatch, raw):
         # at ENTROFLOW_TOL=inf this inflated eigenvalue used to pass (exit 0);
@@ -381,6 +375,68 @@ class TestReportChecks:
         assert "envelope,dissipation,poincare,refined,lemma" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def table_run(tmp_path_factory):
+    """A linear run at p = 1.2 on the table of x^2/2 + 0.5 cos 2x over
+    [-10, 10], whose Hessian dips below zero, with its trace and fields."""
+    d = tmp_path_factory.mktemp("table_run")
+    x = np.linspace(-10.0, 10.0, 401)
+    table = d / "tab.csv"
+    np.savetxt(table, np.column_stack([x, x * x / 2 + 0.5 * np.cos(2 * x),
+                                       x - np.sin(2 * x), 1 - 2 * np.cos(2 * x)]),
+               delimiter=",", fmt="%.17g")
+    trace, fields = d / "run.csv", d / "run.npz"
+    assert main(["flow", "linear", "--p", "1.2", "--potential", f"tabulated:{table}",
+                 "--tend", "0.2", "--dt", "1e-3", "--trace", str(trace),
+                 "--fields", str(fields)]) == 0
+    return table, trace, fields
+
+
+class TestTabulatedGeometry:
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--n", "5000"], 2, "--n 5000 disagrees with the table's 401 rows"),
+        (["--domain=-8:8"], 2, "--domain -8:8 disagrees with the table's span -10.0:10.0"),
+        (["--domain=-10:9"], 2, "disagrees with the table's span"),
+        (["--n", "401", "--domain=-10:10"], 0, ""),
+    ], ids=["n", "domain", "one-end", "repeated"])
+    def test_geometry_flags_must_repeat_the_table(self, table_run, capsys, flags, code,
+                                                  message):
+        # --n 5000 used to exit 0 and write "n": 201 for a 201-row table
+        table = table_run[0]
+        assert main(["lambda1", "--p", "1.5", "--potential", f"tabulated:{table}",
+                     *flags]) == code
+        assert message in capsys.readouterr().err
+
+    def test_report_round_trip_off_the_default_domain(self, table_run, capsys):
+        # the flow records no domain for a table, so report rebuilds its grid
+        # from the potential alone, not from [-8, 8]
+        _, trace, _ = table_run
+        geometry = Trace.from_csv(trace).meta["geometry"]
+        assert geometry == {"radial": None, "domain": None, "n": 401}
+        assert main(["report", "--trace", str(trace), "--checks", "envelope,dissipation"]) == 0
+
+    def test_refined_audits_at_epsilon_star(self, table_run, tmp_path, capsys):
+        # at p = 1.2 the grid's epsilon* (about 0.12) lies below the half-cap
+        # (1 - alpha) / (2 alpha) = 0.25 the audit used before
+        table, trace, fields = table_run
+        out = tmp_path / "v.json"
+        main(["report", "--trace", str(trace), "--fields", str(fields),
+              "--checks", "refined", "--out", str(out)])
+        (verdict,) = json.loads(out.read_text())
+        grid = _build_geometry(argparse.Namespace(
+            potential=f"tabulated:{table}", radial=None, domain=None, n=None))
+        assert verdict["details"]["epsilon"] == epsilon_star(1.2, grid)
+        assert 0.1 < verdict["details"]["epsilon"] < 0.25
+
+    def test_refined_without_an_admissible_epsilon_exits_2(self, table_run, monkeypatch,
+                                                           capsys):
+        _, trace, fields = table_run
+        monkeypatch.setattr("entroflow.spectrum.epsilon_star", lambda p, grid: 0.0)
+        assert main(["report", "--trace", str(trace), "--fields", str(fields),
+                     "--checks", "refined"]) == 2
+        assert "refined inequalities hold for no epsilon" in capsys.readouterr().err
+
+
 class TestRegionAndConstants:
     def test_region_json(self, capsys):
         assert run_cli("region", "--theta", "1.0", "--samples", "120") == 0
@@ -505,10 +561,6 @@ class TestMalformedInput:
          "trials and seed must be nonnegative; got -5, 0"),
         (["report", "--trace", "{trace}", "--checks", "poincare", "--seed", "-1"],
          "trials and seed must be nonnegative; got 100, -1"),
-        (["report", "--trace", "{trace}", "--fields", "{fields}", "--checks", "refined",
-          "--epsilon", "nan"], "epsilon must be finite and positive; got nan"),
-        (["report", "--trace", "{trace}", "--fields", "{fields}", "--checks", "refined",
-          "--epsilon", "inf"], "epsilon must be finite and positive; got inf"),
         (["constants", "--m", "1.2", "--p", "1.5", "--theta", "0.5", "--lambda1", "1.0",
           "--e0", "-5"], "E0 must be finite and nonnegative; got -5.0"),
         (["constants", "--m", "1.2", "--p", "1.5", "--theta", "0.5", "--lambda1", "1.0",
@@ -536,7 +588,7 @@ class TestMalformedInput:
             "init-csv-zero-mass", "init-csv-nan",
             "region-negative-samples", "region-zero-samples",
             "report-lambda1-nan", "report-lambda1-inf", "report-negative-trials",
-            "report-negative-seed", "report-epsilon-nan", "report-epsilon-inf",
+            "report-negative-seed",
             "constants-negative-e0", "constants-e0-nan", "constants-lambda1-inf",
             "constants-lambda1-nan", "constants-outside-negative-e0",
             "flow-step-count-overflow", "report-checks-comma", "report-checks-empty",
@@ -746,6 +798,31 @@ def test_readme_library_block_runs():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("\n") == 2
+
+
+def test_readme_flags_are_parser_options():
+    # every --flag the README names, pip's aside, is an option of a subcommand
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = "\n".join(line for line in text.splitlines()
+                     if not line.strip().startswith("pip "))
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {opt for command in sub.choices.values() for action in command._actions
+               for opt in action.option_strings}
+    assert len(flags) >= 20
+    assert flags - options == set()
+
+
+def test_step_count_over_the_cap_exits_2_promptly():
+    # 1e15 steps used to run until killed
+    proc = subprocess.run(
+        [sys.executable, "-m", "entroflow.cli", "flow", "linear", "--n", "101",
+         "--tend", "1e12", "--dt", "1e-3"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "t_end=1e+12 over dt=0.001" in proc.stderr and "cap of 1e+07" in proc.stderr
 
 
 def test_console_module_invocation():

@@ -261,6 +261,15 @@ class TestPmeFlow:
         assert one_step.resolved(grid)[:2] == (pytest.approx(0.064, rel=1e-15), 1)
         assert run(one_step, grid).meta["n_steps"] == 1
 
+    def test_step_count_cap_is_inclusive(self, gauss_grid_small):
+        # arithmetic only: resolved() runs no step
+        cap = flows._MAX_STEPS
+        at_cap = ef.FlowConfig(kind="linear", p=1.5, t_end=float(cap), dt=1.0)
+        assert at_cap.resolved(gauss_grid_small) == (1.0, cap, cap // 200)
+        over = ef.FlowConfig(kind="linear", p=1.5, t_end=float(cap + 1), dt=1.0)
+        with pytest.raises(ConfigError, match=r"t_end=1e\+07 over dt=1 .* cap of 1e\+07"):
+            over.resolved(gauss_grid_small)
+
 
 def spy_calls(monkeypatch, *names):
     """Count the calls the steppers make to the named ``flows`` globals, or to

@@ -15,7 +15,6 @@ from entroflow.errors import (
 )
 from entroflow import functionals
 from entroflow.functionals import _Snapshot
-from entroflow.verify import _PoincareSides
 
 
 def _normalized(grid, v):
@@ -304,18 +303,3 @@ class TestSnapshot:
             tracemalloc.stop()
         assert peak - base < v.nbytes
 
-
-def test_poincare_trial_allocates_no_field_sized_array(gauss_pot):
-    grid = ef.make_interval_grid(-8.0, 8.0, 20001, gauss_pot)
-    u = _perturbed(grid)
-    sides = _PoincareSides(grid, 1.5)
-    tracemalloc.start()
-    try:
-        sides(u)  # warm-up
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        sides(u)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - base < u.nbytes

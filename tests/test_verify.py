@@ -9,7 +9,7 @@ import pytest
 
 import entroflow as ef
 from entroflow.errors import ConfigError, NonPositiveData, WindowTooShort
-from entroflow.verify import _median, _poincare_slack, _PoincareSides, _TrialFields
+from entroflow.verify import _median, _poincare_sides, _poincare_slack, _trial_field
 
 
 def _synthetic_trace(rate=3.0, p=1.5, n=400, t_end=2.0):
@@ -79,28 +79,30 @@ class TestCheckEnvelope:
 
 
 class TestPoincare:
-    def test_constant_field_slack_zero(self, gauss_grid_small):
-        sides = _PoincareSides(gauss_grid_small, 2.0)(np.ones(501))
-        assert _poincare_slack(2.0, 1.0, sides) == 0.0
+    def test_constant_field_is_degenerate(self, gauss_grid_small):
+        # both sides at round-off: the trial tests no constant
+        sides = _poincare_sides(gauss_grid_small, 2.0, np.ones(501))
+        assert _poincare_slack(2.0, 1.0, sides) is None
+
+    def test_degenerate_trials_do_not_set_the_margin(self, gauss_grid_small):
+        # the Gaussian's eigenvector trial is constant: it used to be the
+        # worst trial, at slack 0.0, in every report
+        res = ef.lambda1_linear(1.5, gauss_grid_small)
+        v = ef.poincare_test(1.5, res, gauss_grid_small, trials=100, seed=1,
+                             weak_lambda1=0.5)
+        assert v.details["degenerate_trials"] >= 1
+        assert v.passed and v.worst_violation > 0.0 and v.location != 0
+        assert v.details["weak_worst"] > 0.0 and v.details["weak_worst_trial"] != 0
+        # with every trial degenerate the verdict is their slack, 0 at trial 0
+        only = ef.poincare_test(1.5, res, gauss_grid_small, trials=0)
+        assert (only.worst_violation, only.location) == (0.0, 0)
+        assert only.details["degenerate_trials"] == 1
 
     def test_scaling_invariance_at_p2(self, gauss_grid_small, rng):
         u = 1.0 + 0.3 * rng.random(gauss_grid_small.n)
-        sides_of = _PoincareSides(gauss_grid_small, 2.0)
-        s1 = _poincare_slack(2.0, 1.0, sides_of(u))
-        s2 = _poincare_slack(2.0, 1.0, sides_of(7.0 * u))
+        s1 = _poincare_slack(2.0, 1.0, _poincare_sides(gauss_grid_small, 2.0, u))
+        s2 = _poincare_slack(2.0, 1.0, _poincare_sides(gauss_grid_small, 2.0, 7.0 * u))
         assert s1 == pytest.approx(s2, abs=1e-12)
-
-    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0])
-    def test_sides_are_the_grid_integrals_bitwise(self, gauss_grid_small, rng, p):
-        g = gauss_grid_small
-        u = 1.0 + 0.3 * rng.random(g.n)
-        un = u / ef.integrate_dgamma(g, u)
-        want = [ef.integrate_dgamma(g, un * un),
-                ef.integrate_dgamma(g, np.power(np.abs(un), 2.0 / p)),
-                ef.dirichlet_form(g, un, un)]
-        sides_of = _PoincareSides(g, p)
-        sides_of(np.ones(g.n))  # the work arrays carry nothing to the next trial
-        assert [x.hex() for x in sides_of(u)] == [x.hex() for x in want]
 
     def test_trial_fields_are_the_formula_bitwise(self, gauss_grid_small):
         # reference: the trial as one expression with fresh temporaries
@@ -116,10 +118,9 @@ class TestPoincare:
                 u += rng.uniform(-0.5, 0.5) * np.cos(math.pi * (j + 1) * (x - x[0]) / span)
             return np.maximum(u, 0.02 * np.max(np.abs(u)))
 
-        trial_of = _TrialFields(gauss_grid_small)
         ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
         for _ in range(50):
-            assert np.array_equal(trial_of(ours), reference(theirs))
+            assert np.array_equal(_trial_field(gauss_grid_small, ours), reference(theirs))
 
     def test_classical_poincare_passes(self, gauss_grid):
         res = ef.lambda1_linear(2.0, gauss_grid)
