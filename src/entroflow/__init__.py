@@ -73,9 +73,7 @@ from .criteria import (
     ellipse_margin,
     envelope_exponential,
     envelope_pme,
-    envelope_refined,
     lemma_functional_check,
-    refined_kappa,
     region_report,
     theta_from_p,
 )

@@ -46,8 +46,6 @@ __all__ = [
     "constants_chain",
     "constants_report",
     "envelope_exponential",
-    "envelope_refined",
-    "refined_kappa",
     "envelope_pme",
     "theta_from_p",
     "LemmaCheck",
@@ -252,28 +250,6 @@ def constants_report(
 def envelope_exponential(x0: float, lambda1: float, t: float) -> float:
     """x0 e^{-2 lambda1 t}: the exponential decay bound for entropy and Fisher."""
     return x0 * math.exp(-2.0 * lambda1 * t)
-
-
-def envelope_refined(I0: float, kappa: float, t: float) -> float:
-    """I0 / (1 + kappa I0 t): algebraic bound in the degenerate lambda1 = 0 regime."""
-    if kappa < 0.0:
-        raise ParameterError(f"kappa must be nonnegative; got {kappa}")
-    return I0 / (1.0 + kappa * I0 * t)
-
-
-def refined_kappa(p: float, epsilon: float, E0: float) -> float:
-    """Rate constant of the degenerate regime:
-
-        kappa = (alpha eps / (1 + eps)) * (p/2) / (1 + (p-1) E0),
-
-    with alpha = (2-p)/p; feeds :func:`envelope_refined`.
-    """
-    if not (1.0 < p < 2.0):
-        raise ParameterError(f"p must lie strictly in (1, 2); got {p}")
-    if epsilon <= 0.0:
-        raise ParameterError(f"epsilon must be positive; got {epsilon}")
-    alpha = (2.0 - p) / p
-    return (alpha * epsilon / (1.0 + epsilon)) * (p / 2.0) / (1.0 + (p - 1.0) * E0)
 
 
 def envelope_pme(I0: float, kappa: float, t: float) -> tuple[float, float]:

@@ -57,11 +57,11 @@ Both flows share one time loop, :func:`_run`: a run is a config and a grid
 the state one step later.  A run emits a Trace: scalar time series of
 (t, E, I, K, mass, min_v) plus full density snapshots every ``audit_stride``
 records for the second-order audits that cannot be reconstructed from
-scalars.  Each run makes one :class:`functionals._Snapshot`, whose work
-arrays hold a snapshot's integrands (E, the Fisher edge terms, K and the
-mass); they are summed in one correctly rounded batch, so recording
-allocates no n-sized array, and the mass row serves both the unit-mass check
-and the ``mass`` column.
+scalars.  Each run makes one :class:`functionals._Snapshot`, which writes
+a snapshot's integrands (E, the mass, the Fisher edge terms and K) one after
+another into the same work array and sums each with one correctly rounded
+sum, so recording allocates no n-sized array, and the one mass sum serves
+both the unit-mass check and the ``mass`` column.
 """
 
 from __future__ import annotations

@@ -257,126 +257,91 @@ def _gradient_sq(grid: Grid, v: np.ndarray, out: np.ndarray, edge: np.ndarray) -
     return out
 
 
-def _fsum_rows(rows: np.ndarray, work: np.ndarray) -> list[float]:
-    """Correctly rounded sum of each row of a (k, n) float64 array: row i
-    gives the same double as ``math.fsum(rows[i].tolist())``, computed in a
-    few vectorized passes by error-free extraction (Rump, Ogita and Oishi,
-    "Accurate floating-point summation, part I", SIAM J. Sci. Comput. 31(1),
-    2008).  The passes run on all rows at once; ``rows`` is overwritten with
-    the remainders and ``work`` (same shape) is scratch, so the sum allocates
-    no (k, n) array.
+def _fsum_into(terms: np.ndarray, work: np.ndarray) -> float:
+    """Correctly rounded sum of a 1-D float64 array, the same double as
+    ``math.fsum(terms.tolist())``, computed in a few vectorized passes by
+    error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput. 31(1), 2008).  ``terms`` is
+    overwritten with the remainders and ``work`` (same length) is scratch, so
+    the sum allocates no n-sized array.
 
     Each pass rounds every remainder r_i to the grid of sigma = 2^k, with
-    2^k >= 2 (n+1) max|r|, per row.  The rounded parts q_i = (sigma + r_i) -
-    sigma and the new remainders r_i - q_i are exact, and the q_i sum exactly
-    in any order; so a row's total is its pass sums plus sum(r), and |sum(r)|
-    < B = 2^(bitlen(n+1) + e) for max|r| < 2^e.  Rounding is monotone: once
-    the pass sums plus -B and plus B round to the same double, that double is
-    the correctly rounded total.  Where extraction cannot be exact (non-finite
+    2^k >= 2 (n+1) max|r|.  The rounded parts q_i = (sigma + r_i) - sigma and
+    the new remainders r_i - q_i are exact, and the q_i sum exactly in any
+    order; so the total is the pass sums plus sum(r), and |sum(r)| <
+    B = 2^(bitlen(n+1) + e) for max|r| < 2^e.  Rounding is monotone: once the
+    pass sums plus -B and plus B round to the same double, that double is the
+    correctly rounded total.  Where extraction cannot be exact (non-finite
     input, a sigma that would overflow or whose grid would fall below the
     subnormal spacing) and for all-zero input (the sign of zero is fsum's
-    rule), the row is left to math.fsum of its pass sums and remainders,
-    whose exact sum is the row's.  A settled row is zeroed and rides along
-    with the others until the last one settles.
+    rule), the sum is left to math.fsum of the pass sums and remainders,
+    whose exact sum is the array's.
     """
-    k, n = rows.shape
-    out = [0.0] * k
-    if n == 0:
-        return out
-    bits = (n + 1).bit_length()
-    taus: list[list[float]] = [[] for _ in range(k)]
-    sigma = np.ones((k, 1))
-    live = list(range(k))
-    np.abs(rows, out=work)
-    tops = work.max(axis=1).tolist()
+    if len(terms) == 0:
+        return 0.0
+    bits = (len(terms) + 1).bit_length()
+    tau: list[float] = []
     while True:
-        for i in tuple(live):
-            total, step = _extraction_step(rows[i], taus[i], tops[i], bits)
-            if total is None:
-                sigma[i] = step
-                continue
-            out[i] = total
-            rows[i].fill(0.0)
-            sigma[i] = 1.0
-            live.remove(i)
-        if not live:
-            return out
-        np.add(rows, sigma, out=work)
-        np.subtract(work, sigma, out=work)
-        np.subtract(rows, work, out=rows)
-        sums = work.sum(axis=1).tolist()
-        for i in live:
-            taus[i].append(sums[i])
-        np.abs(rows, out=work)
-        tops = work.max(axis=1).tolist()
-
-
-def _extraction_step(row: np.ndarray, tau: list[float], top: float, bits: int):
-    """(total, None) once a row's sum is settled, else (None, sigma of its
-    next pass); ``tau`` holds the row's pass sums so far, ``row`` its
-    remainders and ``top`` their largest magnitude."""
-    if top == 0.0 and tau:
-        return math.fsum(tau), None
-    if top == 0.0 or not math.isfinite(top):
-        return math.fsum(row.tolist()), None
-    e = math.frexp(top)[1]
-    if tau:
-        bound = math.ldexp(1.0, bits + e)
-        lo = math.fsum(tau + [-bound])
-        if lo == math.fsum(tau + [bound]):
-            return lo, None
-    k = bits + e + 1
-    # sigma and every partial sum stay below 2^1023, and the grid spacing
-    # 2^(k-53) stays a multiple of the subnormal spacing 2^-1074
-    if not -1021 <= k <= 1022:
-        return math.fsum(tau + row.tolist()), None
-    return None, math.ldexp(1.0, k)
-
-
-def _fsum(a: np.ndarray) -> float:
-    """Correctly rounded sum of a float64 array, the same double as
-    ``math.fsum(a.tolist())``: :func:`_fsum_rows` of one row."""
-    rows = np.array(a, dtype=np.float64).reshape(1, -1)
-    return _fsum_rows(rows, np.empty_like(rows))[0]
+        top = float(np.abs(terms, out=work).max())
+        if top == 0.0 and tau:
+            return math.fsum(tau)
+        if top == 0.0 or not math.isfinite(top):
+            return math.fsum(terms.tolist())
+        e = math.frexp(top)[1]
+        if tau:
+            bound = math.ldexp(1.0, bits + e)
+            lo = math.fsum(tau + [-bound])
+            if lo == math.fsum(tau + [bound]):
+                return lo
+        k = bits + e + 1
+        # sigma and every partial sum stay below 2^1023, and the grid spacing
+        # 2^(k-53) stays a multiple of the subnormal spacing 2^-1074
+        if not -1021 <= k <= 1022:
+            return math.fsum(tau + terms.tolist())
+        sigma = math.ldexp(1.0, k)
+        np.add(terms, sigma, out=work)
+        work -= sigma
+        terms -= work
+        tau.append(float(work.sum()))
 
 
 def dirichlet_form(grid: Grid, u, v) -> float:
     """Edge-based Dirichlet form  disc. integral of Du . Dv dgamma.
 
-    Summed with correct rounding (:func:`_fsum_rows`), so the
-    summation-by-parts identity against :func:`delta_g` holds to the
-    per-term rounding level.
+    Its n - 1 edge terms are summed with correct rounding
+    (:func:`_fsum_into`), so the summation-by-parts identity against
+    :func:`delta_g` holds to the per-term rounding level.
     """
     u = _check_field(grid, u)
     v = _check_field(grid, v)
-    rows = np.empty((1, grid.n))
-    _dirichlet_row(grid, u, v, rows[0], np.empty(grid.n - 1))
-    return _fsum_rows(rows, np.empty_like(rows))[0]
+    edge = np.empty(grid.n - 1)
+    terms = _dirichlet_row(grid, u, v, np.empty(grid.n - 1), edge)
+    return _fsum_into(terms, edge)
 
 
 def _dirichlet_row(grid: Grid, u: np.ndarray, v: np.ndarray, out: np.ndarray,
-                   edge: np.ndarray) -> None:
-    """The terms c (u_{i+1} - u_i)(v_{i+1} - v_i) / mass of :func:`dirichlet_form`
-    in ``out[:-1]`` and a zero in ``out[-1]``, so the n-entry row sums to the
-    form; ``edge`` (n - 1) is scratch."""
-    terms = np.multiply(grid.conductance, np.subtract(u[1:], u[:-1], out=edge), out=out[:-1])
+                   edge: np.ndarray) -> np.ndarray:
+    """The n - 1 edge terms c (u_{i+1} - u_i)(v_{i+1} - v_i) / mass of
+    :func:`dirichlet_form`, written into and returned as ``out``; ``edge``
+    (n - 1) is scratch."""
+    np.multiply(grid.conductance, np.subtract(u[1:], u[:-1], out=edge), out=out)
     if v is not u:
         np.subtract(v[1:], v[:-1], out=edge)
-    terms *= edge
-    terms /= grid.weight_mass
-    out[-1] = 0.0
+    out *= edge
+    out /= grid.weight_mass
+    return out
 
 
 def integrate_dgamma(grid: Grid, f) -> float:
     """Discrete integral of a node field against the probability measure."""
-    f = _check_field(grid, f)
-    return _fsum(grid.dgamma_weights * f)
+    terms = grid.dgamma_weights * _check_field(grid, f)
+    return _fsum_into(terms, np.empty_like(terms))
 
 
 def inner_dgamma(grid: Grid, u, v) -> float:
-    u = _check_field(grid, u)
-    v = _check_field(grid, v)
-    return _fsum(grid.dgamma_weights * u * v)
+    terms = grid.dgamma_weights * _check_field(grid, u)
+    terms *= _check_field(grid, v)
+    return _fsum_into(terms, np.empty_like(terms))
 
 
 def norm_dgamma(grid: Grid, u) -> float:

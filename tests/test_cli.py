@@ -797,7 +797,9 @@ def test_readme_library_block_runs():
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("\n") == 2
+    lines = proc.stdout.splitlines()
+    assert [line.split("'")[1] for line in lines] == ["envelope[E]", "dissipation"]
+    assert all("passed=True" in line for line in lines), proc.stdout
 
 
 def test_readme_flags_are_parser_options():

@@ -182,19 +182,6 @@ class TestEnvelopes:
         assert ef.envelope_exponential(1.0, 1.0, math.log(2) / 2) == pytest.approx(0.5)
         assert ef.envelope_exponential(3.7, 0.0, 5.0) == 3.7
 
-    def test_refined(self):
-        assert ef.envelope_refined(2.0, 0.5, 0.0) == 2.0
-        assert ef.envelope_refined(2.0, 0.5, 1.0) == pytest.approx(1.0)
-        with pytest.raises(ParameterError):
-            ef.envelope_refined(1.0, -0.1, 0.0)
-
-    def test_refined_kappa_hand_value(self):
-        # p = 3/2, eps = 2, E0 = 0.2: (1/3 * 2/3) * (3/4) / (1 + 0.1) = 1/6 / 1.1
-        assert ef.refined_kappa(1.5, 2.0, 0.2) == pytest.approx((1.0 / 6.0) / 1.1,
-                                                                rel=1e-14)
-        with pytest.raises(ParameterError):
-            ef.refined_kappa(2.0, 1.0, 0.0)
-
     def test_pme_at_zero_time(self):
         I0, kappa = 0.11, 1.1
         ib, eb = ef.envelope_pme(I0, kappa, 0.0)

@@ -168,22 +168,33 @@ def test_snapshot_functionals_are_the_public_ones(request, gauss_grid, run, para
 
 
 @pytest.mark.parametrize("kind", ["linear", "pme"])
-def test_snapshot_grid_integrals(monkeypatch, gauss_grid_small, kind):
-    # a snapshot sums its four integrands (E, mass, I, K) in one batched call;
-    # the mass row serves both the unit-mass check and the trace column
+@pytest.mark.parametrize("zero_node", [False, True], ids=["positive", "zero-node"])
+def test_snapshot_grid_integrals(monkeypatch, gauss_grid_small, kind, zero_node):
+    # a snapshot sums E, the mass, the Fisher edge terms and K (only at or
+    # above the floor) once each; the mass sum serves both the unit-mass
+    # check and the trace column
+    n = gauss_grid_small.n
     v0 = ef.initial_field(gauss_grid_small, "bump:0.4")
-    fsum_rows = grid_module._fsum_rows
-    batched, other = [], []
+    if zero_node:
+        v0[n // 2] = 0.0
+        v0 /= ef.integrate_dgamma(gauss_grid_small, v0)
+    fsum_into = grid_module._fsum_into
+    snapshot, other = [], []
 
     def counting(calls):
-        return lambda rows, work: calls.append(rows.shape[0]) or fsum_rows(rows, work)
+        return lambda terms, work: calls.append(len(terms)) or fsum_into(terms, work)
 
-    monkeypatch.setattr(functionals, "_fsum_rows", counting(batched))
-    monkeypatch.setattr(grid_module, "_fsum_rows", counting(other))
+    monkeypatch.setattr(functionals, "_fsum_into", counting(snapshot))
+    monkeypatch.setattr(grid_module, "_fsum_into", counting(other))
     cfg = ef.FlowConfig(kind=kind, p=1.5, m=1.2, init=v0, t_end=0.05, dt=1e-3, stride=5)
     tr = (ef.run_linear if kind == "linear" else ef.run_pme)(cfg, gauss_grid_small)
     assert len(tr.t) == 11
-    assert batched == [4] * len(tr.t)
+    assert np.isnan(tr.K[0]) == zero_node
+    assert np.isfinite(tr.K[1:]).all()
+    want = []
+    for K in tr.K:
+        want += [n, n, n - 1, n] if np.isfinite(K) else [n, n, n - 1]
+    assert snapshot == want
     assert other == []
 
 

@@ -9,11 +9,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import entroflow as ef
-from entroflow.grid import _fsum
+from entroflow.grid import _fsum_into
 
 # Deterministic example sets so the suite gives the same verdict on every run.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 LARGE = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+
+
+def _fsum(a):
+    terms = np.array(a, dtype=np.float64)
+    return _fsum_into(terms, np.empty_like(terms))
 
 
 def _outcome(total, a):
@@ -35,6 +40,11 @@ scaled = st.builds(
     st.integers(-300, 300),
 )
 subnormal = st.integers(-(2**40), 2**40).map(lambda i: i * 5e-324)
+ordinary = st.builds(
+    lambda m, k: m * 10.0**k,
+    st.floats(-1.0, 1.0, allow_nan=False),
+    st.integers(-30, 30),
+)
 tie_part = st.builds(
     lambda part, sign, k: sign * part * 2.0**k,
     st.sampled_from([1.0, 2.0**-53, 2.0**-54, 2.0**-106, 2.0**-107, 2.0**-159]),
@@ -109,6 +119,57 @@ def test_non_finite_input_follows_fsum(values):
     big = np.linspace(-1.0, 1.0, 20001)
     big[777] = values[0]
     assert_same_as_fsum(big)
+
+
+def _array(kind, n, rng):
+    if kind == "ordinary":
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    if kind == "zeros":
+        return np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    if kind == "subnormal":
+        return rng.integers(-(2**40), 2**40, n) * 5e-324
+    a = rng.standard_normal(n)
+    a[int(rng.integers(n))] = 1.5e308 if kind == "huge" else float(kind)
+    return a
+
+
+# arrays that leave the extraction passes for math.fsum: all zeros, non-finite
+# entries, a first sigma that would overflow (k > 1022) and remainders whose
+# grid would fall below the subnormal spacing (k < -1021)
+@PROPERTY
+@given(st.sampled_from(["ordinary", "zeros", "nan", "inf", "-inf", "huge", "subnormal"]),
+       st.integers(1, 300), st.integers(0, 2**32 - 1))
+@example("subnormal", 1, 1)
+def test_every_fallback_kind(kind, n, seed):
+    assert_same_as_fsum(_array(kind, n, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("kind", ["ordinary", "zeros", "nan", "huge", "subnormal"])
+def test_every_fallback_kind_on_a_long_array(kind):
+    assert_same_as_fsum(_array(kind, 2000, np.random.default_rng(0)))
+
+
+@PROPERTY
+@given(st.lists(ordinary, min_size=5, max_size=5))
+def test_cancellation_forcing_extra_passes(values):
+    # the exact cancellation of the first two terms leaves 2^-1000 for later passes
+    assert_same_as_fsum(values + [-x for x in values[:2]] + [2.0**-1000])
+
+
+@pytest.mark.parametrize("head", [[1.0, -1.0], [1.0, 0.5]])
+def test_remainders_below_the_subnormal_grid_after_a_pass(head):
+    # the first pass cancels 1 and -1 exactly; the subnormal remainders that
+    # are left need a sigma below 2^-1021 and go to math.fsum
+    assert_same_as_fsum(head + [2.0**-1060, 3 * 2.0**-1070, -(2.0**-1074)])
+
+
+def test_sliced_view_sums_only_its_own_entries(rng):
+    # a snapshot sums the n - 1 Fisher edge terms in row[:-1] with work[:-1]
+    row, work = rng.standard_normal(20001), np.empty(20001)
+    row[-1], work[-1] = 7.0, 9.0
+    want = math.fsum(row[:-1].tolist())
+    assert _fsum_into(row[:-1], work[:-1]).hex() == want.hex()
+    assert (row[-1], work[-1]) == (7.0, 9.0)
 
 
 def test_opposite_infinities_raise_value_error():

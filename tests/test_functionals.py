@@ -166,8 +166,8 @@ def _fsum(a):
 
 
 def _reference_rows(params, v, grid, floor=ef.DEFAULT_FLOOR):
-    """The integrand rows (E, mass, I, K) of a snapshot from the formulas as
-    plain numpy expressions; the Fisher edge terms end in a zero and K is
+    """The integrands (E, mass, I, K) of a snapshot from the formulas as
+    plain numpy expressions; I holds the n - 1 Fisher edge terms and K is
     None below the floor."""
     mu, pme = grid.dgamma_weights, isinstance(params, ef.PmeParams)
     p = params.p
@@ -181,7 +181,7 @@ def _reference_rows(params, v, grid, floor=ef.DEFAULT_FLOOR):
     x = params.s_exponent
     s = v if x == 1.0 else np.power(np.maximum(v, floor), x)
     ds = np.diff(s)
-    I = np.append(grid.conductance * ds * ds / grid.weight_mass, 0.0)
+    I = grid.conductance * ds * ds / grid.weight_mass
     K = None
     if v.min() >= floor:
         flux = grid.conductance * ds
@@ -243,15 +243,15 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("params", SNAPSHOT_PARAMS, ids=repr)
     def test_integrand_rows_are_the_formulas_bitwise(self, monkeypatch, gauss_grid, params):
-        # the sums hide a last-bit change in a few terms; the rows do not
+        # the sums hide a last-bit change in a few terms; the summed arrays do not
         summed = []
-        fsum_rows = functionals._fsum_rows
-        monkeypatch.setattr(functionals, "_fsum_rows",
-                            lambda rows, work: summed.append(rows.copy()) or fsum_rows(rows, work))
+        fsum_into = functionals._fsum_into
+        monkeypatch.setattr(functionals, "_fsum_into", lambda terms, work:
+                            summed.append(terms.copy()) or fsum_into(terms, work))
         v = _perturbed(gauss_grid)
         _Snapshot(params, gauss_grid)(v)
-        (rows,) = summed
-        assert rows.tobytes() == np.stack(_reference_rows(params, v, gauss_grid)).tobytes()
+        want = _reference_rows(params, v, gauss_grid)
+        assert [a.tobytes() for a in summed] == [a.tobytes() for a in want]
 
     @pytest.mark.parametrize("params", SNAPSHOT_PARAMS, ids=repr)
     def test_k_is_nan_below_the_floor(self, gauss_grid, params):

@@ -54,7 +54,6 @@ PUBLIC_NAMES = [
     "entropy_pme",
     "envelope_exponential",
     "envelope_pme",
-    "envelope_refined",
     "epsilon_star",
     "evaluate",
     "example1_epsilon_bound",
@@ -82,7 +81,6 @@ PUBLIC_NAMES = [
     "potential_from_spec",
     "power_law",
     "refined_inequality_audit",
-    "refined_kappa",
     "region_report",
     "run_checks",
     "run_linear",
