@@ -13,6 +13,11 @@ Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 failed hypothesis;
 
 All outputs are deterministic given config and seed; JSON is sorted,
 trace CSV uses 17 significant digits, plots are self-contained SVG.
+
+A trace is the record of its run: ``flow`` writes the four geometry flags as
+the run used them (``potential``, ``domain``, ``radial``, ``n``) into the
+trace's meta under ``geometry``, and ``report`` rebuilds the grid from them,
+a geometry flag given to ``report`` taking their place.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .errors import (
     TailMassTooLarge,
 )
 from .grid import Grid, make_interval_grid, make_radial_grid
-from .potential import Potential, potential_from_spec, tabulated
+from .potential import Potential, flat, harmonic, harmonic_log, power_law, tabulated
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,13 +96,13 @@ def _parse_potential(text: str, d: int) -> Potential:
     name, _, arg = text.partition(":")
     try:
         if name in ("gaussian", "harmonic"):
-            return potential_from_spec("harmonic", d)
+            return harmonic(d)
         if name == "flat":
-            return potential_from_spec("flat", d)
+            return flat(d)
         if name == "power":
-            return potential_from_spec({"family": "power", "beta": float(arg)}, d)
+            return power_law(float(arg), d)
         if name == "harmonic_log":
-            return potential_from_spec({"family": "harmonic_log", "eps": float(arg)}, d)
+            return harmonic_log(float(arg), d)
         if name == "tabulated":
             raw = np.loadtxt(arg, delimiter=",", ndmin=2)
             if raw.shape[1] < 4:
@@ -106,15 +111,6 @@ def _parse_potential(text: str, d: int) -> Potential:
     except ValueError as exc:
         raise ConfigError(f"cannot parse potential {text!r}: {exc}") from None
     raise ConfigError(f"unknown potential {text!r}")
-
-
-def _potential_spec_text(text: str) -> dict:
-    """Echoable spec for the trace metadata."""
-    name, _, arg = text.partition(":")
-    spec: dict = {"family": "harmonic" if name == "gaussian" else name}
-    if arg:
-        spec["arg"] = arg
-    return spec
 
 
 def _build_geometry(args: argparse.Namespace) -> Grid:
@@ -193,7 +189,6 @@ def cmd_lambda1(args: argparse.Namespace) -> int:
                 kind: value,
                 "lambda1": res.lam,
                 "residual": res.residual,
-                "iterations": res.iterations,
                 "grid": grid.ident,
                 "n": grid.n,
             }
@@ -211,13 +206,13 @@ def cmd_flow(args: argparse.Namespace) -> int:
     cfg = flows.FlowConfig(kind=args.flow_kind, **given)
     runner = flows.run_linear if cfg.kind == "linear" else flows.run_pme
     trace = runner(cfg, grid)
-    pot_text = args.potential or "gaussian"
-    trace.meta["potential"] = _potential_spec_text(pot_text)
-    # a table is its own domain: report rebuilds it from the potential alone
-    table = pot_text.startswith("tabulated:")
+    potential = args.potential or "gaussian"
+    # the flags as the run used them; a table is its own domain
     trace.meta["geometry"] = {
+        "potential": potential,
+        "domain": None if args.radial or potential.startswith("tabulated:")
+        else args.domain or _DOMAIN,
         "radial": args.radial,
-        "domain": None if args.radial or table else args.domain or _DOMAIN,
         "n": grid.n,
     }
     if args.trace:
@@ -305,13 +300,9 @@ def _svg_plot(path: str, t: np.ndarray, curves: list[tuple[str, np.ndarray]]) ->
 
 
 def _geometry_from_meta(args: argparse.Namespace, meta: dict) -> argparse.Namespace:
-    """Geometry flags: as given, else what the flow recorded in the trace meta."""
-    recorded = dict(meta.get("geometry") or {})
-    if meta.get("potential"):
-        pot = meta["potential"]
-        recorded["potential"] = pot.get("family", "gaussian") + (
-            f":{pot['arg']}" if pot.get("arg") else "")
+    """Geometry flags: as given, else as the flow recorded them in the trace meta."""
     given = vars(args)
+    recorded = meta.get("geometry") or {}
     return argparse.Namespace(
         **{**given, **{k: v for k, v in recorded.items() if v and not given.get(k)}})
 

@@ -47,9 +47,11 @@ system's diagonal.  L(v^m) of the accepted state is the operator value of
 its last residual; it is carried into the next step's right-hand side (and
 through time-step halvings) instead of being evaluated again, and clamping v
 at ``DEFAULT_FLOOR`` leaves it unchanged because v^m is taken of max(v, floor).
-A ``pme`` trace's meta records the stepper's work: ``clamps`` (node values
-raised to the floor), ``newton_iterations`` (Newton updates solved),
-``factorizations`` (LAPACK ``pttrf`` calls) and ``dt_halvings``.
+A trace's meta records ``dt``, ``n_steps`` (the steps taken, whose last is
+the last row) and ``stride``; a ``pme`` trace's meta adds the stepper's work:
+``clamps`` (node values raised to the floor, also ``Trace.clamps``),
+``newton_iterations`` (Newton updates solved), ``factorizations`` (LAPACK
+``pttrf`` calls) and ``dt_halvings``.
 
 Both flows share one time loop, :func:`_run`: a run is a config and a grid
 (whose potential defines L), and the loop differs only in its stepper,
@@ -96,9 +98,11 @@ class FlowConfig:
     node values, which the trace's config echoes as "array".  ``dt`` falls
     back to 10 h^2; ``stride`` to whatever yields about 200 snapshots.
     ``t_end`` and a given ``dt`` must be finite and positive, ``stride`` and
-    ``audit_stride`` at least 1; a run takes round(t_end / dt) steps, and
-    :meth:`resolved` rejects a ``t_end`` that rounds to none, to an
-    overflowing count or to more than ``_MAX_STEPS`` (1e7).  ``theta`` is
+    ``audit_stride`` at least 1.  A run takes round(t_end / dt) steps,
+    rounded down to a whole number of strides, so its last step is its last
+    recorded row; :meth:`resolved` rejects a ``t_end`` that rounds to no
+    step, to an overflowing count or to more than ``_MAX_STEPS`` (1e7), and
+    a ``stride`` above the step count.  ``theta`` is
     the criterion's theta, which ``report`` reads for lambda1_pme, not the
     time-stepping weight.  The time-stepping weight, the solver's tolerance,
     halving limit and density floor are module constants (see the module
@@ -130,7 +134,8 @@ class FlowConfig:
             raise ConfigError(f"audit_stride must be at least 1; got {self.audit_stride}")
 
     def resolved(self, grid: Grid) -> tuple[float, int, int]:
-        """(dt, n_steps, stride) with defaults filled in for this grid."""
+        """(dt, n_steps, stride) with defaults filled in for this grid;
+        ``n_steps`` is a multiple of ``stride``."""
         dt = self.dt if self.dt is not None else 10.0 * grid.h**2
         steps = self.t_end / dt
         if not math.isfinite(steps):
@@ -147,7 +152,12 @@ class FlowConfig:
                 f"t_end={self.t_end:g} over dt={dt:g} is {n_steps:.3g} steps, more than "
                 f"the cap of {_MAX_STEPS:.0e}; give a shorter t_end or a larger dt")
         stride = self.stride if self.stride is not None else max(1, n_steps // 200)
-        return dt, n_steps, stride
+        if stride > n_steps:
+            raise ConfigError(
+                f"stride={stride} is more than the {n_steps} steps of t_end={self.t_end:g} "
+                f"at dt={dt:g}, so no step would be recorded; give a smaller stride (--stride)")
+        # the last recorded row is the last step: no computed step is discarded
+        return dt, n_steps - n_steps % stride, stride
 
 
 @dataclass
@@ -163,8 +173,12 @@ class Trace:
     config: dict
     grid_id: str
     fields: list[tuple[int, np.ndarray]] = field(default_factory=list)
-    clamps: int = 0
     meta: dict = field(default_factory=dict)
+
+    @property
+    def clamps(self) -> int:
+        """Node values a pme run raised to the density floor, from its meta."""
+        return self.meta.get("clamps", 0)
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -373,9 +387,9 @@ class _LinearStepper:
 def _run(config: FlowConfig, grid: Grid, kind: str, params, stepper) -> Trace:
     """Integrate one flow: ``stepper(grid, config, dt, v)`` makes the stepper
     whose ``advance`` takes v one step of dt, ``params()`` the functionals'
-    parameters.  A snapshot row is recorded every ``stride`` steps and a field
-    stored every ``audit_stride`` rows; the stepper's ``counters`` join the
-    trace meta."""
+    parameters.  A snapshot row is recorded every ``stride`` steps, the last
+    one at the last step, and a field stored every ``audit_stride`` rows; the
+    stepper's ``counters`` join the trace meta."""
     if config.kind != kind:
         raise ConfigError(f"run_{kind} needs a config with kind={kind!r}")
     snapshot = _Snapshot(params(), grid)
@@ -393,11 +407,9 @@ def _run(config: FlowConfig, grid: Grid, kind: str, params, stepper) -> Trace:
     echo = asdict(config)
     if not isinstance(config.init, str):
         echo["init"] = "array"
-    counts = {name: getattr(stepper, name) for name in stepper.counters}
     meta = {"dt": dt, "n_steps": n_steps, "stride": stride,
-            "t_end_effective": n_steps * dt, **counts}
-    return Trace._from_rows(rows, echo, grid.ident, fields=fields,
-                            clamps=counts.get("clamps", 0), meta=meta)
+            **{name: getattr(stepper, name) for name in stepper.counters}}
+    return Trace._from_rows(rows, echo, grid.ident, fields=fields, meta=meta)
 
 
 def run_linear(config: FlowConfig, grid: Grid) -> Trace:

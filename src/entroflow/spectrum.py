@@ -52,8 +52,7 @@ class SpectralResult:
     ``residual`` is the 2-norm of the symmetrized operator residual; ``tol``
     is the tolerance it was held to: the fixed ``_EIG_TOL`` (1e-10) floored
     at the round-off level of one matrix-vector product.  ``iterations`` is
-    the number of LAPACK eigensolve calls: 1 per solve, 0 when the p = 1
-    shortcut needs none.
+    the number of LAPACK eigensolve calls, 1 per solve.
     """
 
     lam: float
@@ -139,23 +138,13 @@ def _solve_quotient(grid: Grid, grad_coeff: float, V: np.ndarray) -> SpectralRes
 def lambda1_linear(p: float, grid: Grid) -> SpectralResult:
     """Smallest eigenvalue of  w -> -(2(p-1)/p) Lw + V w  in the weighted measure.
 
-    p = 1 has a vanishing gradient coefficient, so the infimum is the
-    essential infimum of V over the grid and is returned directly.
+    At p = 1 the gradient coefficient vanishes and the matrix is diag(V), so
+    the same eigensolve returns min V over the grid, with its eigenvector
+    concentrated at a minimizing node.
     """
     if not (1.0 <= p <= 2.0):
         raise ParameterError(f"p must lie in [1, 2]; got {p}")
-    V = hessian_infimum_V(grid)
-    if p == 1.0:
-        # the gradient term vanishes: the infimum is ess-inf V, attained by
-        # concentration at the minimizing node
-        idx = int(np.argmin(V))
-        w = np.zeros(grid.n)
-        w[idx] = 1.0 / np.sqrt(grid.dgamma_weights[idx])
-        return SpectralResult(
-            lam=float(V[idx]), eigenvector=w, residual=0.0, iterations=0
-        )
-    coeff = 2.0 * (p - 1.0) / p
-    return _solve_quotient(grid, coeff, V)
+    return _solve_quotient(grid, 2.0 * (p - 1.0) / p, hessian_infimum_V(grid))
 
 
 def lambda1_pme(theta: float, grid: Grid) -> SpectralResult:

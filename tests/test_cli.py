@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entroflow import verify
+from entroflow import flows, verify
 from entroflow.cli import _build_geometry, _normalize_argv, build_parser, main
 from entroflow.flows import FlowConfig, Trace
 from entroflow.spectrum import epsilon_star
@@ -93,7 +93,7 @@ class TestLambda1Command:
         assert run_cli("lambda1", *common, "--jobs", "2", "--out", str(parallel)) == 0
         a = json.loads(serial.read_text())
         b = json.loads(parallel.read_text())
-        keys = ("lambda1", "residual", "iterations")
+        keys = ("lambda1", "residual")
         assert [[r[k] for k in keys] for r in a] == [[r[k] for k in keys] for r in b]
 
     def test_lapack_failure_exits_3(self, monkeypatch):
@@ -294,6 +294,42 @@ class TestFlowAndReport:
         else:
             assert out.startswith("t_end=0.064 ")
 
+    def test_pme_trace_reads_back_its_clamps(self, tmp_path):
+        # the compact start max(2.25 - (x+1)^2, 0) clamps; the clamp count
+        # used to be a second copy that Trace.from_csv left at 0
+        x = np.linspace(-8.0, 8.0, 801)
+        init, trace = tmp_path / "init.csv", tmp_path / "pme.csv"
+        np.savetxt(init, np.maximum(2.25 - (x + 1.0) ** 2, 0.0), fmt="%.17g")
+        assert main(["flow", "pme", "--m", "2", "--p", "1.5", "--n", "801", "--tend", "0.2",
+                     "--dt", "1e-3", "--init", f"csv:{init}", "--trace", str(trace)]) == 0
+        back = Trace.from_csv(trace)
+        assert back.clamps == back.meta["clamps"] == 646
+
+    def test_last_step_taken_is_the_last_row(self, tmp_path, monkeypatch):
+        # round(0.401 / 1e-3) = 401 steps at the default stride 2: the 401st
+        # used to be computed and dropped, with t_end_effective = 0.401
+        advance, steps = flows._LinearStepper.advance, []
+
+        def counted(self, v):
+            steps.append(1)
+            return advance(self, v)
+
+        monkeypatch.setattr(flows._LinearStepper, "advance", counted)
+        trace = tmp_path / "run.csv"
+        assert main(["flow", "linear", "--n", "201", "--tend", "0.401", "--dt", "1e-3",
+                     "--trace", str(trace)]) == 0
+        back = Trace.from_csv(trace)
+        assert len(steps) == back.meta["n_steps"] == 400
+        assert back.t[-1] == back.meta["n_steps"] * back.meta["dt"]
+        assert "t_end_effective" not in back.meta
+
+    def test_stride_above_the_step_count_exits_2(self, capsys):
+        # 200 steps at stride 500 used to run every step and keep only t = 0
+        assert main(["flow", "linear", "--n", "201", "--tend", "0.2", "--dt", "1e-3",
+                     "--stride", "500"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "stride=500" in err and "200 steps" in err
+
     def test_pme_rejects_m_plus_p_two(self, capsys):
         # the porous-media entropy divides by m + p - 2
         code = main([
@@ -410,9 +446,10 @@ class TestTabulatedGeometry:
     def test_report_round_trip_off_the_default_domain(self, table_run, capsys):
         # the flow records no domain for a table, so report rebuilds its grid
         # from the potential alone, not from [-8, 8]
-        _, trace, _ = table_run
+        table, trace, _ = table_run
         geometry = Trace.from_csv(trace).meta["geometry"]
-        assert geometry == {"radial": None, "domain": None, "n": 401}
+        assert geometry == {"potential": f"tabulated:{table}", "radial": None,
+                            "domain": None, "n": 401}
         assert main(["report", "--trace", str(trace), "--checks", "envelope,dissipation"]) == 0
 
     def test_refined_audits_at_epsilon_star(self, table_run, tmp_path, capsys):
@@ -789,6 +826,35 @@ def test_readme_commands_parse():
     for line in commands:
         args = parser.parse_args(_normalize_argv(shlex.split(line)[1:]))
         assert callable(args.func), line
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # in order, in one directory: report reads what the flow wrote and
+    # rebuilds its grid from the trace's geometry record alone
+    monkeypatch.chdir(tmp_path)
+    for line in _readme_commands():
+        assert main(shlex.split(line)[1:]) == 0, line
+
+
+def test_old_format_trace_needs_its_potential_flag(tmp_path, capsys):
+    # a trace whose meta names its potential in the old {"family", "arg"}
+    # layout rebuilds the default Gaussian grid, which is not its own
+    trace = tmp_path / "run.csv"
+    assert main(["flow", "linear", "--p", "1.5", "--potential", "power:1.5",
+                 "--domain=-16:16", "--n", "400", "--tend", "0.1", "--dt", "1e-3",
+                 "--trace", str(trace)]) == 0
+    lines = trace.read_text().splitlines(keepends=True)
+    (i,) = [k for k, line in enumerate(lines) if line.startswith("# meta: ")]
+    meta = json.loads(lines[i][len("# meta: "):])
+    assert meta["geometry"].pop("potential") == "power:1.5"
+    meta["potential"] = {"family": "power", "arg": "1.5"}
+    lines[i] = "# meta: " + json.dumps(meta, sort_keys=True) + "\n"
+    old = tmp_path / "old.csv"
+    old.write_text("".join(lines))
+    assert main(["report", "--trace", str(old), "--checks", "poincare"]) == 2
+    assert "not on grid" in capsys.readouterr().err
+    assert main(["report", "--trace", str(old), "--checks", "poincare",
+                 "--potential", "power:1.5"]) == 0
 
 
 def test_readme_library_block_runs():

@@ -79,9 +79,22 @@ class TestLambda1Linear:
         assert ef.norm_dgamma(flat_grid, res.eigenvector - res.eigenvector.mean()) <= 1e-5
 
     def test_p_one_is_essinf_V(self, gauss_grid):
+        # the gradient term vanishes: the one eigensolve of diag(V) gives min V
         res = ef.lambda1_linear(1.0, gauss_grid)
         assert res.lam == 1.0
-        assert res.iterations == 0
+        assert res.iterations == 1
+
+    @pytest.mark.parametrize("grid", [
+        ef.make_interval_grid(-16, 16, 2000, ef.power_law(1.5)),
+        ef.make_radial_grid(3, 12, 2000, ef.harmonic_log(0.05, 3)),
+    ], ids=["power", "radial"])
+    def test_p_one_concentrates_at_the_minimum_of_V(self, grid):
+        V = ef.hessian_infimum_V(grid)
+        res = ef.lambda1_linear(1.0, grid)
+        assert res.lam == V.min()
+        (support,) = np.nonzero(res.eigenvector)
+        assert len(support) == 1 and V[support[0]] == V.min()
+        assert ef.norm_dgamma(grid, res.eigenvector) == pytest.approx(1.0, rel=1e-12)
 
     def test_monotone_in_p(self, gauss_grid):
         g = ef.make_interval_grid(-16, 16, 800, ef.power_law(1.5))
