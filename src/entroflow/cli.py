@@ -239,9 +239,11 @@ def cmd_constants(args: argparse.Namespace) -> int:
         theta = args.theta
     else:
         raise ConfigError("constants needs --theta or --from-p")
-    lam = args.lambda1
-    if lam is None and args.potential:
-        lam = spectrum.lambda1_pme(theta, _build_geometry(args)).lam
+    # lambda1 is given, or solved on the geometry flags' grid
+    if args.lambda1 is not None and args.potential:
+        raise ConfigError("constants takes --lambda1 or --potential, not both")
+    lam = (spectrum.lambda1_pme(theta, _build_geometry(args)).lam if args.potential
+           else args.lambda1)
     report = criteria.constants_report(args.m, args.p, theta, lam, args.e0)
     _json_out(report, args.out)
     # constants_report adds the constant chain only where every hypothesis holds
@@ -335,7 +337,6 @@ def _add_geometry_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--radial", help="radial D:R")
     sp.add_argument("--n", type=int, help="node count")
     sp.add_argument("--config", help="JSON config file; explicit flags win")
-    sp.add_argument("--out", help="output JSON path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--p", type=_float_list, help="p value or comma list")
     which.add_argument("--theta", type=float, help="use the (1-theta) gradient coefficient")
     sp.add_argument("--jobs", type=int, help="ignored; kept so older scripts still parse")
+    sp.add_argument("--out", help="output JSON path")
     _add_geometry_flags(sp)
     sp.set_defaults(func=cmd_lambda1)
 
@@ -391,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda1", type=float)
     sp.add_argument("--e0", type=float, default=0.0,
                     help="initial entropy for the rate constant")
+    sp.add_argument("--out", help="output JSON path")
     _add_geometry_flags(sp)
     sp.set_defaults(func=cmd_constants)
 
@@ -403,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--plot", help="SVG output path")
+    sp.add_argument("--out", help="output JSON path")
     _add_geometry_flags(sp)
     sp.set_defaults(func=cmd_report)
 

@@ -276,10 +276,18 @@ def theta_from_p(p0: float) -> float:
     return 2.0 / p0 - 1.0
 
 
-# relative slack below zero that a check still passes: lemma_functional_check
-# and every verdict of entroflow.verify except the dissipation audit, which
-# derives its tolerance from the trace's snapshot spacing and decay rate
+# the _relative_slack below zero that a check still passes:
+# lemma_functional_check and every verdict of entroflow.verify except the
+# dissipation audit, which derives its tolerance from the trace's snapshot
+# spacing and decay rate
 SLACK_TOL = 1e-8
+
+
+def _relative_slack(lhs, rhs):
+    """(rhs - lhs) / max(|rhs|, |lhs|, 1e-300), elementwise: how far lhs <= rhs
+    holds, in [-1, 1] wherever the two sides share a sign.  A NaN side gives a
+    NaN slack."""
+    return (rhs - lhs) / np.maximum(np.maximum(np.abs(rhs), np.abs(lhs)), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -290,7 +298,7 @@ class LemmaCheck:
 
     lhs: float
     rhs: float
-    slack: float  # (rhs - lhs) / max(|rhs|, |lhs|, tiny)
+    slack: float  # _relative_slack(lhs, rhs)
     K1: float
     K2: float
     K3: float
@@ -323,8 +331,7 @@ def lemma_functional_check(
         * bracket**consts.bracket_exponent
         * Ksnap
     )
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    slack = (rhs - lhs) / scale
+    slack = float(_relative_slack(lhs, rhs))
     K1 = Ksnap
     K2 = consts.K * bracket ** (3.0 * consts.bracket_exponent)
     K3 = I / consts.c_mp

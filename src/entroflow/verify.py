@@ -4,14 +4,20 @@
 ``CHECKS`` names every check, the flow kinds it applies to and, by its key
 order, the order of the verdicts.
 
-Every verdict carries a signed worst violation (negative means the property
-was broken beyond tolerance) and is a function of the trace and the
-criterion's own inputs (theta, lambda1, trials, seed): each audit
-reads p, and m for a porous-media trace, from ``trace.config``, the one p
-(and m) whose E_p, I_p and K_p the trace records.  Every verdict except
-``dissipation`` is held to the fixed relative slack ``criteria.SLACK_TOL``
-(1e-8); the dissipation audit derives its tolerance from the trace's
-snapshot spacing and decay rate.
+A check states each of its inequalities lhs <= rhs as the relative slack
+``criteria._relative_slack(lhs, rhs)`` = (rhs - lhs) / max(|rhs|, |lhs|,
+1e-300), negative where the inequality is broken, and :func:`_verdict` keeps
+the first smallest of a check's slacks as its worst violation, with its
+location: a snapshot time (envelope, lemma), a stored-field row (refined) or
+a trial index (poincare).  ``dissipation`` reports minus its largest
+normalized mismatch, at that snapshot's time.
+
+A verdict is a function of the trace and the criterion's own inputs (theta,
+lambda1, trials, seed): each audit reads p, and m for a porous-media trace,
+from ``trace.config``, the one p (and m) whose E_p, I_p and K_p the trace
+records.  Every verdict except ``dissipation`` passes down to the slack
+-``criteria.SLACK_TOL`` (1e-8); the dissipation audit derives its tolerance
+from the trace's snapshot spacing and decay rate.
 """
 
 from __future__ import annotations
@@ -39,8 +45,6 @@ __all__ = [
     "lemma_audit",
     "run_checks",
 ]
-
-_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -70,30 +74,22 @@ def _finite_K(trace) -> None:
         raise ConfigError("trace has non-finite K entries; cannot audit")
 
 
-def _verdict(name, worst, location, details, tol=criteria.SLACK_TOL) -> Verdict:
-    return Verdict(
-        name=name,
-        passed=bool(worst >= -tol),
-        worst_violation=float(worst),
-        location=location,
-        tolerance=tol,
-        details=details,
-    )
+def _verdict(name, slacks, locations, details, tol=criteria.SLACK_TOL) -> Verdict:
+    """The verdict on the first smallest of a check's ``slacks``, located at
+    the matching entry of ``locations``: a tie goes to the earlier entry, and
+    a NaN slack counts as the smallest, so it fails the verdict."""
+    k = int(np.argmin(slacks))
+    worst = float(slacks[k])
+    return Verdict(name=name, passed=bool(worst >= -tol), worst_violation=worst,
+                   location=locations[k], tolerance=tol, details=details)
 
 
 def check_envelope(trace, envelope, column: str = "E", name: str | None = None) -> Verdict:
     """Worst relative slack of bound(t) - value(t) over the trace snapshots."""
     values = trace.column(column)
     bounds = np.array([envelope(t) for t in trace.t])
-    scale = np.maximum(np.maximum(np.abs(bounds), np.abs(values)), _TINY)
-    slack = (bounds - values) / scale
-    k = int(np.argmin(slack))
-    return _verdict(
-        name or f"envelope[{column}]",
-        float(slack[k]),
-        float(trace.t[k]),
-        {"n_snapshots": len(values)},
-    )
+    return _verdict(name or f"envelope[{column}]", criteria._relative_slack(values, bounds),
+                    trace.t.tolist(), {"n_snapshots": len(values)})
 
 
 def _fit_rate(t: np.ndarray, y: np.ndarray) -> float:
@@ -151,10 +147,10 @@ def _poincare_slack(p: float, lam: float, sides) -> float | None:
     second, moment, dirichlet = sides
     lhs = (second - moment**p) / (p - 1.0)
     rhs = (2.0 / lam) * dirichlet
-    scale = max(abs(rhs), abs(lhs))
-    if scale <= 1e-13 * max(1.0, second):
+    floor = 1e-13 * max(1.0, second)
+    if abs(lhs) <= floor and abs(rhs) <= floor:
         return None
-    return (rhs - lhs) / scale
+    return float(criteria._relative_slack(lhs, rhs))
 
 
 def poincare_test(
@@ -172,10 +168,11 @@ def poincare_test(
     ``extra_trials`` lets a caller inject deliberately near-extremal fields.
 
     With ``weak_lambda1`` set (e.g. (p-1) * lambda1(2)), the same trials are
-    also checked against that constant; the verdict requires both to hold.
-    A trial whose two sides are both at round-off (a constant trial, or one
-    clipped flat) tests no constant: it is left out of the minimum and
-    counted in ``details["degenerate_trials"]``.
+    also checked against that constant; the verdict is the smaller of the two
+    worst slacks.  A trial whose two sides are both at round-off under a
+    constant (a constant trial, or one clipped flat) does not test it: it is
+    left out of that constant's minimum, and ``details["degenerate_trials"]``
+    counts it once, whichever constant it fails to test.
     """
     if not (1.0 < p <= 2.0):
         raise ParameterError(f"p must lie in (1, 2]; got {p}")
@@ -199,16 +196,12 @@ def poincare_test(
     # every trial is degenerate, their slack 0 at trial 0
     worst = [min(((row[j], i) for i, row in enumerate(slacks) if row[j] is not None),
                  default=(0.0, 0)) for j in range(len(lams))]
-    combined, location = worst[0]
-    details = {"trials": trials + 1, "seed": seed, "worst_trial": location,
+    details = {"trials": trials + 1, "seed": seed, "worst_trial": worst[0][1],
                "degenerate_trials": sum(None in row for row in slacks)}
     if weak_lambda1 is not None:
-        weak_worst, weak_idx = worst[1]
-        details["weak_worst"] = weak_worst
-        details["weak_worst_trial"] = weak_idx
-        if weak_worst < combined:
-            combined, location = weak_worst, weak_idx
-    return _verdict("poincare", combined, location, details)
+        details["weak_worst"], details["weak_worst_trial"] = worst[1]
+    # a tie goes to lambda, the first constant
+    return _verdict("poincare", [s for s, _ in worst], [i for _, i in worst], details)
 
 
 def _median(a: np.ndarray) -> float:
@@ -220,13 +213,13 @@ def _median(a: np.ndarray) -> float:
     return float(s[k]) if len(s) % 2 else float((s[k - 1] + s[k]) / 2)
 
 
-def _centered_mismatch(t, y, target, scale_floor=_TINY):
+def _centered_mismatch(t, y, target):
     """max_k |(y_{k+1}-y_{k-1})/(t_{k+1}-t_{k-1}) - target_k| / max|target|."""
     if len(t) < 3:
         raise WindowTooShort("dissipation audit needs at least 3 snapshots")
     cd = (y[2:] - y[:-2]) / (t[2:] - t[:-2])
     mism = np.abs(cd - target[1:-1])
-    scale = max(float(np.max(np.abs(target))), scale_floor)
+    scale = max(float(np.max(np.abs(target))), 1e-300)
     rel = mism / scale
     k = int(np.argmax(rel))
     return float(rel[k]), float(t[1 + k])
@@ -262,10 +255,9 @@ def dissipation_audit(trace) -> Verdict:
     else:
         rate = 1.0
     tol = 3.0 * rate**3 * spacing**2
-    worst = -max(mis_E, mis_I)
-    loc = loc_E if mis_E >= mis_I else loc_I
+    # a tie goes to the entropy identity
     return _verdict(
-        "dissipation", worst, loc,
+        "dissipation", [-mis_E, -mis_I], [loc_E, loc_I],
         {"mismatch_entropy": mis_E, "mismatch_fisher": mis_I, "kind": kind}, tol,
     )
 
@@ -289,24 +281,18 @@ def refined_inequality_audit(trace, epsilon: float, grid: Grid) -> Verdict:
     p = float(trace.config["p"])
     alpha = LinearParams(p).alpha
     coeff = 16.0 * alpha * epsilon / (1.0 + epsilon)
-    worst, loc = np.inf, None
-    count = 0
+    lhs, rhs, rows = [], [], []
     for idx, v in trace.fields:
         z = np.power(np.maximum(v, 1e-300), p / 4.0)
         q4 = integrate_dgamma(grid, gradient_sq(grid, z) ** 2)
         E, I, K = float(trace.E[idx]), float(trace.I[idx]), float(trace.K[idx])
-        s1 = (K - coeff * q4) / max(abs(K), abs(coeff * q4), _TINY)
-        lhs = (p * I) ** 2
-        rhs = 256.0 * (1.0 + (p - 1.0) * E) * q4
-        s2 = (rhs - lhs) / max(abs(rhs), abs(lhs), _TINY)
-        count += 1
-        for s in (s1, s2):
-            if s < worst:
-                worst, loc = s, idx
-    return _verdict(
-        "refined_inequalities", worst, loc,
-        {"epsilon": epsilon, "snapshots": count},
-    )
+        # per row the K inequality, then the (p I)^2 one, which loses a tie
+        lhs += [coeff * q4, (p * I) ** 2]
+        rhs += [K, 256.0 * (1.0 + (p - 1.0) * E) * q4]
+        rows += [idx, idx]
+    slacks = criteria._relative_slack(np.array(lhs), np.array(rhs))
+    return _verdict("refined_inequalities", slacks, rows,
+                    {"epsilon": epsilon, "snapshots": len(trace.fields)})
 
 
 def lemma_audit(trace, theta: float, lambda1: float) -> Verdict:
@@ -316,12 +302,10 @@ def lemma_audit(trace, theta: float, lambda1: float) -> Verdict:
     A trace with a non-finite K raises ConfigError."""
     m, p = float(trace.config["m"]), float(trace.config["p"])
     _finite_K(trace)
-    worst, loc = np.inf, None
-    for t, E, I, K in zip(trace.t, trace.E, trace.I, trace.K):
-        chk = criteria.lemma_functional_check(m, p, theta, lambda1, (E, I, K))
-        if chk.slack < worst:
-            worst, loc = chk.slack, float(t)
-    return _verdict("lemma_interpolation", worst, loc, {"snapshots": len(trace.t)})
+    slacks = [criteria.lemma_functional_check(m, p, theta, lambda1, snapshot).slack
+              for snapshot in zip(trace.E, trace.I, trace.K)]
+    return _verdict("lemma_interpolation", slacks, trace.t.tolist(),
+                    {"snapshots": len(trace.t)})
 
 
 # check name -> the flow kinds it applies to; verdicts come in this order
@@ -374,8 +358,13 @@ def run_checks(trace, checks, geometry, lambda1=None, trials: int = 100, seed: i
     def built():
         grid = geometry()
         if trace.grid_id and trace.grid_id != grid.ident:
+            # its span as --domain A:B or --radial D:R gives it
+            start = f"{grid.nodes[0]:g}" if grid.kind == "interval" else grid.d
             raise ConfigError(
-                f"the trace was written on grid {trace.grid_id}, not on grid {grid.ident}")
+                f"the trace was written on grid {trace.grid_id}, not on grid {grid.ident} "
+                f"({grid.kind} {start}:{grid.nodes[-1]:g}, n={grid.n}, potential "
+                f"{grid.potential.key()}); report needs the run's geometry flags: "
+                "--potential, --domain, --radial and --n")
         return grid
 
     @functools.cache

@@ -405,6 +405,15 @@ class TestReportChecks:
         assert code == 0
         assert [v["name"] for v in json.loads(capsys.readouterr().out)] == names
 
+    def test_failed_hypothesis_exits_4(self, report_traces, capsys):
+        # the lemma's constant chain needs lambda1 > 0: main's hypothesis branch
+        code = main(["report", *report_traces["pme"], "--checks", "lemma",
+                     "--lambda1", "-1"])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "hypothesis failed: lambda1 must be positive; got -1.0" in captured.err
+
     def test_help_lists_every_check(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["report", "--help"])
@@ -502,6 +511,16 @@ class TestRegionAndConstants:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["theta"] == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_potential_solves_lambda1(self, capsys):
+        # without --lambda1, the constant chain takes lambda1_pme(theta) of the
+        # geometry flags' grid: 1 for the Gaussian weight
+        code = run_cli("constants", "--m", "1.2", "--p", "1.5", "--theta", "0.5",
+                       "--e0", "0.02", "--potential", "gaussian", "--n", "2001")
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["lambda1"] == pytest.approx(1.0, abs=1e-9)
+        assert payload["kappa"] > 0
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -616,6 +635,13 @@ class TestMalformedInput:
         (["report", "--trace", "{trace}", "--checks", ","], "no checks named; valid checks:"),
         (["report", "--trace", "{trace}", "--checks", ""], "no checks named; valid checks:"),
         (["lambda1", "--p", "1.5", "--n", "0"], "need at least 16 nodes, got 0"),
+        # flow writes no JSON; it used to accept --out and write nothing
+        (["flow", "linear", "--n", "101", "--tend", "0.01", "--dt", "1e-3", "--out", "x.json"],
+         "unrecognized arguments: --out x.json"),
+        # the given lambda1 replaces the solve: the geometry went unread
+        (["constants", "--m", "1.2", "--p", "1.5", "--theta", "0.5", "--lambda1", "1.0",
+          "--potential", "power:abc", "--n", "7"],
+         "constants takes --lambda1 or --potential, not both"),
     ], ids=["power", "harmonic_log", "radial-d", "p-list", "init-bump", "check-theta",
             "tabulated-file", "init-csv-file", "missing-tabulated", "missing-init-csv",
             "missing-trace", "missing-fields", "trace-short-row", "trace-cell",
@@ -629,7 +655,7 @@ class TestMalformedInput:
             "constants-negative-e0", "constants-e0-nan", "constants-lambda1-inf",
             "constants-lambda1-nan", "constants-outside-negative-e0",
             "flow-step-count-overflow", "report-checks-comma", "report-checks-empty",
-            "lambda1-n-zero"])
+            "lambda1-n-zero", "flow-out", "constants-lambda1-potential"])
     def test_exits_2_with_message(self, artifacts, bad_files, capsys, argv, message):
         _, trace, fields = artifacts
         argv = [a.format(tmp=bad_files, trace=trace, fields=fields) for a in argv]
@@ -852,7 +878,11 @@ def test_old_format_trace_needs_its_potential_flag(tmp_path, capsys):
     old = tmp_path / "old.csv"
     old.write_text("".join(lines))
     assert main(["report", "--trace", str(old), "--checks", "poincare"]) == 2
-    assert "not on grid" in capsys.readouterr().err
+    # the message names the grid report rebuilt and the flags that set it
+    err = capsys.readouterr().err
+    assert "not on grid" in err
+    assert "(interval -16:16, n=400, potential harmonic)" in err
+    assert "geometry flags: --potential, --domain, --radial and --n" in err
     assert main(["report", "--trace", str(old), "--checks", "poincare",
                  "--potential", "power:1.5"]) == 0
 

@@ -98,6 +98,34 @@ class TestPoincare:
         assert (only.worst_violation, only.location) == (0.0, 0)
         assert only.details["degenerate_trials"] == 1
 
+    def test_weak_constant_can_set_the_verdict(self, gauss_grid_small):
+        # a weak constant above lambda leaves less room: the verdict is its
+        # slack, at its trial, and details keep lambda's own worst trial
+        res = replace(ef.lambda1_linear(1.5, gauss_grid_small), lam=1.0)
+        alone = ef.poincare_test(1.5, res, gauss_grid_small, trials=20, seed=0)
+        both = ef.poincare_test(1.5, res, gauss_grid_small, trials=20, seed=0,
+                                weak_lambda1=1.5)
+        assert both.details["weak_worst"] < alone.worst_violation
+        assert (both.worst_violation, both.location) == (
+            both.details["weak_worst"], both.details["weak_worst_trial"])
+        assert both.details["worst_trial"] == alone.location
+
+    def test_trial_degenerate_under_one_constant_counts_once(self, gauss_grid_small):
+        # a near-constant trial: both sides under round-off at lambda = 1, but
+        # not its right side at the weak constant 0.01, so it tests only that one
+        g = gauss_grid_small
+        xc = g.nodes - ef.integrate_dgamma(g, g.nodes)
+        u = 1.0 + 1e-6 * xc / np.max(np.abs(xc))
+        sides = _poincare_sides(g, 1.5, u)
+        assert _poincare_slack(1.5, 1.0, sides) is None
+        assert _poincare_slack(1.5, 1e-2, sides) is not None
+        res = replace(ef.lambda1_linear(1.5, g), lam=1.0)  # trial 0 is constant
+        v = ef.poincare_test(1.5, res, g, trials=5, seed=0, weak_lambda1=1e-2,
+                             extra_trials=(u,))
+        assert v.details["degenerate_trials"] == 2
+        assert v.details["weak_worst_trial"] == 1
+        assert v.location == v.details["worst_trial"] not in (0, 1)
+
     def test_scaling_invariance_at_p2(self, gauss_grid_small, rng):
         u = 1.0 + 0.3 * rng.random(gauss_grid_small.n)
         s1 = _poincare_slack(2.0, 1.0, _poincare_sides(gauss_grid_small, 2.0, u))
