@@ -43,7 +43,7 @@ from .errors import (
     TailMassTooLarge,
 )
 from .grid import Grid, make_interval_grid, make_radial_grid
-from .potential import Potential, flat, harmonic, harmonic_log, power_law, tabulated
+from .potential import potential_from_spec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -92,34 +92,15 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
         raise ConfigError(f"{flag} expects A:B, got {text!r}") from exc
 
 
-def _parse_potential(text: str, d: int) -> Potential:
-    name, _, arg = text.partition(":")
-    try:
-        if name in ("gaussian", "harmonic"):
-            return harmonic(d)
-        if name == "flat":
-            return flat(d)
-        if name == "power":
-            return power_law(float(arg), d)
-        if name == "harmonic_log":
-            return harmonic_log(float(arg), d)
-        if name == "tabulated":
-            raw = np.loadtxt(arg, delimiter=",", ndmin=2)
-            if raw.shape[1] < 4:
-                raise ConfigError("tabulated potential file needs columns x,F,dF,d2F")
-            return tabulated(raw[:, 0], raw[:, 1], raw[:, 2], raw[:, 3], d=d)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse potential {text!r}: {exc}") from None
-    raise ConfigError(f"unknown potential {text!r}")
-
-
-def _build_geometry(args: argparse.Namespace) -> Grid:
-    """The grid, with its potential, of the geometry flags."""
-    pot_text = args.potential or "gaussian"
-    if pot_text.startswith("tabulated:"):
+def _build_geometry(args: argparse.Namespace) -> tuple[Grid, dict]:
+    """The grid, with its potential, of the geometry flags, and the flags as
+    the grid used them: the record a flow writes into its trace's meta."""
+    text = args.potential or "gaussian"
+    record = {"potential": text, "domain": None, "radial": args.radial}
+    if text.startswith("tabulated:"):
         if args.radial:
             raise ConfigError("tabulated potentials are interval-only in the CLI")
-        pot = _parse_potential(pot_text, 1)
+        pot = potential_from_spec(text)
         x = pot.table_x
         xL, xR = float(x[0]), float(x[-1])
         # the grid is the table's nodes: a flag may only repeat them
@@ -128,20 +109,23 @@ def _build_geometry(args: argparse.Namespace) -> Grid:
         if args.domain and _parse_pair(args.domain, "--domain") != (xL, xR):
             raise ConfigError(
                 f"--domain {args.domain} disagrees with the table's span {xL!r}:{xR!r}")
-        return make_interval_grid(xL, xR, len(x), pot)
-    if args.radial:
+        grid = make_interval_grid(xL, xR, len(x), pot)
+    elif args.radial:
         d_raw, R = _parse_pair(args.radial, "--radial")
         if not d_raw.is_integer():
             raise ConfigError(f"--radial expects an integer dimension, got {args.radial!r}")
-        pot = _parse_potential(pot_text, int(d_raw))
+        pot = potential_from_spec(text, int(d_raw))
         if args.n is None:
             raise ConfigError("--n is required")
-        return make_radial_grid(int(d_raw), R, args.n, pot)
-    xL, xR = _parse_pair(args.domain or _DOMAIN, "--domain")
-    pot = _parse_potential(pot_text, 1)
-    if args.n is None:
-        raise ConfigError("--n is required")
-    return make_interval_grid(xL, xR, args.n, pot)
+        grid = make_radial_grid(int(d_raw), R, args.n, pot)
+    else:
+        record["domain"] = args.domain or _DOMAIN
+        xL, xR = _parse_pair(record["domain"], "--domain")
+        pot = potential_from_spec(text)
+        if args.n is None:
+            raise ConfigError("--n is required")
+        grid = make_interval_grid(xL, xR, args.n, pot)
+    return grid, {**record, "n": grid.n}
 
 
 def _config_tokens(path: str) -> list[str]:
@@ -176,7 +160,7 @@ def _json_out(obj, path: str | None) -> None:
 def cmd_lambda1(args: argparse.Namespace) -> int:
     if args.theta is None and not args.p:
         raise ConfigError("lambda1 needs --p (possibly a comma list) or --theta")
-    grid = _build_geometry(args)
+    grid, _ = _build_geometry(args)
     if args.theta is not None:
         results = [("theta", args.theta, spectrum.lambda1_pme(args.theta, grid))]
     else:
@@ -199,22 +183,14 @@ def cmd_lambda1(args: argparse.Namespace) -> int:
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
-    grid = _build_geometry(args)
+    grid, geometry = _build_geometry(args)
     # only the flags given: FlowConfig owns every other default
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(flows.FlowConfig)
              if getattr(args, f.name, None) is not None}
     cfg = flows.FlowConfig(kind=args.flow_kind, **given)
     runner = flows.run_linear if cfg.kind == "linear" else flows.run_pme
     trace = runner(cfg, grid)
-    potential = args.potential or "gaussian"
-    # the flags as the run used them; a table is its own domain
-    trace.meta["geometry"] = {
-        "potential": potential,
-        "domain": None if args.radial or potential.startswith("tabulated:")
-        else args.domain or _DOMAIN,
-        "radial": args.radial,
-        "n": grid.n,
-    }
+    trace.meta["geometry"] = geometry
     if args.trace:
         trace.to_csv(args.trace)
     if args.fields:
@@ -240,9 +216,12 @@ def cmd_constants(args: argparse.Namespace) -> int:
     else:
         raise ConfigError("constants needs --theta or --from-p")
     # lambda1 is given, or solved on the geometry flags' grid
-    if args.lambda1 is not None and args.potential:
-        raise ConfigError("constants takes --lambda1 or --potential, not both")
-    lam = (spectrum.lambda1_pme(theta, _build_geometry(args)).lam if args.potential
+    given = [f"--{k}" for k in ("potential", "domain", "radial", "n")
+             if getattr(args, k) is not None]
+    if args.lambda1 is not None and given:
+        raise ConfigError("constants takes --lambda1 or the geometry flags, not both; "
+                          f"got --lambda1 and {', '.join(given)}")
+    lam = (spectrum.lambda1_pme(theta, _build_geometry(args)[0]).lam if given
            else args.lambda1)
     report = criteria.constants_report(args.m, args.p, theta, lam, args.e0)
     _json_out(report, args.out)
@@ -320,7 +299,7 @@ def cmd_report(args: argparse.Namespace) -> int:
              if k in ("lambda1", "trials", "seed") and v is not None}
     verdicts, e_bound = verify.run_checks(
         trace, args.checks,
-        geometry=lambda: _build_geometry(_geometry_from_meta(args, trace.meta)),
+        geometry=lambda: _build_geometry(_geometry_from_meta(args, trace.meta))[0],
         **given,
     )
     _json_out([v.to_dict() for v in verdicts], args.out)

@@ -8,10 +8,12 @@ fitted from data.  The admissible (m, p) region for a given theta is
 equivalent to the discriminant condition b^2 - 4 a(theta) c < 0 of the
 quadratic-form bound with
 
-    q = (p + 3(m-1)) / (p + 2(m-1)),   alpha = (2 - p) / (p + 2(m-1)),
+    q = 1 + beta (m-1)/2 = (p + 3(m-1)) / (p + 2(m-1)),
+    alpha = (2 - p) / (p + 2(m-1)),   beta = (p/2 + m - 1)^{-1},
     a = theta / q^2,   b = 8 (alpha + 2 - 2q) / q^3,
-    c = 16 (q - 1)(q - 1 - alpha) / q^4 + 2b;
+    c = 16 (q - 1)(q - 1 - alpha) / q^4 + 2b
 
+(q by its first form; beta, q and alpha come from :func:`functionals._exponents`);
 the two sides are proportional,
 
     b^2 - 4 a c = 64 * margin / (q^6 (p + 2(m-1))^2),
@@ -35,7 +37,7 @@ from .errors import (
     ParameterError,
     QOutOfRange,
 )
-from .functionals import PmeParams
+from .functionals import PmeParams, _exponents
 
 __all__ = [
     "ellipse_margin",
@@ -63,9 +65,9 @@ def ellipse_margin(m: float, p: float, theta: float) -> float:
 
 
 def _abc(m: float, p: float, theta: float) -> tuple[float, float, float, float]:
-    """(q, a, b, c) of the quadratic-form bound for the second-order functional."""
-    q = (p + 3.0 * (m - 1.0)) / (p + 2.0 * (m - 1.0))
-    alpha = (2.0 - p) / (p + 2.0 * (m - 1.0))
+    """(q, a, b, c) of the quadratic-form bound for the second-order functional,
+    from the exponents of :func:`functionals._exponents`."""
+    _, q, alpha = _exponents(m, p)
     a = theta / q**2
     b = 8.0 * (alpha + 2.0 - 2.0 * q) / q**3
     c = 16.0 * (q - 1.0) * (q - 1.0 - alpha) / q**4 + 2.0 * b

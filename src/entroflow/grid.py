@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDomain, NonFiniteWeight, TailMassTooLarge
+from .errors import DegenerateDomain, NonFiniteWeight, ParameterError, TailMassTooLarge
 from .potential import Potential, _check_singular, log_weight, tail_mass
 
 __all__ = [
@@ -163,6 +163,7 @@ def make_radial_grid(
     has zero area (d >= 2) or zero imposed flux (d = 1), the outermost face
     is the Neumann truncation.  For decaying families the relative weight
     beyond R is estimated analytically and must stay below ``_TAIL_TOL``.
+    The potential carries the dimension: ``pot.d`` must equal ``d``.
     """
     if n < _MIN_NODES:
         raise DegenerateDomain(f"need at least {_MIN_NODES} nodes, got {n}")
@@ -172,8 +173,11 @@ def make_radial_grid(
         raise DegenerateDomain(f"radius must be finite, got {R}")
     if R <= 0:
         raise DegenerateDomain(f"radius must be positive, got {R}")
+    if pot.d != d:
+        raise ParameterError(f"a radial grid in d = {d} needs a potential of that d; "
+                             f"got d = {pot.d}")
     if pot.family not in ("flat", "tabulated"):
-        tm = tail_mass(pot, R, d)
+        tm = tail_mass(pot, R)
         if tm > _TAIL_TOL:
             raise TailMassTooLarge(
                 f"weight mass beyond R={R} is {tm:.3e} > {_TAIL_TOL:.1e}; enlarge R"

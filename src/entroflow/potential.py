@@ -11,6 +11,11 @@ tabulated         node-aligned arrays of F, F', F''
 Every family exposes closed-form F, F' and F''.  Tabulated potentials must
 supply the derivatives explicitly; nothing is differentiated numerically,
 because the Hessian-infimum field is derivative-sensitive.
+
+A potential carries its dimension d: :func:`tail_mass` and radial grids read
+it.  :func:`potential_from_spec` is the one parser of a spelling, the CLI's
+``--potential`` text (``gaussian``, ``flat``, ``power:B``, ``harmonic_log:E``,
+``tabulated:file.csv``) or a config mapping.
 """
 
 from __future__ import annotations
@@ -128,25 +133,41 @@ def tabulated(x, F, dF, d2F, d: int = 1) -> Potential:
 
 
 def potential_from_spec(spec, d: int = 1) -> Potential:
-    """Build a potential from a config mapping like {"family": "power", "beta": 1.5}.
+    """Build a potential from its ``--potential`` text or a config mapping.
 
-    Accepts 'gaussian' as an alias for 'harmonic'.
+    Text: ``gaussian`` (alias of ``harmonic``), ``flat``, ``power:B``,
+    ``harmonic_log:E`` or ``tabulated:file.csv`` (comma-separated columns
+    x, F, F', F'', one row per node).  Mapping: {"family": ..., "beta": B,
+    "eps": E, "d": D}, the family defaulting to harmonic and d to the
+    argument; a table is named by text only.  A malformed or incomplete spec
+    raises ParameterError.
     """
     if isinstance(spec, str):
-        spec = {"family": spec}
-    family = spec.get("family", "harmonic")
-    if family == "gaussian":
-        family = "harmonic"
-    d = int(spec.get("d", d))
-    if family == "harmonic":
-        return harmonic(d)
-    if family == "flat":
-        return flat(d)
-    if family == "power":
-        return power_law(float(spec["beta"]), d)
-    if family == "harmonic_log":
-        return harmonic_log(float(spec["eps"]), d)
-    raise ParameterError(f"cannot build potential from spec {spec!r}")
+        name, _, arg = spec.partition(":")
+        fields = {"family": name, "beta": arg, "eps": arg}
+    else:
+        fields, arg = spec, None
+    try:
+        family = fields.get("family", "harmonic")
+        d = int(fields.get("d", d))
+        if family in ("gaussian", "harmonic"):
+            return harmonic(d)
+        if family == "flat":
+            return flat(d)
+        if family == "power":
+            return power_law(float(fields["beta"]), d)
+        if family == "harmonic_log":
+            return harmonic_log(float(fields["eps"]), d)
+        if family == "tabulated" and arg is not None:
+            raw = np.loadtxt(arg, delimiter=",", ndmin=2)
+            if raw.shape[1] < 4:
+                raise ParameterError("tabulated potential file needs columns x,F,dF,d2F")
+            return tabulated(raw[:, 0], raw[:, 1], raw[:, 2], raw[:, 3], d=d)
+    except KeyError as exc:
+        raise ParameterError(f"cannot parse potential {spec!r}: no {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"cannot parse potential {spec!r}: {exc}") from None
+    raise ParameterError(f"unknown potential {spec!r}")
 
 
 def _check_singular(pot: Potential, x: np.ndarray) -> None:
@@ -371,8 +392,8 @@ def _gammaincc(s: float, x: float) -> float:
     )
 
 
-def tail_mass(pot: Potential, R: float, d: int | None = None) -> float:
-    """Fraction of the weight r^{d-1} e^{-F} sitting beyond radius R.
+def tail_mass(pot: Potential, R: float) -> float:
+    """Fraction of the weight r^{d-1} e^{-F} sitting beyond radius R, d = pot.d.
 
     For d = 1 and an even potential this is the fraction of the line measure
     with |x| > R.  Flat and tabulated families have no decaying tail.
@@ -388,18 +409,15 @@ def tail_mass(pot: Potential, R: float, d: int | None = None) -> float:
     """
     if pot.family in ("flat", "tabulated"):
         raise DomainError(f"{pot.family} potential has no analytic tail estimate")
-    if d is None:
-        d = pot.d
     if not math.isfinite(R):
         raise ParameterError(f"R must be finite; got {R}")
     if R <= 0:
         raise ParameterError("R must be positive")
     beta = pot.beta if pot.family == "power" else 2.0
+    # harmonic_log keeps eps < d, so the weight is integrable at r = 0
     eps = pot.eps if pot.family == "harmonic_log" else 0.0
-    if d - eps <= 0.0:
-        raise DomainError("weight is not integrable for this family")
     try:
         x = float(R) ** beta / beta
     except OverflowError:
         return 0.0
-    return _gammaincc((d - eps) / beta, x)
+    return _gammaincc((pot.d - eps) / beta, x)

@@ -25,6 +25,7 @@ import numpy as np
 
 from ._lapack import lowest
 from .errors import ParameterError, SolverDiverged
+from .functionals import _exponents
 from .grid import Grid, stiffness_bands
 from .potential import hessian_infimum_V
 
@@ -169,7 +170,7 @@ def epsilon_star(p: float, grid: Grid) -> float:
     """
     if not (1.0 < p < 2.0):
         raise ParameterError(f"p must lie strictly in (1, 2); got {p}")
-    alpha = (2.0 - p) / p
+    _, _, alpha = _exponents(1.0, p)  # (2 - p)/p
     cap = (1.0 - alpha) / alpha
     V = hessian_infimum_V(grid)
 

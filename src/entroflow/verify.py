@@ -196,7 +196,7 @@ def poincare_test(
     # every trial is degenerate, their slack 0 at trial 0
     worst = [min(((row[j], i) for i, row in enumerate(slacks) if row[j] is not None),
                  default=(0.0, 0)) for j in range(len(lams))]
-    details = {"trials": trials + 1, "seed": seed, "worst_trial": worst[0][1],
+    details = {"trials": len(slacks), "seed": seed, "worst_trial": worst[0][1],
                "degenerate_trials": sum(None in row for row in slacks)}
     if weak_lambda1 is not None:
         details["weak_worst"], details["weak_worst_trial"] = worst[1]

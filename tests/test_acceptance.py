@@ -98,7 +98,7 @@ def test_criterion_5_semiclassical_scaling():
         coeff = 2.0 * (p - 1.0) / p
         r_star = ((2.0 - beta) / (2.0 * coeff)) ** (1.0 / beta)
         L = max(16.0, 3.0 * r_star)
-        assert ef.tail_mass(pot, L, 1) < 1e-10  # truncation self-check
+        assert ef.tail_mass(pot, L) < 1e-10  # truncation self-check
         n = int(math.ceil(2 * L / 0.01))
         n += n % 2  # even count keeps nodes off the singularity at 0
         grid = ef.make_interval_grid(-L, L, n, pot)

@@ -469,7 +469,7 @@ class TestTabulatedGeometry:
         main(["report", "--trace", str(trace), "--fields", str(fields),
               "--checks", "refined", "--out", str(out)])
         (verdict,) = json.loads(out.read_text())
-        grid = _build_geometry(argparse.Namespace(
+        grid, _ = _build_geometry(argparse.Namespace(
             potential=f"tabulated:{table}", radial=None, domain=None, n=None))
         assert verdict["details"]["epsilon"] == epsilon_star(1.2, grid)
         assert 0.1 < verdict["details"]["epsilon"] < 0.25
@@ -521,6 +521,28 @@ class TestRegionAndConstants:
         payload = json.loads(capsys.readouterr().out)
         assert payload["lambda1"] == pytest.approx(1.0, abs=1e-9)
         assert payload["kappa"] > 0
+
+    def test_geometry_flags_without_potential_solve_lambda1(self, capsys):
+        # as for lambda1, the potential defaults to gaussian: the flags built
+        # no grid and the chain reported lambda1 null with exit 4
+        code = run_cli("constants", "--m", "1.2", "--p", "1.5", "--theta", "0.5",
+                       "--n", "2001", "--domain=-8:8")
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["lambda1"] == pytest.approx(1.0, abs=1e-9)
+        assert payload["kappa"] > 0
+
+    @pytest.mark.parametrize("flags", [["--n", "7"], ["--domain=-8:8"], ["--radial", "3:12"],
+                                       ["--potential", "flat", "--n", "7"]])
+    def test_lambda1_with_a_geometry_flag_exits_2(self, capsys, flags):
+        # a given lambda1 replaces the solve, so a geometry flag would go unread
+        code = run_cli("constants", "--m", "1.2", "--p", "1.5", "--theta", "0.5",
+                       "--lambda1", "1", *flags)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        named = ", ".join(f.partition("=")[0] for f in flags if f.startswith("--"))
+        assert f"got --lambda1 and {named}" in captured.err
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -641,7 +663,8 @@ class TestMalformedInput:
         # the given lambda1 replaces the solve: the geometry went unread
         (["constants", "--m", "1.2", "--p", "1.5", "--theta", "0.5", "--lambda1", "1.0",
           "--potential", "power:abc", "--n", "7"],
-         "constants takes --lambda1 or --potential, not both"),
+         "constants takes --lambda1 or the geometry flags, not both; "
+         "got --lambda1 and --potential, --n"),
     ], ids=["power", "harmonic_log", "radial-d", "p-list", "init-bump", "check-theta",
             "tabulated-file", "init-csv-file", "missing-tabulated", "missing-init-csv",
             "missing-trace", "missing-fields", "trace-short-row", "trace-cell",

@@ -107,6 +107,42 @@ class TestPmeParams:
         assert prm.beta == pytest.approx(1.0 / 0.95, rel=1e-12)
         assert prm.alpha == pytest.approx(0.5 / 1.9, rel=1e-12)
 
+    def test_exponents_against_mpmath(self):
+        # beta m - 1 cancels to hundreds of ulp on this rectangle and
+        # (p + 3(m-1)) / (p + 2(m-1)) rounds to 2 ulp; the formulas used stay within 2
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(25)
+        with mpmath.workdps(40):
+            for m, p in zip(rng.uniform(1.0, 2.5, 4000), rng.uniform(1.01, 1.99, 4000)):
+                m, p = float(m), float(p)
+                M, P = mpmath.mpf(m), mpmath.mpf(p)
+                beta = 1 / (P / 2 + M - 1)
+                refs = (beta, 1 + beta * (M - 1) / 2, (2 - P) / (P + 2 * (M - 1)))
+                prm = ef.PmeParams(m=m, p=p)
+                for value, ref in zip((prm.beta, prm.q, prm.alpha), refs):
+                    assert abs(value - ref) <= 2 * math.ulp(float(ref))
+
+    def test_one_definition_of_the_exponents(self):
+        from entroflow.criteria import _abc
+
+        rng = np.random.default_rng(7)
+        chains = 0
+        for m, p in zip(rng.uniform(1.0, 2.5, 200), rng.uniform(1.01, 1.99, 200)):
+            prm = ef.PmeParams(m=float(m), p=float(p))
+            assert _abc(prm.m, prm.p, 0.5)[0] == prm.q
+            chain = ef.constants_report(prm.m, prm.p, 1.0, 1.0, 0.0)
+            if "kappa" in chain:  # the chain is reported where the hypotheses hold
+                chains += 1
+                assert (chain["beta"], chain["q"], chain["alpha"]) == (
+                    prm.beta, prm.q, prm.alpha)
+        assert chains > 20
+        # at m = 1 the linear alpha, bit for bit
+        for p in np.linspace(1.0, 2.0, 101):
+            p = float(p)
+            assert ef.LinearParams(p).alpha == (2.0 - p) / p
+            if 1.0 < p < 2.0:
+                assert ef.PmeParams(m=1.0, p=p).alpha == (2.0 - p) / p
+
     def test_q_range_iff_m_between_one_and_p_plus_one(self):
         for m, p in ((1.1, 1.5), (1.9, 1.2), (2.3, 1.8)):
             prm = ef.PmeParams(m=m, p=p)

@@ -11,7 +11,9 @@ from numpy.testing import assert_allclose
 from scipy import integrate
 
 import entroflow as ef
-from entroflow.errors import DegenerateDomain, DomainError, NonFiniteWeight, TailMassTooLarge
+from entroflow.errors import (
+    DegenerateDomain, DomainError, NonFiniteWeight, ParameterError, TailMassTooLarge,
+)
 from entroflow.grid import stiffness_bands
 
 
@@ -100,6 +102,15 @@ class TestRadialGrid:
         a = ef.integrate_dgamma(g1, f_rad)
         b = ef.integrate_dgamma(gauss_grid, f_int)
         assert abs(a - b) <= 1e-10
+
+    def test_potential_dimension_must_match(self):
+        # the grid hashed harmonic_log(eps=0.05,d=5) and solved lambda1 in d = 3
+        with pytest.raises(ParameterError, match="got d = 5"):
+            ef.make_radial_grid(3, 12.0, 2000, ef.harmonic_log(0.05, d=5))
+        with pytest.raises(ParameterError, match="got d = 1"):
+            ef.make_radial_grid(3, 12.0, 200, ef.flat())
+        # an interval grid is one-dimensional whatever the potential's d
+        assert ef.make_interval_grid(-8.0, 8.0, 64, ef.harmonic(3)).d == 1
 
     def test_tail_mass_guard(self):
         with pytest.raises(TailMassTooLarge):

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,20 +159,20 @@ class TestExample1Bound:
 
 class TestTailMass:
     def test_gaussian_line(self):
-        tm = ef.tail_mass(ef.harmonic(), 8.0, 1)
+        tm = ef.tail_mass(ef.harmonic(), 8.0)
         assert 0.0 < tm < 1e-10
 
     def test_radial_harmonic_log(self):
-        tm = ef.tail_mass(ef.harmonic_log(0.1, d=3), 12.0, 3)
+        tm = ef.tail_mass(ef.harmonic_log(0.1, d=3), 12.0)
         assert tm < 1e-10
 
     def test_power_family(self):
-        tm = ef.tail_mass(ef.power_law(1.5), 16.0, 1)
+        tm = ef.tail_mass(ef.power_law(1.5), 16.0)
         assert tm < 1e-10
 
     def test_flat_has_no_tail(self):
         with pytest.raises(DomainError):
-            ef.tail_mass(ef.flat(), 1.0, 1)
+            ef.tail_mass(ef.flat(), 1.0)
 
     # (potential, s, x(R)) for the weight r^{d-1} e^{-F}: Q(s, x) with
     # s = (d - eps)/beta, x = R^beta/beta
@@ -190,7 +191,7 @@ class TestTailMass:
         for d in (3, 5) if pot.family == "harmonic_log" else (1, 2, 3, 5):
             for R in (1.0, 4.0, 8.0, 16.0):
                 ref = float(mpmath.gammainc(s(d), x(R), regularized=True))
-                assert ef.tail_mass(pot, R, d) == pytest.approx(ref, rel=1e-12, abs=0.0)
+                assert ef.tail_mass(replace(pot, d=d), R) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("pot, d, R", [
         (ef.harmonic(), 5, 8.0),
@@ -214,30 +215,31 @@ class TestTailMass:
         with mpmath.workdps(30):
             tail = mpmath.quad(w, [R, R + 10, mpmath.inf])
             total = mpmath.quad(w, [0, 1, R, R + 10, mpmath.inf])
-        assert ef.tail_mass(pot, R, d) == pytest.approx(float(tail / total), rel=1e-12)
+        assert ef.tail_mass(replace(pot, d=d), R) == pytest.approx(float(tail / total), rel=1e-12)
 
     def test_errors(self):
         with pytest.raises(DomainError, match="no analytic tail"):
             ef.tail_mass(ef.tabulated([0.0, 1.0], [0.0, 0.5], [0.0, 1.0], [1.0, 1.0]), 1.0)
         with pytest.raises(ParameterError):
-            ef.tail_mass(ef.harmonic(), 0.0, 1)
-        # r^{d-1-eps} is not integrable at r = 0 once eps >= d
-        with pytest.raises(DomainError, match="not integrable"):
-            ef.tail_mass(ef.harmonic_log(2.5, d=3), 12.0, 2)
-        with pytest.raises(DomainError, match="not integrable"):
-            ef.tail_mass(ef.harmonic_log(2.5, d=3), 12.0, 2.5)
+            ef.tail_mass(ef.harmonic(), 0.0)
+        # r^{d-1-eps} is not integrable at r = 0 once eps >= d: no such
+        # potential can be built, so tail_mass never sees one
+        with pytest.raises(ParameterError, match="eps in"):
+            ef.harmonic_log(3.0, d=3)
+        with pytest.raises(ParameterError, match="d >= 3"):
+            ef.harmonic_log(1.5, d=2)
 
     @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
     def test_nonfinite_radius(self, R):
         with pytest.raises(ParameterError, match="finite"):
-            ef.tail_mass(ef.harmonic_log(0.05, d=3), R, 3)
+            ef.tail_mass(ef.harmonic_log(0.05, d=3), R)
 
     def test_extreme_radii(self):
         # R^beta/beta overflows: nothing of the weight is left beyond R
-        assert ef.tail_mass(ef.harmonic_log(0.05, d=3), 1e200, 3) == 0.0
-        assert ef.tail_mass(ef.power_law(1.5), 1e300, 1) == 0.0
+        assert ef.tail_mass(ef.harmonic_log(0.05, d=3), 1e200) == 0.0
+        assert ef.tail_mass(ef.power_law(1.5), 1e300) == 0.0
         # R^beta/beta underflows to 0: all of it is
-        assert ef.tail_mass(ef.harmonic(), 1e-200, 3) == 1.0
+        assert ef.tail_mass(ef.harmonic(d=3), 1e-200) == 1.0
 
     def test_guard_decisions_unchanged(self):
         # every tail of the cases above, and of the grid guard test, falls on
@@ -258,7 +260,7 @@ class TestTailMass:
             cases.append((pot, d, R, (d - eps) / beta, R**beta / beta))
         with mpmath.workdps(30):
             for pot, d, R, s, x in cases:
-                decision = ef.tail_mass(pot, R, d) > 1e-10
+                decision = ef.tail_mass(replace(pot, d=d), R) > 1e-10
                 assert decision == (gammaincc(s, x) > 1e-10)
                 assert decision == (mpmath.gammainc(s, x, regularized=True) > 1e-10)
 
@@ -328,7 +330,7 @@ class TestGammaincc:
                 ref = float(mpmath.gammainc(s, x, regularized=True))
                 assert _gammaincc(s, x) == pytest.approx(ref, rel=max(1e-12, 3e-15 * s), abs=0.0)
             ref = float(mpmath.gammainc(1250, 1250, regularized=True))
-        assert ef.tail_mass(ef.harmonic(d=2500), 50.0, 2500) == pytest.approx(ref, rel=1e-11)
+        assert ef.tail_mass(ef.harmonic(d=2500), 50.0) == pytest.approx(ref, rel=1e-11)
 
     def test_no_case_needs_half_the_iteration_cap(self, monkeypatch):
         from entroflow import potential
@@ -373,6 +375,54 @@ def test_potential_from_spec_aliases():
     assert ef.potential_from_spec({"family": "power", "beta": 1.5}).beta == 1.5
     with pytest.raises(ParameterError):
         ef.potential_from_spec({"family": "nope"})
+
+
+def _table(path, columns=4):
+    x = np.linspace(-3.0, 3.0, 41)
+    np.savetxt(path, np.column_stack([x, 0.5 * x * x, x, np.ones_like(x)])[:, :columns],
+               delimiter=",")
+    return ef.tabulated(x, 0.5 * x * x, x, np.ones_like(x))
+
+
+@pytest.mark.parametrize("spec, d, expected", [
+    # the --potential spellings
+    ("gaussian", 1, ef.harmonic()),
+    ("harmonic", 3, ef.harmonic(3)),
+    ("flat", 1, ef.flat()),
+    ("power:1.5", 1, ef.power_law(1.5)),
+    ("harmonic_log:0.05", 3, ef.harmonic_log(0.05, d=3)),
+    # the mappings the benchmark's set-up probe passes
+    ({"family": "power", "beta": 1.5}, 1, ef.power_law(1.5)),
+    ({"family": "harmonic_log", "eps": 0.05}, 3, ef.harmonic_log(0.05, d=3)),
+    ({"family": "harmonic_log", "eps": 0.05, "d": 5}, 1, ef.harmonic_log(0.05, d=5)),
+], ids=["gaussian", "harmonic-d3", "flat", "power", "harmonic_log", "power-dict",
+        "harmonic_log-dict", "dict-d"])
+def test_potential_from_spec_matches_the_constructors(spec, d, expected):
+    pot = ef.potential_from_spec(spec, d)
+    assert (pot.key(), pot.d) == (expected.key(), expected.d)
+
+
+def test_potential_from_spec_reads_a_table(tmp_path):
+    expected = _table(tmp_path / "tab.csv")
+    assert ef.potential_from_spec(f"tabulated:{tmp_path / 'tab.csv'}").key() == expected.key()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("power", "cannot parse potential 'power': could not convert string to float: ''"),
+    ({"family": "power"}, "cannot parse potential {'family': 'power'}: no 'beta'"),
+    ("harmonic_log:x", "cannot parse potential 'harmonic_log:x'"),
+    ({"family": "power", "beta": None}, "cannot parse potential"),
+    ("nope:1", "unknown potential 'nope:1'"),
+    ("tabulated:{tmp}/three.csv", "tabulated potential file needs columns x,F,dF,d2F"),
+], ids=["power-no-beta", "power-dict-no-beta", "harmonic_log-x", "beta-none", "unknown",
+        "three-columns"])
+def test_potential_from_spec_raises_parameter_error(tmp_path, spec, message):
+    _table(tmp_path / "three.csv", columns=3)
+    if isinstance(spec, str):
+        spec = spec.format(tmp=tmp_path)
+    with pytest.raises(ParameterError) as info:
+        ef.potential_from_spec(spec, 3)
+    assert message in str(info.value)
 
 
 def _families():

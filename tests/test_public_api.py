@@ -121,3 +121,15 @@ def test_solves_and_runs_take_the_grid_alone(fn):
     params = list(inspect.signature(fn).parameters)
     assert params[-1] == "grid"
     assert not {"pot", "potential"} & set(params)
+
+
+@pytest.mark.parametrize("fn, names", [
+    (entroflow.potential_from_spec, ["spec", "d"]),
+    (entroflow.make_interval_grid, ["xL", "xR", "n", "pot"]),
+    (entroflow.make_radial_grid, ["d", "R", "n", "pot"]),
+], ids=["potential_from_spec", "make_interval_grid", "make_radial_grid"])
+def test_positional_signatures_the_benchmark_calls(fn, names):
+    # perfbench/setup_probe.py passes these arguments by position
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    params = inspect.signature(fn).parameters.values()
+    assert [p.name for p in params if p.kind in positional] == names

@@ -126,6 +126,19 @@ class TestPoincare:
         assert v.details["weak_worst_trial"] == 1
         assert v.location == v.details["worst_trial"] not in (0, 1)
 
+    def test_trial_count_includes_extra_trials(self, gauss_grid_small):
+        # trial 0 is the eigenvector, the extra trials come next, then the
+        # seeded ones; the count covers them all, so a worst trial is below it
+        g = gauss_grid_small
+        xc = g.nodes - ef.integrate_dgamma(g, g.nodes)
+        extra = tuple(1.0 + a * xc / np.max(np.abs(xc)) for a in (0.3, 0.02))
+        res = replace(ef.lambda1_linear(1.5, g), lam=1.0)
+        v = ef.poincare_test(1.5, res, g, trials=0, seed=0, extra_trials=extra)
+        assert v.details["trials"] == 3
+        assert v.location == v.details["worst_trial"] == 2
+        v = ef.poincare_test(1.5, res, g, trials=4, seed=0, extra_trials=extra)
+        assert v.details["trials"] == 7
+
     def test_scaling_invariance_at_p2(self, gauss_grid_small, rng):
         u = 1.0 + 0.3 * rng.random(gauss_grid_small.n)
         s1 = _poincare_slack(2.0, 1.0, _poincare_sides(gauss_grid_small, 2.0, u))
