@@ -1,5 +1,13 @@
 """Entropy decay rates and eigenvalue criteria for weighted diffusions on 1D/radial grids."""
 
+import os
+import sys
+
+# Every LAPACK routine used here is serial, and an idle OpenBLAS worker pool only
+# spins; one thread, unless the caller chose a count or numpy is already loaded.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     ConfigError,
     DegenerateDomain,

@@ -11,9 +11,12 @@ that numpy has already loaded.
 numpy's wheels (2.0 and later) bundle an OpenBLAS, ``libscipy_openblas64_``
 (64-bit integers, symbols ``scipy_<name>_64_``), that exports all four
 routines, and it is mapped as soon as numpy is imported.  Calling them there
-keeps one OpenBLAS and one BLAS worker pool per process: scipy's compiled
-``_flapack`` extension would map a second OpenBLAS and start a second worker
-thread, for four routines.  :func:`candidates` lists where numpy's library
+keeps one OpenBLAS per process: scipy's compiled ``_flapack`` extension would
+map a second OpenBLAS, with worker threads of its own, for four routines.
+None of the four is threaded, and the package calls no BLAS routine, so
+``import entroflow`` asks OpenBLAS for one thread (``OPENBLAS_NUM_THREADS=1``,
+unless the variable is set or numpy was imported first) and no worker pool
+starts.  :func:`candidates` lists where numpy's library
 is searched.  Where numpy bundles none (numpy before 2.0, builds linked to
 Accelerate, MKL or a system LAPACK), the routines come from scipy's
 ``_flapack`` extension (:class:`Flapack`), located without importing scipy;

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -63,8 +64,8 @@ class Potential:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ParameterError(f"unknown potential family {self.family!r}")
-        if self.d < 1:
-            raise ParameterError("dimension d must be >= 1")
+        if not (isinstance(self.d, numbers.Integral) and self.d >= 1):
+            raise ParameterError(f"dimension d must be an integer >= 1; got {self.d!r}")
         if self.family == "harmonic_log":
             if self.d < 3:
                 raise ParameterError("harmonic_log requires d >= 3")
@@ -139,8 +140,8 @@ def potential_from_spec(spec, d: int = 1) -> Potential:
     ``harmonic_log:E`` or ``tabulated:file.csv`` (comma-separated columns
     x, F, F', F'', one row per node).  Mapping: {"family": ..., "beta": B,
     "eps": E, "d": D}, the family defaulting to harmonic and d to the
-    argument; a table is named by text only.  A malformed or incomplete spec
-    raises ParameterError.
+    argument; a table is named by text only.  A malformed or incomplete spec,
+    or a d that is not a whole number, raises ParameterError.
     """
     if isinstance(spec, str):
         name, _, arg = spec.partition(":")
@@ -149,7 +150,10 @@ def potential_from_spec(spec, d: int = 1) -> Potential:
         fields, arg = spec, None
     try:
         family = fields.get("family", "harmonic")
-        d = int(fields.get("d", d))
+        dim = float(fields.get("d", d))
+        if not dim.is_integer():
+            raise ParameterError(f"cannot parse potential {spec!r}: d = {dim!r} is not an integer")
+        d = int(dim)
         if family in ("gaussian", "harmonic"):
             return harmonic(d)
         if family == "flat":

@@ -13,12 +13,16 @@ symmetric tridiagonal matrix.  Its smallest eigenpair comes from two LAPACK
 routines called directly (stebz bisection for the eigenvalue, stein inverse
 iteration for the vector; the pair scipy's ``eigh_tridiagonal`` would call,
 made by :func:`entroflow._lapack.lowest` in the OpenBLAS numpy has loaded,
-without importing scipy.linalg), refined by one Rayleigh quotient whose
-residual is checked; every step is O(n).
+without importing scipy.linalg).  The vector's normalization, its Rayleigh
+quotient (the returned eigenvalue) and the residual norm that is checked are
+each one correctly rounded sum (:func:`grid._fsum_into`), not a BLAS dot
+product, so the eigenvalue is the same double whatever the BLAS thread count;
+every step is O(n).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +30,7 @@ import numpy as np
 from ._lapack import lowest
 from .errors import ParameterError, SolverDiverged
 from .functionals import _exponents
-from .grid import Grid, stiffness_bands
+from .grid import Grid, _fsum_into, stiffness_bands
 from .potential import hessian_infimum_V
 
 __all__ = [
@@ -79,11 +83,14 @@ def smallest_eigenpair(
     """Smallest eigenpair of a symmetric tridiagonal matrix.
 
     LAPACK stebz isolates the eigenvalue by bisection at full accuracy and
-    stein recovers its eigenvector by inverse iteration; one Rayleigh
-    quotient of the normalized vector then gives the returned eigenvalue and
-    residual.  Returns (lam, vector, residual, iterations, effective_tol);
-    the vector has unit 2-norm and ``iterations`` counts the LAPACK
-    eigensolves, one stebz/stein pair (always 1).  Raises SolverDiverged if
+    stein recovers its eigenvector by inverse iteration.  The vector is
+    divided by its 2-norm; its Rayleigh quotient x^T T x is the returned
+    eigenvalue and |T x - lam x| the residual.  The three sums (squares,
+    quotient, residual squares) are correctly rounded, the doubles
+    ``math.fsum`` gives, so the result does not depend on summation order
+    or thread count.  Returns (lam, vector, residual, iterations,
+    effective_tol); the vector has unit 2-norm and ``iterations`` counts the
+    LAPACK eigensolves, one stebz/stein pair (always 1).  Raises SolverDiverged if
     either routine reports info != 0 or the residual exceeds effective_tol,
     ``_EIG_TOL`` floored at the matvec round-off level 8 eps |T|.
     """
@@ -92,10 +99,12 @@ def smallest_eigenpair(
         raise SolverDiverged(f"LAPACK dstebz failed: info={stebz_info}")
     if stein_info != 0:
         raise SolverDiverged(f"LAPACK dstein failed: info={stein_info}")
-    x = vector / np.linalg.norm(vector)
+    work = np.empty(len(vector))
+    x = vector / math.sqrt(_fsum_into(vector * vector, work))
     tx = _tridiag_matvec(diag, off, x)
-    lam = float(np.dot(x, tx))
-    residual = float(np.linalg.norm(tx - lam * x))
+    lam = _fsum_into(x * tx, work)
+    r = tx - lam * x
+    residual = math.sqrt(_fsum_into(r * r, work))
     tnorm = float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0))
     tol_eff = max(_EIG_TOL, 8.0 * _EPS * max(1.0, tnorm))
     if not residual <= tol_eff:

@@ -1,6 +1,7 @@
 """The LAPACK routines bound in the OpenBLAS numpy loaded, and the eigensolve built on them."""
 
 import glob
+import math
 import os
 import subprocess
 import sys
@@ -15,8 +16,13 @@ from entroflow.errors import SolverDiverged
 from entroflow.spectrum import _tridiag_matvec, smallest_eigenpair
 
 
-def _python(code: str) -> str:
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+def _python(code: str, threads: str | None = None) -> str:
+    """stdout of a fresh interpreter running ``code``, with
+    OPENBLAS_NUM_THREADS set to ``threads`` (removed when None)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -50,6 +56,55 @@ def test_cli_maps_one_openblas():
         pytest.skip("/proc/self/maps is Linux only")
     assert len(libs) == 1
     assert not libs[0].startswith("libscipy_openblas-")
+
+
+# the environment value, the process's thread count (Linux only) and the
+# count OpenBLAS reports (numpy's bundled library only)
+_THREADS = (
+    "import ctypes, os, sys\n"
+    "from entroflow import _lapack\n"
+    "status = open('/proc/self/status').read() if sys.platform == 'linux' else ''\n"
+    "threads = [line.split()[1] for line in status.splitlines() if line.startswith('Threads:')]\n"
+    "lib = _lapack._LAPACK\n"
+    "blas = (ctypes.CDLL(lib.path).scipy_openblas_get_num_threads64_()\n"
+    "        if isinstance(lib, _lapack.Lapack) else None)\n"
+    "print(os.environ.get('OPENBLAS_NUM_THREADS'), *threads, blas)\n"
+)
+
+
+def test_import_runs_one_blas_thread():
+    env, *threads, blas = _python("import entroflow\n" + _THREADS).split()
+    assert env == "1"
+    if blas != "None":
+        assert blas == "1"
+    if sys.platform != "linux":
+        pytest.skip("/proc/self/status is Linux only")
+    assert threads == ["1"]
+
+
+def test_import_keeps_a_thread_count_already_set():
+    env, *_ = _python("import entroflow\n" + _THREADS, threads="2").split()
+    assert env == "2"
+
+
+def test_import_after_numpy_leaves_the_environment_alone():
+    out = _python(
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "import numpy, entroflow\n"
+        "print(dict(os.environ) == before, 'OPENBLAS_NUM_THREADS' in os.environ)\n"
+    )
+    assert out == "True False"
+
+
+def test_eigenvalue_does_not_depend_on_the_thread_count():
+    # at n = 100000 a threaded BLAS dot product splits its sum by thread
+    code = (
+        "from entroflow import harmonic, lambda1_pme, make_interval_grid\n"
+        "res = lambda1_pme(0.5, make_interval_grid(-8.0, 8.0, 100000, harmonic()))\n"
+        "print(repr(res.lam), repr(res.residual))\n"
+    )
+    assert _python(code, threads="1") == _python(code, threads="2")
 
 
 def test_numpy_library_comes_first():
@@ -172,11 +227,12 @@ def test_eigenpair_matches_eigh_tridiagonal_bit_for_bit(rng):
         lam, vec, res, _, _ = smallest_eigenpair(diag, off)
         _, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
                                 tol=2.0 * np.finfo(float).tiny, lapack_driver="stebz")
-        x = v[:, 0] / np.linalg.norm(v[:, 0])
+        # normalization, quotient and residual are correctly rounded sums
+        x = v[:, 0] / math.sqrt(math.fsum((v[:, 0] ** 2).tolist()))
         tx = _tridiag_matvec(diag, off, x)
         assert np.array_equal(vec, x)
-        assert lam == float(np.dot(x, tx))
-        assert res == float(np.linalg.norm(tx - lam * x))
+        assert lam == math.fsum((x * tx).tolist())
+        assert res == math.sqrt(math.fsum(((tx - lam * x) ** 2).tolist()))
 
 
 def test_one_by_one_matrix():

@@ -53,6 +53,12 @@ class TestEvaluate:
         with pytest.raises(ParameterError):
             ef.power_law(1.0)
 
+    @pytest.mark.parametrize("d", [2.5, 3.0, 0, -1], ids=["2.5", "float-3", "0", "-1"])
+    def test_dimension_must_be_an_integer(self, d):
+        # a weight r^(d-1) e^(-r^2/2) with d = 2.5 is no d-dimensional Gaussian
+        with pytest.raises(ParameterError, match="dimension d must be an integer >= 1"):
+            ef.harmonic(d=d)
+
     def test_tabulated_round_trip(self):
         x = np.linspace(-2, 2, 33)
         pot = ef.tabulated(x, 0.5 * x * x, x, np.ones_like(x))
@@ -414,8 +420,10 @@ def test_potential_from_spec_reads_a_table(tmp_path):
     ({"family": "power", "beta": None}, "cannot parse potential"),
     ("nope:1", "unknown potential 'nope:1'"),
     ("tabulated:{tmp}/three.csv", "tabulated potential file needs columns x,F,dF,d2F"),
+    # int() would truncate to d = 3
+    ({"family": "harmonic", "d": 3.7}, "d = 3.7 is not an integer"),
 ], ids=["power-no-beta", "power-dict-no-beta", "harmonic_log-x", "beta-none", "unknown",
-        "three-columns"])
+        "three-columns", "dict-d-not-integral"])
 def test_potential_from_spec_raises_parameter_error(tmp_path, spec, message):
     _table(tmp_path / "three.csv", columns=3)
     if isinstance(spec, str):
