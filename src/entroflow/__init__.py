@@ -1,5 +1,12 @@
-"""Entropy decay rates and eigenvalue criteria for weighted diffusions on 1D/radial grids."""
+"""Entropy decay rates and eigenvalue criteria for weighted diffusions on 1D/radial grids.
 
+Every public name is exported here, but lazily (PEP 562): ``import entroflow``
+loads no submodule, and the first access to a name imports the one submodule
+that defines it.  So a process loads only the code it uses; a CLI command
+imports what it runs and no more (see ``cli``).
+"""
+
+import importlib
 import os
 import sys
 
@@ -8,92 +15,54 @@ import sys
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .errors import (
-    ConfigError,
-    DegenerateDomain,
-    DomainError,
-    EntroflowError,
-    FloorViolation,
-    LinearSolveFailure,
-    MassNotNormalized,
-    NegativeDensity,
-    NewtonDiverged,
-    NonFiniteWeight,
-    NonPositiveData,
-    NonpositiveLambda,
-    OutsideEllipse,
-    ParameterError,
-    QOutOfRange,
-    SolverDiverged,
-    TailMassTooLarge,
-    WindowTooShort,
-)
-from .potential import (
-    Potential,
-    evaluate,
-    example1_epsilon_bound,
-    flat,
-    harmonic,
-    harmonic_log,
-    hessian_infimum_V,
-    potential_from_spec,
-    power_law,
-    tabulated,
-    tail_mass,
-)
-from .grid import (
-    Grid,
-    delta_g,
-    dirichlet_form,
-    gradient_sq,
-    inner_dgamma,
-    integrate_dgamma,
-    make_interval_grid,
-    make_radial_grid,
-    norm_dgamma,
-    sphere_area,
-)
-from .functionals import (
-    DEFAULT_FLOOR,
-    LinearParams,
-    PmeParams,
-    entropy_linear,
-    entropy_pme,
-    fisher_linear,
-    fisher_pme,
-    k_linear,
-    k_pme,
-)
-from .spectrum import (
-    SpectralResult,
-    epsilon_star,
-    lambda1_linear,
-    lambda1_pme,
-)
-from .flows import FlowConfig, Trace, initial_field, run_linear, run_pme
-from .criteria import (
-    LemmaCheck,
-    PmeConstants,
-    RegionReport,
-    constants_chain,
-    constants_report,
-    discriminant,
-    ellipse_margin,
-    envelope_exponential,
-    envelope_pme,
-    lemma_functional_check,
-    region_report,
-    theta_from_p,
-)
-from .verify import (
-    Verdict,
-    check_envelope,
-    dissipation_audit,
-    fit_exponential_rate,
-    lemma_audit,
-    poincare_test,
-    refined_inequality_audit,
-    run_checks,
-)
+# each public name, keyed by the submodule that defines it
+_EXPORTS = {
+    "errors": (
+        "ConfigError", "DegenerateDomain", "DomainError", "EntroflowError",
+        "FloorViolation", "LinearSolveFailure", "MassNotNormalized", "NegativeDensity",
+        "NewtonDiverged", "NonFiniteWeight", "NonPositiveData", "NonpositiveLambda",
+        "OutsideEllipse", "ParameterError", "QOutOfRange", "SolverDiverged",
+        "TailMassTooLarge", "WindowTooShort",
+    ),
+    "potential": (
+        "Potential", "evaluate", "example1_epsilon_bound", "flat", "harmonic",
+        "harmonic_log", "hessian_infimum_V", "potential_from_spec", "power_law",
+        "tabulated", "tail_mass",
+    ),
+    "grid": (
+        "Grid", "delta_g", "dirichlet_form", "gradient_sq", "inner_dgamma",
+        "integrate_dgamma", "make_interval_grid", "make_radial_grid", "norm_dgamma",
+        "sphere_area",
+    ),
+    "functionals": (
+        "DEFAULT_FLOOR", "LinearParams", "PmeParams", "entropy_linear", "entropy_pme",
+        "fisher_linear", "fisher_pme", "k_linear", "k_pme",
+    ),
+    "spectrum": ("SpectralResult", "epsilon_star", "lambda1_linear", "lambda1_pme"),
+    "flows": ("FlowConfig", "Trace", "initial_field", "run_linear", "run_pme"),
+    "criteria": (
+        "LemmaCheck", "PmeConstants", "RegionReport", "constants_chain",
+        "constants_report", "discriminant", "ellipse_margin", "envelope_exponential",
+        "envelope_pme", "lemma_functional_check", "region_report", "theta_from_p",
+    ),
+    "verify": (
+        "Verdict", "check_envelope", "dissipation_audit", "fit_exponential_rate",
+        "lemma_audit", "poincare_test", "refined_inequality_audit", "run_checks",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
+__all__ = sorted(_SOURCE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

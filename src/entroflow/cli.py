@@ -18,6 +18,11 @@ A trace is the record of its run: ``flow`` writes the four geometry flags as
 the run used them (``potential``, ``domain``, ``radial``, ``n``) into the
 trace's meta under ``geometry``, and ``report`` rebuilds the grid from them,
 a geometry flag given to ``report`` taking their place.
+
+Each command imports the modules it runs inside its own function, so a
+process loads only those: ``lambda1`` ``spectrum``, ``flow`` ``flows``,
+``region`` ``criteria``, ``constants`` ``criteria`` (and ``spectrum`` when it
+solves lambda1), ``report`` ``flows`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ import sys
 
 import numpy as np
 
-from . import criteria, flows, spectrum, verify
 from .errors import (
     ConfigError,
     DegenerateDomain,
@@ -160,6 +164,8 @@ def _json_out(obj, path: str | None) -> None:
 def cmd_lambda1(args: argparse.Namespace) -> int:
     if args.theta is None and not args.p:
         raise ConfigError("lambda1 needs --p (possibly a comma list) or --theta")
+    from . import spectrum
+
     grid, _ = _build_geometry(args)
     if args.theta is not None:
         results = [("theta", args.theta, spectrum.lambda1_pme(args.theta, grid))]
@@ -183,6 +189,8 @@ def cmd_lambda1(args: argparse.Namespace) -> int:
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
+    from . import flows
+
     grid, geometry = _build_geometry(args)
     # only the flags given: FlowConfig owns every other default
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(flows.FlowConfig)
@@ -203,12 +211,16 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
+    from . import criteria
+
     rep = criteria.region_report(args.theta, args.samples, thetas_check=args.check_theta)
     _json_out(rep.to_dict(), args.out)
     return EXIT_OK
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
+    from . import criteria
+
     if args.from_p is not None:
         theta = criteria.theta_from_p(args.from_p)
     elif args.theta is not None:
@@ -221,8 +233,12 @@ def cmd_constants(args: argparse.Namespace) -> int:
     if args.lambda1 is not None and given:
         raise ConfigError("constants takes --lambda1 or the geometry flags, not both; "
                           f"got --lambda1 and {', '.join(given)}")
-    lam = (spectrum.lambda1_pme(theta, _build_geometry(args)[0]).lam if given
-           else args.lambda1)
+    if given:
+        from . import spectrum
+
+        lam = spectrum.lambda1_pme(theta, _build_geometry(args)[0]).lam
+    else:
+        lam = args.lambda1
     report = criteria.constants_report(args.m, args.p, theta, lam, args.e0)
     _json_out(report, args.out)
     # constants_report adds the constant chain only where every hypothesis holds
@@ -291,6 +307,8 @@ def _geometry_from_meta(args: argparse.Namespace, meta: dict) -> argparse.Namesp
 def cmd_report(args: argparse.Namespace) -> int:
     if not args.trace:
         raise ConfigError("report needs --trace")
+    from . import flows, verify
+
     trace = flows.Trace.from_csv(args.trace)
     if args.fields:
         trace.load_fields(args.fields)
@@ -308,6 +326,19 @@ def cmd_report(args: argparse.Namespace) -> int:
         _svg_plot(args.plot, trace.t, [("E (trace)", trace.E)] + bound)
     failed = sum(not v.passed for v in verdicts)
     return EXIT_OK if failed == 0 else min(EXIT_HYPOTHESIS + failed, 125)
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Appends the check names to the help of ``report --checks`` only when
+    it is printed, so that no other command imports ``verify`` for its
+    ``CHECKS``."""
+
+    def _get_help_string(self, action: argparse.Action) -> str:
+        if action.dest != "checks":
+            return action.help
+        from . import verify
+
+        return action.help + ",".join(verify.CHECKS)
 
 
 def _add_geometry_flags(sp: argparse.ArgumentParser) -> None:
@@ -328,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help, allow_abbrev=False)
+        return sub.add_parser(name, help=help, allow_abbrev=False, formatter_class=_HelpFormatter)
 
     sp = command("lambda1", "smallest quotient eigenvalue")
     which = sp.add_mutually_exclusive_group()
@@ -380,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trace", help="trace CSV to audit")
     sp.add_argument("--fields", help="stored-field NPZ (for the refined check)")
     sp.add_argument("--checks", type=lambda text: [c for c in text.split(",") if c],
-                    help="comma list: " + ",".join(verify.CHECKS))
+                    help="comma list: ")
     sp.add_argument("--lambda1", type=float)
     sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)

@@ -25,14 +25,13 @@ origin and the r^{d-1} Jacobian needs no special casing.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateDomain, NonFiniteWeight, ParameterError, TailMassTooLarge
-from .potential import Potential, _check_singular, log_weight, tail_mass
+from .potential import Potential, _check_singular, _sha256, log_weight, tail_mass
 
 __all__ = [
     "Grid",
@@ -75,6 +74,11 @@ class Grid:
         quadrature weight (radial Jacobian and sphere area included); the
         denominator of the stencil
     weight_mass : unnormalized sum(node_mass)
+    ident : the first 16 hex digits of the SHA-256 of kind, d, end nodes, n
+        and ``potential.key()``; a trace records it, and ``report`` compares
+        the grid it rebuilds against it.  The digest is ``hashlib.sha256``'s,
+        computed by CPython's builtin module so that building a grid does not
+        load OpenSSL
     """
 
     kind: str
@@ -117,7 +121,7 @@ def _finish_grid(kind, d, nodes, h, w, faces, face_area, pot) -> Grid:
     if not math.isfinite(mass):
         raise NonFiniteWeight("the weight mass overflows; shrink the domain")
     mu = wg / mass
-    ident = hashlib.sha256(
+    ident = _sha256(
         f"{kind}|{d}|{nodes[0]!r}|{nodes[-1]!r}|{len(nodes)}|{pot.key()}".encode()
     ).hexdigest()[:16]
     return Grid(

@@ -20,7 +20,6 @@ it.  :func:`potential_from_spec` is the one parser of a spelling, the CLI's
 
 from __future__ import annotations
 
-import hashlib
 import math
 import numbers
 import sys
@@ -44,6 +43,17 @@ __all__ = [
     "example1_epsilon_bound",
     "tail_mass",
 ]
+
+# The SHA-256 of grid idents and table keys.  hashlib maps OpenSSL's libcrypto
+# (about 3.4 MB of resident memory) to hash some 80 bytes; CPython's builtin
+# module gives the same digest without it, as the stdlib's random does for sha512.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.11 and older
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 _FAMILIES = ("harmonic", "harmonic_log", "power", "flat", "tabulated")
 
@@ -99,7 +109,7 @@ class Potential:
         if self.family == "power":
             return f"power(beta={self.beta!r})"
         if self.family == "tabulated":
-            digest = hashlib.sha256()
+            digest = _sha256()
             for arr in (self.table_x, self.table_F, self.table_dF, self.table_d2F):
                 digest.update(np.asarray(arr, dtype=float).tobytes())
             return f"tabulated(n={len(self.table_x)},sha256={digest.hexdigest()})"

@@ -1,7 +1,10 @@
 """Grid construction, quadrature and the structural operator identities."""
 
+import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,10 @@ from entroflow.errors import (
     DegenerateDomain, DomainError, NonFiniteWeight, ParameterError, TailMassTooLarge,
 )
 from entroflow.grid import stiffness_bands
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Grid.ident of the README's --potential gaussian --domain=-8:8 --n 2001
+README_GAUSSIAN_IDENT = "4475f6d140fb28d4"
 
 
 class TestIntervalGrid:
@@ -71,6 +78,32 @@ class TestIntervalGrid:
         d2F = 1.0 - 0.5 * np.cos(x)
         assert ident(d2F) == ident(d2F.copy())
         assert ident(d2F) != ident(np.ones_like(x))
+
+    def test_ident_is_the_hashlib_sha256(self, gauss_grid):
+        # the builtin SHA-256 gives hashlib's digest: traces keep their idents
+        g = gauss_grid
+        text = f"{g.kind}|{g.d}|{g.nodes[0]!r}|{g.nodes[-1]!r}|{g.n}|{g.potential.key()}"
+        assert g.ident == hashlib.sha256(text.encode()).hexdigest()[:16]
+        # the README's Gaussian grid, as every trace written on it records it
+        assert g.ident == README_GAUSSIAN_IDENT
+
+    def test_tabulated_key_is_the_hashlib_sha256(self):
+        x = np.linspace(-2.0, 2.0, 41)
+        arrays = (x, 0.5 * x * x, x, np.ones_like(x))
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+        assert ef.tabulated(*arrays).key() == f"tabulated(n=41,sha256={digest})"
+
+    def test_ident_without_the_builtin_sha256_falls_back_to_hashlib(self):
+        code = (
+            "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+            "import hashlib, entroflow as ef, entroflow.potential as p; "
+            "assert p._sha256 is hashlib.sha256; "
+            "print(ef.make_interval_grid(-8.0, 8.0, 2001, ef.harmonic()).ident)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == README_GAUSSIAN_IDENT
 
     def test_underflowing_weight_rejected(self):
         x = np.linspace(-1, 1, 33)

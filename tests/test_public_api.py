@@ -95,12 +95,26 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(entroflow.__path__))
 
 
 def test_package_exports_are_pinned():
-    # submodules are attributes too once imported, so they are left out
+    # the names are exported lazily: each resolves on its first access
+    assert sorted(entroflow.__all__) == PUBLIC_NAMES
+    assert [n for n in PUBLIC_NAMES if getattr(entroflow, n, None) is None] == []
+    assert set(PUBLIC_NAMES) <= set(dir(entroflow))
+    star = {}
+    exec("from entroflow import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == PUBLIC_NAMES
+    # once resolved they are the package's only public attributes; submodules
+    # are attributes too once imported, so they are left out
     names = sorted(
         name for name, value in vars(entroflow).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_unknown_package_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        entroflow.no_such_name  # noqa: B018
+    assert not hasattr(entroflow, "no_such_name")
 
 
 @pytest.mark.parametrize("name", MODULES)
