@@ -1,19 +1,16 @@
-"""The four LAPACK routines entroflow calls, bound with ctypes in the OpenBLAS
-that numpy has already loaded.
-
-* ``dpttrf``/``dpttrs`` -- factor and solve symmetric positive definite
-  tridiagonal systems (both implicit flow steps), through
-  :class:`SPDTridiagonal`;
-* ``dstebz``/``dstein`` -- bisection for the smallest eigenvalue of a
-  symmetric tridiagonal matrix and inverse iteration for its eigenvector
-  (the spectral quotients), through :func:`lowest`.
+"""The two LAPACK routines entroflow calls, bound with ctypes in the OpenBLAS
+that numpy has already loaded: ``dpttrf``/``dpttrs``, which factor and solve
+symmetric positive definite tridiagonal systems, through
+:class:`SPDTridiagonal`.  Both implicit flow steps solve with them, and the
+spectral quotients' inverse iteration factors shifted matrices (a failed
+factorization is a Sturm count that brackets the eigenvalue) and solves.
 
 numpy's wheels (2.0 and later) bundle an OpenBLAS, ``libscipy_openblas64_``
-(64-bit integers, symbols ``scipy_<name>_64_``), that exports all four
+(64-bit integers, symbols ``scipy_<name>_64_``), that exports both
 routines, and it is mapped as soon as numpy is imported.  Calling them there
 keeps one OpenBLAS per process: scipy's compiled ``_flapack`` extension would
-map a second OpenBLAS, with worker threads of its own, for four routines.
-None of the four is threaded, and the package calls no BLAS routine, so
+map a second OpenBLAS, with worker threads of its own, for two routines.
+Neither is threaded, and the package calls no BLAS routine, so
 ``import entroflow`` asks OpenBLAS for one thread (``OPENBLAS_NUM_THREADS=1``,
 unless the variable is set or numpy was imported first) and no worker pool
 starts.  :func:`candidates` lists where numpy's library
@@ -24,7 +21,7 @@ if that is missing too, importing this module raises ImportError naming the
 paths tried.
 
 Through ctypes the routines take the Fortran ABI: every scalar is passed by
-reference, and each character argument adds a trailing ``size_t`` length.
+reference.
 """
 
 from __future__ import annotations
@@ -37,14 +34,14 @@ import os
 
 import numpy as np
 
-__all__ = ["SPDTridiagonal", "lowest"]
+__all__ = ["SPDTridiagonal"]
 
 # find_spec of a top-level package locates it without executing it
 _SCIPY_SPEC = importlib.util.find_spec("scipy")
 _SCIPY_DIR = (_SCIPY_SPEC.submodule_search_locations[0]
               if _SCIPY_SPEC is not None and _SCIPY_SPEC.submodule_search_locations else None)
 
-_NAMES = ("dpttrf", "dpttrs", "dstebz", "dstein")
+_NAMES = ("dpttrf", "dpttrs")
 _INT = ctypes.c_int64
 _P = ctypes.c_void_p
 _ARGTYPES = {
@@ -52,14 +49,7 @@ _ARGTYPES = {
     "dpttrf": (_P,) * 4,
     # N, NRHS, D, E, B, LDB, INFO
     "dpttrs": (_P,) * 7,
-    # RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK,
-    # ISPLIT, WORK, IWORK, INFO, then the lengths of RANGE and ORDER
-    "dstebz": (ctypes.c_char_p,) * 2 + (_P,) * 16 + (ctypes.c_size_t,) * 2,
-    # N, D, E, M, W, IBLOCK, ISPLIT, Z, LDZ, WORK, IWORK, IFAIL, INFO
-    "dstein": (_P,) * 13,
 }
-# an absolute bisection tolerance of 2 tiny asks dstebz for full accuracy
-_ABSTOL = 2.0 * np.finfo(float).tiny
 
 
 def candidates() -> list[str]:
@@ -76,19 +66,8 @@ def _ptr(x) -> ctypes.c_void_p:
     return ctypes.c_void_p(x.ctypes.data if isinstance(x, np.ndarray) else ctypes.addressof(x))
 
 
-def _tridiagonal(d, e) -> tuple[np.ndarray, np.ndarray]:
-    d, e = (np.ascontiguousarray(a, dtype=np.float64) for a in (d, e))
-    if d.ndim != 1 or e.ndim != 1:
-        raise ValueError(f"d and e must be one-dimensional; got shapes {d.shape}, {e.shape}")
-    if len(d) < 1 or len(e) != len(d) - 1:
-        raise ValueError(
-            f"need n >= 1 diagonal and n - 1 off-diagonal entries; got {len(d)}, {len(e)}"
-        )
-    return d, e
-
-
 class Lapack:
-    """The four routines of numpy's bundled OpenBLAS at ``path``, bound with
+    """The two routines of numpy's bundled OpenBLAS at ``path``, bound with
     ctypes.  Raises OSError if the library cannot be loaded, AttributeError
     if it lacks one of the routines.
     """
@@ -103,33 +82,6 @@ class Lapack:
             setattr(self, "_" + name, fn)
         self.path = path
 
-    def lowest(self, d, e) -> tuple[np.ndarray, int, int]:
-        """z, stebz_info, stein_info = lowest(d, e): the eigenvector ``z`` of
-        the smallest eigenvalue of the symmetric tridiagonal matrix with
-        diagonal ``d`` and off-diagonal ``e``.
-
-        dstebz bisects for eigenvalue 1 (RANGE "I", IL = IU = 1, ORDER "B",
-        ABSTOL 2 tiny), then dstein finds its vector by inverse iteration:
-        the calls of ``scipy.linalg.eigh_tridiagonal(d, e, select="i",
-        select_range=(0, 0), tol=2 tiny, lapack_driver="stebz")``.  dstein
-        is skipped, and ``z`` left zero, if dstebz reports an error.
-        """
-        d, e = _tridiagonal(d, e)
-        n = len(d)
-        m, nsplit, ifail, stebz_info, stein_info = _INT(), _INT(), _INT(), _INT(), _INT()
-        w, z, work = np.zeros(n), np.zeros(n), np.empty(5 * n)
-        iblock, isplit = np.zeros(n, np.int64), np.zeros(n, np.int64)
-        iwork = np.empty(3 * n, np.int64)
-        n_, one, zero = _INT(n), _INT(1), ctypes.c_double(0.0)
-        refs = (n_, zero, zero, one, one, ctypes.c_double(_ABSTOL), d, e, m, nsplit,
-                w, iblock, isplit, work, iwork, stebz_info)
-        self._dstebz(b"I", b"B", *map(_ptr, refs), 1, 1)
-        if stebz_info.value == 0:
-            # M = 1 and LDZ = n
-            refs = (n_, d, e, one, w, iblock, isplit, z, n_, work, iwork, ifail, stein_info)
-            self._dstein(*map(_ptr, refs))
-        return z, stebz_info.value, stein_info.value
-
     def attach(self, system: SPDTridiagonal) -> None:
         """Set the dpttrf/dpttrs calls of ``system`` on its own buffers."""
         # N (also LDB), NRHS and INFO, passed by reference; ``system`` keeps
@@ -143,7 +95,7 @@ class Lapack:
 
 
 class Flapack:
-    """The four routines of scipy's compiled f2py extension
+    """The two routines of scipy's compiled f2py extension
     ``scipy.linalg._flapack``, loaded straight from its file in
     ``linalg_dir`` (it needs only numpy, and importing ``scipy.linalg``
     would load scipy's array-API layer).  It maps scipy's LAPACK next to
@@ -166,18 +118,6 @@ class Flapack:
         loader.exec_module(self._f)
         self.path = path
 
-    def lowest(self, d, e) -> tuple[np.ndarray, int, int]:
-        """As :meth:`Lapack.lowest`."""
-        d, e = _tridiagonal(d, e)
-        # the f2py wrappers reject the empty off-diagonal of a 1 x 1 matrix,
-        # which LAPACK does not read
-        e = e if len(e) else np.zeros(1)
-        _, w, iblock, isplit, info = self._f.dstebz(d, e, 2, 0.0, 0.0, 1, 1, _ABSTOL, "B")
-        if info != 0:
-            return np.zeros(len(d)), info, 0
-        z, info = self._f.dstein(d, e, w[:1], iblock, isplit)
-        return z[:, 0], 0, info
-
     def _pttrf(self, d, e, info):
         # f2py overwrites contiguous float64 arrays in place when asked to
         info.value = self._f.dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2]
@@ -188,14 +128,16 @@ class Flapack:
     def attach(self, system: SPDTridiagonal) -> None:
         """Set the dpttrf/dpttrs calls of ``system`` on its own buffers."""
         system._info = ctypes.c_int()
-        system._pttrf, system._pttrf_args = self._pttrf, (system.d, system.e, system._info)
-        system._pttrs, system._pttrs_args = self._pttrs, (
-            system.d, system.e, system.b, system._info)
+        # the f2py wrappers reject the empty off-diagonal of a 1 x 1 system,
+        # which LAPACK does not read
+        e = system.e if system.n > 1 else np.zeros(1)
+        system._pttrf, system._pttrf_args = self._pttrf, (system.d, e, system._info)
+        system._pttrs, system._pttrs_args = self._pttrs, (system.d, e, system.b, system._info)
 
 
 def load(patterns: list[str], linalg_dir: str | None) -> Lapack | Flapack:
     """:class:`Lapack` of the first library matching ``patterns`` (as
-    :func:`candidates` gives them) that exports all four routines, else
+    :func:`candidates` gives them) that exports both routines, else
     :class:`Flapack` from ``linalg_dir``; ImportError naming every path
     tried if neither loads."""
     tried = []
@@ -218,7 +160,6 @@ def load(patterns: list[str], linalg_dir: str | None) -> Lapack | Flapack:
 
 
 _LAPACK = load(candidates(), None if _SCIPY_DIR is None else os.path.join(_SCIPY_DIR, "linalg"))
-lowest = _LAPACK.lowest
 
 
 class SPDTridiagonal:

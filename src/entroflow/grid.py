@@ -74,8 +74,9 @@ class Grid:
         quadrature weight (radial Jacobian and sphere area included); the
         denominator of the stencil
     weight_mass : unnormalized sum(node_mass)
-    ident : the first 16 hex digits of the SHA-256 of kind, d, end nodes, n
-        and ``potential.key()``; a trace records it, and ``report`` compares
+    ident : the first 16 hex digits of the SHA-256 of kind, d, end nodes
+        (written ``np.float64(-8.0)`` whatever numpy's scalar repr), n and
+        ``potential.key()``; a trace records it, and ``report`` compares
         the grid it rebuilds against it.  The digest is ``hashlib.sha256``'s,
         computed by CPython's builtin module so that building a grid does not
         load OpenSSL
@@ -121,9 +122,10 @@ def _finish_grid(kind, d, nodes, h, w, faces, face_area, pot) -> Grid:
     if not math.isfinite(mass):
         raise NonFiniteWeight("the weight mass overflows; shrink the domain")
     mu = wg / mass
-    ident = _sha256(
-        f"{kind}|{d}|{nodes[0]!r}|{nodes[-1]!r}|{len(nodes)}|{pot.key()}".encode()
-    ).hexdigest()[:16]
+    # the end nodes are written as numpy 2 writes a float64 scalar, from the
+    # Python float, so that the ident does not follow numpy's scalar repr
+    ends = "|".join(f"np.float64({float(x)!r})" for x in (nodes[0], nodes[-1]))
+    ident = _sha256(f"{kind}|{d}|{ends}|{len(nodes)}|{pot.key()}".encode()).hexdigest()[:16]
     return Grid(
         kind=kind,
         d=d,

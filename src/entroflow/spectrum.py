@@ -9,15 +9,17 @@ potential (:func:`potential.hessian_infimum_V`):
 
 The discrete problem is a generalized symmetric pencil A w = lambda M w with
 M the diagonal of quadrature weights; the M^{1/2} similarity turns it into a
-symmetric tridiagonal matrix.  Its smallest eigenpair comes from two LAPACK
-routines called directly (stebz bisection for the eigenvalue, stein inverse
-iteration for the vector; the pair scipy's ``eigh_tridiagonal`` would call,
-made by :func:`entroflow._lapack.lowest` in the OpenBLAS numpy has loaded,
-without importing scipy.linalg).  The vector's normalization, its Rayleigh
-quotient (the returned eigenvalue) and the residual norm that is checked are
-each one correctly rounded sum (:func:`grid._fsum_into`), not a BLAS dot
-product, so the eigenvalue is the same double whatever the BLAS thread count;
-every step is O(n).
+symmetric tridiagonal matrix T.  Its smallest eigenpair comes from shifted
+inverse iteration on the LAPACK pair the flows use (dpttrf/dpttrs through
+:class:`entroflow._lapack.SPDTridiagonal`), from the constants, the exact
+ground state when V is constant.  Every shift is one at which dpttrf
+factors T - sigma I, a Sturm test that proves it lies below the spectrum, so
+the returned eigenvalue is bracketed and is the smallest one (Parlett, The
+Symmetric Eigenvalue Problem, ch. 4).  The vector's normalization, its
+Rayleigh quotient (the returned eigenvalue) and its residual norm are each
+one correctly rounded sum (:func:`grid._fsum_into`), not a BLAS dot product,
+so the eigenvalue is the same double whatever the BLAS thread count; every
+step is O(n) and works in place in five n-sized arrays besides T.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lapack import lowest
+from ._lapack import SPDTridiagonal
 from .errors import ParameterError, SolverDiverged
 from .functionals import _exponents
 from .grid import Grid, _fsum_into, stiffness_bands
@@ -44,6 +46,10 @@ __all__ = [
 _EPS = np.finfo(float).eps
 # residual tolerance of every eigensolve, floored at the matvec round-off level
 _EIG_TOL = 1e-10
+# caps of the inverse iteration: solves per eigenpair, and factorizations
+# tried for one shift (each failed one halves the eigenvalue bracket)
+_MAX_SOLVES = 50
+_MAX_FACTORIZATIONS = 200
 # epsilon_star: bisection width, and how far below 0 the quotient may dip
 _EPS_STAR_TOL = 1e-4
 _EIG_FLOOR = 1e-8
@@ -57,7 +63,7 @@ class SpectralResult:
     ``residual`` is the 2-norm of the symmetrized operator residual; ``tol``
     is the tolerance it was held to: the fixed ``_EIG_TOL`` (1e-10) floored
     at the round-off level of one matrix-vector product.  ``iterations`` is
-    the number of LAPACK eigensolve calls, 1 per solve.
+    the number of inverse-iteration solves (LAPACK dpttrs calls), at least 1.
     """
 
     lam: float
@@ -70,48 +76,136 @@ class SpectralResult:
         return self.lam
 
 
-def _tridiag_matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
-    y = diag * x
-    y[:-1] += off * x[1:]
-    y[1:] += off * x[:-1]
-    return y
-
-
 def smallest_eigenpair(
     diag: np.ndarray, off: np.ndarray
-) -> tuple[float, np.ndarray, float, int, float]:
-    """Smallest eigenpair of a symmetric tridiagonal matrix.
+) -> tuple[float, np.ndarray, float, int, float, float]:
+    """Smallest eigenpair of the symmetric tridiagonal matrix T with diagonal
+    ``diag`` and off-diagonal ``off``, by certified shifted inverse iteration
+    from a vector of ones (a diagonal T starts from the unit vector of its
+    smallest entry, its exact eigenvector).
 
-    LAPACK stebz isolates the eigenvalue by bisection at full accuracy and
-    stein recovers its eigenvector by inverse iteration.  The vector is
-    divided by its 2-norm; its Rayleigh quotient x^T T x is the returned
-    eigenvalue and |T x - lam x| the residual.  The three sums (squares,
-    quotient, residual squares) are correctly rounded, the doubles
-    ``math.fsum`` gives, so the result does not depend on summation order
-    or thread count.  Returns (lam, vector, residual, iterations,
-    effective_tol); the vector has unit 2-norm and ``iterations`` counts the
-    LAPACK eigensolves, one stebz/stein pair (always 1).  Raises SolverDiverged if
-    either routine reports info != 0 or the residual exceeds effective_tol,
-    ``_EIG_TOL`` floored at the matvec round-off level 8 eps |T|.
+    Returns (lam, vector, residual, iterations, effective_tol, lower): the
+    vector has unit 2-norm, lam is its Rayleigh quotient x^T T x, residual
+    is |T x - lam x|, iterations counts the solves, and no eigenvalue of T
+    lies below ``lower``, which is at most residual + effective_tol below
+    lam; effective_tol is ``_EIG_TOL`` floored at the matvec round-off level
+    8 eps |T|.  Raises ValueError for malformed bands, SolverDiverged for a
+    non-finite T or where a cap of the iteration is reached.
     """
-    vector, stebz_info, stein_info = lowest(diag, off)
-    if stebz_info != 0:
-        raise SolverDiverged(f"LAPACK dstebz failed: info={stebz_info}")
-    if stein_info != 0:
-        raise SolverDiverged(f"LAPACK dstein failed: info={stein_info}")
-    work = np.empty(len(vector))
-    x = vector / math.sqrt(_fsum_into(vector * vector, work))
-    tx = _tridiag_matvec(diag, off, x)
-    lam = _fsum_into(x * tx, work)
-    r = tx - lam * x
-    residual = math.sqrt(_fsum_into(r * r, work))
-    tnorm = float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0))
-    tol_eff = max(_EIG_TOL, 8.0 * _EPS * max(1.0, tnorm))
-    if not residual <= tol_eff:
-        raise SolverDiverged(
-            f"eigenvector residual {residual:.3e} above tolerance {tol_eff:.1e}"
-        )
-    return lam, x, residual, 1, tol_eff
+    diag, off = (np.ascontiguousarray(a, dtype=np.float64) for a in (diag, off))
+    n = len(diag)
+    if diag.ndim != 1 or n < 1 or off.shape != (n - 1,):
+        raise ValueError(f"need n >= 1 diagonal and n - 1 off-diagonal entries in "
+                         f"one dimension; got shapes {diag.shape}, {off.shape}")
+    system = SPDTridiagonal(n)
+    system.b[:] = 1.0
+    return _inverse_iteration(diag, off, system)
+
+
+def _rayleigh(diag, off, system, tx, work) -> tuple[float, float] | None:
+    """Divide the vector x in ``system.b`` by its 2-norm; return its Rayleigh
+    quotient rho = x^T T x and residual norm |T x - rho x|, with T x left in
+    ``tx``.  Returns None, leaving x as it was, where the norm is zero or not
+    finite.  The three sums are correctly rounded (:func:`grid._fsum_into`);
+    ``system.d``, ``system.e`` and ``work`` are scratch."""
+    x, d, e = system.b, system.d, system.e
+    norm_sq = _fsum_into(np.multiply(x, x, out=d), work)
+    if not 0.0 < norm_sq < math.inf:
+        return None
+    x /= math.sqrt(norm_sq)
+    np.multiply(diag, x, out=tx)
+    tx[:-1] += np.multiply(off, x[1:], out=e)
+    tx[1:] += np.multiply(off, x[:-1], out=e)
+    rho = _fsum_into(np.multiply(x, tx, out=d), work)
+    np.subtract(tx, np.multiply(rho, x, out=d), out=d)
+    return rho, math.sqrt(_fsum_into(np.square(d, out=d), work))
+
+
+def _factor_shifted(diag, off, system, sigma: float, lo: float,
+                    hi: float) -> tuple[float, float]:
+    """Factor T - s I into ``system`` (LAPACK dpttrf) at the first shift s,
+    ``sigma`` and then midpoints of the bracket [lo, hi], at which it is
+    positive definite; return the bracket (lo, hi) narrowed by the attempts.
+
+    dpttrf succeeds exactly when its pivots, a Sturm sequence, are all
+    positive, so every eigenvalue lies above a shift it factors, and
+    ``hi`` becomes a shift where it fails (some eigenvalue lies at or below
+    it).  A shift at or below ``lo`` must factor: SolverDiverged if it does
+    not, as after ``_MAX_FACTORIZATIONS`` attempts."""
+    for _ in range(_MAX_FACTORIZATIONS):
+        if sigma >= hi:
+            sigma = lo + 0.5 * (hi - lo)
+            if sigma >= hi:  # no double between lo and hi
+                sigma = lo
+        np.subtract(diag, sigma, out=system.d)
+        system.e[:] = off
+        info = system.factor()
+        if info == 0:
+            return max(lo, sigma), hi
+        if info < 0:
+            raise SolverDiverged(f"LAPACK dpttrf failed: info={info}")
+        if sigma <= lo:
+            raise SolverDiverged(f"LAPACK dpttrf refused the shift {sigma!r} at the lower "
+                                 f"bound of the spectrum: info={info}")
+        hi = sigma
+    raise SolverDiverged(f"no positive definite shift in {_MAX_FACTORIZATIONS} "
+                         f"factorizations: bracket [{lo!r}, {hi!r}]")
+
+
+def _inverse_iteration(diag, off, system) -> tuple[float, np.ndarray, float, int, float, float]:
+    """:func:`smallest_eigenpair` of the matrix with bands ``diag`` and
+    ``off``, iterated in place from the start vector in ``system.b``.
+
+    Each step solves (T - sigma I) y = x (dpttrs) at a shift that dpttrf
+    factors: first rho - delta - tol/2 (the Rayleigh quotient less the
+    residual norm, a lower bound on the eigenvalue nearest rho, less half
+    the tolerance), else the bisection of :func:`_factor_shifted`.  The
+    largest shift factored is the certified lower bound ``lo``, which
+    starts at the Gershgorin bound less the tolerance.  After each solve
+    the loop stops once delta <= tol and rho - lo <= delta + tol: then
+    lambda1 lies in [lo, rho] and rho is within delta + tol of it.  A solve
+    whose result is not finite is retried from the same vector at a shift
+    backed off below ``lo``.  SolverDiverged after ``_MAX_SOLVES`` solves.
+    """
+    d, e, x = system.d, system.e, system.b
+    tx, work = np.empty(system.n), np.empty(system.n)
+    # |T| and the Gershgorin lower bound, written into the factor buffers
+    abs_off = np.abs(off, out=e)
+    tnorm = float(np.abs(diag, out=d).max() + 2.0 * abs_off.max(initial=0.0))
+    if not math.isfinite(tnorm):
+        raise SolverDiverged("the tridiagonal matrix has non-finite entries")
+    tol = max(_EIG_TOL, 8.0 * _EPS * max(1.0, tnorm))
+    if not abs_off.any():
+        # a diagonal matrix: the unit vector of its smallest entry is exact
+        x[:] = 0.0
+        x[int(np.argmin(diag))] = 1.0
+    d[:] = diag
+    d[:-1] -= abs_off
+    d[1:] -= abs_off
+    lo, hi = float(d.min()) - tol, math.inf
+    quotient = _rayleigh(diag, off, system, tx, work)
+    if quotient is None:
+        raise ValueError("the start vector must be finite and nonzero")
+    rho, delta = quotient
+    iterations, backoff = 0, 0.0
+    while iterations == 0 or not (delta <= tol and lo >= rho - delta - tol):
+        if iterations == _MAX_SOLVES:
+            raise SolverDiverged(
+                f"inverse iteration did not converge in {_MAX_SOLVES} solves: residual "
+                f"{delta:.3e} (tolerance {tol:.1e}), eigenvalue bracket [{lo!r}, {rho!r}]")
+        sigma = lo - backoff if backoff else max(lo, rho - delta - 0.5 * tol)
+        lo, hi = _factor_shifted(diag, off, system, sigma, lo, hi)
+        tx[:] = x  # kept to retry from if the solve overflows
+        system.solve()
+        iterations += 1
+        quotient = _rayleigh(diag, off, system, tx, work)
+        if quotient is None:
+            # T - sigma I is too near singular for the solve: back off below lo
+            x[:] = tx
+            backoff = max(2.0 * backoff, tol)
+            continue
+        (rho, delta), backoff = quotient, 0.0
+    return rho, x, delta, iterations, tol, lo
 
 
 def _assemble_symmetrized(
@@ -119,24 +213,41 @@ def _assemble_symmetrized(
     conductance: np.ndarray,
     grad_coeff: float,
     V: np.ndarray,
+    root: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric tridiagonal matrix of the quotient
 
         [ grad_coeff |Dw|^2 + V w^2 ] / [ w^2 ]
 
-    in the inner product weighted by ``node_mass``."""
-    sdiag, soff = stiffness_bands(conductance)
-    diag = grad_coeff * sdiag / node_mass + V
+    in the inner product weighted by ``node_mass``, assembled in place in
+    the stiffness bands; ``root`` (n), if given, receives sqrt(node_mass)."""
+    diag, off = stiffness_bands(conductance)
+    diag *= grad_coeff
+    diag /= node_mass
+    diag += V
     # sqrt factors kept separate: the product of adjacent masses can underflow
-    root = np.sqrt(node_mass)
-    off = grad_coeff * soff / (root[:-1] * root[1:])
+    root = np.sqrt(node_mass, out=root)
+    off *= grad_coeff
+    off /= root[:-1] * root[1:]
     return diag, off
 
 
-def _solve_quotient(grid: Grid, grad_coeff: float, V: np.ndarray) -> SpectralResult:
+def _solve_quotient(grid: Grid, grad_coeff: float, V: np.ndarray,
+                    start: np.ndarray | None = None) -> SpectralResult:
+    """The quotient's smallest eigenpair, from ``start`` (an eigenvector
+    guess as :attr:`SpectralResult.eigenvector` holds it) or else from the
+    constants, the exact ground state when V is constant.  V is released
+    once assembled, so a caller that passes its only reference frees it
+    before the solve."""
     mass = grid.node_mass
-    diag, off = _assemble_symmetrized(mass, grid.conductance, grad_coeff, V)
-    lam, y, residual, iterations, tol_eff = smallest_eigenpair(diag, off)
+    system = SPDTridiagonal(grid.n)
+    # sqrt(node_mass) is the symmetrized form of the constants
+    diag, off = _assemble_symmetrized(mass, grid.conductance, grad_coeff, V, root=system.b)
+    del V
+    if start is not None:
+        system.b *= start
+    lam, y, residual, iterations, tol_eff, _ = _inverse_iteration(diag, off, system)
+    del system, diag, off
     w = y / np.sqrt(mass / grid.weight_mass)
     if w[int(np.argmax(np.abs(w)))] < 0.0:
         w = -w
@@ -164,8 +275,7 @@ def lambda1_pme(theta: float, grid: Grid) -> SpectralResult:
     """
     if not (0.0 <= theta < 1.0):
         raise ParameterError(f"theta must lie in [0, 1); got {theta}")
-    V = hessian_infimum_V(grid)
-    return _solve_quotient(grid, 1.0 - theta, V)
+    return _solve_quotient(grid, 1.0 - theta, hessian_infimum_V(grid))
 
 
 def epsilon_star(p: float, grid: Grid) -> float:
@@ -175,17 +285,22 @@ def epsilon_star(p: float, grid: Grid) -> float:
 
     nonnegative (>= -_EIG_FLOOR), to within _EPS_STAR_TOL by bisection.
     Returns 0 if even eps -> 0+ fails; the gradient coefficient must stay
-    nonnegative, which caps eps at (1-alpha)/alpha.
+    nonnegative, which caps eps at (1-alpha)/alpha.  Each eigensolve starts
+    from the eigenvector of the previous one.
     """
     if not (1.0 < p < 2.0):
         raise ParameterError(f"p must lie strictly in (1, 2); got {p}")
     _, _, alpha = _exponents(1.0, p)  # (2 - p)/p
     cap = (1.0 - alpha) / alpha
     V = hessian_infimum_V(grid)
+    start = None
 
     def smallest(eps: float) -> float:
+        nonlocal start
         coeff = max(0.0, 1.0 - alpha * (1.0 + eps))
-        return _solve_quotient(grid, coeff, V).lam
+        res = _solve_quotient(grid, coeff, V, start)
+        start = res.eigenvector
+        return res.lam
 
     if smallest(cap) >= -_EIG_FLOOR:
         return cap

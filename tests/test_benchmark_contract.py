@@ -54,7 +54,7 @@ def test_tracer_hooks_read_real_results():
 
     spectral = ef.lambda1_linear(1.5, grid)
     tracing._spectrum(counts, (1.5, grid), spectral)
-    assert counts["spectrum_iterations"] == spectral.iterations == 1
+    assert counts["spectrum_iterations"] == spectral.iterations >= 1
     assert counts["spectrum_nodes"] == grid.n
 
     # a compact start, which the pme flow clamps at the density floor

@@ -97,11 +97,9 @@ class TestLambda1Command:
         assert [[r[k] for k in keys] for r in a] == [[r[k] for k in keys] for r in b]
 
     def test_lapack_failure_exits_3(self, monkeypatch):
-        def fail(d, e):
-            # stein info > 0: that many eigenvectors failed to converge
-            return np.zeros(len(d)), 0, 1
-
-        monkeypatch.setattr("entroflow.spectrum.lowest", fail)
+        # dpttrf info > 0: no shifted matrix is positive definite, not even
+        # below the Gershgorin bound
+        monkeypatch.setattr("entroflow._lapack.SPDTridiagonal.factor", lambda self: 1)
         assert run_cli(
             "lambda1", "--p", "1.5", "--potential", "gaussian",
             "--domain", "-6:6", "--n", "301",

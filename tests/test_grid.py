@@ -82,9 +82,16 @@ class TestIntervalGrid:
     def test_ident_is_the_hashlib_sha256(self, gauss_grid):
         # the builtin SHA-256 gives hashlib's digest: traces keep their idents
         g = gauss_grid
-        text = f"{g.kind}|{g.d}|{g.nodes[0]!r}|{g.nodes[-1]!r}|{g.n}|{g.potential.key()}"
+        text = "interval|1|np.float64(-8.0)|np.float64(8.0)|2001|harmonic"
         assert g.ident == hashlib.sha256(text.encode()).hexdigest()[:16]
         # the README's Gaussian grid, as every trace written on it records it
+        assert g.ident == README_GAUSSIAN_IDENT
+
+    def test_ident_does_not_follow_the_numpy_scalar_repr(self):
+        # numpy 1.x writes a float64 scalar as -8.0, numpy 2 as np.float64(-8.0)
+        with np.printoptions(legacy="1.25"):
+            assert repr(np.float64(-8.0)) == "-8.0"
+            g = ef.make_interval_grid(-8.0, 8.0, 2001, ef.harmonic())
         assert g.ident == README_GAUSSIAN_IDENT
 
     def test_tabulated_key_is_the_hashlib_sha256(self):

@@ -1,7 +1,6 @@
 """The LAPACK routines bound in the OpenBLAS numpy loaded, and the eigensolve built on them."""
 
 import glob
-import math
 import os
 import subprocess
 import sys
@@ -9,11 +8,9 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg.lapack as scipy_lapack
-from scipy.linalg import eigh_tridiagonal
 
 from entroflow import _lapack
-from entroflow.errors import SolverDiverged
-from entroflow.spectrum import _tridiag_matvec, smallest_eigenpair
+from entroflow.spectrum import smallest_eigenpair
 
 
 def _python(code: str, threads: str | None = None) -> str:
@@ -175,25 +172,11 @@ def test_pttrf_pttrs_match_scipy_bit_for_bit(lapack, n):
     assert system.factor() == info > 0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 101, 2001])
-@pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
-def test_lowest_matches_eigh_tridiagonal_bit_for_bit(lapack, n, split):
-    rng = np.random.default_rng(n)
-    d, e = rng.uniform(-3.0, 3.0, n), rng.uniform(-1.0, 1.0, n - 1)
-    if split and n > 1:
-        e[rng.choice(n - 1, size=max(1, (n - 1) // 10), replace=False)] = 0.0
-    _, want = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
-                               tol=2.0 * np.finfo(float).tiny, lapack_driver="stebz")
-    z, stebz_info, stein_info = lapack.lowest(d, e)
-    assert stebz_info == stein_info == 0
-    assert np.array_equal(z, want[:, 0])
-
-
-def test_lowest_checks_shapes(lapack):
-    with pytest.raises(ValueError, match="one-dimensional"):
-        lapack.lowest(np.ones((2, 2)), np.ones(1))
-    with pytest.raises(ValueError, match="n - 1 off-diagonal"):
-        lapack.lowest(np.ones(3), np.ones(3))
+def test_only_the_two_routines_are_bound():
+    assert _lapack._NAMES == ("dpttrf", "dpttrs")
+    for lib in LIBRARIES:
+        assert not hasattr(lib, "lowest")
+    assert not hasattr(_lapack, "lowest")
 
 
 def test_fallback_runs_the_flows_and_the_eigensolve(monkeypatch, rng, gauss_grid_small):
@@ -210,7 +193,7 @@ def test_fallback_runs_the_flows_and_the_eigensolve(monkeypatch, rng, gauss_grid
                                                for run, cfg in runs]
 
     (lam, vec, *_), traces = solve_all()
-    monkeypatch.setattr(spectrum, "lowest", fallback.lowest)
+    monkeypatch.setattr(spectrum, "SPDTridiagonal", lambda n: _lapack.SPDTridiagonal(n, fallback))
     monkeypatch.setattr(flows, "SPDTridiagonal", lambda n: _lapack.SPDTridiagonal(n, fallback))
     (lam_fb, vec_fb, *_), traces_fb = solve_all()
     assert lam_fb == lam and np.array_equal(vec_fb, vec)
@@ -219,36 +202,11 @@ def test_fallback_runs_the_flows_and_the_eigensolve(monkeypatch, rng, gauss_grid
         assert np.array_equal(got.fields[-1][1], want.fields[-1][1])
 
 
-def test_eigenpair_matches_eigh_tridiagonal_bit_for_bit(rng):
-    for _ in range(25):
-        n = int(rng.integers(2, 400))
-        diag = rng.uniform(-3.0, 3.0, n)
-        off = rng.uniform(-0.9, 0.9, n - 1)
-        lam, vec, res, _, _ = smallest_eigenpair(diag, off)
-        _, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
-                                tol=2.0 * np.finfo(float).tiny, lapack_driver="stebz")
-        # normalization, quotient and residual are correctly rounded sums
-        x = v[:, 0] / math.sqrt(math.fsum((v[:, 0] ** 2).tolist()))
-        tx = _tridiag_matvec(diag, off, x)
-        assert np.array_equal(vec, x)
-        assert lam == math.fsum((x * tx).tolist())
-        assert res == math.sqrt(math.fsum(((tx - lam * x) ** 2).tolist()))
+def test_one_by_one_matrix(monkeypatch, lapack):
+    # the f2py wrappers of the fallback take no empty off-diagonal
+    from entroflow import spectrum
 
-
-def test_one_by_one_matrix():
-    lam, vec, res, _, _ = smallest_eigenpair(np.array([2.5]), np.array([]))
-    assert (lam, vec.tolist(), res) == (2.5, [1.0], 0.0)
-
-
-@pytest.mark.parametrize("info", [-2, 1, 4])
-def test_stebz_failure_raises(monkeypatch, rng, info):
-    monkeypatch.setattr("entroflow.spectrum.lowest", lambda d, e: (np.zeros(len(d)), info, 0))
-    with pytest.raises(SolverDiverged, match="dstebz"):
-        smallest_eigenpair(rng.uniform(0.5, 3.0, 50), rng.uniform(-0.9, 0.9, 49))
-
-
-def test_stein_failure_raises(monkeypatch, rng):
-    # stein info > 0: that many eigenvectors failed to converge
-    monkeypatch.setattr("entroflow.spectrum.lowest", lambda d, e: (np.ones(len(d)), 0, 1))
-    with pytest.raises(SolverDiverged, match="dstein"):
-        smallest_eigenpair(rng.uniform(0.5, 3.0, 50), rng.uniform(-0.9, 0.9, 49))
+    monkeypatch.setattr(spectrum, "SPDTridiagonal", lambda n: _lapack.SPDTridiagonal(n, lapack))
+    lam, vec, res, iterations, _, lower = smallest_eigenpair(np.array([2.5]), np.array([]))
+    assert (lam, vec.tolist(), res, iterations) == (2.5, [1.0], 0.0, 1)
+    assert lower < 2.5

@@ -1,13 +1,42 @@
 """Eigenvalue computations: forced values, oracles, monotonicity, bounds."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import entroflow as ef
-from entroflow._lapack import lowest
+from entroflow import spectrum
+from entroflow._lapack import SPDTridiagonal
 from entroflow.errors import ParameterError, SolverDiverged
 from entroflow.spectrum import _assemble_symmetrized, smallest_eigenpair
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def tridiagonals(draw):
+    """Bands of a symmetric tridiagonal matrix, n <= 400: positive definite,
+    diagonal (the p = 1 quotient), indefinite, or with its smallest
+    eigenvalues clustered (repeated diagonal values, weak coupling), scaled
+    by 1e-3 to 1e6."""
+    n = draw(st.one_of(st.just(1), st.integers(2, 400)))
+    kind = draw(st.sampled_from(["definite", "diagonal", "indefinite", "clustered"]))
+    scale = 10.0 ** draw(st.integers(-3, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "definite":
+        diag, off = rng.uniform(0.5, 3.0, n), rng.uniform(-0.9, 0.9, n - 1)
+    elif kind == "diagonal":
+        diag, off = rng.uniform(-3.0, 3.0, n), np.zeros(n - 1)
+    elif kind == "indefinite":
+        diag, off = rng.uniform(-3.0, 3.0, n), rng.uniform(-1.0, 1.0, n - 1)
+    else:
+        coupling = 10.0 ** draw(st.integers(-12, -4))
+        diag, off = rng.choice([-1.0, 0.0, 1.0], n), coupling * rng.uniform(-1.0, 1.0, n - 1)
+    return scale * diag, scale * off
 
 
 class TestSolverAgainstLapack:
@@ -16,11 +45,29 @@ class TestSolverAgainstLapack:
             n = int(rng.integers(20, 300))
             diag = rng.uniform(0.5, 3.0, n)
             off = rng.uniform(-0.9, 0.9, n - 1)
-            lam, vec, res, _, tol_eff = smallest_eigenpair(diag, off)
+            lam, vec, res, _, tol_eff, _ = smallest_eigenpair(diag, off)
             oracle = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0]
             assert lam == pytest.approx(oracle, abs=1e-11)
             assert res <= tol_eff
             assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(tridiagonals())
+    def test_certified_bracket(self, bands):
+        # eigvalsh's own error grows with n (up to about 30 eps (max|d| +
+        # 2 max|e|) at n = 400), so the oracle's slack is 8 eps |T|_F
+        diag, off = bands
+        lam, vec, res, iterations, tol_eff, lower = smallest_eigenpair(diag, off)
+        eigs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        slack = 8.0 * EPS * math.hypot(np.linalg.norm(diag), math.sqrt(2.0) * np.linalg.norm(off))
+        assert res <= tol_eff and 1 <= iterations <= spectrum._MAX_SOLVES
+        # the bracket [lower, lam], up to the rounding of the quotient lam
+        assert lower <= eigs[0] + slack
+        assert lower - slack <= lam <= lower + res + tol_eff
+        if len(eigs) > 1 and res * res > EPS * slack * (eigs[1] - eigs[0]):
+            return
+        # Kato-Temple: lam - lambda1 <= res^2 / (lambda2 - lam), below the slack
+        assert abs(lam - eigs[0]) <= slack
 
     def test_assembled_operator(self, gauss_grid):
         V = ef.hessian_infimum_V(gauss_grid)
@@ -35,34 +82,86 @@ class TestSolverAgainstLapack:
         )[0]
         assert lam == pytest.approx(oracle, abs=1e-10)
 
-    def test_inaccurate_vector_raises(self, monkeypatch, rng):
-        def perturbed(d, e):
-            v, *infos = lowest(d, e)
-            return v + 1e-3 * rng.standard_normal(v.shape), *infos
-
-        monkeypatch.setattr("entroflow.spectrum.lowest", perturbed)
-        diag = rng.uniform(0.5, 3.0, 100)
-        off = rng.uniform(-0.9, 0.9, 99)
-        with pytest.raises(SolverDiverged):
-            smallest_eigenpair(diag, off)
-
-    def test_residual_held_to_the_tolerance_it_reports(self, monkeypatch, rng):
+    def test_residual_held_to_the_round_off_tolerance(self, rng):
         # |T| ~ 5e6 puts the round-off floor 8 eps |T| (~9e-9) above 1e-10, so it
-        # is the reported tolerance; tilt the vector toward the second
-        # eigenvector until the residual lies between 8 and 64 eps |T|
+        # is the reported tolerance, and the residual meets it
         diag = 1e6 * rng.uniform(0.5, 3.0, 100)
         off = 1e6 * rng.uniform(-0.9, 0.9, 99)
-        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        w, u = np.linalg.eigh(dense)
-        eps = np.finfo(float).eps
         tnorm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
-        tilt = 24.0 * eps * tnorm / (w[1] - w[0])
-        x = (u[:, 0] + tilt * u[:, 1]) / np.hypot(1.0, tilt)
-        residual = np.linalg.norm(dense @ x - (x @ dense @ x) * x)
-        assert 8.0 * eps * tnorm < residual < 64.0 * eps * tnorm
-        monkeypatch.setattr("entroflow.spectrum.lowest", lambda d, e: (x.copy(), 0, 0))
-        with pytest.raises(SolverDiverged, match="above tolerance"):
+        lam, _, res, _, tol_eff, lower = smallest_eigenpair(diag, off)
+        assert tol_eff == 8.0 * EPS * tnorm > 1e-10
+        assert res <= tol_eff and lower <= lam <= lower + res + tol_eff
+
+    def test_solve_cap_raises(self, monkeypatch):
+        # power:1.5 takes several solves from the constants; a cap of 1 stops it
+        grid = ef.make_interval_grid(-16, 16, 800, ef.power_law(1.5))
+        monkeypatch.setattr(spectrum, "_MAX_SOLVES", 1)
+        with pytest.raises(SolverDiverged, match="did not converge in 1 solves"):
+            ef.lambda1_linear(1.5, grid)
+
+    def test_factorization_cap_raises(self, monkeypatch, rng):
+        # from a flat start the first shift of an indefinite matrix lies above
+        # lambda1, so the bracket must be bisected
+        diag, off = rng.uniform(-3.0, 3.0, 200), rng.uniform(-1.0, 1.0, 199)
+        monkeypatch.setattr(spectrum, "_MAX_FACTORIZATIONS", 1)
+        with pytest.raises(SolverDiverged, match="no positive definite shift in 1"):
             smallest_eigenpair(diag, off)
+
+    @pytest.mark.parametrize("info, match", [
+        (1, "refused the shift .* at the lower bound of the spectrum: info=1"),
+        (-2, "dpttrf failed: info=-2"),
+    ], ids=["not-definite", "illegal-argument"])
+    def test_failed_factorization_raises(self, monkeypatch, rng, info, match):
+        # info > 0 everywhere: the bisection reaches the Gershgorin bound,
+        # where dpttrf must succeed
+        monkeypatch.setattr(SPDTridiagonal, "factor", lambda self: info)
+        with pytest.raises(SolverDiverged, match=match):
+            smallest_eigenpair(rng.uniform(0.5, 3.0, 50), rng.uniform(-0.9, 0.9, 49))
+
+    def test_non_finite_solve_backs_the_shift_off(self, monkeypatch, rng):
+        diag, off = rng.uniform(0.5, 3.0, 50), rng.uniform(-0.9, 0.9, 49)
+        lam, _, _, iterations, tol_eff, _ = smallest_eigenpair(diag, off)
+        solve, calls = SPDTridiagonal.solve, []
+
+        def overflow_once(self):
+            calls.append(1)
+            if len(calls) == 1:
+                self.b[:] = np.inf
+                return 0
+            return solve(self)
+
+        monkeypatch.setattr(SPDTridiagonal, "solve", overflow_once)
+        lam_retry, _, res, iterations_retry, _, lower = smallest_eigenpair(diag, off)
+        assert iterations_retry > iterations
+        assert lower <= lam_retry <= lower + res + tol_eff
+        assert lam_retry == pytest.approx(lam, abs=2.0 * tol_eff)
+
+    @pytest.mark.parametrize("diag, off, error, match", [
+        ([1.0, np.nan], [0.5], SolverDiverged, "non-finite"),
+        (np.ones((2, 2)), [0.5], ValueError, "one dimension"),
+        ([1.0, 2.0, 3.0], [0.5], ValueError, "n - 1 off-diagonal"),
+    ], ids=["nan", "2-d", "short-off"])
+    def test_malformed_matrix(self, diag, off, error, match):
+        with pytest.raises(error, match=match):
+            smallest_eigenpair(np.asarray(diag), np.asarray(off))
+
+    def test_zero_start_is_refused(self, gauss_grid_small):
+        V = ef.hessian_infimum_V(gauss_grid_small)
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            spectrum._solve_quotient(gauss_grid_small, 0.5, V, np.zeros(gauss_grid_small.n))
+
+    def test_readme_grids_take_few_solves(self):
+        # bisection and stein took about 80 Sturm passes per solve; inverse
+        # iteration from the constants takes 1 solve on the Gaussian (its
+        # exact ground state) and a handful on the power and radial grids
+        gauss = ef.make_interval_grid(-8, 8, 2001, ef.harmonic())
+        assert ef.lambda1_linear(1.5, gauss).iterations == 1
+        assert ef.lambda1_pme(0.5, gauss).iterations == 1
+        power = ef.make_interval_grid(-16, 16, 3200, ef.power_law(1.5))
+        for p in (1.2, 1.5, 2.0):
+            assert 1 < ef.lambda1_linear(p, power).iterations <= 10
+        radial = ef.make_radial_grid(3, 12, 4000, ef.harmonic_log(0.05, 3))
+        assert 1 < ef.lambda1_linear(2.0, radial).iterations <= 10
 
 
 class TestLambda1Linear:
