@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg.lapack as scipy_lapack
+from scipy.linalg import eigh_tridiagonal
 
 from entroflow import _lapack
 from entroflow.spectrum import smallest_eigenpair
@@ -170,6 +171,26 @@ def test_pttrf_pttrs_match_scipy_bit_for_bit(lapack, n):
     system.d[:], system.e[:] = d, e
     info = scipy_lapack.dpttrf(d, e)[2]
     assert system.factor() == info > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 101, 2001])
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+def test_eigensolve_matches_eigh_tridiagonal(monkeypatch, lapack, n, split):
+    # indefinite bands; "split" zeroes a tenth of the off-diagonal, so the
+    # matrix falls apart into blocks, each with its own lowest eigenvalue
+    from entroflow import spectrum
+
+    rng = np.random.default_rng(n)
+    d, e = rng.uniform(-3.0, 3.0, n), rng.uniform(-1.0, 1.0, n - 1)
+    if split and n > 1:
+        e[rng.choice(n - 1, size=max(1, (n - 1) // 10), replace=False)] = 0.0
+    want = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 0),
+                            tol=2.0 * np.finfo(float).tiny, lapack_driver="stebz")[0]
+    monkeypatch.setattr(spectrum, "SPDTridiagonal", lambda n: _lapack.SPDTridiagonal(n, lapack))
+    lam, vec, res, _, tol_eff, lower = smallest_eigenpair(d, e)
+    assert lam == pytest.approx(want, abs=1e-11)
+    assert lower <= want and res <= tol_eff
+    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
 
 
 def test_only_the_two_routines_are_bound():
