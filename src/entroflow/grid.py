@@ -121,6 +121,9 @@ def _finish_grid(kind, d, nodes, h, w, faces, face_area, pot) -> Grid:
         mass = float(np.sum(wg))
     if not math.isfinite(mass):
         raise NonFiniteWeight("the weight mass overflows; shrink the domain")
+    if not wg.min() > 0.0:
+        raise NonFiniteWeight("a node weight underflows to 0; shrink the domain or "
+                              "rescale the potential")
     mu = wg / mass
     # the end nodes are written as numpy 2 writes a float64 scalar, from the
     # Python float, so that the ident does not follow numpy's scalar repr

@@ -89,14 +89,16 @@ class Potential:
                     f"power family requires beta in (1, 2]; got {self.beta}"
                 )
         if self.family == "tabulated":
-            for arr in (self.table_x, self.table_F, self.table_dF, self.table_d2F):
-                if arr is None:
-                    raise ParameterError(
-                        "tabulated potential needs x, F, F' and F'' arrays"
-                    )
-            n = len(self.table_x)
-            if any(len(a) != n for a in (self.table_F, self.table_dF, self.table_d2F)):
+            columns = {"x": self.table_x, "F": self.table_F, "dF": self.table_dF,
+                       "d2F": self.table_d2F}
+            if any(a is None for a in columns.values()):
+                raise ParameterError("tabulated potential needs x, F, F' and F'' arrays")
+            if any(len(a) != len(self.table_x) for a in columns.values()):
                 raise ParameterError("tabulated arrays must have equal length")
+            for name, a in columns.items():
+                bad = np.flatnonzero(~np.isfinite(a))
+                if len(bad):
+                    raise ParameterError(f"tabulated column {name} is not finite at row {bad[0]}")
 
     @property
     def singular_at_origin(self) -> bool:

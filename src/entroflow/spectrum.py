@@ -20,6 +20,7 @@ Rayleigh quotient (the returned eigenvalue) and its residual norm are each
 one correctly rounded sum (:func:`grid._fsum_into`), not a BLAS dot product,
 so the eigenvalue is the same double whatever the BLAS thread count; every
 step is O(n) and works in place in five n-sized arrays besides T.
+:func:`epsilon_star` needs only the sign of lambda1: one Sturm test a point.
 """
 
 from __future__ import annotations
@@ -121,6 +122,17 @@ def _rayleigh(diag, off, system, tx, work) -> tuple[float, float] | None:
     return rho, math.sqrt(_fsum_into(np.square(d, out=d), work))
 
 
+def _factor_at(diag, off, system, sigma: float) -> int:
+    """dpttrf's ``info`` for T - sigma I, written into ``system`` and factored:
+    0 exactly where it is positive definite; SolverDiverged where info < 0."""
+    np.subtract(diag, sigma, out=system.d)
+    system.e[:] = off
+    info = system.factor()
+    if info < 0:
+        raise SolverDiverged(f"LAPACK dpttrf failed: info={info}")
+    return info
+
+
 def _factor_shifted(diag, off, system, sigma: float, lo: float,
                     hi: float) -> tuple[float, float]:
     """Factor T - s I into ``system`` (LAPACK dpttrf) at the first shift s,
@@ -137,13 +149,9 @@ def _factor_shifted(diag, off, system, sigma: float, lo: float,
             sigma = lo + 0.5 * (hi - lo)
             if sigma >= hi:  # no double between lo and hi
                 sigma = lo
-        np.subtract(diag, sigma, out=system.d)
-        system.e[:] = off
-        info = system.factor()
+        info = _factor_at(diag, off, system, sigma)
         if info == 0:
             return max(lo, sigma), hi
-        if info < 0:
-            raise SolverDiverged(f"LAPACK dpttrf failed: info={info}")
         if sigma <= lo:
             raise SolverDiverged(f"LAPACK dpttrf refused the shift {sigma!r} at the lower "
                                  f"bound of the spectrum: info={info}")
@@ -183,10 +191,7 @@ def _inverse_iteration(diag, off, system) -> tuple[float, np.ndarray, float, int
     d[:-1] -= abs_off
     d[1:] -= abs_off
     lo, hi = float(d.min()) - tol, math.inf
-    quotient = _rayleigh(diag, off, system, tx, work)
-    if quotient is None:
-        raise ValueError("the start vector must be finite and nonzero")
-    rho, delta = quotient
+    rho, delta = _rayleigh(diag, off, system, tx, work)
     iterations, backoff = 0, 0.0
     while iterations == 0 or not (delta <= tol and lo >= rho - delta - tol):
         if iterations == _MAX_SOLVES:
@@ -232,20 +237,15 @@ def _assemble_symmetrized(
     return diag, off
 
 
-def _solve_quotient(grid: Grid, grad_coeff: float, V: np.ndarray,
-                    start: np.ndarray | None = None) -> SpectralResult:
-    """The quotient's smallest eigenpair, from ``start`` (an eigenvector
-    guess as :attr:`SpectralResult.eigenvector` holds it) or else from the
-    constants, the exact ground state when V is constant.  V is released
-    once assembled, so a caller that passes its only reference frees it
-    before the solve."""
+def _solve_quotient(grid: Grid, grad_coeff: float, V: np.ndarray) -> SpectralResult:
+    """The quotient's smallest eigenpair, from the constants, the exact
+    ground state when V is constant.  V is released once assembled, so a
+    caller that passes its only reference frees it before the solve."""
     mass = grid.node_mass
     system = SPDTridiagonal(grid.n)
     # sqrt(node_mass) is the symmetrized form of the constants
     diag, off = _assemble_symmetrized(mass, grid.conductance, grad_coeff, V, root=system.b)
     del V
-    if start is not None:
-        system.b *= start
     lam, y, residual, iterations, tol_eff, _ = _inverse_iteration(diag, off, system)
     del system, diag, off
     w = y / np.sqrt(mass / grid.weight_mass)
@@ -285,31 +285,33 @@ def epsilon_star(p: float, grid: Grid) -> float:
 
     nonnegative (>= -_EIG_FLOOR), to within _EPS_STAR_TOL by bisection.
     Returns 0 if even eps -> 0+ fails; the gradient coefficient must stay
-    nonnegative, which caps eps at (1-alpha)/alpha.  Each eigensolve starts
-    from the eigenvector of the previous one.
+    nonnegative, which caps eps at (1-alpha)/alpha.  Each point is one Sturm
+    test: dpttrf factors T(eps) + _EIG_FLOOR I exactly when every eigenvalue
+    of T(eps), the matrix the eigensolve would see, lies above -_EIG_FLOOR.
+    A non-finite T(eps), whose NaN dpttrf would pass, raises SolverDiverged.
     """
     if not (1.0 < p < 2.0):
         raise ParameterError(f"p must lie strictly in (1, 2); got {p}")
     _, _, alpha = _exponents(1.0, p)  # (2 - p)/p
     cap = (1.0 - alpha) / alpha
     V = hessian_infimum_V(grid)
-    start = None
+    system = SPDTridiagonal(grid.n)
 
-    def smallest(eps: float) -> float:
-        nonlocal start
+    def feasible(eps: float) -> bool:
         coeff = max(0.0, 1.0 - alpha * (1.0 + eps))
-        res = _solve_quotient(grid, coeff, V, start)
-        start = res.eigenvector
-        return res.lam
+        diag, off = _assemble_symmetrized(grid.node_mass, grid.conductance, coeff, V)
+        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+            raise SolverDiverged("the tridiagonal matrix has non-finite entries")
+        return _factor_at(diag, off, system, -_EIG_FLOOR) == 0
 
-    if smallest(cap) >= -_EIG_FLOOR:
+    if feasible(cap):
         return cap
-    if smallest(0.0) < -_EIG_FLOOR:
+    if not feasible(0.0):
         return 0.0
     lo, hi = 0.0, cap  # feasible at lo, infeasible at hi
     while hi - lo > _EPS_STAR_TOL:
         mid = 0.5 * (lo + hi)
-        if smallest(mid) >= -_EIG_FLOOR:
+        if feasible(mid):
             lo = mid
         else:
             hi = mid

@@ -32,7 +32,7 @@ import numpy as np
 from . import criteria, spectrum
 from .errors import ConfigError, NonPositiveData, ParameterError, WindowTooShort
 from .functionals import LinearParams, PmeParams
-from .grid import Grid, dirichlet_form, gradient_sq, integrate_dgamma
+from .grid import Grid, _fsum_into, dirichlet_form, gradient_sq, integrate_dgamma
 from .spectrum import SpectralResult
 
 __all__ = [
@@ -93,8 +93,12 @@ def check_envelope(trace, envelope, column: str = "E", name: str | None = None) 
 
 
 def _fit_rate(t: np.ndarray, y: np.ndarray) -> float:
-    slope, _ = np.polyfit(t, np.log(y), 1)
-    return -float(slope)
+    """Negated least-squares slope of log(y) on t in closed form, from
+    correctly rounded sums (:func:`grid._fsum_into`)."""
+    work = np.empty(len(t))
+    tc, lc = t - _fsum_into(t.copy(), work) / len(t), np.log(y)
+    lc -= _fsum_into(lc.copy(), work) / len(lc)
+    return -_fsum_into(tc * lc, work) / _fsum_into(tc * tc, work)
 
 
 def fit_exponential_rate(trace, column: str, window: tuple[float, float] | None = None) -> float:
@@ -323,13 +327,14 @@ def run_checks(trace, checks, geometry, lambda1=None, trials: int = 100, seed: i
 
     ``checks`` lists names of ``CHECKS`` (None: envelope and dissipation);
     verdicts follow the table's order.  An empty list, an unknown name, a
-    check on a trace kind it does not apply to, or ``refined`` at p = 2
-    raises ConfigError before ``geometry`` (a callable returning the trace's
-    grid, called at most once) or any eigensolve runs, and a non-finite
-    ``lambda1`` raises ParameterError; a grid other than the one
-    the trace records raises ConfigError.  The flow's eigenpair,
-    lambda1_linear(p) or lambda1_pme(theta), is solved at most once; a given
-    ``lambda1`` replaces its eigenvalue.  ``refined`` audits at the grid's
+    check on a trace kind it does not apply to, ``refined`` at p = 2 or
+    ``dissipation`` on a trace of fewer than 3 snapshots raises ConfigError
+    before ``geometry`` (a callable returning the trace's grid, called at
+    most once) or any eigensolve runs, and a non-finite ``lambda1`` raises
+    ParameterError; a grid other than the one the trace records raises
+    ConfigError.  The flow's eigenpair, lambda1_linear(p) or
+    lambda1_pme(theta), is solved at most once; a given ``lambda1`` replaces
+    its eigenvalue.  ``refined`` audits at the grid's
     :func:`spectrum.epsilon_star` (a ConfigError where it is 0).  p, m and
     theta are the trace's (theta defaults to 0.5): a verdict is a function of
     the trace and of ``lambda1``, ``trials`` and ``seed``.
@@ -350,6 +355,9 @@ def run_checks(trace, checks, geometry, lambda1=None, trials: int = 100, seed: i
         raise ParameterError(f"lambda1 must be finite; got {lambda1}")
     if "refined" in checks and LinearParams(p).alpha <= 0.0:
         raise ConfigError("refined inequalities need p < 2")
+    if "dissipation" in checks and len(trace.t) < 3:
+        raise ConfigError("the dissipation audit needs at least 3 snapshots; "
+                          f"the trace has {len(trace.t)}")
     if kind == "pme":
         m, theta = float(trace.config["m"]), trace.config.get("theta")
         theta = 0.5 if theta is None else float(theta)

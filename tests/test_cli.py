@@ -347,11 +347,15 @@ def report_traces(artifacts, tmp_path_factory):
                  "--tend", "0.2", "--init", "bump:0.4", "--trace", str(d / "pme.csv")]) == 0
     assert main(["flow", "linear", "--p", "2.0", *common, "--tend", "0.1",
                  "--trace", str(d / "p2.csv"), "--fields", str(d / "p2.npz")]) == 0
+    # one step: the trace holds the two snapshots t = 0 and t = dt
+    assert main(["flow", "linear", "--n", "201", "--tend", "1e-3", "--dt", "1e-3",
+                 "--trace", str(d / "short.csv")]) == 0
     _, trace, fields = artifacts
     return {
         "linear": ["--trace", str(trace), "--fields", str(fields)],
         "pme": ["--trace", str(d / "pme.csv")],
         "p2": ["--trace", str(d / "p2.csv"), "--fields", str(d / "p2.npz")],
+        "short": ["--trace", str(d / "short.csv")],
     }
 
 
@@ -364,8 +368,10 @@ class TestReportChecks:
         ("pme", "envelope,refined", "the refined check applies to linear traces"),
         ("linear", "dissipation,lemma", "the lemma check applies to pme traces"),
         ("p2", "refined", "refined inequalities need p < 2"),
+        ("short", "envelope,dissipation",
+         "the dissipation audit needs at least 3 snapshots; the trace has 2"),
     ], ids=["unknown", "unknown-among-valid", "poincare-on-pme", "refined-on-pme",
-            "lemma-on-linear", "refined-at-p2"])
+            "lemma-on-linear", "refined-at-p2", "dissipation-on-2-snapshots"])
     def test_rejected_before_any_solve(self, report_traces, monkeypatch, capsys,
                                        trace, checks, message):
         # a typo used to print [] and exit 0; misapplied checks now fail

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,19 @@ class TestIntervalGrid:
         pot = ef.tabulated(x, F, np.zeros_like(x), np.zeros_like(x))
         with pytest.raises(NonFiniteWeight):
             ef.make_interval_grid(-1.0, 1.0, 33, pot)
+
+    @pytest.mark.parametrize("where", ["everywhere", "at the ends"])
+    def test_underflowing_node_weight_rejected(self, where):
+        # e^{-744} is a positive subnormal, but times the spacing the node
+        # weight underflows: a zero mass made the dgamma weights NaN, and a
+        # zero node mass a non-finite eigensolve matrix and a singular flow
+        x = np.linspace(-1, 1, 33)
+        F = np.full_like(x, 744.0) if where == "everywhere" else np.where(abs(x) > 0.9, 744.0, 0.0)
+        pot = ef.tabulated(x, F, np.zeros_like(x), np.zeros_like(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteWeight, match="node weight underflows to 0"):
+                ef.make_interval_grid(-1.0, 1.0, 33, pot)
 
 
 class TestRadialGrid:

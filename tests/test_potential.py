@@ -68,6 +68,18 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             ef.evaluate(pot, 0.123456)  # off-node query
 
+    @pytest.mark.parametrize("column", ["x", "F", "dF", "d2F"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_tabulated_rejects_non_finite_cells(self, column, bad):
+        # a NaN F'' cell used to fail lambda1 as a numerical failure and to
+        # pass a linear flow
+        x = np.linspace(-2, 2, 33)
+        table = dict(x=x, F=0.5 * x * x, dF=x, d2F=np.ones_like(x))
+        table[column] = table[column].copy()
+        table[column][5] = bad
+        with pytest.raises(ParameterError, match=f"column {column} is not finite at row 5"):
+            ef.tabulated(table["x"], table["F"], table["dF"], table["d2F"])
+
 
 class TestHessianInfimum:
     def test_harmonic_everywhere_one(self, gauss_grid):

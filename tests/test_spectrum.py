@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 import entroflow as ef
 from entroflow import spectrum
@@ -144,11 +144,6 @@ class TestSolverAgainstLapack:
     def test_malformed_matrix(self, diag, off, error, match):
         with pytest.raises(error, match=match):
             smallest_eigenpair(np.asarray(diag), np.asarray(off))
-
-    def test_zero_start_is_refused(self, gauss_grid_small):
-        V = ef.hessian_infimum_V(gauss_grid_small)
-        with pytest.raises(ValueError, match="finite and nonzero"):
-            spectrum._solve_quotient(gauss_grid_small, 0.5, V, np.zeros(gauss_grid_small.n))
 
     def test_readme_grids_take_few_solves(self):
         # bisection and stein took about 80 Sturm passes per solve; inverse
@@ -382,17 +377,111 @@ def _negative_hessian_potential(n=201):
     return ef.tabulated(x, np.cos(k * x), -k * np.sin(k * x), -k * k * np.cos(k * x)), x
 
 
+def _perturbed_gaussian_grid(phi):
+    """x^2/2 + phi(x) tabulated on [-10, 10], n = 4001; ``phi`` returns
+    (phi, phi', phi'') at x."""
+    x = np.linspace(-10, 10, 4001)
+    f, df, d2f = phi(x)
+    return ef.make_interval_grid(-10, 10, len(x), ef.tabulated(x, x * x / 2 + f, x + df, 1 + d2f))
+
+
+def _cos(a, k):
+    return lambda x: (a * np.cos(k * x), -a * k * np.sin(k * x), -a * k * k * np.cos(k * x))
+
+
+def _log(c):
+    return lambda x: (c * np.log1p(x * x), 2 * c * x / (1 + x * x),
+                      2 * c * (1 - x * x) / (1 + x * x) ** 2)
+
+
+# the perturbations of the Bakry-Emery comparison tables, and epsilon_star
+# at p = 1.2, 1.5, 1.8 as the eigensolve-driven bisection found it
+_TABLES = {
+    "0.5cos(x)": (_cos(0.5, 1), [0.49999999999999983, 2.0000000000000004, 8.000000000000004]),
+    "0.3cos(2x)": (_cos(0.3, 2), [0.4740600585937499, 1.9481811523437504, 7.8445434570312536]),
+    "0.5cos(2x)": (_cos(0.5, 2), [0.12176513671874997, 1.2435302734375004, 5.730651855468752]),
+    "-1.0log(1+x^2)": (_log(-1.0), [0.12493896484374997, 1.2499389648437504,
+                                    5.749938964843752]),
+    "-1.5log(1+x^2)": (_log(-1.5), [0.0, 0.10266113281250003, 2.308105468750001]),
+}
+_P_TABLE = (1.2, 1.5, 1.8)
+
+
+@pytest.fixture(scope="module")
+def table_grids():
+    return {name: _perturbed_gaussian_grid(phi) for name, (phi, _) in _TABLES.items()}
+
+
+def _cap(p):
+    alpha = (2 - p) / p
+    return (1 - alpha) / alpha
+
+
+def _lowest(grid, p, eps):
+    """Smallest eigenvalue of the modified quotient's matrix at eps, by LAPACK's
+    stebz, independent of dpttrf."""
+    alpha = (2 - p) / p
+    coeff = max(0.0, 1 - alpha * (1 + eps))
+    diag, off = _assemble_symmetrized(grid.node_mass, grid.conductance, coeff,
+                                      ef.hessian_infimum_V(grid))
+    return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
+
+
+class _CountingSystem(SPDTridiagonal):
+    factors = solves = 0
+
+    def factor(self):
+        type(self).factors += 1
+        return super().factor()
+
+    def solve(self):
+        type(self).solves += 1
+        return super().solve()
+
+
 class TestEpsilonStar:
     def test_gaussian_reaches_cap(self, gauss_grid_small):
-        p = 1.5
-        alpha = (2 - p) / p
-        cap = (1 - alpha) / alpha
-        assert ef.epsilon_star(p, gauss_grid_small) == pytest.approx(cap)
+        assert ef.epsilon_star(1.5, gauss_grid_small) == _cap(1.5) == 2.0000000000000004
 
     def test_flat_reaches_cap(self, flat_grid):
-        p = 1.5
-        alpha = (2 - p) / p
-        assert ef.epsilon_star(p, flat_grid) == pytest.approx((1 - alpha) / alpha)
+        assert ef.epsilon_star(1.5, flat_grid) == _cap(1.5)
+
+    @pytest.mark.parametrize("name", _TABLES)
+    def test_tables_keep_the_eigensolve_bits(self, table_grids, name):
+        eps = [ef.epsilon_star(p, table_grids[name]) for p in _P_TABLE]
+        assert eps == _TABLES[name][1]
+
+    @pytest.mark.parametrize("name", _TABLES)
+    def test_tables_against_stebz(self, table_grids, name):
+        # inside (0, cap) the quotient is nonnegative (to the floor) at
+        # epsilon_star and negative one bisection width beyond it
+        for p in _P_TABLE:
+            grid, eps = table_grids[name], ef.epsilon_star(p, table_grids[name])
+            if 0.0 < eps < _cap(p):
+                assert _lowest(grid, p, eps) >= -spectrum._EIG_FLOOR
+                assert _lowest(grid, p, eps + spectrum._EPS_STAR_TOL) < -spectrum._EIG_FLOOR
+
+    def test_one_factorization_per_bisection_point(self, table_grids, gauss_grid_small,
+                                                    monkeypatch):
+        # one Sturm test per point and no solve: where neither end decides,
+        # 2 end tests and ceil(log2(cap / 1e-4)) midpoints; 1 where the cap passes
+        monkeypatch.setattr(spectrum, "SPDTridiagonal", _CountingSystem)
+        _CountingSystem.solves, counts = 0, []
+        for grid, p in [(table_grids["0.5cos(2x)"], p) for p in _P_TABLE] + [
+                (gauss_grid_small, 1.5)]:
+            _CountingSystem.factors = 0
+            ef.epsilon_star(p, grid)
+            counts.append(_CountingSystem.factors)
+        assert counts == [15, 17, 19, 1]
+        assert _CountingSystem.solves == 0
+
+    def test_non_finite_matrix_raises(self, gauss_grid_small, monkeypatch):
+        # dpttrf's pivot test d <= 0 lets NaN through as positive definite
+        V = ef.hessian_infimum_V(gauss_grid_small)
+        V[7] = np.nan
+        monkeypatch.setattr(spectrum, "hessian_infimum_V", lambda grid: V)
+        with pytest.raises(SolverDiverged, match="non-finite"):
+            ef.epsilon_star(1.5, gauss_grid_small)
 
     def test_negative_hessian_fails_even_at_zero(self):
         pot, x = _negative_hessian_potential()

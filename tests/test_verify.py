@@ -9,7 +9,9 @@ import pytest
 
 import entroflow as ef
 from entroflow.errors import ConfigError, NonPositiveData, WindowTooShort
-from entroflow.verify import _median, _poincare_sides, _poincare_slack, _trial_field
+from entroflow.verify import (
+    _fit_rate, _median, _poincare_sides, _poincare_slack, _trial_field,
+)
 
 
 def _synthetic_trace(rate=3.0, p=1.5, n=400, t_end=2.0):
@@ -54,6 +56,25 @@ class TestFitExponentialRate:
         tr.E[5] = 0.0
         with pytest.raises(NonPositiveData):
             ef.fit_exponential_rate(tr, "E")
+
+
+class TestFitRate:
+    def test_matches_polyfit_and_mpmath(self, rng):
+        mpmath = pytest.importorskip("mpmath")
+        for _ in range(20):
+            n = int(rng.integers(10, 2000))
+            t = np.sort(rng.uniform(0.0, 10.0, n))
+            y = np.exp(-rng.uniform(0.1, 5.0) * t + rng.normal(0.0, 0.1, n))
+            rate = _fit_rate(t, y)
+            assert rate == pytest.approx(-np.polyfit(t, np.log(y), 1)[0], rel=1e-14)
+            # the least-squares slope in 50 digits, from the logs numpy took
+            with mpmath.workdps(50):
+                tm = [mpmath.mpf(float(v)) for v in t]
+                lm = [mpmath.mpf(float(v)) for v in np.log(y)]
+                tbar, lbar = mpmath.fsum(tm) / n, mpmath.fsum(lm) / n
+                slope = (mpmath.fsum((a - tbar) * (b - lbar) for a, b in zip(tm, lm))
+                         / mpmath.fsum((a - tbar) ** 2 for a in tm))
+            assert rate == pytest.approx(-float(slope), rel=1e-15)
 
 
 class TestCheckEnvelope:
