@@ -254,17 +254,36 @@ class Trace:
         return cls(*np.asarray(rows).T, config=config, grid_id=grid_id, **kwargs)
 
     def save_fields(self, path) -> None:
+        """Write the stored snapshots to the NPZ ``path`` (the name as given):
+        the members ``indices``, ``fields`` (one row per snapshot), ``t`` and
+        ``grid_id``, uncompressed, the bytes ``np.savez`` writes for them.
+        ``fields`` is written row by row after its header, so no snapshot
+        matrix, nor a byte copy of one, is built."""
         if not self.fields:
             raise ConfigError("trace has no stored fields")
-        idx = np.array([i for i, _ in self.fields], dtype=int)
-        mat = np.stack([v for _, v in self.fields])
-        np.savez(path, indices=idx, fields=mat, t=self.t, grid_id=self.grid_id)
+        rows = [v for _, v in self.fields]
+        header = {**np.lib.format.header_data_from_array_1_0(rows[0]),
+                  "shape": (len(rows), len(rows[0]))}
+        # None: the snapshots, written row by row
+        members = {"indices": np.array([i for i, _ in self.fields], dtype=int),
+                   "fields": None, "t": self.t, "grid_id": np.asarray(self.grid_id)}
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+            for name, value in members.items():
+                with zf.open(name + ".npy", "w", force_zip64=True) as fh:
+                    if value is not None:
+                        np.lib.format.write_array(fh, value)
+                        continue
+                    np.lib.format.write_array_header_1_0(fh, header)
+                    for v in rows:
+                        fh.write(memoryview(v))
 
     def load_fields(self, path) -> None:
         """Read snapshots written by :meth:`save_fields` for this trace.  A
-        file that is not such an NPZ, or that another run wrote (other grid,
-        other snapshot times, or a field whose minimum is not the trace's
-        ``min_v`` at its index), raises ConfigError naming it."""
+        file that is not such an NPZ (``fields`` not a matrix with one row per
+        index), or that another run wrote (rows of other than the ``n`` of the
+        trace's ``meta["geometry"]``, other grid, other snapshot times, or a
+        field whose minimum is not the trace's ``min_v`` at its index), raises
+        ConfigError naming it."""
         with open(path, "rb") as fh:
             try:
                 data = np.load(fh, allow_pickle=False)
@@ -272,6 +291,14 @@ class Trace:
                 indices, fields = data["indices"], data["fields"]
             except (ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile) as exc:
                 raise ConfigError(f"cannot read field file {path}: {exc}") from None
+        if fields.ndim != 2 or indices.shape != fields.shape[:1]:
+            raise ConfigError(
+                f"field file {path}: fields of shape {fields.shape} for "
+                f"{indices.size} indices; expected one row per index")
+        n = (self.meta.get("geometry") or {}).get("n")
+        if n is not None and fields.shape[1] != n:
+            raise ConfigError(
+                f"field file {path}: rows of {fields.shape[1]} values, the grid has {n} nodes")
         if gid and self.grid_id and gid != self.grid_id:
             raise ConfigError(
                 f"field file was written for grid {gid}, trace has {self.grid_id}"

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -115,17 +116,18 @@ def fit_exponential_rate(trace, column: str, window: tuple[float, float] | None 
     return _fit_rate(t, y)
 
 
-def _trial_field(grid: Grid, rng: np.random.Generator) -> np.ndarray:
-    """A random positive trial: a few Gaussian bumps plus low-frequency cosines."""
+def _trial_field(grid: Grid, rng: random.Random) -> np.ndarray:
+    """A random positive trial: a few Gaussian bumps plus low-frequency cosines,
+    their counts, centres, widths and amplitudes drawn from ``rng``."""
     x = grid.nodes
     span = x[-1] - x[0]
     u = np.zeros(grid.n)
-    for _ in range(int(rng.integers(1, 6))):
+    for _ in range(rng.randrange(1, 6)):
         center = rng.uniform(x[0] + 0.1 * span, x[-1] - 0.1 * span)
         width = rng.uniform(0.05, 0.2) * span
         amp = rng.uniform(-1.0, 1.0)
         u += amp * np.exp(-0.5 * np.square((x - center) / width))
-    for j in range(int(rng.integers(1, 4))):
+    for j in range(rng.randrange(1, 4)):
         amp = rng.uniform(-0.5, 0.5)
         u += amp * np.cos((x - x[0]) * (math.pi * (j + 1)) / span)
     scale = np.abs(u).max()
@@ -167,8 +169,10 @@ def poincare_test(
     extra_trials: tuple = (),
 ) -> Verdict:
     """Interpolation inequality between variance-type entropy and the Dirichlet
-    form with constant ``spectral.lam``, tested on seeded random positive
-    trials plus ``spectral.eigenvector`` (from lambda1_linear(p)) as trial #0;
+    form with constant ``spectral.lam``, tested on ``trials`` random positive
+    trials (:func:`_trial_field`, drawn from the standard library's
+    ``random.Random(seed)``, which unlike ``numpy.random`` loads no OpenSSL)
+    plus ``spectral.eigenvector`` (from lambda1_linear(p)) as trial #0;
     ``extra_trials`` lets a caller inject deliberately near-extremal fields.
 
     With ``weak_lambda1`` set (e.g. (p-1) * lambda1(2)), the same trials are
@@ -185,7 +189,7 @@ def poincare_test(
             f"the inequality needs a finite positive eigenvalue; got {spectral.lam}")
     if trials < 0 or seed < 0:
         raise ParameterError(f"trials and seed must be nonnegative; got {trials}, {seed}")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     eig = spectral.eigenvector
     trial0 = np.maximum(np.abs(eig), 1e-8 * np.max(np.abs(eig)))
     fields = itertools.chain(

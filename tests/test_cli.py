@@ -729,6 +729,31 @@ class TestMalformedInput:
         assert "was written for other snapshot times" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("case, message", [
+        ("few-indices", "fields of shape (21, 201) for 3 indices"),
+        ("cut-rows", "rows of 50 values, the grid has 201 nodes"),
+    ], ids=["few-indices", "cut-rows"])
+    def test_malformed_fields_exit_2(self, tmp_path, capsys, case, message):
+        # 21 fields of a 201-node run: with 3 indices report audited 3 of them
+        # and exited 0; rows cut to 50 values ended in a ValueError traceback
+        trace, fields = tmp_path / "run.csv", tmp_path / "run.npz"
+        assert main(["flow", "linear", "--p", "1.5", "--n", "201", "--tend", "0.04",
+                     "--dt", "1e-3", "--stride", "1", "--audit-stride", "2",
+                     "--init", "odd:0.2", "--trace", str(trace), "--fields", str(fields)]) == 0
+        with np.load(fields) as data:
+            members = dict(data)
+        if case == "few-indices":
+            members["indices"] = members["indices"][:3]
+        else:
+            members["fields"] = members["fields"][:, :50]
+        np.savez(fields, **members)
+        capsys.readouterr()
+        assert main(["report", "--trace", str(trace), "--fields", str(fields),
+                     "--checks", "refined"]) == 2
+        err = capsys.readouterr().err
+        assert f"field file {fields}: {message}" in err
+        assert "Traceback" not in err
+
 
 def _write_config(tmp_path, cfg) -> str:
     path = tmp_path / "cfg.json"

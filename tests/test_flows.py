@@ -1,5 +1,7 @@
 """Time integration: conservation, decay, trace round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -467,9 +469,64 @@ class TestTraceIO:
         )
         tr.load_fields(path)
         assert len(tr.fields) == len(linear_run_p15.fields)
-        idx0, v0 = tr.fields[0]
-        assert idx0 == linear_run_p15.fields[0][0]
-        assert_allclose(v0, linear_run_p15.fields[0][1], rtol=0, atol=0)
+        for (i, v), (j, w) in zip(tr.fields, linear_run_p15.fields):
+            assert i == j and np.array_equal(v, w)
+
+    def test_fields_file_is_the_savez_bytes(self, linear_run_p15, tmp_path):
+        # the row-by-row writer against np.savez of the stacked snapshots
+        tr = linear_run_p15
+        ours, oracle = tmp_path / "ours.npz", tmp_path / "oracle.npz"
+        tr.save_fields(ours)
+        np.savez(oracle, indices=np.array([i for i, _ in tr.fields], dtype=int),
+                 fields=np.stack([v for _, v in tr.fields]), t=tr.t, grid_id=tr.grid_id)
+        assert ours.read_bytes() == oracle.read_bytes()
+
+    def test_fields_file_takes_the_name_given(self, linear_run_p15, tmp_path):
+        # np.savez appended ".npz" to this name, so the file was not at the path
+        path = tmp_path / "fields.bin"
+        linear_run_p15.save_fields(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["fields.bin"]
+        linear_run_p15.load_fields(path)
+
+    def test_fields_are_written_without_a_snapshot_matrix(self, linear_run_p15, tmp_path):
+        # np.stack and np.savez's tobytes each held a k x n copy of the snapshots
+        k, n = len(linear_run_p15.fields), len(linear_run_p15.fields[0][1])
+        tracemalloc.start()
+        try:
+            linear_run_p15.save_fields(tmp_path / "fields.npz")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < k * n * 8
+
+    @pytest.mark.parametrize("case, message", [
+        ("few-indices", r"fields of shape \(21, 201\) for 3 indices"),
+        ("vector", r"fields of shape \(201,\) for 1 indices"),
+        ("cut-rows", "rows of 50 values, the grid has 201 nodes"),
+    ], ids=["few-indices", "vector", "cut-rows"])
+    def test_malformed_fields_are_rejected(self, gauss_pot, tmp_path, case, message):
+        # zip() cut the 21 rows to the 3 indices; 50-value rows passed the
+        # min_v check and broke the refined audit
+        grid = ef.make_interval_grid(-8.0, 8.0, 201, gauss_pot)
+        cfg = ef.FlowConfig(kind="linear", p=1.5, init="odd:0.2", t_end=0.04, dt=1e-3,
+                            stride=1, audit_stride=2)
+        trace = ef.run_linear(cfg, grid)
+        trace.meta["geometry"] = {"n": grid.n}  # as the flow command records it
+        path = tmp_path / "fields.npz"
+        trace.save_fields(path)
+        with np.load(path) as data:
+            members = dict(data)
+        assert members["fields"].shape == (21, 201)
+        if case == "few-indices":
+            members["indices"] = members["indices"][:3]
+        elif case == "vector":
+            members["indices"], members["fields"] = members["indices"][:1], members["fields"][0]
+        else:
+            members["fields"] = members["fields"][:, :50]
+        np.savez(path, **members)
+        with pytest.raises(ConfigError, match=message) as err:
+            trace.load_fields(path)
+        assert str(path) in str(err.value)
 
     def test_fields_of_another_run_are_rejected(self, linear_run_p15, gauss_grid,
                                                 tmp_path):

@@ -1,5 +1,5 @@
 """What a CLI process loads: each command imports the modules it runs and no
-more, and no command but the linear ``report`` maps OpenSSL.
+more, no command maps OpenSSL, and none imports ``numpy.random``.
 
 Each command runs in a fresh interpreter, since this test process has
 imported everything already.  A top-level import that drags a module back
@@ -25,26 +25,29 @@ PME = ["flow", "pme", "--m", "1.2", "--p", "1.5", "--theta", "0.5", *GRID, "--te
        "--dt", "1e-3", "--init", "bump:0.4", "--trace", "pme.csv"]
 
 # a line of the probe: the command's exit code, the entroflow submodules
-# loaded and whether OpenSSL's hashlib backend was
+# loaded, whether OpenSSL's hashlib backend was and whether numpy.random was
 PROBE = """
 import contextlib, io, json, sys
 from entroflow.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     rc = main(sys.argv[1:])
 print(json.dumps([rc, sorted(m.partition(".")[2] for m in sys.modules
-                             if m.startswith("entroflow.")), "_hashlib" in sys.modules]))
+                             if m.startswith("entroflow.")), "_hashlib" in sys.modules,
+                  "numpy.random" in sys.modules]))
 """
 
 
-def _loaded(argv: list[str], cwd: Path) -> tuple[set[str], bool]:
+def _loaded(argv: list[str], cwd: Path) -> set[str]:
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *argv], cwd=cwd, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    rc, modules, openssl = json.loads(proc.stdout.splitlines()[-1])
+    rc, modules, openssl, numpy_random = json.loads(proc.stdout.splitlines()[-1])
     assert rc == 0, proc.stderr
-    return set(modules), openssl
+    assert not openssl, f"{argv[0]} mapped OpenSSL"
+    assert not numpy_random, f"{argv[0]} imported numpy.random"
+    return set(modules)
 
 
 @pytest.fixture(scope="module")
@@ -56,25 +59,27 @@ def runs(tmp_path_factory):
     return d
 
 
-@pytest.mark.parametrize("argv, modules, openssl", [
-    (["lambda1", "--p", "1.5", *GRID], {"_lapack", "spectrum"}, False),
+@pytest.mark.parametrize("argv, modules", [
+    (["lambda1", "--p", "1.5", *GRID], {"_lapack", "spectrum"}),
     (["constants", "--m", "1.2", "--p", "1.5", "--theta", "0.5", "--lambda1", "1.0"],
-     {"criteria"}, False),
+     {"criteria"}),
     (["constants", "--m", "1.2", "--p", "1.5", "--theta", "0.5", *GRID],
-     {"criteria", "_lapack", "spectrum"}, False),
-    (["region", "--samples", "5"], {"criteria"}, False),
-    (LINEAR, {"_lapack", "flows"}, False),
-    (PME, {"_lapack", "flows"}, False),
-    # numpy.random's SeedSequence imports secrets -> hmac -> _hashlib
+     {"criteria", "_lapack", "spectrum"}),
+    (["region", "--samples", "5"], {"criteria"}),
+    (LINEAR, {"_lapack", "flows"}),
+    (PME, {"_lapack", "flows"}),
+    # the poincare trials come from random.Random, whose module imports the
+    # builtin _sha512 (_sha2 on 3.12+); numpy.random's SeedSequence would
+    # import secrets -> hmac -> _hashlib
     (["report", "--trace", "lin.csv", "--fields", "lin.npz", "--trials", "5",
       "--checks", "envelope,dissipation,poincare,refined"],
-     {"_lapack", "flows", "verify", "criteria", "spectrum"}, True),
+     {"_lapack", "flows", "verify", "criteria", "spectrum"}),
     (["report", "--trace", "pme.csv", "--checks", "envelope,dissipation,lemma"],
-     {"_lapack", "flows", "verify", "criteria", "spectrum"}, False),
+     {"_lapack", "flows", "verify", "criteria", "spectrum"}),
 ], ids=["lambda1", "constants-given", "constants-solved", "region", "flow-linear",
         "flow-pme", "report-linear", "report-pme"])
-def test_command_loads_only_what_it_runs(runs, argv, modules, openssl):
-    assert _loaded(argv, runs) == (BASE | modules, openssl)
+def test_command_loads_only_what_it_runs(runs, argv, modules):
+    assert _loaded(argv, runs) == BASE | modules
 
 
 def test_import_loads_no_submodule():
