@@ -201,8 +201,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
     trace.meta["geometry"] = geometry
     if args.trace:
         trace.to_csv(args.trace)
-    if args.fields:
-        trace.save_fields(args.fields)
     print(
         f"t_end={trace.t[-1]:.6g} E={trace.E[-1]:.12g} I={trace.I[-1]:.12g} "
         f"mass_drift={trace.mass_drift:.3e} min_v={trace.min_v.min():.6g}"
@@ -310,8 +308,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     from . import flows, verify
 
     trace = flows.Trace.from_csv(args.trace)
-    if args.fields:
-        trace.load_fields(args.fields)
     # only the flags given: run_checks owns the defaults
     given = {k: v for k, v in vars(args).items()
              if k in ("lambda1", "trials", "seed") and v is not None}
@@ -379,9 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dt", type=float)
     sp.add_argument("--init", help="bump:A | odd:A | const | csv:path")
     sp.add_argument("--stride", type=int)
-    sp.add_argument("--audit-stride", type=int)
     sp.add_argument("--trace", help="trace CSV output path")
-    sp.add_argument("--fields", help="stored-field NPZ output path")
+    sp.add_argument("--fields", help="ignored; kept so older scripts still parse")
     _add_geometry_flags(sp)
     sp.set_defaults(func=cmd_flow)
 
@@ -409,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("report", "verification checks over a trace")
     sp.add_argument("--trace", help="trace CSV to audit")
-    sp.add_argument("--fields", help="stored-field NPZ (for the refined check)")
+    sp.add_argument("--fields", help="ignored; kept so older scripts still parse")
     sp.add_argument("--checks", type=lambda text: [c for c in text.split(",") if c],
                     help="comma list: ")
     sp.add_argument("--lambda1", type=float)

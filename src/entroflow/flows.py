@@ -57,13 +57,13 @@ Both flows share one time loop, :func:`_run`: a run is a config and a grid
 (whose potential defines L), and the loop differs only in its stepper,
 :class:`_LinearStepper` or :class:`_PmeStepper`, whose ``advance(v)`` returns
 the state one step later.  A run emits a Trace: scalar time series of
-(t, E, I, K, mass, min_v) plus full density snapshots every ``audit_stride``
-records for the second-order audits that cannot be reconstructed from
-scalars.  Each run makes one :class:`functionals._Snapshot`, which writes
-a snapshot's integrands (E, the mass, the Fisher edge terms and K) one after
-another into the same work array and sums each with one correctly rounded
-sum, so recording allocates no n-sized array, and the one mass sum serves
-both the unit-mass check and the ``mass`` column.
+(t, E, I, K, mass, min_v), and for the linear flow q4 = int |D v^{p/4}|^4
+dgamma, the one further scalar the refined audit needs; no density field is
+kept.  Each run makes one :class:`functionals._Snapshot`, which writes a
+snapshot's integrands (E, the mass, the Fisher edge terms, K and q4) one
+after another into the same work array and sums each with one correctly
+rounded sum, so recording allocates no n-sized array, and the one mass sum
+serves both the unit-mass check and the ``mass`` column.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -97,16 +96,16 @@ class FlowConfig:
     "csv:path" pointing at a node-aligned column of densities, or an array of
     node values, which the trace's config echoes as "array".  ``dt`` falls
     back to 10 h^2; ``stride`` to whatever yields about 200 snapshots.
-    ``t_end`` and a given ``dt`` must be finite and positive, ``stride`` and
-    ``audit_stride`` at least 1.  A run takes round(t_end / dt) steps,
-    rounded down to a whole number of strides, so its last step is its last
-    recorded row; :meth:`resolved` rejects a ``t_end`` that rounds to no
-    step, to an overflowing count or to more than ``_MAX_STEPS`` (1e7), and
-    a ``stride`` above the step count.  ``theta`` is
-    the criterion's theta, which ``report`` reads for lambda1_pme, not the
-    time-stepping weight.  The time-stepping weight, the solver's tolerance,
-    halving limit and density floor are module constants (see the module
-    docstring); every field here is a ``flow`` CLI flag.
+    ``t_end`` and a given ``dt`` must be finite and positive, ``stride`` at
+    least 1.  A run takes round(t_end / dt) steps, rounded down to a whole
+    number of strides, so its last step is its last recorded row;
+    :meth:`resolved` rejects a ``t_end`` that rounds to no step, to an
+    overflowing count or to more than ``_MAX_STEPS`` (1e7), and a ``stride``
+    above the step count.  ``theta`` is the criterion's theta, which
+    ``report`` reads for lambda1_pme, not the time-stepping weight.  The
+    time-stepping weight, the solver's tolerance, halving limit and density
+    floor are module constants (see the module docstring); every field here
+    is a ``flow`` CLI flag.
     """
 
     kind: str  # 'linear' | 'pme'
@@ -117,7 +116,6 @@ class FlowConfig:
     t_end: float = 1.0
     dt: float | None = None
     stride: int | None = None
-    audit_stride: int = 10
 
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "pme"):
@@ -130,8 +128,6 @@ class FlowConfig:
             raise ConfigError(f"dt must be finite and positive; got {self.dt}")
         if self.stride is not None and self.stride < 1:
             raise ConfigError(f"stride must be at least 1; got {self.stride}")
-        if self.audit_stride < 1:
-            raise ConfigError(f"audit_stride must be at least 1; got {self.audit_stride}")
 
     def resolved(self, grid: Grid) -> tuple[float, int, int]:
         """(dt, n_steps, stride) with defaults filled in for this grid;
@@ -160,9 +156,13 @@ class FlowConfig:
         return dt, n_steps - n_steps % stride, stride
 
 
+# the columns of every trace; a linear trace adds q4
+_COLUMNS = ("t", "E", "I", "K", "mass", "min_v")
+
+
 @dataclass
 class Trace:
-    """Scalar time series of a flow run plus stored density snapshots."""
+    """Scalar time series of a flow run: the ``_COLUMNS``, and q4 if linear."""
 
     t: np.ndarray
     E: np.ndarray
@@ -172,7 +172,7 @@ class Trace:
     min_v: np.ndarray
     config: dict
     grid_id: str
-    fields: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    q4: np.ndarray | None = None  # None: a pme trace, or a linear one written without q4
     meta: dict = field(default_factory=dict)
 
     @property
@@ -181,10 +181,9 @@ class Trace:
         return self.meta.get("clamps", 0)
 
     def column(self, name: str) -> np.ndarray:
-        try:
-            return getattr(self, name)
-        except AttributeError:
-            raise KeyError(f"trace has no column {name!r}") from None
+        if name not in _COLUMNS + ("q4",) or getattr(self, name) is None:
+            raise KeyError(f"trace has no column {name!r}")
+        return getattr(self, name)
 
     @property
     def mass_drift(self) -> float:
@@ -200,120 +199,64 @@ class Trace:
         buf.write("# config: " + json.dumps(self.config, sort_keys=True) + "\n")
         buf.write("# grid: " + self.grid_id + "\n")
         buf.write("# meta: " + json.dumps(self.meta, sort_keys=True) + "\n")
-        buf.write("t,E,I,K,mass,min_v\n")
-        cols = (self.t, self.E, self.I, self.K, self.mass, self.min_v)
-        for row in zip(*cols):
+        names = _COLUMNS if self.q4 is None else _COLUMNS + ("q4",)
+        buf.write(",".join(names) + "\n")
+        for row in zip(*(getattr(self, name) for name in names)):
             buf.write(",".join(f"{x:.17g}" for x in row) + "\n")
         return buf.getvalue()
 
     @classmethod
     def from_csv(cls, path) -> "Trace":
-        """Read a trace CSV; a malformed line, or a config line without the
-        flow's ``kind`` and ``p`` (and ``m`` for pme), raises ConfigError
-        naming it."""
-        config: dict = {}
+        """Read a trace CSV, whose header names its columns (``_COLUMNS``, then
+        q4 or not); a malformed line, or a config line without the flow's
+        ``kind`` and ``p`` (and ``m`` for pme), raises ConfigError naming it."""
+        header: dict = {"config": {}, "meta": {}}
         grid_id = ""
-        meta: dict = {}
+        columns = _COLUMNS
         rows = []
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
-                if not line or line.startswith("t,"):
+                if not line:
+                    continue
+                if line.startswith("t,"):
+                    columns = tuple(line.split(","))
+                    if columns not in (_COLUMNS, _COLUMNS + ("q4",)):
+                        raise ConfigError(f"trace {path} line {lineno}: unknown header {line!r}")
                     continue
                 try:
                     if line.startswith("#"):
-                        body = line[1:].strip()
-                        if body.startswith("config:"):
-                            config = json.loads(body[len("config:"):])
-                        elif body.startswith("grid:"):
-                            grid_id = body[len("grid:"):].strip()
-                        elif body.startswith("meta:"):
-                            meta = json.loads(body[len("meta:"):])
+                        key, _, body = line[1:].strip().partition(":")
+                        if key == "grid":
+                            grid_id = body.strip()
+                        elif key in ("config", "meta"):
+                            header[key] = json.loads(body)
                         continue
                     row = [float(x) for x in line.split(",")]
                 except ValueError as exc:
                     raise ConfigError(f"trace {path} line {lineno}: {exc}") from None
-                if len(row) != 6:
+                if len(row) != len(columns):
                     raise ConfigError(
-                        f"trace {path} line {lineno}: {len(row)} columns, expected 6 "
-                        "(t,E,I,K,mass,min_v)"
+                        f"trace {path} line {lineno}: {len(row)} columns, expected "
+                        f"{len(columns)} ({','.join(columns)})"
                     )
                 rows.append(row)
         if not rows:
             raise ConfigError(f"no data rows in trace {path}")
+        config = header["config"]
         needed = ("kind", "p", "m") if config.get("kind") == "pme" else ("kind", "p")
         missing = [k for k in needed if config.get(k) is None]
         if missing:
             raise ConfigError(
                 f"trace {path}: its '# config:' line lacks {', '.join(missing)}")
-        return cls._from_rows(rows, config, grid_id, meta=meta)
+        return cls._from_rows(rows, config, grid_id, header["meta"])
 
     @classmethod
-    def _from_rows(cls, rows, config: dict, grid_id: str, **kwargs) -> "Trace":
-        """A trace of (t, E, I, K, mass, min_v) rows."""
-        return cls(*np.asarray(rows).T, config=config, grid_id=grid_id, **kwargs)
-
-    def save_fields(self, path) -> None:
-        """Write the stored snapshots to the NPZ ``path`` (the name as given):
-        the members ``indices``, ``fields`` (one row per snapshot), ``t`` and
-        ``grid_id``, uncompressed, the bytes ``np.savez`` writes for them.
-        ``fields`` is written row by row after its header, so no snapshot
-        matrix, nor a byte copy of one, is built."""
-        if not self.fields:
-            raise ConfigError("trace has no stored fields")
-        rows = [v for _, v in self.fields]
-        header = {**np.lib.format.header_data_from_array_1_0(rows[0]),
-                  "shape": (len(rows), len(rows[0]))}
-        # None: the snapshots, written row by row
-        members = {"indices": np.array([i for i, _ in self.fields], dtype=int),
-                   "fields": None, "t": self.t, "grid_id": np.asarray(self.grid_id)}
-        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
-            for name, value in members.items():
-                with zf.open(name + ".npy", "w", force_zip64=True) as fh:
-                    if value is not None:
-                        np.lib.format.write_array(fh, value)
-                        continue
-                    np.lib.format.write_array_header_1_0(fh, header)
-                    for v in rows:
-                        fh.write(memoryview(v))
-
-    def load_fields(self, path) -> None:
-        """Read snapshots written by :meth:`save_fields` for this trace.  A
-        file that is not such an NPZ (``fields`` not a matrix with one row per
-        index), or that another run wrote (rows of other than the ``n`` of the
-        trace's ``meta["geometry"]``, other grid, other snapshot times, or a
-        field whose minimum is not the trace's ``min_v`` at its index), raises
-        ConfigError naming it."""
-        with open(path, "rb") as fh:
-            try:
-                data = np.load(fh, allow_pickle=False)
-                gid, t = str(data["grid_id"]), data["t"]
-                indices, fields = data["indices"], data["fields"]
-            except (ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile) as exc:
-                raise ConfigError(f"cannot read field file {path}: {exc}") from None
-        if fields.ndim != 2 or indices.shape != fields.shape[:1]:
-            raise ConfigError(
-                f"field file {path}: fields of shape {fields.shape} for "
-                f"{indices.size} indices; expected one row per index")
-        n = (self.meta.get("geometry") or {}).get("n")
-        if n is not None and fields.shape[1] != n:
-            raise ConfigError(
-                f"field file {path}: rows of {fields.shape[1]} values, the grid has {n} nodes")
-        if gid and self.grid_id and gid != self.grid_id:
-            raise ConfigError(
-                f"field file was written for grid {gid}, trace has {self.grid_id}"
-            )
-        # t and min_v round-trip exactly through the CSV and the NPZ
-        if not np.array_equal(t, self.t):
-            raise ConfigError(f"field file {path} was written for other snapshot times")
-        for i, row in zip(indices, fields):
-            if not (0 <= i < len(self.min_v) and row.min() == self.min_v[i]):
-                raise ConfigError(
-                    f"field file {path}: field {int(i)} does not match the trace's min_v"
-                )
-        self.fields = [
-            (int(i), np.asarray(row)) for i, row in zip(indices, fields)
-        ]
+    def _from_rows(cls, rows, config: dict, grid_id: str, meta: dict) -> "Trace":
+        """A trace of (t, E, I, K, mass, min_v) rows, all with q4 last or none."""
+        cols = np.asarray(rows).T
+        q4 = cols[6] if len(cols) > 6 else None
+        return cls(*cols[:6], config=config, grid_id=grid_id, q4=q4, meta=meta)
 
 
 def initial_field(grid: Grid, spec: str) -> np.ndarray:
@@ -415,28 +358,25 @@ def _run(config: FlowConfig, grid: Grid, kind: str, params, stepper) -> Trace:
     """Integrate one flow: ``stepper(grid, config, dt, v)`` makes the stepper
     whose ``advance`` takes v one step of dt, ``params()`` the functionals'
     parameters.  A snapshot row is recorded every ``stride`` steps, the last
-    one at the last step, and a field stored every ``audit_stride`` rows; the
-    stepper's ``counters`` join the trace meta."""
+    one at the last step; the stepper's ``counters`` join the trace meta."""
     if config.kind != kind:
         raise ConfigError(f"run_{kind} needs a config with kind={kind!r}")
     snapshot = _Snapshot(params(), grid)
     dt, n_steps, stride = config.resolved(grid)
     v = _initial_state(grid, config.init)
     stepper = stepper(grid, config, dt, v)
-    rows, fields = [], []
+    rows = []
     for step in range(n_steps + 1):
         if step:
             v = stepper.advance(v)
         if step % stride == 0:
-            if len(rows) % config.audit_stride == 0:
-                fields.append((len(rows), v.copy()))
-            rows.append((step * dt, *snapshot(v), float(v.min())))
+            rows.append((step * dt, *snapshot(v)))
     echo = asdict(config)
     if not isinstance(config.init, str):
         echo["init"] = "array"
     meta = {"dt": dt, "n_steps": n_steps, "stride": stride,
             **{name: getattr(stepper, name) for name in stepper.counters}}
-    return Trace._from_rows(rows, echo, grid.ident, fields=fields, meta=meta)
+    return Trace._from_rows(rows, echo, grid.ident, meta)
 
 
 def run_linear(config: FlowConfig, grid: Grid) -> Trace:

@@ -16,6 +16,9 @@ c(m,p) = 4m(m+p-1)/(2m+p-2)^2 and the exponents of :func:`_exponents`,
     I = c(m,p) int |Ds|^2 dgamma
     K = int s^{beta(m-1)} |Ls|^2 dgamma + alpha int s^{beta(m-1)} Ls |Ds|^2/s dgamma
 
+A linear snapshot adds q4 = int |Dz|^4 dgamma, z = v^{p/4} = s^{1/2}, the
+quartic term of :func:`verify.refined_inequality_audit`.
+
 At m = 1 the porous-media forms reduce to the linear ones; the s-powers and
 the quadratic pieces go through the same helpers so the agreement is exact to
 round-off on unit-mass fields.  Every value is evaluated by :class:`_Snapshot`,
@@ -160,7 +163,7 @@ def _check_unit_mass(mass: float) -> None:
 
 
 class _Snapshot:
-    """E, I, K and the mass of fields on one grid, on work arrays.
+    """E, I, K, the mass, the minimum and (linear) q4 of fields, on work arrays.
 
     A flow makes one per run and calls it on every snapshot: each integrand
     is written into ``row`` with ``out=`` ufuncs and summed where it lies by
@@ -186,17 +189,18 @@ class _Snapshot:
         self.row, self.work, self.s, self.a, self.b = np.empty((5, n))
         self.edge = np.empty(n - 1)
 
-    def __call__(self, v: np.ndarray) -> tuple[float, float, float, float]:
-        """(E, I, K, mass) of v: K is nan where v dips below the floor, and a
-        field off unit mass raises MassNotNormalized."""
+    def __call__(self, v: np.ndarray) -> tuple[float, ...]:
+        """The trace row of v after t: (E, I, K, mass, min_v), then q4 if linear.
+        K is nan below the floor; a mass off 1 raises MassNotNormalized."""
         _check_nonnegative(v)
         E = self.entropy(v)
         mass = self._sum(np.multiply(self.grid.dgamma_weights, v, out=self.row))
         _check_unit_mass(mass)
         s = self._s_field(v)
         I = self._fisher(s)
-        K = self._k(s) if v.min() >= DEFAULT_FLOOR else np.nan
-        return E, I, K, mass
+        min_v = float(v.min())
+        row = (E, I, self._k(s) if min_v >= DEFAULT_FLOOR else np.nan, mass, min_v)
+        return row if self.pme else (*row, self._q4(s))
 
     def entropy(self, v: np.ndarray) -> float:
         out, tmp, p = self.row, self.a, self.params.p
@@ -260,6 +264,12 @@ class _Snapshot:
             out *= np.power(s, e2, out=gs)
         out *= grid.dgamma_weights
         return self._sum(out)
+
+    def _q4(self, s: np.ndarray) -> float:
+        """Integral of |Dz|^4 with z = s^{1/2} (= v^{p/4} in the linear family)."""
+        gz = _gradient_sq(self.grid, np.sqrt(s, out=self.a), self.b, self.edge)
+        np.multiply(gz, gz, out=self.row)
+        return self._sum(np.multiply(self.row, self.grid.dgamma_weights, out=self.row))
 
 
 def entropy_linear(params: LinearParams, v, grid: Grid) -> float:

@@ -8,8 +8,8 @@ A check states each of its inequalities lhs <= rhs as the relative slack
 ``criteria._relative_slack(lhs, rhs)`` = (rhs - lhs) / max(|rhs|, |lhs|,
 1e-300), negative where the inequality is broken, and :func:`_verdict` keeps
 the first smallest of a check's slacks as its worst violation, with its
-location: a snapshot time (envelope, lemma), a stored-field row (refined) or
-a trial index (poincare).  ``dissipation`` reports minus its largest
+location: a snapshot time (envelope, lemma), a trace row (refined) or a
+trial index (poincare).  ``dissipation`` reports minus its largest
 normalized mismatch, at that snapshot's time.
 
 A verdict is a function of the trace and the criterion's own inputs (theta,
@@ -33,7 +33,7 @@ import numpy as np
 from . import criteria, spectrum
 from .errors import ConfigError, NonPositiveData, ParameterError, WindowTooShort
 from .functionals import LinearParams, PmeParams
-from .grid import Grid, _fsum_into, dirichlet_form, gradient_sq, integrate_dgamma
+from .grid import Grid, _fsum_into, dirichlet_form, integrate_dgamma
 from .spectrum import SpectralResult
 
 __all__ = [
@@ -270,37 +270,36 @@ def dissipation_audit(trace) -> Verdict:
     )
 
 
-def refined_inequality_audit(trace, epsilon: float, grid: Grid) -> Verdict:
-    """Snapshot-wise audit of the two degenerate-regime inequalities:
+def _q4(trace) -> np.ndarray:
+    if trace.q4 is None:
+        raise ConfigError("trace has no q4 column for the refined check; rerun its flow")
+    return trace.q4
 
-        K_p >= 16 (alpha eps / (1+eps)) int |Dz|^4 dgamma,        z = v^{p/4}
-        (p I_p)^2 <= 4^4 (1 + (p-1) E_p) int |Dz|^4 dgamma,
 
-    at the trace's own p (``trace.config["p"]``).  The quartic gradient term
-    comes from the stored density snapshots (audit stride); E, I and K are
-    read off the matching trace rows, so a corrupted scalar column is caught.
-    A trace with a non-finite K raises ConfigError, as in :func:`dissipation_audit`.
+def refined_inequality_audit(trace, epsilon: float) -> Verdict:
+    """Row-wise audit of the two degenerate-regime inequalities:
+
+        K_p >= 16 (alpha eps / (1+eps)) q4,
+        (p I_p)^2 <= 4^4 (1 + (p-1) E_p) q4,        q4 = int |Dz|^4 dgamma, z = v^{p/4},
+
+    at the trace's own p (``trace.config["p"]``), at every row, located at
+    its row index.  q4, E, I and K all come from the same trace row, so a
+    corrupted E, I or K column shows only where it breaks an inequality
+    against the other columns: no independent density field backs q4.  A
+    trace without the q4 column, or with a non-finite K, raises ConfigError.
     """
-    if not trace.fields:
-        raise ConfigError("trace carries no stored fields; rerun with audit fields")
+    q4 = _q4(trace)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ParameterError(f"epsilon must be finite and positive; got {epsilon}")
     _finite_K(trace)
     p = float(trace.config["p"])
-    alpha = LinearParams(p).alpha
-    coeff = 16.0 * alpha * epsilon / (1.0 + epsilon)
-    lhs, rhs, rows = [], [], []
-    for idx, v in trace.fields:
-        z = np.power(np.maximum(v, 1e-300), p / 4.0)
-        q4 = integrate_dgamma(grid, gradient_sq(grid, z) ** 2)
-        E, I, K = float(trace.E[idx]), float(trace.I[idx]), float(trace.K[idx])
-        # per row the K inequality, then the (p I)^2 one, which loses a tie
-        lhs += [coeff * q4, (p * I) ** 2]
-        rhs += [K, 256.0 * (1.0 + (p - 1.0) * E) * q4]
-        rows += [idx, idx]
-    slacks = criteria._relative_slack(np.array(lhs), np.array(rhs))
-    return _verdict("refined_inequalities", slacks, rows,
-                    {"epsilon": epsilon, "snapshots": len(trace.fields)})
+    coeff = 16.0 * LinearParams(p).alpha * epsilon / (1.0 + epsilon)
+    # per row the K inequality, then the (p I)^2 one, which loses a tie
+    lhs = np.column_stack((coeff * q4, (p * trace.I) ** 2)).ravel()
+    rhs = np.column_stack((trace.K, 256.0 * (1.0 + (p - 1.0) * trace.E) * q4)).ravel()
+    return _verdict("refined_inequalities", criteria._relative_slack(lhs, rhs),
+                    [k // 2 for k in range(2 * len(q4))],
+                    {"epsilon": epsilon, "snapshots": len(q4)})
 
 
 def lemma_audit(trace, theta: float, lambda1: float) -> Verdict:
@@ -331,12 +330,12 @@ def run_checks(trace, checks, geometry, lambda1=None, trials: int = 100, seed: i
 
     ``checks`` lists names of ``CHECKS`` (None: envelope and dissipation);
     verdicts follow the table's order.  An empty list, an unknown name, a
-    check on a trace kind it does not apply to, ``refined`` at p = 2 or
-    ``dissipation`` on a trace of fewer than 3 snapshots raises ConfigError
-    before ``geometry`` (a callable returning the trace's grid, called at
-    most once) or any eigensolve runs, and a non-finite ``lambda1`` raises
-    ParameterError; a grid other than the one the trace records raises
-    ConfigError.  The flow's eigenpair, lambda1_linear(p) or
+    check on a trace kind it does not apply to, ``refined`` at p = 2 or on a
+    trace without the q4 column, or ``dissipation`` on a trace of fewer than 3
+    snapshots raises ConfigError before ``geometry`` (a callable returning the
+    trace's grid, called at most once) or any eigensolve runs, and a
+    non-finite ``lambda1`` raises ParameterError; a grid other than the one
+    the trace records raises ConfigError.  The flow's eigenpair, lambda1_linear(p) or
     lambda1_pme(theta), is solved at most once; a given ``lambda1`` replaces
     its eigenvalue.  ``refined`` audits at the grid's
     :func:`spectrum.epsilon_star` (a ConfigError where it is 0).  p, m and
@@ -357,8 +356,10 @@ def run_checks(trace, checks, geometry, lambda1=None, trials: int = 100, seed: i
     lambda1 = None if lambda1 is None else float(lambda1)
     if lambda1 is not None and not math.isfinite(lambda1):
         raise ParameterError(f"lambda1 must be finite; got {lambda1}")
-    if "refined" in checks and LinearParams(p).alpha <= 0.0:
-        raise ConfigError("refined inequalities need p < 2")
+    if "refined" in checks:
+        if LinearParams(p).alpha <= 0.0:
+            raise ConfigError("refined inequalities need p < 2")
+        _q4(trace)
     if "dissipation" in checks and len(trace.t) < 3:
         raise ConfigError("the dissipation audit needs at least 3 snapshots; "
                           f"the trace has {len(trace.t)}")
@@ -413,7 +414,7 @@ def run_checks(trace, checks, geometry, lambda1=None, trials: int = 100, seed: i
         if epsilon == 0.0:
             raise ConfigError(
                 f"the refined inequalities hold for no epsilon > 0 at p={p:g} on this grid")
-        return [refined_inequality_audit(trace, epsilon, built())]
+        return [refined_inequality_audit(trace, epsilon)]
 
     run = {
         "envelope": envelope,

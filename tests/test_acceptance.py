@@ -223,11 +223,11 @@ def test_criterion_9_structure_preservation(gauss_grid, gauss_grid_small):
                f"in [1.7, 2.3]", ok)
 
 
-def test_criterion_10_refined_inequalities(linear_run_p15, gauss_grid):
+def test_criterion_10_refined_inequalities(linear_run_p15):
     p = 1.5
     alpha = (2.0 - p) / p
     eps = (1.0 - alpha) / (2.0 * alpha)
-    verdict = ef.refined_inequality_audit(linear_run_p15, eps, gauss_grid)
+    verdict = ef.refined_inequality_audit(linear_run_p15, eps)
     ok = verdict.passed and verdict.worst_violation >= -1e-8
     _report(10, f"quartic-gradient and interpolation inequalities along the "
                 f"p=1.5 run, eps={eps}: worst slack {verdict.worst_violation:.2e} "

@@ -126,27 +126,27 @@ class TestLambda1Command:
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli_run")
-    trace, fields = d / "run.csv", d / "run.npz"
+    trace = d / "run.csv"
     code = main([
         "flow", "linear", "--p", "1.5", "--potential", "gaussian",
         "--domain", "-8:8", "--n", "1001", "--tend", "1.0", "--dt", "2e-3",
-        "--init", "odd:0.2", "--trace", str(trace), "--fields", str(fields),
+        "--init", "odd:0.2", "--trace", str(trace),
     ])
     assert code == 0
-    return d, trace, fields
+    return d, trace
 
 
 class TestFlowAndReport:
     def test_trace_written(self, artifacts):
-        _, trace, _ = artifacts
+        _, trace = artifacts
         header = trace.read_text().splitlines()
-        assert any(line.startswith("t,E,I,K,mass,min_v") for line in header[:5])
+        assert header[3] == "t,E,I,K,mass,min_v,q4"
 
     def test_report_all_checks_pass(self, artifacts, capsys):
-        d, trace, fields = artifacts
+        d, trace = artifacts
         verd = d / "verdicts.json"
         code = main([
-            "report", "--trace", str(trace), "--fields", str(fields),
+            "report", "--trace", str(trace),
             "--checks", "envelope,dissipation,poincare,refined",
             "--out", str(verd), "--trials", "30", "--seed", "1",
         ])
@@ -157,9 +157,11 @@ class TestFlowAndReport:
             "poincare", "refined_inequalities",
         }
         assert all(v["pass"] for v in payload)
+        # refined audits every row of the trace
+        assert payload[-1]["details"]["snapshots"] == len(Trace.from_csv(trace).t) == 251
 
     def test_report_exit_offset_on_failures(self, artifacts):
-        _, trace, _ = artifacts
+        _, trace = artifacts
         # a wildly inflated eigenvalue makes both envelope checks fail: 4 + 2
         code = main([
             "report", "--trace", str(trace), "--checks", "envelope",
@@ -168,7 +170,7 @@ class TestFlowAndReport:
         assert code == 6
 
     def test_plot_svg_structure(self, artifacts, tmp_path):
-        _, trace, _ = artifacts
+        _, trace = artifacts
         svg = tmp_path / "plot.svg"
         code = main(["report", "--trace", str(trace), "--checks", "envelope",
                      "--plot", str(svg)])
@@ -191,13 +193,31 @@ class TestFlowAndReport:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_fields_flags_are_ignored(self, artifacts, tmp_path, monkeypatch, capsys):
+        # --fields is parsed so older scripts still run: it writes and reads
+        # nothing, and changes no output byte
+        _, trace = artifacts
+        flow = ["flow", "linear", "--p", "1.5", "--n", "201", "--tend", "0.1", "--dt", "2e-3",
+                "--trace", "run.csv"]
+        report = ["report", "--trace", str(trace), "--checks", "envelope,refined",
+                  "--out", "v.json"]
+        outputs = []
+        for name, extra in [("plain", []), ("fields", ["--fields", "x.npz"])]:
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert main(flow + extra) == 0
+            assert main(report + extra) == 0
+            outputs.append(_outputs(tmp_path / name, capsys))
+        assert sorted(outputs[1]) == ["run.csv", "stdout", "v.json"]
+        assert outputs[0] == outputs[1]
+
     def test_report_json_bytes_deterministic(self, artifacts, tmp_path):
-        _, trace, fields = artifacts
+        _, trace = artifacts
         outs = []
         for name in ("v1.json", "v2.json"):
             path = tmp_path / name
             code = main([
-                "report", "--trace", str(trace), "--fields", str(fields),
+                "report", "--trace", str(trace),
                 "--checks", "envelope,poincare,refined", "--trials", "15",
                 "--seed", "3", "--out", str(path),
             ])
@@ -250,7 +270,7 @@ class TestFlowAndReport:
     def test_report_ignores_env_tolerance(self, artifacts, monkeypatch, raw):
         # at ENTROFLOW_TOL=inf this inflated eigenvalue used to pass (exit 0);
         # the slack is fixed, so the verdicts match those of a clean environment
-        _, trace, _ = artifacts
+        _, trace = artifacts
         argv = ["report", "--trace", str(trace), "--checks", "envelope", "--lambda1", "50"]
         clean = main(argv)
         monkeypatch.setenv("ENTROFLOW_TOL", raw)
@@ -266,8 +286,8 @@ class TestFlowAndReport:
         assert code == 3
 
     @pytest.mark.parametrize("flags", [
-        ("--stride", "0"), ("--audit-stride", "0"), ("--dt", "0"), ("--dt", "-0.001"),
-    ], ids=["stride", "audit-stride", "dt-zero", "dt-negative"])
+        ("--stride", "0"), ("--dt", "0"), ("--dt", "-0.001"),
+    ], ids=["stride", "dt-zero", "dt-negative"])
     def test_flow_rejects_bad_steps(self, capsys, flags):
         # the zeros used to die in a ZeroDivisionError (exit 1); a negative dt
         # ran backwards in time and exited 0
@@ -346,15 +366,15 @@ def report_traces(artifacts, tmp_path_factory):
     assert main(["flow", "pme", "--m", "1.2", "--p", "1.5", "--theta", "0.5", *common,
                  "--tend", "0.2", "--init", "bump:0.4", "--trace", str(d / "pme.csv")]) == 0
     assert main(["flow", "linear", "--p", "2.0", *common, "--tend", "0.1",
-                 "--trace", str(d / "p2.csv"), "--fields", str(d / "p2.npz")]) == 0
+                 "--trace", str(d / "p2.csv")]) == 0
     # one step: the trace holds the two snapshots t = 0 and t = dt
     assert main(["flow", "linear", "--n", "201", "--tend", "1e-3", "--dt", "1e-3",
                  "--trace", str(d / "short.csv")]) == 0
-    _, trace, fields = artifacts
+    _, trace = artifacts
     return {
-        "linear": ["--trace", str(trace), "--fields", str(fields)],
+        "linear": ["--trace", str(trace)],
         "pme": ["--trace", str(d / "pme.csv")],
-        "p2": ["--trace", str(d / "p2.csv"), "--fields", str(d / "p2.npz")],
+        "p2": ["--trace", str(d / "p2.csv")],
         "short": ["--trace", str(d / "short.csv")],
     }
 
@@ -427,18 +447,17 @@ class TestReportChecks:
 @pytest.fixture(scope="module")
 def table_run(tmp_path_factory):
     """A linear run at p = 1.2 on the table of x^2/2 + 0.5 cos 2x over
-    [-10, 10], whose Hessian dips below zero, with its trace and fields."""
+    [-10, 10], whose Hessian dips below zero, with its trace."""
     d = tmp_path_factory.mktemp("table_run")
     x = np.linspace(-10.0, 10.0, 401)
     table = d / "tab.csv"
     np.savetxt(table, np.column_stack([x, x * x / 2 + 0.5 * np.cos(2 * x),
                                        x - np.sin(2 * x), 1 - 2 * np.cos(2 * x)]),
                delimiter=",", fmt="%.17g")
-    trace, fields = d / "run.csv", d / "run.npz"
+    trace = d / "run.csv"
     assert main(["flow", "linear", "--p", "1.2", "--potential", f"tabulated:{table}",
-                 "--tend", "0.2", "--dt", "1e-3", "--trace", str(trace),
-                 "--fields", str(fields)]) == 0
-    return table, trace, fields
+                 "--tend", "0.2", "--dt", "1e-3", "--trace", str(trace)]) == 0
+    return table, trace
 
 
 class TestTabulatedGeometry:
@@ -459,7 +478,7 @@ class TestTabulatedGeometry:
     def test_report_round_trip_off_the_default_domain(self, table_run, capsys):
         # the flow records no domain for a table, so report rebuilds its grid
         # from the potential alone, not from [-8, 8]
-        table, trace, _ = table_run
+        table, trace = table_run
         geometry = Trace.from_csv(trace).meta["geometry"]
         assert geometry == {"potential": f"tabulated:{table}", "radial": None,
                             "domain": None, "n": 401}
@@ -468,10 +487,9 @@ class TestTabulatedGeometry:
     def test_refined_audits_at_epsilon_star(self, table_run, tmp_path, capsys):
         # at p = 1.2 the grid's epsilon* (about 0.12) lies below the half-cap
         # (1 - alpha) / (2 alpha) = 0.25 the audit used before
-        table, trace, fields = table_run
+        table, trace = table_run
         out = tmp_path / "v.json"
-        main(["report", "--trace", str(trace), "--fields", str(fields),
-              "--checks", "refined", "--out", str(out)])
+        main(["report", "--trace", str(trace), "--checks", "refined", "--out", str(out)])
         (verdict,) = json.loads(out.read_text())
         grid, _ = _build_geometry(argparse.Namespace(
             potential=f"tabulated:{table}", radial=None, domain=None, n=None))
@@ -480,10 +498,9 @@ class TestTabulatedGeometry:
 
     def test_refined_without_an_admissible_epsilon_exits_2(self, table_run, monkeypatch,
                                                            capsys):
-        _, trace, fields = table_run
+        _, trace = table_run
         monkeypatch.setattr("entroflow.spectrum.epsilon_star", lambda p, grid: 0.0)
-        assert main(["report", "--trace", str(trace), "--fields", str(fields),
-                     "--checks", "refined"]) == 2
+        assert main(["report", "--trace", str(trace), "--checks", "refined"]) == 2
         assert "refined inequalities hold for no epsilon" in capsys.readouterr().err
 
 
@@ -570,7 +587,6 @@ def bad_files(tmp_path):
     rows = "t,E,I,K,mass,min_v\n0,1,2,3,1,1\n0.1,0.9,1.8,2.7,1,1\n"
     (tmp_path / "no-config.csv").write_text(rows)
     (tmp_path / "no-p.csv").write_text('# config: {"kind": "linear"}\n' + rows)
-    (tmp_path / "fields.npz").write_text("not an npz\n")
     (tmp_path / "theta.json").write_text('{"theta": 0.5}')
     # 20 zero nodes: K is not finite on the trace's first row
     (tmp_path / "holes.csv").write_text("1.0\n" * 90 + "0.0\n" * 20 + "1.0\n" * 91)
@@ -603,14 +619,10 @@ class TestMalformedInput:
         (["flow", "linear", "--init", "csv:{tmp}/none.csv", "--n", "201"],
          "none.csv not found"),
         (["report", "--trace", "{tmp}/none.csv"], "No such file or directory"),
-        (["report", "--trace", "{trace}", "--fields", "{tmp}/none.npz"],
-         "No such file or directory"),
         (["report", "--trace", "{tmp}/short.csv"],
          "short.csv line 3: 3 columns, expected 6"),
         (["report", "--trace", "{tmp}/cell.csv"],
          "cell.csv line 2: could not convert string to float: 'abc'"),
-        (["report", "--trace", "{trace}", "--fields", "{tmp}/fields.npz"],
-         "cannot read field file"),
         (["report", "--trace", "{tmp}/no-config.csv"],
          "no-config.csv: its '# config:' line lacks kind, p"),
         (["report", "--trace", "{tmp}/no-p.csv", "--checks", "dissipation"],
@@ -671,8 +683,7 @@ class TestMalformedInput:
          "got --lambda1 and --potential, --n"),
     ], ids=["power", "harmonic_log", "radial-d", "p-list", "init-bump", "check-theta",
             "tabulated-file", "init-csv-file", "missing-tabulated", "missing-init-csv",
-            "missing-trace", "missing-fields", "trace-short-row", "trace-cell",
-            "fields-not-npz", "trace-no-config", "trace-no-p", "report-p",
+            "missing-trace", "trace-short-row", "trace-cell", "trace-no-config", "trace-no-p", "report-p",
             "lambda1-p-theta", "lambda1-config-theta", "constants-theta-from-p",
             "flag-prefix", "flow-scheme",
             "init-csv-zero-mass", "init-csv-nan",
@@ -684,8 +695,8 @@ class TestMalformedInput:
             "flow-step-count-overflow", "report-checks-comma", "report-checks-empty",
             "lambda1-n-zero", "flow-out", "constants-lambda1-potential"])
     def test_exits_2_with_message(self, artifacts, bad_files, capsys, argv, message):
-        _, trace, fields = artifacts
-        argv = [a.format(tmp=bad_files, trace=trace, fields=fields) for a in argv]
+        _, trace = artifacts
+        argv = [a.format(tmp=bad_files, trace=trace) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert message in err
@@ -694,65 +705,33 @@ class TestMalformedInput:
     @pytest.mark.parametrize("kind, check", [("linear", "refined"), ("pme", "lemma")])
     def test_nonfinite_K_exits_2(self, bad_files, capsys, kind, check):
         # both audits passed such a trace, skipping the NaN slack of its first row
-        trace, fields = bad_files / f"{kind}.csv", bad_files / f"{kind}.npz"
+        trace = bad_files / f"{kind}.csv"
         m = ["--m", "1.2"] if kind == "pme" else []
         assert main(["flow", kind, "--p", "1.5", *m, "--n", "201", "--tend", "0.05",
                      "--dt", "1e-3", "--init", f"csv:{bad_files}/holes.csv",
-                     "--trace", str(trace), "--fields", str(fields)]) == 0
+                     "--trace", str(trace)]) == 0
         capsys.readouterr()
-        assert main(["report", "--trace", str(trace), "--fields", str(fields),
-                     "--checks", check]) == 2
+        assert main(["report", "--trace", str(trace), "--checks", check]) == 2
         err = capsys.readouterr().err
         assert "trace has non-finite K entries" in err
         assert "Traceback" not in err
 
 
-    @pytest.mark.parametrize("case", ["other-t-end", "cut-trace"])
-    def test_fields_of_another_run_exit_2(self, artifacts, tmp_path, capsys, case):
-        # the fields come from a run to t = 1; the trace is a run to t = 0.3 on
-        # the same grid (report exited 5 with a false refined failure) or the
-        # first 101 rows of the fields' own trace (an IndexError traceback)
-        _, trace, fields = artifacts
-        other = tmp_path / "other.csv"
-        if case == "other-t-end":
-            assert main([
-                "flow", "linear", "--p", "1.5", "--potential", "gaussian",
-                "--domain", "-8:8", "--n", "1001", "--tend", "0.3", "--dt", "2e-3",
-                "--init", "odd:0.2", "--trace", str(other),
-            ]) == 0
-        else:
-            other.write_text("\n".join(trace.read_text().splitlines()[:4 + 101]) + "\n")
+    def test_trace_without_q4_exits_2_for_refined_only(self, artifacts, tmp_path, capsys):
+        # a linear trace in the six-column format written before the q4 column
+        _, trace = artifacts
+        lines = trace.read_text().splitlines()
+        old = tmp_path / "six.csv"
+        old.write_text("\n".join(lines[:3] + [line.rpartition(",")[0] for line in lines[3:]])
+                       + "\n")
+        assert old.read_text().splitlines()[3] == "t,E,I,K,mass,min_v"
         capsys.readouterr()
-        assert main(["report", "--trace", str(other), "--fields", str(fields),
-                     "--checks", "refined"]) == 2
-        err = capsys.readouterr().err
-        assert "was written for other snapshot times" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("case, message", [
-        ("few-indices", "fields of shape (21, 201) for 3 indices"),
-        ("cut-rows", "rows of 50 values, the grid has 201 nodes"),
-    ], ids=["few-indices", "cut-rows"])
-    def test_malformed_fields_exit_2(self, tmp_path, capsys, case, message):
-        # 21 fields of a 201-node run: with 3 indices report audited 3 of them
-        # and exited 0; rows cut to 50 values ended in a ValueError traceback
-        trace, fields = tmp_path / "run.csv", tmp_path / "run.npz"
-        assert main(["flow", "linear", "--p", "1.5", "--n", "201", "--tend", "0.04",
-                     "--dt", "1e-3", "--stride", "1", "--audit-stride", "2",
-                     "--init", "odd:0.2", "--trace", str(trace), "--fields", str(fields)]) == 0
-        with np.load(fields) as data:
-            members = dict(data)
-        if case == "few-indices":
-            members["indices"] = members["indices"][:3]
-        else:
-            members["fields"] = members["fields"][:, :50]
-        np.savez(fields, **members)
-        capsys.readouterr()
-        assert main(["report", "--trace", str(trace), "--fields", str(fields),
-                     "--checks", "refined"]) == 2
-        err = capsys.readouterr().err
-        assert f"field file {fields}: {message}" in err
-        assert "Traceback" not in err
+        assert main(["report", "--trace", str(old), "--checks", "refined"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trace has no q4 column for the refined check" in captured.err
+        assert main(["report", "--trace", str(old), "--trials", "5",
+                     "--checks", "envelope,dissipation,poincare"]) == 0
 
 
 def _write_config(tmp_path, cfg) -> str:
@@ -775,27 +754,25 @@ class TestConfigFile:
          {"p": "1.2,2.0", "potential": "gaussian", "domain": "-6:6", "n": 301,
           "out": "lam.json"}),
         (["flow", "linear", "--p", "1.5", "--domain=-8:8", "--n", "201", "--tend", "0.1",
-          "--dt", "2e-3", "--init", "odd:0.2", "--audit-stride", "5", "--stride", "2",
-          "--trace", "run.csv", "--fields", "run.npz"],
+          "--dt", "2e-3", "--init", "odd:0.2", "--stride", "2", "--trace", "run.csv"],
          {"p": 1.5, "domain": "-8:8", "n": 201, "tend": 0.1, "dt": 2e-3,
-          "init": "odd:0.2", "audit-stride": 5, "stride": 2, "trace": "run.csv",
-          "fields": "run.npz"}),
+          "init": "odd:0.2", "stride": 2, "trace": "run.csv"}),
         (["region", "--theta", "0.8", "--samples", "40", "--check-theta", "0.5,0.2"],
          {"theta": 0.8, "samples": 40, "check-theta": "0.5,0.2"}),
         (["constants", "--m", "1.2", "--p", "1.5", "--from-p", "1.5", "--lambda1", "1.0",
           "--e0", "0.02", "--out", "c.json"],
          {"m": 1.2, "p": 1.5, "from-p": 1.5, "lambda1": 1.0, "e0": 0.02, "out": "c.json"}),
-        (["report", "--trace", "{trace}", "--fields", "{fields}", "--checks",
+        (["report", "--trace", "{trace}", "--checks",
           "envelope,poincare", "--trials", "5", "--seed", "2", "--plot", "e.svg",
           "--out", "v.json"],
-         {"trace": "{trace}", "fields": "{fields}", "checks": "envelope,poincare",
+         {"trace": "{trace}", "checks": "envelope,poincare",
           "trials": 5, "seed": 2, "plot": "e.svg", "out": "v.json"}),
     ], ids=["lambda1", "flow", "region", "constants", "report"])
     def test_file_matches_flags(self, artifacts, tmp_path, monkeypatch, capsys, flags, cfg):
-        _, trace, fields = artifacts
+        _, trace = artifacts
 
         def fill(v):
-            return v.format(trace=trace, fields=fields) if isinstance(v, str) else v
+            return v.format(trace=trace) if isinstance(v, str) else v
 
         command = flags[:2] if flags[0] == "flow" else flags[:1]
         outputs = []
@@ -811,7 +788,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("cfg, message", [
         ({"nope": 1}, "unrecognized arguments: --nope=1"),
-        ({"audit_stride": 5}, "unrecognized arguments: --audit_stride=5"),
+        ({"t_end": 0.01}, "unrecognized arguments: --t_end=0.01"),
+        ({"audit-stride": 5}, "unrecognized arguments: --audit-stride=5"),
         ({"aud": 3}, "unrecognized arguments: --aud=3"),
         ({"n": "abc"}, "argument --n: invalid int value: 'abc'"),
         ({"n": 20.5}, "argument --n: invalid int value: '20.5'"),
@@ -820,8 +798,8 @@ class TestConfigFile:
         ({"trace": ["a.csv"]}, "config key 'trace' needs a string or a number"),
         ([1, 2], "--config must hold a JSON object"),
         ({"config": "nope.json"}, "names another config file"),
-    ], ids=["unknown", "underscore", "prefix", "wrong-type", "float-for-int",
-            "removed-scheme", "null", "list", "not-object", "nested-config"])
+    ], ids=["unknown", "underscore", "removed-audit-stride", "prefix", "wrong-type",
+            "float-for-int", "removed-scheme", "null", "list", "not-object", "nested-config"])
     def test_bad_file_exits_2(self, tmp_path, capsys, cfg, message):
         argv = ["flow", "linear", "--config", _write_config(tmp_path, cfg), "--n", "201",
                 "--tend", "0.01"]
@@ -838,7 +816,7 @@ class TestConfigFile:
         flags = {a.dest: a.option_strings[0] for a in sub.choices["flow"]._actions
                  if a.option_strings}
         values = {"p": 1.5, "m": 1.2, "theta": 0.3, "init": "bump:0.2", "t_end": 0.02,
-                  "dt": 2e-3, "stride": 2, "audit_stride": 3}
+                  "dt": 2e-3, "stride": 2}
         fields = [f.name for f in dataclasses.fields(FlowConfig) if f.name != "kind"]
         assert sorted(fields) == sorted(values)
         assert all(name in flags for name in fields), set(fields) - set(flags)
@@ -866,7 +844,7 @@ class TestConfigFile:
 def test_dissipation_report_leaves_numpy_ma_unloaded(artifacts):
     # the tolerance takes a median of the snapshot spacings; np.median
     # would import numpy.ma on its first call
-    _, trace, _ = artifacts
+    _, trace = artifacts
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys\n"

@@ -1,7 +1,5 @@
 """Time integration: conservation, decay, trace round-trips."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -47,7 +45,7 @@ class TestInitialField:
 
 
 class TestLinearFlow:
-    def test_equilibrium_is_fixed_point(self, gauss_grid_small):
+    def test_equilibrium_is_fixed_point(self, gauss_grid_small, states):
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="const", t_end=0.2, dt=1e-3)
         tr = ef.run_linear(cfg, gauss_grid_small)
         assert np.max(np.abs(tr.E)) <= 1e-13
@@ -56,9 +54,11 @@ class TestLinearFlow:
         assert tr.mass_drift <= 1e-13
         # the increment of a constant field is exactly zero
         assert np.all(tr.min_v == 1.0)
-        assert all(np.all(v == 1.0) for _, v in tr.fields)
+        assert len(states) == len(tr.t)
+        assert all(np.all(v == 1.0) for v in states)
+        assert np.all(tr.q4 == 0.0)
 
-    def test_step_matches_two_term_reference(self, gauss_grid):
+    def test_step_matches_two_term_reference(self, gauss_grid, states):
         # (W + theta dt S) v' = W v - (1 - theta) dt S v with theta = 1/2, S
         # assembled here from the conductances and solved by a banded Cholesky
         # factorization
@@ -74,14 +74,14 @@ class TestLinearFlow:
 
         ab = np.vstack((np.concatenate(([0.0], -theta * dt * c)), W + theta * dt * sdiag))
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="odd:0.2", t_end=0.2, dt=dt,
-                            stride=20, audit_stride=1)
+                            stride=20)
         tr = ef.run_linear(cfg, g)
-        assert len(tr.fields) == 11
+        assert len(states) == len(tr.t) == 11
         v = ef.initial_field(g, "odd:0.2")
         for step in range(1, 201):
             v = solveh_banded(ab, W * v - (1.0 - theta) * dt * S(v))
             if step % 20 == 0:
-                got = tr.fields[step // 20][1]
+                got = states[step // 20]
                 assert np.max(np.abs(got - v)) <= 1e-12 * np.max(np.abs(v))
 
     def test_mass_drift_at_round_off_on_a_fine_grid(self, gauss_pot):
@@ -98,30 +98,28 @@ class TestLinearFlow:
         assert trace.meta["n_steps"] == 100
         assert counts == {"solve": 100, "delta_g": 0}
 
-    def test_array_init_left_unchanged(self, gauss_grid_small):
+    def test_array_init_left_unchanged(self, gauss_grid_small, states):
         # the stepper updates its state in place, never the caller's array
         init = ef.initial_field(gauss_grid_small, "bump:0.3")
         kept = init.copy()
         cfg = ef.FlowConfig(kind="linear", p=1.5, init=init, t_end=0.05, dt=1e-3)
-        trace = ef.run_linear(cfg, gauss_grid_small)
+        ef.run_linear(cfg, gauss_grid_small)
         assert np.array_equal(init, kept)
-        assert not np.array_equal(trace.fields[-1][1], kept)
+        assert not np.array_equal(states[-1], kept)
 
-    def test_work_arrays_change_no_bit(self, monkeypatch, tmp_path,
-                                       gauss_grid_small):
+    def test_work_arrays_change_no_bit(self, monkeypatch, gauss_grid_small, states):
         # the loop reuses its right-hand side and flux buffers; a fresh
-        # _net_flux per step must give the same trace and fields bytes
+        # _net_flux per step must give the same trace and states bytes
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="odd:0.2", t_end=0.2, dt=1e-3,
-                            stride=5, audit_stride=2)
+                            stride=5)
         reused = ef.run_linear(cfg, gauss_grid_small)
+        kept = np.array(states)
+        states.clear()
         net_flux = flows._net_flux
         monkeypatch.setattr(flows, "_net_flux", lambda grid, v, **_: net_flux(grid, v))
         fresh = ef.run_linear(cfg, gauss_grid_small)
         assert reused._csv_text() == fresh._csv_text()
-        paths = [tmp_path / "reused.npz", tmp_path / "fresh.npz"]
-        reused.save_fields(paths[0])
-        fresh.save_fields(paths[1])
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert kept.tobytes() == np.array(states).tobytes()
 
     def test_mass_conserved(self, linear_run_p15):
         assert linear_run_p15.mass_drift <= 1e-10
@@ -157,24 +155,44 @@ class TestLinearFlow:
 
 
 @pytest.mark.parametrize("run, params, fns", [
-    ("linear_run_p15", ef.LinearParams(1.5), (ef.entropy_linear, ef.fisher_linear, ef.k_linear)),
-    ("pme_run", ef.PmeParams(m=1.2, p=1.5), (ef.entropy_pme, ef.fisher_pme, ef.k_pme)),
+    ("linear_recorded_p15", ef.LinearParams(1.5),
+     (ef.entropy_linear, ef.fisher_linear, ef.k_linear)),
+    ("pme_recorded", ef.PmeParams(m=1.2, p=1.5), (ef.entropy_pme, ef.fisher_pme, ef.k_pme)),
 ])
 def test_snapshot_functionals_are_the_public_ones(request, gauss_grid, run, params, fns):
     # a snapshot shares one s-field between I and K; each value must be the
     # one the functional gives on its own
-    tr = request.getfixturevalue(run)
-    assert len(tr.fields) > 5
-    for snap, v in tr.fields:
+    tr, states = request.getfixturevalue(run)
+    assert len(states) == len(tr.t) > 5
+    for snap, v in enumerate(states):
         assert (tr.E[snap], tr.I[snap], tr.K[snap]) == tuple(f(params, v, gauss_grid) for f in fns)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0])
+def test_q4_column_is_the_quartic_gradient_of_the_state(gauss_grid_small, states, p):
+    # q4 = int |D v^{p/4}|^4 dgamma, from z = s^{1/2} on the snapshot's work arrays
+    cfg = ef.FlowConfig(kind="linear", p=p, init="bump:0.3", t_end=0.2, dt=1e-3, stride=10)
+    tr = ef.run_linear(cfg, gauss_grid_small)
+    assert len(states) == len(tr.q4) == 21
+    want = [ef.integrate_dgamma(gauss_grid_small,
+                                ef.gradient_sq(gauss_grid_small, v ** (p / 4)) ** 2)
+            for v in states]
+    assert_allclose(tr.q4, want, rtol=1e-13, atol=0)
+    assert min(want) > 0.0
+
+
+def test_pme_trace_has_no_q4(pme_run):
+    assert pme_run.q4 is None
+    with pytest.raises(KeyError, match="q4"):
+        pme_run.column("q4")
 
 
 @pytest.mark.parametrize("kind", ["linear", "pme"])
 @pytest.mark.parametrize("zero_node", [False, True], ids=["positive", "zero-node"])
 def test_snapshot_grid_integrals(monkeypatch, gauss_grid_small, kind, zero_node):
-    # a snapshot sums E, the mass, the Fisher edge terms and K (only at or
-    # above the floor) once each; the mass sum serves both the unit-mass
-    # check and the trace column
+    # a snapshot sums E, the mass, the Fisher edge terms, K (only at or
+    # above the floor) and, linear only, q4 once each; the mass sum serves
+    # both the unit-mass check and the trace column
     n = gauss_grid_small.n
     v0 = ef.initial_field(gauss_grid_small, "bump:0.4")
     if zero_node:
@@ -196,6 +214,7 @@ def test_snapshot_grid_integrals(monkeypatch, gauss_grid_small, kind, zero_node)
     want = []
     for K in tr.K:
         want += [n, n, n - 1, n] if np.isfinite(K) else [n, n, n - 1]
+        want += [n] if kind == "linear" else []
     assert snapshot == want
     assert other == []
 
@@ -254,7 +273,7 @@ class TestPmeFlow:
 
     @pytest.mark.parametrize("bad", [
         dict(dt=0.0), dict(dt=-1e-3), dict(dt=float("nan")), dict(dt=float("inf")),
-        dict(stride=0), dict(stride=-1), dict(audit_stride=0),
+        dict(stride=0), dict(stride=-1),
         dict(t_end=float("nan")), dict(t_end=float("inf")),
     ])
     def test_step_and_stride_validation(self, bad):
@@ -449,121 +468,40 @@ class TestNewtonWork:
 
 
 class TestTraceIO:
-    def test_csv_round_trip_exact(self, pme_run, tmp_path):
+    @pytest.mark.parametrize("run, header", [
+        ("pme_run", "t,E,I,K,mass,min_v"), ("linear_run_p15", "t,E,I,K,mass,min_v,q4"),
+    ], ids=["pme", "linear"])
+    def test_csv_round_trip_exact(self, request, tmp_path, run, header):
+        trace = request.getfixturevalue(run)
         path = tmp_path / "trace.csv"
-        pme_run.to_csv(path)
+        trace.to_csv(path)
+        assert path.read_text().splitlines()[3] == header
         back = ef.Trace.from_csv(path)
-        for col in ("t", "E", "I", "K", "mass", "min_v"):
-            assert_allclose(back.column(col), pme_run.column(col), rtol=0, atol=0)
-        assert back.config["p"] == pme_run.config["p"]
-        assert back.grid_id == pme_run.grid_id
+        for col in header.split(","):
+            assert_allclose(back.column(col), trace.column(col), rtol=0, atol=0)
+        assert back.config["p"] == trace.config["p"]
+        assert back.grid_id == trace.grid_id
 
-    def test_fields_round_trip(self, linear_run_p15, tmp_path):
-        path = tmp_path / "fields.npz"
-        linear_run_p15.save_fields(path)
-        tr = ef.Trace(
-            t=linear_run_p15.t, E=linear_run_p15.E, I=linear_run_p15.I,
-            K=linear_run_p15.K, mass=linear_run_p15.mass,
-            min_v=linear_run_p15.min_v, config=linear_run_p15.config,
-            grid_id=linear_run_p15.grid_id,
-        )
-        tr.load_fields(path)
-        assert len(tr.fields) == len(linear_run_p15.fields)
-        for (i, v), (j, w) in zip(tr.fields, linear_run_p15.fields):
-            assert i == j and np.array_equal(v, w)
+    def test_six_column_linear_trace_reads_without_q4(self, linear_run_p15, tmp_path):
+        # the format of linear traces written before the q4 column
+        path = tmp_path / "trace.csv"
+        linear_run_p15.to_csv(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + [line.rpartition(",")[0] for line in lines[3:]])
+                        + "\n")
+        back = ef.Trace.from_csv(path)
+        assert back.q4 is None
+        assert_allclose(back.E, linear_run_p15.E, rtol=0, atol=0)
 
-    def test_fields_file_is_the_savez_bytes(self, linear_run_p15, tmp_path):
-        # the row-by-row writer against np.savez of the stacked snapshots
-        tr = linear_run_p15
-        ours, oracle = tmp_path / "ours.npz", tmp_path / "oracle.npz"
-        tr.save_fields(ours)
-        np.savez(oracle, indices=np.array([i for i, _ in tr.fields], dtype=int),
-                 fields=np.stack([v for _, v in tr.fields]), t=tr.t, grid_id=tr.grid_id)
-        assert ours.read_bytes() == oracle.read_bytes()
-
-    def test_fields_file_takes_the_name_given(self, linear_run_p15, tmp_path):
-        # np.savez appended ".npz" to this name, so the file was not at the path
-        path = tmp_path / "fields.bin"
-        linear_run_p15.save_fields(path)
-        assert [p.name for p in tmp_path.iterdir()] == ["fields.bin"]
-        linear_run_p15.load_fields(path)
-
-    def test_fields_are_written_without_a_snapshot_matrix(self, linear_run_p15, tmp_path):
-        # np.stack and np.savez's tobytes each held a k x n copy of the snapshots
-        k, n = len(linear_run_p15.fields), len(linear_run_p15.fields[0][1])
-        tracemalloc.start()
-        try:
-            linear_run_p15.save_fields(tmp_path / "fields.npz")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < k * n * 8
-
-    @pytest.mark.parametrize("case, message", [
-        ("few-indices", r"fields of shape \(21, 201\) for 3 indices"),
-        ("vector", r"fields of shape \(201,\) for 1 indices"),
-        ("cut-rows", "rows of 50 values, the grid has 201 nodes"),
-    ], ids=["few-indices", "vector", "cut-rows"])
-    def test_malformed_fields_are_rejected(self, gauss_pot, tmp_path, case, message):
-        # zip() cut the 21 rows to the 3 indices; 50-value rows passed the
-        # min_v check and broke the refined audit
-        grid = ef.make_interval_grid(-8.0, 8.0, 201, gauss_pot)
-        cfg = ef.FlowConfig(kind="linear", p=1.5, init="odd:0.2", t_end=0.04, dt=1e-3,
-                            stride=1, audit_stride=2)
-        trace = ef.run_linear(cfg, grid)
-        trace.meta["geometry"] = {"n": grid.n}  # as the flow command records it
-        path = tmp_path / "fields.npz"
-        trace.save_fields(path)
-        with np.load(path) as data:
-            members = dict(data)
-        assert members["fields"].shape == (21, 201)
-        if case == "few-indices":
-            members["indices"] = members["indices"][:3]
-        elif case == "vector":
-            members["indices"], members["fields"] = members["indices"][:1], members["fields"][0]
-        else:
-            members["fields"] = members["fields"][:, :50]
-        np.savez(path, **members)
-        with pytest.raises(ConfigError, match=message) as err:
-            trace.load_fields(path)
-        assert str(path) in str(err.value)
-
-    def test_fields_of_another_run_are_rejected(self, linear_run_p15, gauss_grid,
-                                                tmp_path):
-        # same grid, other t_end: the grid id alone let these through
-        path = tmp_path / "fields.npz"
-        linear_run_p15.save_fields(path)
-        cfg = ef.FlowConfig(kind="linear", p=1.5, init="odd:0.2", t_end=0.3, dt=1e-3)
-        shorter = ef.run_linear(cfg, gauss_grid)
-        assert shorter.grid_id == linear_run_p15.grid_id
-        with pytest.raises(ConfigError, match="other snapshot times"):
-            shorter.load_fields(path)
-
-    def test_fields_past_the_trace_end_are_rejected(self, linear_run_p15, tmp_path):
-        # a trace cut to 101 rows: stored field 110 used to end in IndexError
-        path = tmp_path / "fields.npz"
-        linear_run_p15.save_fields(path)
-        cut = ef.Trace(
-            t=linear_run_p15.t[:101], E=linear_run_p15.E[:101], I=linear_run_p15.I[:101],
-            K=linear_run_p15.K[:101], mass=linear_run_p15.mass[:101],
-            min_v=linear_run_p15.min_v[:101], config=linear_run_p15.config,
-            grid_id=linear_run_p15.grid_id,
-        )
-        assert max(i for i, _ in linear_run_p15.fields) > 100
-        with pytest.raises(ConfigError, match="other snapshot times"):
-            cut.load_fields(path)
-
-    def test_fields_of_another_init_are_rejected(self, linear_run_p15, gauss_grid,
-                                                 tmp_path):
-        # same grid and times, other initial datum: the field minima differ
-        cfg = ef.FlowConfig(kind="linear", p=1.5, init="bump:0.3", t_end=4.0, dt=1e-3,
-                            audit_stride=10)
-        other = ef.run_linear(cfg, gauss_grid)
-        path = tmp_path / "fields.npz"
-        other.save_fields(path)
-        assert np.array_equal(other.t, linear_run_p15.t)
-        with pytest.raises(ConfigError, match="does not match the trace's min_v"):
-            linear_run_p15.load_fields(path)
+    @pytest.mark.parametrize("header", ["t,E,I,K,mass,min_v,q5", "t,E,I,K,mass,min_v,q4,x",
+                                        "t,I,E,K,mass,min_v"])
+    def test_unknown_header_is_rejected(self, linear_run_p15, tmp_path, header):
+        path = tmp_path / "trace.csv"
+        linear_run_p15.to_csv(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + [header] + lines[4:]) + "\n")
+        with pytest.raises(ConfigError, match="line 4: unknown header"):
+            ef.Trace.from_csv(path)
 
     def test_pme_meta_counters_round_trip(self, gauss_grid_small, tmp_path):
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, init="bump:0.4", t_end=0.05,

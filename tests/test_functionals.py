@@ -201,10 +201,19 @@ def _fsum(a):
     return math.fsum(a.tolist())
 
 
+def _gradient_sq_reference(grid, u):
+    """|Du|^2 at the nodes: half of each edge's C (Du)^2 to either end, over W."""
+    q = grid.conductance * np.diff(u) ** 2
+    g = np.zeros(grid.n)
+    g[:-1] += 0.5 * q
+    g[1:] += 0.5 * q
+    return g / grid.node_mass
+
+
 def _reference_rows(params, v, grid, floor=ef.DEFAULT_FLOOR):
-    """The integrands (E, mass, I, K) of a snapshot from the formulas as
-    plain numpy expressions; I holds the n - 1 Fisher edge terms and K is
-    None below the floor."""
+    """The integrands (E, mass, I, K), and q4 for the linear family, of a
+    snapshot from the formulas as plain numpy expressions; I holds the n - 1
+    Fisher edge terms and K is None below the floor."""
     mu, pme = grid.dgamma_weights, isinstance(params, ef.PmeParams)
     p = params.p
     if pme:
@@ -225,26 +234,25 @@ def _reference_rows(params, v, grid, floor=ef.DEFAULT_FLOOR):
         Ls[:-1] += flux
         Ls[1:] -= flux
         Ls /= grid.node_mass
-        q = grid.conductance * ds**2
-        Gs = np.zeros(grid.n)
-        Gs[:-1] += 0.5 * q
-        Gs[1:] += 0.5 * q
-        Gs /= grid.node_mass
+        Gs = _gradient_sq_reference(grid, s)
         quad = Ls * Ls + params.alpha * Ls * Gs / s
         e2 = params.beta * (params.m - 1.0) if pme else 0.0
         if e2 != 0.0:
             quad = np.power(s, e2) * quad
         K = mu * quad
-    return E, mu * v, I, K
+    q4 = [] if pme else [mu * _gradient_sq_reference(grid, np.sqrt(s)) ** 2]
+    return [E, mu * v, I, K, *q4]
 
 
 def _reference(params, v, grid, floor=ef.DEFAULT_FLOOR):
-    """(E, I, K, mass) of the reference rows, each summed with math.fsum."""
-    E, mass, I, K = _reference_rows(params, v, grid, floor)
+    """The snapshot row (E, I, K, mass, min_v, and q4 for the linear family)
+    of the reference rows, each summed with math.fsum."""
+    E, mass, I, K, *q4 = _reference_rows(params, v, grid, floor)
     pme = isinstance(params, ef.PmeParams)
     E = _fsum(E) / (params.m + params.p - 2.0) if pme else _fsum(E)
     I = (params.c if pme else 4.0 / params.p) * _fsum(I)
-    return E, I, np.nan if K is None else _fsum(K), _fsum(mass)
+    return (E, I, np.nan if K is None else _fsum(K), _fsum(mass), float(v.min()),
+            *map(_fsum, q4))
 
 
 SNAPSHOT_PARAMS = [
@@ -270,7 +278,10 @@ class TestSnapshot:
         snap = _Snapshot(params, gauss_grid)
         got = snap(v)
         public = [f(params, v, gauss_grid) for f in _public(params)]
-        public.append(ef.integrate_dgamma(gauss_grid, v))
+        public += [ef.integrate_dgamma(gauss_grid, v), v.min()]
+        if isinstance(params, ef.LinearParams):
+            z = np.sqrt(np.power(np.maximum(v, ef.DEFAULT_FLOOR), params.p / 2.0))
+            public.append(ef.integrate_dgamma(gauss_grid, ef.gradient_sq(gauss_grid, z) ** 2))
         assert _bits(got) == _bits(public) == _bits(_reference(params, v, gauss_grid))
         # the work arrays carry nothing from one field to the next
         w = _perturbed(gauss_grid, amp=0.5, seed=2)
@@ -295,10 +306,10 @@ class TestSnapshot:
         v[100] = 0.0
         if isinstance(params, ef.PmeParams):
             v = _normalized(gauss_grid, v)
-        E, I, K, mass = _Snapshot(params, gauss_grid)(v)
+        E, I, K, *rest = _Snapshot(params, gauss_grid)(v)
         assert np.isnan(K)
         ref = _reference(params, v, gauss_grid, 1e-12)
-        assert _bits((E, I, mass)) == _bits(ref[:2] + ref[3:])
+        assert _bits((E, I, *rest)) == _bits(ref[:2] + ref[3:])
         entropy, fisher, k = _public(params)
         assert _bits((E, I)) == _bits((entropy(params, v, gauss_grid),
                                        fisher(params, v, gauss_grid)))

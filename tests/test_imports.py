@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 BASE = {"cli", "errors", "grid", "potential", "functionals"}
 GRID = ["--potential", "gaussian", "--domain=-8:8", "--n", "401"]
 LINEAR = ["flow", "linear", "--p", "1.5", *GRID, "--tend", "0.2", "--dt", "1e-3",
-          "--init", "odd:0.2", "--trace", "lin.csv", "--fields", "lin.npz"]
+          "--init", "odd:0.2", "--trace", "lin.csv"]
 PME = ["flow", "pme", "--m", "1.2", "--p", "1.5", "--theta", "0.5", *GRID, "--tend", "0.2",
        "--dt", "1e-3", "--init", "bump:0.4", "--trace", "pme.csv"]
 
@@ -71,7 +71,7 @@ def runs(tmp_path_factory):
     # the poincare trials come from random.Random, whose module imports the
     # builtin _sha512 (_sha2 on 3.12+); numpy.random's SeedSequence would
     # import secrets -> hmac -> _hashlib
-    (["report", "--trace", "lin.csv", "--fields", "lin.npz", "--trials", "5",
+    (["report", "--trace", "lin.csv", "--trials", "5",
       "--checks", "envelope,dissipation,poincare,refined"],
      {"_lapack", "flows", "verify", "criteria", "spectrum"}),
     (["report", "--trace", "pme.csv", "--checks", "envelope,dissipation,lemma"],

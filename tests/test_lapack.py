@@ -200,7 +200,8 @@ def test_only_the_two_routines_are_bound():
     assert not hasattr(_lapack, "lowest")
 
 
-def test_fallback_runs_the_flows_and_the_eigensolve(monkeypatch, rng, gauss_grid_small):
+def test_fallback_runs_the_flows_and_the_eigensolve(monkeypatch, rng, gauss_grid_small,
+                                                     states):
     from entroflow import flows, spectrum
 
     fallback = _lapack.Flapack(LINALG_DIR)
@@ -214,13 +215,17 @@ def test_fallback_runs_the_flows_and_the_eigensolve(monkeypatch, rng, gauss_grid
                                                for run, cfg in runs]
 
     (lam, vec, *_), traces = solve_all()
+    kept = states[:]
+    states.clear()
     monkeypatch.setattr(spectrum, "SPDTridiagonal", lambda n: _lapack.SPDTridiagonal(n, fallback))
     monkeypatch.setattr(flows, "SPDTridiagonal", lambda n: _lapack.SPDTridiagonal(n, fallback))
     (lam_fb, vec_fb, *_), traces_fb = solve_all()
     assert lam_fb == lam and np.array_equal(vec_fb, vec)
     for got, want in zip(traces_fb, traces):
         assert np.array_equal(got.E, want.E)
-        assert np.array_equal(got.fields[-1][1], want.fields[-1][1])
+    # the state at every row of both flows, the last ones included
+    assert len(states) == len(kept) == sum(len(trace.t) for trace in traces)
+    assert all(np.array_equal(got, want) for got, want in zip(states, kept))
 
 
 def test_one_by_one_matrix(monkeypatch, lapack):

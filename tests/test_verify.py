@@ -254,42 +254,70 @@ class TestDissipationAudit:
 
 
 class TestRefinedAudit:
-    def test_passes_on_gaussian_run(self, linear_run_p15, gauss_grid):
+    def test_passes_on_gaussian_run(self, linear_run_p15):
         p = 1.5
         alpha = (2 - p) / p
         eps = (1.0 - alpha) / (2.0 * alpha)
-        v = ef.refined_inequality_audit(linear_run_p15, eps, gauss_grid)
+        v = ef.refined_inequality_audit(linear_run_p15, eps)
         assert v.passed
         assert v.worst_violation >= -1e-8
+        # every row is audited
+        assert v.details["snapshots"] == len(linear_run_p15.t) == 201
 
-    def test_corrupted_entropy_fails(self, linear_run_p15, gauss_grid):
+    def test_corrupted_entropy_fails(self, linear_run_p15):
+        # E, I, K and q4 all come from the trace's columns: a corrupted E
+        # shows where it breaks the interpolation inequality against q4 and I
         tr = ef.Trace(
             t=linear_run_p15.t, E=linear_run_p15.E * 0.0 - 1.0,
             I=linear_run_p15.I, K=linear_run_p15.K, mass=linear_run_p15.mass,
             min_v=linear_run_p15.min_v, config=linear_run_p15.config,
-            grid_id=linear_run_p15.grid_id, fields=linear_run_p15.fields,
+            grid_id=linear_run_p15.grid_id, q4=linear_run_p15.q4,
         )
-        v = ef.refined_inequality_audit(tr, 1.0, gauss_grid)
+        v = ef.refined_inequality_audit(tr, 1.0)
         assert not v.passed
 
-    def test_reads_p_from_trace(self, linear_run_p15, gauss_grid):
-        # the same columns labelled p = 1.1 are held to alpha(1.1) and fail,
-        # as report --p 1.1 once made them fail on the p = 1.5 run
-        alpha = (2 - 1.1) / 1.1
-        eps = (1.0 - alpha) / (2.0 * alpha)
-        relabelled = replace(linear_run_p15, config={**linear_run_p15.config, "p": 1.1})
-        assert not ef.refined_inequality_audit(relabelled, eps, gauss_grid).passed
+    @pytest.mark.parametrize("scale, passed", [(1.0 - 1e-5, False), (1.0 + 1e-5, True)],
+                             ids=["smaller", "larger"])
+    def test_q4_off_by_1e_5_is_caught_one_way(self, linear_run_p15, gauss_grid, scale,
+                                              passed):
+        # the interpolation inequality (p I)^2 <= 256 (1 + (p-1) E) q4 holds
+        # with a slack of 8.4e-7 at the last row: a q4 1e-5 too small breaks it
+        # there, and one 1e-5 too large only widens it
+        eps = ef.epsilon_star(1.5, gauss_grid)
+        clean = ef.refined_inequality_audit(linear_run_p15, eps)
+        assert clean.passed and clean.location == 200
+        assert 8e-7 < clean.worst_violation < 9e-7
+        mutated = replace(linear_run_p15, q4=linear_run_p15.q4 * scale)
+        v = ef.refined_inequality_audit(mutated, eps)
+        assert v.passed == passed
+        if not passed:
+            assert v.location == 200
+            assert -1e-5 < v.worst_violation < -9e-6
 
-    def test_requires_fields(self, gauss_grid):
+    def test_reads_p_from_trace(self, linear_run_p15):
+        # the same columns labelled p = 1.9 are held to (1.9 I)^2 <= 256 (1 +
+        # 0.9 E) q4, which the p = 1.5 run's last rows break; labelled p = 1.1
+        # they pass with another worst slack than at p = 1.5
+        verdicts = {}
+        for p in (1.1, 1.5, 1.9):
+            relabelled = replace(linear_run_p15, config={**linear_run_p15.config, "p": p})
+            verdicts[p] = ef.refined_inequality_audit(relabelled, 0.5)
+        assert verdicts[1.5].passed and verdicts[1.1].passed
+        assert verdicts[1.1].worst_violation != verdicts[1.5].worst_violation
+        assert not verdicts[1.9].passed
+
+    def test_requires_q4(self):
         tr = _synthetic_trace()
-        with pytest.raises(ConfigError):
-            ef.refined_inequality_audit(tr, 1.0, gauss_grid)
+        with pytest.raises(ConfigError, match="q4 column"):
+            ef.refined_inequality_audit(tr, 1.0)
+        with pytest.raises(ConfigError, match="q4 column"):
+            ef.run_checks(tr, ["refined"], geometry=lambda: pytest.fail("built a grid"))
 
     def test_equilibrium_trace_trivially_passes(self, gauss_grid_small):
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="const", t_end=0.1,
-                            dt=2e-3, stride=10, audit_stride=2)
+                            dt=2e-3, stride=10)
         tr = ef.run_linear(cfg, gauss_grid_small)
-        v = ef.refined_inequality_audit(tr, 1.0, gauss_grid_small)
+        v = ef.refined_inequality_audit(tr, 1.0)
         assert v.passed
 
 
