@@ -584,6 +584,7 @@ def bad_files(tmp_path):
     (tmp_path / "nan.csv").write_text("1.0\n" * 100 + "nan\n" + "1.0\n" * 100)
     (tmp_path / "short.csv").write_text("t,E,I,K,mass,min_v\n0,1,2,3,1,1\n0.1,1,2\n")
     (tmp_path / "cell.csv").write_text("t,E,I,K,mass,min_v\n0,1,2,abc,1,1\n")
+    (tmp_path / "no-q4.csv").write_text("t,E,I,K,mass,min_v,q4\n0,1,2,3,1,1,4\n0.1,1,2,3,1,1\n")
     rows = "t,E,I,K,mass,min_v\n0,1,2,3,1,1\n0.1,0.9,1.8,2.7,1,1\n"
     (tmp_path / "no-config.csv").write_text(rows)
     (tmp_path / "no-p.csv").write_text('# config: {"kind": "linear"}\n' + rows)
@@ -623,6 +624,8 @@ class TestMalformedInput:
          "short.csv line 3: 3 columns, expected 6"),
         (["report", "--trace", "{tmp}/cell.csv"],
          "cell.csv line 2: could not convert string to float: 'abc'"),
+        (["report", "--trace", "{tmp}/no-q4.csv"],
+         "no-q4.csv line 3: 6 columns, expected 7 (t,E,I,K,mass,min_v,q4)"),
         (["report", "--trace", "{tmp}/no-config.csv"],
          "no-config.csv: its '# config:' line lacks kind, p"),
         (["report", "--trace", "{tmp}/no-p.csv", "--checks", "dissipation"],
@@ -683,7 +686,8 @@ class TestMalformedInput:
          "got --lambda1 and --potential, --n"),
     ], ids=["power", "harmonic_log", "radial-d", "p-list", "init-bump", "check-theta",
             "tabulated-file", "init-csv-file", "missing-tabulated", "missing-init-csv",
-            "missing-trace", "trace-short-row", "trace-cell", "trace-no-config", "trace-no-p", "report-p",
+            "missing-trace", "trace-short-row", "trace-cell", "trace-row-without-q4",
+            "trace-no-config", "trace-no-p", "report-p",
             "lambda1-p-theta", "lambda1-config-theta", "constants-theta-from-p",
             "flag-prefix", "flow-scheme",
             "init-csv-zero-mass", "init-csv-nan",

@@ -181,6 +181,23 @@ def test_q4_column_is_the_quartic_gradient_of_the_state(gauss_grid_small, states
     assert min(want) > 0.0
 
 
+def test_q4_column_is_finite_where_K_is_not(gauss_grid_small, states):
+    # a zero node puts the first row below the floor: K is nan there, while
+    # q4, like I, is taken on v clipped to the floor, so z is floor^{p/4} at
+    # that node
+    v0 = ef.initial_field(gauss_grid_small, "bump:0.4")
+    v0[gauss_grid_small.n // 2] = 0.0
+    v0 /= ef.integrate_dgamma(gauss_grid_small, v0)
+    cfg = ef.FlowConfig(kind="linear", p=1.5, init=v0, t_end=0.05, dt=1e-3, stride=5)
+    tr = ef.run_linear(cfg, gauss_grid_small)
+    assert np.isnan(tr.K[0]) and np.isfinite(tr.K[1:]).all()
+    want = [ef.integrate_dgamma(gauss_grid_small,
+                                ef.gradient_sq(gauss_grid_small, z) ** 2)
+            for z in (np.maximum(v, functionals.DEFAULT_FLOOR) ** 0.375 for v in states)]
+    assert np.isfinite(tr.q4).all()
+    assert_allclose(tr.q4, want, rtol=1e-13, atol=0)
+
+
 def test_pme_trace_has_no_q4(pme_run):
     assert pme_run.q4 is None
     with pytest.raises(KeyError, match="q4"):
@@ -501,6 +518,18 @@ class TestTraceIO:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:3] + [header] + lines[4:]) + "\n")
         with pytest.raises(ConfigError, match="line 4: unknown header"):
+            ef.Trace.from_csv(path)
+
+    def test_row_without_q4_is_rejected(self, linear_run_p15, tmp_path):
+        # under the seven-column header a row cut to six values is malformed,
+        # not a row of a trace without q4
+        path = tmp_path / "trace.csv"
+        linear_run_p15.to_csv(path)
+        lines = path.read_text().splitlines()
+        lines[9] = lines[9].rpartition(",")[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError,
+                           match=r"line 10: 6 columns, expected 7 \(t,E,I,K,mass,min_v,q4\)"):
             ef.Trace.from_csv(path)
 
     def test_pme_meta_counters_round_trip(self, gauss_grid_small, tmp_path):

@@ -306,6 +306,17 @@ class TestRefinedAudit:
         assert verdicts[1.1].worst_violation != verdicts[1.5].worst_violation
         assert not verdicts[1.9].passed
 
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0], ids=["nan", "negative"])
+    def test_bad_q4_entry_fails_at_its_row(self, linear_run_p15, bad):
+        # a q4 entry no field can have, NaN or below 0, fails the audit at
+        # its own row instead of dropping out of the comparison
+        q4 = linear_run_p15.q4.copy()
+        q4[37] *= bad
+        v = ef.refined_inequality_audit(replace(linear_run_p15, q4=q4), 0.5)
+        assert not v.passed
+        assert v.location == 37
+        assert math.isnan(bad) == math.isnan(v.worst_violation)
+
     def test_requires_q4(self):
         tr = _synthetic_trace()
         with pytest.raises(ConfigError, match="q4 column"):
