@@ -26,8 +26,7 @@ _EXPORTS = {
     ),
     "potential": (
         "Potential", "evaluate", "example1_epsilon_bound", "flat", "harmonic",
-        "harmonic_log", "hessian_infimum_V", "potential_from_spec", "power_law",
-        "tabulated", "tail_mass",
+        "harmonic_log", "potential_from_spec", "power_law", "tabulated", "tail_mass",
     ),
     "grid": (
         "Grid", "delta_g", "dirichlet_form", "gradient_sq", "inner_dgamma",

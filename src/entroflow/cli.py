@@ -101,9 +101,7 @@ def _build_geometry(args: argparse.Namespace) -> tuple[Grid, dict]:
     the grid used them: the record a flow writes into its trace's meta."""
     text = args.potential or "gaussian"
     record = {"potential": text, "domain": None, "radial": args.radial}
-    if text.startswith("tabulated:"):
-        if args.radial:
-            raise ConfigError("tabulated potentials are interval-only in the CLI")
+    if text.startswith("tabulated:") and not args.radial:
         pot = potential_from_spec(text)
         x = pot.table_x
         xL, xR = float(x[0]), float(x[-1])
@@ -338,7 +336,8 @@ class _HelpFormatter(argparse.HelpFormatter):
 
 
 def _add_geometry_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--potential", help="gaussian|flat|power:B|harmonic_log:E|tabulated:f.csv")
+    sp.add_argument("--potential", help="gaussian|flat|power:B|harmonic_log:E|tabulated:f.csv "
+                                        "(f.csv: two columns x,F)")
     sp.add_argument("--domain", help="interval A:B (use --domain=-8:8 form)")
     sp.add_argument("--radial", help="radial D:R")
     sp.add_argument("--n", type=int, help="node count")

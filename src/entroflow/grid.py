@@ -10,7 +10,8 @@ where W = diag(w_i g_i) and S is the symmetric tridiagonal stiffness matrix
 built by :func:`stiffness_bands` (diagonal c_{i-1/2} + c_{i+1/2}, off-diagonal
 -c_{i+1/2}).  That one stencil is the whole discretization: :func:`delta_g`
 applies it edge by edge, and the implicit systems of both flows and the
-matrices of every spectral quotient are built from its bands.  This makes
+matrices of every spectral quotient (on an interval, its dual grid's) are
+built from its bands.  This makes
 three properties structural rather than approximate:
 
 * constants are in the kernel and mass is conserved exactly,
@@ -18,9 +19,10 @@ three properties structural rather than approximate:
 * the summation-by-parts identity  <u, Lv> = -D(u, v)  holds to round-off,
   where D is the edge-based Dirichlet form returned by :func:`dirichlet_form`.
 
-Grids are uniform.  Radial grids stagger the first node to r = h/2 so that
-singular families (log, sub-quadratic powers) are never evaluated at the
-origin and the r^{d-1} Jacobian needs no special casing.
+Grids are uniform and evaluate F alone, finite even at x = 0 for `power`.
+Radial grids stagger the first node to r = h/2 so that the log family and
+the F'/r of their spectra are never evaluated at the origin and the r^{d-1}
+Jacobian needs no special casing.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDomain, NonFiniteWeight, ParameterError, TailMassTooLarge
-from .potential import Potential, _check_singular, _sha256, log_weight, tail_mass
+from .potential import Potential, _sha256, log_weight, tail_mass
 
 __all__ = [
     "Grid",
@@ -99,8 +101,6 @@ class Grid:
 
 
 def _finish_grid(kind, d, nodes, h, w, faces, face_area, pot) -> Grid:
-    # log_weight admits x = 0 for the power family; a node there stays an error
-    _check_singular(pot, nodes)
     # F overflowing to +inf is a zero weight, reported just below
     with np.errstate(over="ignore", under="ignore"):
         F = log_weight(pot, nodes)
@@ -172,7 +172,8 @@ def make_radial_grid(
     has zero area (d >= 2) or zero imposed flux (d = 1), the outermost face
     is the Neumann truncation.  For decaying families the relative weight
     beyond R is estimated analytically and must stay below ``_TAIL_TOL``.
-    The potential carries the dimension: ``pot.d`` must equal ``d``.
+    The potential carries the dimension: ``pot.d`` must equal ``d``; a table
+    lacks the F' and F'' radial spectra sample (ParameterError).
     """
     if n < _MIN_NODES:
         raise DegenerateDomain(f"need at least {_MIN_NODES} nodes, got {n}")
@@ -185,7 +186,9 @@ def make_radial_grid(
     if pot.d != d:
         raise ParameterError(f"a radial grid in d = {d} needs a potential of that d; "
                              f"got d = {pot.d}")
-    if pot.family not in ("flat", "tabulated"):
+    if pot.family == "tabulated":
+        raise ParameterError("a tabulated potential is interval-only: it has no F', F''")
+    if pot.family != "flat":
         tm = tail_mass(pot, R)
         if tm > _TAIL_TOL:
             raise TailMassTooLarge(

@@ -6,11 +6,10 @@ harmonic          F(x) = x^2 / 2
 harmonic_log      F(r) = r^2 / 2 + eps * log(r)      (radial, d >= 3, 0 < eps < d)
 power             F(x) = |x|^beta / beta             (1 < beta <= 2)
 flat              F = 0 (bounded domain, flat weight)
-tabulated         node-aligned arrays of F, F', F''
+tabulated         node-aligned arrays of x and F (interval grids only)
 
-Every family exposes closed-form F, F' and F''.  Tabulated potentials must
-supply the derivatives explicitly; nothing is differentiated numerically,
-because the Hessian-infimum field is derivative-sensitive.
+Every closed-form family exposes F, F' and F'' (:func:`evaluate`), which
+only radial spectra sample; a table carries F alone, all an interval needs.
 
 A potential carries its dimension d: :func:`tail_mass` and radial grids read
 it.  :func:`potential_from_spec` is the one parser of a spelling, the CLI's
@@ -38,7 +37,6 @@ __all__ = [
     "tabulated",
     "potential_from_spec",
     "evaluate",
-    "hessian_infimum_V",
     "Example1Bound",
     "example1_epsilon_bound",
     "tail_mass",
@@ -68,8 +66,6 @@ class Potential:
     beta: float | None = None
     table_x: np.ndarray | None = field(default=None, repr=False)
     table_F: np.ndarray | None = field(default=None, repr=False)
-    table_dF: np.ndarray | None = field(default=None, repr=False)
-    table_d2F: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
@@ -89,20 +85,14 @@ class Potential:
                     f"power family requires beta in (1, 2]; got {self.beta}"
                 )
         if self.family == "tabulated":
-            columns = {"x": self.table_x, "F": self.table_F, "dF": self.table_dF,
-                       "d2F": self.table_d2F}
-            if any(a is None for a in columns.values()):
-                raise ParameterError("tabulated potential needs x, F, F' and F'' arrays")
-            if any(len(a) != len(self.table_x) for a in columns.values()):
+            if self.table_x is None or self.table_F is None:
+                raise ParameterError("tabulated potential needs x and F arrays")
+            if len(self.table_F) != len(self.table_x):
                 raise ParameterError("tabulated arrays must have equal length")
-            for name, a in columns.items():
+            for name, a in (("x", self.table_x), ("F", self.table_F)):
                 bad = np.flatnonzero(~np.isfinite(a))
                 if len(bad):
                     raise ParameterError(f"tabulated column {name} is not finite at row {bad[0]}")
-
-    @property
-    def singular_at_origin(self) -> bool:
-        return self.family in ("harmonic_log", "power")
 
     def key(self) -> str:
         """Short deterministic identity string (used in grid hashes)."""
@@ -112,7 +102,7 @@ class Potential:
             return f"power(beta={self.beta!r})"
         if self.family == "tabulated":
             digest = _sha256()
-            for arr in (self.table_x, self.table_F, self.table_dF, self.table_d2F):
+            for arr in (self.table_x, self.table_F):
                 digest.update(np.asarray(arr, dtype=float).tobytes())
             return f"tabulated(n={len(self.table_x)},sha256={digest.hexdigest()})"
         return self.family
@@ -134,23 +124,17 @@ def flat(d: int = 1) -> Potential:
     return Potential("flat", d=d)
 
 
-def tabulated(x, F, dF, d2F, d: int = 1) -> Potential:
-    return Potential(
-        "tabulated",
-        d=d,
-        table_x=np.asarray(x, dtype=float),
-        table_F=np.asarray(F, dtype=float),
-        table_dF=np.asarray(dF, dtype=float),
-        table_d2F=np.asarray(d2F, dtype=float),
-    )
+def tabulated(x, F, d: int = 1) -> Potential:
+    return Potential("tabulated", d=d, table_x=np.asarray(x, dtype=float),
+                     table_F=np.asarray(F, dtype=float))
 
 
 def potential_from_spec(spec, d: int = 1) -> Potential:
     """Build a potential from its ``--potential`` text or a config mapping.
 
     Text: ``gaussian`` (alias of ``harmonic``), ``flat``, ``power:B``,
-    ``harmonic_log:E`` or ``tabulated:file.csv`` (comma-separated columns
-    x, F, F', F'', one row per node).  Mapping: {"family": ..., "beta": B,
+    ``harmonic_log:E`` or ``tabulated:file.csv`` (exactly two comma-separated
+    columns x and F, one row per node).  Mapping: {"family": ..., "beta": B,
     "eps": E, "d": D}, the family defaulting to harmonic and d to the
     argument; a table is named by text only.  A malformed or incomplete spec,
     or a d that is not a whole number, raises ParameterError.
@@ -176,9 +160,10 @@ def potential_from_spec(spec, d: int = 1) -> Potential:
             return harmonic_log(float(fields["eps"]), d)
         if family == "tabulated" and arg is not None:
             raw = np.loadtxt(arg, delimiter=",", ndmin=2)
-            if raw.shape[1] < 4:
-                raise ParameterError("tabulated potential file needs columns x,F,dF,d2F")
-            return tabulated(raw[:, 0], raw[:, 1], raw[:, 2], raw[:, 3], d=d)
+            if raw.shape[1] != 2:
+                raise ParameterError(f"tabulated potential file needs exactly two columns "
+                                     f"x,F; got {raw.shape[1]}")
+            return tabulated(raw[:, 0], raw[:, 1], d=d)
     except KeyError as exc:
         raise ParameterError(f"cannot parse potential {spec!r}: no {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -187,7 +172,7 @@ def potential_from_spec(spec, d: int = 1) -> Potential:
 
 
 def _check_singular(pot: Potential, x: np.ndarray) -> None:
-    if pot.singular_at_origin and np.any(x == 0.0):
+    if pot.family in ("harmonic_log", "power") and np.any(x == 0.0):
         raise DomainError(f"{pot.family} potential is singular at x = 0")
 
 
@@ -203,7 +188,7 @@ def _table_index(pot: Potential, x: np.ndarray) -> np.ndarray:
 
 
 def log_weight(pot: Potential, x) -> np.ndarray:
-    """F alone, the same values :func:`evaluate` returns, without F' and F''.
+    """F alone: the F of :func:`evaluate`, or a table's F at its nodes.
 
     Unlike :func:`evaluate` this admits x = 0 for the power family, where F
     itself is finite (only the derivatives are singular).
@@ -224,7 +209,9 @@ def log_weight(pot: Potential, x) -> np.ndarray:
 
 
 def evaluate(pot: Potential, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (F, F', F'') at x, exact closed forms (or the stored table)."""
+    """Return (F, F', F'') at x in closed form; a table has none (ParameterError)."""
+    if pot.family == "tabulated":
+        raise ParameterError("a tabulated potential carries F alone, not F' or F''")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -237,32 +224,14 @@ def evaluate(pot: Potential, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     elif pot.family == "harmonic_log":
         dF = x + pot.eps / x
         d2F = 1.0 - pot.eps / (x * x)
-    elif pot.family == "power":
+    else:
         b = pot.beta
         ax = np.abs(x)
         dF = np.sign(x) * ax ** (b - 1.0)
         d2F = (b - 1.0) * ax ** (b - 2.0)
-    else:
-        idx = _table_index(pot, x)
-        dF = pot.table_dF[idx].astype(float)
-        d2F = pot.table_d2F[idx].astype(float)
     if scalar:
         return float(F[0]), float(dF[0]), float(d2F[0])
     return F, dF, d2F
-
-
-def hessian_infimum_V(grid) -> np.ndarray:
-    """Smallest Hessian eigenvalue of the grid's potential F along the grid.
-
-    On an interval this is F''.  For a radial profile in d >= 2 the Hessian
-    eigenvalues are F'' (radial direction) and F'/r (tangential), so the
-    infimum is their minimum.
-    """
-    x = grid.nodes
-    _, dF, d2F = evaluate(grid.potential, x)
-    if grid.kind == "radial" and grid.d >= 2:
-        return np.minimum(d2F, dF / x)
-    return d2F
 
 
 @dataclass(frozen=True)

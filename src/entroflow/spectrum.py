@@ -1,26 +1,27 @@
 """Smallest eigenvalues of the weighted quotients driving the decay estimates.
 
-Two quotients are discretized, both from the grid's one stiffness stencil
-(:func:`grid.stiffness_bands`) and the Hessian infimum V of the grid's
-potential (:func:`potential.hessian_infimum_V`):
+Two quotients are discretized on the masses, conductances and potential V
+of :func:`_quotient` with the grid's one stiffness stencil
+(:func:`grid.stiffness_bands`); on an interval that is the dual grid of the
+flow's own operator, so lambda1_linear(2) is its discrete spectral gap:
 
 * lambda1_linear(p):   inf_w  [ 2(p-1)/p |Dw|^2 + V |w|^2 ] dgamma / |w|^2 dgamma
 * lambda1_pme(theta):  inf_w  [ (1-theta) |Dw|^2 + V |w|^2 ] dgamma / |w|^2 dgamma
 
 The discrete problem is a generalized symmetric pencil A w = lambda M w with
-M the diagonal of quadrature weights; the M^{1/2} similarity turns it into a
-symmetric tridiagonal matrix T.  Its smallest eigenpair comes from shifted
-inverse iteration on the LAPACK pair the flows use (dpttrf/dpttrs through
-:class:`entroflow._lapack.SPDTridiagonal`), from the constants, the exact
-ground state when V is constant.  Every shift is one at which dpttrf
-factors T - sigma I, a Sturm test that proves it lies below the spectrum, so
-the returned eigenvalue is bracketed and is the smallest one (Parlett, The
-Symmetric Eigenvalue Problem, ch. 4).  The vector's normalization, its
-Rayleigh quotient (the returned eigenvalue) and its residual norm are each
-one correctly rounded sum (:func:`grid._fsum_into`), not a BLAS dot product,
-so the eigenvalue is the same double whatever the BLAS thread count; every
-step is O(n) and works in place in five n-sized arrays besides T.
-:func:`epsilon_star` needs only the sign of lambda1: one Sturm test a point.
+M the diagonal of masses; the M^{1/2} similarity turns it into a symmetric
+tridiagonal matrix T.  Its smallest eigenpair comes from shifted inverse
+iteration on the LAPACK pair the flows use (dpttrf/dpttrs through
+:class:`entroflow._lapack.SPDTridiagonal`), from the constants.  Every shift
+is one at which dpttrf factors T - sigma I, a Sturm test that proves it
+lies below the spectrum, so the returned eigenvalue is bracketed and is the
+smallest one (Parlett, The Symmetric Eigenvalue Problem, ch. 4).  The
+vector's normalization, its Rayleigh quotient (the returned eigenvalue) and
+its residual norm are each one correctly rounded sum
+(:func:`grid._fsum_into`), not a BLAS dot product, so the eigenvalue is the
+same double whatever the BLAS thread count; every step is O(n) and works in
+place in five n-sized arrays besides T.  :func:`epsilon_star` needs only
+the sign of lambda1: one Sturm test a point.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 from ._lapack import SPDTridiagonal
 from .errors import ParameterError, SolverDiverged
 from .functionals import _exponents
-from .grid import Grid, _fsum_into, stiffness_bands
-from .potential import hessian_infimum_V
+from .grid import Grid, _fsum_into, norm_dgamma, stiffness_bands
+from .potential import evaluate
 
 __all__ = [
     "SpectralResult",
@@ -60,7 +61,9 @@ _EIG_FLOOR = 1e-8
 class SpectralResult:
     """Smallest eigenvalue with its eigenvector and solver diagnostics.
 
-    The eigenvector is normalized to unit norm in the dgamma inner product.
+    The eigenvector is a node field of unit dgamma norm: radially the nodal
+    one; on an interval the running sum u >= 0 (u_0 = 0) of the positive dual
+    one, at p = 2 the flow's gap eigenfunction less its left-end value.
     ``residual`` is the 2-norm of the symmetrized operator residual; ``tol``
     is the tolerance it was held to: the fixed ``_EIG_TOL`` (1e-10) floored
     at the round-off level of one matrix-vector product.  ``iterations`` is
@@ -214,46 +217,70 @@ def _inverse_iteration(diag, off, system) -> tuple[float, np.ndarray, float, int
 
 
 def _assemble_symmetrized(
-    node_mass: np.ndarray,
-    conductance: np.ndarray,
-    grad_coeff: float,
-    V: np.ndarray,
-    root: np.ndarray | None = None,
+    mass: np.ndarray, conductance: np.ndarray, grad_coeff: float, V: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric tridiagonal matrix of the quotient
 
         [ grad_coeff |Dw|^2 + V w^2 ] / [ w^2 ]
 
-    in the inner product weighted by ``node_mass``, assembled in place in
-    the stiffness bands; ``root`` (n), if given, receives sqrt(node_mass)."""
+    in the inner product weighted by ``mass``, assembled in place in the
+    stiffness bands."""
     diag, off = stiffness_bands(conductance)
     diag *= grad_coeff
-    diag /= node_mass
+    diag /= mass
     diag += V
     # sqrt factors kept separate: the product of adjacent masses can underflow
-    root = np.sqrt(node_mass, out=root)
+    root = np.sqrt(mass)
     off *= grad_coeff
     off /= root[:-1] * root[1:]
     return diag, off
 
 
-def _solve_quotient(grid: Grid, grad_coeff: float, V: np.ndarray) -> SpectralResult:
-    """The quotient's smallest eigenpair, from the constants, the exact
-    ground state when V is constant.  V is released once assembled, so a
-    caller that passes its only reference frees it before the solve."""
-    mass = grid.node_mass
-    system = SPDTridiagonal(grid.n)
-    # sqrt(node_mass) is the symmetrized form of the constants
-    diag, off = _assemble_symmetrized(mass, grid.conductance, grad_coeff, V, root=system.b)
-    del V
+def _quotient(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mass, conductance, V) for :func:`_assemble_symmetrized`.  On an
+    interval, from the edge conductances C and node masses W alone: w = Du
+    lives on the n - 1 edges, where D W^{-1} D^T C (the nonzero spectrum of
+    -L) has masses C_e, conductances C_{i-1/2} C_{i+1/2} / W_i at the
+    interior nodes and V_e = (C_e - C_{e-1}) / W_e + (C_e - C_{e+1}) / W_{e+1}
+    (C = 0 outside the grid), a difference of F' across the dual cell whose
+    end terms hold w near 0, the Neumann condition on u.  A radial grid
+    keeps its nodes and V = min(F'', F'/r) (F'' for d = 1): its commutator
+    gives F'' + (d-1)/r^2, the l = 0 sector of the 1-form operator, not the
+    criterion's Hessian infimum."""
+    C, W = grid.conductance, grid.node_mass
+    if grid.kind == "radial":
+        _, dF, d2F = evaluate(grid.potential, grid.nodes)
+        return W, C, np.minimum(d2F, dF / grid.nodes) if grid.d >= 2 else d2F
+    dC = np.diff(C) / W[1:-1]  # (C_{e+1} - C_e) / W_{e+1}, e = 0 .. n-3
+    V = np.empty(len(C))
+    V[0], V[1:] = C[0] / W[0], dC
+    V[:-1] -= dC
+    V[-1] += C[-1] / W[-1]
+    np.multiply(C[:-1], C[1:], out=dC)
+    return C, np.divide(dC, W[1:-1], out=dC), V
+
+
+def _solve_quotient(grid: Grid, grad_coeff: float) -> SpectralResult:
+    """The smallest eigenpair of :func:`_quotient` with gradient coefficient
+    ``grad_coeff``, from the constants, as a :class:`SpectralResult`."""
+    mass, conductance, V = _quotient(grid)
+    diag, off = _assemble_symmetrized(mass, conductance, grad_coeff, V)
+    del conductance, V  # before the solver's arrays: they set the peak
+    system = SPDTridiagonal(len(mass))
+    np.sqrt(mass, out=system.b)  # the symmetrized constants
     lam, y, residual, iterations, tol_eff, _ = _inverse_iteration(diag, off, system)
     del system, diag, off
-    w = y / np.sqrt(mass / grid.weight_mass)
-    if w[int(np.argmax(np.abs(w)))] < 0.0:
-        w = -w
-    return SpectralResult(
-        lam=lam, eigenvector=w, residual=residual, iterations=iterations, tol=tol_eff
-    )
+    if y[int(np.argmax(np.abs(y)))] < 0.0:
+        y = -y
+    if grid.kind == "radial":
+        w = y / np.sqrt(mass / grid.weight_mass)
+    else:
+        # the running sum of the edge field y / sqrt(C), scaled to unit norm
+        w = np.zeros(grid.n)
+        np.cumsum(np.divide(y, np.sqrt(mass), out=y), out=w[1:])
+        w /= norm_dgamma(grid, w)
+    return SpectralResult(lam=lam, eigenvector=w, residual=residual, iterations=iterations,
+                          tol=tol_eff)
 
 
 def lambda1_linear(p: float, grid: Grid) -> SpectralResult:
@@ -261,11 +288,11 @@ def lambda1_linear(p: float, grid: Grid) -> SpectralResult:
 
     At p = 1 the gradient coefficient vanishes and the matrix is diag(V), so
     the same eigensolve returns min V over the grid, with its eigenvector
-    concentrated at a minimizing node.
+    concentrated at a minimizing node (an edge on an interval: a step).
     """
     if not (1.0 <= p <= 2.0):
         raise ParameterError(f"p must lie in [1, 2]; got {p}")
-    return _solve_quotient(grid, 2.0 * (p - 1.0) / p, hessian_infimum_V(grid))
+    return _solve_quotient(grid, 2.0 * (p - 1.0) / p)
 
 
 def lambda1_pme(theta: float, grid: Grid) -> SpectralResult:
@@ -275,7 +302,7 @@ def lambda1_pme(theta: float, grid: Grid) -> SpectralResult:
     """
     if not (0.0 <= theta < 1.0):
         raise ParameterError(f"theta must lie in [0, 1); got {theta}")
-    return _solve_quotient(grid, 1.0 - theta, hessian_infimum_V(grid))
+    return _solve_quotient(grid, 1.0 - theta)
 
 
 def epsilon_star(p: float, grid: Grid) -> float:
@@ -294,12 +321,12 @@ def epsilon_star(p: float, grid: Grid) -> float:
         raise ParameterError(f"p must lie strictly in (1, 2); got {p}")
     _, _, alpha = _exponents(1.0, p)  # (2 - p)/p
     cap = (1.0 - alpha) / alpha
-    V = hessian_infimum_V(grid)
-    system = SPDTridiagonal(grid.n)
+    mass, conductance, V = _quotient(grid)
+    system = SPDTridiagonal(len(mass))
 
     def feasible(eps: float) -> bool:
         coeff = max(0.0, 1.0 - alpha * (1.0 + eps))
-        diag, off = _assemble_symmetrized(grid.node_mass, grid.conductance, coeff, V)
+        diag, off = _assemble_symmetrized(mass, conductance, coeff, V)
         if not (np.isfinite(diag).all() and np.isfinite(off).all()):
             raise SolverDiverged("the tridiagonal matrix has non-finite entries")
         return _factor_at(diag, off, system, -_EIG_FLOOR) == 0

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -41,13 +42,22 @@ class TestLambda1Command:
         assert code == 0
         assert float(capsys.readouterr().out.strip()) > 0.0
 
-    def test_flat_zero(self, capsys):
+    def test_flat_interval(self, capsys):
+        # the dual field w = u' vanishes at the ends: at p = 2 lambda1 is the
+        # flow's discrete gap (4/h^2) sin^2(pi h/2), near pi^2, not the constants' 0
         code = run_cli(
-            "lambda1", "--p", "1.5", "--potential", "flat",
+            "lambda1", "--p", "2", "--potential", "flat",
             "--domain", "0:1", "--n", "101",
         )
         assert code == 0
-        assert abs(float(capsys.readouterr().out.strip())) <= 1e-9
+        gap = 4e4 * math.sin(math.pi / 200) ** 2
+        assert float(capsys.readouterr().out.strip()) == pytest.approx(gap, rel=1e-11)
+
+    def test_power_grid_with_a_node_at_the_origin(self, capsys):
+        # odd n puts a node at x = 0, where F is finite; no F'' is sampled
+        assert run_cli("lambda1", "--p", "1.5", "--potential", "power:1.5",
+                       "--domain=-16:16", "--n", "3201") == 0
+        assert float(capsys.readouterr().out.strip()) == pytest.approx(0.6958, rel=1e-3)
 
     def test_sweep_writes_json(self, capsys, tmp_path):
         out = tmp_path / "sweep.json"
@@ -71,9 +81,6 @@ class TestLambda1Command:
     def test_config_error_exit_code(self):
         assert run_cli("lambda1", "--potential", "gaussian", "--domain", "-8:8",
                        "--n", "501") == 2
-        # odd n puts a node at x = 0, where the power family's F'' is singular
-        assert run_cli("lambda1", "--p", "1.5", "--potential", "power:1.5",
-                       "--domain=-16:16", "--n", "3201") == 2
         assert run_cli("lambda1", "--p", "1.5", "--potential", "nope",
                        "--domain", "-8:8", "--n", "501") == 2
 
@@ -451,8 +458,7 @@ def table_run(tmp_path_factory):
     d = tmp_path_factory.mktemp("table_run")
     x = np.linspace(-10.0, 10.0, 401)
     table = d / "tab.csv"
-    np.savetxt(table, np.column_stack([x, x * x / 2 + 0.5 * np.cos(2 * x),
-                                       x - np.sin(2 * x), 1 - 2 * np.cos(2 * x)]),
+    np.savetxt(table, np.column_stack([x, x * x / 2 + 0.5 * np.cos(2 * x)]),
                delimiter=",", fmt="%.17g")
     trace = d / "run.csv"
     assert main(["flow", "linear", "--p", "1.2", "--potential", f"tabulated:{table}",
@@ -578,7 +584,9 @@ class TestRegionAndConstants:
 
 @pytest.fixture()
 def bad_files(tmp_path):
-    (tmp_path / "tab.csv").write_text("x,F,dF,d2F\n0.0,abc,0,1\n")
+    (tmp_path / "tab.csv").write_text("x,F\n0.0,abc\n")
+    (tmp_path / "four.csv").write_text("0.0,0.0,0.0,1.0\n1.0,0.5,1.0,1.0\n")
+    (tmp_path / "two.csv").write_text("0.0,0.0\n1.0,0.5\n")
     (tmp_path / "init.csv").write_text("1.0\nabc\n")
     (tmp_path / "zeros.csv").write_text("0.0\n" * 201)
     (tmp_path / "nan.csv").write_text("1.0\n" * 100 + "nan\n" + "1.0\n" * 100)
@@ -613,6 +621,10 @@ class TestMalformedInput:
          "argument --check-theta: expects a comma list of numbers, got 'x'"),
         (["lambda1", "--p", "1.5", "--potential", "tabulated:{tmp}/tab.csv"],
          "cannot parse potential 'tabulated:"),
+        (["lambda1", "--p", "1.5", "--potential", "tabulated:{tmp}/four.csv"],
+         "tabulated potential file needs exactly two columns x,F; got 4"),
+        (["lambda1", "--p", "1.5", "--potential", "tabulated:{tmp}/two.csv", "--radial", "3:12",
+          "--n", "64"], "a tabulated potential is interval-only"),
         (["flow", "linear", "--init", "csv:{tmp}/init.csv", "--n", "201"],
          "cannot read initial datum file"),
         (["lambda1", "--p", "1.5", "--potential", "tabulated:{tmp}/none.csv"],
@@ -685,7 +697,8 @@ class TestMalformedInput:
          "constants takes --lambda1 or the geometry flags, not both; "
          "got --lambda1 and --potential, --n"),
     ], ids=["power", "harmonic_log", "radial-d", "p-list", "init-bump", "check-theta",
-            "tabulated-file", "init-csv-file", "missing-tabulated", "missing-init-csv",
+            "tabulated-file", "tabulated-four-columns", "tabulated-radial", "init-csv-file",
+            "missing-tabulated", "missing-init-csv",
             "missing-trace", "trace-short-row", "trace-cell", "trace-row-without-q4",
             "trace-no-config", "trace-no-p", "report-p",
             "lambda1-p-theta", "lambda1-config-theta", "constants-theta-from-p",

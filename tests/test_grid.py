@@ -16,9 +16,10 @@ from scipy import integrate
 
 import entroflow as ef
 from entroflow.errors import (
-    DegenerateDomain, DomainError, NonFiniteWeight, ParameterError, TailMassTooLarge,
+    DegenerateDomain, NonFiniteWeight, ParameterError, TailMassTooLarge,
 )
 from entroflow.grid import stiffness_bands
+from entroflow.potential import log_weight
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # Grid.ident of the README's --potential gaussian --domain=-8:8 --n 2001
@@ -68,17 +69,18 @@ class TestIntervalGrid:
             ef.make_interval_grid(-1e200, 1e200, 100, gauss_pot)
 
     def test_tabulated_ident_covers_the_whole_table(self):
-        # F'' sets lambda1 but not the weight: report must not accept a grid
-        # rebuilt from a table with another F'' as the one its trace ran on
+        # report must not accept a grid rebuilt from a table that differs from
+        # the one its trace ran on, even in one entry of F
         x = np.linspace(-10.0, 10.0, 2001)
-        F, dF = 0.5 * x * x + 0.5 * np.cos(x), x - 0.5 * np.sin(x)
+        F = 0.5 * x * x + 0.5 * np.cos(x)
 
-        def ident(d2F):
-            return ef.make_interval_grid(-10.0, 10.0, 2001, ef.tabulated(x, F, dF, d2F)).ident
+        def ident(F):
+            return ef.make_interval_grid(-10.0, 10.0, 2001, ef.tabulated(x, F)).ident
 
-        d2F = 1.0 - 0.5 * np.cos(x)
-        assert ident(d2F) == ident(d2F.copy())
-        assert ident(d2F) != ident(np.ones_like(x))
+        other = F.copy()
+        other[1000] += 1e-12
+        assert ident(F) == ident(F.copy())
+        assert ident(F) != ident(other)
 
     def test_ident_is_the_hashlib_sha256(self, gauss_grid):
         # the builtin SHA-256 gives hashlib's digest: traces keep their idents
@@ -97,7 +99,7 @@ class TestIntervalGrid:
 
     def test_tabulated_key_is_the_hashlib_sha256(self):
         x = np.linspace(-2.0, 2.0, 41)
-        arrays = (x, 0.5 * x * x, x, np.ones_like(x))
+        arrays = (x, 0.5 * x * x)
         digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
         assert ef.tabulated(*arrays).key() == f"tabulated(n=41,sha256={digest})"
 
@@ -116,7 +118,7 @@ class TestIntervalGrid:
     def test_underflowing_weight_rejected(self):
         x = np.linspace(-1, 1, 33)
         F = np.full_like(x, 1e6)  # e^{-F} underflows to 0
-        pot = ef.tabulated(x, F, np.zeros_like(x), np.zeros_like(x))
+        pot = ef.tabulated(x, F)
         with pytest.raises(NonFiniteWeight):
             ef.make_interval_grid(-1.0, 1.0, 33, pot)
 
@@ -127,7 +129,7 @@ class TestIntervalGrid:
         # zero node mass a non-finite eigensolve matrix and a singular flow
         x = np.linspace(-1, 1, 33)
         F = np.full_like(x, 744.0) if where == "everywhere" else np.where(abs(x) > 0.9, 744.0, 0.0)
-        pot = ef.tabulated(x, F, np.zeros_like(x), np.zeros_like(x))
+        pot = ef.tabulated(x, F)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteWeight, match="node weight underflows to 0"):
@@ -165,6 +167,13 @@ class TestRadialGrid:
             ef.make_radial_grid(3, 12.0, 200, ef.flat())
         # an interval grid is one-dimensional whatever the potential's d
         assert ef.make_interval_grid(-8.0, 8.0, 64, ef.harmonic(3)).d == 1
+
+    def test_tabulated_potential_is_refused(self):
+        # a radial spectrum samples F'' and F'/r, which a table does not carry
+        r = (np.arange(64) + 0.5) * (2.0 * 3.0 / 127)
+        for d in (1, 3):
+            with pytest.raises(ParameterError, match="tabulated potential is interval-only"):
+                ef.make_radial_grid(d, 3.0, 64, ef.tabulated(r, 0.5 * r * r, d=d))
 
     def test_tail_mass_guard(self):
         with pytest.raises(TailMassTooLarge):
@@ -310,8 +319,7 @@ class TestOperatorIdentitiesOnRandomGrids:
 
 def _stencil_grids():
     x = np.linspace(-3.0, 3.0, 301)
-    wavy = ef.tabulated(x, 0.5 * x * x + 0.3 * np.cos(2 * x),
-                        x - 0.6 * np.sin(2 * x), 1.0 - 1.2 * np.cos(2 * x))
+    wavy = ef.tabulated(x, 0.5 * x * x + 0.3 * np.cos(2 * x))
     return {
         "interval": ef.make_interval_grid(-8.0, 8.0, 401, ef.harmonic()),
         "radial": ef.make_radial_grid(3, 12.0, 400, ef.harmonic_log(0.1, d=3)),
@@ -325,7 +333,7 @@ class TestNodeWeights:
         grids = _stencil_grids()
         grids["power"] = ef.make_interval_grid(-16.0, 16.0, 400, ef.power_law(1.5))
         g = grids[name]
-        F, _, _ = ef.evaluate(g.potential, g.nodes)
+        F = log_weight(g.potential, g.nodes)
         # flat dx weights: trapezoid on intervals, |S^{d-1}| r^{d-1} h radially
         if g.kind == "radial":
             w = ef.sphere_area(g.d) * g.nodes ** (g.d - 1) * g.h
@@ -335,9 +343,14 @@ class TestNodeWeights:
         assert np.array_equal(g.node_mass, w * np.exp(-F))
 
     def test_power_grid_with_a_node_at_the_origin(self):
-        # F is finite at x = 0, but F'' is not: the grid is refused
-        with pytest.raises(DomainError):
-            ef.make_interval_grid(-8.0, 8.0, 2001, ef.power_law(1.5))
+        # F is finite at x = 0 and no F'' is sampled: an odd n builds, and
+        # its lambda1 sweep agrees with the even n next to it
+        odd = ef.make_interval_grid(-16.0, 16.0, 2001, ef.power_law(1.5))
+        assert odd.nodes[1000] == 0.0 and odd.node_mass[1000] == odd.h
+        even = ef.make_interval_grid(-16.0, 16.0, 2000, ef.power_law(1.5))
+        for p in (1.2, 1.5, 2.0):
+            assert ef.lambda1_linear(p, odd).lam == pytest.approx(
+                ef.lambda1_linear(p, even).lam, abs=2e-5)
 
 
 class TestStiffnessStencil:
@@ -360,6 +373,8 @@ class TestStiffnessStencil:
             assert np.max(np.abs(Sv - ref)) <= 1e-13 * np.max(np.abs(Sv))
 
     def test_quotients_use_the_stencil(self, monkeypatch, gauss_grid_small):
+        # a radial quotient's stencil is the grid's; an interval's is its dual
+        # grid's, with conductances C_{i-1/2} C_{i+1/2} / W_i
         seen = []
 
         def spy(conductance):
@@ -370,8 +385,12 @@ class TestStiffnessStencil:
         g = gauss_grid_small
         ef.lambda1_linear(1.5, g)
         ef.lambda1_pme(0.5, g)
+        C, W = g.conductance, g.node_mass
         assert len(seen) == 2
-        assert all(c is g.conductance for c in seen)
+        assert all(np.array_equal(c, C[:-1] * C[1:] / W[1:-1]) for c in seen)
+        radial = _stencil_grids()["radial"]
+        ef.lambda1_linear(1.5, radial)
+        assert len(seen) == 3 and seen[2] is radial.conductance
 
 
 class TestGradientSq:

@@ -60,52 +60,28 @@ class TestEvaluate:
             ef.harmonic(d=d)
 
     def test_tabulated_round_trip(self):
+        # a table carries F alone: log_weight reads it back, evaluate refuses
         x = np.linspace(-2, 2, 33)
-        pot = ef.tabulated(x, 0.5 * x * x, x, np.ones_like(x))
-        F, dF, d2F = ef.evaluate(pot, x)
-        assert_allclose(F, 0.5 * x * x)
-        assert_allclose(dF, x)
+        pot = ef.tabulated(x, 0.5 * x * x)
+        assert log_weight(pot, x).tobytes() == (0.5 * x * x).tobytes()
         with pytest.raises(DomainError):
-            ef.evaluate(pot, 0.123456)  # off-node query
+            log_weight(pot, 0.123456)  # off-node query
+        with pytest.raises(ParameterError, match="carries F alone"):
+            ef.evaluate(pot, x)
 
-    @pytest.mark.parametrize("column", ["x", "F", "dF", "d2F"])
+    @pytest.mark.parametrize("column", ["x", "F"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_tabulated_rejects_non_finite_cells(self, column, bad):
-        # a NaN F'' cell used to fail lambda1 as a numerical failure and to
-        # pass a linear flow
         x = np.linspace(-2, 2, 33)
-        table = dict(x=x, F=0.5 * x * x, dF=x, d2F=np.ones_like(x))
+        table = dict(x=x, F=0.5 * x * x)
         table[column] = table[column].copy()
         table[column][5] = bad
         with pytest.raises(ParameterError, match=f"column {column} is not finite at row 5"):
-            ef.tabulated(table["x"], table["F"], table["dF"], table["d2F"])
+            ef.tabulated(table["x"], table["F"])
 
-
-class TestHessianInfimum:
-    def test_harmonic_everywhere_one(self, gauss_grid):
-        assert_allclose(ef.hessian_infimum_V(gauss_grid), 1.0)
-
-    def test_harmonic_log_radial_min_branch(self):
-        pot = ef.harmonic_log(0.1, d=3)
-        g = ef.make_radial_grid(3, 12.0, 500, pot)
-        V = ef.hessian_infimum_V(g)
-        assert_allclose(V, 1.0 - 0.1 / g.nodes**2, rtol=1e-13)
-
-    def test_power_interval(self):
-        pot = ef.power_law(1.5)
-        g = ef.make_interval_grid(-4, 4, 100, pot)  # even count: no node at 0
-        V = ef.hessian_infimum_V(g)
-        assert_allclose(V, 0.5 * np.abs(g.nodes) ** (-0.5), rtol=1e-13)
-        assert V.min() >= 0.0
-
-    def test_matches_finite_differences(self, gauss_grid):
-        # V agrees with a centered second difference of F to O(h^2)
-        pot = ef.harmonic()
-        F, _, _ = ef.evaluate(pot, gauss_grid.nodes)
-        V = ef.hessian_infimum_V(gauss_grid)
-        h = gauss_grid.h
-        fd = (F[2:] - 2 * F[1:-1] + F[:-2]) / h**2
-        assert np.max(np.abs(fd - V[1:-1])) <= 1e-6
+    def test_tabulated_columns_must_have_equal_length(self):
+        with pytest.raises(ParameterError, match="equal length"):
+            ef.tabulated(np.linspace(-2, 2, 33), np.zeros(32))
 
 
 class TestExample1Bound:
@@ -237,7 +213,7 @@ class TestTailMass:
 
     def test_errors(self):
         with pytest.raises(DomainError, match="no analytic tail"):
-            ef.tail_mass(ef.tabulated([0.0, 1.0], [0.0, 0.5], [0.0, 1.0], [1.0, 1.0]), 1.0)
+            ef.tail_mass(ef.tabulated([0.0, 1.0], [0.0, 0.5]), 1.0)
         with pytest.raises(ParameterError):
             ef.tail_mass(ef.harmonic(), 0.0)
         # r^{d-1-eps} is not integrable at r = 0 once eps >= d: no such
@@ -395,11 +371,12 @@ def test_potential_from_spec_aliases():
         ef.potential_from_spec({"family": "nope"})
 
 
-def _table(path, columns=4):
+def _table(path, columns=2):
+    """A table of x^2/2 with ``columns`` columns: x, F, then F' and F''."""
     x = np.linspace(-3.0, 3.0, 41)
     np.savetxt(path, np.column_stack([x, 0.5 * x * x, x, np.ones_like(x)])[:, :columns],
                delimiter=",")
-    return ef.tabulated(x, 0.5 * x * x, x, np.ones_like(x))
+    return ef.tabulated(x, 0.5 * x * x)
 
 
 @pytest.mark.parametrize("spec, d, expected", [
@@ -431,13 +408,16 @@ def test_potential_from_spec_reads_a_table(tmp_path):
     ("harmonic_log:x", "cannot parse potential 'harmonic_log:x'"),
     ({"family": "power", "beta": None}, "cannot parse potential"),
     ("nope:1", "unknown potential 'nope:1'"),
-    ("tabulated:{tmp}/three.csv", "tabulated potential file needs columns x,F,dF,d2F"),
+    ("tabulated:{tmp}/3.csv", "tabulated potential file needs exactly two columns x,F; got 3"),
+    ("tabulated:{tmp}/4.csv", "tabulated potential file needs exactly two columns x,F; got 4"),
+    ("tabulated:{tmp}/1.csv", "tabulated potential file needs exactly two columns x,F; got 1"),
     # int() would truncate to d = 3
     ({"family": "harmonic", "d": 3.7}, "d = 3.7 is not an integer"),
 ], ids=["power-no-beta", "power-dict-no-beta", "harmonic_log-x", "beta-none", "unknown",
-        "three-columns", "dict-d-not-integral"])
+        "three-columns", "four-columns", "one-column", "dict-d-not-integral"])
 def test_potential_from_spec_raises_parameter_error(tmp_path, spec, message):
-    _table(tmp_path / "three.csv", columns=3)
+    for columns in (1, 3, 4):
+        _table(tmp_path / f"{columns}.csv", columns=columns)
     if isinstance(spec, str):
         spec = spec.format(tmp=tmp_path)
     with pytest.raises(ParameterError) as info:
@@ -449,8 +429,7 @@ def _families():
     """(potential, points off the origin, interval, radius) for every family;
     the tabulated potential is tabulated on the interval grid's nodes."""
     x = np.linspace(-3.0, 3.0, 64)
-    wavy = ef.tabulated(x, 0.5 * x * x + 0.3 * np.cos(2 * x), x + 0.6 * np.sin(2 * x),
-                        1.0 + 1.2 * np.cos(2 * x))
+    wavy = ef.tabulated(x, 0.5 * x * x + 0.3 * np.cos(2 * x))
     return {
         "harmonic": (ef.harmonic(3), np.linspace(-8.0, 8.0, 50), (-8.0, 8.0), 9.0),
         "harmonic_log": (ef.harmonic_log(0.3, d=3), np.linspace(0.01, 12.0, 50), (0.1, 6.0), 9.0),
@@ -462,8 +441,9 @@ def _families():
 
 @pytest.mark.parametrize("family", ["harmonic", "harmonic_log", "power", "flat", "tabulated"])
 def test_log_weight_is_evaluates_F_bitwise(family):
+    # a table has no evaluate: its F is the column itself
     pot, x, _, _ = _families()[family]
-    F = ef.evaluate(pot, x)[0]
+    F = pot.table_F if family == "tabulated" else ef.evaluate(pot, x)[0]
     assert F.tobytes() == log_weight(pot, x).tobytes()
 
 
@@ -479,11 +459,11 @@ def test_grids_build_from_F_alone(monkeypatch, family):
     assert ef.make_interval_grid(xl, xr, n, pot).n == n
     if radius is not None:
         assert ef.make_radial_grid(pot.d, radius, n, pot).n == n
-    else:  # tabulated on the radial grid's nodes
+    else:  # a table is interval-only, even on the radial grid's nodes
         h = 2.0 * 3.0 / (2 * n - 1)
         r = (np.arange(n) + 0.5) * h
-        radial = ef.tabulated(r, 0.5 * r * r, r, np.ones(n))
-        assert ef.make_radial_grid(1, 3.0, n, radial).n == n
+        with pytest.raises(ParameterError, match="interval-only"):
+            ef.make_radial_grid(1, 3.0, n, ef.tabulated(r, 0.5 * r * r))
 
 
 def test_log_weight_keeps_evaluates_domain_errors():
@@ -493,6 +473,6 @@ def test_log_weight_keeps_evaluates_domain_errors():
         log_weight(ef.harmonic_log(0.3, d=3), np.array([0.0, 1.0]))
     x = np.linspace(-2.0, 2.0, 9)
     with pytest.raises(DomainError, match="off its nodes"):
-        log_weight(ef.tabulated(x, x * x, 2 * x, 2 + 0 * x), np.array([0.123]))
+        log_weight(ef.tabulated(x, x * x), np.array([0.123]))
     # F is finite at the power family's origin, where only F' and F'' are singular
     assert log_weight(ef.power_law(1.5), np.array([0.0]))[0] == 0.0

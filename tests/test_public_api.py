@@ -64,7 +64,6 @@ PUBLIC_NAMES = [
     "gradient_sq",
     "harmonic",
     "harmonic_log",
-    "hessian_infimum_V",
     "initial_field",
     "inner_dgamma",
     "integrate_dgamma",
@@ -128,7 +127,7 @@ def test_module_all_resolves(name):
 
 @pytest.mark.parametrize("fn", [
     entroflow.lambda1_linear, entroflow.lambda1_pme, entroflow.epsilon_star,
-    entroflow.hessian_infimum_V, entroflow.run_linear, entroflow.run_pme,
+    entroflow.run_linear, entroflow.run_pme,
 ], ids=lambda fn: fn.__name__)
 def test_solves_and_runs_take_the_grid_alone(fn):
     # the grid carries its potential: a second copy could disagree with it

@@ -1,18 +1,20 @@
 """Eigenvalue computations: forced values, oracles, monotonicity, bounds."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 import entroflow as ef
 from entroflow import spectrum
 from entroflow._lapack import SPDTridiagonal
 from entroflow.errors import ParameterError, SolverDiverged
-from entroflow.spectrum import _assemble_symmetrized, smallest_eigenpair
+from entroflow.spectrum import _assemble_symmetrized, _quotient, smallest_eigenpair
 
 EPS = np.finfo(float).eps
 
@@ -70,11 +72,9 @@ class TestSolverAgainstLapack:
         assert abs(lam - eigs[0]) <= slack
 
     def test_assembled_operator(self, gauss_grid):
-        V = ef.hessian_infimum_V(gauss_grid)
         coeff = 2 * (1.5 - 1) / 1.5
-        diag, off = _assemble_symmetrized(
-            gauss_grid.node_mass, gauss_grid.conductance, coeff, V
-        )
+        mass, conductance, V = _quotient(gauss_grid)
+        diag, off = _assemble_symmetrized(mass, conductance, coeff, V)
         lam = smallest_eigenpair(diag, off)[0]
         oracle = eigh_tridiagonal(
             diag, off, select="i", select_range=(0, 0), eigvals_only=True,
@@ -147,11 +147,11 @@ class TestSolverAgainstLapack:
 
     def test_readme_grids_take_few_solves(self):
         # bisection and stein took about 80 Sturm passes per solve; inverse
-        # iteration from the constants takes 1 solve on the Gaussian (its
-        # exact ground state) and a handful on the power and radial grids
+        # iteration from the constants takes a handful.  On the Gaussian the
+        # dual ground state is the constants but for its end layers, so 3
         gauss = ef.make_interval_grid(-8, 8, 2001, ef.harmonic())
-        assert ef.lambda1_linear(1.5, gauss).iterations == 1
-        assert ef.lambda1_pme(0.5, gauss).iterations == 1
+        assert ef.lambda1_linear(1.5, gauss).iterations == 3
+        assert ef.lambda1_pme(0.5, gauss).iterations == 3
         power = ef.make_interval_grid(-16, 16, 3200, ef.power_law(1.5))
         for p in (1.2, 1.5, 2.0):
             assert 1 < ef.lambda1_linear(p, power).iterations <= 10
@@ -159,23 +159,86 @@ class TestSolverAgainstLapack:
         assert 1 < ef.lambda1_linear(2.0, radial).iterations <= 10
 
 
+class TestQuotient:
+    """The triple (mass, conductance, V) every solve assembles."""
+
+    def test_gaussian_dual_potential_closed_form(self, gauss_grid):
+        # with g = e^{-x^2/2}, V_e = 4 e^{-h^2/8} sinh(h^2/4) cosh(m h/2) / h^2
+        # at the face m = x_{e+1/2}: F'' = 1 up to O(h^2 (1 + m^2))
+        mass, conductance, V = _quotient(gauss_grid)
+        C, W, h = gauss_grid.conductance, gauss_grid.node_mass, gauss_grid.h
+        assert mass is C
+        assert np.array_equal(conductance, C[:-1] * C[1:] / W[1:-1])
+        m = 0.5 * (gauss_grid.nodes[:-1] + gauss_grid.nodes[1:])
+        closed = 4.0 * np.exp(-h * h / 8) * np.sinh(h * h / 4) * np.cosh(m * h / 2) / (h * h)
+        assert_allclose(V[1:-1], closed[1:-1], rtol=1e-9)
+        # the two ends also carry C_e / W_e ~ 2/h^2: w = u' is held near 0
+        assert_allclose(V[[0, -1]] * h * h, 2.0, rtol=1e-3)
+
+    def test_smooth_table_is_second_order_in_F(self):
+        # on x^2/2 + 0.5 cos 2x, V_e is F'' at the face to O(h^2)
+        errors = []
+        for n in (401, 801, 1601):
+            grid = _cosine_perturbed(2, n)
+            m = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
+            errors.append(np.max(np.abs(_quotient(grid)[2] - 1 + 2 * np.cos(2 * m))[1:-1]))
+        for order in np.log2(np.array(errors[:-1]) / errors[1:]):
+            assert order == pytest.approx(2.0, abs=0.05)
+
+    @pytest.mark.parametrize("n", [2000, 2001], ids=["even", "odd"])
+    def test_power_cusp_is_finite(self, n):
+        # F'' = 0.5 |x|^{-1/2} is not sampled: V is finite with a node at the
+        # cusp, and away from it within O(h^2) of F'' at the faces
+        grid = ef.make_interval_grid(-16.0, 16.0, n, ef.power_law(1.5))
+        V = _quotient(grid)[2]
+        m = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
+        far = np.abs(m) > 1.0
+        far[[0, -1]] = False
+        assert np.all(np.isfinite(V)) and V[1:-1].min() > 0.0
+        assert np.max(np.abs(V - 0.5 * np.abs(m) ** -0.5)[far]) <= 1e-4
+
+    def test_harmonic_log_radial_min_branch(self):
+        g = ef.make_radial_grid(3, 12.0, 500, ef.harmonic_log(0.1, d=3))
+        mass, conductance, V = _quotient(g)
+        assert mass is g.node_mass and conductance is g.conductance
+        assert_allclose(V, 1.0 - 0.1 / g.nodes**2, rtol=1e-13)
+
+    def test_radial_d1_is_F_second_derivative(self):
+        g = ef.make_radial_grid(1, 16.0, 401, ef.power_law(1.5))
+        assert_allclose(_quotient(g)[2], 0.5 * g.nodes ** -0.5, rtol=1e-13)
+
+
 class TestLambda1Linear:
     def test_gaussian_identity(self, gauss_grid):
-        # V == 1 forces lambda = 1 with a constant minimizer
+        # V_e = 1 + O(h^2) forces lambda = 1 - O(h^4), with the ground state
+        # w = u' constant but for its end layers: u is affine in x
+        x = gauss_grid.nodes
         for p in (1.2, 1.5, 2.0):
             res = ef.lambda1_linear(p, gauss_grid)
-            assert res.lam == pytest.approx(1.0, abs=1e-3)
-            assert ef.norm_dgamma(gauss_grid, res.eigenvector - 1.0) <= 1e-6
+            assert abs(res.lam - 1.0) <= 1e-9
+            u = res.eigenvector
+            slope = ef.inner_dgamma(gauss_grid, u, x) / ef.inner_dgamma(gauss_grid, x, x)
+            affine = ef.integrate_dgamma(gauss_grid, u) + slope * x
+            assert ef.norm_dgamma(gauss_grid, u - affine) <= 4e-6
 
-    def test_flat_bounded_domain_zero(self, flat_grid):
-        res = ef.lambda1_linear(1.5, flat_grid)
-        assert abs(res.lam) <= 1e-10
-        assert ef.norm_dgamma(flat_grid, res.eigenvector - res.eigenvector.mean()) <= 1e-5
+    def test_flat_bounded_domain_is_the_discrete_gap(self, flat_grid):
+        # the Neumann gap of the flat stencil is (4/h^2) sin^2(pi h/2), with
+        # eigenfunction cos(pi x); the node field is it less its value at 0
+        h = flat_grid.h
+        res = ef.lambda1_linear(2.0, flat_grid)
+        assert abs(res.lam - 4.0 / h**2 * math.sin(math.pi * h / 2) ** 2) <= res.residual + res.tol
+        u = 1.0 - np.cos(math.pi * flat_grid.nodes)
+        u /= ef.norm_dgamma(flat_grid, u)
+        assert ef.norm_dgamma(flat_grid, res.eigenvector - u) <= 1e-9
+        lams = [ef.lambda1_linear(p, flat_grid).lam for p in (1.2, 1.5, 2.0)]
+        assert 0.0 < lams[0] < lams[1] < lams[2]
 
     def test_p_one_is_essinf_V(self, gauss_grid):
-        # the gradient term vanishes: the one eigensolve of diag(V) gives min V
+        # the gradient term vanishes: the one eigensolve of diag(V) gives the
+        # dual min V, at the faces next to 0: 1 - h^2/8 + O(h^4)
         res = ef.lambda1_linear(1.0, gauss_grid)
-        assert res.lam == 1.0
+        assert res.lam == _quotient(gauss_grid)[2].min()
+        assert res.lam == pytest.approx(1.0 - gauss_grid.h ** 2 / 8, abs=1e-9)
         assert res.iterations == 1
 
     @pytest.mark.parametrize("grid", [
@@ -183,12 +246,15 @@ class TestLambda1Linear:
         ef.make_radial_grid(3, 12, 2000, ef.harmonic_log(0.05, 3)),
     ], ids=["power", "radial"])
     def test_p_one_concentrates_at_the_minimum_of_V(self, grid):
-        V = ef.hessian_infimum_V(grid)
+        # radially at a node; on an interval at an edge, where the node field,
+        # the running sum of the dual one, steps
+        V = _quotient(grid)[2]
         res = ef.lambda1_linear(1.0, grid)
         assert res.lam == V.min()
-        (support,) = np.nonzero(res.eigenvector)
+        u = res.eigenvector
+        (support,) = np.nonzero(u if grid.kind == "radial" else np.diff(u))
         assert len(support) == 1 and V[support[0]] == V.min()
-        assert ef.norm_dgamma(grid, res.eigenvector) == pytest.approx(1.0, rel=1e-12)
+        assert ef.norm_dgamma(grid, u) == pytest.approx(1.0, rel=1e-12)
 
     def test_monotone_in_p(self, gauss_grid):
         g = ef.make_interval_grid(-16, 16, 800, ef.power_law(1.5))
@@ -207,29 +273,30 @@ class TestLambda1Linear:
                 assert lam_p >= (p - 1.0) * lam2 - 1e-9
 
     def test_eigenvector_normalized_and_consistent(self, gauss_grid):
-        V = ef.hessian_infimum_V(gauss_grid)
+        # the dual field w = Du attains the quotient; at p = 2, -Lu = lam u
+        # up to a constant (u is the gap eigenfunction less its end value)
+        g = gauss_grid
+        mass, kappa, V = _quotient(g)
         for p in (1.2, 2.0):
-            res = ef.lambda1_linear(p, gauss_grid)
-            w = res.eigenvector
-            assert abs(ef.norm_dgamma(gauss_grid, w) - 1.0) <= 1e-12
+            res = ef.lambda1_linear(p, g)
+            u = res.eigenvector
+            assert abs(ef.norm_dgamma(g, u) - 1.0) <= 1e-12
+            assert u[0] == 0.0 and np.all(u >= 0.0)
+            w = np.diff(u)
             coeff = 2 * (p - 1) / p
-            quot = (
-                coeff * ef.dirichlet_form(gauss_grid, w, w)
-                + ef.inner_dgamma(gauss_grid, V * w, w)
-            ) / ef.inner_dgamma(gauss_grid, w, w)
+            quot = (coeff * np.sum(kappa * np.diff(w) ** 2) + np.sum(mass * V * w * w)
+                    ) / np.sum(mass * w * w)
             assert abs(quot - res.lam) <= 10 * res.residual
             assert res.residual <= res.tol
+        r = -ef.delta_g(g, u) - res.lam * u
+        assert ef.norm_dgamma(g, r - ef.integrate_dgamma(g, r)) <= 1e-7
 
     def test_grid_convergence_second_order(self):
         # smooth non-constant V via a tabulated perturbed-harmonic family
         lams = []
         for n in (251, 501, 1001):
             x = np.linspace(-8, 8, n)
-            pot = ef.tabulated(
-                x, 0.5 * x * x + 0.3 * np.cos(x), x - 0.3 * np.sin(x),
-                1.0 - 0.3 * np.cos(x),
-            )
-            g = ef.make_interval_grid(-8, 8, n, pot)
+            g = ef.make_interval_grid(-8, 8, n, ef.tabulated(x, 0.5 * x * x + 0.3 * np.cos(x)))
             lams.append(ef.lambda1_linear(1.5, g).lam)
         d1, d2 = abs(lams[0] - lams[1]), abs(lams[1] - lams[2])
         assert 1.6 <= np.log2(d1 / d2) <= 2.4
@@ -243,7 +310,7 @@ class TestLambda1Pme:
     def test_gaussian_identity(self, gauss_grid):
         for theta in (0.2, 0.5, 0.9):
             assert ef.lambda1_pme(theta, gauss_grid).lam == pytest.approx(
-                1.0, abs=1e-3
+                1.0, abs=1e-9
             )
 
     def test_matches_linear_at_conjugate_theta(self, gauss_grid):
@@ -253,17 +320,46 @@ class TestLambda1Pme:
             b = ef.lambda1_linear(p0, gauss_grid).lam
             assert abs(a - b) <= 1e-12
 
-    def test_flat_zero(self, flat_grid):
-        assert abs(ef.lambda1_pme(0.5, flat_grid).lam) <= 1e-10
+    def test_flat_lies_below_the_gap(self, flat_grid):
+        # the gradient coefficient 1 - theta < 1 scales the dual Laplacian
+        lam = ef.lambda1_pme(0.5, flat_grid).lam
+        assert 0.0 < lam < ef.lambda1_linear(2.0, flat_grid).lam
 
     def test_theta_range(self, gauss_grid):
         with pytest.raises(ParameterError):
             ef.lambda1_pme(1.0, gauss_grid)
 
 
+def _perturbed_gaussian_grid(phi):
+    """x^2/2 + phi(x) tabulated on [-10, 10], n = 4001."""
+    x = np.linspace(-10, 10, 4001)
+    return ef.make_interval_grid(-10, 10, len(x), ef.tabulated(x, x * x / 2 + phi(x)))
+
+
+def _cos(a, k):
+    return lambda x: a * np.cos(k * x)
+
+
+def _log(c):
+    return lambda x: c * np.log1p(x * x)
+
+
+# the perturbations of the Bakry-Emery comparison tables, and epsilon_star
+# at p = 1.2, 1.5, 1.8 on the dual quotient
+_TABLES = {
+    "0.5cos(x)": (_cos(0.5, 1), [0.49999999999999983, 2.0000000000000004, 8.000000000000004]),
+    "0.3cos(2x)": (_cos(0.3, 2), [0.4740600585937499, 1.9481811523437504, 7.8446044921875036]),
+    "0.5cos(2x)": (_cos(0.5, 2), [0.12176513671874997, 1.2435913085937504, 5.730773925781252]),
+    "-1.0log(1+x^2)": (_log(-1.0), [0.12499999999999996, 1.2500000000000004,
+                                    5.750061035156252]),
+    "-1.5log(1+x^2)": (_log(-1.5), [0.0, 0.10272216796875003, 2.308227539062501]),
+}
+_P_TABLE = (1.2, 1.5, 1.8)
+
+
 def _spectral_gap(grid):
-    # second eigenvalue of -L: the p = 2 quotient's matrix with V = 0 (its
-    # first eigenvalue is 0, with the constants)
+    # second eigenvalue of -L = W^{-1} S: the flow's nodal matrix with V = 0
+    # (its first eigenvalue is 0, with the constants)
     diag, off = _assemble_symmetrized(grid.node_mass, grid.conductance, 1.0, np.zeros(grid.n))
     w = eigh_tridiagonal(diag, off, select="i", select_range=(1, 1), eigvals_only=True,
                          tol=2.0 * np.finfo(float).tiny, lapack_driver="stebz")
@@ -272,9 +368,7 @@ def _spectral_gap(grid):
 
 def _cosine_perturbed(k, n, L=10.0):
     x = np.linspace(-L, L, n)
-    pot = ef.tabulated(x, 0.5 * x * x + 0.5 * np.cos(k * x),
-                       x - 0.5 * k * np.sin(k * x), 1.0 - 0.5 * k * k * np.cos(k * x))
-    return ef.make_interval_grid(-L, L, n, pot)
+    return ef.make_interval_grid(-L, L, n, ef.tabulated(x, 0.5 * x * x + 0.5 * np.cos(k * x)))
 
 
 def _observed_order(errors, spacings):
@@ -282,38 +376,62 @@ def _observed_order(errors, spacings):
             for i in range(len(errors) - 1)]
 
 
+# every interval family, power at even and odd n
+_GAP_GRIDS = {
+    "gaussian": lambda: ef.make_interval_grid(-8.0, 8.0, 2001, ef.harmonic()),
+    "flat": lambda: ef.make_interval_grid(0.0, 1.0, 101, ef.flat()),
+    "power-even": lambda: ef.make_interval_grid(-16.0, 16.0, 3200, ef.power_law(1.5)),
+    "power-odd": lambda: ef.make_interval_grid(-16.0, 16.0, 3201, ef.power_law(1.5)),
+    **{name: lambda phi=phi: _perturbed_gaussian_grid(phi) for name, (phi, _) in _TABLES.items()},
+}
+
+
 class TestSpectralGapReference:
     """In one dimension lambda1_linear(2) is the spectral gap of -L: the
     derivative of the first non-constant eigenfunction of -L is the p = 2
     ground state (intertwining (Lu)' = L(u') - F'' u'; Bakry, Gentil and
     Ledoux, Analysis and Geometry of Markov Diffusion Operators, 2014).  The
-    discrete gap needs no F'', so it is a reference for every interval family."""
+    dual quotient is that intertwining done on the grid, so its lambda1(2)
+    is the flow's own discrete gap, the eigenvalue LAPACK finds for W^{-1} S."""
 
-    @pytest.mark.parametrize("k", [1, 2], ids=["cos-x", "cos-2x"])
-    def test_smooth_perturbation_converges_at_order_two(self, k):
+    @pytest.mark.parametrize("name", _GAP_GRIDS)
+    def test_lambda1_two_is_the_discrete_gap(self, name):
+        grid = _GAP_GRIDS[name]()
+        res = ef.lambda1_linear(2.0, grid)
+        assert abs(res.lam - _spectral_gap(grid)) <= res.residual + res.tol
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0])
+    def test_gaussian_converges_at_order_four_from_below(self, p):
         errors, spacings = [], []
-        for n in (401, 1601, 3201):
-            grid = _cosine_perturbed(k, n)
-            errors.append(ef.lambda1_linear(2.0, grid).lam - _spectral_gap(grid))
+        for n in (101, 201, 401, 801):
+            grid = ef.make_interval_grid(-8.0, 8.0, n, ef.harmonic())
+            errors.append(ef.lambda1_linear(p, grid).lam - 1.0)
             spacings.append(grid.h)
+        assert max(errors) < 0.0
         for order in _observed_order(errors, spacings):
-            assert order == pytest.approx(2.0, abs=0.2)
+            assert order == pytest.approx(4.0, abs=0.1)
 
-    def test_power_cusp_converges_at_order_one_half_from_below(self):
-        # V = F'' = 0.5 |x|^{-1/2} is sampled at the nodes next to its cusp
-        pot = ef.power_law(1.5)
-        gaps, spacings = [], []
-        for n in (3200, 12800):
-            grid = ef.make_interval_grid(-16, 16, n, pot)
-            gaps.append(_spectral_gap(grid) - ef.lambda1_linear(2.0, grid).lam)
-            spacings.append(grid.h)
-        assert min(gaps) > 0.0
-        assert _observed_order(gaps, spacings)[0] == pytest.approx(0.5, abs=0.1)
-
-    def test_gaussian_is_exact(self, gauss_grid):
+    def test_gaussian_is_one_at_the_benchmark_sizes(self, gauss_grid):
         for p in (1.2, 1.5, 2.0):
-            assert abs(ef.lambda1_linear(p, gauss_grid).lam - 1.0) <= 1e-12
-        assert abs(_spectral_gap(gauss_grid) - 1.0) <= 1e-9
+            assert abs(ef.lambda1_linear(p, gauss_grid).lam - 1.0) <= 1e-9
+        big = ef.make_interval_grid(-8.0, 8.0, 100000, ef.harmonic())
+        assert abs(ef.lambda1_pme(0.5, big).lam - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0])
+    def test_power_cusp_converges_at_order_two(self, p):
+        # no F'' is sampled at the cusp of |x|^{-1/2}: the nodal quotient
+        # converged at order 1/2, the dual one at order 2 (the differences of
+        # three grids; 1.95 to 1.99 at n = 3201 .. 25601)
+        pot = ef.power_law(1.5)
+        lams, spacings = [], []
+        for n in (3201, 6401, 12801):
+            grid = ef.make_interval_grid(-16, 16, n, pot)
+            lams.append(ef.lambda1_linear(p, grid).lam)
+            spacings.append(grid.h)
+        (order,) = _observed_order(np.diff(lams), spacings[1:])
+        assert order == pytest.approx(2.0, abs=0.3)
+        if p == 1.5:  # the benchmark's reference
+            assert lams[-1] == pytest.approx(0.695797, abs=1e-6)
 
 
 def _example1_cases():
@@ -370,41 +488,78 @@ class TestExample1ClosedForm:
         assert all(finer <= 3.5 * coarser for coarser, finer in zip(lams, lams[1:]))
 
 
+# the doubles of every radial solve as the nodal quotient gave them before
+# interval grids moved to the dual one: (lambda1, solves, the first 16 hex
+# digits of the SHA-256 of the eigenvector's bytes) and epsilon_star at
+# p = 1.2, 1.5, 1.8
+_RADIAL_GRIDS = {
+    "harmonic_log:0.05,d3": lambda: ef.make_radial_grid(3, 12.0, 2000, ef.harmonic_log(0.05, 3)),
+    "harmonic_log:0.3,d4": lambda: ef.make_radial_grid(4, 12.0, 1000, ef.harmonic_log(0.3, 4)),
+    "harmonic,d1": lambda: ef.make_radial_grid(1, 8.0, 1001, ef.harmonic(d=1)),
+    "power:1.5,d2": lambda: ef.make_radial_grid(2, 16.0, 1000, ef.power_law(1.5, d=2)),
+    "flat,d3": lambda: ef.make_radial_grid(3, 2.0, 300, ef.flat(d=3)),
+}
+_RADIAL_PINS = {
+    "harmonic_log:0.05,d3": {
+        "p1.0": (-5551.778125, 1, "e1c605c0e80d7e4f"),
+        "p1.2": (0.9338746277893271, 6, "05e7d02e05d83af0"),
+        "p1.5": (0.9421355586895018, 5, "47f4274fd0e262e6"),
+        "p2.0": (0.944109216778526, 5, "ed2d33b954e8e54c"),
+        "theta0.5": (0.9398484079390588, 5, "11d202a4b48f3ed5"),
+        "eps*": (0.2899780273437499, 1.5799560546875004, 6.7398681640625036),
+    },
+    "harmonic_log:0.3,d4": {
+        "p1.0": (-8324.002083333335, 1, "764bbcf2d2fef97d"),
+        "p1.2": (-1.0082226043957732, 15, "be62ce9a2b399ba2"),
+        "p1.5": (0.7813355280049556, 6, "bafcdb8cd4af18d1"),
+        "p2.0": (0.7999811811623366, 5, "d8fe3cc555a23973"),
+        "theta0.5": (0.7506106615581012, 6, "9c846c14df61a143"),
+        "eps*": (0.0, 0.9677124023437502, 4.903198242187502),
+    },
+    "harmonic,d1": {
+        "p1.0": (1.0, 1, "8edf6de976e89655"),
+        "p1.2": (0.9999999999999754, 1, "85433323033649b7"),
+        "p1.5": (0.9999999999997164, 1, "6f9e765f9290e65f"),
+        "p2.0": (0.9999999999996706, 1, "97841e2650f0741a"),
+        "theta0.5": (0.9999999999998676, 1, "d38d81bbf9af9c4a"),
+        "eps*": (0.49999999999999983, 2.0000000000000004, 8.000000000000004),
+    },
+    "power:1.5,d2": {
+        "p1.0": (0.125, 1, "0109a06971656bf5"),
+        "p1.2": (0.43045020162472014, 6, "cc5e24e76bdc9734"),
+        "p1.5": (0.4596391758249657, 5, "e10c2a8840c83346"),
+        "p2.0": (0.4695297354621075, 5, "16e547b66e99365c"),
+        "theta0.5": (0.44978485892275877, 6, "1b13306ec3bd9c22"),
+        "eps*": (0.49999999999999983, 2.0000000000000004, 8.000000000000004),
+    },
+    "flat,d3": {
+        "p1.0": (0.0, 1, "d26d285bc6f289be"),
+        "p1.2": (-1.3896370037313233e-13, 1, "19b2ea3e3cc1b06e"),
+        "p1.5": (-8.223655409759241e-15, 1, "57f44a6232889de4"),
+        "p2.0": (-4.095122525898665e-13, 1, "c1cb0139c17a7a12"),
+        "theta0.5": (-2.0475612629493324e-13, 1, "c1cb0139c17a7a12"),
+        "eps*": (0.49999999999999983, 2.0000000000000004, 8.000000000000004),
+    },
+}
+
+
+@pytest.mark.parametrize("name", _RADIAL_GRIDS)
+def test_radial_solves_keep_the_nodal_doubles(name):
+    grid, pins = _RADIAL_GRIDS[name](), _RADIAL_PINS[name]
+    solves = {f"p{p}": ef.lambda1_linear(p, grid) for p in (1.0, 1.2, 1.5, 2.0)}
+    solves["theta0.5"] = ef.lambda1_pme(0.5, grid)
+    for label, res in solves.items():
+        digest = hashlib.sha256(res.eigenvector.tobytes()).hexdigest()[:16]
+        assert (res.lam, res.iterations, digest) == pins[label], label
+    assert tuple(ef.epsilon_star(p, grid) for p in (1.2, 1.5, 1.8)) == pins["eps*"]
+
+
 def _negative_hessian_potential(n=201):
     # F = cos(3 pi x) on [-1, 1]: deep negative Hessian wells
     x = np.linspace(-1, 1, n)
-    k = 3 * np.pi
-    return ef.tabulated(x, np.cos(k * x), -k * np.sin(k * x), -k * k * np.cos(k * x)), x
+    return ef.tabulated(x, np.cos(3 * np.pi * x)), x
 
 
-def _perturbed_gaussian_grid(phi):
-    """x^2/2 + phi(x) tabulated on [-10, 10], n = 4001; ``phi`` returns
-    (phi, phi', phi'') at x."""
-    x = np.linspace(-10, 10, 4001)
-    f, df, d2f = phi(x)
-    return ef.make_interval_grid(-10, 10, len(x), ef.tabulated(x, x * x / 2 + f, x + df, 1 + d2f))
-
-
-def _cos(a, k):
-    return lambda x: (a * np.cos(k * x), -a * k * np.sin(k * x), -a * k * k * np.cos(k * x))
-
-
-def _log(c):
-    return lambda x: (c * np.log1p(x * x), 2 * c * x / (1 + x * x),
-                      2 * c * (1 - x * x) / (1 + x * x) ** 2)
-
-
-# the perturbations of the Bakry-Emery comparison tables, and epsilon_star
-# at p = 1.2, 1.5, 1.8 as the eigensolve-driven bisection found it
-_TABLES = {
-    "0.5cos(x)": (_cos(0.5, 1), [0.49999999999999983, 2.0000000000000004, 8.000000000000004]),
-    "0.3cos(2x)": (_cos(0.3, 2), [0.4740600585937499, 1.9481811523437504, 7.8445434570312536]),
-    "0.5cos(2x)": (_cos(0.5, 2), [0.12176513671874997, 1.2435302734375004, 5.730651855468752]),
-    "-1.0log(1+x^2)": (_log(-1.0), [0.12493896484374997, 1.2499389648437504,
-                                    5.749938964843752]),
-    "-1.5log(1+x^2)": (_log(-1.5), [0.0, 0.10266113281250003, 2.308105468750001]),
-}
-_P_TABLE = (1.2, 1.5, 1.8)
 
 
 @pytest.fixture(scope="module")
@@ -422,8 +577,8 @@ def _lowest(grid, p, eps):
     stebz, independent of dpttrf."""
     alpha = (2 - p) / p
     coeff = max(0.0, 1 - alpha * (1 + eps))
-    diag, off = _assemble_symmetrized(grid.node_mass, grid.conductance, coeff,
-                                      ef.hessian_infimum_V(grid))
+    mass, conductance, V = _quotient(grid)
+    diag, off = _assemble_symmetrized(mass, conductance, coeff, V)
     return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
 
 
@@ -477,9 +632,9 @@ class TestEpsilonStar:
 
     def test_non_finite_matrix_raises(self, gauss_grid_small, monkeypatch):
         # dpttrf's pivot test d <= 0 lets NaN through as positive definite
-        V = ef.hessian_infimum_V(gauss_grid_small)
+        mass, conductance, V = _quotient(gauss_grid_small)
         V[7] = np.nan
-        monkeypatch.setattr(spectrum, "hessian_infimum_V", lambda grid: V)
+        monkeypatch.setattr(spectrum, "_quotient", lambda grid: (mass, conductance, V))
         with pytest.raises(SolverDiverged, match="non-finite"):
             ef.epsilon_star(1.5, gauss_grid_small)
 
@@ -487,10 +642,9 @@ class TestEpsilonStar:
         pot, x = _negative_hessian_potential()
         g = ef.make_interval_grid(-1, 1, len(x), pot)
         # oracle: dense symmetric eigensolve confirms lambda1(p) < 0
-        V = ef.hessian_infimum_V(g)
         p = 1.5
         coeff = 2 * (p - 1) / p
-        diag, off = _assemble_symmetrized(g.node_mass, g.conductance, coeff, V)
+        diag, off = _assemble_symmetrized(*_quotient(g)[:2], coeff, _quotient(g)[2])
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         assert np.linalg.eigvalsh(dense)[0] < -1.0
         assert ef.epsilon_star(p, g) == 0.0

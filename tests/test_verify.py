@@ -107,18 +107,29 @@ class TestPoincare:
         assert _poincare_slack(2.0, 1.0, sides) is None
 
     def test_degenerate_trials_do_not_set_the_margin(self, gauss_grid_small):
-        # the Gaussian's eigenvector trial is constant: it used to be the
-        # worst trial, at slack 0.0, in every report
-        res = ef.lambda1_linear(1.5, gauss_grid_small)
-        v = ef.poincare_test(1.5, res, gauss_grid_small, trials=100, seed=1,
-                             weak_lambda1=0.5)
+        # a constant trial (#1 here, and #0 when the eigenvector was the
+        # Gaussian's constants) used to be the worst one, at slack 0.0
+        g = gauss_grid_small
+        res = ef.lambda1_linear(1.5, g)
+        v = ef.poincare_test(1.5, res, g, trials=100, seed=1, weak_lambda1=0.5,
+                             extra_trials=(np.ones(g.n),))
         assert v.details["degenerate_trials"] >= 1
-        assert v.passed and v.worst_violation > 0.0 and v.location != 0
-        assert v.details["weak_worst"] > 0.0 and v.details["weak_worst_trial"] != 0
+        assert v.passed and v.worst_violation > 0.0 and v.location != 1
+        assert v.details["weak_worst"] > 0.0 and v.details["weak_worst_trial"] != 1
         # with every trial degenerate the verdict is their slack, 0 at trial 0
-        only = ef.poincare_test(1.5, res, gauss_grid_small, trials=0)
+        only = ef.poincare_test(1.5, replace(res, eigenvector=np.ones(g.n)), g, trials=0)
         assert (only.worst_violation, only.location) == (0.0, 0)
         assert only.details["degenerate_trials"] == 1
+
+    @pytest.mark.parametrize("p, slack", [(1.5, 0.3352), (2.0, 0.5)])
+    def test_eigenvector_trial_is_near_extremal(self, gauss_grid_small, p, slack):
+        # trial 0 is the Gaussian's gap eigenfunction x (less its left-end
+        # value): at p = 2 it is tight in the sharp form E <= D / lambda, so
+        # the checked form (2 / lambda) D leaves it the slack 1/2
+        res = ef.lambda1_linear(p, gauss_grid_small)
+        v = ef.poincare_test(p, res, gauss_grid_small, trials=100, seed=1)
+        assert v.location == v.details["worst_trial"] == 0
+        assert v.worst_violation == pytest.approx(slack, abs=1e-4)
 
     def test_weak_constant_can_set_the_verdict(self, gauss_grid_small):
         # a weak constant above lambda leaves less room: the verdict is its
@@ -141,7 +152,7 @@ class TestPoincare:
         sides = _poincare_sides(g, 1.5, u)
         assert _poincare_slack(1.5, 1.0, sides) is None
         assert _poincare_slack(1.5, 1e-2, sides) is not None
-        res = replace(ef.lambda1_linear(1.5, g), lam=1.0)  # trial 0 is constant
+        res = replace(ef.lambda1_linear(1.5, g), lam=1.0, eigenvector=np.ones(g.n))
         v = ef.poincare_test(1.5, res, g, trials=5, seed=0, weak_lambda1=1e-2,
                              extra_trials=(u,))
         assert v.details["degenerate_trials"] == 2
