@@ -219,13 +219,13 @@ def _inverse_iteration(diag, off, system) -> tuple[float, np.ndarray, float, int
 def _assemble_symmetrized(
     mass: np.ndarray, conductance: np.ndarray, grad_coeff: float, V: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric tridiagonal matrix of the quotient
-
-        [ grad_coeff |Dw|^2 + V w^2 ] / [ w^2 ]
-
-    in the inner product weighted by ``mass``, assembled in place in the
-    stiffness bands."""
+    """Symmetric tridiagonal matrix of the quotient [grad_coeff |Dw|^2 + V w^2]
+    / [w^2] in the inner product weighted by ``mass``, assembled in place in
+    the stiffness bands.  Given one more conductance than masses, the first
+    and last are edges to nodes held at 0 (a Dirichlet closure)."""
     diag, off = stiffness_bands(conductance)
+    if len(conductance) > len(mass):
+        diag, off = diag[1:-1], off[1:-1]
     diag *= grad_coeff
     diag /= mass
     diag += V
@@ -240,24 +240,27 @@ def _quotient(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(mass, conductance, V) for :func:`_assemble_symmetrized`.  On an
     interval, from the edge conductances C and node masses W alone: w = Du
     lives on the n - 1 edges, where D W^{-1} D^T C (the nonzero spectrum of
-    -L) has masses C_e, conductances C_{i-1/2} C_{i+1/2} / W_i at the
-    interior nodes and V_e = (C_e - C_{e-1}) / W_e + (C_e - C_{e+1}) / W_{e+1}
-    (C = 0 outside the grid), a difference of F' across the dual cell whose
-    end terms hold w near 0, the Neumann condition on u.  A radial grid
-    keeps its nodes and V = min(F'', F'/r) (F'' for d = 1): its commutator
-    gives F'' + (d-1)/r^2, the l = 0 sector of the 1-form operator, not the
-    criterion's Hessian infimum."""
+    -L) has masses C_e, conductances C_{i-1/2} C_{i+1/2} / W_i at interior
+    nodes and V_e = g_e - g_{e+1} with g_i = (C_{i+1/2} - C_{i-1/2}) / W_i
+    (~ -F'/h); at each half-cell end g is extrapolated linearly, and the rest
+    of the diagonal (~ 2/h^2) is a ghost edge to w = 0, u's Neumann condition.
+    A radial grid keeps its nodes and V = min(F'', F'/r) (F'' for d = 1): its
+    commutator gives F'' + (d-1)/r^2, the l = 0 sector of the 1-form
+    operator, not the criterion's Hessian infimum."""
     C, W = grid.conductance, grid.node_mass
     if grid.kind == "radial":
         _, dF, d2F = evaluate(grid.potential, grid.nodes)
         return W, C, np.minimum(d2F, dF / grid.nodes) if grid.d >= 2 else d2F
-    dC = np.diff(C) / W[1:-1]  # (C_{e+1} - C_e) / W_{e+1}, e = 0 .. n-3
+    kappa = np.empty(len(W))  # with a ghost edge at each end
+    g = np.divide(np.subtract(C[1:], C[:-1], out=kappa[1:-1]), W[1:-1], out=kappa[1:-1])
     V = np.empty(len(C))
-    V[0], V[1:] = C[0] / W[0], dC
-    V[:-1] -= dC
-    V[-1] += C[-1] / W[-1]
-    np.multiply(C[:-1], C[1:], out=dC)
-    return C, np.divide(dC, W[1:-1], out=dC), V
+    np.subtract(g[:-1], g[1:], out=V[1:-1])
+    V[0], V[-1] = V[1], V[-2]
+    kappa[0] = C[0] * (C[0] / W[0] - 2.0 * g[0] + g[1])
+    kappa[-1] = C[-1] * (C[-1] / W[-1] + 2.0 * g[-1] - g[-2])
+    # C/W ~ 1/h^2, where the product of two tail conductances can underflow
+    np.multiply(np.divide(C[1:], W[1:-1], out=g), C[:-1], out=g)
+    return C, kappa, V
 
 
 def _solve_quotient(grid: Grid, grad_coeff: float) -> SpectralResult:

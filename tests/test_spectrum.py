@@ -167,13 +167,34 @@ class TestQuotient:
         # at the face m = x_{e+1/2}: F'' = 1 up to O(h^2 (1 + m^2))
         mass, conductance, V = _quotient(gauss_grid)
         C, W, h = gauss_grid.conductance, gauss_grid.node_mass, gauss_grid.h
-        assert mass is C
-        assert np.array_equal(conductance, C[:-1] * C[1:] / W[1:-1])
+        assert mass is C and len(conductance) == gauss_grid.n
+        assert_allclose(conductance[1:-1], C[:-1] * C[1:] / W[1:-1], rtol=1e-15)
         m = 0.5 * (gauss_grid.nodes[:-1] + gauss_grid.nodes[1:])
         closed = 4.0 * np.exp(-h * h / 8) * np.sinh(h * h / 4) * np.cosh(m * h / 2) / (h * h)
         assert_allclose(V[1:-1], closed[1:-1], rtol=1e-9)
-        # the two ends also carry C_e / W_e ~ 2/h^2: w = u' is held near 0
-        assert_allclose(V[[0, -1]] * h * h, 2.0, rtol=1e-3)
+        # the end nodes' F'/h is extrapolated, so V_0 = V_1; the ghost edges
+        # carry the rest of the end diagonals, ~2/h^2: w = u' is held near 0
+        assert V[0] == V[1] and V[-1] == V[-2]
+        assert_allclose(conductance[[0, -1]] / C[[0, -1]] * h * h, 2.0, rtol=1e-3)
+
+    @pytest.mark.parametrize("name", ["gaussian", "power-odd", "flat"])
+    def test_p_two_diagonal_is_the_dual_operator(self, name):
+        # however the ends split between ghost edge and V, at p = 2 the
+        # diagonal is that of D W^{-1} D^T C: C_e / W_e + C_e / W_{e+1}
+        grid = _GAP_GRIDS[name]()
+        C, W = grid.conductance, grid.node_mass
+        mass, conductance, V = _quotient(grid)
+        diag, off = _assemble_symmetrized(mass, conductance, 1.0, V)
+        assert_allclose(diag, C / W[:-1] + C / W[1:], rtol=1e-12)
+        assert_allclose(off, -np.sqrt(C[:-1] * C[1:]) / W[1:-1], rtol=1e-12)
+
+    def test_flat_is_the_scaled_dirichlet_laplacian(self, flat_grid):
+        # V = 0, the dual conductances are 1/h^3, and each end is an edge of
+        # twice that to w = 0: the mirror value -w_0 makes w vanish at the end node
+        mass, conductance, V = _quotient(flat_grid)
+        assert np.max(np.abs(V)) <= 1e-9 / flat_grid.h ** 2
+        assert_allclose(conductance[1:-1] * flat_grid.h ** 3, 1.0, rtol=1e-12)
+        assert_allclose(conductance[[0, -1]] * flat_grid.h ** 3, 2.0, rtol=1e-12)
 
     def test_smooth_table_is_second_order_in_F(self):
         # on x^2/2 + 0.5 cos 2x, V_e is F'' at the face to O(h^2)
@@ -284,7 +305,9 @@ class TestLambda1Linear:
             assert u[0] == 0.0 and np.all(u >= 0.0)
             w = np.diff(u)
             coeff = 2 * (p - 1) / p
-            quot = (coeff * np.sum(kappa * np.diff(w) ** 2) + np.sum(mass * V * w * w)
+            # the ghost edges tie w to 0 beyond each end
+            Dw = np.diff(w, prepend=0.0, append=0.0)
+            quot = (coeff * np.sum(kappa * Dw ** 2) + np.sum(mass * V * w * w)
                     ) / np.sum(mass * w * w)
             assert abs(quot - res.lam) <= 10 * res.residual
             assert res.residual <= res.tol
@@ -432,6 +455,42 @@ class TestSpectralGapReference:
         assert order == pytest.approx(2.0, abs=0.3)
         if p == 1.5:  # the benchmark's reference
             assert lams[-1] == pytest.approx(0.695797, abs=1e-6)
+
+    def test_power_far_tails_do_not_decouple(self):
+        # on [-70, 70] the end weights are ~e^{-390}: C_{i-1/2} C_{i+1/2}
+        # underflows there, C_{i-1/2} (C_{i+1/2} / W_i) does not.  At the same
+        # h the tails beyond 16 change lambda1 by far less than its residual
+        pot = ef.power_law(1.5)
+        near = ef.make_interval_grid(-16, 16, 3201, pot)
+        far = ef.make_interval_grid(-70, 70, 14001, pot)
+        assert far.node_mass.min() < 1e-160
+        assert np.all(_quotient(far)[1] > 0.0)
+        for p in (1.2, 1.5, 2.0):
+            a, b = ef.lambda1_linear(p, near), ef.lambda1_linear(p, far)
+            assert abs(a.lam - b.lam) <= 1e-9
+
+    @pytest.mark.parametrize("p", [1.2, 1.5])
+    def test_flat_converges_at_order_two(self, p):
+        # the ghost edges scale with the gradient coefficient c like the rest
+        # of the dual Laplacian: lambda1(p) is c times the discrete gap, and
+        # tends to c pi^2 from below at order 2
+        c = 2 * (p - 1) / p
+        errors, spacings = [], []
+        for n in (101, 201, 401, 801):
+            grid = ef.make_interval_grid(0.0, 1.0, n, ef.flat())
+            res = ef.lambda1_linear(p, grid)
+            assert res.lam == pytest.approx(c * _spectral_gap(grid), rel=1e-10)
+            errors.append(res.lam - c * math.pi ** 2)
+            spacings.append(grid.h)
+        assert max(errors) < 0.0
+        for order in _observed_order(errors, spacings):
+            assert order == pytest.approx(2.0, abs=0.05)
+
+    def test_gaussian_ends_stay_above_one_near_p_one(self, gauss_grid):
+        # V_0 = V_1 keeps the end edges at F'' when c -> 0; the ghost edge
+        # alone would leave them F'(x_1)/h ~ -1000 there
+        for p in (1.0, 1.001, 1.01):
+            assert ef.lambda1_linear(p, gauss_grid).lam == pytest.approx(1.0, abs=1e-5)
 
 
 def _example1_cases():
@@ -644,7 +703,8 @@ class TestEpsilonStar:
         # oracle: dense symmetric eigensolve confirms lambda1(p) < 0
         p = 1.5
         coeff = 2 * (p - 1) / p
-        diag, off = _assemble_symmetrized(*_quotient(g)[:2], coeff, _quotient(g)[2])
+        mass, kappa, V = _quotient(g)
+        diag, off = _assemble_symmetrized(mass, kappa, coeff, V)
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         assert np.linalg.eigvalsh(dense)[0] < -1.0
         assert ef.epsilon_star(p, g) == 0.0
