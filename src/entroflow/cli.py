@@ -99,6 +99,9 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
 def _build_geometry(args: argparse.Namespace) -> tuple[Grid, dict]:
     """The grid, with its potential, of the geometry flags, and the flags as
     the grid used them: the record a flow writes into its trace's meta."""
+    if args.domain and args.radial:
+        raise ConfigError(f"--domain {args.domain} and --radial {args.radial} name "
+                          "two grids; give one")
     text = args.potential or "gaussian"
     record = {"potential": text, "domain": None, "radial": args.radial}
     if text.startswith("tabulated:") and not args.radial:
@@ -112,20 +115,18 @@ def _build_geometry(args: argparse.Namespace) -> tuple[Grid, dict]:
             raise ConfigError(
                 f"--domain {args.domain} disagrees with the table's span {xL!r}:{xR!r}")
         grid = make_interval_grid(xL, xR, len(x), pot)
+    elif args.n is None:
+        raise ConfigError("--n is required")
     elif args.radial:
         d_raw, R = _parse_pair(args.radial, "--radial")
         if not d_raw.is_integer():
             raise ConfigError(f"--radial expects an integer dimension, got {args.radial!r}")
         pot = potential_from_spec(text, int(d_raw))
-        if args.n is None:
-            raise ConfigError("--n is required")
         grid = make_radial_grid(int(d_raw), R, args.n, pot)
     else:
         record["domain"] = args.domain or _DOMAIN
         xL, xR = _parse_pair(record["domain"], "--domain")
         pot = potential_from_spec(text)
-        if args.n is None:
-            raise ConfigError("--n is required")
         grid = make_interval_grid(xL, xR, args.n, pot)
     return grid, {**record, "n": grid.n}
 
@@ -177,6 +178,8 @@ def cmd_lambda1(args: argparse.Namespace) -> int:
                 kind: value,
                 "lambda1": res.lam,
                 "residual": res.residual,
+                "tol": res.tol,
+                "iterations": res.iterations,
                 "grid": grid.ident,
                 "n": grid.n,
             }
@@ -293,9 +296,12 @@ def _svg_plot(path: str, t: np.ndarray, curves: list[tuple[str, np.ndarray]]) ->
 
 
 def _geometry_from_meta(args: argparse.Namespace, meta: dict) -> argparse.Namespace:
-    """Geometry flags: as given, else as the flow recorded them in the trace meta."""
+    """Geometry flags: as given, else as the flow recorded them in the trace
+    meta; a given --domain or --radial takes the place of both recorded spans."""
     given = vars(args)
     recorded = meta.get("geometry") or {}
+    if given.get("domain") or given.get("radial"):
+        recorded = {k: v for k, v in recorded.items() if k not in ("domain", "radial")}
     return argparse.Namespace(
         **{**given, **{k: v for k, v in recorded.items() if v and not given.get(k)}})
 

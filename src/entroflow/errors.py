@@ -18,7 +18,7 @@ class NonFiniteWeight(EntroflowError):
 
 
 class TailMassTooLarge(EntroflowError):
-    """Truncation tail of the weight beyond the grid exceeds tolerance."""
+    """The bound on the weight beyond a radial grid exceeds the tail tolerance."""
 
 
 class DomainError(EntroflowError):
@@ -50,7 +50,8 @@ class NewtonDiverged(EntroflowError):
 
 
 class LinearSolveFailure(EntroflowError):
-    """Banded linear solve failed (singular system)."""
+    """LAPACK dpttrf cannot factor the linear flow's implicit tridiagonal
+    matrix W + theta dt S, which is then not positive definite."""
 
 
 class OutsideEllipse(EntroflowError):

@@ -170,8 +170,9 @@ def make_radial_grid(
 
     dx weights carry the full |S^{d-1}| r^{d-1} Jacobian; the face at r = 0
     has zero area (d >= 2) or zero imposed flux (d = 1), the outermost face
-    is the Neumann truncation.  For decaying families the relative weight
-    beyond R is estimated analytically and must stay below ``_TAIL_TOL``.
+    is the Neumann truncation.  For decaying families the closed-form upper
+    bound :func:`tail_mass` on the relative weight beyond R (at most 1.05
+    times the exact fraction below 1e-6) must stay below ``_TAIL_TOL``.
     The potential carries the dimension: ``pot.d`` must equal ``d``; a table
     lacks the F' and F'' radial spectra sample (ParameterError).
     """
@@ -192,7 +193,7 @@ def make_radial_grid(
         tm = tail_mass(pot, R)
         if tm > _TAIL_TOL:
             raise TailMassTooLarge(
-                f"weight mass beyond R={R} is {tm:.3e} > {_TAIL_TOL:.1e}; enlarge R"
+                f"weight mass beyond R={R} is up to {tm:.3e} > {_TAIL_TOL:.1e}; enlarge R"
             )
     h = 2.0 * R / (2 * n - 1)
     nodes = (np.arange(n) + 0.5) * h

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -291,106 +290,19 @@ def example1_epsilon_bound(d: int, p: float) -> Example1Bound:
     )
 
 
-# iteration cap of each incomplete-gamma loop at s = 0.  Near x = s the terms
-# of the series and of the continued fraction fall like e^{-k^2/(2s)}, so both
-# need about 20 + 8.5 sqrt(s) of them; the cap grows by the factor
-# 1 + sqrt(s)/10, and every s needs under half of it
-_GAMMA_MAX_ITER = 300
-_EPS = sys.float_info.epsilon
-_EULER_GAMMA = 0.5772156649015329
-# zeta(k) - 1 for k = 2, 3, ..., 13
-_ZETA_MINUS_1 = (
-    0.6449340668482264, 0.2020569031595943, 0.08232323371113819,
-    0.03692775514336993, 0.01734306198444914, 0.008349277381922827,
-    0.00407735619794434, 0.0020083928260822143, 0.0009945751278180853,
-    0.0004941886041194645, 0.0002460865533080483, 0.00012271334757848915,
-)
-
-
-def _lgamma1p(s: float) -> float:
-    """log Gamma(1 + s) for s >= 0, with an error small against s itself.
-
-    Near s = 0, ``math.lgamma(1 + s)`` is off by about 5e-16 in absolute
-    terms, which is 5e-13 of the result at s = 1e-3.  Below s = 0.1 the
-    Taylor series -log1p(s) + (1 - gamma) s + sum_k (zeta(k) - 1) (-s)^k / k
-    is used instead; its tail after k = 13 is below 1e-18 of s.
-    """
-    if s >= 0.1:
-        return math.lgamma(1.0 + s)
-    total = 0.0
-    for k, z in enumerate(_ZETA_MINUS_1, start=2):
-        total += z * (-s) ** k / k
-    return -math.log1p(s) + (1.0 - _EULER_GAMMA) * s + total
-
-
-def _gammaincc(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma function Q(s, x), s > 0, x >= 0.
-
-    x >= s + 1: the continued fraction for Q by the modified Lentz method
-    (Gautschi, ACM TOMS 5, 1979; Thompson & Barnett, J. Comput. Phys. 64,
-    1986).  x < s + 1 and s >= 1: the series for P and Q = 1 - P, where
-    Q >= Q(1, 2) = e^-2, so little cancels.  x < s + 1 and s < 1, where Q
-    can be as small as s E1(1): Q directly, as 1 - x^s/Gamma(1+s) minus the
-    alternating series x^s/Gamma(s) sum_n (-x)^n / (n! (s+n)).
-    """
-    if x == 0.0:
-        return 1.0
-    log_x = math.log(x)
-    max_iter = int(_GAMMA_MAX_ITER * (1.0 + math.sqrt(s) / 10.0))
-    if x >= s + 1.0:
-        tiny = 1e-300
-        b = x + 1.0 - s
-        c, d = 1.0 / tiny, 1.0 / b
-        h = d
-        for k in range(1, max_iter + 1):
-            a = -k * (k - s)
-            b += 2.0
-            d = a * d + b
-            if abs(d) < tiny:
-                d = tiny
-            c = b + a / c
-            if abs(c) < tiny:
-                c = tiny
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-            if abs(delta - 1.0) < _EPS:
-                return h * math.exp(s * log_x - x - math.lgamma(s))
-    elif s >= 1.0:
-        term = total = 1.0
-        for k in range(1, max_iter + 1):
-            term *= x / (s + k)
-            total += term
-            if term < total * _EPS:
-                return 1.0 - total * math.exp(s * log_x - x - math.lgamma(s + 1.0))
-    else:
-        fac, total = 1.0, 0.0
-        for k in range(1, max_iter + 1):
-            fac *= -x / k
-            term = fac / (s + k)
-            total += term
-            if abs(term) < abs(total) * _EPS:
-                t = s * log_x - _lgamma1p(s)
-                return -math.expm1(t) - s * math.exp(t) * total
-    raise DomainError(
-        f"incomplete gamma Q({s!r}, {x!r}) did not converge in {max_iter} iterations"
-    )
-
-
 def tail_mass(pot: Potential, R: float) -> float:
-    """Fraction of the weight r^{d-1} e^{-F} sitting beyond radius R, d = pot.d.
+    """Upper bound on the fraction of the weight r^{d-1} e^{-F}, d = pot.d,
+    beyond radius R (for d = 1 and an even F, the fraction with |x| > R).
 
-    For d = 1 and an even potential this is the fraction of the line measure
-    with |x| > R.  Flat and tabulated families have no decaying tail.
-
-    Every decaying family has the weight r^{d-1-eps} e^{-r^beta/beta} (beta = 2
-    except for ``power``, eps = 0 except for ``harmonic_log``); substituting
-    u = r^beta/beta turns the fraction into the regularized upper incomplete
-    gamma function Q((d - eps)/beta, R^beta/beta).  :func:`_gammaincc`
-    evaluates it with ``math`` alone (a series or a continued fraction), to
-    about 1e-13 relative where Q is a normal float and s <= 10; the rounding
-    of the exp(s log x - x) prefactor grows with s, to about 2e-11 at
-    s = 1e4.  When R^beta overflows, the tail is 0 to double precision.
+    Every decaying family has the weight w = r^a e^{-r^beta/beta}, a = d-1-eps
+    (beta = 2 but for ``power``, eps = 0 but for ``harmonic_log``), of total
+    beta^{s-1} Gamma(s), s = (d - eps)/beta.  As w' = -psi w with
+    psi(r) = r^{beta-1} - a/r, one integration by parts bounds the tail by
+    w(R)/psi(R) where psi(R) > 0 and psi'(R) >= 0 (the Mills-ratio bound of
+    Gordon, Ann. Math. Statist. 12, 1941); elsewhere, inside the bulk, by 1.
+    Below 1e-6 it is at most 1.05 times the exact fraction Q(s, R^beta/beta).
+    It is 0 where R^beta overflows.  Flat and tabulated families have no
+    decaying tail (DomainError).
     """
     if pot.family in ("flat", "tabulated"):
         raise DomainError(f"{pot.family} potential has no analytic tail estimate")
@@ -401,8 +313,14 @@ def tail_mass(pot: Potential, R: float) -> float:
     beta = pot.beta if pot.family == "power" else 2.0
     # harmonic_log keeps eps < d, so the weight is integrable at r = 0
     eps = pot.eps if pot.family == "harmonic_log" else 0.0
+    a, s = pot.d - 1.0 - eps, (pot.d - eps) / beta
     try:
-        x = float(R) ** beta / beta
+        Rb = float(R) ** beta
     except OverflowError:
         return 0.0
-    return _gammaincc((pot.d - eps) / beta, x)
+    # R psi(R) = R^beta - a and R^2 psi'(R) = (beta - 1) R^beta + a
+    if not (Rb > a and (beta - 1.0) * Rb + a >= 0.0):
+        return 1.0
+    log_tail = ((pot.d - eps) * math.log(R) - Rb / beta - math.log(Rb - a)
+                - (s - 1.0) * math.log(beta) - math.lgamma(s))
+    return math.exp(min(log_tail, 0.0))

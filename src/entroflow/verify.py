@@ -330,12 +330,13 @@ def run_checks(trace, checks, geometry, lambda1=None, trials: int = 100, seed: i
 
     ``checks`` lists names of ``CHECKS`` (None: envelope and dissipation);
     verdicts follow the table's order.  An empty list, an unknown name, a
-    check on a trace kind it does not apply to, ``refined`` at p = 2 or on a
-    trace without the q4 column, or ``dissipation`` on a trace of fewer than 3
-    snapshots raises ConfigError before ``geometry`` (a callable returning the
-    trace's grid, called at most once) or any eigensolve runs, and a
-    non-finite ``lambda1`` raises ParameterError; a grid other than the one
-    the trace records raises ConfigError.  The flow's eigenpair, lambda1_linear(p) or
+    check on a trace kind it does not apply to, ``poincare`` or ``refined`` at
+    p = 1, ``refined`` at p = 2 or on a trace without the q4 column, or
+    ``dissipation`` on a trace of fewer than 3 snapshots raises ConfigError
+    before ``geometry`` (a callable returning the trace's grid, called at
+    most once) or any eigensolve runs, and a non-finite ``lambda1`` raises
+    ParameterError; a grid other than the one the trace records raises
+    ConfigError.  The flow's eigenpair, lambda1_linear(p) or
     lambda1_pme(theta), is solved at most once; a given ``lambda1`` replaces
     its eigenvalue.  ``refined`` audits at the grid's
     :func:`spectrum.epsilon_star` (a ConfigError where it is 0).  p, m and
@@ -356,6 +357,9 @@ def run_checks(trace, checks, geometry, lambda1=None, trials: int = 100, seed: i
     lambda1 = None if lambda1 is None else float(lambda1)
     if lambda1 is not None and not math.isfinite(lambda1):
         raise ParameterError(f"lambda1 must be finite; got {lambda1}")
+    for name in ("poincare", "refined"):
+        if name in checks and p <= 1.0:
+            raise ConfigError(f"the {name} check needs p > 1; the trace has p = {p:g}")
     if "refined" in checks:
         if LinearParams(p).alpha <= 0.0:
             raise ConfigError("refined inequalities need p < 2")

@@ -69,6 +69,11 @@ class TestLambda1Command:
         payload = json.loads(out.read_text())
         assert len(payload) == 3
         assert all(abs(row["lambda1"] - 1.0) < 1e-3 for row in payload)
+        # the certified bracket [lambda1 - residual - tol, lambda1] and the solves
+        for row in payload:
+            assert set(row) == {"p", "lambda1", "residual", "tol", "iterations", "grid", "n"}
+            assert row["tol"] >= 1e-10 and row["residual"] <= row["tol"]
+            assert isinstance(row["iterations"], int) and row["iterations"] >= 1
 
     def test_radial_geometry(self, capsys):
         code = run_cli(
@@ -122,6 +127,12 @@ class TestLambda1Command:
     def test_nonfinite_geometry_exit_codes(self, capsys, geometry, code, message):
         assert run_cli("lambda1", "--p", "2.0", "--potential", *geometry, "--n", "200") == code
         assert message in capsys.readouterr().err
+
+    def test_domain_with_radial_is_config_error(self, capsys):
+        # the radial grid used to win and the interval be dropped, exit 0
+        assert run_cli("lambda1", "--p", "2.0", "--potential", "harmonic_log:0.05",
+                       "--radial", "3:12", "--domain=-8:8", "--n", "800") == 2
+        assert "--domain -8:8 and --radial 3:12 name two grids" in capsys.readouterr().err
 
     def test_undersized_radius_is_config_error(self):
         assert run_cli(
@@ -217,6 +228,41 @@ class TestFlowAndReport:
             outputs.append(_outputs(tmp_path / name, capsys))
         assert sorted(outputs[1]) == ["run.csv", "stdout", "v.json"]
         assert outputs[0] == outputs[1]
+
+    def test_flow_domain_with_radial_exits_2(self, tmp_path, capsys):
+        # the interval used to be dropped and the trace record "domain": null
+        path = tmp_path / "run.csv"
+        assert main(["flow", "linear", "--p", "1.5", "--potential", "harmonic_log:0.05",
+                     "--radial", "3:12", "--domain=-8:8", "--n", "400", "--tend", "0.01",
+                     "--dt", "1e-3", "--trace", str(path)]) == 2
+        assert "--domain -8:8 and --radial 3:12 name two grids" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_report_given_span_replaces_both_recorded(self, artifacts, tmp_path, capsys):
+        # an interval trace audited with --radial: the given radial grid is
+        # built (and is not the trace's), not a --domain/--radial conflict
+        _, trace = artifacts
+        assert main(["report", "--trace", str(trace), "--checks", "poincare",
+                     "--radial", "1:8"]) == 2
+        err = capsys.readouterr().err
+        assert "the trace was written on grid" in err and "two grids" not in err
+        # a radial trace audited with --domain: the interval is built, where
+        # the recorded harmonic_log potential does not exist; the given
+        # domain used to be ignored and the radial grid rebuilt
+        radial = tmp_path / "radial.csv"
+        assert main(["flow", "linear", "--p", "1.5", "--potential", "harmonic_log:0.05",
+                     "--radial", "3:12", "--n", "400", "--tend", "0.01", "--dt", "1e-3",
+                     "--trace", str(radial)]) == 0
+        assert main(["report", "--trace", str(radial), "--checks", "poincare",
+                     "--trials", "5"]) == 0
+        capsys.readouterr()
+        assert main(["report", "--trace", str(radial), "--checks", "poincare",
+                     "--domain=-8:8"]) == 2
+        assert "harmonic_log requires d >= 3" in capsys.readouterr().err
+        # both given: the same conflict as for lambda1 and flow
+        assert main(["report", "--trace", str(radial), "--checks", "poincare",
+                     "--domain=-8:8", "--radial", "3:12"]) == 2
+        assert "name two grids" in capsys.readouterr().err
 
     def test_report_json_bytes_deterministic(self, artifacts, tmp_path):
         _, trace = artifacts
@@ -367,13 +413,16 @@ class TestFlowAndReport:
 
 @pytest.fixture(scope="module")
 def report_traces(artifacts, tmp_path_factory):
-    """Trace paths by name: the p = 1.5 linear run, a pme run, a p = 2 linear run."""
+    """Trace paths by name: the p = 1.5 linear run, a pme run, p = 2 and p = 1
+    linear runs and a two-snapshot run."""
     d = tmp_path_factory.mktemp("report_traces")
     common = ["--potential", "gaussian", "--domain=-8:8", "--n", "201", "--dt", "2e-3"]
     assert main(["flow", "pme", "--m", "1.2", "--p", "1.5", "--theta", "0.5", *common,
                  "--tend", "0.2", "--init", "bump:0.4", "--trace", str(d / "pme.csv")]) == 0
     assert main(["flow", "linear", "--p", "2.0", *common, "--tend", "0.1",
                  "--trace", str(d / "p2.csv")]) == 0
+    assert main(["flow", "linear", "--p", "1.0", *common, "--tend", "0.1",
+                 "--trace", str(d / "p1.csv")]) == 0
     # one step: the trace holds the two snapshots t = 0 and t = dt
     assert main(["flow", "linear", "--n", "201", "--tend", "1e-3", "--dt", "1e-3",
                  "--trace", str(d / "short.csv")]) == 0
@@ -382,6 +431,7 @@ def report_traces(artifacts, tmp_path_factory):
         "linear": ["--trace", str(trace)],
         "pme": ["--trace", str(d / "pme.csv")],
         "p2": ["--trace", str(d / "p2.csv")],
+        "p1": ["--trace", str(d / "p1.csv")],
         "short": ["--trace", str(d / "short.csv")],
     }
 
@@ -395,10 +445,14 @@ class TestReportChecks:
         ("pme", "envelope,refined", "the refined check applies to linear traces"),
         ("linear", "dissipation,lemma", "the lemma check applies to pme traces"),
         ("p2", "refined", "refined inequalities need p < 2"),
+        ("p1", "envelope,dissipation,poincare", "the poincare check needs p > 1; "
+                                                "the trace has p = 1"),
+        ("p1", "refined", "the refined check needs p > 1; the trace has p = 1"),
         ("short", "envelope,dissipation",
          "the dissipation audit needs at least 3 snapshots; the trace has 2"),
     ], ids=["unknown", "unknown-among-valid", "poincare-on-pme", "refined-on-pme",
-            "lemma-on-linear", "refined-at-p2", "dissipation-on-2-snapshots"])
+            "lemma-on-linear", "refined-at-p2", "poincare-at-p1", "refined-at-p1",
+            "dissipation-on-2-snapshots"])
     def test_rejected_before_any_solve(self, report_traces, monkeypatch, capsys,
                                        trace, checks, message):
         # a typo used to print [] and exit 0; misapplied checks now fail

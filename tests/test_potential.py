@@ -178,22 +178,31 @@ class TestTailMass:
         (ef.harmonic_log(2.5, d=5), lambda d: (d - 2.5) / 2, lambda R: R * R / 2),
     ]
 
+    @staticmethod
+    def _assert_bounds(bound, exact):
+        # an upper bound, and a tight one on the tails the grid guard sees
+        assert bound >= exact
+        if exact < 1e-6:
+            assert bound <= 1.05 * exact
+
     @pytest.mark.parametrize("pot, s, x", TAIL_CASES,
                              ids=["harmonic", "power1.5", "power1.2", "log0.05", "log2.5"])
-    def test_matches_regularized_upper_gamma(self, pot, s, x):
+    def test_bounds_regularized_upper_gamma(self, pot, s, x):
         mpmath = pytest.importorskip("mpmath")
-        for d in (3, 5) if pot.family == "harmonic_log" else (1, 2, 3, 5):
-            for R in (1.0, 4.0, 8.0, 16.0):
-                ref = float(mpmath.gammainc(s(d), x(R), regularized=True))
-                assert ef.tail_mass(replace(pot, d=d), R) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        with mpmath.workdps(30):
+            for d in (3, 5) if pot.family == "harmonic_log" else (1, 2, 3, 5):
+                for R in (1.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0):
+                    ref = mpmath.gammainc(s(d), x(R), regularized=True)
+                    self._assert_bounds(ef.tail_mass(replace(pot, d=d), R), ref)
 
     @pytest.mark.parametrize("pot, d, R", [
         (ef.harmonic(), 5, 8.0),
         (ef.power_law(1.5), 3, 8.0),
         (ef.power_law(1.2), 3, 24.0),
         (ef.harmonic_log(0.05, d=3), 3, 6.0),
-    ], ids=["harmonic", "power1.5", "power1.2", "log0.05"])
-    def test_matches_direct_quadrature(self, pot, d, R):
+        (ef.harmonic_log(2.5, d=3), 3, 6.0),
+    ], ids=["harmonic", "power1.5", "power1.2", "log0.05", "log2.5"])
+    def test_bounds_direct_quadrature(self, pot, d, R):
         # independent of the gamma-function substitution: integrate the weight itself
         mpmath = pytest.importorskip("mpmath")
 
@@ -209,7 +218,20 @@ class TestTailMass:
         with mpmath.workdps(30):
             tail = mpmath.quad(w, [R, R + 10, mpmath.inf])
             total = mpmath.quad(w, [0, 1, R, R + 10, mpmath.inf])
-        assert ef.tail_mass(replace(pot, d=d), R) == pytest.approx(float(tail / total), rel=1e-12)
+            self._assert_bounds(ef.tail_mass(replace(pot, d=d), R), tail / total)
+
+    def test_large_dimension(self):
+        # s = d/2 = 1250: the bound holds across the bulk, near x = s, and is
+        # tight in the tail (d = 2500, R = 60 leaves about 3e-43); at R = 45,
+        # where psi(R) < 0, it is 1
+        mpmath = pytest.importorskip("mpmath")
+
+        pot = ef.harmonic(d=2500)
+        with mpmath.workdps(40):
+            for R in (50.0, 52.0, 55.0, 60.0, 75.0):
+                self._assert_bounds(ef.tail_mass(pot, R),
+                                    mpmath.gammainc(1250, R * R / 2, regularized=True))
+        assert ef.tail_mass(pot, 45.0) == 1.0
 
     def test_errors(self):
         with pytest.raises(DomainError, match="no analytic tail"):
@@ -267,101 +289,6 @@ class TestTailMass:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
-
-
-def _gamma_sweep():
-    """(s, x) pairs on both sides of x = s + 1, where the kernel switches method.
-
-    s runs from 1e-3 to 10, the supremum of (d - eps)/beta at d = 10 (beta > 1
-    for the power family).  x runs up to 690: e^{-x} underflows near 708, and
-    for s = 1e-3 Q leaves the normal range near x = 700.
-    """
-    pairs = []
-    for s in np.geomspace(1e-3, 10.0, 25):
-        s = float(s)
-        edge = s + 1.0
-        xs = [edge, math.nextafter(edge, 0.0), edge * (1 - 1e-9), edge * (1 + 1e-9)]
-        xs += [float(x) for x in np.geomspace(1e-8, edge, 9)[:-1]]
-        xs += [float(x) for x in np.geomspace(edge, 690.0, 10)[1:]]
-        pairs += [(s, x) for x in xs]
-    return pairs
-
-
-def _large_s_cases():
-    """(s, x) for s from 10 to 1e4, where the loops are longest: x within a few
-    sqrt(s) of s, on both sides of x = s + 1."""
-    return [(s, s + 1.0 + k * math.sqrt(s)) for s in (30.0, 300.0, 1250.0, 1e4)
-            for k in (-3.0, -1.0, -0.01, 0.0, 0.01, 1.0, 3.0)]
-
-
-class TestGammaincc:
-    """The incomplete-gamma kernel behind tail_mass, against mpmath."""
-
-    def test_matches_mpmath_on_both_sides_of_the_switch(self):
-        import mpmath
-
-        from entroflow.potential import _gammaincc
-
-        branches = set()
-        with mpmath.workdps(30):
-            for s, x in _gamma_sweep():
-                ref = float(mpmath.gammainc(s, x, regularized=True))
-                assert ref >= sys.float_info.min
-                assert _gammaincc(s, x) == pytest.approx(ref, rel=1e-12, abs=0.0), (s, x)
-                branches.add((x < s + 1.0, s < 1.0))
-        assert branches == {(True, True), (True, False), (False, True), (False, False)}
-
-    def test_large_s(self):
-        # s = (d - eps)/beta beyond the d = 10 sweep: the loops need about
-        # 20 + 8.5 sqrt(s) terms near x = s, and the prefactor's rounding grows
-        # like s; e.g. d = 2500, R = 50 is s = 1250, x = 1250
-        import mpmath
-
-        from entroflow.potential import _gammaincc
-
-        with mpmath.workdps(40):
-            for s, x in _large_s_cases():
-                ref = float(mpmath.gammainc(s, x, regularized=True))
-                assert _gammaincc(s, x) == pytest.approx(ref, rel=max(1e-12, 3e-15 * s), abs=0.0)
-            ref = float(mpmath.gammainc(1250, 1250, regularized=True))
-        assert ef.tail_mass(ef.harmonic(d=2500), 50.0) == pytest.approx(ref, rel=1e-11)
-
-    def test_no_case_needs_half_the_iteration_cap(self, monkeypatch):
-        from entroflow import potential
-
-        monkeypatch.setattr(potential, "_GAMMA_MAX_ITER", potential._GAMMA_MAX_ITER // 2)
-        # the continued fraction is slowest just above x = s + 1 for s near 0.1
-        slow = [(float(s), float(s) + 1.0) for s in np.linspace(0.01, 0.3, 30)]
-        for s, x in _gamma_sweep() + slow + _large_s_cases():
-            potential._gammaincc(s, x)
-
-    def test_cap_raises_instead_of_returning_a_partial_sum(self, monkeypatch):
-        from entroflow import potential
-
-        monkeypatch.setattr(potential, "_GAMMA_MAX_ITER", 3)
-        # the Q series, the P series and the continued fraction, at s >= 1 and s < 1
-        for s, x in [(0.5, 1.0), (4.0, 4.5), (6.0, 8.0), (0.05, 1.05)]:
-            with pytest.raises(DomainError, match="did not converge"):
-                potential._gammaincc(s, x)
-
-    def test_limits(self):
-        from entroflow.potential import _gammaincc
-
-        assert _gammaincc(1.5, 0.0) == 1.0
-        assert _gammaincc(1.5, 800.0) == 0.0  # e^{-x} underflows
-        assert _gammaincc(1.0, 3.0) == pytest.approx(math.exp(-3.0), rel=1e-15)
-
-    def test_lgamma1p_and_its_zeta_table(self):
-        import mpmath
-
-        from entroflow.potential import _ZETA_MINUS_1, _lgamma1p
-
-        with mpmath.workdps(30):
-            for k, z in enumerate(_ZETA_MINUS_1, start=2):
-                assert z == float(mpmath.zeta(k) - 1)
-            for s in np.geomspace(1e-8, 1.0, 40):
-                ref = float(mpmath.loggamma(1 + mpmath.mpf(float(s))))
-                assert _lgamma1p(float(s)) == pytest.approx(ref, rel=2e-14, abs=0.0)
 
 
 def test_potential_from_spec_aliases():

@@ -335,6 +335,14 @@ class TestRefinedAudit:
         with pytest.raises(ConfigError, match="q4 column"):
             ef.run_checks(tr, ["refined"], geometry=lambda: pytest.fail("built a grid"))
 
+    @pytest.mark.parametrize("checks", [["envelope", "poincare"], ["refined"]])
+    def test_p1_rejected_before_the_grid(self, checks):
+        # both checks need p in (1, 2]; at p = 1 they used to fail only after
+        # the grid was built and lambda1 solved
+        tr = _synthetic_trace(p=1.0)
+        with pytest.raises(ConfigError, match=f"the {checks[-1]} check needs p > 1"):
+            ef.run_checks(tr, checks, geometry=lambda: pytest.fail("built a grid"))
+
     def test_equilibrium_trace_trivially_passes(self, gauss_grid_small):
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="const", t_end=0.1,
                             dt=2e-3, stride=10)
