@@ -245,12 +245,12 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _svg_plot(path: str, t: np.ndarray, curves: list[tuple[str, np.ndarray]]) -> None:
-    """Tiny self-contained SVG: one polyline per curve, log-scale y."""
+    """Tiny self-contained SVG: one polyline per curve, log-scale y.  With
+    nothing positive to plot (an equilibrium trace) the axis spans the
+    decades around 1 and each polyline is empty."""
     width, height, margin = 640, 440, 60
     positive = np.concatenate([c[np.isfinite(c) & (c > 0)] for _, c in curves])
-    if positive.size == 0:
-        raise ConfigError("nothing positive to plot on a log axis")
-    ymin, ymax = float(positive.min()), float(positive.max())
+    ymin, ymax = (float(positive.min()), float(positive.max())) if positive.size else (1.0, 1.0)
     if ymin == ymax:
         ymin, ymax = ymin / 10.0, ymax * 10.0
     ly0, ly1 = math.log10(ymin), math.log10(ymax)

@@ -249,13 +249,15 @@ def constants_report(
     return out
 
 
-def envelope_exponential(x0: float, lambda1: float, t: float) -> float:
-    """x0 e^{-2 lambda1 t}: the exponential decay bound for entropy and Fisher."""
-    return x0 * math.exp(-2.0 * lambda1 * t)
+def envelope_exponential(x0: float, lambda1: float, t):
+    """x0 e^{-2 lambda1 t}: the exponential decay bound for entropy and Fisher,
+    at a time or elementwise over an array of times."""
+    return x0 * np.exp(-2.0 * lambda1 * t)
 
 
-def envelope_pme(I0: float, kappa: float, t: float) -> tuple[float, float]:
-    """Cubic decay envelopes (I_bound, E_bound) for the porous-media flow.
+def envelope_pme(I0: float, kappa: float, t):
+    """Cubic decay envelopes (I_bound, E_bound) for the porous-media flow, at
+    a time or elementwise over an array of times.
 
     I_bound = I0 / u^3 and E_bound = 3 I0^{2/3} / (2 kappa u^2) with
     u = 1 + (kappa/3) I0^{1/3} t; the E bound is the t-to-infinity integral of
@@ -265,8 +267,6 @@ def envelope_pme(I0: float, kappa: float, t: float) -> tuple[float, float]:
         raise ParameterError(f"kappa must be positive; got {kappa}")
     if I0 < 0.0:
         raise ParameterError(f"I0 must be nonnegative; got {I0}")
-    if I0 == 0.0:
-        return 0.0, 0.0
     u = 1.0 + (kappa / 3.0) * I0 ** (1.0 / 3.0) * t
     return I0 / u**3, 3.0 * I0 ** (2.0 / 3.0) / (2.0 * kappa * u**2)
 

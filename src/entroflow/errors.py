@@ -42,7 +42,11 @@ class MassNotNormalized(EntroflowError):
 
 
 class SolverDiverged(EntroflowError):
-    """Eigensolver failed to reach the residual tolerance."""
+    """The eigensolver gave up: its tridiagonal matrix has non-finite
+    entries, LAPACK dpttrf returned info < 0 (an illegal argument), dpttrf
+    refused a shift at the certified lower bound of the spectrum, no shift
+    factored within the factorization cap, or inverse iteration did not
+    reach the residual tolerance within its solve cap."""
 
 
 class NewtonDiverged(EntroflowError):

@@ -10,7 +10,9 @@ A check states each of its inequalities lhs <= rhs as the relative slack
 the first smallest of a check's slacks as its worst violation, with its
 location: a snapshot time (envelope, lemma), a trace row (refined) or a
 trial index (poincare).  ``dissipation`` reports minus its largest
-normalized mismatch, at that snapshot's time.
+normalized mismatch, at that snapshot's time.  Trace rows and Poincare
+trials alike are (E_p, I_p) pairs of unit-mass fields, evaluated by
+``functionals._Snapshot``.
 
 A verdict is a function of the trace and the criterion's own inputs (theta,
 lambda1, trials, seed): each audit reads p, and m for a porous-media trace,
@@ -32,8 +34,8 @@ import numpy as np
 
 from . import criteria, spectrum
 from .errors import ConfigError, NonPositiveData, ParameterError, WindowTooShort
-from .functionals import LinearParams, PmeParams
-from .grid import Grid, _fsum_into, dirichlet_form, integrate_dgamma
+from .functionals import LinearParams, PmeParams, _Snapshot
+from .grid import Grid, _fsum_into, integrate_dgamma
 from .spectrum import SpectralResult
 
 __all__ = [
@@ -86,9 +88,11 @@ def _verdict(name, slacks, locations, details, tol=criteria.SLACK_TOL) -> Verdic
 
 
 def check_envelope(trace, envelope, column: str = "E", name: str | None = None) -> Verdict:
-    """Worst relative slack of bound(t) - value(t) over the trace snapshots."""
+    """Worst relative slack of value(t) <= bound(t) over the trace snapshots.
+    ``envelope`` is the bound at the snapshot times, or a callable that
+    returns it when called once on the array ``trace.t``."""
     values = trace.column(column)
-    bounds = np.array([envelope(t) for t in trace.t])
+    bounds = envelope(trace.t) if callable(envelope) else envelope
     return _verdict(name or f"envelope[{column}]", criteria._relative_slack(values, bounds),
                     trace.t.tolist(), {"n_snapshots": len(values)})
 
@@ -136,57 +140,34 @@ def _trial_field(grid: Grid, rng: random.Random) -> np.ndarray:
     return np.maximum(u, 0.02 * scale)
 
 
-def _poincare_sides(grid: Grid, p: float, u: np.ndarray) -> list[float]:
-    """(int u^2, int |u|^{2/p}, Dirichlet form) against dgamma of a trial u
-    normalized to unit mass.  Neither side depends on the constant, so every
-    constant shares them."""
-    un = u / integrate_dgamma(grid, u)  # scale-invariant; normalize for conditioning
-    return [integrate_dgamma(grid, un * un),
-            integrate_dgamma(grid, np.power(np.abs(un), 2.0 / p)),
-            dirichlet_form(grid, un, un)]
-
-
-def _poincare_slack(p: float, lam: float, sides) -> float | None:
-    """Relative slack of the inequality with constant ``lam`` for one trial's
-    :func:`_poincare_sides`; None where both sides are at quadrature
-    round-off (a degenerate trial, e.g. a constant one)."""
-    second, moment, dirichlet = sides
-    lhs = (second - moment**p) / (p - 1.0)
-    rhs = (2.0 / lam) * dirichlet
-    floor = 1e-13 * max(1.0, second)
-    if abs(lhs) <= floor and abs(rhs) <= floor:
-        return None
-    return float(criteria._relative_slack(lhs, rhs))
-
-
 def poincare_test(
     p: float,
     spectral: SpectralResult,
     grid: Grid,
     trials: int = 100,
     seed: int = 0,
-    weak_lambda1: float | None = None,
     extra_trials: tuple = (),
 ) -> Verdict:
-    """Interpolation inequality between variance-type entropy and the Dirichlet
-    form with constant ``spectral.lam``, tested on ``trials`` random positive
+    """Generalized Poincare inequality 2 lambda E_p <= p I_p at lambda =
+    ``spectral.lam`` (``details["lambda"]``), on ``trials`` random positive
     trials (:func:`_trial_field`, drawn from the standard library's
     ``random.Random(seed)``, which unlike ``numpy.random`` loads no OpenSSL)
-    plus ``spectral.eigenvector`` (from lambda1_linear(p)) as trial #0;
-    ``extra_trials`` lets a caller inject deliberately near-extremal fields.
+    after ``spectral.eigenvector`` (from lambda1_linear(p)) as trial #0 and
+    ``extra_trials``, deliberately near-extremal fields a caller injects.
 
-    With ``weak_lambda1`` set (e.g. (p-1) * lambda1(2)), the same trials are
-    also checked against that constant; the verdict is the smaller of the two
-    worst slacks.  A trial whose two sides are both at round-off under a
-    constant (a constant trial, or one clipped flat) does not test it: it is
-    left out of that constant's minimum, and ``details["degenerate_trials"]``
-    counts it once, whichever constant it fails to test.
+    A trial u enters as the unit-mass field v = u^{2/p} / int u^{2/p}, with
+    the E_p and I_p a linear flow records (:class:`functionals._Snapshot`):
+    (int u^2 - (int u^{2/p})^p) / (p-1) <= (2/lambda) D(u, u) times
+    2 lambda / (int u^{2/p})^p.  A trial whose two sides are both within
+    2e-13 lambda max(1, int v^p) (a constant trial, or one clipped flat) tests
+    nothing: it is counted in ``details["degenerate_trials"]``, and where
+    every trial is, the verdict is slack 0 at trial 0.
     """
     if not (1.0 < p <= 2.0):
         raise ParameterError(f"p must lie in (1, 2]; got {p}")
-    if not (math.isfinite(spectral.lam) and spectral.lam > 0.0):
-        raise ParameterError(
-            f"the inequality needs a finite positive eigenvalue; got {spectral.lam}")
+    lam = spectral.lam
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ParameterError(f"the inequality needs a finite positive eigenvalue; got {lam}")
     if trials < 0 or seed < 0:
         raise ParameterError(f"trials and seed must be nonnegative; got {trials}, {seed}")
     rng = random.Random(seed)
@@ -197,19 +178,20 @@ def poincare_test(
         (np.asarray(u, float) for u in extra_trials),
         (_trial_field(grid, rng) for _ in range(trials)),
     )
-    lams = [spectral.lam] if weak_lambda1 is None else [spectral.lam, weak_lambda1]
-    slacks = [[_poincare_slack(p, lam, sides) for lam in lams]
-              for sides in (_poincare_sides(grid, p, u) for u in fields)]
-    # per constant, the worst (slack, trial) of the trials that test it; where
-    # every trial is degenerate, their slack 0 at trial 0
-    worst = [min(((row[j], i) for i, row in enumerate(slacks) if row[j] is not None),
-                 default=(0.0, 0)) for j in range(len(lams))]
-    details = {"trials": len(slacks), "seed": seed, "worst_trial": worst[0][1],
-               "degenerate_trials": sum(None in row for row in slacks)}
-    if weak_lambda1 is not None:
-        details["weak_worst"], details["weak_worst_trial"] = worst[1]
-    # a tie goes to lambda, the first constant
-    return _verdict("poincare", [s for s, _ in worst], [i for _, i in worst], details)
+    snapshot = _Snapshot(LinearParams(p), grid)
+    slacks = []  # per trial its slack, None where degenerate
+    for u in fields:
+        v = np.power(np.abs(u), 2.0 / p)
+        v /= integrate_dgamma(grid, v)
+        E = snapshot.entropy(v)
+        lhs, rhs = 2.0 * lam * E, p * snapshot.fisher(v)
+        floor = 2e-13 * lam * max(1.0, 1.0 + (p - 1.0) * E)  # 1 + (p-1) E_p = int v^p
+        degenerate = abs(lhs) <= floor and abs(rhs) <= floor
+        slacks.append(None if degenerate else float(criteria._relative_slack(lhs, rhs)))
+    worst, k = min(((s, i) for i, s in enumerate(slacks) if s is not None), default=(0.0, 0))
+    details = {"trials": len(slacks), "seed": seed, "lambda": lam, "worst_trial": k,
+               "degenerate_trials": slacks.count(None)}
+    return _verdict("poincare", [worst], [k], details)
 
 
 def _median(a: np.ndarray) -> float:
@@ -327,6 +309,7 @@ CHECKS = {
 
 def run_checks(trace, checks, geometry, lambda1=None, trials: int = 100, seed: int = 0):
     """(verdicts, E bound at the snapshot times or None) of the named checks.
+    Each envelope bound is evaluated once, over the array ``trace.t``.
 
     ``checks`` lists names of ``CHECKS`` (None: envelope and dissipation);
     verdicts follow the table's order.  An empty list, an unknown name, a
@@ -338,7 +321,9 @@ def run_checks(trace, checks, geometry, lambda1=None, trials: int = 100, seed: i
     ParameterError; a grid other than the one the trace records raises
     ConfigError.  The flow's eigenpair, lambda1_linear(p) or
     lambda1_pme(theta), is solved at most once; a given ``lambda1`` replaces
-    its eigenvalue.  ``refined`` audits at the grid's
+    its eigenvalue.  ``poincare`` tests the one constant max(lambda1(p),
+    (p - 1) lambda1(2)), as the inequality holds at every constant below
+    one at which it holds.  ``refined`` audits at the grid's
     :func:`spectrum.epsilon_star` (a ConfigError where it is 0).  p, m and
     theta are the trace's (theta defaults to 0.5): a verdict is a function of
     the trace and of ``lambda1``, ``trials`` and ``seed``.
@@ -395,23 +380,22 @@ def run_checks(trace, checks, geometry, lambda1=None, trials: int = 100, seed: i
 
     def envelope():
         nonlocal e_bound
-        E0, I0, lam1 = float(trace.E[0]), float(trace.I[0]), lam()
+        E0, I0, lam1, t = float(trace.E[0]), float(trace.I[0]), lam(), trace.t
         if kind == "pme":  # envelope_pme returns the (I, E) bounds
             kappa = criteria.constants_chain(m, p, theta, lam1, E0).kappa
-            tag, cols = "cubic", "IE"
-            bound = lambda c, t: criteria.envelope_pme(I0, kappa, t)[cols.index(c)]
+            tag, bounds = "cubic", dict(zip("IE", criteria.envelope_pme(I0, kappa, t)))
         else:
-            tag, cols, x0 = "exp", "EI", {"E": E0, "I": I0}
-            bound = lambda c, t: criteria.envelope_exponential(x0[c], lam1, t)
-        out = [check_envelope(trace, functools.partial(bound, c), c, f"envelope[{c},{tag}]")
-               for c in cols]
-        e_bound = np.array([bound("E", t) for t in trace.t])
-        return out
+            tag, bounds = "exp", {"E": criteria.envelope_exponential(E0, lam1, t),
+                                  "I": criteria.envelope_exponential(I0, lam1, t)}
+        e_bound = bounds["E"]
+        return [check_envelope(trace, b, c, f"envelope[{c},{tag}]") for c, b in bounds.items()]
 
     def poincare():
         eigenpair, grid = spectral(), built()
-        weak = (p - 1.0) * spectrum.lambda1_linear(2.0, grid).lam if p < 2.0 else None
-        return [poincare_test(p, eigenpair, grid, int(trials), int(seed), weak_lambda1=weak)]
+        if p < 2.0:
+            weak = (p - 1.0) * spectrum.lambda1_linear(2.0, grid).lam
+            eigenpair = replace(eigenpair, lam=max(eigenpair.lam, weak))
+        return [poincare_test(p, eigenpair, grid, int(trials), int(seed))]
 
     def refined():
         epsilon = spectrum.epsilon_star(p, built())

@@ -198,6 +198,20 @@ class TestFlowAndReport:
         assert len(polys) >= 2
         assert "script" not in svg.read_text()
 
+    def test_plot_of_an_equilibrium_trace(self, tmp_path, capsys):
+        # E and its bound are 0 throughout: nothing is positive on the log
+        # axis, so the plot has its axes and empty polylines
+        trace, svg = tmp_path / "const.csv", tmp_path / "const.svg"
+        assert main(["flow", "linear", "--init", "const", "--n", "201", "--tend", "0.1",
+                     "--dt", "1e-3", "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--trace", str(trace), "--plot", str(svg)]) == 0
+        assert all(v["pass"] for v in json.loads(capsys.readouterr().out))
+        assert svg.read_text().startswith("<svg")
+        root = ET.parse(svg).getroot()
+        polys = [e for e in root.iter() if e.tag.endswith("polyline")]
+        assert [e.get("points") for e in polys] == ["", ""]
+
     def test_flow_deterministic_bytes(self, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):
@@ -742,6 +756,18 @@ class TestMalformedInput:
         (["report", "--trace", "{trace}", "--checks", ","], "no checks named; valid checks:"),
         (["report", "--trace", "{trace}", "--checks", ""], "no checks named; valid checks:"),
         (["lambda1", "--p", "1.5", "--n", "0"], "need at least 16 nodes, got 0"),
+        (["lambda1", "--p", "1.5", "--domain=a:b", "--n", "200"],
+         "--domain expects A:B, got 'a:b'"),
+        (["lambda1", "--p", "1.5"], "--n is required"),
+        (["constants", "--m", "1.2", "--p", "1.5", "--lambda1", "1.0"],
+         "constants needs --theta or --from-p"),
+        (["report"], "report needs --trace"),
+        (["lambda1", "--p", "2", "--radial", "3:-1", "--n", "200"],
+         "radius must be positive, got -1.0"),
+        (["flow", "linear", "--init", "wave:0.2", "--n", "201"],
+         "unknown initial datum family 'wave'"),
+        (["flow", "linear", "--init", "bump", "--n", "201"],
+         "cannot parse initial datum spec 'bump'"),
         # flow writes no JSON; it used to accept --out and write nothing
         (["flow", "linear", "--n", "101", "--tend", "0.01", "--dt", "1e-3", "--out", "x.json"],
          "unrecognized arguments: --out x.json"),
@@ -764,7 +790,9 @@ class TestMalformedInput:
             "constants-negative-e0", "constants-e0-nan", "constants-lambda1-inf",
             "constants-lambda1-nan", "constants-outside-negative-e0",
             "flow-step-count-overflow", "report-checks-comma", "report-checks-empty",
-            "lambda1-n-zero", "flow-out", "constants-lambda1-potential"])
+            "lambda1-n-zero", "domain-not-numbers", "lambda1-no-n", "constants-no-theta",
+            "report-no-trace", "radial-negative-R", "init-wave", "init-bump-bare",
+            "flow-out", "constants-lambda1-potential"])
     def test_exits_2_with_message(self, artifacts, bad_files, capsys, argv, message):
         _, trace = artifacts
         argv = [a.format(tmp=bad_files, trace=trace) for a in argv]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 import sympy
 
 import entroflow as ef
@@ -190,6 +191,29 @@ class TestEnvelopes:
 
     def test_pme_zero_start(self):
         assert ef.envelope_pme(0.0, 1.0, 2.0) == (0.0, 0.0)
+        ib, eb = ef.envelope_pme(0.0, 1.0, np.linspace(0.0, 2.0, 5))
+        assert not ib.any() and not eb.any() and ib.shape == eb.shape == (5,)
+
+    @pytest.mark.parametrize("I0, kappa, message", [
+        (1.0, 0.0, "kappa must be positive; got 0.0"),
+        (1.0, -1.0, "kappa must be positive; got -1.0"),
+        (-1e-3, 1.0, "I0 must be nonnegative; got -0.001"),
+    ], ids=["kappa-zero", "kappa-negative", "I0-negative"])
+    def test_pme_rejects_bad_inputs(self, I0, kappa, message):
+        with pytest.raises(ParameterError, match=message):
+            ef.envelope_pme(I0, kappa, 1.0)
+
+    def test_an_array_of_times_is_each_time(self):
+        # the bounds over a trace's times are the bounds at each time, to an
+        # ulp: numpy's array power may round u^3 otherwise than the C pow
+        t = np.linspace(0.0, 4.0, 41)
+        for x0, rate in [(0.3, 1.1), (2.0, 0.25)]:
+            bounds = ef.envelope_exponential(x0, rate, t)
+            assert_allclose(bounds, [ef.envelope_exponential(x0, rate, float(s)) for s in t],
+                            rtol=2.3e-16, atol=0)
+        ib, eb = ef.envelope_pme(0.2, 0.9, t)
+        assert_allclose(np.stack([ib, eb], axis=1),
+                        [ef.envelope_pme(0.2, 0.9, float(s)) for s in t], rtol=2.3e-16, atol=0)
 
     def test_pme_large_time_asymptote(self):
         kappa = 0.7

@@ -43,6 +43,22 @@ class TestInitialField:
         with pytest.raises(ConfigError):
             ef.initial_field(gauss_grid, f"csv:{path}")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("bump", "cannot parse initial datum spec 'bump'"),
+        ("wave:0.2", "unknown initial datum family 'wave'"),
+    ])
+    def test_malformed_spec(self, gauss_grid, spec, message):
+        with pytest.raises(ConfigError, match=message):
+            ef.initial_field(gauss_grid, spec)
+
+    def test_csv_negative_entry(self, gauss_grid, tmp_path):
+        v = np.ones(gauss_grid.n)
+        v[100] = -1e-3
+        path = tmp_path / "negative.csv"
+        np.savetxt(path, v, delimiter=",")
+        with pytest.raises(ConfigError, match="csv initial datum has negative entries"):
+            ef.initial_field(gauss_grid, f"csv:{path}")
+
 
 class TestLinearFlow:
     def test_equilibrium_is_fixed_point(self, gauss_grid_small, states):
@@ -274,6 +290,11 @@ class TestPmeFlow:
         pme = ef.run_pme(ef.FlowConfig(kind="pme", m=1.0, **common), gauss_grid_small)
         assert np.max(np.abs(lin.E - pme.E)) <= 1e-8 * max(1.0, lin.E[0])
         assert np.max(np.abs(lin.I - pme.I)) <= 1e-8 * max(1.0, lin.I[0])
+
+    def test_run_linear_refuses_a_pme_config(self, gauss_grid_small):
+        cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, init="const", t_end=0.01, dt=1e-3)
+        with pytest.raises(ConfigError, match="run_linear needs a config with kind='linear'"):
+            ef.run_linear(cfg, gauss_grid_small)
 
     def test_monotone_decay_and_conservation(self, pme_run):
         assert np.all(np.diff(pme_run.E) < 0)
@@ -509,6 +530,14 @@ class TestTraceIO:
         back = ef.Trace.from_csv(path)
         assert back.q4 is None
         assert_allclose(back.E, linear_run_p15.E, rtol=0, atol=0)
+
+    def test_headers_without_rows_are_rejected(self, linear_run_p15, tmp_path):
+        path = tmp_path / "empty.csv"
+        linear_run_p15.to_csv(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(line for line in lines if line[0] in "#t") + "\n")
+        with pytest.raises(ConfigError, match="no data rows in trace"):
+            ef.Trace.from_csv(path)
 
     @pytest.mark.parametrize("header", ["t,E,I,K,mass,min_v,q5", "t,E,I,K,mass,min_v,q4,x",
                                         "t,I,E,K,mass,min_v"])

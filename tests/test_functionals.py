@@ -153,8 +153,9 @@ class TestPmeParams:
             ef.PmeParams(m=1.2, p=2.0)
         with pytest.raises(ParameterError):
             ef.PmeParams(m=1.2, p=1.0)
-        with pytest.raises(ParameterError):
-            ef.PmeParams(m=-0.5, p=1.5)
+        for m in (-0.5, -1):
+            with pytest.raises(ParameterError, match=f"m must be positive; got {m}"):
+                ef.PmeParams(m=m, p=1.5)
 
     def test_m_plus_p_two_rejected(self):
         # E = int [v^{m+p-1} - 1] dgamma / (m+p-2) has no value there

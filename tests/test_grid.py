@@ -179,6 +179,16 @@ class TestRadialGrid:
         with pytest.raises(TailMassTooLarge):
             ef.make_radial_grid(3, 2.0, 64, ef.harmonic(d=3))
 
+    @pytest.mark.parametrize("d, R, n, message", [
+        (3, 12.0, 15, "need at least 16 nodes, got 15"),
+        (0, 12.0, 64, "dimension must be >= 1, got 0"),
+        (3, 0.0, 64, "radius must be positive, got 0.0"),
+        (3, -2.0, 64, "radius must be positive, got -2.0"),
+    ], ids=["n", "d", "R-zero", "R-negative"])
+    def test_degenerate_geometry(self, d, R, n, message):
+        with pytest.raises(DegenerateDomain, match=message):
+            ef.make_radial_grid(d, R, n, ef.harmonic(d=3))
+
     @pytest.mark.parametrize("R", [np.nan, np.inf])
     def test_nonfinite_radius(self, R):
         with pytest.raises(DegenerateDomain, match="radius must be finite"):

@@ -52,6 +52,10 @@ class TestEvaluate:
             ef.power_law(2.5)  # beta outside (1, 2]
         with pytest.raises(ParameterError):
             ef.power_law(1.0)
+        with pytest.raises(ParameterError, match="unknown potential family 'weird'"):
+            ef.Potential("weird")
+        with pytest.raises(ParameterError, match="tabulated potential needs x and F arrays"):
+            ef.Potential("tabulated")
 
     @pytest.mark.parametrize("d", [2.5, 3.0, 0, -1], ids=["2.5", "float-3", "0", "-1"])
     def test_dimension_must_be_an_integer(self, d):

@@ -9,10 +9,8 @@ import numpy as np
 import pytest
 
 import entroflow as ef
-from entroflow.errors import ConfigError, NonPositiveData, WindowTooShort
-from entroflow.verify import (
-    _fit_rate, _median, _poincare_sides, _poincare_slack, _trial_field,
-)
+from entroflow.errors import ConfigError, NonPositiveData, ParameterError, WindowTooShort
+from entroflow.verify import _fit_rate, _median, _trial_field
 
 
 def _synthetic_trace(rate=3.0, p=1.5, n=400, t_end=2.0):
@@ -102,20 +100,21 @@ class TestCheckEnvelope:
 
 class TestPoincare:
     def test_constant_field_is_degenerate(self, gauss_grid_small):
-        # both sides at round-off: the trial tests no constant
-        sides = _poincare_sides(gauss_grid_small, 2.0, np.ones(501))
-        assert _poincare_slack(2.0, 1.0, sides) is None
+        # both sides at round-off: the trial tests nothing
+        g = gauss_grid_small
+        res = replace(ef.lambda1_linear(2.0, g), eigenvector=np.ones(g.n))
+        v = ef.poincare_test(2.0, res, g, trials=0)
+        assert v.details["degenerate_trials"] == v.details["trials"] == 1
 
     def test_degenerate_trials_do_not_set_the_margin(self, gauss_grid_small):
         # a constant trial (#1 here, and #0 when the eigenvector was the
         # Gaussian's constants) used to be the worst one, at slack 0.0
         g = gauss_grid_small
         res = ef.lambda1_linear(1.5, g)
-        v = ef.poincare_test(1.5, res, g, trials=100, seed=1, weak_lambda1=0.5,
+        v = ef.poincare_test(1.5, res, g, trials=100, seed=1,
                              extra_trials=(np.ones(g.n),))
         assert v.details["degenerate_trials"] >= 1
         assert v.passed and v.worst_violation > 0.0 and v.location != 1
-        assert v.details["weak_worst"] > 0.0 and v.details["weak_worst_trial"] != 1
         # with every trial degenerate the verdict is their slack, 0 at trial 0
         only = ef.poincare_test(1.5, replace(res, eigenvector=np.ones(g.n)), g, trials=0)
         assert (only.worst_violation, only.location) == (0.0, 0)
@@ -131,33 +130,35 @@ class TestPoincare:
         assert v.location == v.details["worst_trial"] == 0
         assert v.worst_violation == pytest.approx(slack, abs=1e-4)
 
-    def test_weak_constant_can_set_the_verdict(self, gauss_grid_small):
-        # a weak constant above lambda leaves less room: the verdict is its
-        # slack, at its trial, and details keep lambda's own worst trial
-        res = replace(ef.lambda1_linear(1.5, gauss_grid_small), lam=1.0)
-        alone = ef.poincare_test(1.5, res, gauss_grid_small, trials=20, seed=0)
-        both = ef.poincare_test(1.5, res, gauss_grid_small, trials=20, seed=0,
-                                weak_lambda1=1.5)
-        assert both.details["weak_worst"] < alone.worst_violation
-        assert (both.worst_violation, both.location) == (
-            both.details["weak_worst"], both.details["weak_worst_trial"])
-        assert both.details["worst_trial"] == alone.location
+    @pytest.mark.parametrize("lambda1, weak_wins", [(None, False), (0.1, True)],
+                             ids=["lambda1-p", "weak"])
+    def test_run_checks_tests_the_larger_constant(self, linear_run_p15, gauss_grid,
+                                                  lambda1, weak_wins):
+        # on the Gaussian at p = 1.5, lambda1(p) = 1 beats the weak constant
+        # (p - 1) lambda1(2) = 0.5; a given lambda1 = 0.1 loses to it
+        own = ef.lambda1_linear(1.5, gauss_grid)
+        weak = 0.5 * ef.lambda1_linear(2.0, gauss_grid).lam
+        lam = own.lam if lambda1 is None else lambda1
+        assert (weak > lam) == weak_wins
+        given = {} if lambda1 is None else {"lambda1": lambda1}
+        (v,), _ = ef.run_checks(linear_run_p15, ["poincare"], lambda: gauss_grid,
+                                trials=10, seed=2, **given)
+        assert v.details["lambda"] == max(lam, weak)
+        direct = ef.poincare_test(1.5, replace(own, lam=max(lam, weak)), gauss_grid,
+                                  trials=10, seed=2)
+        assert v == direct
 
-    def test_trial_degenerate_under_one_constant_counts_once(self, gauss_grid_small):
-        # a near-constant trial: both sides under round-off at lambda = 1, but
-        # not its right side at the weak constant 0.01, so it tests only that one
+    def test_worst_slack_does_not_rise_with_the_constant(self, gauss_grid_small):
+        # the trials are fixed by the seed, and a larger constant only raises
+        # each one's left side of 2 lambda E_p <= p I_p
         g = gauss_grid_small
-        xc = g.nodes - ef.integrate_dgamma(g, g.nodes)
-        u = 1.0 + 1e-6 * xc / np.max(np.abs(xc))
-        sides = _poincare_sides(g, 1.5, u)
-        assert _poincare_slack(1.5, 1.0, sides) is None
-        assert _poincare_slack(1.5, 1e-2, sides) is not None
-        res = replace(ef.lambda1_linear(1.5, g), lam=1.0, eigenvector=np.ones(g.n))
-        v = ef.poincare_test(1.5, res, g, trials=5, seed=0, weak_lambda1=1e-2,
-                             extra_trials=(u,))
-        assert v.details["degenerate_trials"] == 2
-        assert v.details["weak_worst_trial"] == 1
-        assert v.location == v.details["worst_trial"] not in (0, 1)
+        res = ef.lambda1_linear(1.5, g)
+        verdicts = [ef.poincare_test(1.5, replace(res, lam=lam), g, trials=30, seed=4)
+                    for lam in (0.1, 0.5, 1.0, 1.5, 3.0)]
+        worst = [v.worst_violation for v in verdicts]
+        assert worst == sorted(worst, reverse=True)
+        assert worst[0] > 0.0 > worst[-1]
+        assert len({v.details["degenerate_trials"] for v in verdicts}) == 1
 
     def test_trial_count_includes_extra_trials(self, gauss_grid_small):
         # trial 0 is the eigenvector, the extra trials come next, then the
@@ -172,11 +173,26 @@ class TestPoincare:
         v = ef.poincare_test(1.5, res, g, trials=4, seed=0, extra_trials=extra)
         assert v.details["trials"] == 7
 
-    def test_scaling_invariance_at_p2(self, gauss_grid_small, rng):
-        u = 1.0 + 0.3 * rng.random(gauss_grid_small.n)
-        s1 = _poincare_slack(2.0, 1.0, _poincare_sides(gauss_grid_small, 2.0, u))
-        s2 = _poincare_slack(2.0, 1.0, _poincare_sides(gauss_grid_small, 2.0, 7.0 * u))
-        assert s1 == pytest.approx(s2, abs=1e-12)
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_scaling_invariance(self, gauss_grid_small, rng, p):
+        # a trial enters as the unit-mass u^{2/p} / int u^{2/p}: its scale drops
+        # out (trial 0, the constants, is degenerate and tests nothing)
+        g = gauss_grid_small
+        u = 1.0 + 0.3 * rng.random(g.n)
+        res = replace(ef.lambda1_linear(p, g), lam=1.0, eigenvector=np.ones(g.n))
+        s1, s2 = (ef.poincare_test(p, res, g, trials=0, extra_trials=(a * u,))
+                  for a in (1.0, 7.0))
+        assert s1.location == s2.location == 1
+        assert s1.worst_violation == pytest.approx(s2.worst_violation, abs=1e-12)
+
+    @pytest.mark.parametrize("p, lam, message", [
+        (2.5, 1.0, "p must lie in \\(1, 2\\]; got 2.5"),
+        (1.5, 0.0, "the inequality needs a finite positive eigenvalue; got 0.0"),
+    ], ids=["p", "lambda"])
+    def test_rejects_bad_p_and_constant(self, gauss_grid_small, p, lam, message):
+        res = replace(ef.lambda1_linear(1.5, gauss_grid_small), lam=lam)
+        with pytest.raises(ParameterError, match=message):
+            ef.poincare_test(p, res, gauss_grid_small, trials=1)
 
     def test_trial_fields_are_the_formula_bitwise(self, gauss_grid_small):
         # reference: the trial as one expression with fresh temporaries
@@ -233,6 +249,14 @@ class TestDissipationAudit:
         for _ in range(20):
             a = rng.exponential(size=n) * 10.0 ** rng.uniform(-6, 2)
             assert _median(a) == float(np.median(a))
+
+    def test_unknown_kind_and_two_snapshots_raise(self):
+        tr = _synthetic_trace()
+        with pytest.raises(ConfigError, match="unknown flow kind 'heat'"):
+            ef.dissipation_audit(replace(tr, config={**tr.config, "kind": "heat"}))
+        short = replace(tr, **{c: getattr(tr, c)[:2] for c in ("t", "E", "I", "K")})
+        with pytest.raises(WindowTooShort, match="needs at least 3 snapshots"):
+            ef.dissipation_audit(short)
 
     def test_equilibrium_zero_mismatch(self):
         v = ef.dissipation_audit(_equilibrium_trace())
@@ -327,6 +351,10 @@ class TestRefinedAudit:
         assert not v.passed
         assert v.location == 37
         assert math.isnan(bad) == math.isnan(v.worst_violation)
+
+    def test_rejects_nonpositive_epsilon(self, linear_run_p15):
+        with pytest.raises(ParameterError, match="epsilon must be finite and positive; got 0.0"):
+            ef.refined_inequality_audit(linear_run_p15, 0.0)
 
     def test_requires_q4(self):
         tr = _synthetic_trace()
