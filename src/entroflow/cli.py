@@ -4,7 +4,7 @@ Subcommands
 -----------
 lambda1    smallest eigenvalue of the weighted quotient (sweeps over p)
 flow       integrate the linear or porous-media flow, write a trace CSV
-region     sample the admissible (m, p) region for a given theta
+region     center and bounding box of the admissible (m, p) region at a theta
 constants  evaluate the constant chain and hypothesis booleans
 report     run verification checks over a trace, write verdicts (and a plot)
 
@@ -212,8 +212,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
 def cmd_region(args: argparse.Namespace) -> int:
     from . import criteria
 
-    rep = criteria.region_report(args.theta, args.samples, thetas_check=args.check_theta)
-    _json_out(rep.to_dict(), args.out)
+    _json_out(criteria.region_report(args.theta).to_dict(), args.out)
     return EXIT_OK
 
 
@@ -385,11 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry_flags(sp)
     sp.set_defaults(func=cmd_flow)
 
-    sp = command("region", "sample the admissible (m,p) region")
+    sp = command("region", "center and bounding box of the admissible (m,p) region")
     sp.add_argument("--theta", type=float, default=1.0)
-    sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--check-theta", type=_float_list, default=(),
-                    help="comma list of smaller thetas to nest-check")
     sp.add_argument("--config", help="JSON config file")
     sp.add_argument("--out", help="output JSON path")
     sp.set_defaults(func=cmd_region)

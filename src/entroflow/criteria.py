@@ -21,7 +21,11 @@ the two sides are proportional,
 so their signs agree wherever both are defined.  Because the margin is affine
 in theta with a nonnegative theta-free part, membership gets easier as theta
 grows: the family of regions is nested increasing in theta and shrinks to the
-single point (m, p) = (1, 2) as theta -> 0+.
+single point (m, p) = (1, 2) as theta -> 0+.  The margin is a positive
+definite quadratic in (m, p), so :func:`region_report` gives the region's
+center and bounding box exactly, and :func:`lemma_functional_check` checks
+the interpolation lemma on one constant chain, for one snapshot or for a
+trace's columns at once.
 """
 
 from __future__ import annotations
@@ -55,10 +59,14 @@ __all__ = [
 ]
 
 
-def ellipse_margin(m: float, p: float, theta: float) -> float:
-    """Left-hand side of the admissibility condition; membership <=> value < 0."""
+def _check_theta(theta: float) -> None:
     if not (0.0 < theta <= 1.0):
         raise ParameterError(f"theta must lie in (0, 1]; got {theta}")
+
+
+def ellipse_margin(m: float, p: float, theta: float) -> float:
+    """Left-hand side of the admissibility condition; membership <=> value < 0."""
+    _check_theta(theta)
     return (p + 2.0 * m - 4.0) ** 2 + (
         5.0 * m * m + 2.0 * (2.0 * p - 7.0) * m + (p - 3.0) ** 2
     ) * theta
@@ -82,72 +90,34 @@ def discriminant(m: float, p: float, theta: float) -> float:
 
 @dataclass(frozen=True)
 class RegionReport:
-    """Sampled summary of the admissible region at a given theta."""
+    """The admissible region at a given theta: its center and bounding box."""
 
     theta: float
-    samples: int
-    n_member: int
     center: tuple[float, float]
     bbox: tuple[float, float, float, float]  # (m_min, m_max, p_min, p_max)
-    # theta' -> True when every sampled member at theta' is also a member at
-    # theta (the family is nested increasing in theta)
-    nested_in_self: dict[float, bool]
 
     def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "samples": self.samples,
-            "n_member": self.n_member,
-            "center": list(self.center),
-            "bbox": list(self.bbox),
-            "nested_in_self": {repr(k): v for k, v in self.nested_in_self.items()},
-        }
+        return {"theta": self.theta, "center": list(self.center), "bbox": list(self.bbox)}
 
 
-def region_report(
-    theta: float,
-    samples: int = 200,
-    thetas_check: tuple[float, ...] = (),
-) -> RegionReport:
-    """Sample the (m, p) rectangle around the theta = 1 region.
+def region_report(theta: float) -> RegionReport:
+    """Center and bounding box of the ellipse margin(m, p, theta) < 0, in
+    closed form.
 
-    Returns measured centroid and bounding box of the member points, plus,
-    for each theta' < theta in ``thetas_check``, whether the sampled region
-    at theta' is contained in the one at theta.
+    About the center (1, (2 + theta)/(1 + theta)), with m' = m - 1 and p'
+    = p - (2 + theta)/(1 + theta), the margin is the positive definite form
+
+        (4 + 5 theta) m'^2 + 4 (1 + theta) m' p' + (1 + theta) p'^2 - theta^2/(1 + theta)
+
+    of determinant theta (1 + theta), so the box's half-widths are
+    sqrt(theta/(1 + theta)) in m and sqrt(theta (4 + 5 theta))/(1 + theta) in p.
     """
-    if samples < 2:
-        raise ParameterError(f"samples must be at least 2; got {samples}")
-    half = math.sqrt(2.0) / 2.0
-    ms = np.linspace(1.0 - half - 0.15, 1.0 + half + 0.15, samples)
-    ps = np.linspace(-0.25, 3.25, samples)
-    M, P = np.meshgrid(ms, ps, indexing="ij")
-    member = ellipse_margin(M, P, theta) < 0.0
-    n_member = int(member.sum())
-    if n_member == 0:
-        center = (math.nan, math.nan)
-        bbox = (math.nan, math.nan, math.nan, math.nan)
-    else:
-        center = (float(M[member].mean()), float(P[member].mean()))
-        bbox = (
-            float(M[member].min()),
-            float(M[member].max()),
-            float(P[member].min()),
-            float(P[member].max()),
-        )
-    nested = {}
-    for tp in thetas_check:
-        if not (0.0 < tp < theta):
-            raise ParameterError("containment checks need 0 < theta' < theta")
-        member_tp = ellipse_margin(M, P, tp) < 0.0
-        nested[tp] = bool(np.all(member | ~member_tp))
-    return RegionReport(
-        theta=theta,
-        samples=samples,
-        n_member=n_member,
-        center=center,
-        bbox=bbox,
-        nested_in_self=nested,
-    )
+    _check_theta(theta)
+    m0, p0 = 1.0, (2.0 + theta) / (1.0 + theta)
+    dm = math.sqrt(theta / (1.0 + theta))
+    dp = math.sqrt(theta * (4.0 + 5.0 * theta)) / (1.0 + theta)
+    return RegionReport(theta=theta, center=(m0, p0),
+                        bbox=(m0 - dm, m0 + dm, p0 - dp, p0 + dp))
 
 
 @dataclass(frozen=True)
@@ -294,19 +264,13 @@ def _relative_slack(lhs, rhs):
 
 @dataclass(frozen=True)
 class LemmaCheck:
-    """Both sides of the interpolation inequality tying I^{4/3} to K, with the
-    quartic-optimization witness f(eta) = K1 + K2 eta^4 - K3 eta evaluated at
-    its minimizer eta_bar = (K3 / (4 K2))^{1/3}."""
+    """Both sides of the interpolation inequality tying I^{4/3} to K, and its
+    relative slack: floats for one snapshot, arrays for columns of them."""
 
-    lhs: float
-    rhs: float
-    slack: float  # _relative_slack(lhs, rhs)
-    K1: float
-    K2: float
-    K3: float
-    eta_bar: float
-    f_eta_bar: float
-    passed: bool
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    slack: float | np.ndarray  # _relative_slack(lhs, rhs)
+    passed: bool | np.ndarray  # slack >= -SLACK_TOL
 
 
 def lemma_functional_check(
@@ -314,16 +278,17 @@ def lemma_functional_check(
     p: float,
     theta: float,
     lambda1: float,
-    snapshot: tuple[float, float, float],
+    snapshot: tuple,
 ) -> LemmaCheck:
     """Check  I^{4/3} <= (1/3) [4 c(m,p)]^{4/3} K^{1/3} [(m+p-2) E + 1]^{(4-3q)/(3(2-q))} K2nd
 
-    on one (E, I, K) snapshot, passing a relative slack down to -SLACK_TOL.
-    Also evaluates the quartic witness, which is nonnegative exactly when the
-    inequality holds.
+    on an (E, I, K2nd) snapshot of floats, or elementwise on three equal-length
+    columns, passing a relative slack down to -SLACK_TOL.  The constant chain
+    is built once: the inequality reads none of its E0-dependent constants.
+    A NaN in the snapshot gives a NaN slack, which does not pass.
     """
-    E, I, Ksnap = snapshot
-    consts = constants_chain(m, p, theta, lambda1, E0=max(E, 0.0))
+    E, I, Ksnap = map(np.asarray, snapshot)
+    consts = constants_chain(m, p, theta, lambda1, E0=0.0)
     bracket = (m + p - 2.0) * E + 1.0
     lhs = I ** (4.0 / 3.0)
     rhs = (
@@ -333,20 +298,5 @@ def lemma_functional_check(
         * bracket**consts.bracket_exponent
         * Ksnap
     )
-    slack = float(_relative_slack(lhs, rhs))
-    K1 = Ksnap
-    K2 = consts.K * bracket ** (3.0 * consts.bracket_exponent)
-    K3 = I / consts.c_mp
-    eta_bar = (K3 / (4.0 * K2)) ** (1.0 / 3.0) if K2 > 0.0 else 0.0
-    f_eta_bar = K1 + K2 * eta_bar**4 - K3 * eta_bar
-    return LemmaCheck(
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        K1=K1,
-        K2=K2,
-        K3=K3,
-        eta_bar=eta_bar,
-        f_eta_bar=f_eta_bar,
-        passed=slack >= -SLACK_TOL,
-    )
+    slack = _relative_slack(lhs, rhs)
+    return LemmaCheck(lhs=lhs, rhs=rhs, slack=slack, passed=slack >= -SLACK_TOL)

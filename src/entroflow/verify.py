@@ -88,12 +88,10 @@ def _verdict(name, slacks, locations, details, tol=criteria.SLACK_TOL) -> Verdic
 
 
 def check_envelope(trace, envelope, column: str = "E", name: str | None = None) -> Verdict:
-    """Worst relative slack of value(t) <= bound(t) over the trace snapshots.
-    ``envelope`` is the bound at the snapshot times, or a callable that
-    returns it when called once on the array ``trace.t``."""
+    """Worst relative slack of value(t) <= bound(t) over the trace snapshots;
+    ``envelope`` is the array of bounds at the snapshot times ``trace.t``."""
     values = trace.column(column)
-    bounds = envelope(trace.t) if callable(envelope) else envelope
-    return _verdict(name or f"envelope[{column}]", criteria._relative_slack(values, bounds),
+    return _verdict(name or f"envelope[{column}]", criteria._relative_slack(values, envelope),
                     trace.t.tolist(), {"n_snapshots": len(values)})
 
 
@@ -286,14 +284,14 @@ def refined_inequality_audit(trace, epsilon: float) -> Verdict:
 
 def lemma_audit(trace, theta: float, lambda1: float) -> Verdict:
     """Worst slack over a porous-media trace's (E, I, K) snapshots of the
-    interpolation lemma (:func:`criteria.lemma_functional_check`) at the
-    trace's own m and p (``trace.config``), located at the snapshot's time.
-    A trace with a non-finite K raises ConfigError."""
+    interpolation lemma (:func:`criteria.lemma_functional_check`, on the
+    columns at once) at the trace's own m and p (``trace.config``), located
+    at the snapshot's time.  A trace with a non-finite K raises ConfigError;
+    a NaN in E or I fails the verdict at its row."""
     m, p = float(trace.config["m"]), float(trace.config["p"])
     _finite_K(trace)
-    slacks = [criteria.lemma_functional_check(m, p, theta, lambda1, snapshot).slack
-              for snapshot in zip(trace.E, trace.I, trace.K)]
-    return _verdict("lemma_interpolation", slacks, trace.t.tolist(),
+    check = criteria.lemma_functional_check(m, p, theta, lambda1, (trace.E, trace.I, trace.K))
+    return _verdict("lemma_interpolation", check.slack, trace.t.tolist(),
                     {"snapshots": len(trace.t)})
 
 
@@ -313,7 +311,8 @@ def run_checks(trace, checks, geometry, lambda1=None, trials: int = 100, seed: i
 
     ``checks`` lists names of ``CHECKS`` (None: envelope and dissipation);
     verdicts follow the table's order.  An empty list, an unknown name, a
-    check on a trace kind it does not apply to, ``poincare`` or ``refined`` at
+    trace whose config names no kind linear or pme, a check on a trace kind
+    it does not apply to, ``poincare`` or ``refined`` at
     p = 1, ``refined`` at p = 2 or on a trace without the q4 column, or
     ``dissipation`` on a trace of fewer than 3 snapshots raises ConfigError
     before ``geometry`` (a callable returning the trace's grid, called at
@@ -334,7 +333,10 @@ def run_checks(trace, checks, geometry, lambda1=None, trials: int = 100, seed: i
     for name in checks:
         if name not in CHECKS:
             raise ConfigError(f"unknown check {name!r}; valid checks: {', '.join(CHECKS)}")
-    kind = trace.config.get("kind", "linear")
+    kind = trace.config.get("kind")
+    if kind not in ("linear", "pme"):
+        raise ConfigError(f"unknown flow kind {kind!r}; a trace's config names "
+                          "kind linear or pme")
     for name, kinds in CHECKS.items():
         if name in checks and kind not in kinds:
             raise ConfigError(f"the {name} check applies to {' and '.join(kinds)} traces")

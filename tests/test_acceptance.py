@@ -178,8 +178,9 @@ def test_criterion_8_pme_decay(pme_run, gauss_grid):
     lam = ef.lambda1_pme(0.5, gauss_grid).lam
     consts = ef.constants_chain(1.2, 1.5, 0.5, lam, float(tr.E[0]))
     I0 = float(tr.I[0])
-    env_I = ef.check_envelope(tr, lambda t: ef.envelope_pme(I0, consts.kappa, t)[0], "I")
-    env_E = ef.check_envelope(tr, lambda t: ef.envelope_pme(I0, consts.kappa, t)[1], "E")
+    I_bound, E_bound = ef.envelope_pme(I0, consts.kappa, tr.t)
+    env_I = ef.check_envelope(tr, I_bound, "I")
+    env_E = ef.check_envelope(tr, E_bound, "E")
     lemma_worst = ef.lemma_audit(tr, 0.5, lam).worst_violation
     elapsed = time.perf_counter() - t0
     ok = (monotone_ok and mass_ok and env_I.passed and env_E.passed

@@ -441,12 +441,19 @@ def report_traces(artifacts, tmp_path_factory):
     assert main(["flow", "linear", "--n", "201", "--tend", "1e-3", "--dt", "1e-3",
                  "--trace", str(d / "short.csv")]) == 0
     _, trace = artifacts
+    # the linear trace with its config's kind renamed, and dropped
+    text = trace.read_text()
+    assert text.count('"kind": "linear", ') == 1
+    (d / "heat.csv").write_text(text.replace('"kind": "linear"', '"kind": "heat"'))
+    (d / "nokind.csv").write_text(text.replace('"kind": "linear", ', ""))
     return {
         "linear": ["--trace", str(trace)],
         "pme": ["--trace", str(d / "pme.csv")],
         "p2": ["--trace", str(d / "p2.csv")],
         "p1": ["--trace", str(d / "p1.csv")],
         "short": ["--trace", str(d / "short.csv")],
+        "heat": ["--trace", str(d / "heat.csv")],
+        "nokind": ["--trace", str(d / "nokind.csv")],
     }
 
 
@@ -464,9 +471,11 @@ class TestReportChecks:
         ("p1", "refined", "the refined check needs p > 1; the trace has p = 1"),
         ("short", "envelope,dissipation",
          "the dissipation audit needs at least 3 snapshots; the trace has 2"),
+        ("heat", "envelope,dissipation", "unknown flow kind 'heat'"),
+        ("nokind", "envelope,dissipation", "its '# config:' line lacks kind"),
     ], ids=["unknown", "unknown-among-valid", "poincare-on-pme", "refined-on-pme",
             "lemma-on-linear", "refined-at-p2", "poincare-at-p1", "refined-at-p1",
-            "dissipation-on-2-snapshots"])
+            "dissipation-on-2-snapshots", "unknown-kind", "no-kind"])
     def test_rejected_before_any_solve(self, report_traces, monkeypatch, capsys,
                                        trace, checks, message):
         # a typo used to print [] and exit 0; misapplied checks now fail
@@ -512,6 +521,20 @@ class TestReportChecks:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "hypothesis failed: lambda1 must be positive; got -1.0" in captured.err
+
+    def test_nan_entropy_fails_lemma_at_its_row(self, report_traces, tmp_path, capsys):
+        # the lemma's constant chain reads no row: a NaN E fails the verdict
+        # at that row (exit 5) where it used to be a bad E0 (exit 2)
+        lines = Path(report_traces["pme"][1]).read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("t,")) + 6
+        t, _, rest = lines[row].split(",", 2)
+        lines[row] = f"{t},nan,{rest}"
+        bad = tmp_path / "nan_E.csv"
+        bad.write_text("".join(lines))
+        assert main(["report", "--trace", str(bad), "--checks", "lemma"]) == 5
+        (verdict,) = json.loads(capsys.readouterr().out)
+        assert verdict["pass"] is False and math.isnan(verdict["worst_violation"])
+        assert verdict["location"] == float(t)
 
     def test_help_lists_every_check(self, capsys):
         with pytest.raises(SystemExit):
@@ -580,10 +603,22 @@ class TestTabulatedGeometry:
 
 class TestRegionAndConstants:
     def test_region_json(self, capsys):
-        assert run_cli("region", "--theta", "1.0", "--samples", "120") == 0
+        assert run_cli("region", "--theta", "1.0") == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["center"][0] == pytest.approx(1.0, abs=0.1)
-        assert payload["center"][1] == pytest.approx(1.5, abs=0.1)
+        assert sorted(payload) == ["bbox", "center", "theta"]
+        assert payload["theta"] == 1.0 and payload["center"] == [1.0, 1.5]
+        half = math.sqrt(2.0) / 2.0
+        assert np.allclose(payload["bbox"], [1.0 - half, 1.0 + half, 0.0, 3.0],
+                           rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("flag", [["--samples", "200"], ["--check-theta", "0.5"]],
+                             ids=["samples", "check-theta"])
+    def test_region_sampler_flags_are_gone(self, capsys, flag):
+        # the region is closed-form: nothing to sample or to nest-check
+        assert run_cli("region", "--theta", "1.0", *flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
     def test_constants_in_ellipse(self, capsys):
         code = run_cli("constants", "--m", "1.2", "--p", "1.5", "--theta", "0.5",
@@ -685,8 +720,7 @@ class TestMalformedInput:
          "argument --p: expects a comma list of numbers, got 'abc'"),
         (["flow", "linear", "--init", "bump:x", "--n", "201"],
          "initial datum 'bump:x' needs a numeric amplitude"),
-        (["region", "--check-theta", "x"],
-         "argument --check-theta: expects a comma list of numbers, got 'x'"),
+        (["region", "--theta", "x"], "argument --theta: invalid float value: 'x'"),
         (["lambda1", "--p", "1.5", "--potential", "tabulated:{tmp}/tab.csv"],
          "cannot parse potential 'tabulated:"),
         (["lambda1", "--p", "1.5", "--potential", "tabulated:{tmp}/four.csv"],
@@ -730,8 +764,8 @@ class TestMalformedInput:
         (["flow", "linear", "--n", "201", "--tend", "0.01", "--dt", "1e-3",
           "--init", "csv:{tmp}/nan.csv"],
          "csv initial datum has non-finite entries"),
-        (["region", "--samples", "-5"], "samples must be at least 2; got -5"),
-        (["region", "--samples", "0"], "samples must be at least 2; got 0"),
+        (["region", "--theta", "0"], "theta must lie in (0, 1]; got 0.0"),
+        (["region", "--theta", "1.5"], "theta must lie in (0, 1]; got 1.5"),
         (["report", "--trace", "{trace}", "--lambda1", "nan"], "lambda1 must be finite; got nan"),
         (["report", "--trace", "{trace}", "--lambda1", "inf"], "lambda1 must be finite; got inf"),
         (["report", "--trace", "{trace}", "--checks", "poincare", "--trials", "-5"],
@@ -776,7 +810,7 @@ class TestMalformedInput:
           "--potential", "power:abc", "--n", "7"],
          "constants takes --lambda1 or the geometry flags, not both; "
          "got --lambda1 and --potential, --n"),
-    ], ids=["power", "harmonic_log", "radial-d", "p-list", "init-bump", "check-theta",
+    ], ids=["power", "harmonic_log", "radial-d", "p-list", "init-bump", "region-theta",
             "tabulated-file", "tabulated-four-columns", "tabulated-radial", "init-csv-file",
             "missing-tabulated", "missing-init-csv",
             "missing-trace", "trace-short-row", "trace-cell", "trace-row-without-q4",
@@ -784,7 +818,7 @@ class TestMalformedInput:
             "lambda1-p-theta", "lambda1-config-theta", "constants-theta-from-p",
             "flag-prefix", "flow-scheme",
             "init-csv-zero-mass", "init-csv-nan",
-            "region-negative-samples", "region-zero-samples",
+            "region-theta-zero", "region-theta-above-one",
             "report-lambda1-nan", "report-lambda1-inf", "report-negative-trials",
             "report-negative-seed",
             "constants-negative-e0", "constants-e0-nan", "constants-lambda1-inf",
@@ -856,8 +890,7 @@ class TestConfigFile:
           "--dt", "2e-3", "--init", "odd:0.2", "--stride", "2", "--trace", "run.csv"],
          {"p": 1.5, "domain": "-8:8", "n": 201, "tend": 0.1, "dt": 2e-3,
           "init": "odd:0.2", "stride": 2, "trace": "run.csv"}),
-        (["region", "--theta", "0.8", "--samples", "40", "--check-theta", "0.5,0.2"],
-         {"theta": 0.8, "samples": 40, "check-theta": "0.5,0.2"}),
+        (["region", "--theta", "0.8", "--out", "r.json"], {"theta": 0.8, "out": "r.json"}),
         (["constants", "--m", "1.2", "--p", "1.5", "--from-p", "1.5", "--lambda1", "1.0",
           "--e0", "0.02", "--out", "c.json"],
          {"m": 1.2, "p": 1.5, "from-p": 1.5, "lambda1": 1.0, "e0": 0.02, "out": "c.json"}),

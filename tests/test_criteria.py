@@ -82,45 +82,69 @@ class TestDiscriminantIdentity:
         assert mism == 0
 
 
-class TestRegionReport:
-    def test_theta_one_geometry(self):
-        rep = ef.region_report(1.0, samples=220)
-        half = math.sqrt(2) / 2
-        m_min, m_max, p_min, p_max = rep.bbox
-        assert 1 - half - 1e-9 <= m_min and m_max <= 1 + half + 1e-9
-        assert 0.0 - 1e-9 <= p_min and p_max <= 3.0 + 1e-9
-        assert rep.center[0] == pytest.approx(1.0, abs=0.05)
-        assert rep.center[1] == pytest.approx(1.5, abs=0.05)
+def _sampled_members(theta, box, samples=801):
+    """Sample grid over ``box`` widened by 10 % on each side (at least 0.05),
+    its member mask under ellipse_margin and its spacings (dm, dp)."""
+    m_min, m_max, p_min, p_max = box
+    wm, wp = max(0.1 * (m_max - m_min), 0.05), max(0.1 * (p_max - p_min), 0.05)
+    ms = np.linspace(m_min - wm, m_max + wm, samples)
+    ps = np.linspace(p_min - wp, p_max + wp, samples)
+    M, P = np.meshgrid(ms, ps, indexing="ij")
+    return M, P, ef.ellipse_margin(M, P, theta) < 0.0, (ms[1] - ms[0], ps[1] - ps[0])
 
-    def test_nesting_in_theta(self):
-        rep = ef.region_report(0.8, samples=150, thetas_check=(0.4, 0.1))
-        assert rep.nested_in_self == {0.4: True, 0.1: True}
+
+THETAS = (0.01, 0.05, 0.2, 0.5, 0.8, 1.0)
+
+
+class TestRegionReport:
+    def test_theta_one_closed_form(self):
+        rep = ef.region_report(1.0)
+        half = math.sqrt(2.0) / 2.0
+        assert rep.center == (1.0, 1.5)
+        assert_allclose(rep.bbox, (1.0 - half, 1.0 + half, 0.0, 3.0), rtol=0.0, atol=1e-15)
+        assert rep.to_dict() == {"theta": 1.0, "center": [1.0, 1.5], "bbox": list(rep.bbox)}
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_box_against_sampled_members(self, theta):
+        # the sampler region_report used to be is the oracle: every sampled
+        # member lies in the box, and each box edge is within one grid
+        # spacing of a member
+        rep = ef.region_report(theta)
+        M, P, member, (dm, dp) = _sampled_members(theta, rep.bbox)
+        m_min, m_max, p_min, p_max = rep.bbox
+        assert member.any()
+        assert m_min <= M[member].min() <= m_min + dm
+        assert m_max - dm <= M[member].max() <= m_max
+        assert p_min <= P[member].min() <= p_min + dp
+        assert p_max - dp <= P[member].max() <= p_max
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_center_margin_is_minimal(self, theta):
+        m0, p0 = ef.region_report(theta).center
+        assert ef.ellipse_margin(m0, p0, theta) == pytest.approx(
+            -theta**2 / (1.0 + theta), rel=1e-13, abs=1e-17)
+
+    @pytest.mark.parametrize("small, theta", [(0.05, 0.2), (0.2, 0.8), (0.5, 1.0)])
+    def test_nesting_in_theta(self, small, theta):
+        # members at theta' < theta are members at theta, and so the boxes nest
+        M, P, member, _ = _sampled_members(theta, ef.region_report(theta).bbox)
+        member_small = ef.ellipse_margin(M, P, small) < 0.0
+        assert member_small.any()
+        assert np.all(member | ~member_small)
+        lo, hi = ef.region_report(small).bbox, ef.region_report(theta).bbox
+        assert hi[0] < lo[0] and lo[1] < hi[1] and hi[2] < lo[2] and lo[3] < hi[3]
 
     def test_shrinks_toward_point_as_theta_vanishes(self):
-        rep = ef.region_report(0.02, samples=400)
-        m_min, m_max, p_min, p_max = rep.bbox
-        assert abs(m_min - 1.0) < 0.15 and abs(m_max - 1.0) < 0.15
-        assert abs(p_min - 2.0) < 0.5 and abs(p_max - 2.0) < 0.5
-
-    def test_membership_is_the_ellipse_margin(self):
-        rep = ef.region_report(0.5, samples=90)
-        M, P = np.meshgrid(np.linspace(1.0 - math.sqrt(2.0) / 2.0 - 0.15,
-                                       1.0 + math.sqrt(2.0) / 2.0 + 0.15, 90),
-                           np.linspace(-0.25, 3.25, 90), indexing="ij")
-        member = np.array([[ef.ellipse_margin(m, p, 0.5) < 0.0 for m, p in zip(mr, pr)]
-                           for mr, pr in zip(M, P)])
-        assert rep.n_member == int(member.sum())
-        assert rep.center == (float(M[member].mean()), float(P[member].mean()))
-
-    @pytest.mark.parametrize("samples", [-5, 0, 1])
-    def test_rejects_fewer_than_two_samples(self, samples):
-        with pytest.raises(ParameterError, match="samples must be at least 2"):
-            ef.region_report(1.0, samples=samples)
+        for theta in (1e-2, 1e-4, 1e-8, 1e-12):
+            m_min, m_max, p_min, p_max = ef.region_report(theta).bbox
+            reach = 3.0 * math.sqrt(theta)  # the half-widths are O(sqrt(theta))
+            assert 1.0 - reach < m_min < 1.0 < m_max < 1.0 + reach
+            assert 2.0 - reach < p_min < 2.0 < p_max < 2.0 + reach
 
     @pytest.mark.parametrize("theta", [0.0, -0.1, 1.5, math.nan])
     def test_rejects_theta_outside_unit_interval(self, theta):
         with pytest.raises(ParameterError, match="theta must lie in"):
-            ef.region_report(theta, samples=10)
+            ef.region_report(theta)
 
 
 class TestConstantsChain:
@@ -261,7 +285,6 @@ class TestLemmaCheck:
         chk = ef.lemma_functional_check(1.2, 1.5, 0.5, 1.0, (0.0, 0.0, 0.0))
         assert chk.passed
         assert chk.lhs == 0.0 and chk.rhs == 0.0 and chk.slack == 0.0
-        assert chk.f_eta_bar >= 0.0
 
     def test_quartic_witness_equivalence(self, rng):
         # f(eta_bar) >= 0 iff K1 >= 3 K3^{4/3} / (4^{4/3} K2^{1/3}), verified
@@ -282,7 +305,38 @@ class TestLemmaCheck:
             chk = ef.lemma_functional_check(1.2, 1.5, 0.5, lam, (E, I, K))
             assert chk.passed
             assert chk.slack >= -1e-8
-            assert chk.f_eta_bar >= -1e-12
+
+    def test_columns_match_rows(self, pme_run, gauss_grid):
+        # the columns at once agree with the snapshots one at a time up to
+        # the rounding of numpy's vectorized pow
+        lam = ef.lambda1_pme(0.5, gauss_grid).lam
+        cols = ef.lemma_functional_check(1.2, 1.5, 0.5, lam, (pme_run.E, pme_run.I, pme_run.K))
+        rows = [ef.lemma_functional_check(1.2, 1.5, 0.5, lam, snap)
+                for snap in zip(pme_run.E, pme_run.I, pme_run.K)]
+        for field in ("lhs", "rhs", "slack"):
+            np.testing.assert_array_max_ulp(
+                getattr(cols, field), np.array([getattr(r, field) for r in rows]), maxulp=4)
+        assert cols.passed.all()
+
+    def test_nan_snapshot_fails_its_row(self):
+        # the chain no longer reads E, so a NaN E is a failed row, not a bad input
+        chk = ef.lemma_functional_check(1.2, 1.5, 0.5, 1.0, (np.array([0.01, np.nan]),
+                                                              np.array([0.02, 0.01]),
+                                                              np.array([1.0, 1.0])))
+        assert chk.passed.tolist() == [True, False]
+        assert math.isnan(chk.slack[1])
+
+    def test_audit_builds_one_constant_chain(self, pme_run, monkeypatch):
+        calls = []
+        chain = ef.criteria.constants_chain
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return chain(*args, **kwargs)
+
+        monkeypatch.setattr("entroflow.criteria.constants_chain", counted)
+        assert ef.lemma_audit(pme_run, 0.5, 1.0).passed
+        assert len(calls) == 1 < len(pme_run.t)
 
 
 class TestDecayFunction:

@@ -65,7 +65,7 @@ def runs(tmp_path_factory):
      {"criteria"}),
     (["constants", "--m", "1.2", "--p", "1.5", "--theta", "0.5", *GRID],
      {"criteria", "_lapack", "spectrum"}),
-    (["region", "--samples", "5"], {"criteria"}),
+    (["region", "--theta", "0.5"], {"criteria"}),
     (LINEAR, {"_lapack", "flows"}),
     (PME, {"_lapack", "flows"}),
     # the poincare trials come from random.Random, whose module imports the

@@ -79,20 +79,18 @@ class TestFitRate:
 class TestCheckEnvelope:
     def test_equilibrium_passes_with_zero_slack(self):
         tr = _equilibrium_trace()
-        v = ef.check_envelope(tr, lambda t: 0.0, "E")
+        v = ef.check_envelope(tr, np.zeros(len(tr.t)), "E")
         assert v.passed and v.worst_violation == 0.0
 
     def test_true_rate_passes(self, linear_run_p15):
         tr = linear_run_p15
-        env = lambda t: ef.envelope_exponential(tr.E[0], 1.0, t)
-        v = ef.check_envelope(tr, env, "E")
+        v = ef.check_envelope(tr, ef.envelope_exponential(tr.E[0], 1.0, tr.t), "E")
         assert v.passed
         assert v.worst_violation >= 0.0
 
     def test_inflated_rate_fails(self, linear_run_p15):
         tr = linear_run_p15
-        env = lambda t: ef.envelope_exponential(tr.E[0], 1.5, t)
-        v = ef.check_envelope(tr, env, "E")
+        v = ef.check_envelope(tr, ef.envelope_exponential(tr.E[0], 1.5, tr.t), "E")
         assert not v.passed
         assert v.worst_violation < -0.1
         assert v.location > 0.0
@@ -377,6 +375,16 @@ class TestRefinedAudit:
         tr = ef.run_linear(cfg, gauss_grid_small)
         v = ef.refined_inequality_audit(tr, 1.0)
         assert v.passed
+
+
+def test_run_checks_needs_a_flow_kind():
+    # a config without kind used to be audited as linear until the
+    # dissipation audit, after the grid and lambda1, rejected it
+    tr = _synthetic_trace()
+    tr.config.pop("kind")
+    with pytest.raises(ConfigError, match="unknown flow kind None"):
+        ef.run_checks(tr, ["envelope", "dissipation"],
+                      geometry=lambda: pytest.fail("built a grid"))
 
 
 @pytest.mark.parametrize("fn, keyword", [
