@@ -64,4 +64,6 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+    """The public names and the module's dunders, not the names its own code
+    imports."""
+    return sorted({*__all__, *(n for n in globals() if n.startswith("__") and n.endswith("__"))})

@@ -42,11 +42,13 @@ class MassNotNormalized(EntroflowError):
 
 
 class SolverDiverged(EntroflowError):
-    """The eigensolver gave up: its tridiagonal matrix has non-finite
-    entries, LAPACK dpttrf returned info < 0 (an illegal argument), dpttrf
-    refused a shift at the certified lower bound of the spectrum, no shift
-    factored within the factorization cap, or inverse iteration did not
-    reach the residual tolerance within its solve cap."""
+    """An iterative solver gave up.  The eigensolver: its tridiagonal matrix
+    has non-finite entries, LAPACK dpttrf returned info < 0 (an illegal
+    argument), dpttrf refused a shift at the certified lower bound of the
+    spectrum, no shift factored within the factorization cap, or inverse
+    iteration did not reach the residual tolerance within its solve cap.
+    The linear flow: the Krylov expansion of a one-row window did not meet
+    its tolerances within the solve cap."""
 
 
 class NewtonDiverged(EntroflowError):
@@ -54,8 +56,8 @@ class NewtonDiverged(EntroflowError):
 
 
 class LinearSolveFailure(EntroflowError):
-    """LAPACK dpttrf cannot factor the linear flow's implicit tridiagonal
-    matrix W + theta dt S, which is then not positive definite."""
+    """LAPACK dpttrf cannot factor the linear flow's shifted tridiagonal
+    matrix W + gamma S, which is then not positive definite."""
 
 
 class OutsideEllipse(EntroflowError):

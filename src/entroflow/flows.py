@@ -1,69 +1,54 @@
 """Time integration of the linear flow v_t = Lv and the nonlinear flow v_t = L(v^m).
 
-Both steppers are conservative by construction: the weighted divergence form
-has exact zero column sums, so implicit steps preserve the discrete mass to
-solver round-off.  Both use the trapezoidal (Crank-Nicolson) rule, theta =
-``_THETA`` = 1/2, which errs on the fast side for every mode, by a factor
-e^{-(lambda dt)^3/12} per step, so the decay envelopes can be compared
-tightly.
+L = -W^{-1} S is the grid's operator: W the node masses, S the stiffness
+matrix of :func:`grid.stiffness_bands`, whose zero column sums make both
+flows conserve the discrete mass.  A run records a trace row every
+``stride`` steps of ``dt``, at t = j stride dt; row 0 is the initial field
+itself.  The trace meta records ``dt``, ``n_steps`` (the last row is at
+n_steps dt) and ``stride``.
 
-The linear step solves for its increment, (W + theta dt S) delta = -dt S v,
-v' = v + delta.  -S v is the edge flux balance that :func:`grid.delta_g`
-accumulates, so a constant field has delta = 0 exactly and the mass moves
-only by the rounding of the small increment (about 2e-16 after 4000 steps
-at n = 20001).  The step allocates nothing: the flux balance is written into
-work arrays, the solve overwrites its right-hand side with delta, and v is
-updated in place (on a copy of an array ``init``).  At n = 20001 each array
-is 160 KB, above glibc malloc's default 128 KiB mmap threshold, so per-step
-temporaries would be returned to the kernel and faulted in again every step.
+The linear flow is v(t) = exp(tL) v0, evaluated at the row times by
+:class:`_Krylov`: shift-invert Lanczos (van den Eshof and Hochbruck, SIAM J.
+Sci. Comput. 27, 2006) on windows that double in length from t = 0, each
+restarted from the state at its start (Botchev, Grimm and Hochbruck, SIAM J.
+Sci. Comput. 35, 2013).  It takes no time steps, so ``dt`` and ``stride``
+set only the row times.  The constant mode c (the mass) is split off and the
+basis is orthogonal to it, so every row's mass is c up to the rounding of
+adding c to each node.  Its meta adds ``windows`` (each window's span, its
+number k of solves and its error estimate) and ``clamps``.
 
-The nonlinear step solves  v' - theta dt L(v'^m) = v + (1-theta) dt L(v^m)
-with a damped Newton iteration on the O(1)-scaled residual.  The Newton
-matrix is factored once per step, at v; later updates reuse it (chord
-updates) while each accepted update cuts the residual at least 100-fold
+The nonlinear step is the trapezoidal (Crank-Nicolson) rule, theta =
+``_THETA`` = 1/2: v' - theta dt L(v'^m) = v + (1-theta) dt L(v^m), solved by
+a damped Newton iteration on the O(1)-scaled residual.  The Newton matrix is
+factored once per step, at v; later updates reuse it (chord updates) while
+each accepted update cuts the residual at least 100-fold
 (``_CHORD_CONTRACTION``), so a typical step makes two updates and one
-factorization.  Its iterates, L(x^m) and residuals are new arrays.  At
-n = 4001 (32 KB each) rotating them through work arrays saved neither page
-faults nor time.  At n = 20001 (160 KB each) glibc malloc trims and regrows
-its heap around them: a 1000-step run makes about 1e5 minor page faults
-where work arrays made 7e3, and takes about 10 % longer.  Newton stops at
-the first accepted update whose max-norm residual is at most ``_NEWTON_TOL``
-(1e-12): the residual's round-off floor, about eps dt |L(v^m)|, grows like
-dt/h^2, so a fixed target such as 1e-14 is out of reach on fine grids (the
-floor is near 3e-14 at n = 4001 with dt = 1e-3 on [-8, 8]).  If Newton
-stalls above the tolerance, the substep is retried at half the size, and the
-rest of the time step keeps the smaller size; the next time step starts at
-the full dt again.  A run fails with NewtonDiverged after
-``_MAX_DT_HALVINGS`` (30) halvings within one step.  Both limits, and the
-density floor ``DEFAULT_FLOOR``, are fixed constants, not settings.
-:class:`_PmeStepper` owns this loop and the Newton iteration.  Both implicit
-systems are the node masses W plus a multiple of the stiffness stencil S of
-:func:`grid.stiffness_bands`, solved with LAPACK ``pttrf``/``pttrs``
-through one :class:`entroflow._lapack.SPDTridiagonal` per run, which owns
-the matrix and right-hand side buffers the routines overwrite; the Newton system (W + theta dt S D) delta = -W res,
-D = diag(m v^{m-1}) > 0, is solved in its symmetric form
-(W D^{-1} + theta dt S)(D delta) = -W res, written straight into the
-system's diagonal.  L(v^m) of the accepted state is the operator value of
-its last residual; it is carried into the next step's right-hand side (and
-through time-step halvings) instead of being evaluated again, and clamping v
-at ``DEFAULT_FLOOR`` leaves it unchanged because v^m is taken of max(v, floor).
-A trace's meta records ``dt``, ``n_steps`` (the steps taken, whose last is
-the last row) and ``stride``; a ``pme`` trace's meta adds the stepper's work:
-``clamps`` (node values raised to the floor, also ``Trace.clamps``),
-``newton_iterations`` (Newton updates solved), ``factorizations`` (LAPACK
-``pttrf`` calls) and ``dt_halvings``.
+factorization.  Its iterates, L(x^m) and residuals are new arrays: at
+n = 4001 rotating them through work arrays saved neither page faults nor
+time.  Newton stops at the first accepted update whose max-norm residual is
+at most ``_NEWTON_TOL`` (1e-12): the residual's round-off floor, about
+eps dt |L(v^m)|, grows like dt/h^2, so a fixed target such as 1e-14 is out of
+reach on fine grids.  If Newton stalls above the tolerance, the substep is
+retried at half the size, and the rest of the time step keeps the smaller
+size; the next time step starts at the full dt again.  A run fails with
+NewtonDiverged after ``_MAX_DT_HALVINGS`` (30) halvings within one step.
+The Newton system (W + theta dt S D) delta = -W res, D = diag(m v^{m-1}) > 0,
+is solved in its symmetric form (W D^{-1} + theta dt S)(D delta) = -W res with
+LAPACK ``pttrf``/``pttrs`` through one
+:class:`entroflow._lapack.SPDTridiagonal`.  L(v^m) of the accepted state is
+the operator value of its last residual; it is carried into the next step's
+right-hand side instead of being evaluated again, and clamping v at
+``DEFAULT_FLOOR`` leaves it unchanged because v^m is taken of max(v, floor).
+A ``pme`` trace's meta adds ``clamps`` (node values raised to the floor, also
+``Trace.clamps``), ``newton_iterations``, ``factorizations`` (``pttrf``
+calls) and ``dt_halvings``.  Every tolerance and limit is a module constant,
+not a setting.
 
-Both flows share one time loop, :func:`_run`: a run is a config and a grid
-(whose potential defines L), and the loop differs only in its stepper,
-:class:`_LinearStepper` or :class:`_PmeStepper`, whose ``advance(v)`` returns
-the state one step later.  A run emits a Trace: scalar time series of
-(t, E, I, K, mass, min_v), and for the linear flow q4 = int |D v^{p/4}|^4
-dgamma, the one further scalar the refined audit needs; no density field is
-kept.  Each run makes one :class:`functionals._Snapshot`, which writes a
-snapshot's integrands (E, the mass, the Fisher edge terms, K and q4) one
-after another into the same work array and sums each with one correctly
-rounded sum, so recording allocates no n-sized array, and the one mass sum
-serves both the unit-mass check and the ``mass`` column.
+A run emits a Trace of (t, E, I, K, mass, min_v) and, for the linear flow,
+q4 = int |D v^{p/4}|^4 dgamma, the one further scalar the refined audit
+needs; no density field is kept.  Each run makes one
+:class:`functionals._Snapshot`, which sums each integral of a row once,
+correctly rounded, on its own work arrays.
 """
 
 from __future__ import annotations
@@ -76,15 +61,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._lapack import SPDTridiagonal
-from .errors import ConfigError, LinearSolveFailure, NewtonDiverged
+from .errors import ConfigError, LinearSolveFailure, NewtonDiverged, SolverDiverged
 from .functionals import DEFAULT_FLOOR, LinearParams, PmeParams, _Snapshot
-from .grid import Grid, _net_flux, delta_g, integrate_dgamma, stiffness_bands
+from .grid import Grid, _fsum_into, delta_g, integrate_dgamma, stiffness_bands
 
 __all__ = ["FlowConfig", "Trace", "initial_field", "run_linear", "run_pme"]
 
-# implicit weight of both steppers: the trapezoidal (Crank-Nicolson) rule
+# implicit weight of the nonlinear step: the trapezoidal (Crank-Nicolson) rule
 _THETA = 0.5
-# most time steps a run may take (about 2 minutes of the linear flow at n = 101)
+# most time steps a run's time grid may hold
 _MAX_STEPS = 10**7
 
 
@@ -97,15 +82,15 @@ class FlowConfig:
     node values, which the trace's config echoes as "array".  ``dt`` falls
     back to 10 h^2; ``stride`` to whatever yields about 200 snapshots.
     ``t_end`` and a given ``dt`` must be finite and positive, ``stride`` at
-    least 1.  A run takes round(t_end / dt) steps, rounded down to a whole
-    number of strides, so its last step is its last recorded row;
+    least 1.  A run's time grid has round(t_end / dt) steps, rounded down to
+    a whole number of strides, so its last step is its last recorded row (the
+    linear flow evaluates the rows only, the pme flow takes every step);
     :meth:`resolved` rejects a ``t_end`` that rounds to no step, to an
     overflowing count or to more than ``_MAX_STEPS`` (1e7), and a ``stride``
     above the step count.  ``theta`` is the criterion's theta, which
     ``report`` reads for lambda1_pme, not the time-stepping weight.  The
-    time-stepping weight, the solver's tolerance, halving limit and density
-    floor are module constants (see the module docstring); every field here
-    is a ``flow`` CLI flag.
+    solvers' tolerances and limits are module constants (see the module
+    docstring); every field here is a ``flow`` CLI flag.
     """
 
     kind: str  # 'linear' | 'pme'
@@ -326,62 +311,223 @@ def _initial_state(grid: Grid, init) -> np.ndarray:
     return v
 
 
-class _LinearStepper:
-    """The implicit stepper of v_t = Lv for one run: one tridiagonal solve per
-    step for the increment (W + theta dt S) delta = -dt S v, on a single
-    factorization; v is updated in place."""
+# A Krylov window stops at the first k whose coefficients, at each of its row
+# times, moved by less than _KRYLOV_TOL_W relative to the window's start in
+# the dgamma norm (or than the state's rounding, _EPS |c|) and by less than
+# _KRYLOV_TOL_MAX in the bound
+# sum_i |dC_i| max|q_i| on the field's max norm.  A window whose max-norm
+# bound stays above its tolerance for _KRYLOV_PATIENCE solves after the
+# dgamma one is met, or that takes _MAX_KRYLOV solves, is split in two; a
+# one-row window raises SolverDiverged instead.  gamma is the window's length
+# over _GAMMA_DIV.
+_KRYLOV_TOL_W = 1e-12
+_KRYLOV_TOL_MAX = 1e-7
+_KRYLOV_PATIENCE = 4
+_MAX_KRYLOV = 60
+_GAMMA_DIV = 8.0
+_EPS = np.finfo(float).eps
 
-    counters = ()
 
-    def __init__(self, grid: Grid, config: FlowConfig, dt: float, v: np.ndarray):
-        sdiag, soff = stiffness_bands(grid.conductance)
-        system = SPDTridiagonal(grid.n)
-        np.multiply(sdiag, _THETA * dt, out=system.d)
-        system.d += grid.node_mass
-        np.multiply(soff, _THETA * dt, out=system.e)
+def _windows(n_rows: int) -> list[tuple[int, int]]:
+    """(first, last) rows of the Krylov windows, halving back from the last
+    row to row 1: the windows double in length from t = 0."""
+    bounds = [n_rows]
+    while bounds[-1] > 1:
+        bounds.append(bounds[-1] // 2)
+    bounds.append(0)
+    return list(zip(bounds[:0:-1], bounds[-2::-1]))
+
+
+class _Krylov:
+    """exp(tL) v0 at the row times of one linear run, window by window.
+
+    v0 = c + w with c its dgamma mean.  A window [a, b] takes a Lanczos basis
+    q_1..q_k of A = (W + gamma S)^{-1} W = (1 - gamma L)^{-1} from w(a),
+    orthonormal in the dgamma inner product (sums by :func:`grid._fsum_into`)
+    and orthogonal to the constants, and with the Ritz pairs (theta_j, z_j) of
+    A sets w(a + tau) = |w(a)| sum_i C_i q_i, C(tau) = sum_j z_j z_j[0]
+    e^{-tau (1 - theta_j)/(gamma theta_j)}.  The state at b starts the next
+    window.  ``windows`` records each window's span ``t``, its basis size
+    ``k`` and its last coefficient changes (``estimate``: relative in the
+    dgamma norm, and the max-norm bound); a window that was split is listed,
+    with ``split``, before its halves.  A row value below zero by at most
+    ``_KRYLOV_TOL_MAX``, where the
+    exact state is positive but below the expansion's error, is set to 0 and
+    counted in ``clamps``; a lower one is left for the snapshot's
+    NegativeDensity.  The basis rows are allocated one at a time and kept
+    for the next window; the snapshot's work arrays are the iteration's
+    scratch between rows.
+    """
+
+    counters = ("windows", "clamps")
+
+    def __init__(self, grid: Grid, config: FlowConfig, dt: float, stride: int, v: np.ndarray,
+                 snapshot: _Snapshot):
+        self.grid, self.dt, self.stride, self.v0, self.snapshot = grid, dt, stride, v, snapshot
+        self.system = SPDTridiagonal(grid.n)
+        self.basis: list[np.ndarray] = []
+        self.windows: list[dict] = []
+        self.clamps = 0
+
+    def _dot(self, x: np.ndarray, y: np.ndarray | None = None) -> float:
+        """The dgamma inner product of x and y, or the dgamma mean of x."""
+        row = np.multiply(self.grid.dgamma_weights, x, out=self.snapshot.row)
+        if y is not None:
+            row *= y
+        return _fsum_into(row, self.snapshot.work)
+
+    def _project(self, y: np.ndarray, k: int) -> float:
+        """Remove from y its mean and its components on the first k basis rows:
+        the Lanczos step (on the last two), then once more on all of them;
+        returns its component on the k-th (0 if k = 0)."""
+        last = 0.0
+        for rows in (range(max(k - 2, 0), k), range(k)):
+            y -= self._dot(y)
+            for i in rows:
+                h = self._dot(y, self.basis[i])
+                y -= np.multiply(self.basis[i], h, out=self.snapshot.a)
+                if i == k - 1:
+                    last += h
+        return last
+
+    def _time(self, row: int) -> float:
+        return (row * self.stride) * self.dt
+
+    def states(self, n_rows: int):
+        """The state at rows 1..n_rows, written over v0 row by row (each window
+        first copies its start into the basis)."""
+        v = self.v0
+        if v.min() == v.max():
+            # a constant field is its own trajectory (|w| = 0): no solve
+            for _ in range(n_rows):
+                yield v
+            return
+        c = self._dot(v)
+        pending = _windows(n_rows)[::-1]
+        while pending:
+            first, last = pending.pop()
+            coefficients = self._expand(v, c, first, last)
+            if coefficients is None:
+                mid = (first + last) // 2
+                pending += [(mid, last), (first, mid)]
+                continue
+            for row in coefficients:
+                np.multiply(self.basis[0], row[0], out=v)
+                for i in range(1, len(row)):
+                    v += np.multiply(self.basis[i], row[i], out=self.snapshot.a)
+                v += c
+                if -_KRYLOV_TOL_MAX <= v.min() < 0.0:
+                    self.clamps += int(np.count_nonzero(v < 0.0))
+                    np.maximum(v, 0.0, out=v)
+                yield v
+
+    def _expand(self, start: np.ndarray, c: float, first: int, last: int):
+        """The coefficients (one row per row time in (first, last]) of
+        start - c evolved from row ``first``; None if the window is split."""
+        grid, system, basis = self.grid, self.system, self.basis
+        gamma = (self._time(last) - self._time(first)) / _GAMMA_DIV
+        taus = np.array([self._time(j - first) for j in range(first + 1, last + 1)])
+        # W + gamma S, written into the system's bands and factored in place
+        d, e = stiffness_bands(grid.conductance, out=(system.d, system.e))
+        d *= gamma
+        d += grid.node_mass
+        e *= gamma
         info = system.factor()
         if info != 0:
-            raise LinearSolveFailure(f"cannot factor the implicit system: LAPACK dpttrf info={info}")
-        self.grid, self.dt, self.system = grid, dt, system
-        self.flux = np.empty(grid.n - 1)
+            raise LinearSolveFailure(
+                f"cannot factor W + gamma S (gamma={gamma:g}): LAPACK dpttrf info={info}")
+        if not basis:
+            basis.append(np.empty(grid.n))
+        q = np.subtract(start, c, out=basis[0])
+        self._project(q, 0)
+        beta0 = math.sqrt(self._dot(q, q))
+        window = {"t": [self._time(first), self._time(last)]}
+        if beta0 == 0.0:
+            self.windows.append({**window, "k": 0, "estimate": [0.0, 0.0]})
+            return np.zeros((len(taus), 1))
+        q /= beta0
+        # below the rounding of the state c + w, a change is not resolved
+        tol_w = max(_KRYLOV_TOL_W, _EPS * abs(c) / beta0)
+        sup = [float(np.abs(q, out=self.snapshot.a).max())]
+        alpha, beta, previous, met = [], [], np.zeros((len(taus), 0)), None
+        for k in range(1, _MAX_KRYLOV + 1):
+            b = np.multiply(grid.node_mass, basis[k - 1], out=system.b)
+            system.solve()
+            alpha.append(self._project(b, k))
+            norm = math.sqrt(self._dot(b, b))
+            coeffs = self._coefficients(alpha, beta, gamma, taus)
+            change = coeffs.copy()
+            change[:, :k - 1] -= previous
+            change_w = float(np.sqrt(np.square(change).sum(axis=1)).max())
+            change_max = float((np.abs(change) * sup).sum(axis=1).max()) * beta0
+            if change_w < tol_w or norm == 0.0:
+                if change_max < _KRYLOV_TOL_MAX or norm == 0.0:
+                    self.windows.append({**window, "k": k, "estimate": [change_w, change_max]})
+                    return coeffs * beta0
+                met = met or k
+                if k - met >= _KRYLOV_PATIENCE:
+                    break
+            previous = coeffs
+            beta.append(norm)
+            if len(basis) == k:
+                basis.append(np.empty(grid.n))
+            np.divide(b, norm, out=basis[k])
+            sup.append(float(np.abs(basis[k], out=self.snapshot.a).max()))
+        if last - first > 1:
+            self.windows.append({**window, "k": k, "estimate": [change_w, change_max],
+                                 "split": True})
+            return None
+        raise SolverDiverged(
+            f"linear flow window t in [{window['t'][0]:g}, {window['t'][1]:g}]: the Krylov "
+            f"expansion of exp(tL) did not converge in {k} solves (last coefficient change "
+            f"{change_w:.1e} relative in the dgamma norm, {change_max:.1e} in the max norm)")
 
-    def advance(self, v: np.ndarray) -> np.ndarray:
-        # the solve overwrites its right-hand side b with delta
-        b = self.system.b
-        np.multiply(_net_flux(self.grid, v, out=b, flux=self.flux), self.dt, out=b)
-        self.system.solve()
-        v += b
-        return v
+    @staticmethod
+    def _coefficients(alpha, beta, gamma, taus) -> np.ndarray:
+        """exp(-tau (T^{-1} - 1)/gamma) e_1 for each tau, T the Lanczos matrix
+        of A: rows of a (len(taus), k) array.  One eigh of T; the products
+        are elementwise, in a fixed order, so no BLAS routine runs."""
+        k = len(alpha)
+        T = np.diag(alpha)
+        T[range(1, k), range(k - 1)] = T[range(k - 1), range(1, k)] = beta
+        theta, Z = np.linalg.eigh(T)
+        # a Ritz value at or below 0 is a mode too fast to resolve: rate inf
+        theta = np.maximum(theta, np.finfo(float).tiny)
+        with np.errstate(over="ignore"):
+            rates = (1.0 - theta) / (gamma * theta)
+        weights = np.exp(-np.multiply.outer(taus, rates)) * Z[0]
+        out = np.zeros((len(taus), k))
+        for j in range(k):
+            out += np.multiply.outer(weights[:, j], Z[:, j])
+        return out
 
 
-def _run(config: FlowConfig, grid: Grid, kind: str, params, stepper) -> Trace:
-    """Integrate one flow: ``stepper(grid, config, dt, v)`` makes the stepper
-    whose ``advance`` takes v one step of dt, ``params()`` the functionals'
-    parameters.  A snapshot row is recorded every ``stride`` steps, the last
-    one at the last step; the stepper's ``counters`` join the trace meta."""
+def _run(config: FlowConfig, grid: Grid, kind: str, params, flow) -> Trace:
+    """Run one flow.  ``flow(grid, config, dt, stride, v, snapshot)`` makes the
+    object whose ``states(n)`` yields the state at rows 1..n, one every
+    ``stride`` steps of dt (it may use the snapshot's work arrays between
+    rows); row 0 is the initial field itself.  The flow's ``counters`` join
+    the trace meta."""
     if config.kind != kind:
         raise ConfigError(f"run_{kind} needs a config with kind={kind!r}")
     snapshot = _Snapshot(params(), grid)
     dt, n_steps, stride = config.resolved(grid)
     v = _initial_state(grid, config.init)
-    stepper = stepper(grid, config, dt, v)
-    rows = []
-    for step in range(n_steps + 1):
-        if step:
-            v = stepper.advance(v)
-        if step % stride == 0:
-            rows.append((step * dt, *snapshot(v)))
+    rows = [(0.0, *snapshot(v))]
+    flow = flow(grid, config, dt, stride, v, snapshot)
+    for row, state in enumerate(flow.states(n_steps // stride), 1):
+        rows.append(((row * stride) * dt, *snapshot(state)))
     echo = asdict(config)
     if not isinstance(config.init, str):
         echo["init"] = "array"
     meta = {"dt": dt, "n_steps": n_steps, "stride": stride,
-            **{name: getattr(stepper, name) for name in stepper.counters}}
+            **{name: getattr(flow, name) for name in flow.counters}}
     return Trace._from_rows(rows, echo, grid.ident, meta)
 
 
 def run_linear(config: FlowConfig, grid: Grid) -> Trace:
-    """Integrate v_t = Lv with the trapezoidal rule on a single factorization."""
-    return _run(config, grid, "linear", lambda: LinearParams(config.p), _LinearStepper)
+    """v(t) = exp(tL) v0 at the snapshot times, by windowed shift-invert Lanczos."""
+    return _run(config, grid, "linear", lambda: LinearParams(config.p), _Krylov)
 
 
 # Contraction test of the Newton updates within one step (Hairer & Wanner,
@@ -413,8 +559,9 @@ class _PmeStepper:
 
     counters = ("clamps", "newton_iterations", "factorizations", "dt_halvings")
 
-    def __init__(self, grid: Grid, config: FlowConfig, dt: float, v: np.ndarray):
-        self.grid, self.dt = grid, dt
+    def __init__(self, grid: Grid, config: FlowConfig, dt: float, stride: int, v: np.ndarray,
+                 snapshot: _Snapshot):
+        self.grid, self.dt, self.stride, self.v = grid, dt, stride, v
         self.bands = stiffness_bands(grid.conductance)
         self.m = config.m
         self.clamps = self.newton_iterations = self.factorizations = self.dt_halvings = 0
@@ -489,6 +636,14 @@ class _PmeStepper:
             if rnorm <= _NEWTON_TOL:
                 break
         return (x, lx) if rnorm <= _NEWTON_TOL else None
+
+    def states(self, n_rows: int):
+        """The state after each further ``stride`` steps, n_rows times."""
+        v = self.v
+        for _ in range(n_rows):
+            for _ in range(self.stride):
+                v = self.advance(v)
+            yield v
 
     def advance(self, v: np.ndarray) -> np.ndarray:
         """Advance v by dt, halving the substep where Newton stalls, then clamp

@@ -214,14 +214,16 @@ def _check_field(grid: Grid, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def stiffness_bands(conductance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def stiffness_bands(conductance: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Bands (diag, off) of the stiffness matrix S of edge conductances c:
     off = -c and diag_i = c_{i-1/2} + c_{i+1/2} rounded once, so each diagonal
-    entry cancels its row's off-diagonals exactly (no flux through the ends)."""
-    diag = np.zeros(len(conductance) + 1)
+    entry cancels its row's off-diagonals exactly (no flux through the ends).
+    ``out``, a (diag, off) pair of arrays, receives them in place of new ones."""
+    diag, off = (np.empty(len(conductance) + 1), None) if out is None else out
+    diag.fill(0.0)
     diag[:-1] += conductance
     diag[1:] += conductance
-    return diag, -conductance
+    return diag, np.negative(conductance, out=off)
 
 
 def _net_flux(

@@ -67,6 +67,15 @@ def test_tracer_hooks_read_real_results():
     assert counts["flow_snapshots"] == len(trace.t)
     assert counts["flow_clamps"] == trace.meta["clamps"] > 0
 
+    # a linear trace takes no time steps, but its meta keeps n_steps, the
+    # steps of its row times, which the hook counts
+    cfg = ef.FlowConfig(kind="linear", p=1.5, init="odd:0.2", t_end=0.3, dt=1e-3)
+    linear = ef.run_linear(cfg, grid)
+    tracing._flow(counts, (cfg, grid), linear)
+    assert counts["flow_steps"] == 200 + linear.meta["n_steps"] == 500
+    assert counts["flow_snapshots"] == len(trace.t) + len(linear.t)
+    assert counts["flow_clamps"] == trace.meta["clamps"] + linear.meta["clamps"]
+
     verdict = ef.poincare_test(1.5, spectral, grid, trials=5, seed=1)
     tracing._poincare(counts, (1.5, spectral, grid), verdict)
     assert counts["poincare_trials"] == verdict.details["trials"] > 0

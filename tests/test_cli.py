@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entroflow import flows, verify
+from entroflow import verify
 from entroflow.cli import _build_geometry, _normalize_argv, build_parser, main
 from entroflow.flows import FlowConfig, Trace
 from entroflow.spectrum import epsilon_star
@@ -390,23 +390,21 @@ class TestFlowAndReport:
         back = Trace.from_csv(trace)
         assert back.clamps == back.meta["clamps"] == 646
 
-    def test_last_step_taken_is_the_last_row(self, tmp_path, monkeypatch):
+    def test_last_row_is_at_the_last_step(self, tmp_path):
         # round(0.401 / 1e-3) = 401 steps at the default stride 2: the 401st
-        # used to be computed and dropped, with t_end_effective = 0.401
-        advance, steps = flows._LinearStepper.advance, []
-
-        def counted(self, v):
-            steps.append(1)
-            return advance(self, v)
-
-        monkeypatch.setattr(flows._LinearStepper, "advance", counted)
+        # used to be computed and dropped, with t_end_effective = 0.401; the
+        # rows sit at j stride dt and the last window ends at the last one
         trace = tmp_path / "run.csv"
         assert main(["flow", "linear", "--n", "201", "--tend", "0.401", "--dt", "1e-3",
                      "--trace", str(trace)]) == 0
         back = Trace.from_csv(trace)
-        assert len(steps) == back.meta["n_steps"] == 400
-        assert back.t[-1] == back.meta["n_steps"] * back.meta["dt"]
-        assert "t_end_effective" not in back.meta
+        meta = back.meta
+        assert (meta["n_steps"], meta["stride"], len(back.t)) == (400, 2, 201)
+        assert back.t.tolist() == [(j * 2) * 1e-3 for j in range(201)]
+        assert back.t[-1] == meta["n_steps"] * meta["dt"] == meta["windows"][-1]["t"][1]
+        assert [w["t"][0] for w in meta["windows"][1:]] == [w["t"][1] for w in meta["windows"][:-1]]
+        assert meta["windows"][0]["t"][0] == 0.0
+        assert "t_end_effective" not in meta
 
     def test_stride_above_the_step_count_exits_2(self, capsys):
         # 200 steps at stride 500 used to run every step and keep only t = 0

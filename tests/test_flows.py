@@ -1,5 +1,7 @@
 """Time integration: conservation, decay, trace round-trips."""
 
+import types
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,13 @@ from numpy.testing import assert_allclose
 import entroflow as ef
 from entroflow import flows, functionals
 from entroflow import grid as grid_module
-from entroflow.errors import ConfigError, LinearSolveFailure, MassNotNormalized, NewtonDiverged
+from entroflow.errors import (
+    ConfigError,
+    LinearSolveFailure,
+    MassNotNormalized,
+    NewtonDiverged,
+    SolverDiverged,
+)
 
 
 class TestInitialField:
@@ -61,44 +69,43 @@ class TestInitialField:
 
 
 class TestLinearFlow:
-    def test_equilibrium_is_fixed_point(self, gauss_grid_small, states):
+    def test_equilibrium_is_fixed_point(self, monkeypatch, gauss_grid_small, states):
+        # a constant start has no component off the constants: its rows are
+        # the field itself, with no factorization and no solve
+        counts = spy_calls(monkeypatch, "factor", "solve")
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="const", t_end=0.2, dt=1e-3)
         tr = ef.run_linear(cfg, gauss_grid_small)
+        assert counts == {"factor": 0, "solve": 0}
+        assert tr.meta["windows"] == [] and tr.meta["clamps"] == 0
         assert np.max(np.abs(tr.E)) <= 1e-13
         assert np.max(np.abs(tr.I)) <= 1e-13
         assert np.max(np.abs(tr.K)) <= 1e-13
         assert tr.mass_drift <= 1e-13
-        # the increment of a constant field is exactly zero
         assert np.all(tr.min_v == 1.0)
         assert len(states) == len(tr.t)
         assert all(np.all(v == 1.0) for v in states)
         assert np.all(tr.q4 == 0.0)
 
-    def test_step_matches_two_term_reference(self, gauss_grid, states):
-        # (W + theta dt S) v' = W v - (1 - theta) dt S v with theta = 1/2, S
-        # assembled here from the conductances and solved by a banded Cholesky
-        # factorization
-        from scipy.linalg import solveh_banded
+    def test_states_match_the_matrix_exponential(self, gauss_grid_small, states):
+        # exp(tL) v0 from scipy's expm_multiply (truncated Taylor series with
+        # scaling, Al-Mohy and Higham) on L = -W^{-1} S assembled here from the
+        # conductances: within 1e-12 in the dgamma norm and within the
+        # windows' max-norm tolerance 1e-7 at every node, tails included
+        from scipy.sparse import diags
+        from scipy.sparse.linalg import expm_multiply
 
-        g, dt, theta = gauss_grid, 1e-3, 0.5
-        c, W = g.conductance, g.node_mass
-        sdiag = np.concatenate((c, [0.0])) + np.concatenate(([0.0], c))
-
-        def S(v):
-            return (sdiag * v - np.concatenate((c * v[1:], [0.0]))
-                    - np.concatenate(([0.0], c * v[:-1])))
-
-        ab = np.vstack((np.concatenate(([0.0], -theta * dt * c)), W + theta * dt * sdiag))
-        cfg = ef.FlowConfig(kind="linear", p=1.5, init="odd:0.2", t_end=0.2, dt=dt,
+        g = gauss_grid_small
+        c = g.conductance
+        S = diags([np.r_[c, 0.0] + np.r_[0.0, c], -c, -c], [0, 1, -1], format="csr")
+        cfg = ef.FlowConfig(kind="linear", p=1.5, init="bump:0.3", t_end=0.2, dt=1e-3,
                             stride=20)
         tr = ef.run_linear(cfg, g)
         assert len(states) == len(tr.t) == 11
-        v = ef.initial_field(g, "odd:0.2")
-        for step in range(1, 201):
-            v = solveh_banded(ab, W * v - (1.0 - theta) * dt * S(v))
-            if step % 20 == 0:
-                got = states[step // 20]
-                assert np.max(np.abs(got - v)) <= 1e-12 * np.max(np.abs(v))
+        want = expm_multiply(diags(-1.0 / g.node_mass) @ S, ef.initial_field(g, "bump:0.3"),
+                             start=0.0, stop=0.2, num=11, endpoint=True)
+        for got, ref in zip(states, want):
+            assert np.max(np.abs(got - ref)) <= 1e-7
+            assert ef.norm_dgamma(g, got - ref) <= 1e-12
 
     def test_mass_drift_at_round_off_on_a_fine_grid(self, gauss_pot):
         grid = ef.make_interval_grid(-8.0, 8.0, 20001, gauss_pot)
@@ -106,16 +113,41 @@ class TestLinearFlow:
                             stride=50)
         assert ef.run_linear(cfg, grid).mass_drift <= 1e-15
 
-    def test_one_solve_per_step_and_no_operator_call(self, monkeypatch,
-                                                     gauss_grid_small):
-        counts = spy_calls(monkeypatch, "solve", "delta_g")
+    def test_one_factorization_per_window_and_a_solve_per_basis_vector(
+            self, monkeypatch, gauss_grid_small):
+        # the windows halve back from the last row: rows (0, 1], (1, 3],
+        # (3, 6], (6, 12], (12, 25], (25, 50], (50, 100]; no operator call
+        counts = spy_calls(monkeypatch, "factor", "solve", "delta_g")
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="bump:0.3", t_end=0.1, dt=1e-3)
         trace = ef.run_linear(cfg, gauss_grid_small)
-        assert trace.meta["n_steps"] == 100
-        assert counts == {"solve": 100, "delta_g": 0}
+        windows = trace.meta["windows"]
+        assert (trace.meta["n_steps"], trace.meta["stride"], len(trace.t)) == (100, 1, 101)
+        assert [w["t"] for w in windows] == [
+            [a * 1e-3, b * 1e-3]
+            for a, b in [(0, 1), (1, 3), (3, 6), (6, 12), (12, 25), (25, 50), (50, 100)]]
+        assert all(1 <= w["k"] <= flows._MAX_KRYLOV for w in windows)
+        assert counts == {"factor": len(windows), "solve": sum(w["k"] for w in windows),
+                          "delta_g": 0}
+        for w in windows:
+            change_w, change_max = w["estimate"]
+            assert change_w < flows._KRYLOV_TOL_W and change_max < flows._KRYLOV_TOL_MAX
+            assert "split" not in w
+
+    def test_first_row_is_the_initial_field(self, gauss_grid_small, states):
+        # row 0 is not reconstructed from the expansion, where a zero node of
+        # the start came out near -1e-16 and raised NegativeDensity
+        v0 = ef.initial_field(gauss_grid_small, "bump:0.4")
+        v0[gauss_grid_small.n // 3] = 0.0
+        v0 /= ef.integrate_dgamma(gauss_grid_small, v0)
+        cfg = ef.FlowConfig(kind="linear", p=1.5, init=v0, t_end=0.05, dt=1e-3, stride=5)
+        tr = ef.run_linear(cfg, gauss_grid_small)
+        assert states[0].tobytes() == v0.tobytes()
+        assert tr.min_v[0] == 0.0 and tr.min_v[1:].min() > 0.0
+        assert tr.E[0] == ef.entropy_linear(ef.LinearParams(1.5), v0, gauss_grid_small)
 
     def test_array_init_left_unchanged(self, gauss_grid_small, states):
-        # the stepper updates its state in place, never the caller's array
+        # the run writes its rows over its own copy of the start, never over
+        # the caller's array
         init = ef.initial_field(gauss_grid_small, "bump:0.3")
         kept = init.copy()
         cfg = ef.FlowConfig(kind="linear", p=1.5, init=init, t_end=0.05, dt=1e-3)
@@ -123,16 +155,22 @@ class TestLinearFlow:
         assert np.array_equal(init, kept)
         assert not np.array_equal(states[-1], kept)
 
-    def test_work_arrays_change_no_bit(self, monkeypatch, gauss_grid_small, states):
-        # the loop reuses its right-hand side and flux buffers; a fresh
-        # _net_flux per step must give the same trace and states bytes
+    def test_scratch_arrays_change_no_bit(self, monkeypatch, gauss_grid_small, states):
+        # the expansion uses the snapshot's work arrays as its scratch; fresh
+        # scratch arrays must give the same trace and states bytes
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="odd:0.2", t_end=0.2, dt=1e-3,
                             stride=5)
         reused = ef.run_linear(cfg, gauss_grid_small)
         kept = np.array(states)
         states.clear()
-        net_flux = flows._net_flux
-        monkeypatch.setattr(flows, "_net_flux", lambda grid, v, **_: net_flux(grid, v))
+        init = flows._Krylov.__init__
+
+        def fresh_scratch(self, grid, *args):
+            init(self, grid, *args)
+            self.snapshot = types.SimpleNamespace(
+                row=np.empty(grid.n), work=np.empty(grid.n), a=np.empty(grid.n))
+
+        monkeypatch.setattr(flows._Krylov, "__init__", fresh_scratch)
         fresh = ef.run_linear(cfg, gauss_grid_small)
         assert reused._csv_text() == fresh._csv_text()
         assert kept.tobytes() == np.array(states).tobytes()
@@ -168,6 +206,83 @@ class TestLinearFlow:
         cfg = ef.FlowConfig(kind="linear", p=1.5, init="bump:0.3", t_end=1.0, dt=1e-3)
         tr = ef.run_linear(cfg, gauss_grid_small)
         assert len(tr.t) >= 200
+
+
+class TestKrylovWindows:
+    """exp(tL) v0 on the windows: oracles, the tails, the k cap and clamps."""
+
+    def test_odd_start_decays_as_its_eigenfunction(self, gauss_grid, linear_run_p15):
+        # on the Gaussian, x is the eigenfunction of L with eigenvalue 1, so
+        # odd:0.2 gives v(t) = 1 + (v0 - 1) e^{-t} up to the grid's O(h^2)
+        # space error; Crank-Nicolson at dt = 1e-3 missed E and I by 3.3e-7
+        tr = linear_run_p15
+        v0 = ef.initial_field(gauss_grid, "odd:0.2")
+        snapshot = functionals._Snapshot(ef.LinearParams(1.5), gauss_grid)
+        want = np.array([snapshot(1.0 + (v0 - 1.0) * np.exp(-t))[:2] for t in tr.t])
+        assert_allclose(tr.E, want[:, 0], rtol=1e-9, atol=0)
+        assert_allclose(tr.I, want[:, 1], rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("grid", [
+        lambda: ef.make_radial_grid(3, 12.0, 1000, ef.harmonic_log(0.05)),
+        lambda: ef.make_interval_grid(-16.0, 16.0, 1000, ef.power_law(1.5)),
+    ], ids=["radial-harmonic_log", "power"])
+    def test_tail_minimum_matches_small_step_crank_nicolson(self, grid):
+        # min_v is read at nodes where the weight is near e^{-72} (radial) or
+        # e^{-64} (power), which the dgamma norm does not see; the windows'
+        # max-norm bound holds it to the Crank-Nicolson flow at dt = 1e-4
+        # (the pme stepper at m = 1 solves the same linear system)
+        grid = grid()
+        common = dict(p=1.5, init="bump:0.3", t_end=0.5)
+        tr = ef.run_linear(ef.FlowConfig(kind="linear", dt=1e-3, **common), grid)
+        ref = ef.run_pme(ef.FlowConfig(kind="pme", m=1.0, dt=1e-4, stride=10 * tr.meta["stride"],
+                                       **common), grid)
+        assert_allclose(tr.t, ref.t, rtol=1e-12)
+        assert np.max(np.abs(tr.min_v - ref.min_v)) <= 1e-6
+        assert_allclose(tr.E, ref.E, rtol=1e-6, atol=0)
+        assert_allclose(tr.I, ref.I, rtol=1e-6, atol=0)
+        assert tr.mass_drift <= 1e-15
+
+    def test_window_at_the_cap_is_split(self, monkeypatch, gauss_grid_small):
+        # rows (2, 5] need 11 solves: at a cap of 10 they are split in two
+        cfg = ef.FlowConfig(kind="linear", p=1.5, init="bump:0.3", t_end=0.2, dt=1e-3,
+                            stride=20)
+        whole = ef.run_linear(cfg, gauss_grid_small)
+        monkeypatch.setattr(flows, "_MAX_KRYLOV", 10)
+        counts = spy_calls(monkeypatch, "factor", "solve")
+        split = ef.run_linear(cfg, gauss_grid_small)
+        windows = split.meta["windows"]
+        spans = [[round(t, 12) for t in w["t"]] for w in windows]
+        assert [w["k"] for w in whole.meta["windows"]] == [10, 7, 11, 10]
+        # the split window is listed, with the solves it took, before its halves
+        assert spans == [[0.0, 0.02], [0.02, 0.04], [0.04, 0.1], [0.04, 0.06], [0.06, 0.1],
+                         [0.1, 0.2]]
+        assert [w.get("split", False) for w in windows] == [False] * 2 + [True] + [False] * 3
+        assert windows[2]["k"] == 10 and windows[2]["estimate"][1] >= flows._KRYLOV_TOL_MAX
+        assert counts == {"factor": 6, "solve": sum(w["k"] for w in windows)}
+        assert_allclose(split.E, whole.E, rtol=1e-10, atol=0)
+        assert_allclose(split.min_v, whole.min_v, rtol=0, atol=1e-7)
+
+    def test_one_row_window_at_the_cap_raises(self, monkeypatch, gauss_grid_small):
+        monkeypatch.setattr(flows, "_MAX_KRYLOV", 4)
+        cfg = ef.FlowConfig(kind="linear", p=1.5, init="bump:0.3", t_end=0.2, dt=1e-3,
+                            stride=20)
+        with pytest.raises(SolverDiverged, match=(
+                r"window t in \[0, 0\.02\]: .* did not converge in 4 solves \(last "
+                r"coefficient change \S+ relative in the dgamma norm, \S+ in the max norm\)")):
+            ef.run_linear(cfg, gauss_grid_small)
+
+    def test_compact_start_clamps_round_off_below_zero(self, gauss_pot):
+        # outside the support the exact state is positive but below the
+        # expansion's error: values a little below zero are set to 0 and
+        # counted, as Crank-Nicolson kept them at or above 0
+        grid = ef.make_interval_grid(-8.0, 8.0, 801, gauss_pot)
+        v = np.maximum(2.25 - (grid.nodes + 1.0) ** 2, 0.0)
+        cfg = ef.FlowConfig(kind="linear", p=1.5, init=v / ef.integrate_dgamma(grid, v),
+                            t_end=0.2, dt=1e-3)
+        tr = ef.run_linear(cfg, grid)
+        assert tr.clamps == tr.meta["clamps"] > 0
+        assert tr.min_v.min() == 0.0
+        assert tr.mass_drift <= 1e-14
 
 
 @pytest.mark.parametrize("run, params, fns", [
@@ -232,13 +347,14 @@ def test_snapshot_grid_integrals(monkeypatch, gauss_grid_small, kind, zero_node)
         v0[n // 2] = 0.0
         v0 /= ef.integrate_dgamma(gauss_grid_small, v0)
     fsum_into = grid_module._fsum_into
-    snapshot, other = [], []
+    snapshot, other, krylov = [], [], []
 
     def counting(calls):
         return lambda terms, work: calls.append(len(terms)) or fsum_into(terms, work)
 
     monkeypatch.setattr(functionals, "_fsum_into", counting(snapshot))
     monkeypatch.setattr(grid_module, "_fsum_into", counting(other))
+    monkeypatch.setattr(flows, "_fsum_into", counting(krylov))
     cfg = ef.FlowConfig(kind=kind, p=1.5, m=1.2, init=v0, t_end=0.05, dt=1e-3, stride=5)
     tr = (ef.run_linear if kind == "linear" else ef.run_pme)(cfg, gauss_grid_small)
     assert len(tr.t) == 11
@@ -250,6 +366,13 @@ def test_snapshot_grid_integrals(monkeypatch, gauss_grid_small, kind, zero_node)
         want += [n] if kind == "linear" else []
     assert snapshot == want
     assert other == []
+    # the expansion's dgamma sums: the mass once; per window, the start's mean
+    # twice and its norm; per solve, the mean twice, the Lanczos step on the
+    # last two basis rows, all k rows once more and the new row's norm
+    windows = [] if kind == "pme" else [w["k"] for w in tr.meta["windows"]]
+    assert len(windows) == (4 if kind == "linear" else 0)
+    sums = sum(3 + sum(3 + min(j, 2) + j for j in range(1, k + 1)) for k in windows)
+    assert krylov == [n] * (sums + 1 if windows else 0)
 
 
 @pytest.mark.parametrize("kind", ["linear", "pme"])

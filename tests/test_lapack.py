@@ -105,6 +105,19 @@ def test_eigenvalue_does_not_depend_on_the_thread_count():
     assert _python(code, threads="1") == _python(code, threads="2")
 
 
+def test_linear_trace_does_not_depend_on_the_thread_count():
+    # the expansion's sums are correctly rounded and its k x k products
+    # elementwise; only the eigendecomposition of the Lanczos matrix is LAPACK's
+    code = (
+        "import hashlib\n"
+        "from entroflow import FlowConfig, harmonic_log, make_radial_grid, run_linear\n"
+        "grid = make_radial_grid(3, 12.0, 1000, harmonic_log(0.05))\n"
+        "cfg = FlowConfig(kind='linear', p=1.5, init='bump:0.3', t_end=0.5, dt=1e-3)\n"
+        "print(hashlib.sha256(run_linear(cfg, grid)._csv_text().encode()).hexdigest())\n"
+    )
+    assert _python(code, threads="1") == _python(code, threads="2")
+
+
 def test_numpy_library_comes_first():
     found = sorted(glob.glob(_lapack.candidates()[0]))
     if not found:

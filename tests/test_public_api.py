@@ -110,6 +110,16 @@ def test_package_exports_are_pinned():
     assert names == PUBLIC_NAMES
 
 
+def test_dir_lists_the_public_names_and_dunders_only():
+    # the package's own imports (importlib, os, sys) and private tables used
+    # to be listed; a submodule, once imported, is not listed either
+    importlib.import_module("entroflow.flows")
+    listed = dir(entroflow)
+    assert [n for n in listed if not n.startswith("_")] == PUBLIC_NAMES
+    assert [n for n in listed if n.startswith("_") and not n.endswith("__")] == []
+    assert {"__all__", "__doc__", "__name__", "__version__"} <= set(listed)
+
+
 def test_unknown_package_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         entroflow.no_such_name  # noqa: B018
