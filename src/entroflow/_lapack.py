@@ -10,8 +10,9 @@ numpy's wheels (2.0 and later) bundle an OpenBLAS, ``libscipy_openblas64_``
 routines, and it is mapped as soon as numpy is imported.  Calling them there
 keeps one OpenBLAS per process: scipy's compiled ``_flapack`` extension would
 map a second OpenBLAS, with worker threads of its own, for two routines.
-Neither is threaded, and the package calls no BLAS routine (the linear
-flow's ``numpy.linalg.eigh`` is of a matrix of order at most 60), so
+Neither is threaded, and the package's one other LAPACK call is the linear
+flow's ``numpy.linalg.eigh`` of a matrix of order at most 60 (``dsyevd``,
+which calls ``dgemm`` on blocks of that order above order 25), so
 ``import entroflow`` asks OpenBLAS for one thread (``OPENBLAS_NUM_THREADS=1``,
 unless the variable is set or numpy was imported first) and no worker pool
 starts.  :func:`candidates` lists where numpy's library
