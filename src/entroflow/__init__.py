@@ -34,8 +34,7 @@ _EXPORTS = {
         "sphere_area",
     ),
     "functionals": (
-        "DEFAULT_FLOOR", "LinearParams", "PmeParams", "entropy_linear", "entropy_pme",
-        "fisher_linear", "fisher_pme", "k_linear", "k_pme",
+        "DEFAULT_FLOOR", "LinearParams", "PmeParams", "entropy", "fisher", "second_order",
     ),
     "spectrum": ("SpectralResult", "epsilon_star", "lambda1_linear", "lambda1_pme"),
     "flows": ("FlowConfig", "Trace", "initial_field", "run_linear", "run_pme"),

@@ -250,10 +250,11 @@ def initial_field(grid: Grid, spec: str) -> np.ndarray:
     bump:a  -- off-center Gaussian bump, projected to zero weighted mean
     odd:a   -- linear profile centered at the weighted mean of x
     const   -- equilibrium
-    csv:p   -- node-aligned column loaded from a file
+    csv:p   -- node-aligned column loaded from a file: the last column, with
+               the checks of an array datum, normalized to unit mass
     """
     x = grid.nodes
-    if spec == "const" or spec == "equilibrium":
+    if spec == "const":
         return np.ones(grid.n)
     if ":" not in spec:
         raise ConfigError(f"cannot parse initial datum spec {spec!r}")
@@ -263,15 +264,10 @@ def initial_field(grid: Grid, spec: str) -> np.ndarray:
             v = np.loadtxt(arg, delimiter=",", ndmin=2)[:, -1]
         except ValueError as exc:
             raise ConfigError(f"cannot read initial datum file {arg!r}: {exc}") from None
-        if len(v) != grid.n:
-            raise ConfigError(f"csv field has {len(v)} rows, grid has {grid.n}")
-        if not np.isfinite(v).all():
-            raise ConfigError("csv initial datum has non-finite entries")
-        if v.min() < 0.0:
-            raise ConfigError("csv initial datum has negative entries")
+        v = _initial_state(grid, v)
         mass = integrate_dgamma(grid, v)
         if not (math.isfinite(mass) and mass > 0.0):
-            raise ConfigError(f"csv initial datum needs a finite positive mass; got {mass}")
+            raise ConfigError(f"initial datum needs a finite positive mass; got {mass}")
         return v / mass
     try:
         amp = float(arg)
@@ -303,11 +299,11 @@ def _initial_state(grid: Grid, init) -> np.ndarray:
         return initial_field(grid, init)
     v = np.array(init, dtype=float)
     if v.shape != (grid.n,):
-        raise ConfigError(f"initial array has shape {v.shape}, grid needs ({grid.n},)")
+        raise ConfigError(f"initial datum has shape {v.shape}, grid needs ({grid.n},)")
     if not np.isfinite(v).all():
-        raise ConfigError("initial array has non-finite entries")
+        raise ConfigError("initial datum has non-finite entries")
     if v.min() < 0.0:
-        raise ConfigError("initial array has negative entries")
+        raise ConfigError("initial datum has negative entries")
     return v
 
 

@@ -16,12 +16,22 @@ c(m,p) = 4m(m+p-1)/(2m+p-2)^2 and the exponents of :func:`_exponents`,
     I = c(m,p) int |Ds|^2 dgamma
     K = int s^{beta(m-1)} |Ls|^2 dgamma + alpha int s^{beta(m-1)} Ls |Ds|^2/s dgamma
 
-A linear snapshot adds q4 = int |Dz|^4 dgamma, z = v^{p/4} = s^{1/2}, the
-quartic term of :func:`verify.refined_inequality_audit`.
+Both entropies are one Bregman form: with e = (m-1) + (p-1) (m = 1 in the
+linear family),
 
-At m = 1 the porous-media forms reduce to the linear ones; the s-powers and
-the quadratic pieces go through the same helpers so the agreement is exact to
-round-off on unit-mass fields.  Every value is evaluated by :class:`_Snapshot`,
+    E = (1/e) int [v^{e+1} - 1 - (e+1)(v-1)] dgamma      (e = 0: int [v log v - (v-1)]),
+
+whose added term integrates to zero at unit mass.  A linear snapshot adds
+q4 = int |Dz|^4 dgamma, z = v^{p/4} = s^{1/2}, the quartic term of
+:func:`verify.refined_inequality_audit`.
+
+The params pick the family: :func:`entropy`, :func:`fisher` and
+:func:`second_order` take ``(params, v, grid)`` and evaluate the
+:class:`LinearParams` or :class:`PmeParams` forms above, checking unit mass
+for the latter.  At m = 1 the porous-media forms reduce to the linear ones;
+E is the same double for ``LinearParams(p)`` and ``PmeParams(m=1, p)``, and
+the s-powers and the quadratic pieces go through the same helpers, so I and
+K agree to round-off.  Every value is evaluated by :class:`_Snapshot`,
 which a flow keeps for its whole run and each public functional makes for
 one call.  Each integral is one correctly rounded sum of its integrand array
 (:func:`grid._fsum_into`), so no value depends on the order of summation.
@@ -53,12 +63,9 @@ __all__ = [
     "LinearParams",
     "PmeParams",
     "DEFAULT_FLOOR",
-    "entropy_linear",
-    "fisher_linear",
-    "k_linear",
-    "entropy_pme",
-    "fisher_pme",
-    "k_pme",
+    "entropy",
+    "fisher",
+    "second_order",
 ]
 
 # density floor: K divides by the s-field, fractional powers of v are taken of
@@ -82,9 +89,13 @@ def _exponents(m: float, p: float) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class LinearParams:
-    """p in [1, 2]; p = 1 routes the entropy to the logarithmic branch."""
+    """p in [1, 2]; p = 1 routes the entropy to the logarithmic branch.
+
+    The m = 1 member of the porous-media family: it carries the m, beta, c
+    and alpha of :class:`PmeParams` at m = 1, with c = 4/p and beta = 2/p."""
 
     p: float
+    m = 1.0
 
     def __post_init__(self) -> None:
         if not (1.0 <= self.p <= 2.0):
@@ -93,6 +104,14 @@ class LinearParams:
     @property
     def alpha(self) -> float:
         return _exponents(1.0, self.p)[2]
+
+    @property
+    def beta(self) -> float:
+        return _exponents(1.0, self.p)[0]
+
+    @property
+    def c(self) -> float:
+        return 4.0 / self.p
 
     @property
     def s_exponent(self) -> float:
@@ -169,15 +188,12 @@ class _Snapshot:
     is written into ``row`` with ``out=`` ufuncs and summed where it lies by
     :func:`grid._fsum_into`, so a snapshot allocates no n-sized array.  The
     public functionals below evaluate through the same methods, so a
-    snapshot's values are theirs bit for bit.
-
-    The work arrays pay: with plain numpy temporaries, the benchmark's linear
-    flow command (n = 20001, 4000 steps, 201 snapshots; 2 cores, numpy 2.4)
-    made 104k minor page faults against 14k and was slower in 8 of 8
-    alternated runs (median +0.2 s).  They are rows of one block because
-    five separate 160 KB arrays land on the brk heap once glibc has raised
-    its mmap threshold: the command's peak RSS was then 45.8 MB, against
-    45.0 MB with the block.
+    snapshot's values are theirs bit for bit.  Between rows, the linear
+    flow's Krylov expansion (:class:`flows._Krylov`) takes ``row``, ``work``
+    and ``a`` as its scratch.  The work arrays are rows of one block because
+    five separate 160 KB arrays (n = 20001) land on the brk heap once glibc
+    has raised its mmap threshold, where trimming and regrowing the heap top
+    costs page faults and resident memory.
     """
 
     def __init__(self, params: LinearParams | PmeParams, grid: Grid):
@@ -203,29 +219,34 @@ class _Snapshot:
         return row if self.pme else (*row, self._q4(s))
 
     def entropy(self, v: np.ndarray) -> float:
-        out, tmp, p = self.row, self.a, self.params.p
-        if self.pme:
-            e = self.params.m + p - 2.0
-            np.power(v, e + 1.0, out=out)
-            out -= 1.0
-        elif p == 1.0:
-            # v log v - (v - 1); v >= 0, and at v = 0 the product is -0.0,
-            # which gives the same integrand 1.0 as a masked 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.maximum(v, 1e-300, out=out)
-                np.log(out, out=out)
-                out *= v
-            out -= np.subtract(v, 1.0, out=tmp)
+        """(1/e) int [v^c - 1 - c(v-1)] dgamma, c = e + 1, in d = v - 1.
+
+        The integrand is (expm1(c log1p d) - c d)/e, and v log1p d - d at
+        e = 0: the 1 cancels exactly, so E is not stuck at the rounding of
+        v^c - 1 near v = 1.  c = p + (m - 1) is p exactly at m = 1, and
+        e = c - 1 is exact for every c above 1/2 (here c > p/2), so a node
+        where v = 0 gives the term 1 exactly, in both branches.
+        """
+        out, d = self.row, self.a
+        c = self.params.p + (self.params.m - 1.0)
+        e = c - 1.0
+        np.subtract(v, 1.0, out=d)
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf where v = 0
+            np.log1p(d, out=out)
+        if e == 0.0:
+            # log1p(d) is -inf only where d rounds to -1 (v below 2^-54); at
+            # -745 instead, v = 0 gives v * log = -0.0, not 0 * -inf = nan
+            np.maximum(out, -745.0, out=out)
+            out *= v
         else:
-            np.power(v, p, out=out)
-            out -= 1.0
-            np.subtract(v, 1.0, out=tmp)
-            tmp *= p
-            out -= tmp
-            out /= p - 1.0
+            out *= c
+            np.expm1(out, out=out)
+            d *= c
+        out -= d
+        if e != 0.0:
+            out /= e
         out *= self.grid.dgamma_weights
-        total = self._sum(out)
-        return total / (self.params.m + p - 2.0) if self.pme else total
+        return self._sum(out)
 
     def fisher(self, v: np.ndarray) -> float:
         return self._fisher(self._s_field(v))
@@ -246,10 +267,10 @@ class _Snapshot:
 
     def _fisher(self, s: np.ndarray) -> float:
         total = self._sum(_dirichlet_row(self.grid, s, s, self.row[:-1], self.edge))
-        return (self.params.c if self.pme else 4.0 / self.params.p) * total
+        return self.params.c * total
 
     def _k(self, s: np.ndarray) -> float:
-        """Integral of |Ls|^2 + alpha Ls |Ds|^2 / s (pme: times s^{beta(m-1)})."""
+        """Integral of s^{beta(m-1)} (|Ls|^2 + alpha Ls |Ds|^2 / s)."""
         grid, out, ls, gs = self.grid, self.row, self.a, self.b
         _net_flux(grid, s, out=ls, flux=self.edge)
         ls /= grid.node_mass
@@ -259,7 +280,7 @@ class _Snapshot:
         ls *= gs
         ls /= s
         out += ls
-        e2 = self.params.beta * (self.params.m - 1.0) if self.pme else 0.0
+        e2 = self.params.beta * (self.params.m - 1.0)
         if e2 != 0.0:
             out *= np.power(s, e2, out=gs)
         out *= grid.dgamma_weights
@@ -272,41 +293,28 @@ class _Snapshot:
         return self._sum(np.multiply(self.row, self.grid.dgamma_weights, out=self.row))
 
 
-def entropy_linear(params: LinearParams, v, grid: Grid) -> float:
-    """Generalized entropy; vanishes iff v is the unit-mass equilibrium."""
+def _checked(params: LinearParams | PmeParams, v, grid: Grid, check) -> np.ndarray:
+    """v as a grid field after ``check``, and of unit mass for PmeParams."""
     v = _check_field(grid, v)
-    _check_nonnegative(v)
+    check(v)
+    if isinstance(params, PmeParams):
+        _check_unit_mass(integrate_dgamma(grid, v))
+    return v
+
+
+def entropy(params: LinearParams | PmeParams, v, grid: Grid) -> float:
+    """Generalized entropy E; vanishes iff v is the unit-mass equilibrium."""
+    v = _checked(params, v, grid, _check_nonnegative)
     return _Snapshot(params, grid).entropy(v)
 
 
-def fisher_linear(params: LinearParams, v, grid: Grid) -> float:
-    v = _check_field(grid, v)
-    _check_nonnegative(v)
+def fisher(params: LinearParams | PmeParams, v, grid: Grid) -> float:
+    """Entropy production I = c int |Ds|^2 dgamma."""
+    v = _checked(params, v, grid, _check_nonnegative)
     return _Snapshot(params, grid).fisher(v)
 
 
-def k_linear(params: LinearParams, v, grid: Grid) -> float:
-    v = _check_field(grid, v)
-    _check_floor(v)
-    return _Snapshot(params, grid).k(v)
-
-
-def entropy_pme(params: PmeParams, v, grid: Grid) -> float:
-    v = _check_field(grid, v)
-    _check_nonnegative(v)
-    _check_unit_mass(integrate_dgamma(grid, v))
-    return _Snapshot(params, grid).entropy(v)
-
-
-def fisher_pme(params: PmeParams, v, grid: Grid) -> float:
-    v = _check_field(grid, v)
-    _check_nonnegative(v)
-    _check_unit_mass(integrate_dgamma(grid, v))
-    return _Snapshot(params, grid).fisher(v)
-
-
-def k_pme(params: PmeParams, v, grid: Grid) -> float:
-    v = _check_field(grid, v)
-    _check_floor(v)
-    _check_unit_mass(integrate_dgamma(grid, v))
+def second_order(params: LinearParams | PmeParams, v, grid: Grid) -> float:
+    """Second-order functional K; v must lie at or above ``DEFAULT_FLOOR``."""
+    v = _checked(params, v, grid, _check_floor)
     return _Snapshot(params, grid).k(v)

@@ -178,6 +178,21 @@ class TestFlowAndReport:
         # refined audits every row of the trace
         assert payload[-1]["details"]["snapshots"] == len(Trace.from_csv(trace).t) == 251
 
+    def test_entropy_decays_below_the_rounding_of_v_to_the_p(self, tmp_path):
+        # on the README grid, E(20) is E0 e^{-40}, about 2e-21: the integrand
+        # v^p - 1 - p(v - 1) stalled near 2.7e-17 there and failed envelope[E,exp]
+        trace, verdicts = tmp_path / "long.csv", tmp_path / "verdicts.json"
+        assert main(["flow", "linear", "--p", "1.5", "--potential", "gaussian",
+                     "--domain=-8:8", "--n", "2001", "--tend", "20", "--dt", "1e-2",
+                     "--init", "odd:0.2", "--trace", str(trace)]) == 0
+        assert main(["report", "--trace", str(trace), "--checks", "envelope",
+                     "--out", str(verdicts)]) == 0
+        entropy = json.loads(verdicts.read_text())[0]
+        assert (entropy["name"], entropy["pass"]) == ("envelope[E,exp]", True)
+        tr = Trace.from_csv(trace)
+        assert tr.t[-1] == 20.0
+        assert abs(tr.E[-1] / (tr.E[0] * math.exp(-40.0)) - 1.0) <= 0.01
+
     def test_report_exit_offset_on_failures(self, artifacts):
         _, trace = artifacts
         # a wildly inflated eigenvalue makes both envelope checks fail: 4 + 2
@@ -758,10 +773,10 @@ class TestMalformedInput:
          "unrecognized arguments: --scheme be"),
         (["flow", "linear", "--n", "201", "--tend", "0.01", "--dt", "1e-3",
           "--init", "csv:{tmp}/zeros.csv"],
-         "csv initial datum needs a finite positive mass; got 0.0"),
+         "initial datum needs a finite positive mass; got 0.0"),
         (["flow", "linear", "--n", "201", "--tend", "0.01", "--dt", "1e-3",
           "--init", "csv:{tmp}/nan.csv"],
-         "csv initial datum has non-finite entries"),
+         "initial datum has non-finite entries"),
         (["region", "--theta", "0"], "theta must lie in (0, 1]; got 0.0"),
         (["region", "--theta", "1.5"], "theta must lie in (0, 1]; got 1.5"),
         (["report", "--trace", "{trace}", "--lambda1", "nan"], "lambda1 must be finite; got nan"),

@@ -48,11 +48,13 @@ class TestInitialField:
     def test_csv_length_mismatch(self, gauss_grid, tmp_path):
         path = tmp_path / "short.csv"
         np.savetxt(path, np.ones(7), delimiter=",")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"initial datum has shape \(7,\), grid needs "
+                                              rf"\({gauss_grid.n},\)"):
             ef.initial_field(gauss_grid, f"csv:{path}")
 
     @pytest.mark.parametrize("spec, message", [
         ("bump", "cannot parse initial datum spec 'bump'"),
+        ("equilibrium", "cannot parse initial datum spec 'equilibrium'"),
         ("wave:0.2", "unknown initial datum family 'wave'"),
     ])
     def test_malformed_spec(self, gauss_grid, spec, message):
@@ -64,7 +66,7 @@ class TestInitialField:
         v[100] = -1e-3
         path = tmp_path / "negative.csv"
         np.savetxt(path, v, delimiter=",")
-        with pytest.raises(ConfigError, match="csv initial datum has negative entries"):
+        with pytest.raises(ConfigError, match="initial datum has negative entries"):
             ef.initial_field(gauss_grid, f"csv:{path}")
 
 
@@ -143,7 +145,7 @@ class TestLinearFlow:
         tr = ef.run_linear(cfg, gauss_grid_small)
         assert states[0].tobytes() == v0.tobytes()
         assert tr.min_v[0] == 0.0 and tr.min_v[1:].min() > 0.0
-        assert tr.E[0] == ef.entropy_linear(ef.LinearParams(1.5), v0, gauss_grid_small)
+        assert tr.E[0] == ef.entropy(ef.LinearParams(1.5), v0, gauss_grid_small)
 
     def test_array_init_left_unchanged(self, gauss_grid_small, states):
         # the run writes its rows over its own copy of the start, never over
@@ -312,18 +314,18 @@ class TestKrylovWindows:
         assert tr.mass_drift <= 1e-14
 
 
-@pytest.mark.parametrize("run, params, fns", [
-    ("linear_recorded_p15", ef.LinearParams(1.5),
-     (ef.entropy_linear, ef.fisher_linear, ef.k_linear)),
-    ("pme_recorded", ef.PmeParams(m=1.2, p=1.5), (ef.entropy_pme, ef.fisher_pme, ef.k_pme)),
+@pytest.mark.parametrize("run, params", [
+    ("linear_recorded_p15", ef.LinearParams(1.5)),
+    ("pme_recorded", ef.PmeParams(m=1.2, p=1.5)),
 ])
-def test_snapshot_functionals_are_the_public_ones(request, gauss_grid, run, params, fns):
+def test_snapshot_functionals_are_the_public_ones(request, gauss_grid, run, params):
     # a snapshot shares one s-field between I and K; each value must be the
     # one the functional gives on its own
     tr, states = request.getfixturevalue(run)
     assert len(states) == len(tr.t) > 5
     for snap, v in enumerate(states):
-        assert (tr.E[snap], tr.I[snap], tr.K[snap]) == tuple(f(params, v, gauss_grid) for f in fns)
+        assert (tr.E[snap], tr.I[snap], tr.K[snap]) == tuple(
+            f(params, v, gauss_grid) for f in (ef.entropy, ef.fisher, ef.second_order))
 
 
 @pytest.mark.parametrize("p", [1.2, 1.5, 2.0])

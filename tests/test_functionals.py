@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,32 +34,32 @@ class TestLinearEntropies:
         one = np.ones(gauss_grid.n)
         for p in (1.0, 1.3, 2.0):
             prm = ef.LinearParams(p)
-            assert ef.entropy_linear(prm, one, gauss_grid) == 0.0
-            assert ef.fisher_linear(prm, one, gauss_grid) == 0.0
-            assert ef.k_linear(prm, one, gauss_grid) == 0.0
+            assert ef.entropy(prm, one, gauss_grid) == 0.0
+            assert ef.fisher(prm, one, gauss_grid) == 0.0
+            assert ef.second_order(prm, one, gauss_grid) == 0.0
 
     def test_p2_is_weighted_variance(self, gauss_grid):
         v = _perturbed(gauss_grid)
-        e2 = ef.entropy_linear(ef.LinearParams(2.0), v, gauss_grid)
+        e2 = ef.entropy(ef.LinearParams(2.0), v, gauss_grid)
         var = ef.integrate_dgamma(gauss_grid, (v - 1.0) ** 2)
         assert e2 == pytest.approx(var, rel=1e-12)
 
     def test_continuity_at_p_one(self, gauss_grid):
         v = _perturbed(gauss_grid)
-        e_lim = ef.entropy_linear(ef.LinearParams(1.0), v, gauss_grid)
-        e_near = ef.entropy_linear(ef.LinearParams(1.0001), v, gauss_grid)
+        e_lim = ef.entropy(ef.LinearParams(1.0), v, gauss_grid)
+        e_near = ef.entropy(ef.LinearParams(1.0001), v, gauss_grid)
         assert abs(e_near - e_lim) / max(abs(e_lim), 1e-300) < 1e-3
 
     def test_nonnegative_on_unit_mass(self, gauss_grid):
         v = _perturbed(gauss_grid)
         for p in (1.0, 1.5, 2.0):
-            assert ef.entropy_linear(ef.LinearParams(p), v, gauss_grid) >= 0.0
+            assert ef.entropy(ef.LinearParams(p), v, gauss_grid) >= 0.0
 
     def test_negative_density_rejected(self, gauss_grid):
         v = np.ones(gauss_grid.n)
         v[3] = -0.1
         with pytest.raises(NegativeDensity):
-            ef.entropy_linear(ef.LinearParams(1.5), v, gauss_grid)
+            ef.entropy(ef.LinearParams(1.5), v, gauss_grid)
 
     def test_p_range(self):
         with pytest.raises(ParameterError):
@@ -70,12 +71,12 @@ class TestLinearEntropies:
 class TestLinearFisher:
     def test_p2_substitution(self, gauss_grid):
         v = _perturbed(gauss_grid)
-        i2 = ef.fisher_linear(ef.LinearParams(2.0), v, gauss_grid)
+        i2 = ef.fisher(ef.LinearParams(2.0), v, gauss_grid)
         assert i2 == pytest.approx(2.0 * ef.dirichlet_form(gauss_grid, v, v), rel=1e-12)
 
     def test_p1_classical_form(self, gauss_grid):
         v = _perturbed(gauss_grid)
-        i1 = ef.fisher_linear(ef.LinearParams(1.0), v, gauss_grid)
+        i1 = ef.fisher(ef.LinearParams(1.0), v, gauss_grid)
         root = np.sqrt(v)
         assert i1 == pytest.approx(4.0 * ef.dirichlet_form(gauss_grid, root, root), rel=1e-12)
 
@@ -83,7 +84,7 @@ class TestLinearFisher:
         v = np.ones(gauss_grid.n)
         v[5] = 0.0
         with pytest.raises(FloorViolation):
-            ef.k_linear(ef.LinearParams(1.5), v, gauss_grid)
+            ef.second_order(ef.LinearParams(1.5), v, gauss_grid)
 
 
 class TestSecondOrderBound:
@@ -94,8 +95,8 @@ class TestSecondOrderBound:
         for p in (1.2, 1.5, 2.0):
             prm = ef.LinearParams(p)
             lam = ef.lambda1_linear(p, gauss_grid).lam
-            K = ef.k_linear(prm, v, gauss_grid)
-            I = ef.fisher_linear(prm, v, gauss_grid)
+            K = ef.second_order(prm, v, gauss_grid)
+            I = ef.fisher(prm, v, gauss_grid)
             assert K >= lam * (p / 4.0) * I * (1.0 - 1e-6)
 
 
@@ -168,34 +169,36 @@ class TestPmeFunctionals:
     def test_equilibrium_zero(self, gauss_grid):
         one = np.ones(gauss_grid.n)
         prm = ef.PmeParams(m=1.2, p=1.5)
-        assert ef.entropy_pme(prm, one, gauss_grid) == 0.0
-        assert ef.fisher_pme(prm, one, gauss_grid) == 0.0
-        assert ef.k_pme(prm, one, gauss_grid) == 0.0
+        assert ef.entropy(prm, one, gauss_grid) == 0.0
+        assert ef.fisher(prm, one, gauss_grid) == 0.0
+        assert ef.second_order(prm, one, gauss_grid) == 0.0
 
     def test_m_one_recovers_linear(self, gauss_grid):
+        # one entropy integrand: at m = 1 its exponent is p and E the same double
         v = _perturbed(gauss_grid)
         for p in (1.2, 1.5, 1.9):
             lin = ef.LinearParams(p)
             pme = ef.PmeParams(m=1.0, p=p)
-            for f_lin, f_pme in (
-                (ef.entropy_linear, ef.entropy_pme),
-                (ef.fisher_linear, ef.fisher_pme),
-                (ef.k_linear, ef.k_pme),
-            ):
-                a = f_lin(lin, v, gauss_grid)
-                b = f_pme(pme, v, gauss_grid)
+            assert ef.entropy(lin, v, gauss_grid) == ef.entropy(pme, v, gauss_grid)
+            for f in (ef.fisher, ef.second_order):
+                a = f(lin, v, gauss_grid)
+                b = f(pme, v, gauss_grid)
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
-    def test_mass_guard(self, gauss_grid):
-        prm = ef.PmeParams(m=1.2, p=1.5)
+    @pytest.mark.parametrize("f", [ef.entropy, ef.fisher, ef.second_order],
+                             ids=lambda f: f.__name__)
+    def test_mass_guard_follows_the_params(self, gauss_grid, f):
+        # the params, not the function, decide the family and its checks
+        v = np.full(gauss_grid.n, 1.5)
         with pytest.raises(MassNotNormalized):
-            ef.entropy_pme(prm, np.full(gauss_grid.n, 1.5), gauss_grid)
+            f(ef.PmeParams(m=1.2, p=1.5), v, gauss_grid)
+        assert math.isfinite(f(ef.LinearParams(1.5), v, gauss_grid))
 
     def test_positivity(self, gauss_grid):
         v = _perturbed(gauss_grid)
         prm = ef.PmeParams(m=1.2, p=1.5)
-        assert ef.entropy_pme(prm, v, gauss_grid) > 0.0
-        assert ef.fisher_pme(prm, v, gauss_grid) > 0.0
+        assert ef.entropy(prm, v, gauss_grid) > 0.0
+        assert ef.fisher(prm, v, gauss_grid) > 0.0
 
 
 def _fsum(a):
@@ -216,14 +219,16 @@ def _reference_rows(params, v, grid, floor=ef.DEFAULT_FLOOR):
     snapshot from the formulas as plain numpy expressions; I holds the n - 1
     Fisher edge terms and K is None below the floor."""
     mu, pme = grid.dgamma_weights, isinstance(params, ef.PmeParams)
-    p = params.p
-    if pme:
-        E = mu * (np.power(v, params.m + p - 2.0 + 1.0) - 1.0)
-    elif p == 1.0:
-        vlogv = np.where(v > 0.0, v * np.log(np.maximum(v, 1e-300)), 0.0)
-        E = mu * (vlogv - (v - 1.0))
+    # [v^c - 1 - c(v-1)]/e, c = e + 1, in d = v - 1; v log v - (v - 1) at e = 0
+    c = params.p + (params.m - 1.0)
+    e, d = c - 1.0, v - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log = np.log1p(d)
+        vlogv = np.where(v > 0.0, v * log, 0.0)
+    if e == 0.0:
+        E = mu * (vlogv - d)
     else:
-        E = mu * ((np.power(v, p) - 1.0 - p * (v - 1.0)) / (p - 1.0))
+        E = mu * ((np.expm1(c * log) - c * d) / e)
     x = params.s_exponent
     s = v if x == 1.0 else np.power(np.maximum(v, floor), x)
     ds = np.diff(s)
@@ -250,9 +255,8 @@ def _reference(params, v, grid, floor=ef.DEFAULT_FLOOR):
     of the reference rows, each summed with math.fsum."""
     E, mass, I, K, *q4 = _reference_rows(params, v, grid, floor)
     pme = isinstance(params, ef.PmeParams)
-    E = _fsum(E) / (params.m + params.p - 2.0) if pme else _fsum(E)
     I = (params.c if pme else 4.0 / params.p) * _fsum(I)
-    return (E, I, np.nan if K is None else _fsum(K), _fsum(mass), float(v.min()),
+    return (_fsum(E), I, np.nan if K is None else _fsum(K), _fsum(mass), float(v.min()),
             *map(_fsum, q4))
 
 
@@ -260,12 +264,6 @@ SNAPSHOT_PARAMS = [
     ef.LinearParams(1.0), ef.LinearParams(1.5), ef.LinearParams(2.0),
     ef.PmeParams(m=1.0, p=1.5), ef.PmeParams(m=1.2, p=1.5),
 ]
-
-
-def _public(params):
-    if isinstance(params, ef.PmeParams):
-        return ef.entropy_pme, ef.fisher_pme, ef.k_pme
-    return ef.entropy_linear, ef.fisher_linear, ef.k_linear
 
 
 def _bits(values):
@@ -278,7 +276,7 @@ class TestSnapshot:
         v = _perturbed(gauss_grid)
         snap = _Snapshot(params, gauss_grid)
         got = snap(v)
-        public = [f(params, v, gauss_grid) for f in _public(params)]
+        public = [f(params, v, gauss_grid) for f in (ef.entropy, ef.fisher, ef.second_order)]
         public += [ef.integrate_dgamma(gauss_grid, v), v.min()]
         if isinstance(params, ef.LinearParams):
             z = np.sqrt(np.power(np.maximum(v, ef.DEFAULT_FLOOR), params.p / 2.0))
@@ -301,6 +299,24 @@ class TestSnapshot:
         want = _reference_rows(params, v, gauss_grid)
         assert [a.tobytes() for a in summed] == [a.tobytes() for a in want]
 
+    @pytest.mark.parametrize("params", [*SNAPSHOT_PARAMS, ef.PmeParams(m=2.0, p=1.5),
+                                        ef.PmeParams(m=0.4, p=1.5)], ids=repr)
+    def test_a_zero_node_gives_the_entropy_term_one(self, monkeypatch, gauss_grid, params):
+        # a compact support: where v = 0 the integrand is 1 exactly, in both
+        # branches and for e = (m-1) + (p-1) of either sign, with no warning
+        summed = []
+        fsum_into = functionals._fsum_into
+        monkeypatch.setattr(functionals, "_fsum_into", lambda terms, work:
+                            summed.append(terms.copy()) or fsum_into(terms, work))
+        v = _normalized(gauss_grid, np.maximum(2.25 - (gauss_grid.nodes + 1.0) ** 2, 0.0))
+        zero = v == 0.0
+        assert 0 < zero.sum() < gauss_grid.n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E = _Snapshot(params, gauss_grid).entropy(v)
+        assert summed[0][zero].tobytes() == gauss_grid.dgamma_weights[zero].tobytes()
+        assert math.isfinite(E) and E > 0.0
+
     @pytest.mark.parametrize("params", SNAPSHOT_PARAMS, ids=repr)
     def test_k_is_nan_below_the_floor(self, gauss_grid, params):
         v = _perturbed(gauss_grid)
@@ -311,11 +327,10 @@ class TestSnapshot:
         assert np.isnan(K)
         ref = _reference(params, v, gauss_grid, 1e-12)
         assert _bits((E, I, *rest)) == _bits(ref[:2] + ref[3:])
-        entropy, fisher, k = _public(params)
-        assert _bits((E, I)) == _bits((entropy(params, v, gauss_grid),
-                                       fisher(params, v, gauss_grid)))
+        assert _bits((E, I)) == _bits((ef.entropy(params, v, gauss_grid),
+                                       ef.fisher(params, v, gauss_grid)))
         with pytest.raises(FloorViolation):
-            k(params, v, gauss_grid)
+            ef.second_order(params, v, gauss_grid)
 
     @pytest.mark.parametrize("params", SNAPSHOT_PARAMS, ids=repr)
     def test_negative_entry_raises(self, gauss_grid, params):

@@ -50,15 +50,13 @@ PUBLIC_NAMES = [
     "discriminant",
     "dissipation_audit",
     "ellipse_margin",
-    "entropy_linear",
-    "entropy_pme",
+    "entropy",
     "envelope_exponential",
     "envelope_pme",
     "epsilon_star",
     "evaluate",
     "example1_epsilon_bound",
-    "fisher_linear",
-    "fisher_pme",
+    "fisher",
     "fit_exponential_rate",
     "flat",
     "gradient_sq",
@@ -67,8 +65,6 @@ PUBLIC_NAMES = [
     "initial_field",
     "inner_dgamma",
     "integrate_dgamma",
-    "k_linear",
-    "k_pme",
     "lambda1_linear",
     "lambda1_pme",
     "lemma_audit",
@@ -84,6 +80,7 @@ PUBLIC_NAMES = [
     "run_checks",
     "run_linear",
     "run_pme",
+    "second_order",
     "sphere_area",
     "tabulated",
     "tail_mass",
