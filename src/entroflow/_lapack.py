@@ -1,9 +1,11 @@
 """The two LAPACK routines entroflow calls, bound with ctypes in the OpenBLAS
 that numpy has already loaded: ``dpttrf``/``dpttrs``, which factor and solve
 symmetric positive definite tridiagonal systems, through
-:class:`SPDTridiagonal`.  Both implicit flow steps solve with them, and the
-spectral quotients' inverse iteration factors shifted matrices (a failed
-factorization is a Sturm count that brackets the eigenvalue) and solves.
+:class:`SPDTridiagonal`.  The linear flow's Krylov windows factor and
+solve W + gamma S, the porous-media Newton steps factor and solve their own
+system, and the spectral quotients' inverse iteration factors shifted
+matrices (a failed factorization is a Sturm count that brackets the
+eigenvalue) and solves.
 
 numpy's wheels (2.0 and later) bundle an OpenBLAS, ``libscipy_openblas64_``
 (64-bit integers, symbols ``scipy_<name>_64_``), that exports both

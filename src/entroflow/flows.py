@@ -63,7 +63,7 @@ import numpy as np
 from ._lapack import SPDTridiagonal
 from .errors import ConfigError, LinearSolveFailure, NewtonDiverged, SolverDiverged
 from .functionals import DEFAULT_FLOOR, LinearParams, PmeParams, _Snapshot
-from .grid import Grid, _fsum_into, delta_g, integrate_dgamma, stiffness_bands
+from .grid import Grid, delta_g, inner_dgamma, integrate_dgamma, stiffness_bands
 
 __all__ = ["FlowConfig", "Trace", "initial_field", "run_linear", "run_pme"]
 
@@ -341,7 +341,7 @@ class _Krylov:
 
     v0 = c + w with c its dgamma mean.  A window [a, b] takes a Lanczos basis
     q_1..q_k of A = (W + gamma S)^{-1} W = (1 - gamma L)^{-1} from w(a),
-    orthonormal in the dgamma inner product (sums by :func:`grid._fsum_into`)
+    orthonormal in the dgamma inner product (:func:`grid.inner_dgamma`)
     and orthogonal to the constants, and with the Ritz pairs (theta_j, z_j) of
     A sets w(a + tau) = |w(a)| sum_i C_i q_i, C(tau) = sum_j z_j z_j[0]
     e^{-tau (1 - theta_j)/(gamma theta_j)}.  The state at b starts the next
@@ -367,11 +367,12 @@ class _Krylov:
         self.clamps = 0
 
     def _dot(self, x: np.ndarray, y: np.ndarray | None = None) -> float:
-        """The dgamma inner product of x and y, or the dgamma mean of x."""
-        row = np.multiply(self.grid.dgamma_weights, x, out=self.snapshot.row)
-        if y is not None:
-            row *= y
-        return _fsum_into(row, self.snapshot.work)
+        """The dgamma inner product of x and y, or the dgamma mean of x, summed
+        on the snapshot's work arrays."""
+        row, work = self.snapshot.row, self.snapshot.work
+        if y is None:
+            return integrate_dgamma(self.grid, x, terms=row, work=work)
+        return inner_dgamma(self.grid, x, y, terms=row, work=work)
 
     def _project(self, y: np.ndarray, k: int) -> float:
         """Remove from y its mean and its components on the first k basis rows:

@@ -34,7 +34,8 @@ the s-powers and the quadratic pieces go through the same helpers, so I and
 K agree to round-off.  Every value is evaluated by :class:`_Snapshot`,
 which a flow keeps for its whole run and each public functional makes for
 one call.  Each integral is one correctly rounded sum of its integrand array
-(:func:`grid._fsum_into`), so no value depends on the order of summation.
+(:func:`grid.integrate_dgamma`, :func:`grid.dirichlet_form`), so no value
+depends on the order of summation.
 """
 
 from __future__ import annotations
@@ -52,10 +53,9 @@ from .errors import (
 from .grid import (
     Grid,
     _check_field,
-    _dirichlet_row,
-    _fsum_into,
-    _gradient_sq,
-    _net_flux,
+    delta_g,
+    dirichlet_form,
+    gradient_sq,
     integrate_dgamma,
 )
 
@@ -184,16 +184,19 @@ def _check_unit_mass(mass: float) -> None:
 class _Snapshot:
     """E, I, K, the mass, the minimum and (linear) q4 of fields, on work arrays.
 
-    A flow makes one per run and calls it on every snapshot: each integrand
-    is written into ``row`` with ``out=`` ufuncs and summed where it lies by
-    :func:`grid._fsum_into`, so a snapshot allocates no n-sized array.  The
-    public functionals below evaluate through the same methods, so a
-    snapshot's values are theirs bit for bit.  Between rows, the linear
-    flow's Krylov expansion (:class:`flows._Krylov`) takes ``row``, ``work``
-    and ``a`` as its scratch.  The work arrays are rows of one block because
-    five separate 160 KB arrays (n = 20001) land on the brk heap once glibc
-    has raised its mmap threshold, where trimming and regrowing the heap top
-    costs page faults and resident memory.
+    A flow makes one per run and calls it on every snapshot.  Every stencil
+    and every dgamma sum is a call of the grid's :func:`delta_g`,
+    :func:`gradient_sq`, :func:`dirichlet_form` or :func:`integrate_dgamma`
+    with the snapshot's arrays as its result and scratch (``out``, ``flux``,
+    ``edge``, ``terms``, ``work``): each integrand is written into ``row``
+    with ``out=`` ufuncs and summed where it lies, so a snapshot allocates
+    no n-sized array.  The public functionals below evaluate through the
+    same methods, so a snapshot's values are theirs bit for bit.  Between
+    rows, the linear flow's Krylov expansion (:class:`flows._Krylov`) takes
+    ``row``, ``work`` and ``a`` as its scratch.  The work arrays are rows of
+    one block because five separate 160 KB arrays (n = 20001) land on the
+    brk heap once glibc has raised its mmap threshold, where trimming and
+    regrowing the heap top costs page faults and resident memory.
     """
 
     def __init__(self, params: LinearParams | PmeParams, grid: Grid):
@@ -210,7 +213,7 @@ class _Snapshot:
         K is nan below the floor; a mass off 1 raises MassNotNormalized."""
         _check_nonnegative(v)
         E = self.entropy(v)
-        mass = self._sum(np.multiply(self.grid.dgamma_weights, v, out=self.row))
+        mass = integrate_dgamma(self.grid, v, terms=self.row, work=self.work)
         _check_unit_mass(mass)
         s = self._s_field(v)
         I = self._fisher(s)
@@ -245,17 +248,13 @@ class _Snapshot:
         out -= d
         if e != 0.0:
             out /= e
-        out *= self.grid.dgamma_weights
-        return self._sum(out)
+        return integrate_dgamma(self.grid, out, terms=out, work=self.work)
 
     def fisher(self, v: np.ndarray) -> float:
         return self._fisher(self._s_field(v))
 
     def k(self, v: np.ndarray) -> float:
         return self._k(self._s_field(v))
-
-    def _sum(self, terms: np.ndarray) -> float:
-        return _fsum_into(terms, self.work[:len(terms)])
 
     def _s_field(self, v: np.ndarray) -> np.ndarray:
         # fractional powers on clipped values; exponent 1.0 short-circuits exactly
@@ -266,15 +265,14 @@ class _Snapshot:
         return np.power(self.s, exponent, out=self.s)
 
     def _fisher(self, s: np.ndarray) -> float:
-        total = self._sum(_dirichlet_row(self.grid, s, s, self.row[:-1], self.edge))
+        total = dirichlet_form(self.grid, s, s, terms=self.row[:-1], work=self.edge)
         return self.params.c * total
 
     def _k(self, s: np.ndarray) -> float:
         """Integral of s^{beta(m-1)} (|Ls|^2 + alpha Ls |Ds|^2 / s)."""
         grid, out, ls, gs = self.grid, self.row, self.a, self.b
-        _net_flux(grid, s, out=ls, flux=self.edge)
-        ls /= grid.node_mass
-        _gradient_sq(grid, s, gs, self.edge)
+        delta_g(grid, s, out=ls, flux=self.edge)
+        gradient_sq(grid, s, out=gs, edge=self.edge)
         np.multiply(ls, ls, out=out)
         ls *= self.params.alpha
         ls *= gs
@@ -283,14 +281,13 @@ class _Snapshot:
         e2 = self.params.beta * (self.params.m - 1.0)
         if e2 != 0.0:
             out *= np.power(s, e2, out=gs)
-        out *= grid.dgamma_weights
-        return self._sum(out)
+        return integrate_dgamma(grid, out, terms=out, work=self.work)
 
     def _q4(self, s: np.ndarray) -> float:
         """Integral of |Dz|^4 with z = s^{1/2} (= v^{p/4} in the linear family)."""
-        gz = _gradient_sq(self.grid, np.sqrt(s, out=self.a), self.b, self.edge)
+        gz = gradient_sq(self.grid, np.sqrt(s, out=self.a), out=self.b, edge=self.edge)
         np.multiply(gz, gz, out=self.row)
-        return self._sum(np.multiply(self.row, self.grid.dgamma_weights, out=self.row))
+        return integrate_dgamma(self.grid, self.row, terms=self.row, work=self.work)
 
 
 def _checked(params: LinearParams | PmeParams, v, grid: Grid, check) -> np.ndarray:

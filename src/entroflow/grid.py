@@ -226,49 +226,37 @@ def stiffness_bands(conductance: np.ndarray, out=None) -> tuple[np.ndarray, np.n
     return diag, np.negative(conductance, out=off)
 
 
-def _net_flux(
-    grid: Grid,
-    v: np.ndarray,
-    out: np.ndarray | None = None,
-    flux: np.ndarray | None = None,
-) -> np.ndarray:
-    """-S v, accumulated edge by edge from the fluxes c (v_{i+1} - v_i), so a
-    constant field maps to exactly zero.  ``out`` (n nodes) and ``flux``
-    (n - 1 edges) are optional work arrays that a stepper reuses across steps;
-    the result is the same bits either way."""
+def delta_g(grid: Grid, v, out=None, flux=None) -> np.ndarray:
+    """Discrete weighted Laplacian  Lv = div(g grad v)/g = -W^{-1} S v  with
+    Neumann closure, accumulated edge by edge from the fluxes
+    c (v_{i+1} - v_i), so a constant field maps to exactly zero.
+
+    ``out`` (n nodes) receives the result and ``flux`` (n - 1 edges) is
+    scratch, in place of new arrays as with numpy's ``out=``; the result is
+    the same bits either way.
+    """
+    v = _check_field(grid, v)
     flux = np.subtract(v[1:], v[:-1], out=flux)
     flux *= grid.conductance
-    if out is None:
-        out = np.zeros(grid.n)
-    else:
-        out.fill(0.0)
+    out = np.empty(grid.n) if out is None else out
+    out.fill(0.0)
     out[:-1] += flux
     out[1:] -= flux
-    return out
-
-
-def delta_g(grid: Grid, v) -> np.ndarray:
-    """Discrete weighted Laplacian  Lv = div(g grad v)/g = -W^{-1} S v  with
-    Neumann closure, from the edge fluxes of :func:`_net_flux`."""
-    out = _net_flux(grid, _check_field(grid, v))
     out /= grid.node_mass
     return out
 
 
-def gradient_sq(grid: Grid, v) -> np.ndarray:
+def gradient_sq(grid: Grid, v, out=None, edge=None) -> np.ndarray:
     """Node field of |Dv|^2, edge values redistributed so that integrating it
     against dgamma reproduces the Dirichlet form exactly (summation by parts).
+    ``out`` (n nodes) and ``edge`` (n - 1 edges) as in :func:`delta_g`.
     """
-    return _gradient_sq(grid, _check_field(grid, v), np.empty(grid.n), np.empty(grid.n - 1))
-
-
-def _gradient_sq(grid: Grid, v: np.ndarray, out: np.ndarray, edge: np.ndarray) -> np.ndarray:
-    """:func:`gradient_sq` written into the work arrays ``out`` (n nodes) and
-    ``edge`` (n - 1 edges)."""
-    np.subtract(v[1:], v[:-1], out=edge)
+    v = _check_field(grid, v)
+    edge = np.subtract(v[1:], v[:-1], out=edge)
     np.square(edge, out=edge)
     edge *= grid.conductance
     edge *= 0.5
+    out = np.empty(grid.n) if out is None else out
     out.fill(0.0)
     out[:-1] += edge
     out[1:] += edge
@@ -324,43 +312,41 @@ def _fsum_into(terms: np.ndarray, work: np.ndarray) -> float:
         tau.append(float(work.sum()))
 
 
-def dirichlet_form(grid: Grid, u, v) -> float:
+def dirichlet_form(grid: Grid, u, v, terms=None, work=None) -> float:
     """Edge-based Dirichlet form  disc. integral of Du . Dv dgamma.
 
-    Its n - 1 edge terms are summed with correct rounding
-    (:func:`_fsum_into`), so the summation-by-parts identity against
-    :func:`delta_g` holds to the per-term rounding level.
+    Its n - 1 edge terms c (u_{i+1} - u_i)(v_{i+1} - v_i) / mass are summed
+    with correct rounding (:func:`_fsum_into`), so the summation-by-parts
+    identity against :func:`delta_g` holds to the per-term rounding level.
+    ``terms`` receives the edge terms and ``work`` is scratch (n - 1 each;
+    the sum overwrites both), in place of new arrays; the value is the same
+    double either way.
     """
     u = _check_field(grid, u)
     v = _check_field(grid, v)
-    edge = np.empty(grid.n - 1)
-    terms = _dirichlet_row(grid, u, v, np.empty(grid.n - 1), edge)
-    return _fsum_into(terms, edge)
-
-
-def _dirichlet_row(grid: Grid, u: np.ndarray, v: np.ndarray, out: np.ndarray,
-                   edge: np.ndarray) -> np.ndarray:
-    """The n - 1 edge terms c (u_{i+1} - u_i)(v_{i+1} - v_i) / mass of
-    :func:`dirichlet_form`, written into and returned as ``out``; ``edge``
-    (n - 1) is scratch."""
-    np.multiply(grid.conductance, np.subtract(u[1:], u[:-1], out=edge), out=out)
+    work = np.subtract(u[1:], u[:-1], out=work)
+    terms = np.multiply(grid.conductance, work, out=terms)
     if v is not u:
-        np.subtract(v[1:], v[:-1], out=edge)
-    out *= edge
-    out /= grid.weight_mass
-    return out
+        np.subtract(v[1:], v[:-1], out=work)
+    terms *= work
+    terms /= grid.weight_mass
+    return _fsum_into(terms, work)
 
 
-def integrate_dgamma(grid: Grid, f) -> float:
-    """Discrete integral of a node field against the probability measure."""
-    terms = grid.dgamma_weights * _check_field(grid, f)
-    return _fsum_into(terms, np.empty_like(terms))
+def integrate_dgamma(grid: Grid, f, terms=None, work=None) -> float:
+    """Discrete integral of a node field against the probability measure,
+    one correctly rounded sum.  ``terms`` (which may be ``f`` itself) and
+    ``work`` (n nodes each) as in :func:`dirichlet_form`."""
+    terms = np.multiply(grid.dgamma_weights, _check_field(grid, f), out=terms)
+    return _fsum_into(terms, np.empty_like(terms) if work is None else work)
 
 
-def inner_dgamma(grid: Grid, u, v) -> float:
-    terms = grid.dgamma_weights * _check_field(grid, u)
+def inner_dgamma(grid: Grid, u, v, terms=None, work=None) -> float:
+    """Discrete dgamma inner product of two node fields; ``terms`` and
+    ``work`` as in :func:`integrate_dgamma`."""
+    terms = np.multiply(grid.dgamma_weights, _check_field(grid, u), out=terms)
     terms *= _check_field(grid, v)
-    return _fsum_into(terms, np.empty_like(terms))
+    return _fsum_into(terms, np.empty_like(terms) if work is None else work)
 
 
 def norm_dgamma(grid: Grid, u) -> float:

@@ -216,9 +216,9 @@ def _centered_mismatch(t, y, target):
 def dissipation_audit(trace) -> Verdict:
     """Check dE/dt = -I and the second-order identity along a trace.
 
-    The second identity is dI/dt = -(8/p) K for the linear flow and
-    dI/dt = -2 m c(m,p) K for the porous-media flow, with the flow kind, p
-    and m read from ``trace.config``.  The mismatch of centered differences
+    The second identity is dI/dt = -2 m c(m,p) K, with the flow kind, p and
+    m read from ``trace.config``; the linear flow's params carry m = 1 and
+    c = 4/p, so there it is -(8/p) K.  The mismatch of centered differences
     is second order in the snapshot spacing, and the tolerance,
     3 rate^3 spacing^2, scales accordingly.
     """
@@ -226,11 +226,11 @@ def dissipation_audit(trace) -> Verdict:
     p = float(trace.config["p"])
     if kind == "pme":
         params = PmeParams(m=float(trace.config["m"]), p=p)
-        second_coeff = 2.0 * params.m * params.c
     elif kind == "linear":
-        second_coeff = 8.0 / p
+        params = LinearParams(p)
     else:
         raise ConfigError(f"unknown flow kind {kind!r}")
+    second_coeff = 2.0 * params.m * params.c
     t = trace.t
     _finite_K(trace)
     mis_E, loc_E = _centered_mismatch(t, trace.E, -trace.I)

@@ -15,6 +15,7 @@ from entroflow.errors import (
     ParameterError,
 )
 from entroflow import functionals
+from entroflow import grid as grid_module
 from entroflow.functionals import _Snapshot
 
 
@@ -290,11 +291,11 @@ class TestSnapshot:
     @pytest.mark.parametrize("params", SNAPSHOT_PARAMS, ids=repr)
     def test_integrand_rows_are_the_formulas_bitwise(self, monkeypatch, gauss_grid, params):
         # the sums hide a last-bit change in a few terms; the summed arrays do not
-        summed = []
-        fsum_into = functionals._fsum_into
-        monkeypatch.setattr(functionals, "_fsum_into", lambda terms, work:
-                            summed.append(terms.copy()) or fsum_into(terms, work))
         v = _perturbed(gauss_grid)
+        summed = []
+        fsum_into = grid_module._fsum_into
+        monkeypatch.setattr(grid_module, "_fsum_into", lambda terms, work:
+                            summed.append(terms.copy()) or fsum_into(terms, work))
         _Snapshot(params, gauss_grid)(v)
         want = _reference_rows(params, v, gauss_grid)
         assert [a.tobytes() for a in summed] == [a.tobytes() for a in want]
@@ -304,11 +305,11 @@ class TestSnapshot:
     def test_a_zero_node_gives_the_entropy_term_one(self, monkeypatch, gauss_grid, params):
         # a compact support: where v = 0 the integrand is 1 exactly, in both
         # branches and for e = (m-1) + (p-1) of either sign, with no warning
-        summed = []
-        fsum_into = functionals._fsum_into
-        monkeypatch.setattr(functionals, "_fsum_into", lambda terms, work:
-                            summed.append(terms.copy()) or fsum_into(terms, work))
         v = _normalized(gauss_grid, np.maximum(2.25 - (gauss_grid.nodes + 1.0) ** 2, 0.0))
+        summed = []
+        fsum_into = grid_module._fsum_into
+        monkeypatch.setattr(grid_module, "_fsum_into", lambda terms, work:
+                            summed.append(terms.copy()) or fsum_into(terms, work))
         zero = v == 0.0
         assert 0 < zero.sum() < gauss_grid.n
         with warnings.catch_warnings():

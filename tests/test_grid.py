@@ -405,6 +405,59 @@ class TestStiffnessStencil:
         assert len(seen) == 3 and seen[2] is radial.conductance
 
 
+# name: (function, its field arguments, caller arrays by keyword with their
+# length as an offset from n)
+CALLER_ARRAYS = {
+    "delta_g": (ef.delta_g, 1, {"out": 0, "flux": -1}),
+    "gradient_sq": (ef.gradient_sq, 1, {"out": 0, "edge": -1}),
+    "dirichlet_form": (ef.dirichlet_form, 2, {"terms": -1, "work": -1}),
+    "integrate_dgamma": (ef.integrate_dgamma, 1, {"terms": 0, "work": 0}),
+    "inner_dgamma": (ef.inner_dgamma, 2, {"terms": 0, "work": 0}),
+}
+
+
+class TestCallerArrays:
+    """Caller-owned result and scratch arrays only say where to write."""
+
+    @pytest.mark.parametrize("name", CALLER_ARRAYS)
+    @pytest.mark.parametrize("kind", ["interval", "radial"])
+    @pytest.mark.parametrize("zero_node", [False, True], ids=["positive", "zero-node"])
+    def test_same_bits_with_and_without(self, name, kind, zero_node):
+        g = _stencil_grids()[kind]
+        fn, n_fields, lengths = CALLER_ARRAYS[name]
+        x = g.nodes / g.nodes[-1]
+        u = 1.0 + 0.5 * np.sin(3.0 * x)
+        if zero_node:
+            u[g.n // 3] = 0.0
+        w = np.exp(-x * x)
+        for fields in ([(u,)] if n_fields == 1 else [(u, w), (u, u)]):
+            before = [f.copy() for f in fields]
+            want = fn(g, *fields)
+            # NaN garbage: a value read from an array before it is written shows
+            arrays = {key: np.full(g.n + off, np.nan) for key, off in lengths.items()}
+            got = fn(g, *fields, **arrays)
+            assert all(f.tobytes() == b.tobytes() for f, b in zip(fields, before))
+            if isinstance(want, float):
+                assert got.hex() == want.hex()
+                # the sum ran on the caller's arrays, not on new ones
+                assert all(not np.isnan(a).any() for a in arrays.values())
+            else:
+                assert got is arrays["out"]
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["interval", "radial"])
+    def test_delta_g_of_a_constant_is_zero_over_garbage(self, kind):
+        g = _stencil_grids()[kind]
+        out, flux = np.full(g.n, 1e300), np.full(g.n - 1, np.nan)
+        assert ef.delta_g(g, np.full(g.n, 3.7), out=out, flux=flux) is out
+        assert np.all(out == 0.0)
+
+    def test_integrand_may_be_its_own_terms(self, gauss_grid, rng):
+        f = rng.standard_normal(gauss_grid.n)
+        want = ef.integrate_dgamma(gauss_grid, f)
+        assert ef.integrate_dgamma(gauss_grid, f, terms=f).hex() == want.hex()
+
+
 class TestGradientSq:
     def test_constant_gives_zero(self, gauss_grid):
         assert np.max(ef.gradient_sq(gauss_grid, np.full(gauss_grid.n, 3.7))) == 0.0

@@ -256,6 +256,15 @@ class TestDissipationAudit:
         with pytest.raises(WindowTooShort, match="needs at least 3 snapshots"):
             ef.dissipation_audit(short)
 
+    def test_linear_coefficient_two_m_c_is_eight_over_p(self):
+        # the audit takes 2 m c from the params for both kinds; for the linear
+        # flow (m = 1, c = 4/p) that is the same double as 8/p, doubling being exact
+        ps = np.concatenate((np.linspace(1.05, 2.0, 1901),
+                             1.05 + 0.95 * np.random.default_rng(3).random(1000)))
+        for p in ps.tolist():
+            params = ef.LinearParams(p)
+            assert (2.0 * params.m * params.c).hex() == (8.0 / p).hex()
+
     def test_equilibrium_zero_mismatch(self):
         v = ef.dissipation_audit(_equilibrium_trace())
         assert v.passed and v.worst_violation == 0.0
