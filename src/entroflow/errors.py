@@ -52,7 +52,8 @@ class SolverDiverged(EntroflowError):
 
 
 class NewtonDiverged(EntroflowError):
-    """Implicit step failed even after the time-step halving cascade."""
+    """The porous-media flow's step controller rejected too many steps in a
+    row (Newton stalls or error estimates above tolerance)."""
 
 
 class LinearSolveFailure(EntroflowError):

@@ -2,47 +2,26 @@
 
 L = -W^{-1} S is the grid's operator: W the node masses, S the stiffness
 matrix of :func:`grid.stiffness_bands`, whose zero column sums make both
-flows conserve the discrete mass.  A run records a trace row every
-``stride`` steps of ``dt``, at t = j stride dt; row 0 is the initial field
-itself.  The trace meta records ``dt``, ``n_steps`` (the last row is at
-n_steps dt) and ``stride``.
+flows conserve the discrete mass.  A run records a trace row at each
+t = j stride dt; row 0 is the initial field itself.  Neither flow takes steps
+of ``dt``: ``dt`` and ``stride`` set only the row times, which the trace meta
+records as ``dt``, ``n_steps`` (the last row is at n_steps dt) and ``stride``.
 
 The linear flow is v(t) = exp(tL) v0, evaluated at the row times by
 :class:`_Krylov`: shift-invert Lanczos (van den Eshof and Hochbruck, SIAM J.
 Sci. Comput. 27, 2006) on windows that double in length from t = 0, each
 restarted from the state at its start (Botchev, Grimm and Hochbruck, SIAM J.
-Sci. Comput. 35, 2013).  It takes no time steps, so ``dt`` and ``stride``
-set only the row times.  The constant mode c (the mass) is split off and the
-basis is orthogonal to it, so every row's mass is c up to the rounding of
+Sci. Comput. 35, 2013).  The constant mode c (the mass) is split off and
+the basis is orthogonal to it, so every row's mass is c up to the rounding of
 adding c to each node.  Its meta adds ``windows`` (each window's span, its
 number k of solves and its error estimate) and ``clamps``.
 
-The nonlinear step is the trapezoidal (Crank-Nicolson) rule, theta =
-``_THETA`` = 1/2: v' - theta dt L(v'^m) = v + (1-theta) dt L(v^m), solved by
-a damped Newton iteration on the O(1)-scaled residual.  The Newton matrix is
-factored once per step, at v; later updates reuse it (chord updates) while
-each accepted update cuts the residual at least 100-fold
-(``_CHORD_CONTRACTION``), so a typical step makes two updates and one
-factorization.  Its iterates, L(x^m) and residuals are new arrays: at
-n = 4001 rotating them through work arrays saved neither page faults nor
-time.  Newton stops at the first accepted update whose max-norm residual is
-at most ``_NEWTON_TOL`` (1e-12): the residual's round-off floor, about
-eps dt |L(v^m)|, grows like dt/h^2, so a fixed target such as 1e-14 is out of
-reach on fine grids.  If Newton stalls above the tolerance, the substep is
-retried at half the size, and the rest of the time step keeps the smaller
-size; the next time step starts at the full dt again.  A run fails with
-NewtonDiverged after ``_MAX_DT_HALVINGS`` (30) halvings within one step.
-The Newton system (W + theta dt S D) delta = -W res, D = diag(m v^{m-1}) > 0,
-is solved in its symmetric form (W D^{-1} + theta dt S)(D delta) = -W res with
-LAPACK ``pttrf``/``pttrs`` through one
-:class:`entroflow._lapack.SPDTridiagonal`.  L(v^m) of the accepted state is
-the operator value of its last residual; it is carried into the next step's
-right-hand side instead of being evaluated again, and clamping v at
-``DEFAULT_FLOOR`` leaves it unchanged because v^m is taken of max(v, floor).
-A ``pme`` trace's meta adds ``clamps`` (node values raised to the floor, also
-``Trace.clamps``), ``newton_iterations``, ``factorizations`` (``pttrf``
-calls) and ``dt_halvings``.  Every tolerance and limit is a module constant,
-not a setting.
+The nonlinear flow takes adaptive steps of Alexander's L-stable SDIRK3
+(:class:`_PmeStepper`), each stage solved by damped Newton and each step cut
+to end on a row time.  Every Newton iterate keeps the mass, since 1^T S = 0.
+Its meta adds ``clamps``, ``newton_iterations``, ``factorizations``,
+``accepted`` and ``rejected`` steps and ``error_estimate``.  Tolerances and
+limits are module constants.
 
 A run emits a Trace of (t, E, I, K, mass, min_v) and, for the linear flow,
 q4 = int |D v^{p/4}|^4 dgamma, the one further scalar the refined audit
@@ -63,13 +42,11 @@ import numpy as np
 from ._lapack import SPDTridiagonal
 from .errors import ConfigError, LinearSolveFailure, NewtonDiverged, SolverDiverged
 from .functionals import DEFAULT_FLOOR, LinearParams, PmeParams, _Snapshot
-from .grid import Grid, delta_g, inner_dgamma, integrate_dgamma, stiffness_bands
+from .grid import Grid, delta_g, inner_dgamma, integrate_dgamma, norm_dgamma, stiffness_bands
 
 __all__ = ["FlowConfig", "Trace", "initial_field", "run_linear", "run_pme"]
 
-# implicit weight of the nonlinear step: the trapezoidal (Crank-Nicolson) rule
-_THETA = 0.5
-# most time steps a run's time grid may hold
+# most steps of dt a run's time grid may hold
 _MAX_STEPS = 10**7
 
 
@@ -77,20 +54,17 @@ _MAX_STEPS = 10**7
 class FlowConfig:
     """Declarative description of one flow run.
 
-    ``init`` is a builtin spec ("bump:0.3", "odd:0.2", "const"),
-    "csv:path" pointing at a node-aligned column of densities, or an array of
-    node values, which the trace's config echoes as "array".  ``dt`` falls
-    back to 10 h^2; ``stride`` to whatever yields about 200 snapshots.
-    ``t_end`` and a given ``dt`` must be finite and positive, ``stride`` at
-    least 1.  A run's time grid has round(t_end / dt) steps, rounded down to
-    a whole number of strides, so its last step is its last recorded row (the
-    linear flow evaluates the rows only, the pme flow takes every step);
-    :meth:`resolved` rejects a ``t_end`` that rounds to no step, to an
-    overflowing count or to more than ``_MAX_STEPS`` (1e7), and a ``stride``
-    above the step count.  ``theta`` is the criterion's theta, which
-    ``report`` reads for lambda1_pme, not the time-stepping weight.  The
-    solvers' tolerances and limits are module constants (see the module
-    docstring); every field here is a ``flow`` CLI flag.
+    ``init`` is a builtin spec ("bump:0.3", "odd:0.2", "const"), "csv:path"
+    naming a node-aligned column of densities, or an array of node values,
+    which the trace's config echoes as "array".  ``dt`` (default 10 h^2) and
+    ``stride`` (default: about 200 rows) set only the row times: rows every
+    ``stride`` dt up to round(t_end / dt) dt, rounded down to a whole number
+    of strides.  ``t_end`` and a given ``dt`` must be finite and positive,
+    ``stride`` at least 1; :meth:`resolved` rejects a ``t_end`` that rounds
+    to no step, to an overflowing count or to more than ``_MAX_STEPS``
+    (1e7), and a ``stride`` above the step count.  ``theta`` is the
+    criterion's theta, which ``report`` reads for lambda1_pme.  Every field
+    is a ``flow`` CLI flag; tolerances and limits are module constants.
     """
 
     kind: str  # 'linear' | 'pme'
@@ -503,10 +477,9 @@ class _Krylov:
 
 def _run(config: FlowConfig, grid: Grid, kind: str, params, flow) -> Trace:
     """Run one flow.  ``flow(dt, stride, v, snapshot)`` makes the object
-    whose ``states(n)`` yields the state at rows 1..n, one every ``stride``
-    steps of dt (it may use the snapshot's work arrays between
-    rows); row 0 is the initial field itself.  The flow's ``counters`` join
-    the trace meta."""
+    whose ``states(n)`` yields the state at rows 1..n, at t = j stride dt (it
+    may use the snapshot's work arrays between rows); row 0 is the initial
+    field itself.  The flow's ``counters`` join the trace meta."""
     if config.kind != kind:
         raise ConfigError(f"run_{kind} needs a config with kind={kind!r}")
     snapshot = _Snapshot(params(), grid)
@@ -530,148 +503,175 @@ def run_linear(config: FlowConfig, grid: Grid) -> Trace:
                 lambda dt, stride, v, snapshot: _Krylov(grid, dt, stride, v, snapshot))
 
 
-# Contraction test of the Newton updates within one step (Hairer & Wanner,
-# Solving ODEs II, IV.8).  After an accepted update that cuts the max-norm
-# residual at least this much, the next update reuses the factorization (a
-# chord update); after a slower one it refactors at the current iterate.  A
-# chord update costs about 0.6 of a refactored one, so reuse pays only where
-# the iteration is already fast: at 0.1, a compact-support run (m = 2,
-# n = 801, dt = 1e-3) took about 9 updates per step on one factorization
-# where Newton takes 3; at 0.01 it takes 4 with 2 factorizations.
-_CHORD_CONTRACTION = 0.01
-# Newton ends a step at the first accepted update with max-norm residual at
-# most this; a step fails after this many halvings of its substep
+# A stage's Newton ends at the first update whose max-norm residual is at most
+# the largest of _NEWTON_TOL, 1e-3 of the step's error bound _TOL deviation,
+# and the rounding 4 eps gamma h |W^{-1}S| max v^m (fine grids).  After an
+# update that cuts it _CHORD_CONTRACTION-fold, the next one reuses the
+# factorization (a chord update; Hairer & Wanner, Solving ODEs II, IV.8).
 _NEWTON_TOL = 1e-12
-_MAX_DT_HALVINGS = 30
+_CHORD_CONTRACTION = 0.01
+
+# Alexander's SDIRK (SIAM J. Numer. Anal. 14, 1977): L-stable, stiffly
+# accurate, order 3.  _GAMMA is the root in (1/6, 1/2) of 6g^3 - 18g^2 + 9g - 1;
+# each row of _A is a stage, the last the solution.  _ERR is b minus the
+# order-2 weights on stages 1 and 2 that fit c1 and c2.
+_GAMMA = 0.43586652150845899942
+_A = ((_GAMMA,),
+      ((1.0 - _GAMMA) / 2.0, _GAMMA),
+      ((-6.0 * _GAMMA**2 + 16.0 * _GAMMA - 1.0) / 4.0,
+       (6.0 * _GAMMA**2 - 20.0 * _GAMMA + 5.0) / 4.0, _GAMMA))
+_ERR = (_A[2][0] - (1.0 - (1.0 - 2.0 * _GAMMA) / (1.0 - _GAMMA)),
+        _A[2][1] - (1.0 - 2.0 * _GAMMA) / (1.0 - _GAMMA), _GAMMA)
+# A step is accepted when its error estimate, a change of v^m, is at most
+# _TOL times the dgamma norm of v^m - mass^m at its start, or 100 times the
+# stages' Newton tolerance (its noise); in v it took 2.7 times the steps at a
+# degenerate front (m = 4, n = 801).  The next step is
+# h min(_GROW, max(_SHRINK, 0.9 err^(-1/3))); a Newton stall halves it;
+# _MAX_REJECTIONS rejections in a row raise NewtonDiverged.
+_TOL = 1e-6
+_GROW, _SHRINK = 5.0, 0.2
+_MAX_REJECTIONS = 30
 
 
 class _PmeStepper:
-    """The implicit stepper of v_t = L(v^m) for one run.
+    """The adaptive stepper of v_t = L(v^m) for one run.  ``error_estimate``
+    sums the accepted steps' estimates over the deviation (see ``_TOL``): to
+    first order a bound on the state's relative error where the flow
+    contracts, as at m = 1.  ``lv`` is L(v^m) of the current state."""
 
-    Its ``counters`` go into ``Trace.meta``: ``clamps`` (node values raised
-    to ``DEFAULT_FLOOR``), ``newton_iterations`` (Newton updates solved),
-    ``factorizations`` (dpttrf calls) and ``dt_halvings`` (halved substeps).
-    ``system`` holds the Newton matrix and its factors, and its right-hand
-    side becomes the update; ``lv`` carries L(v^m) of the current state from
-    step to step.  Every other array is a new one, so no step writes its
-    input state or an iterate it keeps.
-    """
-
-    counters = ("clamps", "newton_iterations", "factorizations", "dt_halvings")
+    counters = ("clamps", "newton_iterations", "factorizations", "accepted", "rejected",
+                "error_estimate")
 
     def __init__(self, grid: Grid, m: float, dt: float, stride: int, v: np.ndarray):
         self.grid, self.m, self.dt, self.stride, self.v = grid, m, dt, stride, v
         self.bands = stiffness_bands(grid.conductance)
-        self.clamps = self.newton_iterations = self.factorizations = self.dt_halvings = 0
+        self.stiffness = 2.0 * float((self.bands[0] / grid.node_mass).max())  # |W^-1 S|
+        self.clamps = self.newton_iterations = self.factorizations = 0
+        self.accepted, self.rejected, self.error_estimate = 0, 0, 0.0
         self.system = SPDTridiagonal(grid.n)
         self.lv = self.operator(v)
+        self.mass = integrate_dgamma(grid, v)
+        self.t, self.h = 0.0, dt * stride  # the first try is one row
 
     def operator(self, x: np.ndarray) -> np.ndarray:
         """L(max(x, floor)^m); unchanged by clamping x at the floor."""
         return delta_g(self.grid, np.power(np.maximum(x, DEFAULT_FLOOR), self.m))
 
-    @staticmethod
-    def _residual(x, lx, tdt, rhs) -> tuple[np.ndarray, float]:
-        """x - theta dt L(x^m) - rhs and its max norm."""
-        res = x - lx * tdt - rhs
-        return res, float(np.abs(res).max())
-
-    def _newton(self, v_old: np.ndarray, lv_old: np.ndarray, dt: float):
-        """One implicit step of size dt; None if Newton stalls.
-
-        Takes (v_old, L(v_old^m)) and returns the new state with its L(v^m),
-        the operator value of the last accepted residual.  The first update
-        factors the Newton matrix at v_old; each later one reuses the
-        factorization while the previous update met ``_CHORD_CONTRACTION``.
-        A chord update that does not improve the residual is redone with a
-        factorization at the current iterate and a damped line search; only
-        such a fresh update that cannot improve ends the step.  Newton stops
-        at the first accepted update whose max-norm residual is at most
-        ``_NEWTON_TOL``; the 1e-14 test at the top of the loop only lets an
-        unchanged state pass without a solve.
-        """
+    def _newton(self, x: np.ndarray, lx: np.ndarray, rhs: np.ndarray, gh: float):
+        """The stage x - gh L(x^m) = rhs, from x, and its L(x^m); None if Newton
+        stalls.  Solves (W D^{-1} + gh S)(D delta) = -W res, D = diag(dpow).  A
+        chord update that does not improve is redone fresh with a line search;
+        a fresh one that cannot improve ends the stage."""
         wg = self.grid.node_mass
         sdiag, soff = self.bands
         m, system = self.m, self.system
-        tdt = _THETA * dt
-        tsdiag = sdiag * tdt
-        rhs = v_old + lv_old * ((1.0 - _THETA) * dt)
-        x, lx = v_old, lv_old
-        res, rnorm = self._residual(x, lx, tdt, rhs)
-        chord = False
+        res = x - lx * gh - rhs
+        rnorm = float(np.abs(res).max())
         for _ in range(50):
-            if rnorm <= 1e-14:
+            if rnorm <= 1e-14:  # an unchanged state passes without a solve
                 break
-            if not chord:
-                dpow = m * np.power(np.maximum(x, DEFAULT_FLOOR), m - 1.0)
-                # W D^{-1} + theta dt S, which the factorization overwrites
-                np.divide(wg, dpow, out=system.d)
-                system.d += tsdiag
-                np.multiply(soff, tdt, out=system.e)
+            if not self.chord:
+                self.dpow = m * np.power(np.maximum(x, DEFAULT_FLOOR), m - 1.0)
+                np.divide(wg, self.dpow, out=system.d)
+                system.d += sdiag * gh
+                np.multiply(soff, gh, out=system.e)
                 self.factorizations += 1
                 if system.factor() != 0:  # not positive definite
                     return None
             self.newton_iterations += 1
             system.b[:] = -wg * res
             system.solve()
-            delta = system.b / dpow
+            delta = system.b / self.dpow
             lam = 1.0
-            # a chord update gets the full step only, a fresh one a damped line search
-            for _ in range(1 if chord else 30):
+            for _ in range(1 if self.chord else 30):
                 xt = x + delta if lam == 1.0 else x + delta * lam
                 lt = self.operator(xt)
-                rt, rtn = self._residual(xt, lt, tdt, rhs)
+                rt = xt - lt * gh - rhs
+                rtn = float(np.abs(rt).max())
                 if rtn < rnorm:
                     break
                 lam *= 0.5
             else:
-                if chord:
-                    chord = False
+                if self.chord:
+                    self.chord = False
                     continue
                 break
-            chord = rtn <= _CHORD_CONTRACTION * rnorm
+            self.chord = rtn <= _CHORD_CONTRACTION * rnorm
             x, lx, res, rnorm = xt, lt, rt, rtn
-            if rnorm <= _NEWTON_TOL:
+            if rnorm <= self.tol:
                 break
-        return (x, lx) if rnorm <= _NEWTON_TOL else None
+        return (x, lx) if rnorm <= self.tol else None
+
+    def _step(self, v: np.ndarray, h: float):
+        """(state, its L(v^m), error estimate) a step h from v, or None if a
+        stage stalls.  The estimate is the dgamma norm of D (W + gamma h S
+        D)^{-1} W e, e = h sum_i _ERR_i L(Y_i^m): a change of v^m whose stiff
+        modes the Newton matrix damps as the scheme does (Hairer & Wanner II)."""
+        gh = _GAMMA * h
+        rounding = float(4.0 * _EPS * gh * self.stiffness * v.max() ** self.m)
+        self.tol = max(_NEWTON_TOL, 1e-3 * _TOL * self.deviation, rounding)
+        x, lx, slopes = v, self.lv, []
+        self.chord, start = False, self.factorizations
+        for row in _A:
+            rhs = v
+            for a, k in zip(row, slopes):
+                rhs = rhs + k * (a * h)
+            stage = self._newton(x, lx, rhs, gh)
+            if stage is None:
+                return None
+            x, lx = stage
+            slopes.append(lx)
+        if self.factorizations == start:  # no update: every stage is v
+            return x, lx, 0.0
+        e = sum(k * (c * h) for c, k in zip(_ERR, slopes))
+        np.multiply(self.grid.node_mass, e, out=self.system.b)
+        self.system.solve()
+        return x, lx, norm_dgamma(self.grid, self.system.b)
+
+    def advance(self, v: np.ndarray, t_row: float) -> np.ndarray:
+        """The first accepted step toward ``t_row``, stretched to it if within
+        10 %, halved if within twice the step.  Values below ``DEFAULT_FLOOR``
+        are raised to it, and v - floor scaled back to the mass."""
+        self.deviation = norm_dgamma(self.grid, np.power(v, self.m) - self.mass**self.m)
+        for _ in range(_MAX_REJECTIONS):
+            left = t_row - self.t
+            h = left if left <= 1.1 * self.h else min(self.h, left / 2.0)
+            step = self._step(v, h)
+            if step is None:
+                self.rejected += 1
+                self.h = h / 2.0
+                continue
+            x, lx, error = step
+            err = error / max(_TOL * self.deviation, 100.0 * self.tol)
+            self.h = h * min(_GROW, max(_SHRINK, 0.9 * err ** (-1.0 / 3.0) if err else _GROW))
+            if err > 1.0:
+                self.rejected += 1
+                continue
+            self.accepted += 1
+            self.error_estimate += err * _TOL
+            self.t, self.lv = (t_row if h == left else self.t + h), lx
+            if x.min() < DEFAULT_FLOOR:
+                self.clamps += int(np.count_nonzero(x < DEFAULT_FLOOR))
+                x = np.maximum(x, DEFAULT_FLOOR) - DEFAULT_FLOOR
+                x *= (self.mass - DEFAULT_FLOOR) / integrate_dgamma(self.grid, x)
+                x += DEFAULT_FLOOR
+                self.lv = self.operator(x)
+            return x
+        raise NewtonDiverged(
+            f"porous-media step at t={self.t:g} rejected {_MAX_REJECTIONS} times in a row; "
+            f"last step size {h:.3g}")
 
     def states(self, n_rows: int):
-        """The state after each further ``stride`` steps, n_rows times."""
+        """The state at each of the n_rows row times, every ``stride`` dt."""
         v = self.v
-        for _ in range(n_rows):
-            for _ in range(self.stride):
-                v = self.advance(v)
+        for row in range(1, n_rows + 1):
+            t_row = (row * self.stride) * self.dt
+            while self.t < t_row:
+                v = self.advance(v, t_row)
             yield v
-
-    def advance(self, v: np.ndarray) -> np.ndarray:
-        """Advance v by dt, halving the substep where Newton stalls, then clamp
-        it at ``DEFAULT_FLOOR``, which leaves the carried L(v^m) unchanged.
-
-        ``left`` substeps of size dt / 2**depth remain.  A failed substep is
-        retried at half the size, and the rest of the step keeps that size:
-        a size that failed once is not tried again within the step.
-        """
-        lv, depth, left = self.lv, 0, 1
-        while left:
-            step = self._newton(v, lv, self.dt / 2**depth)
-            if step is None:
-                if depth >= _MAX_DT_HALVINGS:
-                    raise NewtonDiverged(
-                        f"nonlinear step failed after {depth} time-step halvings"
-                    )
-                self.dt_halvings += 1
-                depth, left = depth + 1, 2 * left
-                continue
-            v, lv = step
-            left -= 1
-        self.lv = lv
-        if v.min() < DEFAULT_FLOOR:
-            self.clamps += int(np.count_nonzero(v < DEFAULT_FLOOR))
-            v = np.maximum(v, DEFAULT_FLOOR)
-        return v
 
 
 def run_pme(config: FlowConfig, grid: Grid) -> Trace:
-    """Integrate v_t = L(v^m) with damped Newton per implicit step."""
+    """Integrate v_t = L(v^m) by adaptive SDIRK3 steps, damped Newton per stage."""
     return _run(config, grid, "pme", lambda: PmeParams(m=config.m, p=config.p),
                 lambda dt, stride, v, snapshot: _PmeStepper(grid, config.m, dt, stride, v))

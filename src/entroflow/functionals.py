@@ -194,7 +194,7 @@ class _Snapshot:
     same methods, so a snapshot's values are theirs bit for bit.  Between
     rows, the linear flow's Krylov expansion (:class:`flows._Krylov`) takes
     ``row``, ``work`` and ``a`` as its scratch.  The work arrays are rows of
-    one block because five separate 160 KB arrays (n = 20001) land on the
+    one block because six separate 160 KB arrays (n = 20001) land on the
     brk heap once glibc has raised its mmap threshold, where trimming and
     regrowing the heap top costs page faults and resident memory.
     """
@@ -203,9 +203,9 @@ class _Snapshot:
         n = grid.n
         self.params, self.grid = params, grid
         self.pme = isinstance(params, PmeParams)
-        # the integrand, the sum's scratch, the s-field, then node scratch:
-        # Ls and |Ds|^2 for K, v - 1 for E
-        self.row, self.work, self.s, self.a, self.b = np.empty((5, n))
+        # the integrand, the sum's scratch, the s-field and s - 1, then node
+        # scratch: Ls and |Ds|^2 for K, v - 1 for E
+        self.row, self.work, self.s, self.u, self.a, self.b = np.empty((6, n))
         self.edge = np.empty(n - 1)
 
     def __call__(self, v: np.ndarray) -> tuple[float, ...]:
@@ -215,11 +215,11 @@ class _Snapshot:
         E = self.entropy(v)
         mass = integrate_dgamma(self.grid, v, terms=self.row, work=self.work)
         _check_unit_mass(mass)
-        s = self._s_field(v)
-        I = self._fisher(s)
+        s, u = self._s_field(v)
+        I = self._fisher(u)
         min_v = float(v.min())
-        row = (E, I, self._k(s) if min_v >= DEFAULT_FLOOR else np.nan, mass, min_v)
-        return row if self.pme else (*row, self._q4(s))
+        row = (E, I, self._k(s, u) if min_v >= DEFAULT_FLOOR else np.nan, mass, min_v)
+        return row if self.pme else (*row, self._q4(s, u))
 
     def entropy(self, v: np.ndarray) -> float:
         """(1/e) int [v^c - 1 - c(v-1)] dgamma, c = e + 1, in d = v - 1.
@@ -251,28 +251,33 @@ class _Snapshot:
         return integrate_dgamma(self.grid, out, terms=out, work=self.work)
 
     def fisher(self, v: np.ndarray) -> float:
-        return self._fisher(self._s_field(v))
+        return self._fisher(self._s_field(v)[1])
 
     def k(self, v: np.ndarray) -> float:
-        return self._k(self._s_field(v))
+        return self._k(*self._s_field(v))
 
-    def _s_field(self, v: np.ndarray) -> np.ndarray:
-        # fractional powers on clipped values; exponent 1.0 short-circuits exactly
-        exponent = self.params.s_exponent
+    def _s_field(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(s, s - 1), s = max(v, floor)^{1/beta}, as exp and expm1 of
+        log(v)/beta: differences of s - 1 keep the digits that s, rounded near
+        1, loses as v -> 1.  At exponent 1, (v, v - 1)."""
+        exponent, s, u = self.params.s_exponent, self.s, self.u
         if exponent == 1.0:
-            return v
-        np.maximum(v, DEFAULT_FLOOR, out=self.s)
-        return np.power(self.s, exponent, out=self.s)
+            return v, np.subtract(v, 1.0, out=u)
+        np.maximum(v, DEFAULT_FLOOR, out=s)
+        np.log(s, out=s)
+        s *= exponent
+        np.expm1(s, out=u)
+        return np.exp(s, out=s), u
 
-    def _fisher(self, s: np.ndarray) -> float:
-        total = dirichlet_form(self.grid, s, s, terms=self.row[:-1], work=self.edge)
+    def _fisher(self, u: np.ndarray) -> float:
+        total = dirichlet_form(self.grid, u, u, terms=self.row[:-1], work=self.edge)
         return self.params.c * total
 
-    def _k(self, s: np.ndarray) -> float:
-        """Integral of s^{beta(m-1)} (|Ls|^2 + alpha Ls |Ds|^2 / s)."""
+    def _k(self, s: np.ndarray, u: np.ndarray) -> float:
+        """Integral of s^{beta(m-1)} (|Ls|^2 + alpha Ls |Ds|^2 / s), u = s - 1."""
         grid, out, ls, gs = self.grid, self.row, self.a, self.b
-        delta_g(grid, s, out=ls, flux=self.edge)
-        gradient_sq(grid, s, out=gs, edge=self.edge)
+        delta_g(grid, u, out=ls, flux=self.edge)  # Ls = Lu, Ds = Du
+        gradient_sq(grid, u, out=gs, edge=self.edge)
         np.multiply(ls, ls, out=out)
         ls *= self.params.alpha
         ls *= gs
@@ -283,9 +288,12 @@ class _Snapshot:
             out *= np.power(s, e2, out=gs)
         return integrate_dgamma(grid, out, terms=out, work=self.work)
 
-    def _q4(self, s: np.ndarray) -> float:
-        """Integral of |Dz|^4 with z = s^{1/2} (= v^{p/4} in the linear family)."""
-        gz = gradient_sq(self.grid, np.sqrt(s, out=self.a), out=self.b, edge=self.edge)
+    def _q4(self, s: np.ndarray, u: np.ndarray) -> float:
+        """Integral of |Dz|^4, z = s^{1/2} (= v^{p/4} in the linear family),
+        differenced as z - 1 = u/(z + 1)."""
+        z1 = np.sqrt(s, out=self.a)
+        z1 += 1.0
+        gz = gradient_sq(self.grid, np.divide(u, z1, out=z1), out=self.b, edge=self.edge)
         np.multiply(gz, gz, out=self.row)
         return integrate_dgamma(self.grid, self.row, terms=self.row, work=self.work)
 

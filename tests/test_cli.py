@@ -359,13 +359,18 @@ class TestFlowAndReport:
         assert main(argv) == clean > 4
 
     @pytest.mark.parametrize("kind", ["linear", "pme"])
-    def test_solve_failure_exits_3(self, monkeypatch, kind):
+    def test_solve_failure_exits_3(self, monkeypatch, capsys, kind):
         monkeypatch.setattr("entroflow.flows.SPDTridiagonal.factor", lambda system: 1)
         code = main([
             "flow", kind, "--p", "1.5", "--m", "1.2", "--potential", "gaussian",
             "--domain", "-8:8", "--n", "201", "--tend", "0.01", "--dt", "1e-3",
         ])
         assert code == 3
+        if kind == "pme":
+            # every try stalls: 30 rejections in a row, halving from one row
+            assert capsys.readouterr().err.strip() == (
+                "numerical failure: porous-media step at t=0 rejected 30 times in a row; "
+                "last step size 1.86e-12")
 
     @pytest.mark.parametrize("flags", [
         ("--stride", "0"), ("--dt", "0"), ("--dt", "-0.001"),
@@ -394,6 +399,16 @@ class TestFlowAndReport:
         else:
             assert out.startswith("t_end=0.064 ")
 
+    def test_refined_audit_passes_near_equilibrium(self, tmp_path):
+        # at t = 20, v is within 1e-10 of 1 and (pI)^2 <= 256 (1 + (p-1)E) q4
+        # is near equality; with v^{p/2} and v^{p/4} differenced as powers of
+        # v itself, the audit read -1.6e-6 at row 200 on this correct flow
+        trace = tmp_path / "near.csv"
+        assert main(["flow", "linear", "--p", "1.5", "--potential", "gaussian",
+                     "--domain=-8:8", "--n", "2001", "--tend", "20", "--dt", "1e-2",
+                     "--init", "odd:0.2", "--trace", str(trace)]) == 0
+        assert main(["report", "--trace", str(trace), "--checks", "refined"]) == 0
+
     def test_pme_trace_reads_back_its_clamps(self, tmp_path):
         # the compact start max(2.25 - (x+1)^2, 0) clamps; the clamp count
         # used to be a second copy that Trace.from_csv left at 0
@@ -403,7 +418,7 @@ class TestFlowAndReport:
         assert main(["flow", "pme", "--m", "2", "--p", "1.5", "--n", "801", "--tend", "0.2",
                      "--dt", "1e-3", "--init", f"csv:{init}", "--trace", str(trace)]) == 0
         back = Trace.from_csv(trace)
-        assert back.clamps == back.meta["clamps"] == 646
+        assert back.clamps == back.meta["clamps"] == 1294
 
     def test_last_row_is_at_the_last_step(self, tmp_path):
         # round(0.401 / 1e-3) = 401 steps at the default stride 2: the 401st

@@ -1,5 +1,6 @@
 """Time integration: conservation, decay, trace round-trips."""
 
+import functools
 import sys
 import types
 
@@ -383,12 +384,13 @@ def test_snapshot_grid_integrals(monkeypatch, gauss_grid_small, kind, zero_node)
     def counting(terms, work):
         # filed under the module whose call of a grid function makes the sum
         frame = sys._getframe(1)
-        while frame.f_globals["__name__"] == "entroflow.grid":
+        while frame.f_globals["__name__"] in ("entroflow.grid", __name__):
             frame = frame.f_back
         calls.get(frame.f_globals["__name__"], other).append(len(terms))
         return fsum_into(terms, work)
 
     monkeypatch.setattr(grid_module, "_fsum_into", counting)
+    stepper = spy_calls(monkeypatch, "integrate_dgamma", "norm_dgamma")
     cfg = ef.FlowConfig(kind=kind, p=1.5, m=1.2, init=v0, t_end=0.05, dt=1e-3, stride=5)
     tr = (ef.run_linear if kind == "linear" else ef.run_pme)(cfg, gauss_grid_small)
     assert len(tr.t) == 11
@@ -400,13 +402,21 @@ def test_snapshot_grid_integrals(monkeypatch, gauss_grid_small, kind, zero_node)
         want += [n] if kind == "linear" else []
     assert snapshot == want
     assert other == []
+    if kind == "pme":
+        # the stepper's, one sum per call: the mass at the start (nothing is
+        # clamped), and per step the deviation at its start and each try's
+        # error estimate
+        assert stepper["integrate_dgamma"] == 1 and tr.meta["clamps"] == 0
+        assert stepper["norm_dgamma"] >= 2 * tr.meta["accepted"]
+        assert krylov == [n] * (stepper["integrate_dgamma"] + stepper["norm_dgamma"])
+        return
     # the expansion's dgamma sums: the mass once; per window, the start's mean
     # twice and its norm; per solve, the mean twice, the Lanczos step on the
     # last two basis rows, all k rows once more and the new row's norm
-    windows = [] if kind == "pme" else [w["k"] for w in tr.meta["windows"]]
-    assert len(windows) == (4 if kind == "linear" else 0)
+    windows = [w["k"] for w in tr.meta["windows"]]
+    assert len(windows) == 4
     sums = sum(3 + sum(3 + min(j, 2) + j for j in range(1, k + 1)) for k in windows)
-    assert krylov == [n] * (sums + 1 if windows else 0)
+    assert krylov == [n] * (sums + 1)
 
 
 @pytest.mark.parametrize("kind", ["linear", "pme"])
@@ -447,6 +457,24 @@ class TestPmeFlow:
         pme = ef.run_pme(ef.FlowConfig(kind="pme", m=1.0, **common), gauss_grid_small)
         assert np.max(np.abs(lin.E - pme.E)) <= 1e-8 * max(1.0, lin.E[0])
         assert np.max(np.abs(lin.I - pme.I)) <= 1e-8 * max(1.0, lin.I[0])
+
+    @pytest.mark.parametrize("init", ["bump:0.4", "odd:0.2"])
+    def test_m_one_matches_the_exponential(self, gauss_grid, states, init):
+        # at m = 1 the pme flow is the linear one, whose Krylov exponential is
+        # good to about 1e-10: (E, I, K) agree within the step tolerance (the
+        # measured errors are 1.0e-7, 1.0e-7, 2.7e-7 from bump:0.4 and 1.6e-6
+        # on all three from odd:0.2, whose single mode adds up 200 steps'
+        # errors), and the recorded estimate bounds the state's error
+        common = dict(p=1.5, init=init, t_end=2.0, dt=1e-2)
+        lin = ef.run_linear(ef.FlowConfig(kind="linear", **common), gauss_grid)
+        pme = ef.run_pme(ef.FlowConfig(kind="pme", m=1.0, **common), gauss_grid)
+        rows = len(lin.t)
+        for col in ("E", "I", "K"):
+            err = np.max(np.abs(pme.column(col) / lin.column(col) - 1.0))
+            assert err <= 2 * flows._TOL, col
+        norm = functools.partial(grid_module.norm_dgamma, gauss_grid)
+        error = max(norm(b - a) / norm(a - 1.0) for a, b in zip(states[1:rows], states[rows + 1:]))
+        assert 1e-9 < error <= pme.meta["error_estimate"]
 
     def test_run_linear_refuses_a_pme_config(self, gauss_grid_small):
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, init="const", t_end=0.01, dt=1e-3)
@@ -537,129 +565,128 @@ class TestSolveFailures:
         with pytest.raises(LinearSolveFailure):
             ef.run_linear(cfg, gauss_grid_small)
 
-    def test_newton_failure_exhausts_halvings(self, monkeypatch, gauss_grid_small):
+    @pytest.mark.parametrize("cap", [2, None], ids=["patched-cap", "default-cap"])
+    def test_rejections_give_up_at_the_cap(self, monkeypatch, gauss_grid_small, cap):
+        # every factorization fails, so every try is a stalled step: the
+        # controller halves the step after each and gives up at the cap
         calls = failing_factorization(monkeypatch)
-        monkeypatch.setattr("entroflow.flows._MAX_DT_HALVINGS", 2)
+        if cap is not None:
+            monkeypatch.setattr(flows, "_MAX_REJECTIONS", cap)
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, t_end=0.01, dt=1e-3)
-        with pytest.raises(NewtonDiverged):
+        tries = flows._MAX_REJECTIONS
+        last = 1e-3 / 2 ** (tries - 1)  # the first try is one row, dt at stride 1
+        with pytest.raises(NewtonDiverged, match=rf"at t=0 rejected {tries} times in a row; "
+                           rf"last step size {last:.3g}$"):
             ef.run_pme(cfg, gauss_grid_small)
-        # the first substep fails at every size: one try per depth
-        assert len(calls) == 3
+        assert len(calls) == tries
 
-    def test_default_halvings_give_up_at_first_leaf(self, monkeypatch, gauss_pot):
-        # 30 halvings deep, a step would hold 2^30 substeps
-        grid = ef.make_interval_grid(-8.0, 8.0, 201, gauss_pot)
-        calls = failing_factorization(monkeypatch)
-        cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, t_end=0.01, dt=1e-3)
-        with pytest.raises(NewtonDiverged):
-            ef.run_pme(cfg, grid)
-        assert len(calls) == flows._MAX_DT_HALVINGS + 1
+
+def compact_start(tmp_path, grid):
+    """A csv: init spec of max(2.25 - (x+1)^2, 0), a compact support."""
+    path = tmp_path / "compact.csv"
+    np.savetxt(path, np.maximum(2.25 - (grid.nodes + 1.0) ** 2, 0.0), delimiter=",")
+    return f"csv:{path}"
 
 
 class TestNewtonWork:
-    def test_one_factorization_per_step(self, monkeypatch, gauss_pot):
-        # at n = 4001 the residual's round-off floor (~3e-14) lies above 1e-14:
-        # Newton must stop once an update meets newton_tol, not line-search
-        # against the floor; the second update of each step reuses the first
-        # one's factorization
+    def test_work_counters_match_the_calls(self, monkeypatch, gauss_pot):
+        # at n = 4001 the residual's rounding (~3e-14) lies above 1e-14: Newton
+        # must stop once an update meets the tolerance, not line-search against
+        # it, so L(v^m) is evaluated once at the start and once per update
         counts = spy_calls(monkeypatch, "factor", "delta_g")
         grid = ef.make_interval_grid(-8.0, 8.0, 4001, gauss_pot)
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, theta=0.5, init="bump:0.4",
                             t_end=0.02, dt=1e-3)
-        trace = ef.run_pme(cfg, grid)
-        assert trace.meta["n_steps"] == 20
-        assert counts["factor"] == 20
-        assert trace.meta["factorizations"] == 20
-        assert trace.meta["newton_iterations"] == 40
-        # L(v^m) once at the start, then once per accepted Newton update
-        assert counts["delta_g"] == 41
-        assert trace.mass_drift <= 1e-13
-        assert trace.meta["dt_halvings"] == 0
+        meta = ef.run_pme(cfg, grid).meta
+        assert meta["n_steps"] == 20
+        assert counts["factor"] == meta["factorizations"]
+        assert counts["delta_g"] == meta["newton_iterations"] + 1
+        # each step factors once at its start and ends on one of the 20 rows
+        assert meta["rejected"] == 0
+        assert meta["factorizations"] == meta["accepted"] == 20
+        assert meta["newton_iterations"] < 7 * meta["accepted"]
 
-    def test_pinned_functionals(self, gauss_pot):
-        # (E, I, K) at t = 0.05 and 0.1 as integrated with one factorization per
-        # Newton update; reusing it changes the trace only at round-off
+    def test_tolerance_sets_the_error(self, monkeypatch, gauss_pot):
+        # (E, I, K) over t in [0, 0.1] against a run at a 1000 times tighter
+        # tolerance: the errors (1.1e-8, 3.7e-8 and 1.3e-7) are within the
+        # tolerance, and both the steps and the estimate follow it
         grid = ef.make_interval_grid(-8.0, 8.0, 801, gauss_pot)
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, theta=0.5, init="bump:0.4",
-                            t_end=0.1, dt=1e-3)
+                            t_end=0.1, dt=1e-3, stride=5)
+        tol = flows._TOL
         trace = ef.run_pme(cfg, grid)
-        got = np.array([[trace.E[k], trace.I[k], trace.K[k]] for k in (50, 100)])
-        want = [[0.014543842768164486, 0.04134193939407968, 0.0268543976841758],
-                [0.01264472620710869, 0.03488072604084231, 0.02112961152833039]]
-        assert_allclose(trace.t[[50, 100]], [0.05, 0.1], rtol=1e-15)
-        assert_allclose(got, want, rtol=1e-10)
+        monkeypatch.setattr(flows, "_TOL", tol / 1000.0)
+        fine = ef.run_pme(cfg, grid)
+        assert fine.meta["accepted"] > 5 * trace.meta["accepted"]
+        assert fine.meta["error_estimate"] < trace.meta["error_estimate"] / 10.0
+        for col in ("E", "I", "K"):
+            err = np.max(np.abs(trace.column(col) / fine.column(col) - 1.0))
+            assert 1e-9 < err <= tol, col
+        assert trace.mass_drift <= 1e-13
 
     @pytest.mark.parametrize("rate", [None, 1.0], ids=["default", "always-reuse"])
     def test_slow_chord_updates_refactor(self, monkeypatch, tmp_path, gauss_pot, rate):
         # a compact support with m = 4 and dt = 0.5 contracts slowly: updates
         # that miss the contraction test refactor, and with every improving
-        # update reused the chord updates that fail are redone fresh
+        # update reused the chord updates that fail are redone fresh; the
+        # first steps, one row long, stall and are rejected
         if rate is not None:
             monkeypatch.setattr(flows, "_CHORD_CONTRACTION", rate)
         grid = ef.make_interval_grid(-8.0, 8.0, 801, gauss_pot)
-        path = tmp_path / "compact.csv"
-        np.savetxt(path, np.maximum(2.25 - (grid.nodes + 1.0) ** 2, 0.0), delimiter=",")
-        cfg = ef.FlowConfig(kind="pme", p=1.5, m=4.0, init=f"csv:{path}", t_end=1.0, dt=0.5)
+        cfg = ef.FlowConfig(kind="pme", p=1.5, m=4.0, init=compact_start(tmp_path, grid),
+                            t_end=1.0, dt=0.5)
         trace = ef.run_pme(cfg, grid)
         meta = trace.meta
         assert meta["n_steps"] == 2
-        assert meta["n_steps"] < meta["factorizations"] < meta["newton_iterations"]
-        assert meta["dt_halvings"] > 0
+        assert meta["accepted"] < meta["factorizations"] < meta["newton_iterations"]
+        assert meta["rejected"] > 0 and meta["clamps"] > 0
         assert trace.mass_drift <= 1e-13
+        # Crank-Nicolson at dt = 1e-4 and 5e-5, Richardson-extrapolated, gives
+        # E(1) = 0.0041016824066 (and this stepper at a 100 times tighter
+        # tolerance 0.00410168240660); one Crank-Nicolson step of 0.5 was 5 % off
+        assert trace.E[-1] == pytest.approx(0.00410168240665, rel=1e-6)
 
     @pytest.mark.parametrize("m, dt, t_end", [(2.0, 1e-3, 0.2), (4.0, 0.5, 1.0)],
-                             ids=["clamps", "halvings"])
+                             ids=["clamps", "rejections"])
     def test_carried_operator_matches_a_fresh_one(self, monkeypatch, tmp_path, gauss_pot,
                                                   m, dt, t_end):
-        # each step reuses L(v^m) from the last accepted Newton residual, across
-        # clamps and time-step halvings; evaluating it afresh must change nothing
+        # each stage starts from L(x^m) carried from the last Newton residual,
+        # across clamps and rejected steps; evaluating it afresh changes nothing
         grid = ef.make_interval_grid(-8.0, 8.0, 801, gauss_pot)
-        path = tmp_path / "compact.csv"
-        np.savetxt(path, np.maximum(2.25 - (grid.nodes + 1.0) ** 2, 0.0), delimiter=",")
-        cfg = ef.FlowConfig(kind="pme", p=1.5, m=m, init=f"csv:{path}", t_end=t_end, dt=dt)
+        cfg = ef.FlowConfig(kind="pme", p=1.5, m=m, init=compact_start(tmp_path, grid),
+                            t_end=t_end, dt=dt)
         carried = ef.run_pme(cfg, grid)
         newton = flows._PmeStepper._newton
 
-        # every substep, halved ones included, starts from a fresh L(v^m)
-        def fresh(self, v, lv, dt):
-            lv = ef.delta_g(grid, np.power(np.maximum(v, ef.DEFAULT_FLOOR), m))
-            return newton(self, v, lv, dt)
+        def fresh(self, x, lx, rhs, gh):
+            lx = ef.delta_g(grid, np.power(np.maximum(x, ef.DEFAULT_FLOOR), m))
+            return newton(self, x, lx, rhs, gh)
 
         monkeypatch.setattr(flows._PmeStepper, "_newton", fresh)
         recomputed = ef.run_pme(cfg, grid)
         assert carried.clamps > 0
-        assert (carried.meta["dt_halvings"] > 0) == (m == 4.0)
+        assert (carried.meta["rejected"] > 0) == (m == 4.0)
         assert carried._csv_text() == recomputed._csv_text()
 
-    def test_substep_sizes_never_grow_within_a_step(self, monkeypatch, tmp_path, gauss_pot):
-        # a size that failed is not tried again in the same step: once halved,
-        # the rest of the step keeps the smaller size
-        grid = ef.make_interval_grid(-8.0, 8.0, 801, gauss_pot)
-        path = tmp_path / "compact.csv"
-        np.savetxt(path, np.maximum(2.25 - (grid.nodes + 1.0) ** 2, 0.0), delimiter=",")
-        cfg = ef.FlowConfig(kind="pme", p=1.5, m=4.0, init=f"csv:{path}", t_end=1.0, dt=0.5)
-        newton, advance = flows._PmeStepper._newton, flows._PmeStepper.advance
-        steps: list[list[tuple[float, bool]]] = []
+    def test_steps_end_on_the_row_times(self, monkeypatch, gauss_grid_small):
+        # the accepted steps tile each row interval and end exactly on its row
+        # time, so t is a row time, not a sum of steps, at every row
+        cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, init="bump:0.4", t_end=0.3,
+                            dt=0.01, stride=3)
+        advance = flows._PmeStepper.advance
+        ends = []
 
-        def spy_newton(self, v, lv, dt):
-            out = newton(self, v, lv, dt)
-            steps[-1].append((dt, out is not None))
-            return out
+        def spy(self, v, t_row):
+            x = advance(self, v, t_row)
+            ends.append((self.t, t_row))
+            return x
 
-        def spy_advance(self, v):
-            steps.append([])
-            return advance(self, v)
-
-        monkeypatch.setattr(flows._PmeStepper, "_newton", spy_newton)
-        monkeypatch.setattr(flows._PmeStepper, "advance", spy_advance)
-        trace = ef.run_pme(cfg, grid)
-        assert len(steps) == 2 and trace.meta["dt_halvings"] > 0
-        for substeps in steps:
-            sizes = [dt for dt, _ in substeps]
-            assert sizes[0] == 0.5
-            assert all(b <= a for a, b in zip(sizes, sizes[1:])), sizes
-            # the substeps that succeeded cover the step exactly
-            assert sum(dt for dt, ok in substeps if ok) == 0.5
+        monkeypatch.setattr(flows._PmeStepper, "advance", spy)
+        trace = ef.run_pme(cfg, gauss_grid_small)
+        rows = [t for t, t_row in ends if t == t_row]
+        assert rows == [(j * 3) * 0.01 for j in range(1, 11)] == trace.t[1:].tolist()
+        assert all(t < t_row for t, t_row in ends if t != t_row)
+        assert len(ends) == trace.meta["accepted"] > 10
 
 
 class TestTraceIO:
@@ -727,8 +754,9 @@ class TestTraceIO:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         meta = ef.Trace.from_csv(paths[0]).meta
         assert isinstance(meta["newton_iterations"], int)
-        assert meta["newton_iterations"] >= meta["n_steps"]
-        assert meta["dt_halvings"] == 0
+        assert meta["newton_iterations"] >= meta["accepted"] >= 50
+        assert meta["rejected"] == 0
+        assert 0.0 < meta["error_estimate"] < 50 * flows._TOL
 
     @pytest.mark.parametrize("kind", ["linear", "pme"])
     def test_array_init_round_trip(self, gauss_grid_small, tmp_path, kind):

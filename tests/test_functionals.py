@@ -215,6 +215,16 @@ def _gradient_sq_reference(grid, u):
     return g / grid.node_mass
 
 
+def _s_pair(params, v, floor=ef.DEFAULT_FLOOR):
+    """(s, s - 1): exp and expm1 of log(max(v, floor)) / beta, or (v, v - 1)
+    where 1/beta is 1."""
+    x = params.s_exponent
+    if x == 1.0:
+        return v, v - 1.0
+    log = x * np.log(np.maximum(v, floor))
+    return np.exp(log), np.expm1(log)
+
+
 def _reference_rows(params, v, grid, floor=ef.DEFAULT_FLOOR):
     """The integrands (E, mass, I, K), and q4 for the linear family, of a
     snapshot from the formulas as plain numpy expressions; I holds the n - 1
@@ -230,24 +240,25 @@ def _reference_rows(params, v, grid, floor=ef.DEFAULT_FLOOR):
         E = mu * (vlogv - d)
     else:
         E = mu * ((np.expm1(c * log) - c * d) / e)
-    x = params.s_exponent
-    s = v if x == 1.0 else np.power(np.maximum(v, floor), x)
-    ds = np.diff(s)
-    I = grid.conductance * ds * ds / grid.weight_mass
+    # differences, L and D of s are taken of s - 1
+    s, u = _s_pair(params, v, floor)
+    du = np.diff(u)
+    I = grid.conductance * du * du / grid.weight_mass
     K = None
     if v.min() >= floor:
-        flux = grid.conductance * ds
+        flux = grid.conductance * du
         Ls = np.zeros(grid.n)
         Ls[:-1] += flux
         Ls[1:] -= flux
         Ls /= grid.node_mass
-        Gs = _gradient_sq_reference(grid, s)
+        Gs = _gradient_sq_reference(grid, u)
         quad = Ls * Ls + params.alpha * Ls * Gs / s
         e2 = params.beta * (params.m - 1.0) if pme else 0.0
         if e2 != 0.0:
             quad = np.power(s, e2) * quad
         K = mu * quad
-    q4 = [] if pme else [mu * _gradient_sq_reference(grid, np.sqrt(s)) ** 2]
+    # z - 1 = (s - 1)/(z + 1), z = s^{1/2}
+    q4 = [] if pme else [mu * _gradient_sq_reference(grid, u / (np.sqrt(s) + 1.0)) ** 2]
     return [E, mu * v, I, K, *q4]
 
 
@@ -280,8 +291,9 @@ class TestSnapshot:
         public = [f(params, v, gauss_grid) for f in (ef.entropy, ef.fisher, ef.second_order)]
         public += [ef.integrate_dgamma(gauss_grid, v), v.min()]
         if isinstance(params, ef.LinearParams):
-            z = np.sqrt(np.power(np.maximum(v, ef.DEFAULT_FLOOR), params.p / 2.0))
-            public.append(ef.integrate_dgamma(gauss_grid, ef.gradient_sq(gauss_grid, z) ** 2))
+            s, u = _s_pair(params, v)
+            z1 = u / (np.sqrt(s) + 1.0)
+            public.append(ef.integrate_dgamma(gauss_grid, ef.gradient_sq(gauss_grid, z1) ** 2))
         assert _bits(got) == _bits(public) == _bits(_reference(params, v, gauss_grid))
         # the work arrays carry nothing from one field to the next
         w = _perturbed(gauss_grid, amp=0.5, seed=2)
