@@ -46,8 +46,8 @@ from .grid import Grid, delta_g, inner_dgamma, integrate_dgamma, norm_dgamma, st
 
 __all__ = ["FlowConfig", "Trace", "initial_field", "run_linear", "run_pme"]
 
-# most steps of dt a run's time grid may hold
-_MAX_STEPS = 10**7
+# most rows a run's trace may hold
+_MAX_ROWS = 10**7
 
 
 @dataclass
@@ -61,8 +61,8 @@ class FlowConfig:
     ``stride`` dt up to round(t_end / dt) dt, rounded down to a whole number
     of strides.  ``t_end`` and a given ``dt`` must be finite and positive,
     ``stride`` at least 1; :meth:`resolved` rejects a ``t_end`` that rounds
-    to no step, to an overflowing count or to more than ``_MAX_STEPS``
-    (1e7), and a ``stride`` above the step count.  ``theta`` is the
+    to no step or to an overflowing count, a ``stride`` above the step
+    count, and more than ``_MAX_ROWS`` (1e7) rows.  ``theta`` is the
     criterion's theta, which ``report`` reads for lambda1_pme.  Every field
     is a ``flow`` CLI flag; tolerances and limits are module constants.
     """
@@ -102,15 +102,15 @@ class FlowConfig:
                 f"t_end={self.t_end:g} is under half the time step dt={dt:g}, so no step "
                 "would run; give a smaller dt (--dt)"
             )
-        if n_steps > _MAX_STEPS:
-            raise ConfigError(
-                f"t_end={self.t_end:g} over dt={dt:g} is {n_steps:.3g} steps, more than "
-                f"the cap of {_MAX_STEPS:.0e}; give a shorter t_end or a larger dt")
         stride = self.stride if self.stride is not None else max(1, n_steps // 200)
         if stride > n_steps:
             raise ConfigError(
                 f"stride={stride} is more than the {n_steps} steps of t_end={self.t_end:g} "
                 f"at dt={dt:g}, so no step would be recorded; give a smaller stride (--stride)")
+        if n_steps // stride > _MAX_ROWS:
+            raise ConfigError(
+                f"t_end={self.t_end:g} at stride={stride} and dt={dt:g} is {n_steps // stride:.3g}"
+                f" rows, over the cap of {_MAX_ROWS:.0e}; give a larger stride or dt or a shorter t_end")
         # the last recorded row is the last step: no computed step is discarded
         return dt, n_steps - n_steps % stride, stride
 
@@ -535,9 +535,9 @@ _MAX_REJECTIONS = 30
 
 class _PmeStepper:
     """The adaptive stepper of v_t = L(v^m) for one run.  ``error_estimate``
-    sums the accepted steps' estimates over the deviation (see ``_TOL``): to
-    first order a bound on the state's relative error where the flow
-    contracts, as at m = 1.  ``lv`` is L(v^m) of the current state."""
+    sums the accepted steps' estimates over the deviation (see ``_TOL``), 0
+    at a zero deviation: to first order a bound on the state's relative error
+    where the flow contracts, as at m = 1.  ``lv`` is L(v^m) of the current state."""
 
     counters = ("clamps", "newton_iterations", "factorizations", "accepted", "rejected",
                 "error_estimate")
@@ -648,7 +648,7 @@ class _PmeStepper:
                 self.rejected += 1
                 continue
             self.accepted += 1
-            self.error_estimate += err * _TOL
+            self.error_estimate += error / self.deviation if self.deviation else 0.0
             self.t, self.lv = (t_row if h == left else self.t + h), lx
             if x.min() < DEFAULT_FLOOR:
                 self.clamps += int(np.count_nonzero(x < DEFAULT_FLOOR))

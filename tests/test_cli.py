@@ -1103,14 +1103,15 @@ def test_readme_flags_are_parser_options():
 
 
 def test_step_count_over_the_cap_exits_2_promptly():
-    # 1e15 steps used to run until killed
+    # 1e15 steps used to run until killed; at stride 1 they are 1e15 rows
     proc = subprocess.run(
         [sys.executable, "-m", "entroflow.cli", "flow", "linear", "--n", "101",
-         "--tend", "1e12", "--dt", "1e-3"],
+         "--tend", "1e12", "--dt", "1e-3", "--stride", "1"],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 2
-    assert "t_end=1e+12 over dt=0.001" in proc.stderr and "cap of 1e+07" in proc.stderr
+    assert "t_end=1e+12 at stride=1 and dt=0.001 is 1e+15 rows" in proc.stderr
+    assert "cap of 1e+07" in proc.stderr
 
 
 def test_console_module_invocation():

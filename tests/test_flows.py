@@ -476,6 +476,33 @@ class TestPmeFlow:
         error = max(norm(b - a) / norm(a - 1.0) for a, b in zip(states[1:rows], states[rows + 1:]))
         assert 1e-9 < error <= pme.meta["error_estimate"]
 
+    def test_estimate_stays_relative_below_the_noise_floor(self, monkeypatch,
+                                                            gauss_grid_small):
+        # near equilibrium a step is bounded by 100 times the Newton tolerance,
+        # not by _TOL times the deviation; the recorded sum still adds each
+        # accepted step's estimate over the deviation it starts from
+        step, advance = flows._PmeStepper._step, flows._PmeStepper.advance
+        tries, accepted = [], []
+
+        def spy_step(self, v, h):
+            out = step(self, v, h)
+            tries.append((self.deviation, self.tol, out and out[2]))
+            return out
+
+        def spy_advance(self, v, t_row):
+            x = advance(self, v, t_row)
+            accepted.append(tries[-1])
+            return x
+
+        monkeypatch.setattr(flows._PmeStepper, "_step", spy_step)
+        monkeypatch.setattr(flows._PmeStepper, "advance", spy_advance)
+        cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, init="bump:0.3", t_end=20.0, dt=1e-2)
+        total = ef.run_pme(cfg, gauss_grid_small).meta["error_estimate"]
+        assert len(accepted) > 200 and all(dev > 0.0 for dev, _, _ in accepted)
+        assert total == pytest.approx(sum(error / dev for dev, _, error in accepted), rel=1e-12)
+        floor = [error / dev for dev, tol, error in accepted if flows._TOL * dev < 100.0 * tol]
+        assert max(floor) > flows._TOL
+
     def test_run_linear_refuses_a_pme_config(self, gauss_grid_small):
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, init="const", t_end=0.01, dt=1e-3)
         with pytest.raises(ConfigError, match="run_linear needs a config with kind='linear'"):
@@ -517,13 +544,20 @@ class TestPmeFlow:
         assert run(one_step, grid).meta["n_steps"] == 1
 
     def test_step_count_cap_is_inclusive(self, gauss_grid_small):
-        # arithmetic only: resolved() runs no step
-        cap = flows._MAX_STEPS
-        at_cap = ef.FlowConfig(kind="linear", p=1.5, t_end=float(cap), dt=1.0)
-        assert at_cap.resolved(gauss_grid_small) == (1.0, cap, cap // 200)
-        over = ef.FlowConfig(kind="linear", p=1.5, t_end=float(cap + 1), dt=1.0)
-        with pytest.raises(ConfigError, match=r"t_end=1e\+07 over dt=1 .* cap of 1e\+07"):
+        # arithmetic only: resolved() runs no step.  The cap is on the rows,
+        # n_steps // stride, which set the work; at stride 1 each step is a row
+        cap = flows._MAX_ROWS
+        at_cap = ef.FlowConfig(kind="linear", p=1.5, t_end=float(cap), dt=1.0, stride=1)
+        assert at_cap.resolved(gauss_grid_small) == (1.0, cap, 1)
+        over = ef.FlowConfig(kind="linear", p=1.5, t_end=float(cap + 1), dt=1.0, stride=1)
+        with pytest.raises(ConfigError, match=r"t_end=1e\+07 at stride=1 and dt=1 is 1e\+07 "
+                           r"rows, over the cap of 1e\+07"):
             over.resolved(gauss_grid_small)
+        # more steps than the cap in fewer rows: at the default stride, and 100 rows
+        default = ef.FlowConfig(kind="linear", p=1.5, t_end=float(cap + 1), dt=1.0)
+        assert default.resolved(gauss_grid_small) == (1.0, cap, (cap + 1) // 200)
+        fine = ef.FlowConfig(kind="pme", p=1.5, m=1.2, t_end=1.0, dt=1e-8, stride=10**6)
+        assert fine.resolved(gauss_grid_small) == (1e-8, 10**8, 10**6)
 
 
 def spy_calls(monkeypatch, *names):
@@ -597,7 +631,9 @@ class TestNewtonWork:
         grid = ef.make_interval_grid(-8.0, 8.0, 4001, gauss_pot)
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, theta=0.5, init="bump:0.4",
                             t_end=0.02, dt=1e-3)
-        meta = ef.run_pme(cfg, grid).meta
+        trace = ef.run_pme(cfg, grid)
+        meta = trace.meta
+        assert trace.mass_drift <= 1e-13
         assert meta["n_steps"] == 20
         assert counts["factor"] == meta["factorizations"]
         assert counts["delta_g"] == meta["newton_iterations"] + 1
@@ -646,7 +682,8 @@ class TestNewtonWork:
         # tolerance 0.00410168240660); one Crank-Nicolson step of 0.5 was 5 % off
         assert trace.E[-1] == pytest.approx(0.00410168240665, rel=1e-6)
 
-    @pytest.mark.parametrize("m, dt, t_end", [(2.0, 1e-3, 0.2), (4.0, 0.5, 1.0)],
+    # t_end = 0.1 of the m = 4 start already rejects about 100 steps
+    @pytest.mark.parametrize("m, dt, t_end", [(2.0, 1e-3, 0.2), (4.0, 0.1, 0.1)],
                              ids=["clamps", "rejections"])
     def test_carried_operator_matches_a_fresh_one(self, monkeypatch, tmp_path, gauss_pot,
                                                   m, dt, t_end):
