@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=float)
     sp.add_argument("--theta", type=float)
     sp.add_argument("--tend", dest="t_end", type=float)
-    sp.add_argument("--dt", type=float, help="row time unit (default 10 h^2): rows every "
+    sp.add_argument("--dt", type=float, help="row time unit (default tend/200): rows every "
                     "stride dt; neither flow steps by dt")
     sp.add_argument("--init", help="bump:A | odd:A | const | csv:path")
     sp.add_argument("--stride", type=int, help="dt units per row (default: about 200 rows)")

@@ -17,11 +17,11 @@ adding c to each node.  Its meta adds ``windows`` (each window's span, its
 number k of solves and its error estimate) and ``clamps``.
 
 The nonlinear flow takes adaptive steps of Alexander's L-stable SDIRK3
-(:class:`_PmeStepper`), each stage solved by damped Newton and each step cut
-to end on a row time.  Every Newton iterate keeps the mass, since 1^T S = 0.
-Its meta adds ``clamps``, ``newton_iterations``, ``factorizations``,
-``accepted`` and ``rejected`` steps and ``error_estimate``.  Tolerances and
-limits are module constants.
+(:class:`_PmeStepper`), each stage solved by undamped Newton/chord updates
+and each step cut to end on a row time.  Every Newton iterate keeps the mass,
+since 1^T S = 0.  Its meta adds ``clamps``, ``newton_iterations``,
+``factorizations``, ``accepted`` and ``rejected`` steps and
+``error_estimate``.  Tolerances and limits are module constants.
 
 A run emits a Trace of (t, E, I, K, mass, min_v) and, for the linear flow,
 q4 = int |D v^{p/4}|^4 dgamma, the one further scalar the refined audit
@@ -56,15 +56,17 @@ class FlowConfig:
 
     ``init`` is a builtin spec ("bump:0.3", "odd:0.2", "const"), "csv:path"
     naming a node-aligned column of densities, or an array of node values,
-    which the trace's config echoes as "array".  ``dt`` (default 10 h^2) and
-    ``stride`` (default: about 200 rows) set only the row times: rows every
-    ``stride`` dt up to round(t_end / dt) dt, rounded down to a whole number
-    of strides.  ``t_end`` and a given ``dt`` must be finite and positive,
-    ``stride`` at least 1; :meth:`resolved` rejects a ``t_end`` that rounds
-    to no step or to an overflowing count, a ``stride`` above the step
-    count, and more than ``_MAX_ROWS`` (1e7) rows.  ``theta`` is the
-    criterion's theta, which ``report`` reads for lambda1_pme.  Every field
-    is a ``flow`` CLI flag; tolerances and limits are module constants.
+    which the trace's config echoes as "array".  ``dt`` and ``stride`` set only
+    the row times: rows every ``stride`` dt up to round(t_end / dt) dt,
+    rounded down to a whole number of strides.  The default ``dt`` is
+    t_end / 200 and the default ``stride`` gives about 200 rows, so the
+    default grid is 200 rows that end at t_end (to an ulp).  ``t_end`` and a
+    given ``dt`` must be finite and positive, ``stride`` at least 1;
+    :meth:`resolved` rejects a ``t_end`` that rounds to no step or to an
+    overflowing count, a ``stride`` above the step count, and more than
+    ``_MAX_ROWS`` (1e7) rows.  ``theta`` is the criterion's theta, which
+    ``report`` reads for lambda1_pme.  Every field is a ``flow`` CLI flag;
+    tolerances and limits are module constants.
     """
 
     kind: str  # 'linear' | 'pme'
@@ -88,11 +90,11 @@ class FlowConfig:
         if self.stride is not None and self.stride < 1:
             raise ConfigError(f"stride must be at least 1; got {self.stride}")
 
-    def resolved(self, grid: Grid) -> tuple[float, int, int]:
-        """(dt, n_steps, stride) with defaults filled in for this grid;
-        ``n_steps`` is a multiple of ``stride``."""
-        dt = self.dt if self.dt is not None else 10.0 * grid.h**2
-        steps = self.t_end / dt
+    def resolved(self) -> tuple[float, int, int]:
+        """(dt, n_steps, stride) with defaults filled in; ``n_steps`` is a
+        multiple of ``stride``."""
+        dt = self.dt if self.dt is not None else self.t_end / 200.0
+        steps = self.t_end / dt if dt else math.inf  # a subnormal t_end / 200 is 0
         if not math.isfinite(steps):
             raise ConfigError(
                 f"t_end={self.t_end:g} over dt={dt:g} is not a finite number of steps")
@@ -291,7 +293,7 @@ def _initial_state(grid: Grid, init) -> np.ndarray:
 # one-row window raises SolverDiverged instead.  gamma is the window's length
 # over _GAMMA_DIV.  On harmonic_log:0.05 (--radial 3:12, bump:0.3, at every n
 # from 1000 to 4000) the max-norm bound of the windows from t = 0.25 stalls
-# at 1.4e-7 to 7.7e-7, and their halves converge.
+# at 1.5e-7 to 6.4e-7, and their halves converge.
 _KRYLOV_TOL_W = 1e-12
 _KRYLOV_TOL_MAX = 1e-7
 _KRYLOV_PATIENCE = 4
@@ -333,8 +335,8 @@ class _Krylov:
 
     counters = ("windows", "clamps")
 
-    def __init__(self, grid: Grid, dt: float, stride: int, v: np.ndarray, snapshot: _Snapshot):
-        self.grid, self.dt, self.stride, self.v0, self.snapshot = grid, dt, stride, v, snapshot
+    def __init__(self, grid: Grid, times: list[float], v: np.ndarray, snapshot: _Snapshot):
+        self.grid, self.times, self.v0, self.snapshot = grid, times, v, snapshot
         self.system = SPDTridiagonal(grid.n)
         self.basis: list[np.ndarray] = []
         self.windows: list[dict] = []
@@ -362,20 +364,18 @@ class _Krylov:
                     last += h
         return last
 
-    def _time(self, row: int) -> float:
-        return (row * self.stride) * self.dt
-
-    def states(self, n_rows: int):
-        """The state at rows 1..n_rows, written over v0 row by row (each window
-        first copies its start into the basis)."""
+    def __iter__(self):
+        """The state at each row time: v0, then each row written over it (each
+        window first copies its start into the basis)."""
         v = self.v0
+        yield v
         if v.min() == v.max():
             # a constant field is its own trajectory (|w| = 0): no solve
-            for _ in range(n_rows):
+            for _ in self.times[1:]:
                 yield v
             return
         c = self._dot(v)
-        pending = _windows(n_rows)[::-1]
+        pending = _windows(len(self.times) - 1)[::-1]
         while pending:
             first, last = pending.pop()
             coefficients = self._expand(v, c, first, last)
@@ -396,9 +396,9 @@ class _Krylov:
     def _expand(self, start: np.ndarray, c: float, first: int, last: int):
         """The coefficients (one row per row time in (first, last]) of
         start - c evolved from row ``first``; None if the window is split."""
-        grid, system, basis = self.grid, self.system, self.basis
-        gamma = (self._time(last) - self._time(first)) / _GAMMA_DIV
-        taus = np.array([self._time(j - first) for j in range(first + 1, last + 1)])
+        grid, system, basis, times = self.grid, self.system, self.basis, self.times
+        gamma = (times[last] - times[first]) / _GAMMA_DIV
+        taus = np.array(times[1:last - first + 1])
         # W + gamma S, written into the system's bands and factored in place
         d, e = stiffness_bands(grid.conductance, out=(system.d, system.e))
         d *= gamma
@@ -413,7 +413,7 @@ class _Krylov:
         q = np.subtract(start, c, out=basis[0])
         self._project(q, 0)
         beta0 = math.sqrt(self._dot(q, q))
-        window = {"t": [self._time(first), self._time(last)]}
+        window = {"t": [times[first], times[last]]}
         if beta0 == 0.0:
             self.windows.append({**window, "k": 0, "estimate": [0.0, 0.0]})
             return np.zeros((len(taus), 1))
@@ -476,19 +476,17 @@ class _Krylov:
 
 
 def _run(config: FlowConfig, grid: Grid, kind: str, params, flow) -> Trace:
-    """Run one flow.  ``flow(dt, stride, v, snapshot)`` makes the object
-    whose ``states(n)`` yields the state at rows 1..n, at t = j stride dt (it
-    may use the snapshot's work arrays between rows); row 0 is the initial
-    field itself.  The flow's ``counters`` join the trace meta."""
+    """Run one flow.  ``flow(times, v, snapshot)`` makes the iterable of the
+    states at the row times t = j stride dt, from the initial field v itself
+    at t = 0 (it may use the snapshot's work arrays between rows).  The
+    flow's ``counters`` join the trace meta."""
     if config.kind != kind:
         raise ConfigError(f"run_{kind} needs a config with kind={kind!r}")
     snapshot = _Snapshot(params(), grid)
-    dt, n_steps, stride = config.resolved(grid)
-    v = _initial_state(grid, config.init)
-    rows = [(0.0, *snapshot(v))]
-    flow = flow(dt, stride, v, snapshot)
-    for row, state in enumerate(flow.states(n_steps // stride), 1):
-        rows.append(((row * stride) * dt, *snapshot(state)))
+    dt, n_steps, stride = config.resolved()
+    times = [(j * stride) * dt for j in range(n_steps // stride + 1)]
+    flow = flow(times, _initial_state(grid, config.init), snapshot)
+    rows = [(t, *snapshot(state)) for t, state in zip(times, flow)]
     echo = asdict(config)
     if not isinstance(config.init, str):
         echo["init"] = "array"
@@ -500,7 +498,7 @@ def _run(config: FlowConfig, grid: Grid, kind: str, params, flow) -> Trace:
 def run_linear(config: FlowConfig, grid: Grid) -> Trace:
     """v(t) = exp(tL) v0 at the snapshot times, by windowed shift-invert Lanczos."""
     return _run(config, grid, "linear", lambda: LinearParams(config.p),
-                lambda dt, stride, v, snapshot: _Krylov(grid, dt, stride, v, snapshot))
+                lambda times, v, snapshot: _Krylov(grid, times, v, snapshot))
 
 
 # A stage's Newton ends at the first update whose max-norm residual is at most
@@ -542,8 +540,8 @@ class _PmeStepper:
     counters = ("clamps", "newton_iterations", "factorizations", "accepted", "rejected",
                 "error_estimate")
 
-    def __init__(self, grid: Grid, m: float, dt: float, stride: int, v: np.ndarray):
-        self.grid, self.m, self.dt, self.stride, self.v = grid, m, dt, stride, v
+    def __init__(self, grid: Grid, m: float, times: list[float], v: np.ndarray):
+        self.grid, self.m, self.times, self.v = grid, m, times, v
         self.bands = stiffness_bands(grid.conductance)
         self.stiffness = 2.0 * float((self.bands[0] / grid.node_mass).max())  # |W^-1 S|
         self.clamps = self.newton_iterations = self.factorizations = 0
@@ -551,7 +549,7 @@ class _PmeStepper:
         self.system = SPDTridiagonal(grid.n)
         self.lv = self.operator(v)
         self.mass = integrate_dgamma(grid, v)
-        self.t, self.h = 0.0, dt * stride  # the first try is one row
+        self.t, self.h = 0.0, times[1]  # the first try is one row
 
     def operator(self, x: np.ndarray) -> np.ndarray:
         """L(max(x, floor)^m); unchanged by clamping x at the floor."""
@@ -559,9 +557,11 @@ class _PmeStepper:
 
     def _newton(self, x: np.ndarray, lx: np.ndarray, rhs: np.ndarray, gh: float):
         """The stage x - gh L(x^m) = rhs, from x, and its L(x^m); None if Newton
-        stalls.  Solves (W D^{-1} + gh S)(D delta) = -W res, D = diag(dpow).  A
-        chord update that does not improve is redone fresh with a line search;
-        a fresh one that cannot improve ends the stage."""
+        stalls.  Solves (W D^{-1} + gh S)(D delta) = -W res, D = diag(dpow),
+        and takes the whole update x + delta.  A chord update that does not
+        lower the residual is redone fresh; a fresh one that does not is a
+        stall, which rejects the step and so halves it (Hairer & Wanner II,
+        IV.8): no damping."""
         wg = self.grid.node_mass
         sdiag, soff = self.bands
         m, system = self.m, self.system
@@ -581,17 +581,11 @@ class _PmeStepper:
             self.newton_iterations += 1
             system.b[:] = -wg * res
             system.solve()
-            delta = system.b / self.dpow
-            lam = 1.0
-            for _ in range(1 if self.chord else 30):
-                xt = x + delta if lam == 1.0 else x + delta * lam
-                lt = self.operator(xt)
-                rt = xt - lt * gh - rhs
-                rtn = float(np.abs(rt).max())
-                if rtn < rnorm:
-                    break
-                lam *= 0.5
-            else:
+            xt = x + system.b / self.dpow
+            lt = self.operator(xt)
+            rt = xt - lt * gh - rhs
+            rtn = float(np.abs(rt).max())
+            if not rtn < rnorm:  # also a NaN residual
                 if self.chord:
                     self.chord = False
                     continue
@@ -661,17 +655,17 @@ class _PmeStepper:
             f"porous-media step at t={self.t:g} rejected {_MAX_REJECTIONS} times in a row; "
             f"last step size {h:.3g}")
 
-    def states(self, n_rows: int):
-        """The state at each of the n_rows row times, every ``stride`` dt."""
+    def __iter__(self):
+        """The state at each row time, v itself at the first."""
         v = self.v
-        for row in range(1, n_rows + 1):
-            t_row = (row * self.stride) * self.dt
+        yield v
+        for t_row in self.times[1:]:
             while self.t < t_row:
                 v = self.advance(v, t_row)
             yield v
 
 
 def run_pme(config: FlowConfig, grid: Grid) -> Trace:
-    """Integrate v_t = L(v^m) by adaptive SDIRK3 steps, damped Newton per stage."""
+    """Integrate v_t = L(v^m) by adaptive SDIRK3 steps, undamped Newton per stage."""
     return _run(config, grid, "pme", lambda: PmeParams(m=config.m, p=config.p),
-                lambda dt, stride, v, snapshot: _PmeStepper(grid, config.m, dt, stride, v))
+                lambda times, v, snapshot: _PmeStepper(grid, config.m, times, v))

@@ -387,17 +387,29 @@ class TestFlowAndReport:
 
     @pytest.mark.parametrize("tend, code", [("0.01", 2), ("0.04", 0)])
     def test_t_end_under_half_a_step_exits_2(self, capsys, tend, code):
-        # the default dt here is 10 h^2 = 0.064: t_end = 0.01 used to run one
-        # step to t = 0.064 and exit 0; t_end = 0.04 rounds to one step
+        # t_end = 0.01 at dt = 0.064 used to run one step to t = 0.064 and exit
+        # 0; t_end = 0.04 rounds to one step
         assert main([
             "flow", "linear", "--p", "1.5", "--potential", "gaussian", "--domain", "-8:8",
-            "--n", "201", "--tend", tend,
+            "--n", "201", "--tend", tend, "--dt", "0.064",
         ]) == code
         out, err = capsys.readouterr()
         if code == 2:
             assert "config error" in err and "t_end=0.01" in err and "--dt" in err
         else:
             assert out.startswith("t_end=0.064 ")
+
+    @pytest.mark.parametrize("tend", ["50", "0.9"])
+    def test_default_time_grid_ends_at_tend(self, capsys, tmp_path, tend):
+        # with no --dt the rows are every tend/200: row 0 and 200 more, the
+        # last within an ulp of tend (the default dt of 10 h^2 stopped this
+        # run at t = 49.92)
+        trace = tmp_path / "run.csv"
+        assert main(["flow", "linear", "--p", "2", "--n", "401", "--tend", tend,
+                     "--trace", str(trace)]) == 0
+        assert capsys.readouterr().out.startswith(f"t_end={tend} ")
+        t = Trace.from_csv(trace).t
+        assert len(t) == 201 and abs(t[-1] - float(tend)) <= math.ulp(float(tend))
 
     def test_refined_audit_passes_near_equilibrium(self, tmp_path):
         # at t = 20, v is within 1e-10 of 1 and (pI)^2 <= 256 (1 + (p-1)E) q4

@@ -1,6 +1,7 @@
 """Time integration: conservation, decay, trace round-trips."""
 
 import functools
+import math
 import sys
 import types
 
@@ -532,32 +533,45 @@ class TestPmeFlow:
 
     @pytest.mark.parametrize("run", [ef.run_linear, ef.run_pme], ids=["linear", "pme"])
     def test_t_end_under_half_a_step_is_rejected(self, run, gauss_pot):
-        # at n = 201 on [-8, 8] the default dt is 10 h^2 = 0.064; t_end = 0.01
-        # used to be rounded up to one step and run to t = 0.064
+        # t_end = 0.01 at dt = 0.064 used to be rounded up to one step and run
+        # to t = 0.064
         grid = ef.make_interval_grid(-8.0, 8.0, 201, gauss_pot)
         kind = "linear" if run is ef.run_linear else "pme"
-        cfg = ef.FlowConfig(kind=kind, p=1.5, m=1.2, t_end=0.01)
+        cfg = ef.FlowConfig(kind=kind, p=1.5, m=1.2, t_end=0.01, dt=0.064)
         with pytest.raises(ConfigError, match=r"t_end=0\.01 .* dt=0\.064"):
             run(cfg, grid)
-        one_step = ef.FlowConfig(kind=kind, p=1.5, m=1.2, t_end=0.04)
-        assert one_step.resolved(grid)[:2] == (pytest.approx(0.064, rel=1e-15), 1)
+        one_step = ef.FlowConfig(kind=kind, p=1.5, m=1.2, t_end=0.04, dt=0.064)
+        assert one_step.resolved()[:2] == (0.064, 1)
         assert run(one_step, grid).meta["n_steps"] == 1
 
-    def test_step_count_cap_is_inclusive(self, gauss_grid_small):
+    # 0.9 ends one ulp off: 200 (0.9 / 200) is not 0.9
+    @pytest.mark.parametrize("t_end", [1.0, 0.9, 50.0, 1e-300, 7.3e12, 2.0**-1000])
+    def test_default_grid_is_200_rows_ending_at_t_end(self, t_end):
+        dt, n_steps, stride = ef.FlowConfig(kind="linear", p=1.5, t_end=t_end).resolved()
+        assert (dt, n_steps, stride) == (t_end / 200.0, 200, 1)
+        assert abs(n_steps * dt - t_end) <= math.ulp(t_end)
+
+    def test_t_end_whose_default_dt_underflows_is_rejected(self):
+        # t_end / 200 of the least subnormal is 0: no finite number of steps
+        cfg = ef.FlowConfig(kind="linear", p=1.5, t_end=5e-324)
+        with pytest.raises(ConfigError, match="is not a finite number of steps"):
+            cfg.resolved()
+
+    def test_step_count_cap_is_inclusive(self):
         # arithmetic only: resolved() runs no step.  The cap is on the rows,
         # n_steps // stride, which set the work; at stride 1 each step is a row
         cap = flows._MAX_ROWS
         at_cap = ef.FlowConfig(kind="linear", p=1.5, t_end=float(cap), dt=1.0, stride=1)
-        assert at_cap.resolved(gauss_grid_small) == (1.0, cap, 1)
+        assert at_cap.resolved() == (1.0, cap, 1)
         over = ef.FlowConfig(kind="linear", p=1.5, t_end=float(cap + 1), dt=1.0, stride=1)
         with pytest.raises(ConfigError, match=r"t_end=1e\+07 at stride=1 and dt=1 is 1e\+07 "
                            r"rows, over the cap of 1e\+07"):
-            over.resolved(gauss_grid_small)
+            over.resolved()
         # more steps than the cap in fewer rows: at the default stride, and 100 rows
         default = ef.FlowConfig(kind="linear", p=1.5, t_end=float(cap + 1), dt=1.0)
-        assert default.resolved(gauss_grid_small) == (1.0, cap, (cap + 1) // 200)
+        assert default.resolved() == (1.0, cap, (cap + 1) // 200)
         fine = ef.FlowConfig(kind="pme", p=1.5, m=1.2, t_end=1.0, dt=1e-8, stride=10**6)
-        assert fine.resolved(gauss_grid_small) == (1e-8, 10**8, 10**6)
+        assert fine.resolved() == (1e-8, 10**8, 10**6)
 
 
 def spy_calls(monkeypatch, *names):
@@ -625,8 +639,8 @@ def compact_start(tmp_path, grid):
 class TestNewtonWork:
     def test_work_counters_match_the_calls(self, monkeypatch, gauss_pot):
         # at n = 4001 the residual's rounding (~3e-14) lies above 1e-14: Newton
-        # must stop once an update meets the tolerance, not line-search against
-        # it, so L(v^m) is evaluated once at the start and once per update
+        # must stop once an update meets the tolerance, so L(v^m) is evaluated
+        # once at the start and once per update
         counts = spy_calls(monkeypatch, "factor", "delta_g")
         grid = ef.make_interval_grid(-8.0, 8.0, 4001, gauss_pot)
         cfg = ef.FlowConfig(kind="pme", p=1.5, m=1.2, theta=0.5, init="bump:0.4",
@@ -659,6 +673,45 @@ class TestNewtonWork:
             err = np.max(np.abs(trace.column(col) / fine.column(col) - 1.0))
             assert 1e-9 < err <= tol, col
         assert trace.mass_drift <= 1e-13
+
+    def test_a_stage_makes_no_trial_points(self, monkeypatch, tmp_path, gauss_pot):
+        # each update is taken whole or the step is rejected: L(x^m) is
+        # evaluated once per update (a line search evaluated 253 more trial
+        # points on this run, which rejects steps)
+        grid = ef.make_interval_grid(-8.0, 8.0, 801, gauss_pot)
+        newton, operator = flows._PmeStepper._newton, flows._PmeStepper.operator
+        evals, counts = [0], []
+
+        def spy_operator(self, x):
+            evals[0] += 1
+            return operator(self, x)
+
+        def spy_newton(self, *args):
+            evals[0], updates = 0, self.newton_iterations
+            out = newton(self, *args)
+            counts.append((evals[0], self.newton_iterations - updates))
+            return out
+
+        monkeypatch.setattr(flows._PmeStepper, "operator", spy_operator)
+        monkeypatch.setattr(flows._PmeStepper, "_newton", spy_newton)
+        cfg = ef.FlowConfig(kind="pme", p=1.5, m=4.0, init=compact_start(tmp_path, grid),
+                            t_end=0.1, dt=0.1)
+        meta = ef.run_pme(cfg, grid).meta
+        assert meta["rejected"] > 0
+        assert all(e == updates for e, updates in counts)
+        assert sum(updates for _, updates in counts) == meta["newton_iterations"]
+
+    def test_a_fresh_update_that_raises_the_residual_stalls(self, gauss_grid_small):
+        # from the floor the Newton matrix is about W, so the update jumps to
+        # rhs, where gh L(rhs^4) is far above the residual it started from;
+        # the stage stalls after that one update, and its step is rejected
+        grid = gauss_grid_small
+        stepper = flows._PmeStepper(grid, 4.0, [0.0, 1.0], np.ones(grid.n))
+        stepper.chord, stepper.tol = False, flows._NEWTON_TOL
+        x = np.full(grid.n, ef.DEFAULT_FLOOR)
+        rhs = np.maximum(2.25 - (grid.nodes + 1.0) ** 2, 0.0)
+        assert stepper._newton(x, stepper.operator(x), rhs, 10.0) is None
+        assert stepper.newton_iterations == stepper.factorizations == 1
 
     @pytest.mark.parametrize("rate", [None, 1.0], ids=["default", "always-reuse"])
     def test_slow_chord_updates_refactor(self, monkeypatch, tmp_path, gauss_pot, rate):
